@@ -9,8 +9,6 @@
 //	rekeybench -scenario.check
 //	rekeybench -strategy [-quick] [-strategy.out EXPERIMENTS.md]
 //	rekeybench -strategy.check
-//	rekeybench -shard [-quick] [-shard.out EXPERIMENTS.md]
-//	rekeybench -shard.check
 //
 // Each experiment prints one text table per figure: series blocks of
 // "x<TAB>y" rows, the same series the corresponding paper figure plots.
@@ -22,11 +20,7 @@
 // pass/fail regression guard for CI. -strategy races every registered
 // key tree placement strategy through the same matrix and renders the
 // per-strategy encryptions/bytes/latency comparison; -strategy.check is
-// its CI guard. -shard drives the same scenarios through the
-// internal/shard coordinator at 1/2/4/8 shards (oracles active,
-// mid-run snapshot failover, one shard's wire channel delivered over
-// netsim per interval) and renders the scale-out table; -shard.check
-// is its CI guard.
+// its CI guard.
 package main
 
 import (
@@ -39,14 +33,12 @@ import (
 	"repro/internal/experiments"
 )
 
-// scenarioMarker delimits the generated table inside -scenario.out.
+// The markers delimit the generated tables inside the -*.out files.
 const (
 	scenarioBegin = "<!-- scenario-table:begin -->"
 	scenarioEnd   = "<!-- scenario-table:end -->"
 	strategyBegin = "<!-- strategy-table:begin -->"
 	strategyEnd   = "<!-- strategy-table:end -->"
-	shardBegin    = "<!-- shard-table:begin -->"
-	shardEnd      = "<!-- shard-table:end -->"
 )
 
 // spliceTable replaces the region between begin/end markers in outFile
@@ -94,26 +86,6 @@ func runStrategySuite(opts experiments.Options, outFile string) error {
 	return nil
 }
 
-func runShardSuite(opts experiments.Options, outFile string) error {
-	start := time.Now()
-	cells := experiments.RunShardSuite(opts)
-	table := experiments.ShardMarkdown(cells)
-	fail := 0
-	for _, c := range cells {
-		if !c.OK {
-			fail++
-		}
-	}
-	header := fmt.Sprintf("# sharded scale-out — %d rows, %d failing, %v", len(cells), fail, time.Since(start).Round(time.Millisecond))
-	if err := spliceTable(outFile, shardBegin, shardEnd, header, table); err != nil {
-		return err
-	}
-	if fail > 0 {
-		return fmt.Errorf("%d shard rows failed", fail)
-	}
-	return nil
-}
-
 func runScenarioSuite(opts experiments.Options, outFile string) error {
 	start := time.Now()
 	cells := experiments.RunScenarioSuite(opts)
@@ -124,24 +96,9 @@ func runScenarioSuite(opts experiments.Options, outFile string) error {
 			fail++
 		}
 	}
-	if outFile == "" {
-		fmt.Printf("# scenario suite — %d cells, %d failing, %v\n\n%s", len(cells), fail, time.Since(start).Round(time.Millisecond), table)
-	} else {
-		raw, err := os.ReadFile(outFile)
-		if err != nil {
-			return err
-		}
-		doc := string(raw)
-		lo := strings.Index(doc, scenarioBegin)
-		hi := strings.Index(doc, scenarioEnd)
-		if lo < 0 || hi < 0 || hi < lo {
-			return fmt.Errorf("%s: markers %q/%q not found", outFile, scenarioBegin, scenarioEnd)
-		}
-		doc = doc[:lo+len(scenarioBegin)] + "\n" + table + doc[hi:]
-		if err := os.WriteFile(outFile, []byte(doc), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("# scenario suite — %d cells, %d failing, %v; table written to %s\n", len(cells), fail, time.Since(start).Round(time.Millisecond), outFile)
+	header := fmt.Sprintf("# scenario suite — %d cells, %d failing, %v", len(cells), fail, time.Since(start).Round(time.Millisecond))
+	if err := spliceTable(outFile, scenarioBegin, scenarioEnd, header, table); err != nil {
+		return err
 	}
 	if fail > 0 {
 		return fmt.Errorf("%d scenario cells failed", fail)
@@ -162,28 +119,8 @@ func main() {
 		strat    = flag.Bool("strategy", false, "race every key tree placement strategy through the scenario matrix")
 		stratOut = flag.String("strategy.out", "", "write the strategy table into this file (between strategy-table markers)")
 		stratChk = flag.Bool("strategy.check", false, "quick-scale strategy race as a pass/fail regression guard")
-		shardRun = flag.Bool("shard", false, "run the sharded scale-out suite (1/2/4/8 shards per scenario)")
-		shardOut = flag.String("shard.out", "", "write the shard table into this file (between shard-table markers)")
-		shardChk = flag.Bool("shard.check", false, "quick-scale shard suite as a pass/fail regression guard")
 	)
 	flag.Parse()
-
-	if *shardChk {
-		if err := experiments.ShardCheck(experiments.Options{Seed: *seed}); err != nil {
-			fmt.Fprintf(os.Stderr, "rekeybench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("shard check: all rows pass")
-		return
-	}
-	if *shardRun {
-		opts := experiments.Options{Seed: *seed, Quick: *quick}
-		if err := runShardSuite(opts, *shardOut); err != nil {
-			fmt.Fprintf(os.Stderr, "rekeybench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *stratChk {
 		if err := experiments.StrategyCheck(experiments.Options{Seed: *seed}); err != nil {

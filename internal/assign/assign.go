@@ -55,36 +55,18 @@ func (p *Plan) DuplicationOverhead() float64 {
 // analyses can model other packet sizes.
 const Capacity = packet.MaxEncPerPacket
 
-// Source is the batch view UKA packs: the users present after the
-// batch, each user's required encryption IDs (bottom-up path order),
-// the encryptions themselves, and the MaxKID value every materialised
-// ENC packet must carry. *keytree.BatchResult is the single-tree
-// implementation; a coordinator's per-shard slice (internal/shard)
-// implements it with globalized IDs plus the top-tree encryptions.
-type Source interface {
-	// UserList returns the post-batch user node IDs, ascending.
-	UserList() []int
-	// AppendUserNeedIDs appends user userID's required encryption IDs
-	// to dst in bottom-up order and returns the extended slice.
-	AppendUserNeedIDs(dst []uint32, userID int) []uint32
-	// Encryption resolves one encryption by its encrypting-node ID.
-	Encryption(id int) (keytree.Encryption, bool)
-	// PacketMaxKID is the MaxKID stamped into every ENC packet.
-	PacketMaxKID() int
-}
-
-// Build runs UKA over a batch source with the default packet capacity.
-func Build(res Source) (*Plan, error) {
+// Build runs UKA over one batch with the default packet capacity.
+func Build(res *keytree.BatchResult) (*Plan, error) {
 	return BuildCapacity(res, Capacity)
 }
 
 // BuildCapacity runs UKA with an explicit per-packet capacity.
-func BuildCapacity(res Source, capacity int) (*Plan, error) {
+func BuildCapacity(res *keytree.BatchResult, capacity int) (*Plan, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("assign: capacity %d, must be positive", capacity)
 	}
 	plan := &Plan{UserPacket: make(map[int]int)}
-	users := res.UserList()
+	users := res.UserIDs
 	if !sort.IntsAreSorted(users) {
 		return nil, fmt.Errorf("assign: user IDs not sorted")
 	}
@@ -145,7 +127,7 @@ func BuildCapacity(res Source, capacity int) (*Plan, error) {
 // returned slice has exactly numBlocks*k entries when padding applies;
 // duplicates share payload with their originals but carry their own
 // block ID and sequence number.
-func Materialize(plan *Plan, res Source, msgID uint8, k int) ([]*packet.ENC, error) {
+func Materialize(plan *Plan, res *keytree.BatchResult, msgID uint8, k int) ([]*packet.ENC, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("assign: block size %d, must be positive", k)
 	}
@@ -153,9 +135,8 @@ func Materialize(plan *Plan, res Source, msgID uint8, k int) ([]*packet.ENC, err
 	if n == 0 {
 		return nil, nil
 	}
-	maxKID := res.PacketMaxKID()
-	if maxKID > 0xffff {
-		return nil, fmt.Errorf("assign: maxKID %d exceeds 16-bit wire field", maxKID)
+	if res.MaxKID > 0xffff {
+		return nil, fmt.Errorf("assign: maxKID %d exceeds 16-bit wire field", res.MaxKID)
 	}
 	part, err := blockplan.NewPartition(n, k)
 	if err != nil {
@@ -178,7 +159,7 @@ func Materialize(plan *Plan, res Source, msgID uint8, k int) ([]*packet.ENC, err
 			BlockID: uint8(i / k),
 			Seq:     uint8(i % k),
 			Dup:     part.IsDuplicate(i/k, i%k),
-			MaxKID:  uint16(maxKID),
+			MaxKID:  uint16(res.MaxKID),
 			FrmID:   uint16(pp.FrmID),
 			ToID:    uint16(pp.ToID),
 		}

@@ -34,8 +34,6 @@ const (
 	DomainENC   = 0x01
 	DomainUSR   = 0x02
 	DomainBlock = 0x03 // block-subtree roots feeding the top tree
-	DomainSlice = 0x04 // sharded path: one slice's canonical bytes
-	DomainTop   = 0x05 // sharded path: the coordinator's top encryptions
 )
 
 // LeafHash hashes one leaf: H(0x00 || domain || data).

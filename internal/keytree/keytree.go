@@ -233,11 +233,6 @@ func (t *Tree) Members() []Member {
 	return ms
 }
 
-// UserIDs returns a copy of the sorted list of current u-node IDs.
-// Shard coordinators read it to build assignment slices for shards
-// whose tree did not change in an interval.
-func (t *Tree) UserIDs() []int { return t.userIDs() }
-
 // PathKeys returns the keys a member should hold after a successful
 // rekey: its individual key plus the keys of every k-node on its path to
 // the root, keyed by node ID. Tests compare user state against it.
@@ -463,29 +458,6 @@ func (r *BatchResult) Encryption(id int) (Encryption, bool) {
 		return Encryption{}, false
 	}
 	return r.Encryptions[i], true
-}
-
-// MaxKIDFor returns the maximum k-node ID governing user userID's
-// Theorem 4.2 rederivation. For a single tree that is the global
-// MaxKID regardless of the user; sharded batches (internal/shard)
-// return the per-shard globalized value. Part of the oracle's Batch
-// interface.
-func (r *BatchResult) MaxKIDFor(int) int { return r.MaxKID }
-
-// PacketMaxKID returns the MaxKID value stamped into every ENC packet
-// materialised from this batch. Part of the assign Source interface.
-func (r *BatchResult) PacketMaxKID() int { return r.MaxKID }
-
-// UserList returns the sorted post-batch u-node IDs. Part of the
-// assign Source interface (mirrors the UserIDs field).
-func (r *BatchResult) UserList() []int { return r.UserIDs }
-
-// ForEachEncryption calls fn for every encryption of the batch in
-// generation order. Part of the oracle's Batch interface.
-func (r *BatchResult) ForEachEncryption(fn func(Encryption)) {
-	for i := range r.Encryptions {
-		fn(r.Encryptions[i])
-	}
 }
 
 // UserNeeds returns, in bottom-up order, the encryptions user userID

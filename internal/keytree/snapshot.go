@@ -1,10 +1,10 @@
 // Snapshot / Restore: a deterministic byte encoding of the full tree
-// state, the failover surface shards use to restart mid-run. The
+// state, the failover surface a standby server restarts from. The
 // encoding covers exactly what the server must not lose -- degree,
 // height and the node array (kinds, keys, member handles); the loc map
 // and the sorted user-ID slice are derived state and are rebuilt on
 // restore. The key generator is deliberately NOT serialised: a CSPRNG
-// position is not state worth resuming (a restarted shard draws future
+// position is not state worth resuming (a restarted server draws future
 // keys from a fresh generator), so Restore takes one explicitly.
 
 package keytree

@@ -2,7 +2,7 @@ package lint
 
 // lockorder: deadlock prevention by construction. Every sync.Mutex /
 // sync.RWMutex field in the module is a *lock class* named after its
-// declaration site (shard.Shard.mu, obs.Registry.trace.mu); this
+// declaration site (rekey.Server.treeMu, obs.Registry.trace.mu); this
 // analyzer scans each function for acquisitions performed while other
 // classes are held -- directly, or transitively through statically
 // resolved calls -- and builds the module's lock-acquisition graph.
@@ -56,8 +56,7 @@ var lockRanks = map[string]int{
 	"rekey.Server.mu":       20,
 	"udptrans.Server.mu":    30,
 	"udptrans.Client.mu":    40,
-	"shard.Coordinator.mu":  50,
-	"shard.Shard.mu":        60,
+	"rekey.Server.treeMu":   60,
 	"rekey.Member.mu":       70,
 	"rekey.RekeyMessage.mu": 80,
 	"keys.RootVerifier.mu":  90,

@@ -5,7 +5,7 @@ package lint
 // type-checked package in, diagnostics out. The keyflow, lockorder and
 // escapes analyzers need to see the whole module at once -- a secret
 // key leaks through a helper in another package, a lock cycle spans
-// rekey.Server and internal/shard -- so they run as ModuleAnalyzers
+// udptrans.Server and rekey.Server -- so they run as ModuleAnalyzers
 // over a ModulePass that carries every loaded package in dependency
 // order, a static call graph (callgraph.go) and a cross-package facts
 // layer.
@@ -50,7 +50,7 @@ type ModulePass struct {
 	All []*Package
 	// Targets is the subset of All matched by the run's patterns.
 	// Analyzers compute facts over All but report findings only in
-	// targets, mirroring how a partial `rekeylint ./internal/shard`
+	// targets, mirroring how a partial `rekeylint ./internal/keytree`
 	// run should not complain about unrelated packages.
 	Targets map[*Package]bool
 

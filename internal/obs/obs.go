@@ -84,12 +84,6 @@ const (
 	// broken (forward secrecy, key consistency or a recovery bound).
 	COracleChecks
 	COracleViolations
-	// Sharded server side.
-	// CShardBatches counts per-shard ProcessPending batches the
-	// coordinator ran; CShardRestores counts mid-run shard failovers
-	// restored from a snapshot.
-	CShardBatches
-	CShardRestores
 	// Zero-copy send path.
 	// CSendBufReuse counts pooled send buffers served from the pool;
 	// CSendBufAlloc counts fresh allocations the pool had to make.
@@ -126,8 +120,6 @@ var counterNames = [numCounters]string{
 	CScenarioSteps:    "scenario_steps",
 	COracleChecks:     "oracle_checks",
 	COracleViolations: "oracle_violations",
-	CShardBatches:     "shard_batches",
-	CShardRestores:    "shard_restores",
 	CSendBufReuse:     "sendbuf_reuse",
 	CSendBufAlloc:     "sendbuf_alloc",
 }
@@ -172,12 +164,11 @@ const (
 	HRekeyBuild
 	// HParityEncode is seconds per PrecomputeParity fan-out.
 	HParityEncode
-	// HShardBatch is seconds per shard ProcessPending batch (one
-	// shard's share of a coordinator interval).
+	// HShardBatch is seconds per key tree batch (keytree.ProcessBatch
+	// inside Server.Rekey: marking, key generation and wrapping). It is
+	// exported as shard_batch_s, the name bench/README.md's stage map
+	// and existing dashboards key on.
 	HShardBatch
-	// HCoordMerge is seconds the coordinator spends merging shard
-	// results under the top tree and signing, per interval.
-	HCoordMerge
 	// HSignRoot is seconds per interval spent building the interval
 	// Merkle tree and signing its root (the amortized-signing cost that
 	// replaces sign-per-message).
@@ -198,7 +189,6 @@ var histNames = [numHists]string{
 	HRekeyBuild:       "rekey_build_s",
 	HParityEncode:     "parity_encode_s",
 	HShardBatch:       "shard_batch_s",
-	HCoordMerge:       "coord_merge_s",
 	HSignRoot:         "sign_root_s",
 	HMerkleProofBytes: "merkle_proof_bytes",
 }
@@ -213,7 +203,6 @@ var histBounds = [numHists][]float64{
 	HRekeyBuild:       {0.0001, 0.0005, 0.001, 0.005, 0.02, 0.05, 0.1, 0.5, 1, 5},
 	HParityEncode:     {0.0001, 0.0005, 0.001, 0.005, 0.02, 0.05, 0.1, 0.5, 1, 5},
 	HShardBatch:       {0.0001, 0.0005, 0.001, 0.005, 0.02, 0.05, 0.1, 0.5, 1, 5},
-	HCoordMerge:       {0.00001, 0.0001, 0.0005, 0.001, 0.005, 0.02, 0.05, 0.1, 0.5, 1},
 	HSignRoot:         {0.00001, 0.0001, 0.0005, 0.001, 0.005, 0.02, 0.05, 0.1, 0.5, 1},
 	HMerkleProofBytes: {0, 64, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048},
 }

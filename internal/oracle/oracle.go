@@ -41,48 +41,9 @@ type Config struct {
 	MaxUnicastWaves int
 }
 
-// TreeView is the server-side key state the oracle audits. A single
-// *keytree.Tree implements it directly; a sharded coordinator
-// (internal/shard) implements it over its shard trees plus the top
-// tree, with node IDs globalized into one composite ID space.
-type TreeView interface {
-	// Degree is the tree degree d (uniform across a composite tree).
-	Degree() int
-	// Members returns all current members, sorted by node ID.
-	Members() []keytree.Member
-	// UserID returns member m's current u-node ID.
-	UserID(m keytree.Member) (int, bool)
-	// IndividualKey returns member m's individual key.
-	IndividualKey(m keytree.Member) (keys.Key, bool)
-	// PathKeys returns the keys member m should hold, keyed by node ID.
-	PathKeys(m keytree.Member) (map[int]keys.Key, bool)
-	// GroupKey returns the root key all members converge to.
-	GroupKey() keys.Key
-	// NodeKey resolves the key held at a node ID.
-	NodeKey(id int) (keys.Key, keytree.NodeKind, bool)
-	// ForEachKNode sweeps every live auxiliary key.
-	ForEachKNode(fn func(id int, k keys.Key))
-}
-
-// Batch is one rekey interval's output as members consume it: the
-// per-user MaxKID for Theorem 4.2 rederivation, the encryptions
-// addressed to a user, and the full encryption sweep for the wrap-side
-// forward-secrecy check. *keytree.BatchResult implements it for a
-// single tree; shard.Merged implements it across a coordinator's
-// consistent cut.
-type Batch interface {
-	// MaxKIDFor returns the MaxKID governing user userID's ID
-	// rederivation (per-shard under a coordinator, global otherwise).
-	MaxKIDFor(userID int) int
-	// AppendUserNeeds appends the encryptions addressed to userID.
-	AppendUserNeeds(dst []keytree.Encryption, userID int) []keytree.Encryption
-	// ForEachEncryption sweeps every encryption of the interval.
-	ForEachEncryption(fn func(keytree.Encryption))
-}
-
 // Oracle watches one evolving key tree and its members' views.
 type Oracle struct {
-	tree TreeView
+	tree *keytree.Tree
 	cfg  Config
 	reg  *obs.Registry
 
@@ -94,10 +55,9 @@ type Oracle struct {
 	departed map[keys.Key]keytree.Member
 }
 
-// New returns an oracle over the given tree view. The underlying
-// tree(s) must not be lite: the oracle replays real ciphertexts into
-// member views.
-func New(tree TreeView, cfg Config) *Oracle {
+// New returns an oracle over the given tree, which must not be lite:
+// the oracle replays real ciphertexts into member views.
+func New(tree *keytree.Tree, cfg Config) *Oracle {
 	return &Oracle{
 		tree:     tree,
 		cfg:      cfg,
@@ -158,7 +118,7 @@ func (v *Violation) Error() string {
 // member view from the batch's encryptions, then verifies forward
 // secrecy and key consistency. The first violation found is returned
 // as a *Violation error.
-func (o *Oracle) ObserveBatch(res Batch, joins, leaves []keytree.Member) error {
+func (o *Oracle) ObserveBatch(res *keytree.BatchResult, joins, leaves []keytree.Member) error {
 	o.reg.Inc(obs.COracleChecks)
 	if err := o.observeBatch(res, joins, leaves); err != nil {
 		o.reg.Inc(obs.COracleViolations)
@@ -167,7 +127,7 @@ func (o *Oracle) ObserveBatch(res Batch, joins, leaves []keytree.Member) error {
 	return nil
 }
 
-func (o *Oracle) observeBatch(res Batch, joins, leaves []keytree.Member) error {
+func (o *Oracle) observeBatch(res *keytree.BatchResult, joins, leaves []keytree.Member) error {
 	// 1. Retire leavers, confiscating every key value they held.
 	for _, m := range leaves {
 		v, ok := o.views[m]
@@ -196,12 +156,11 @@ func (o *Oracle) observeBatch(res Batch, joins, leaves []keytree.Member) error {
 	// 3. Deliver the batch to every member: exactly the encryptions the
 	// assignment would address to it, keyed by its post-batch ID.
 	for m, v := range o.views {
-		maxKID := res.MaxKIDFor(v.ID)
-		newID, ok := keytree.NewID(v.D, v.ID, maxKID)
+		newID, ok := keytree.NewID(v.D, v.ID, res.MaxKID)
 		if !ok {
-			return &Violation{"key-consistency", fmt.Sprintf("member %d: no post-batch ID for %d (maxKID %d)", m, v.ID, maxKID)}
+			return &Violation{"key-consistency", fmt.Sprintf("member %d: no post-batch ID for %d (maxKID %d)", m, v.ID, res.MaxKID)}
 		}
-		if err := v.Apply(maxKID, res.AppendUserNeeds(nil, newID)); err != nil {
+		if err := v.Apply(res.MaxKID, res.AppendUserNeeds(nil, newID)); err != nil {
 			return &Violation{"key-consistency", fmt.Sprintf("member %d: %v", m, err)}
 		}
 	}
@@ -209,23 +168,15 @@ func (o *Oracle) observeBatch(res Batch, joins, leaves []keytree.Member) error {
 	// 4. Forward secrecy, wrap side: no encryption in this batch may be
 	// wrapped under a key a departed member holds. The wrapping key of
 	// an encryption is the current key of the child node it is keyed by.
-	var wrapErr error
-	res.ForEachEncryption(func(e keytree.Encryption) {
-		if wrapErr != nil {
-			return
-		}
-		id := int(e.ID)
+	for i := range res.Encryptions {
+		id := int(res.Encryptions[i].ID)
 		k, _, ok := o.tree.NodeKey(id)
 		if !ok {
-			wrapErr = &Violation{"forward-secrecy", fmt.Sprintf("encryption keyed by node %d which holds no key", id)}
-			return
+			return &Violation{"forward-secrecy", fmt.Sprintf("encryption keyed by node %d which holds no key", id)}
 		}
 		if m, bad := o.departed[k]; bad { //rekeylint:ignore forward-secrecy oracle retains departed key values by design
-			wrapErr = &Violation{"forward-secrecy", fmt.Sprintf("encryption keyed by node %d is wrapped under a key departed member %d holds", id, m)}
+			return &Violation{"forward-secrecy", fmt.Sprintf("encryption keyed by node %d is wrapped under a key departed member %d holds", id, m)}
 		}
-	})
-	if wrapErr != nil {
-		return wrapErr
 	}
 
 	// 5. Forward secrecy, tree side: no surviving node -- k-node or

@@ -47,15 +47,6 @@ type Tuning struct {
 	// Validated by name resolution in rekey.NewServer -- this package
 	// sits below keytree and cannot consult the registry itself.
 	Strategy string
-	// Shards is the number of key tree shards a coordinator splits the
-	// group across (internal/shard). 0 means 1: a single tree, the
-	// unsharded server. >= 0.
-	Shards int
-	// ShardRange is the width W of the contiguous member-ID blocks the
-	// coordinator routes: member m belongs to shard (m/W) mod Shards,
-	// so W-wide blocks are dealt round-robin across shards. 0 means
-	// DefaultShardRange. >= 0.
-	ShardRange int
 	// GF256Kernel forces the GF(2^8) vector kernel tier behind the FEC
 	// hot path ("generic", "ssse3", "avx2", "gfni"); empty means runtime
 	// CPUID dispatch. Like Strategy it is validated where it is applied
@@ -64,12 +55,6 @@ type Tuning struct {
 	// tests and benchmarks can pin a tier.
 	GF256Kernel string
 }
-
-// DefaultShardRange is the member-ID block width used when the
-// ShardRange knob is zero: wide enough that a member population
-// allocated sequentially stays block-contiguous, narrow enough that a
-// few thousand members already spread across every shard.
-const DefaultShardRange = 1024
 
 // Default returns the paper's default tuning.
 func Default() Tuning {
@@ -149,28 +134,5 @@ func (t Tuning) Validate() error {
 	if t.Workers < 0 {
 		return fmt.Errorf("tuning: Workers = %d, want Workers >= 0", t.Workers)
 	}
-	if t.Shards < 0 {
-		return fmt.Errorf("tuning: Shards = %d, want Shards >= 0", t.Shards)
-	}
-	if t.ShardRange < 0 {
-		return fmt.Errorf("tuning: ShardRange = %d, want ShardRange >= 0", t.ShardRange)
-	}
 	return nil
-}
-
-// EffectiveShards resolves the Shards knob: 0 means one shard.
-func (t Tuning) EffectiveShards() int {
-	if t.Shards > 0 {
-		return t.Shards
-	}
-	return 1
-}
-
-// EffectiveShardRange resolves the ShardRange knob: 0 means
-// DefaultShardRange.
-func (t Tuning) EffectiveShardRange() int {
-	if t.ShardRange > 0 {
-		return t.ShardRange
-	}
-	return DefaultShardRange
 }

@@ -29,11 +29,10 @@
 // outcomes: an IngestResult plus errors wrapping the ErrBadPacket,
 // ErrWrongMessage and ErrStale sentinels for errors.Is dispatch.
 //
-// Internally the server's key tree state lives in one internal/shard
-// Shard -- the same addressable unit a multi-shard Coordinator manages
-// -- while this package keeps distribution: assignment, block
-// partitioning, FEC parity and message signing. A single-shard server
-// and a shard under a coordinator run the identical tree pipeline.
+// The server owns one keytree.Tree and the interval's pending join and
+// leave queues; Rekey runs the single pipeline over them: marking and
+// key wrapping (keytree), key assignment (assign), block partitioning
+// (blockplan), interval signing (auth.go) and, on demand, FEC parity.
 package rekey
 
 import (
@@ -52,7 +51,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/protocol"
-	"repro/internal/shard"
 	"repro/internal/tuning"
 )
 
@@ -80,8 +78,7 @@ type Tuning = tuning.Tuning
 func DefaultTuning() Tuning { return tuning.Default() }
 
 // Config is the server's validated options core; NewServer's
-// functional options populate it. Construct servers with NewServer;
-// the Config-accepting NewServerConfig shim exists only for migration.
+// functional options populate it.
 type Config struct {
 	// Tuning holds the shared protocol knobs. Zero-valued fields take
 	// the paper defaults (DefaultTuning); the server itself consumes K
@@ -124,18 +121,26 @@ func WithObs(reg *obs.Registry) Option { return func(c *Config) { c.Obs = reg } 
 // Server is the group key server: registration, key management and
 // rekey message construction. It is safe for concurrent use.
 //
-// The key tree and its pending membership queues live in a single
-// internal/shard Shard; the server owns the distribution side --
-// message IDs, assignment, FEC partitioning.
+// Two locks split its state. mu serialises Rekey and guards the message
+// state; treeMu guards the key tree and the pending queues and is held
+// only for the tree batch itself, so QueueJoin, QueueLeave, Credentials
+// and PathKeys never wait for a concurrent Rekey's assignment or signing
+// stages. Rekey takes treeMu while holding mu, never the reverse.
 type Server struct {
-	cfg   Config
-	obs   *obs.Registry
-	shard *shard.Shard
+	cfg Config
+	obs *obs.Registry
 
 	mu sync.Mutex
 	// The message state below is guarded by mu.
 	msgSeq  uint8         // guarded by mu
 	lastMsg *RekeyMessage // guarded by mu
+
+	treeMu sync.Mutex
+	// The key tree and the next interval's batch are guarded by treeMu.
+	tree   *keytree.Tree     // guarded by treeMu
+	joins  []MemberID        // guarded by treeMu
+	leaves []MemberID        // guarded by treeMu
+	queued map[MemberID]bool // guarded by treeMu
 }
 
 // NewServer creates a server with an empty group. With no options it
@@ -146,17 +151,6 @@ func NewServer(opts ...Option) (*Server, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return buildServer(cfg)
-}
-
-// NewServerConfig creates a server from an explicit Config.
-//
-// Deprecated: use NewServer with WithTuning / WithKeySeed / WithObs.
-// This shim exists for callers migrating from the old
-// NewServer(Config) signature and will be removed.
-func NewServerConfig(cfg Config) (*Server, error) { return buildServer(cfg) }
-
-func buildServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Tuning.Validate(); err != nil {
 		return nil, fmt.Errorf("rekey: %w", err)
@@ -170,21 +164,19 @@ func buildServer(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("rekey: %w", err)
 		}
 	}
-	var gen *keys.Generator
+	gen := keys.NewGenerator()
 	if cfg.KeySeed != 0 {
 		gen = keys.NewDeterministicGenerator(cfg.KeySeed)
 	}
-	sh, err := shard.New(shard.Config{
-		Degree:   cfg.Degree,
-		Workers:  cfg.Workers,
-		Strategy: strat,
-		Gen:      gen,
-		Obs:      cfg.Obs,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("rekey: %w", err)
-	}
-	return &Server{cfg: cfg, obs: cfg.Obs, shard: sh}, nil
+	return &Server{
+		cfg: cfg,
+		obs: cfg.Obs,
+		tree: keytree.New(cfg.Degree, gen,
+			keytree.WithWorkers(cfg.Workers),
+			keytree.WithObs(cfg.Obs),
+			keytree.WithStrategy(strat)),
+		queued: make(map[MemberID]bool),
+	}, nil
 }
 
 // Tuning returns the server's effective (defaulted, validated) tuning.
@@ -199,42 +191,69 @@ func (s *Server) Obs() *obs.Registry { return s.obs }
 // QueueJoin records a join request for the next rekey interval. The
 // member's credentials become available after the next Rekey call.
 func (s *Server) QueueJoin(m MemberID) error {
-	if err := s.shard.QueueJoin(m); err != nil {
-		return fmt.Errorf("rekey: %w", err)
+	s.treeMu.Lock()
+	defer s.treeMu.Unlock()
+	if _, ok := s.tree.UserID(m); ok {
+		return fmt.Errorf("rekey: member %d already present", m)
 	}
-	j, _ := s.shard.Pending()
-	s.obs.Set(obs.GPendingJoins, float64(j))
+	if s.queued[m] {
+		return fmt.Errorf("rekey: member %d already queued", m)
+	}
+	s.queued[m] = true
+	s.joins = append(s.joins, m)
+	s.obs.Set(obs.GPendingJoins, float64(len(s.joins)))
 	return nil
 }
 
 // QueueLeave records a leave request for the next rekey interval.
 func (s *Server) QueueLeave(m MemberID) error {
-	if err := s.shard.QueueLeave(m); err != nil {
-		return fmt.Errorf("rekey: %w", err)
+	s.treeMu.Lock()
+	defer s.treeMu.Unlock()
+	if _, ok := s.tree.UserID(m); !ok {
+		return fmt.Errorf("rekey: member %d not present", m)
 	}
-	_, l := s.shard.Pending()
-	s.obs.Set(obs.GPendingLeaves, float64(l))
+	if s.queued[m] {
+		return fmt.Errorf("rekey: member %d already queued", m)
+	}
+	s.queued[m] = true
+	s.leaves = append(s.leaves, m)
+	s.obs.Set(obs.GPendingLeaves, float64(len(s.leaves)))
 	return nil
 }
 
 // Pending reports the queued joins and leaves.
 func (s *Server) Pending() (joins, leaves int) {
-	return s.shard.Pending()
+	s.treeMu.Lock()
+	defer s.treeMu.Unlock()
+	return len(s.joins), len(s.leaves)
 }
 
 // N returns the current group size.
-func (s *Server) N() int { return s.shard.N() }
+func (s *Server) N() int {
+	s.treeMu.Lock()
+	defer s.treeMu.Unlock()
+	return s.tree.N()
+}
 
 // GroupKey returns the current group key.
-func (s *Server) GroupKey() keys.Key { return s.shard.RootKey() }
+func (s *Server) GroupKey() keys.Key {
+	s.treeMu.Lock()
+	defer s.treeMu.Unlock()
+	return s.tree.GroupKey()
+}
 
 // Credentials returns a current member's registration material.
 func (s *Server) Credentials(m MemberID) (Credentials, bool) {
-	id, ok := s.shard.UserID(m)
+	s.treeMu.Lock()
+	defer s.treeMu.Unlock()
+	id, ok := s.tree.UserID(m)
 	if !ok {
 		return Credentials{}, false
 	}
-	key, _ := s.shard.IndividualKey(m)
+	key, ok := s.tree.IndividualKey(m)
+	if !ok {
+		return Credentials{}, false
+	}
 	return Credentials{
 		Member: m, NodeID: id, Key: key,
 		Degree: s.cfg.Degree, BlockSize: s.cfg.K,
@@ -246,17 +265,52 @@ func (s *Server) Credentials(m MemberID) (Credentials, bool) {
 // the root, keyed by node ID. Consistency oracles and end-to-end tests
 // compare recovered member state against it.
 func (s *Server) PathKeys(m MemberID) (map[int]keys.Key, bool) {
-	return s.shard.PathKeys(m)
+	s.treeMu.Lock()
+	defer s.treeMu.Unlock()
+	return s.tree.PathKeys(m)
 }
 
 // Snapshot returns the server's key tree as deterministic snapshot
-// bytes -- the failover checkpoint a standby server restores from
-// (keytree.Restore / shard.Shard.Restore).
-func (s *Server) Snapshot() []byte { return s.shard.Snapshot() }
+// bytes -- the failover checkpoint a standby restores from with
+// keytree.Restore.
+func (s *Server) Snapshot() []byte {
+	s.treeMu.Lock()
+	defer s.treeMu.Unlock()
+	return s.tree.Snapshot()
+}
 
 // ErrNoChange is returned by Rekey when no membership changes are
 // pending: no rekey message is needed.
 var ErrNoChange = errors.New("rekey: no pending membership changes")
+
+// processPending applies the queued batch to the key tree in one
+// critical section: every request queued before it is in the result
+// (and in its Joined/Left counts), every later one waits for the next
+// interval. It returns nil when nothing is queued; a failed batch
+// leaves the queues intact.
+func (s *Server) processPending() (*keytree.BatchResult, error) {
+	s.treeMu.Lock()
+	defer s.treeMu.Unlock()
+	if len(s.joins)+len(s.leaves) == 0 {
+		return nil, nil
+	}
+	var start time.Time
+	if s.obs.Enabled() {
+		start = time.Now()
+	}
+	res, err := s.tree.ProcessBatch(s.joins, s.leaves)
+	if err != nil {
+		return nil, fmt.Errorf("rekey: %w", err)
+	}
+	s.joins, s.leaves = nil, nil
+	clear(s.queued)
+	if s.obs.Enabled() {
+		s.obs.ObserveSince(obs.HShardBatch, start)
+		s.obs.Set(obs.GPendingJoins, 0)
+		s.obs.Set(obs.GPendingLeaves, 0)
+	}
+	return res, nil
+}
 
 // Rekey processes the queued batch (the end of a rekey interval): it
 // updates the key tree via the marking algorithm, runs key assignment,
@@ -264,20 +318,15 @@ var ErrNoChange = errors.New("rekey: no pending membership changes")
 func (s *Server) Rekey() (*RekeyMessage, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	joins, leaves := s.shard.Pending()
-	if joins+leaves == 0 {
-		return nil, ErrNoChange
-	}
 	var buildStart time.Time
 	if s.obs.Enabled() {
 		buildStart = time.Now()
 	}
-	res, err := s.shard.ProcessPending()
+	res, err := s.processPending()
 	if err != nil {
 		return nil, err
 	}
 	if res == nil {
-		// A concurrent Rekey drained the queues first.
 		return nil, ErrNoChange
 	}
 
@@ -313,13 +362,11 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 	s.lastMsg = rm
 	if s.obs.Enabled() {
 		s.obs.Inc(obs.CRekeys)
-		s.obs.Add(obs.CJoins, int64(joins))
-		s.obs.Add(obs.CLeaves, int64(leaves))
-		s.obs.Observe(obs.HBatchSize, float64(joins+leaves))
+		s.obs.Add(obs.CJoins, int64(res.Joined))
+		s.obs.Add(obs.CLeaves, int64(res.Left))
+		s.obs.Observe(obs.HBatchSize, float64(res.Joined+res.Left))
 		s.obs.ObserveSince(obs.HRekeyBuild, buildStart)
-		s.obs.Set(obs.GGroupSize, float64(s.shard.N()))
-		s.obs.Set(obs.GPendingJoins, 0)
-		s.obs.Set(obs.GPendingLeaves, 0)
+		s.obs.Set(obs.GGroupSize, float64(len(res.UserIDs)))
 		s.obs.Emit(obs.Event{Kind: obs.EvRekeyBuilt, MsgID: msgID, Value: float64(part.NumReal)})
 	}
 	return rm, nil
