@@ -147,8 +147,8 @@ var benchPacketSizes = []int{64, 1027, 8192}
 // BenchmarkMulAddSlice measures the GF(2^8) fused multiply-accumulate
 // -- the inner loop of Reed-Solomon encoding -- for the dispatched
 // kernel (SSSE3 on amd64, nibble tables elsewhere) and the retained
-// scalar reference kernel. The ratio at 1027 bytes is the headline
-// number tracked in BENCH_fec.json.
+// scalar reference kernel. What the kernel is worth to a rekey interval
+// is fec.encode_ms_per_interval in bench/ (bench/README.md).
 func BenchmarkMulAddSlice(b *testing.B) {
 	for _, n := range benchPacketSizes {
 		src, dst := make([]byte, n), make([]byte, n)
@@ -378,8 +378,8 @@ func BenchmarkProcessBatch(b *testing.B) {
 // BenchmarkFECDecode measures block reconstruction at the paper's
 // packet size for the best case (1 lost data packet) and the heavy
 // case (k/2 lost), for the missing-shard-only decoder and the
-// full-inverse reference. The 1-loss ratio is the receiver-side
-// headline tracked in BENCH_fec.json.
+// full-inverse reference. The interval-level counterpart is
+// fec.decode_us_per_block in bench/ (bench/README.md).
 func BenchmarkFECDecode(b *testing.B) {
 	const k, plen = 10, 1027
 	c, err := fec.NewCoder(k, k)

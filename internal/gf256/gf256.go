@@ -154,32 +154,13 @@ func MulAddSlice(dst, src []byte, c byte) {
 	mulAddKernel(dst, src, c)
 }
 
-// KernelName reports which vector kernel implementation MulSlice and
-// MulAddSlice currently dispatch to: "generic", "ssse3", "avx2" or
-// "gfni".
+// KernelName reports which vector kernel MulSlice and MulAddSlice
+// dispatch to: "ssse3" on amd64 CPUs that have it, "generic" otherwise
+// and under the purego build tag. Fixed at init.
 func KernelName() string { return kernelName() }
 
-// KernelEnv is the environment variable that, when set to a kernel
-// name, overrides the probed dispatch tier at package init (ignored if
-// the named kernel is unknown or not usable on this CPU). It exists so
-// tests and benchmarks can pin a tier from the outside.
-const KernelEnv = "REKEY_GF256_KERNEL"
-
-// AvailableKernels lists the kernel implementations usable on this
-// machine, slowest first; the last entry is the default dispatch
-// choice. Always contains at least "generic".
-func AvailableKernels() []string { return availableKernels() }
-
-// SetKernel forces MulSlice/MulAddSlice dispatch to the named kernel
-// ("generic", "ssse3", "avx2", "gfni"), or returns an error if the
-// kernel is unknown or not usable on this machine. It is meant for
-// tests and benchmarks that exercise every tier; it must not be called
-// concurrently with slice operations.
-func SetKernel(name string) error { return setKernel(name) }
-
-// CPUFeatures lists the probed SIMD capabilities relevant to this
-// package ("ssse3", "avx2", "gfni"), in that order; empty on machines
-// or builds with none.
+// CPUFeatures lists the probed SIMD capabilities this package uses
+// ("ssse3"); empty on machines or builds with none.
 func CPUFeatures() []string { return cpuFeatureNames() }
 
 // xorSlice sets dst[i] ^= src[i]: the c==1 accumulate path.

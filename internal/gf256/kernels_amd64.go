@@ -2,119 +2,26 @@
 
 package gf256
 
-import (
-	"fmt"
-	"os"
-)
+// cpuHasSSSE3 reports CPUID.1:ECX[9]. PSHUFB on xmm registers needs no
+// OS-enabled state beyond the SSE the Go runtime already requires.
+func cpuHasSSSE3() bool
 
-// CPU feature bits reported by cpuFeatureBits. Each bit means "usable",
-// not merely "present": the AVX2 bit also requires OSXSAVE with XMM+YMM
-// state enabled in XCR0, and the GFNI bit is only set when the VEX/ymm
-// encodings this package emits are usable (GFNI and usable AVX2).
-const (
-	featSSSE3 = 1 << 0
-	featAVX2  = 1 << 1
-	featGFNI  = 1 << 2
-)
+// hasSSSE3 is fixed at init and never written again: dispatch has no
+// mutable state.
+var hasSSSE3 = cpuHasSSSE3()
 
-// cpuFeatureBits probes CPUID (and XGETBV where OSXSAVE allows) for the
-// feat* bits above.
-func cpuFeatureBits() uint32
-
-var features = cpuFeatureBits()
-
-// Kernel tiers, slowest to fastest. Dispatch picks the best tier the
-// CPU supports; tests and benchmarks force lower tiers through
-// SetKernel to exercise every variant on one machine.
-const (
-	tierGeneric = iota
-	tierSSSE3
-	tierAVX2
-	tierGFNI
-	numTiers
-)
-
-var tierNames = [numTiers]string{"generic", "ssse3", "avx2", "gfni"}
-
-var curTier = bestTier()
-
-func bestTier() int {
-	switch {
-	case features&featGFNI != 0:
-		return tierGFNI
-	case features&featAVX2 != 0:
-		return tierAVX2
-	case features&featSSSE3 != 0:
-		return tierSSSE3
+func kernelName() string {
+	if hasSSSE3 {
+		return "ssse3"
 	}
-	return tierGeneric
-}
-
-// gfniTbl[c] is the 8x8 GF(2) bit-matrix of "multiply by c" in the
-// 0x11d field, packed for GF2P8AFFINEQB: result bit i is
-// parity(matrix.byte[7-i] & x), so the row for output bit i -- bit j
-// set iff bit i of Mul(c, 1<<j) is set -- lands in byte 7-i. The
-// affine instruction's own GF2P8MULB sibling is hardwired to the AES
-// polynomial 0x11b and cannot be used here; the affine form evaluates
-// an arbitrary linear map, and multiplication by a constant is one.
-var gfniTbl [Order]uint64
-
-// init runs after gf256.go's table init (file-name order), so Mul is
-// usable here.
-func init() {
-	for c := 0; c < Order; c++ {
-		var m uint64
-		for i := 0; i < 8; i++ {
-			var row byte
-			for j := 0; j < 8; j++ {
-				if Mul(byte(c), 1<<j)&(1<<i) != 0 {
-					row |= 1 << j
-				}
-			}
-			m |= uint64(row) << (8 * (7 - i))
-		}
-		gfniTbl[c] = m
-	}
-	// Best-effort env override for tests and benchmarks: an unknown or
-	// unsupported name keeps the probed default rather than failing
-	// startup.
-	if name := os.Getenv(KernelEnv); name != "" {
-		_ = setKernel(name)
-	}
-}
-
-func kernelName() string { return tierNames[curTier] }
-
-func setKernel(name string) error {
-	for t, n := range tierNames[:] {
-		if n != name {
-			continue
-		}
-		if t > bestTier() {
-			return fmt.Errorf("gf256: kernel %q not usable on this CPU (best is %q)", name, tierNames[bestTier()])
-		}
-		curTier = t
-		return nil
-	}
-	return fmt.Errorf("gf256: unknown kernel %q", name)
-}
-
-func availableKernels() []string {
-	return append([]string(nil), tierNames[:bestTier()+1]...)
+	return "generic"
 }
 
 func cpuFeatureNames() []string {
-	var out []string
-	if features&featSSSE3 != 0 {
-		out = append(out, "ssse3")
+	if hasSSSE3 {
+		return []string{"ssse3"}
 	}
-	if features&featAVX2 != 0 {
-		out = append(out, "avx2")
-	}
-	if features&featGFNI != 0 {
-		out = append(out, "gfni")
-	}
-	return out
+	return nil
 }
 
 // mulVecSSSE3 sets dst[i] = c*src[i] for i in [0,n) where lo and hi are
@@ -130,40 +37,10 @@ func mulVecSSSE3(lo, hi *[16]byte, dst, src *byte, n int)
 //go:noescape
 func mulAddVecSSSE3(lo, hi *[16]byte, dst, src *byte, n int)
 
-// mulVecAVX2 and mulAddVecAVX2 are the 256-bit PSHUFB kernels: the same
-// nibble tables broadcast into both ymm lanes, 128 bytes per main-loop
-// iteration. n must be a positive multiple of 16.
-//
-//go:noescape
-func mulVecAVX2(lo, hi *[16]byte, dst, src *byte, n int)
-
-//go:noescape
-func mulAddVecAVX2(lo, hi *[16]byte, dst, src *byte, n int)
-
-// mulVecGFNI and mulAddVecGFNI evaluate the multiply-by-c bit-matrix
-// mat (gfniTbl[c]) with VGF2P8AFFINEQB, 64 bytes per main-loop
-// iteration. n must be a positive multiple of 16.
-//
-//go:noescape
-func mulVecGFNI(mat uint64, dst, src *byte, n int)
-
-//go:noescape
-func mulAddVecGFNI(mat uint64, dst, src *byte, n int)
-
 //rekeylint:hotpath
 func mulKernel(dst, src []byte, c byte) {
-	if n := len(src) &^ 15; n > 0 {
-		switch curTier {
-		case tierGFNI:
-			mulVecGFNI(gfniTbl[c], &dst[0], &src[0], n)
-		case tierAVX2:
-			mulVecAVX2(&mulTblLo[c], &mulTblHi[c], &dst[0], &src[0], n)
-		case tierSSSE3:
-			mulVecSSSE3(&mulTblLo[c], &mulTblHi[c], &dst[0], &src[0], n)
-		default:
-			mulGeneric(dst, src, c)
-			return
-		}
+	if n := len(src) &^ 15; n > 0 && hasSSSE3 {
+		mulVecSSSE3(&mulTblLo[c], &mulTblHi[c], &dst[0], &src[0], n)
 		dst, src = dst[n:], src[n:]
 	}
 	mulGeneric(dst, src, c)
@@ -171,18 +48,8 @@ func mulKernel(dst, src []byte, c byte) {
 
 //rekeylint:hotpath
 func mulAddKernel(dst, src []byte, c byte) {
-	if n := len(src) &^ 15; n > 0 {
-		switch curTier {
-		case tierGFNI:
-			mulAddVecGFNI(gfniTbl[c], &dst[0], &src[0], n)
-		case tierAVX2:
-			mulAddVecAVX2(&mulTblLo[c], &mulTblHi[c], &dst[0], &src[0], n)
-		case tierSSSE3:
-			mulAddVecSSSE3(&mulTblLo[c], &mulTblHi[c], &dst[0], &src[0], n)
-		default:
-			mulAddGeneric(dst, src, c)
-			return
-		}
+	if n := len(src) &^ 15; n > 0 && hasSSSE3 {
+		mulAddVecSSSE3(&mulTblLo[c], &mulTblHi[c], &dst[0], &src[0], n)
 		dst, src = dst[n:], src[n:]
 	}
 	mulAddGeneric(dst, src, c)

@@ -2,73 +2,27 @@
 
 #include "textflag.h"
 
-// GF(2^8) vector kernels: SSSE3, AVX2 and GFNI tiers.
+// GF(2^8) vector kernels: SSSE3.
 //
-// The SSSE3 and AVX2 kernels carry the two 16-entry nibble product
-// tables of one coefficient c in X0/Y0 (low) and X1/Y1 (high). For a
-// 16-byte chunk S, PSHUFB performs the 16 parallel table lookups, so
+// Each kernel carries the two 16-entry nibble product tables of one
+// coefficient c in X0 (low) and X1 (high). For a 16-byte chunk S,
+// PSHUFB performs the 16 parallel table lookups, so
 //
 //	c*S = PSHUFB(lo, S & 0x0f) XOR PSHUFB(hi, (S >> 4) & 0x0f)
 //
 // — the same split-table identity the portable kernel applies one byte
-// at a time. AVX2 broadcasts the tables into both ymm lanes
-// (VPSHUFB shuffles per 128-bit lane) and handles 128 bytes per
-// iteration with 32- and 16-byte tails; mask setup precedes every ymm
-// write so no legacy-SSE instruction ever runs with dirty upper state. The GFNI kernels instead
-// evaluate the multiply-by-c 8x8 bit-matrix with VGF2P8AFFINEQB
-// (matrix qword broadcast into Y0); GF2P8MULB itself is hardwired to
-// the AES polynomial 0x11b, so the affine form is the only one usable
-// for this field's 0x11d. Callers guarantee n is a positive multiple
-// of 16, with any sub-16 tail handled in Go.
+// at a time. Callers guarantee n is a positive multiple of 16, with any
+// sub-16 tail handled in Go.
 
-// func cpuFeatureBits() uint32
+// func cpuHasSSSE3() bool
 //
-// Bit 0: SSSE3 (CPUID.1:ECX[9]).
-// Bit 1: AVX2 usable (CPUID.7.0:EBX[5] + OSXSAVE + AVX + XCR0 XMM|YMM).
-// Bit 2: GFNI usable under VEX/ymm (CPUID.7.0:ECX[8] + bit 1's checks).
-TEXT ·cpuFeatureBits(SB), NOSPLIT, $0-4
+// CPUID.1:ECX[9].
+TEXT ·cpuHasSSSE3(SB), NOSPLIT, $0-1
 	MOVL $1, AX
 	CPUID
-	MOVL CX, R8
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	MOVL BX, R9
-	MOVL CX, R10
-	XORL R12, R12
-
-	// SSSE3: leaf 1 ECX bit 9.
-	MOVL R8, AX
-	SHRL $9, AX
-	ANDL $1, AX
-	ORL  AX, R12
-
-	// OSXSAVE (bit 27) and AVX (bit 28) must both be set before the
-	// ymm tiers can even be considered.
-	MOVL R8, AX
-	ANDL $0x18000000, AX
-	CMPL AX, $0x18000000
-	JNE  featdone
-
-	// The OS must have enabled XMM (bit 1) and YMM (bit 2) state.
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  featdone
-
-	// AVX2: leaf 7.0 EBX bit 5.
-	TESTL $0x20, R9
-	JZ    featdone
-	ORL   $2, R12
-
-	// GFNI: leaf 7.0 ECX bit 8.
-	TESTL $0x100, R10
-	JZ    featdone
-	ORL   $4, R12
-
-featdone:
-	MOVL R12, ret+0(FP)
+	SHRL $9, CX
+	ANDL $1, CX
+	MOVB CX, ret+0(FP)
 	RET
 
 // func mulAddVecSSSE3(lo, hi *[16]byte, dst, src *byte, n int)
@@ -201,286 +155,4 @@ multail16:
 	MOVOU X6, (DI)
 
 muldone:
-	RET
-
-// func mulAddVecAVX2(lo, hi *[16]byte, dst, src *byte, n int)
-TEXT ·mulAddVecAVX2(SB), NOSPLIT, $0-40
-	MOVQ lo+0(FP), AX
-	MOVQ hi+8(FP), BX
-	MOVQ dst+16(FP), DI
-	MOVQ src+24(FP), SI
-	MOVQ n+32(FP), CX
-	// Build the nibble mask before any ymm write: the legacy-SSE MOVQ
-	// into X2 must not execute with a dirty ymm upper state, or every
-	// call pays an AVX/SSE state-transition stall.
-	MOVQ $0x0f0f0f0f0f0f0f0f, DX
-	MOVQ DX, X2
-	VPBROADCASTQ X2, Y2
-	VBROADCASTI128 (AX), Y0
-	VBROADCASTI128 (BX), Y1
-
-	CMPQ CX, $128
-	JL   aaddtail32
-
-aaddloop128:
-	VMOVDQU (SI), Y4
-	VMOVDQU 32(SI), Y8
-	VMOVDQU 64(SI), Y12
-	VMOVDQU 96(SI), Y14
-	VPSRLQ  $4, Y4, Y5
-	VPSRLQ  $4, Y8, Y9
-	VPSRLQ  $4, Y12, Y13
-	VPSRLQ  $4, Y14, Y15
-	VPAND   Y2, Y4, Y4
-	VPAND   Y2, Y5, Y5
-	VPAND   Y2, Y8, Y8
-	VPAND   Y2, Y9, Y9
-	VPAND   Y2, Y12, Y12
-	VPAND   Y2, Y13, Y13
-	VPAND   Y2, Y14, Y14
-	VPAND   Y2, Y15, Y15
-	VPSHUFB Y4, Y0, Y6
-	VPSHUFB Y5, Y1, Y7
-	VPSHUFB Y8, Y0, Y10
-	VPSHUFB Y9, Y1, Y11
-	VPXOR   Y7, Y6, Y6
-	VPXOR   Y11, Y10, Y10
-	VPSHUFB Y12, Y0, Y4
-	VPSHUFB Y13, Y1, Y5
-	VPSHUFB Y14, Y0, Y8
-	VPSHUFB Y15, Y1, Y9
-	VPXOR   Y5, Y4, Y4
-	VPXOR   Y9, Y8, Y8
-	VPXOR   (DI), Y6, Y6
-	VPXOR   32(DI), Y10, Y10
-	VPXOR   64(DI), Y4, Y4
-	VPXOR   96(DI), Y8, Y8
-	VMOVDQU Y6, (DI)
-	VMOVDQU Y10, 32(DI)
-	VMOVDQU Y4, 64(DI)
-	VMOVDQU Y8, 96(DI)
-	ADDQ    $128, SI
-	ADDQ    $128, DI
-	SUBQ    $128, CX
-	CMPQ    CX, $128
-	JGE     aaddloop128
-
-aaddtail32:
-	CMPQ CX, $32
-	JL   aaddtail16
-	VMOVDQU (SI), Y4
-	VPSRLQ  $4, Y4, Y5
-	VPAND   Y2, Y4, Y4
-	VPAND   Y2, Y5, Y5
-	VPSHUFB Y4, Y0, Y6
-	VPSHUFB Y5, Y1, Y7
-	VPXOR   Y7, Y6, Y6
-	VPXOR   (DI), Y6, Y6
-	VMOVDQU Y6, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $32, CX
-	JMP     aaddtail32
-
-aaddtail16:
-	CMPQ CX, $16
-	JL   aadddone
-	VMOVDQU (SI), X4
-	VPSRLQ  $4, X4, X5
-	VPAND   X2, X4, X4
-	VPAND   X2, X5, X5
-	VPSHUFB X4, X0, X6
-	VPSHUFB X5, X1, X7
-	VPXOR   X7, X6, X6
-	VPXOR   (DI), X6, X6
-	VMOVDQU X6, (DI)
-
-aadddone:
-	VZEROUPPER
-	RET
-
-// func mulVecAVX2(lo, hi *[16]byte, dst, src *byte, n int)
-TEXT ·mulVecAVX2(SB), NOSPLIT, $0-40
-	MOVQ lo+0(FP), AX
-	MOVQ hi+8(FP), BX
-	MOVQ dst+16(FP), DI
-	MOVQ src+24(FP), SI
-	MOVQ n+32(FP), CX
-	// Build the nibble mask before any ymm write: the legacy-SSE MOVQ
-	// into X2 must not execute with a dirty ymm upper state, or every
-	// call pays an AVX/SSE state-transition stall.
-	MOVQ $0x0f0f0f0f0f0f0f0f, DX
-	MOVQ DX, X2
-	VPBROADCASTQ X2, Y2
-	VBROADCASTI128 (AX), Y0
-	VBROADCASTI128 (BX), Y1
-
-	CMPQ CX, $128
-	JL   amultail32
-
-amulloop128:
-	VMOVDQU (SI), Y4
-	VMOVDQU 32(SI), Y8
-	VMOVDQU 64(SI), Y12
-	VMOVDQU 96(SI), Y14
-	VPSRLQ  $4, Y4, Y5
-	VPSRLQ  $4, Y8, Y9
-	VPSRLQ  $4, Y12, Y13
-	VPSRLQ  $4, Y14, Y15
-	VPAND   Y2, Y4, Y4
-	VPAND   Y2, Y5, Y5
-	VPAND   Y2, Y8, Y8
-	VPAND   Y2, Y9, Y9
-	VPAND   Y2, Y12, Y12
-	VPAND   Y2, Y13, Y13
-	VPAND   Y2, Y14, Y14
-	VPAND   Y2, Y15, Y15
-	VPSHUFB Y4, Y0, Y6
-	VPSHUFB Y5, Y1, Y7
-	VPSHUFB Y8, Y0, Y10
-	VPSHUFB Y9, Y1, Y11
-	VPXOR   Y7, Y6, Y6
-	VPXOR   Y11, Y10, Y10
-	VPSHUFB Y12, Y0, Y4
-	VPSHUFB Y13, Y1, Y5
-	VPSHUFB Y14, Y0, Y8
-	VPSHUFB Y15, Y1, Y9
-	VPXOR   Y5, Y4, Y4
-	VPXOR   Y9, Y8, Y8
-	VMOVDQU Y6, (DI)
-	VMOVDQU Y10, 32(DI)
-	VMOVDQU Y4, 64(DI)
-	VMOVDQU Y8, 96(DI)
-	ADDQ    $128, SI
-	ADDQ    $128, DI
-	SUBQ    $128, CX
-	CMPQ    CX, $128
-	JGE     amulloop128
-
-amultail32:
-	CMPQ CX, $32
-	JL   amultail16
-	VMOVDQU (SI), Y4
-	VPSRLQ  $4, Y4, Y5
-	VPAND   Y2, Y4, Y4
-	VPAND   Y2, Y5, Y5
-	VPSHUFB Y4, Y0, Y6
-	VPSHUFB Y5, Y1, Y7
-	VPXOR   Y7, Y6, Y6
-	VMOVDQU Y6, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $32, CX
-	JMP     amultail32
-
-amultail16:
-	CMPQ CX, $16
-	JL   amuldone
-	VMOVDQU (SI), X4
-	VPSRLQ  $4, X4, X5
-	VPAND   X2, X4, X4
-	VPAND   X2, X5, X5
-	VPSHUFB X4, X0, X6
-	VPSHUFB X5, X1, X7
-	VPXOR   X7, X6, X6
-	VMOVDQU X6, (DI)
-
-amuldone:
-	VZEROUPPER
-	RET
-
-// func mulAddVecGFNI(mat uint64, dst, src *byte, n int)
-TEXT ·mulAddVecGFNI(SB), NOSPLIT, $0-32
-	MOVQ mat+0(FP), AX
-	MOVQ dst+8(FP), DI
-	MOVQ src+16(FP), SI
-	MOVQ n+24(FP), CX
-	MOVQ AX, X0
-	VPBROADCASTQ X0, Y0
-
-	CMPQ CX, $64
-	JL   gaddtail32
-
-gaddloop64:
-	VMOVDQU (SI), Y4
-	VMOVDQU 32(SI), Y5
-	VGF2P8AFFINEQB $0, Y0, Y4, Y6
-	VGF2P8AFFINEQB $0, Y0, Y5, Y7
-	VPXOR   (DI), Y6, Y6
-	VPXOR   32(DI), Y7, Y7
-	VMOVDQU Y6, (DI)
-	VMOVDQU Y7, 32(DI)
-	ADDQ    $64, SI
-	ADDQ    $64, DI
-	SUBQ    $64, CX
-	CMPQ    CX, $64
-	JGE     gaddloop64
-
-gaddtail32:
-	CMPQ CX, $32
-	JL   gaddtail16
-	VMOVDQU (SI), Y4
-	VGF2P8AFFINEQB $0, Y0, Y4, Y6
-	VPXOR   (DI), Y6, Y6
-	VMOVDQU Y6, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $32, CX
-
-gaddtail16:
-	CMPQ CX, $16
-	JL   gadddone
-	VMOVDQU (SI), X4
-	VGF2P8AFFINEQB $0, X0, X4, X6
-	VPXOR   (DI), X6, X6
-	VMOVDQU X6, (DI)
-
-gadddone:
-	VZEROUPPER
-	RET
-
-// func mulVecGFNI(mat uint64, dst, src *byte, n int)
-TEXT ·mulVecGFNI(SB), NOSPLIT, $0-32
-	MOVQ mat+0(FP), AX
-	MOVQ dst+8(FP), DI
-	MOVQ src+16(FP), SI
-	MOVQ n+24(FP), CX
-	MOVQ AX, X0
-	VPBROADCASTQ X0, Y0
-
-	CMPQ CX, $64
-	JL   gmultail32
-
-gmulloop64:
-	VMOVDQU (SI), Y4
-	VMOVDQU 32(SI), Y5
-	VGF2P8AFFINEQB $0, Y0, Y4, Y6
-	VGF2P8AFFINEQB $0, Y0, Y5, Y7
-	VMOVDQU Y6, (DI)
-	VMOVDQU Y7, 32(DI)
-	ADDQ    $64, SI
-	ADDQ    $64, DI
-	SUBQ    $64, CX
-	CMPQ    CX, $64
-	JGE     gmulloop64
-
-gmultail32:
-	CMPQ CX, $32
-	JL   gmultail16
-	VMOVDQU (SI), Y4
-	VGF2P8AFFINEQB $0, Y0, Y4, Y6
-	VMOVDQU Y6, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $32, CX
-
-gmultail16:
-	CMPQ CX, $16
-	JL   gmuldone
-	VMOVDQU (SI), X4
-	VGF2P8AFFINEQB $0, X0, X4, X6
-	VMOVDQU X6, (DI)
-
-gmuldone:
-	VZEROUPPER
 	RET

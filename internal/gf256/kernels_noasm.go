@@ -2,18 +2,7 @@
 
 package gf256
 
-import "fmt"
-
 func kernelName() string { return "generic" }
-
-func setKernel(name string) error {
-	if name == "generic" {
-		return nil
-	}
-	return fmt.Errorf("gf256: kernel %q not available in this build (generic only)", name)
-}
-
-func availableKernels() []string { return []string{"generic"} }
 
 func cpuFeatureNames() []string { return nil }
 

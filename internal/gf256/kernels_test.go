@@ -12,10 +12,10 @@ import (
 	"testing"
 )
 
-// kernelLens covers the empty slice, sub-unroll lengths, the unroll
-// boundary and its neighbours, the wire packet size, and a large
-// power-of-two buffer.
-var kernelLens = []int{0, 1, 7, 8, 9, 64, 1027, 8192}
+// kernelLens covers the empty slice, sub-unroll lengths, the 8-byte
+// unroll and 16-byte vector boundaries and their neighbours, the wire
+// packet size, and a large power-of-two buffer.
+var kernelLens = []int{0, 1, 7, 8, 9, 15, 16, 17, 64, 1027, 8192}
 
 func randBytes(rng *rand.Rand, n int) []byte {
 	b := make([]byte, n)

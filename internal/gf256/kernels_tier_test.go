@@ -1,37 +1,44 @@
 package gf256
 
-// Per-tier differential coverage: the same byte-identity suites the
-// default dispatch runs under, repeated with every kernel tier the
-// machine supports forced through SetKernel. On AVX2/GFNI hardware
-// this is what pins the wider kernels to the scalar references; on a
-// bare machine it degenerates to the generic tier and still passes.
+// Both kernel paths against the scalar references, in one `go test`:
+// the dispatched MulSlice/MulAddSlice (SSSE3 on amd64, the portable
+// kernels under -tags purego) and mulGeneric/mulAddGeneric called
+// directly. Dispatch is fixed at init, so the portable path is reached
+// by calling it, not by switching a global.
 
 import (
 	"bytes"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
-// forEachKernel runs fn once per available kernel tier with dispatch
-// forced to that tier, restoring the default afterwards.
-func forEachKernel(t *testing.T, fn func(t *testing.T)) {
+type kernelPath struct {
+	name        string
+	mul, mulAdd func(dst, src []byte, c byte)
+}
+
+// kernelPaths lists the dispatched path under its KernelName and, where
+// that is not already the portable one, the portable kernels on their
+// own. mulGeneric is documented correct for every c, including the 0
+// and 1 that MulSlice shortcuts.
+func kernelPaths() []kernelPath {
+	paths := []kernelPath{{KernelName(), MulSlice, MulAddSlice}}
+	if KernelName() != "generic" {
+		paths = append(paths, kernelPath{"generic", mulGeneric, mulAddGeneric})
+	}
+	return paths
+}
+
+func forEachKernel(t *testing.T, fn func(t *testing.T, p kernelPath)) {
 	t.Helper()
-	def := KernelName()
-	defer func() {
-		if err := SetKernel(def); err != nil {
-			t.Fatalf("restoring kernel %q: %v", def, err)
-		}
-	}()
-	for _, name := range AvailableKernels() {
-		if err := SetKernel(name); err != nil {
-			t.Fatalf("SetKernel(%q): %v", name, err)
-		}
-		t.Run(name, fn)
+	for _, p := range kernelPaths() {
+		t.Run(p.name, func(t *testing.T) { fn(t, p) })
 	}
 }
 
 func TestAllKernelTiersMatchRefAllCoefficients(t *testing.T) {
-	forEachKernel(t, func(t *testing.T) {
+	forEachKernel(t, func(t *testing.T, p kernelPath) {
 		rng := rand.New(rand.NewPCG(11, 11))
 		for _, n := range kernelLens {
 			src := randBytes(rng, n)
@@ -39,17 +46,17 @@ func TestAllKernelTiersMatchRefAllCoefficients(t *testing.T) {
 			got := make([]byte, n)
 			want := make([]byte, n)
 			for c := 0; c < Order; c++ {
-				MulSlice(got, src, byte(c))
+				p.mul(got, src, byte(c))
 				RefMulSlice(want, src, byte(c))
 				if !bytes.Equal(got, want) {
-					t.Fatalf("%s MulSlice(len=%d, c=%d) diverges from reference", KernelName(), n, c)
+					t.Fatalf("%s mul(len=%d, c=%d) diverges from reference", p.name, n, c)
 				}
 				copy(got, init)
 				copy(want, init)
-				MulAddSlice(got, src, byte(c))
+				p.mulAdd(got, src, byte(c))
 				RefMulAddSlice(want, src, byte(c))
 				if !bytes.Equal(got, want) {
-					t.Fatalf("%s MulAddSlice(len=%d, c=%d) diverges from reference", KernelName(), n, c)
+					t.Fatalf("%s mulAdd(len=%d, c=%d) diverges from reference", p.name, n, c)
 				}
 			}
 		}
@@ -57,7 +64,7 @@ func TestAllKernelTiersMatchRefAllCoefficients(t *testing.T) {
 }
 
 func TestAllKernelTiersUnalignedTails(t *testing.T) {
-	forEachKernel(t, func(t *testing.T) {
+	forEachKernel(t, func(t *testing.T, p kernelPath) {
 		rng := rand.New(rand.NewPCG(12, 12))
 		buf := randBytes(rng, 4096)
 		acc := randBytes(rng, 4096)
@@ -69,63 +76,44 @@ func TestAllKernelTiersUnalignedTails(t *testing.T) {
 
 			got := make([]byte, n)
 			want := make([]byte, n)
-			MulSlice(got, src, c)
+			p.mul(got, src, c)
 			RefMulSlice(want, src, c)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%s MulSlice off=%d len=%d c=%d diverges", KernelName(), off, n, c)
+				t.Fatalf("%s mul off=%d len=%d c=%d diverges", p.name, off, n, c)
 			}
 
 			copy(got, acc[off:off+n])
 			copy(want, acc[off:off+n])
-			MulAddSlice(got, src, c)
+			p.mulAdd(got, src, c)
 			RefMulAddSlice(want, src, c)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%s MulAddSlice off=%d len=%d c=%d diverges", KernelName(), off, n, c)
+				t.Fatalf("%s mulAdd off=%d len=%d c=%d diverges", p.name, off, n, c)
 			}
 		}
 	})
 }
 
-func TestSetKernelValidation(t *testing.T) {
-	def := KernelName()
-	defer func() {
-		if err := SetKernel(def); err != nil {
-			t.Fatalf("restoring kernel %q: %v", def, err)
-		}
-	}()
-	if err := SetKernel("bogus"); err == nil {
-		t.Fatal("SetKernel(bogus) did not fail")
+// TestKernelNameMatchesCPUFeatures pins the one dispatch rule: the
+// SSSE3 kernels run exactly when the CPU reports SSSE3.
+// kernels_purego_test.go pins the portable build to "generic".
+func TestKernelNameMatchesCPUFeatures(t *testing.T) {
+	want := "generic"
+	if slices.Contains(CPUFeatures(), "ssse3") {
+		want = "ssse3"
 	}
-	avail := AvailableKernels()
-	if len(avail) == 0 || avail[0] != "generic" {
-		t.Fatalf("AvailableKernels() = %v, want generic first", avail)
-	}
-	if avail[len(avail)-1] != def {
-		t.Fatalf("default kernel %q is not the last available tier %v", def, avail)
-	}
-	for _, name := range avail {
-		if err := SetKernel(name); err != nil {
-			t.Fatalf("SetKernel(%q): %v", name, err)
-		}
-		if got := KernelName(); got != name {
-			t.Fatalf("KernelName() = %q after SetKernel(%q)", got, name)
-		}
+	if got := KernelName(); got != want {
+		t.Fatalf("KernelName() = %q with CPUFeatures() = %v, want %q", got, CPUFeatures(), want)
 	}
 }
 
-// FuzzKernelTiersMatchRef drives every available tier over the same
+// FuzzKernelPathsMatchRef drives both kernel paths over the same
 // fuzz-chosen span and accumulator, demanding byte-identity with the
 // scalar references throughout.
-func FuzzKernelTiersMatchRef(f *testing.F) {
+func FuzzKernelPathsMatchRef(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, byte(0x57), uint8(3))
 	f.Add(bytes.Repeat([]byte{0xaa}, 100), byte(0xff), uint8(17))
 	f.Add([]byte{}, byte(0), uint8(0))
-	def := KernelName()
-	f.Cleanup(func() {
-		if err := SetKernel(def); err != nil {
-			f.Fatalf("restoring kernel %q: %v", def, err)
-		}
-	})
+	paths := kernelPaths()
 	f.Fuzz(func(t *testing.T, src []byte, c byte, off uint8) {
 		o := int(off)
 		if o > len(src) {
@@ -138,38 +126,25 @@ func FuzzKernelTiersMatchRef(f *testing.F) {
 		copy(wantAdd, src[:len(span)])
 		RefMulAddSlice(wantAdd, span, c)
 		got := make([]byte, len(span))
-		for _, name := range AvailableKernels() {
-			if err := SetKernel(name); err != nil {
-				t.Fatalf("SetKernel(%q): %v", name, err)
-			}
-			MulSlice(got, span, c)
+		for _, p := range paths {
+			p.mul(got, span, c)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%s MulSlice diverges (len=%d c=%d)", name, len(span), c)
+				t.Fatalf("%s mul diverges (len=%d c=%d)", p.name, len(span), c)
 			}
 			copy(got, src[:len(span)])
-			MulAddSlice(got, span, c)
+			p.mulAdd(got, span, c)
 			if !bytes.Equal(got, wantAdd) {
-				t.Fatalf("%s MulAddSlice diverges (len=%d c=%d)", name, len(span), c)
+				t.Fatalf("%s mulAdd diverges (len=%d c=%d)", p.name, len(span), c)
 			}
 		}
 	})
 }
 
-// BenchmarkMulAddSliceKernel reports per-tier throughput; fecbench
-// reads the same shape into BENCH_fec.json rows.
+// BenchmarkMulAddSliceKernel reports throughput of each kernel path.
 func BenchmarkMulAddSliceKernel(b *testing.B) {
-	def := KernelName()
-	defer func() {
-		if err := SetKernel(def); err != nil {
-			b.Fatalf("restoring kernel %q: %v", def, err)
-		}
-	}()
-	for _, name := range AvailableKernels() {
-		if err := SetKernel(name); err != nil {
-			b.Fatalf("SetKernel(%q): %v", name, err)
-		}
+	for _, p := range kernelPaths() {
 		for _, n := range []int{1027, 8192} {
-			b.Run(name+"/"+sizeName(n), func(b *testing.B) {
+			b.Run(p.name+"/"+sizeName(n), func(b *testing.B) {
 				src, dst := make([]byte, n), make([]byte, n)
 				for i := range src {
 					src[i] = byte(i)
@@ -177,7 +152,7 @@ func BenchmarkMulAddSliceKernel(b *testing.B) {
 				b.SetBytes(int64(n))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					MulAddSlice(dst, src, 0x57)
+					p.mulAdd(dst, src, 0x57)
 				}
 			})
 		}

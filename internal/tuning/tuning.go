@@ -47,13 +47,6 @@ type Tuning struct {
 	// Validated by name resolution in rekey.NewServer -- this package
 	// sits below keytree and cannot consult the registry itself.
 	Strategy string
-	// GF256Kernel forces the GF(2^8) vector kernel tier behind the FEC
-	// hot path ("generic", "ssse3", "avx2", "gfni"); empty means runtime
-	// CPUID dispatch. Like Strategy it is validated where it is applied
-	// (rekey.NewServer, via gf256.SetKernel) -- this package sits below
-	// gf256's consumers. The setting is process-global; it exists so
-	// tests and benchmarks can pin a tier.
-	GF256Kernel string
 }
 
 // Default returns the paper's default tuning.

@@ -18,6 +18,7 @@ import (
 
 	rekey "repro"
 	"repro/internal/blockplan"
+	"repro/internal/fec"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/protocol"
@@ -34,10 +35,6 @@ type Server struct {
 
 	mu    sync.Mutex
 	addrs map[rekey.MemberID]*net.UDPAddr // guarded by mu
-
-	// lastAmax carries the previous round's per-block parity demand;
-	// Distribute is single-flight per server.
-	lastAmax []int
 }
 
 // NewServer binds a UDP socket (addr like "127.0.0.1:0") for the key
@@ -189,6 +186,8 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	k := rm.Part.K
 	blocks := rm.Part.NumBlocks()
 	nextParity := make([]int, blocks)
+	// amax is the previous round's per-block parity demand.
+	var amax []int
 
 	// pendingUsers accumulates node IDs that NACKed and may need USR
 	// packets in the unicast phase.
@@ -211,7 +210,10 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 		} else {
 			perBlock := make([][]int, blocks)
 			for b := 0; b < blocks; b++ {
-				for j := 0; j < s.lastAmax[b]; j++ {
+				// The coder has MaxShards-k parity indices per block;
+				// a long multicast budget may run a block out of them.
+				n := min(amax[b], fec.MaxShards-k-nextParity[b])
+				for j := 0; j < n; j++ {
 					perBlock[b] = append(perBlock[b], k+nextParity[b])
 					nextParity[b]++
 				}
@@ -230,7 +232,7 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 		}
 		st.Rounds = round
 
-		nacks, amax, users, err := s.collectNACKs(ctx, rm, blocks, k, opts.RoundDur)
+		nacks, want, users, err := s.collectNACKs(ctx, rm, blocks, k, opts.RoundDur)
 		if s.obs.Enabled() {
 			s.obs.ObserveSince(obs.HRoundLatency, roundStart)
 			s.obs.Observe(obs.HNACKsPerRound, float64(nacks))
@@ -245,7 +247,7 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 		if nacks == 0 {
 			return st, nil
 		}
-		s.lastAmax = amax
+		amax = want
 		if round >= maxRounds {
 			break
 		}
@@ -352,6 +354,8 @@ func sendErr(op string, err error) error {
 }
 
 // collectNACKs listens for one round duration and aggregates feedback.
+// NACKs are unauthenticated, so each request counts for at most k: a
+// member can be short no more than k shards of a block.
 func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, blocks, k int, dur time.Duration) (nacks int, amax []int, users map[int]bool, err error) {
 	amax = make([]int, blocks)
 	users = make(map[int]bool)
@@ -395,11 +399,12 @@ func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, block
 		users[int(nk.UserID)] = true
 		maxReq := 0
 		for _, r := range nk.Requests {
-			if int(r.BlockID) < blocks && int(r.Count) > amax[r.BlockID] {
-				amax[r.BlockID] = int(r.Count)
+			c := min(int(r.Count), k)
+			if int(r.BlockID) < blocks && c > amax[r.BlockID] {
+				amax[r.BlockID] = c
 			}
-			if int(r.Count) > maxReq {
-				maxReq = int(r.Count)
+			if c > maxReq {
+				maxReq = c
 			}
 		}
 		if s.obs.Enabled() {
@@ -413,16 +418,19 @@ func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, block
 func (s *Server) unicastUSR(rm *rekey.RekeyMessage, users map[int]bool, dups int, st *Stats) error {
 	// Map node IDs back to member addresses via the server's group view.
 	for nodeID := range users {
+		// Resolved first: NACKs are unauthenticated, and a node ID that
+		// is no member's has no USR leaf on a signed message -- WireUSR
+		// would fail the interval for everyone.
+		addr := s.addrForNode(nodeID)
+		if addr == nil {
+			continue // member departed or unknown
+		}
 		// WireUSR carries the auth trailer on signed messages and is the
 		// plain marshal otherwise; the unicast phase is the cold path, so
 		// the datagram is built per user rather than cached.
 		raw, err := rm.WireUSR(nodeID)
 		if err != nil {
 			return err
-		}
-		addr := s.addrForNode(nodeID)
-		if addr == nil {
-			continue // member departed or unknown
 		}
 		ap := addrPort(addr)
 		for j := 0; j < dups; j++ {

@@ -3,10 +3,14 @@ package udptrans
 import (
 	"context"
 	"math/rand/v2"
+	"net"
 	"testing"
 	"time"
 
 	rekey "repro"
+	"repro/internal/blockplan"
+	"repro/internal/fec"
+	"repro/internal/keys"
 	"repro/internal/packet"
 )
 
@@ -179,6 +183,89 @@ func TestLoopbackWithLoss(t *testing.T) {
 	waitKeyed(t, ks, clients, 5*time.Second)
 	if len(st.NACKsPerRound) == 0 {
 		t.Fatal("no NACK rounds recorded")
+	}
+}
+
+// TestForgedNACKCannotAbortInterval: NACKs are unauthenticated, so any
+// host that sees the multicast can answer every datagram with a NACK
+// asking for 255 parity packets of block 0. The server must serve at
+// most k of them per round (a member is never short more than k shards)
+// and never ask the coder for more parity than it has -- either used to
+// fail the whole Distribute with "wants 255 parity packets, max 246".
+func TestForgedNACKCannotAbortInterval(t *testing.T) {
+	// k = 128 leaves 128 parity indices: round 2 uses them all and
+	// round 3 must go without, not error.
+	wide := rekey.DefaultTuning()
+	wide.K = 128
+	wide.MaxMulticastRounds = 3
+	// On a signed message the forged user ID has no USR leaf: the
+	// unicast phase must skip it, not fail on it.
+	signer, err := keys.NewSigner(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		tun  rekey.Tuning
+		opts []rekey.Option
+	}{
+		"k=10":        {tun: rekey.DefaultTuning()},
+		"k=128":       {tun: wide},
+		"k=10,signed": {tun: rekey.DefaultTuning(), opts: []rekey.Option{rekey.WithSigner(signer)}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ks, srv, clients := group(t, 20, nil, append(tc.opts, rekey.WithTuning(tc.tun), rekey.WithKeySeed(4))...)
+			if err := ks.QueueLeave(7); err != nil {
+				t.Fatal(err)
+			}
+			clients[7].Close()
+			srv.RemoveMemberAddr(7)
+			delete(clients, 7)
+			rm, err := ks.Rekey()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			forged, err := (&packet.NACK{MsgID: rm.MsgID, UserID: 0xffff,
+				Requests: []packet.BlockRequest{{Count: 255, BlockID: 0}}}).Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			attacker, err := net.DialUDP("udp", nil, srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.SetMemberAddr(9999, attacker.LocalAddr().(*net.UDPAddr))
+			echoed := make(chan struct{})
+			go func() {
+				defer close(echoed)
+				buf := make([]byte, 2048)
+				for {
+					if _, err := attacker.Read(buf); err != nil {
+						return
+					}
+					attacker.Write(forged) //nolint:errcheck
+				}
+			}()
+			defer func() {
+				attacker.Close()
+				<-echoed
+			}()
+
+			st, err := srv.Distribute(context.Background(), rm, DefaultOptions())
+			if err != nil {
+				t.Fatalf("forged NACK aborted the interval: %v", err)
+			}
+			waitKeyed(t, ks, clients, 3*time.Second)
+			if len(st.NACKsPerRound) < 2 || st.NACKsPerRound[0] != 1 {
+				t.Fatalf("forged NACK not counted once per round: %v", st.NACKsPerRound)
+			}
+			k := rm.Part.K
+			proactive := blockplan.ProactiveParity(k, tc.tun.InitialRho) * rm.Blocks()
+			limit := min(k*(st.Rounds-1), fec.MaxShards-k)
+			if reactive := st.ParitySent - proactive; reactive == 0 || reactive > limit {
+				t.Fatalf("reactive parity for block 0 = %d over %d rounds, want in (0, %d]", reactive, st.Rounds, limit)
+			}
+		})
 	}
 }
 

@@ -45,7 +45,6 @@ import (
 	"repro/internal/assign"
 	"repro/internal/blockplan"
 	"repro/internal/fec"
-	"repro/internal/gf256"
 	"repro/internal/keys"
 	"repro/internal/keytree"
 	"repro/internal/obs"
@@ -158,11 +157,6 @@ func NewServer(opts ...Option) (*Server, error) {
 	strat, err := keytree.NewStrategy(cfg.Strategy)
 	if err != nil {
 		return nil, fmt.Errorf("rekey: %w", err)
-	}
-	if cfg.GF256Kernel != "" {
-		if err := gf256.SetKernel(cfg.GF256Kernel); err != nil {
-			return nil, fmt.Errorf("rekey: %w", err)
-		}
 	}
 	gen := keys.NewGenerator()
 	if cfg.KeySeed != 0 {
