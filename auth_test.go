@@ -262,9 +262,30 @@ func TestAuthTamperedParityDropsBlockThenRecovers(t *testing.T) {
 	if m.Done() {
 		t.Fatal("member done despite corrupted parity")
 	}
-	// Honest retransmissions rebuild the dropped block from scratch.
+	// A sender that replays the block's valid PARITY trailer over
+	// payloads of its own can do that as often as it likes: the block
+	// never holds more than k shards, and every forged fill is dropped.
+	for idx := rm.k; idx < 3*rm.k+3; idx++ {
+		wire, err := rm.AppendWireParity(nil, block, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := packet.FECOffset; i < packet.PacketLen; i += 97 {
+			wire[i] ^= 0xa5
+		}
+		res, err := m.Ingest(wire)
+		if err != nil || res.Done {
+			t.Fatalf("forged parity %d: res=%+v err=%v", idx, res, err)
+		}
+		if held := m.heldShards(block); held >= rm.k {
+			t.Fatalf("after forged parity %d the block holds %d shards, want fewer than k=%d", idx, held, rm.k)
+		}
+	}
+	// Honest retransmissions rebuild the dropped block: what the forger
+	// left in it spoils one more fill, then any k honest shards decode.
 	var last IngestResult
-	for idx := 0; idx < rm.k; idx++ {
+	fed := 0
+	for idx := 0; !last.Done && idx < 2*rm.k; idx++ {
 		wire, err := rm.AppendWireParity(nil, block, idx)
 		if err != nil {
 			t.Fatal(err)
@@ -273,9 +294,10 @@ func TestAuthTamperedParityDropsBlockThenRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fed++
 	}
-	if !last.Done || !last.Recovered {
-		t.Fatalf("recovery after honest retransmission incomplete: %+v", last)
+	if !last.Done || !last.Recovered || fed > 2*rm.k-1 {
+		t.Fatalf("recovery after %d honest retransmissions incomplete: %+v", fed, last)
 	}
 	if gk, ok := m.GroupKey(); !ok || gk != s.GroupKey() {
 		t.Fatal("wrong group key after poisoned-block recovery")

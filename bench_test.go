@@ -10,6 +10,7 @@ package rekey_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -101,41 +102,119 @@ func BenchmarkRekeyMessageMaterialize(b *testing.B) {
 	}
 }
 
-// BenchmarkMemberIngest measures client-side processing of one specific
-// ENC packet (parse + unwrap path keys), the per-user per-interval cost.
+// BenchmarkMemberIngest measures what one datagram costs a member, by
+// what the member still needs from it: own is its specific ENC packet
+// (header, 46 encryptions parsed, path keys unwrapped -- the per-user
+// per-interval cost), other an ENC packet of another member that has to
+// be kept as an FEC shard, parity the same for a PARITY packet, stale
+// any packet of a message the member has completed. signed adds the
+// interval-auth trailer and a verifying member. In other and parity
+// every ingest also starts a new assembly (the two messages alternate),
+// which is how the shard buffers come back.
 func BenchmarkMemberIngest(b *testing.B) {
-	srv, err := rekey.NewServer(rekey.WithKeySeed(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 256; i++ {
-		if err := srv.QueueJoin(rekey.MemberID(i)); err != nil {
-			b.Fatal(err)
+	for _, signed := range []bool{false, true} {
+		mode := "plain"
+		opts := []rekey.Option{rekey.WithKeySeed(3)}
+		if signed {
+			mode = "signed"
+			signer, err := keys.NewSigner(1024)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts = append(opts, rekey.WithSigner(signer))
 		}
-	}
-	rm, err := srv.Rekey()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cred, _ := srv.Credentials(7)
-	pkt, ok := rm.PacketFor(cred.NodeID)
-	if !ok {
-		b.Fatal("no packet")
-	}
-	raw, err := pkt.Marshal()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := rekey.NewMember(cred)
+		srv, err := rekey.NewServer(opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.Ingest(raw); err != nil {
+		for i := 0; i < 1024; i++ {
+			if err := srv.QueueJoin(rekey.MemberID(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rm1, err := srv.Rekey()
+		if err != nil {
 			b.Fatal(err)
 		}
+		cred, _ := srv.Credentials(7)
+		for i := 0; i < 1024; i += 4 {
+			if err := srv.QueueLeave(rekey.MemberID(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rm2, err := srv.Rekey()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cred2, _ := srv.Credentials(7)
+		// The member's packet of the first message; and of each message an
+		// ENC packet and a parity shard from a block that is not the
+		// member's.
+		own, err := rm1.WireENC(rm1.Plan.UserPacket[cred.NodeID])
+		if err != nil {
+			b.Fatal(err)
+		}
+		var other, parity [2][]byte
+		for i, rm := range []*rekey.RekeyMessage{rm1, rm2} {
+			ownBlk, _ := rm.Part.Slot(rm.Plan.UserPacket[[]int{cred.NodeID, cred2.NodeID}[i]])
+			blk := (ownBlk + 1) % rm.Blocks()
+			if other[i], err = rm.WireENC(blk * rm.Part.K); err != nil {
+				b.Fatal(err)
+			}
+			if parity[i], err = rm.AppendWireParity(nil, blk, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		newMember := func() *rekey.Member {
+			m, err := rekey.NewMember(cred)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if signed {
+				m.SetVerifier(keys.NewRootVerifier(srv.SignerPublic()))
+			}
+			return m
+		}
+
+		b.Run("own/"+mode, func(b *testing.B) {
+			b.ReportAllocs()
+			members := make([]*rekey.Member, 256)
+			for i := 0; i < b.N; i++ {
+				if i%len(members) == 0 {
+					b.StopTimer()
+					for j := range members {
+						members[j] = newMember()
+					}
+					b.StartTimer()
+				}
+				if res, err := members[i%len(members)].Ingest(own); err != nil || !res.Done {
+					b.Fatalf("res=%+v err=%v", res, err)
+				}
+			}
+		})
+		for name, wires := range map[string][2][]byte{"other": other, "parity": parity} {
+			b.Run(name+"/"+mode, func(b *testing.B) {
+				b.ReportAllocs()
+				m := newMember()
+				for i := 0; i < b.N; i++ {
+					if res, err := m.Ingest(wires[i%2]); err != nil || res.Duplicate {
+						b.Fatalf("res=%+v err=%v", res, err)
+					}
+				}
+			})
+		}
+		b.Run("stale/"+mode, func(b *testing.B) {
+			b.ReportAllocs()
+			m := newMember()
+			if res, err := m.Ingest(own); err != nil || !res.Done {
+				b.Fatalf("res=%+v err=%v", res, err)
+			}
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Ingest(other[0]); !errors.Is(err, rekey.ErrStale) {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

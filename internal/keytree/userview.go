@@ -66,13 +66,9 @@ func (u *UserView) Apply(maxKID int, encs []Encryption) error {
 		u.ID = newID
 	}
 
-	byID := make(map[int]Encryption, len(encs))
-	for _, e := range encs {
-		byID[int(e.ID)] = e
-	}
 	for cur := u.ID; cur != 0; {
 		parent := ParentID(u.D, cur)
-		e, ok := byID[cur]
+		e, ok := encryptedBy(encs, cur)
 		if !ok {
 			// No encryption keyed by this node: the parent's key did
 			// not change this interval; keep whatever we hold.
@@ -96,4 +92,16 @@ func (u *UserView) Apply(maxKID int, encs []Encryption) error {
 		cur = parent
 	}
 	return nil
+}
+
+// encryptedBy finds the encryption keyed by node id; of several, the
+// last. A packet holds at most a few dozen encryptions and a path has a
+// handful of nodes, so scanning beats building an index per packet.
+func encryptedBy(encs []Encryption, id int) (Encryption, bool) {
+	for i := len(encs) - 1; i >= 0; i-- {
+		if int(encs[i].ID) == id {
+			return encs[i], true
+		}
+	}
+	return Encryption{}, false
 }

@@ -38,6 +38,7 @@ package packet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/keys"
@@ -131,6 +132,15 @@ func (t *AuthTrailer) AppendAuthTrailer(b []byte) ([]byte, error) {
 	return b, nil
 }
 
+// The "this datagram carries no trailer" exits of SplitAuth: every plain
+// packet fed to a non-verifying member takes one of them, so they are
+// built once, not formatted per packet.
+var (
+	errAuthShort   = errors.New("packet: too short for an auth trailer")
+	errAuthLen     = errors.New("packet: auth trailer length out of range")
+	errAuthVersion = fmt.Errorf("packet: auth trailer version is not %d", AuthVersion)
+)
+
 // SplitAuth splits a received datagram into the inner packet bytes and
 // its parsed auth trailer. It fails on any structural inconsistency --
 // a bad version, a length that does not add up, proof counts over
@@ -138,34 +148,43 @@ func (t *AuthTrailer) AppendAuthTrailer(b []byte) ([]byte, error) {
 // byte. The returned trailer's proof and signature slices are copies;
 // inner aliases b.
 func SplitAuth(b []byte) (inner []byte, t *AuthTrailer, err error) {
+	t = new(AuthTrailer)
+	if inner, err = t.Split(b); err != nil {
+		return nil, nil, err
+	}
+	return inner, t, nil
+}
+
+// Split is SplitAuth parsing into t, whose proof and signature storage
+// it reuses: a receiver that keeps one AuthTrailer splits datagram
+// after datagram without allocating. On error t is unspecified.
+func (t *AuthTrailer) Split(b []byte) (inner []byte, err error) {
 	if len(b) < authFixedLen {
-		return nil, nil, fmt.Errorf("packet: %d bytes, too short for an auth trailer", len(b))
+		return nil, errAuthShort
 	}
 	tl := int(binary.BigEndian.Uint16(b[len(b)-2:]))
 	if tl < authFixedLen || tl > len(b) {
-		return nil, nil, fmt.Errorf("packet: auth trailer length %d out of range", tl)
+		return nil, errAuthLen
 	}
 	inner = b[:len(b)-tl]
 	tr := b[len(b)-tl : len(b)-2]
 	if tr[0] != AuthVersion {
-		return nil, nil, fmt.Errorf("packet: auth trailer version %d, want %d", tr[0], AuthVersion)
-	}
-	t = &AuthTrailer{
-		Kind:      Type(tr[1] & 0x03),
-		HasAux:    tr[1]&(1<<2) != 0,
-		NTop:      int(binary.BigEndian.Uint16(tr[2:])),
-		LeafIndex: int(binary.BigEndian.Uint32(tr[4:])),
-		NSub:      int(binary.BigEndian.Uint32(tr[8:])),
+		return nil, errAuthVersion
 	}
 	if tr[1]&^0x07 != 0 {
-		return nil, nil, fmt.Errorf("packet: auth trailer flags %#x unknown", tr[1])
+		return nil, fmt.Errorf("packet: auth trailer flags %#x unknown", tr[1])
 	}
+	t.Kind = Type(tr[1] & 0x03)
+	t.HasAux = tr[1]&(1<<2) != 0
+	t.NTop = int(binary.BigEndian.Uint16(tr[2:]))
+	t.LeafIndex = int(binary.BigEndian.Uint32(tr[4:]))
+	t.NSub = int(binary.BigEndian.Uint32(tr[8:]))
 	if t.NTop < 1 {
-		return nil, nil, fmt.Errorf("packet: auth trailer nTop %d out of range", t.NTop)
+		return nil, fmt.Errorf("packet: auth trailer nTop %d out of range", t.NTop)
 	}
 	nSub, nTop := int(tr[12]), int(tr[13])
 	if nSub > MaxAuthProofLen || nTop > MaxAuthProofLen {
-		return nil, nil, fmt.Errorf("packet: auth proof counts %d/%d exceed %d", nSub, nTop, MaxAuthProofLen)
+		return nil, fmt.Errorf("packet: auth proof counts %d/%d exceed %d", nSub, nTop, MaxAuthProofLen)
 	}
 	off := 14
 	need := off + (nSub+nTop)*keys.HashSize
@@ -173,18 +192,11 @@ func SplitAuth(b []byte) (inner []byte, t *AuthTrailer, err error) {
 		need += keys.HashSize
 	}
 	if need+2 > len(tr) { // +2 for sigLen
-		return nil, nil, fmt.Errorf("packet: auth trailer truncated (%d bytes, need %d)", len(tr), need+2)
+		return nil, fmt.Errorf("packet: auth trailer truncated (%d bytes, need %d)", len(tr), need+2)
 	}
-	readProof := func(n int) []keys.MerkleHash {
-		p := make([]keys.MerkleHash, n)
-		for i := range p {
-			copy(p[i][:], tr[off:])
-			off += keys.HashSize
-		}
-		return p
-	}
-	t.SubProof = readProof(nSub)
-	t.TopProof = readProof(nTop)
+	t.SubProof, off = appendProof(t.SubProof[:0], tr, off, nSub)
+	t.TopProof, off = appendProof(t.TopProof[:0], tr, off, nTop)
+	t.Aux = keys.MerkleHash{}
 	if t.HasAux {
 		copy(t.Aux[:], tr[off:])
 		off += keys.HashSize
@@ -192,15 +204,27 @@ func SplitAuth(b []byte) (inner []byte, t *AuthTrailer, err error) {
 	sigLen := int(binary.BigEndian.Uint16(tr[off:]))
 	off += 2
 	if sigLen == 0 || sigLen > MaxAuthSigLen || off+sigLen != len(tr) {
-		return nil, nil, fmt.Errorf("packet: auth signature length %d inconsistent with trailer", sigLen)
+		return nil, fmt.Errorf("packet: auth signature length %d inconsistent with trailer", sigLen)
 	}
-	t.Sig = append([]byte(nil), tr[off:off+sigLen]...)
+	t.Sig = append(t.Sig[:0], tr[off:off+sigLen]...)
 	kind, err := Detect(inner)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if kind != t.Kind {
-		return nil, nil, fmt.Errorf("packet: auth trailer kind %v on a %v packet", t.Kind, kind)
+		return nil, fmt.Errorf("packet: auth trailer kind %v on a %v packet", t.Kind, kind)
 	}
-	return inner, t, nil
+	return inner, nil
+}
+
+// appendProof appends the n hashes at tr[off:] to p and returns it with
+// the offset past them.
+func appendProof(p []keys.MerkleHash, tr []byte, off, n int) ([]keys.MerkleHash, int) {
+	for i := 0; i < n; i++ {
+		var h keys.MerkleHash
+		copy(h[:], tr[off:])
+		p = append(p, h)
+		off += keys.HashSize
+	}
+	return p, off
 }

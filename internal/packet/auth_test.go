@@ -60,6 +60,7 @@ func TestAuthTrailerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var reused AuthTrailer
 	for _, tc := range []struct {
 		kind       Type
 		hasAux     bool
@@ -87,6 +88,32 @@ func TestAuthTrailerRoundTrip(t *testing.T) {
 		}
 		if !trailerEqual(tr, got) {
 			t.Fatalf("trailer round trip mismatch: %+v vs %+v", tr, got)
+		}
+		// One trailer split into again and again -- whatever the last
+		// datagram left in it -- reads what a fresh one reads.
+		if _, err := reused.Split(wire); err != nil || !trailerEqual(tr, &reused) {
+			t.Fatalf("reused trailer: err %v, %+v vs %+v", err, tr, &reused)
+		}
+	}
+}
+
+// TestSplitPlainPacketDoesNotAllocate: a datagram that carries no
+// trailer is what a non-verifying member splits for every packet of an
+// unsigned stream; saying so must cost nothing.
+func TestSplitPlainPacketDoesNotAllocate(t *testing.T) {
+	plain, err := (&ENC{MsgID: 5, BlockID: 1, Seq: 2, MaxKID: 84, FrmID: 90, ToID: 95}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := append(append([]byte(nil), plain...), 0xff, 0xff) // a length no datagram has
+	var tr AuthTrailer
+	for name, b := range map[string][]byte{"padded": plain, "length out of range": bare, "short": plain[:5]} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := tr.Split(b); err == nil {
+				t.Fatal("plain packet split into a trailer")
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Split allocates %.0f times on a trailerless packet", name, allocs)
 		}
 	}
 }

@@ -108,7 +108,16 @@ func FuzzPacketRoundTrip(f *testing.F) {
 		// Hostile direction: the parsers must tolerate arbitrary bytes.
 		// Anything they accept must re-marshal into bytes they accept
 		// again (parse/marshal reaches a fixed point).
+		if _, herr := ParseENCHeader(raw); herr == nil {
+			if _, err := ParseENC(raw); err != nil {
+				t.Fatalf("ParseENCHeader accepts what ParseENC rejects: %v", err)
+			}
+		}
 		if p, err := ParseENC(raw); err == nil {
+			if h, err := ParseENCHeader(raw); err != nil || h.MsgID != p.MsgID || h.BlockID != p.BlockID || h.Seq != p.Seq ||
+				h.Dup != p.Dup || h.MaxKID != p.MaxKID || h.FrmID != p.FrmID || h.ToID != p.ToID {
+				t.Fatalf("ParseENCHeader = %+v, %v; ParseENC = %+v", h, err, p)
+			}
 			if b, err := p.Marshal(); err != nil {
 				t.Fatalf("re-Marshal of parsed hostile ENC: %v", err)
 			} else if _, err := ParseENC(b); err != nil {

@@ -114,15 +114,29 @@ func (p *ENC) Marshal() ([]byte, error) {
 	return b, nil
 }
 
-// ParseENC decodes an ENC packet produced by Marshal.
-func ParseENC(b []byte) (*ENC, error) {
+// ENCHeader is the fixed ENCHeaderLen-byte head of an ENC packet: all a
+// receiver needs to tell whether the packet is its own and, if not, to
+// bound its block ID from it.
+type ENCHeader struct {
+	MsgID   uint8
+	BlockID uint8
+	Seq     uint8
+	Dup     bool
+	MaxKID  uint16
+	FrmID   uint16
+	ToID    uint16
+}
+
+// ParseENCHeader decodes an ENC packet's header without reading its
+// encryptions; it accepts exactly the packets ParseENC accepts.
+func ParseENCHeader(b []byte) (ENCHeader, error) {
 	if len(b) != PacketLen {
-		return nil, fmt.Errorf("packet: ENC length %d, want %d", len(b), PacketLen)
+		return ENCHeader{}, fmt.Errorf("packet: ENC length %d, want %d", len(b), PacketLen)
 	}
 	if Type(b[0]>>6) != TypeENC {
-		return nil, fmt.Errorf("packet: type %v, want ENC", Type(b[0]>>6))
+		return ENCHeader{}, fmt.Errorf("packet: type %v, want ENC", Type(b[0]>>6))
 	}
-	p := &ENC{
+	return ENCHeader{
 		MsgID:   b[0] & MaxMsgID,
 		BlockID: b[1],
 		Seq:     b[2],
@@ -130,18 +144,41 @@ func ParseENC(b []byte) (*ENC, error) {
 		MaxKID:  binary.BigEndian.Uint16(b[4:]),
 		FrmID:   binary.BigEndian.Uint16(b[6:]),
 		ToID:    binary.BigEndian.Uint16(b[8:]),
+	}, nil
+}
+
+// ENCEncryptions decodes the encryptions of an ENC packet whose header
+// ParseENCHeader accepted, into a slice sized exactly (nil for none):
+// the entries run from ENCHeaderLen to the first zero ID, where the
+// padding begins.
+func ENCEncryptions(b []byte) []keytree.Encryption {
+	n := 0
+	for off := ENCHeaderLen; off+EncEntryLen <= len(b) && binary.BigEndian.Uint32(b[off:]) != 0; off += EncEntryLen {
+		n++
 	}
-	for off := ENCHeaderLen; off+EncEntryLen <= PacketLen; off += EncEntryLen {
-		id := binary.BigEndian.Uint32(b[off:])
-		if id == 0 {
-			break // zero padding begins
-		}
-		var e keytree.Encryption
-		e.ID = id
-		copy(e.Wrapped[:], b[off+4:])
-		p.Encs = append(p.Encs, e)
+	if n == 0 {
+		return nil
 	}
-	return p, nil
+	encs := make([]keytree.Encryption, n)
+	for i := range encs {
+		off := ENCHeaderLen + i*EncEntryLen
+		encs[i].ID = binary.BigEndian.Uint32(b[off:])
+		copy(encs[i].Wrapped[:], b[off+4:])
+	}
+	return encs
+}
+
+// ParseENC decodes an ENC packet produced by Marshal.
+func ParseENC(b []byte) (*ENC, error) {
+	h, err := ParseENCHeader(b)
+	if err != nil {
+		return nil, err
+	}
+	return &ENC{
+		MsgID: h.MsgID, BlockID: h.BlockID, Seq: h.Seq, Dup: h.Dup,
+		MaxKID: h.MaxKID, FrmID: h.FrmID, ToID: h.ToID,
+		Encs: ENCEncryptions(b),
+	}, nil
 }
 
 // PARITY is a multicast packet carrying FEC redundancy for one block.

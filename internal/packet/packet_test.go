@@ -56,6 +56,19 @@ func TestENCRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d: encryption %d differs", n, i)
 			}
 		}
+		// The header-only parse reads the same ten bytes, and the
+		// encryptions come out sized to the packet's count.
+		h, err := ParseENCHeader(b)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		want := ENCHeader{MsgID: p.MsgID, BlockID: p.BlockID, Seq: p.Seq, Dup: p.Dup, MaxKID: p.MaxKID, FrmID: p.FrmID, ToID: p.ToID}
+		if h != want {
+			t.Fatalf("n=%d: ParseENCHeader = %+v, want %+v", n, h, want)
+		}
+		if encs := ENCEncryptions(b); len(encs) != n || cap(encs) != n {
+			t.Fatalf("n=%d: ENCEncryptions len %d cap %d", n, len(encs), cap(encs))
+		}
 	}
 }
 

@@ -108,6 +108,10 @@ func (c *Client) Close() error {
 // (stale duplicates, packets for other members) are counted in the
 // registry, not fatal. Run returns nil after Close and ctx.Err() after
 // cancellation.
+//
+// Every datagram is read into one buffer. Drop sees it there and must
+// not keep it; Mangle is handed a private copy; the member is fed the
+// buffer itself, which Ingest does not retain.
 func (c *Client) Run(ctx context.Context) error {
 	defer close(c.done)
 	c.Member.SetObs(c.Obs)
@@ -125,7 +129,9 @@ func (c *Client) Run(ctx context.Context) error {
 		if err := c.conn.SetReadDeadline(time.Now().Add(c.QuietGap)); err != nil {
 			return nil
 		}
-		n, _, err := c.conn.ReadFromUDP(buf)
+		// The sender's address is not used: the AddrPort read returns it
+		// by value, where ReadFromUDP allocates one per datagram.
+		n, _, err := c.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				if cerr := ctx.Err(); cerr != nil {
@@ -147,19 +153,24 @@ func (c *Client) Run(ctx context.Context) error {
 		if c.Drop != nil && c.Drop(pkt) {
 			continue
 		}
-		arrivals := [][]byte{pkt}
-		if c.Mangle != nil {
-			// Copy first: the mangler may hold the packet past the next
-			// read, which reuses buf.
-			arrivals = c.Mangle(append([]byte(nil), pkt...))
+		if c.Mangle == nil {
+			// Ingest copies what it keeps, so buf is free for the next read.
+			c.ingest(pkt)
+			continue
 		}
-		for _, p := range arrivals {
-			// Copy: Ingest retains payload slices.
-			res, err := c.Member.Ingest(append([]byte(nil), p...))
-			if c.Obs.Enabled() {
-				c.record(res, err)
-			}
+		// The mangler gets a copy of its own: it may hold the packet past
+		// the next read, which reuses buf.
+		for _, p := range c.Mangle(append([]byte(nil), pkt...)) {
+			c.ingest(p)
 		}
+	}
+}
+
+// ingest feeds one arrival to the member and records the outcome.
+func (c *Client) ingest(pkt []byte) {
+	res, err := c.Member.Ingest(pkt)
+	if c.Obs.Enabled() {
+		c.record(res, err)
 	}
 }
 

@@ -189,9 +189,11 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	// amax is the previous round's per-block parity demand.
 	var amax []int
 
-	// pendingUsers accumulates node IDs that NACKed and may need USR
-	// packets in the unicast phase.
-	pendingUsers := make(map[int]bool)
+	// pendingUsers holds the node IDs that NACKed the latest round or
+	// wave: the members still missing keys. One that NACKed an earlier
+	// round only has been keyed since -- a pending member NACKs every
+	// QuietGap, so it is in this set or in the next wave's.
+	var pendingUsers map[int]bool
 
 	for round := 1; ; round++ {
 		if err := ctx.Err(); err != nil {
@@ -241,13 +243,10 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 			return st, err
 		}
 		st.NACKsPerRound = append(st.NACKsPerRound, nacks)
-		for u := range users {
-			pendingUsers[u] = true
-		}
 		if nacks == 0 {
 			return st, nil
 		}
-		amax = want
+		amax, pendingUsers = want, users
 		if round >= maxRounds {
 			break
 		}
@@ -256,6 +255,7 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	// Unicast phase: escalating duplicates per Fig. 22.
 	s.obs.Emit(obs.Event{Kind: obs.EvSwitchToUnicast, MsgID: rm.MsgID,
 		Round: st.Rounds, Value: float64(len(pendingUsers))})
+	byNode := s.nodeAddrs()
 	dups := 2
 	for wave := 1; wave <= opts.MaxUnicastWaves && len(pendingUsers) > 0; wave++ {
 		if err := ctx.Err(); err != nil {
@@ -263,7 +263,7 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 		}
 		st.UnicastWaves = wave
 		s.obs.Inc(obs.CUnicastWaves)
-		if err := s.unicastUSR(rm, pendingUsers, dups, st); err != nil {
+		if err := s.unicastUSR(rm, pendingUsers, byNode, dups, st); err != nil {
 			return st, err
 		}
 		dups++
@@ -415,14 +415,13 @@ func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, block
 	}
 }
 
-func (s *Server) unicastUSR(rm *rekey.RekeyMessage, users map[int]bool, dups int, st *Stats) error {
-	// Map node IDs back to member addresses via the server's group view.
+func (s *Server) unicastUSR(rm *rekey.RekeyMessage, users map[int]bool, byNode map[int]netip.AddrPort, dups int, st *Stats) error {
 	for nodeID := range users {
 		// Resolved first: NACKs are unauthenticated, and a node ID that
 		// is no member's has no USR leaf on a signed message -- WireUSR
 		// would fail the interval for everyone.
-		addr := s.addrForNode(nodeID)
-		if addr == nil {
+		ap, ok := byNode[nodeID]
+		if !ok {
 			continue // member departed or unknown
 		}
 		// WireUSR carries the auth trailer on signed messages and is the
@@ -432,7 +431,6 @@ func (s *Server) unicastUSR(rm *rekey.RekeyMessage, users map[int]bool, dups int
 		if err != nil {
 			return err
 		}
-		ap := addrPort(addr)
 		for j := 0; j < dups; j++ {
 			if _, err := s.conn.WriteToUDPAddrPort(raw, ap); err != nil {
 				return sendErr("unicast", err)
@@ -444,14 +442,17 @@ func (s *Server) unicastUSR(rm *rekey.RekeyMessage, users map[int]bool, dups int
 	return nil
 }
 
-// addrForNode resolves a key tree node ID to a registered address.
-func (s *Server) addrForNode(nodeID int) *net.UDPAddr {
+// nodeAddrs maps each registered member's current key tree node ID to
+// its address. Built once when the unicast phase starts: node IDs hold
+// until the next Rekey, and every wave resolves its NACKers here.
+func (s *Server) nodeAddrs() map[int]netip.AddrPort {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	byNode := make(map[int]netip.AddrPort, len(s.addrs))
 	for id, a := range s.addrs {
-		if cred, ok := s.ks.Credentials(id); ok && cred.NodeID == nodeID {
-			return a
+		if cred, ok := s.ks.Credentials(id); ok {
+			byNode[cred.NodeID] = addrPort(a)
 		}
 	}
-	return nil
+	return byNode
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand/v2"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -183,6 +184,66 @@ func TestLoopbackWithLoss(t *testing.T) {
 	waitKeyed(t, ks, clients, 5*time.Second)
 	if len(st.NACKsPerRound) == 0 {
 		t.Fatal("no NACK rounds recorded")
+	}
+}
+
+// TestUnicastSkipsMembersKeyedByRoundTwo: the unicast phase serves the
+// members still NACKing when it starts, not everyone who ever NACKed.
+// Member a keeps one parity shard of round one, so it NACKs, and every
+// retransmission of round two, which keys it; member b keeps the same
+// first shard and nothing else, and is left for unicast. a must see no
+// USR datagram: it used to get two.
+func TestUnicastSkipsMembersKeyedByRoundTwo(t *testing.T) {
+	const a, b = 3, 4
+	tun := rekey.DefaultTuning()
+	tun.InitialRho = 1.5 // proactive parity: something for a and b to keep
+	k := tun.K
+	firstRetx := k + blockplan.ProactiveParity(k, tun.InitialRho)
+	var armed atomic.Bool
+	var usrAt [2]atomic.Int64
+	drop := func(i int) func([]byte) bool {
+		if i != a && i != b {
+			return nil
+		}
+		return func(pkt []byte) bool {
+			if !armed.Load() {
+				return false
+			}
+			switch seq := int(pkt[2]); packet.Type(pkt[0] >> 6) {
+			case packet.TypeUSR:
+				usrAt[i-a].Add(1)
+				return false
+			case packet.TypePARITY:
+				return seq != k && (i == b || seq < firstRetx)
+			}
+			return true
+		}
+	}
+	ks, srv, clients := group(t, 20, drop, rekey.WithTuning(tun), rekey.WithKeySeed(5))
+	if err := ks.QueueLeave(7); err != nil {
+		t.Fatal(err)
+	}
+	clients[7].Close()
+	srv.RemoveMemberAddr(7)
+	delete(clients, 7)
+	rm, err := ks.Rekey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	st, err := srv.Distribute(context.Background(), rm, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitKeyed(t, ks, clients, 3*time.Second)
+	if len(st.NACKsPerRound) < 3 || st.NACKsPerRound[0] != 2 || st.NACKsPerRound[1] != 1 || st.UnicastWaves == 0 {
+		t.Fatalf("want two NACKers in round one, one in round two, then unicast: %+v", st)
+	}
+	if got := usrAt[0].Load(); got != 0 {
+		t.Fatalf("member keyed by round two was sent %d USR datagrams", got)
+	}
+	if got := usrAt[1].Load(); got == 0 || int(got) != st.UsrSent {
+		t.Fatalf("pending member saw %d USR datagrams of %d sent", got, st.UsrSent)
 	}
 }
 

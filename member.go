@@ -1,6 +1,8 @@
 package rekey
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -36,7 +38,8 @@ type IngestResult struct {
 	MsgID uint8
 	// Block and Seq locate ENC/PARITY shards; both are -1 for USR.
 	Block, Seq int
-	// Duplicate reports a shard the member already held.
+	// Duplicate reports a shard the member already held, or one its
+	// block, holding k already, has no use for.
 	Duplicate bool
 	// Recovered reports that completion required FEC decoding (as
 	// opposed to directly receiving the member's ENC or a USR).
@@ -60,26 +63,51 @@ type Member struct {
 	view  *keytree.UserView // guarded by mu
 	k     int
 	coder *fec.Coder
-	cur   *msgAssembly // guarded by mu
-	// scratch holds the k decode output buffers, reused across blocks
-	// and messages via fec.DecodeInto.
-	scratch [][]byte // guarded by mu
+	// cur is the one assembly the member ever has: a new message ID
+	// resets it in place, so block records and shard buffers carry over.
+	cur    msgAssembly // guarded by mu
+	active bool        // cur holds a message; guarded by mu
+	// free holds shard buffers released by finished assemblies, at most
+	// maxFreeShards of them. Guarded by mu.
+	free [][]byte
+	// Decode scratch, built by the first decode and reused by every later
+	// one: the k shards handed to the coder and the k reconstructed ENC
+	// packets it fills from FECOffset on. Guarded by mu.
+	shards []fec.Shard
+	fulls  [][]byte
+	spans  [][]byte
+	// trailer is the parse target of every datagram's auth trailer.
+	trailer packet.AuthTrailer // guarded by mu
 	// verifier, when non-nil, makes every ingested packet prove itself
 	// into a signed interval Merkle root (see auth.go). Guarded by mu.
 	verifier *keys.RootVerifier
 }
 
+// maxFreeShards bounds the shard buffers a member keeps between
+// messages: one block's whole shard space, 256 KiB.
+const maxFreeShards = fec.MaxShards
+
 // msgAssembly accumulates one rekey message's shards.
 type msgAssembly struct {
 	msgID  uint8
 	est    blockplan.Estimator
-	shards map[int]map[int][]byte // block -> seq -> FEC payload
 	maxKID int
 	done   bool
-	// blockRoots records each block's verified Merkle subtree root
-	// (from ENC sub-proofs or PARITY aux roots); FEC-decoded blocks are
-	// re-verified against it before their encryptions are applied.
-	blockRoots map[int]keys.MerkleHash
+	// blocks is indexed by block ID and reaches to the highest block the
+	// member has a verified packet of.
+	blocks []blockShards
+}
+
+// blockShards is what the member holds of one FEC block: at most k
+// shards, any k of which decode it.
+type blockShards struct {
+	seqs []uint8  // shard indices held, in arrival order
+	bufs [][]byte // their FEC spans, parallel to seqs
+	// root is the block's verified Merkle subtree root (from an ENC
+	// sub-proof or a PARITY aux root); a decoded block must reproduce it
+	// before its encryptions are applied.
+	root    keys.MerkleHash
+	hasRoot bool
 }
 
 // NewMember creates a member from its registration credentials.
@@ -92,10 +120,9 @@ func NewMember(c Credentials) (*Member, error) {
 		return nil, err
 	}
 	return &Member{
-		view:    keytree.NewUserView(c.Degree, c.Member, c.NodeID, c.Key),
-		k:       c.BlockSize,
-		coder:   coder,
-		scratch: make([][]byte, c.BlockSize),
+		view:  keytree.NewUserView(c.Degree, c.Member, c.NodeID, c.Key),
+		k:     c.BlockSize,
+		coder: coder,
 	}, nil
 }
 
@@ -148,7 +175,7 @@ func (m *Member) Keys() map[int]keys.Key {
 func (m *Member) Done() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.cur == nil || m.cur.done
+	return !m.active || m.cur.done
 }
 
 // Ingest consumes one raw packet from the network and reports what it
@@ -157,9 +184,22 @@ func (m *Member) Done() bool {
 // (IngestResult.Done). Errors wrap the package sentinels (ErrBadPacket,
 // ErrWrongMessage, ErrStale) for errors.Is dispatch; transports treat
 // all three as non-fatal.
+//
+// Ingest keeps no reference to raw: what the member needs of a datagram
+// it copies, so the caller may read the next one into the same buffer.
+//
+// A datagram costs what the member still needs from it. A packet of the
+// message the member has completed is ErrStale on its first three bytes.
+// Any other packet is verified in full -- trailer, leaf proof, signed
+// root -- before its header reaches the block-ID estimator or its
+// payload is stored, and only the member's own packet has its
+// encryptions parsed.
 func (m *Member) Ingest(raw []byte) (IngestResult, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if res, stale := m.stalePeekLocked(raw); stale {
+		return res, ErrStale
+	}
 	raw, tr, err := m.splitAuthLocked(raw)
 	if err != nil {
 		return IngestResult{Block: -1, Seq: -1}, err
@@ -170,33 +210,39 @@ func (m *Member) Ingest(raw []byte) (IngestResult, error) {
 	}
 	switch typ {
 	case packet.TypeENC:
-		p, err := packet.ParseENC(raw)
+		h, err := packet.ParseENCHeader(raw)
 		if err != nil {
 			return IngestResult{Kind: typ, Block: -1, Seq: -1}, fmt.Errorf("%w: %v", ErrBadPacket, err)
 		}
 		var blockRoot *keys.MerkleHash
 		if m.verifier != nil {
-			root, err := m.verifyENCAuth(raw, p, tr)
+			root, err := m.verifyENCAuth(raw, h, tr)
 			if err != nil {
-				return IngestResult{Kind: typ, MsgID: p.MsgID, Block: int(p.BlockID), Seq: int(p.Seq)}, err
+				return IngestResult{Kind: typ, MsgID: h.MsgID, Block: int(h.BlockID), Seq: int(h.Seq)}, err
 			}
 			blockRoot = &root
 		}
-		return m.ingestENCLocked(p, raw, blockRoot)
+		return m.ingestENCLocked(h, raw, blockRoot)
 	case packet.TypePARITY:
-		p, err := packet.ParsePARITY(raw)
-		if err != nil {
-			return IngestResult{Kind: typ, Block: -1, Seq: -1}, fmt.Errorf("%w: %v", ErrBadPacket, err)
+		if len(raw) != packet.PacketLen {
+			return IngestResult{Kind: typ, Block: -1, Seq: -1},
+				fmt.Errorf("%w: PARITY length %d, want %d", ErrBadPacket, len(raw), packet.PacketLen)
 		}
+		res := IngestResult{Kind: typ, MsgID: raw[0] & packet.MaxMsgID, Block: int(raw[1]), Seq: int(raw[2])}
 		var blockRoot *keys.MerkleHash
 		if m.verifier != nil {
-			root, err := m.verifyPARITYAuth(p, tr)
+			root, err := m.verifyPARITYAuth(res.Block, tr)
 			if err != nil {
-				return IngestResult{Kind: typ, MsgID: p.MsgID, Block: int(p.BlockID), Seq: int(p.Seq)}, err
+				return res, err
 			}
 			blockRoot = &root
 		}
-		return m.ingestPARITYLocked(p, blockRoot)
+		a := m.assemblyLocked(res.MsgID)
+		blk := a.block(res.Block)
+		if err := blk.recordRoot(res.Block, blockRoot); err != nil {
+			return res, err
+		}
+		return m.addShardLocked(a, blk, res, raw[packet.FECOffset:])
 	case packet.TypeUSR:
 		p, err := packet.ParseUSR(raw)
 		if err != nil {
@@ -214,6 +260,28 @@ func (m *Member) Ingest(raw []byte) (IngestResult, error) {
 	}
 }
 
+// stalePeekLocked recognises a packet of the message the member has
+// already completed from its type, message ID, block and sequence
+// number, which sit in bytes 0-2 in front of any payload or trailer.
+// Such a packet is neither stored nor applied whatever else it holds,
+// so nothing else of it is read, verified or copied.
+//
+//rekeylint:hotpath
+func (m *Member) stalePeekLocked(raw []byte) (IngestResult, bool) {
+	if !m.active || !m.cur.done || len(raw) < packet.FECOffset || raw[0]&packet.MaxMsgID != m.cur.msgID {
+		return IngestResult{}, false
+	}
+	res := IngestResult{Kind: packet.Type(raw[0] >> 6), MsgID: m.cur.msgID, Block: -1, Seq: -1}
+	switch res.Kind {
+	case packet.TypeENC, packet.TypePARITY:
+		res.Block, res.Seq = int(raw[1]), int(raw[2])
+	case packet.TypeUSR:
+	default:
+		return IngestResult{}, false // not a member's packet: ErrBadPacket, not stale
+	}
+	return res, true
+}
+
 // splitAuthLocked separates a datagram into packet bytes and auth
 // trailer under the member's policy. With a verifier set, every packet
 // must carry a structurally valid trailer. Without one, a well-formed
@@ -222,7 +290,8 @@ func (m *Member) Ingest(raw []byte) (IngestResult, error) {
 // the stripped packet still has a plausible wire length, so plain
 // fixed-length packets can never be misread as trailered ones.
 func (m *Member) splitAuthLocked(raw []byte) ([]byte, *packet.AuthTrailer, error) {
-	inner, tr, err := packet.SplitAuth(raw)
+	tr := &m.trailer
+	inner, err := tr.Split(raw)
 	if m.verifier == nil {
 		if err != nil {
 			return raw, nil, nil
@@ -260,7 +329,7 @@ func (m *Member) verifyRootLocked(subRoot keys.MerkleHash, topIndex int, tr *pac
 
 // verifyENCAuth proves an ENC packet into the signed interval root and
 // returns its block's subtree root.
-func (m *Member) verifyENCAuth(inner []byte, p *packet.ENC, tr *packet.AuthTrailer) (keys.MerkleHash, error) {
+func (m *Member) verifyENCAuth(inner []byte, p packet.ENCHeader, tr *packet.AuthTrailer) (keys.MerkleHash, error) {
 	var zero keys.MerkleHash
 	if tr.NSub != m.k || tr.LeafIndex != int(p.Seq) {
 		return zero, fmt.Errorf("%w: interval auth: leaf position %d/%d does not match seq %d, k %d",
@@ -284,17 +353,17 @@ func (m *Member) verifyENCAuth(inner []byte, p *packet.ENC, tr *packet.AuthTrail
 // verifyPARITYAuth proves a PARITY packet's claimed block root into
 // the signed interval root. The parity payload itself is code, not a
 // tree leaf; the decoded block is checked against the returned root
-// after FEC recovery (tryDecodeLocked).
-func (m *Member) verifyPARITYAuth(p *packet.PARITY, tr *packet.AuthTrailer) (keys.MerkleHash, error) {
+// after FEC recovery (decodeLocked).
+func (m *Member) verifyPARITYAuth(block int, tr *packet.AuthTrailer) (keys.MerkleHash, error) {
 	var zero keys.MerkleHash
 	if !tr.HasAux || len(tr.SubProof) != 0 {
 		return zero, fmt.Errorf("%w: interval auth: PARITY trailer without a block root", ErrBadPacket)
 	}
-	if int(p.BlockID) >= tr.NTop-1 {
+	if block >= tr.NTop-1 {
 		return zero, fmt.Errorf("%w: interval auth: block %d outside %d-block top tree",
-			ErrBadPacket, p.BlockID, tr.NTop-1)
+			ErrBadPacket, block, tr.NTop-1)
 	}
-	if err := m.verifyRootLocked(tr.Aux, int(p.BlockID), tr); err != nil {
+	if err := m.verifyRootLocked(tr.Aux, block, tr); err != nil {
 		return zero, err
 	}
 	return tr.Aux, nil
@@ -311,176 +380,238 @@ func (m *Member) verifyUSRAuth(inner []byte, tr *packet.AuthTrailer) error {
 	return m.verifyRootLocked(usrRoot, tr.NTop-1, tr)
 }
 
-// recordBlockRootLocked stores a packet's verified block root,
-// rejecting a packet that contradicts an earlier verified root for the
-// same block (two distinct signed intervals sharing a message ID).
-func recordBlockRootLocked(a *msgAssembly, block int, root *keys.MerkleHash) error {
+// recordRoot stores a packet's verified block root, rejecting a packet
+// that contradicts an earlier verified root for the same block (two
+// distinct signed intervals sharing a message ID).
+func (b *blockShards) recordRoot(block int, root *keys.MerkleHash) error {
 	if root == nil {
 		return nil
 	}
-	if a.blockRoots == nil {
-		a.blockRoots = make(map[int]keys.MerkleHash)
-	}
-	if prev, ok := a.blockRoots[block]; ok && prev != *root {
+	if b.hasRoot && b.root != *root {
 		return fmt.Errorf("%w: block %d root contradicts an earlier verified packet", ErrWrongMessage, block)
 	}
-	a.blockRoots[block] = *root
+	b.root, b.hasRoot = *root, true
 	return nil
 }
 
-// assemblyLocked returns the current assembly, starting a fresh one when a
-// new message ID appears.
+// assemblyLocked returns the assembly of message msgID: the current one,
+// or the current one reset when a new message ID appears.
 func (m *Member) assemblyLocked(msgID uint8) *msgAssembly {
-	if m.cur == nil || m.cur.msgID != msgID {
-		m.cur = &msgAssembly{
-			msgID:  msgID,
-			est:    blockplan.NewEstimator(),
-			shards: make(map[int]map[int][]byte),
-		}
+	if !m.active || m.cur.msgID != msgID {
+		m.releaseShardsLocked()
+		m.cur.msgID, m.cur.est, m.cur.maxKID, m.cur.done = msgID, blockplan.NewEstimator(), 0, false
+		m.active = true
 	}
-	return m.cur
+	return &m.cur
 }
 
-func (m *Member) ingestENCLocked(p *packet.ENC, raw []byte, blockRoot *keys.MerkleHash) (IngestResult, error) {
-	res := IngestResult{Kind: packet.TypeENC, MsgID: p.MsgID, Block: int(p.BlockID), Seq: int(p.Seq)}
-	a := m.assemblyLocked(p.MsgID)
-	if a.done {
-		return res, ErrStale
+// block returns the record of block id, extending blocks to reach it.
+// The pointer is good until the next call.
+func (a *msgAssembly) block(id int) *blockShards {
+	if id >= len(a.blocks) {
+		if id >= cap(a.blocks) {
+			a.blocks = append(a.blocks[:cap(a.blocks)], make([]blockShards, id+1-cap(a.blocks))...)
+		}
+		// Records past len were emptied when the assembly last let go
+		// of them; their slices keep their capacity.
+		a.blocks = a.blocks[:id+1]
 	}
-	if err := recordBlockRootLocked(a, int(p.BlockID), blockRoot); err != nil {
+	return &a.blocks[id]
+}
+
+// init gives a block record room for its k shards, once: the slices
+// outlive the messages that fill them. Not inlined, so that the
+// allocation stays out of storeLocked's body.
+//
+//go:noinline
+func (b *blockShards) init(k int) {
+	b.seqs, b.bufs = make([]uint8, 0, k), make([][]byte, 0, k)
+}
+
+// finishLocked marks the current message complete. Nothing of it is
+// needed any more: every later packet of it is stale.
+func (m *Member) finishLocked() {
+	m.cur.done = true
+	m.releaseShardsLocked()
+}
+
+// releaseShardsLocked empties the current assembly's block records,
+// handing their shard buffers to the next user.
+func (m *Member) releaseShardsLocked() {
+	for i := range m.cur.blocks {
+		m.dropShardsLocked(&m.cur.blocks[i])
+		m.cur.blocks[i].hasRoot = false
+	}
+	m.cur.blocks = m.cur.blocks[:0]
+}
+
+// dropShardsLocked forgets a block's shards, keeping its verified root.
+func (m *Member) dropShardsLocked(b *blockShards) {
+	for i, buf := range b.bufs {
+		if len(m.free) < maxFreeShards {
+			m.free = append(m.free, buf)
+		}
+		b.bufs[i] = nil
+	}
+	b.seqs, b.bufs = b.seqs[:0], b.bufs[:0]
+}
+
+// shardBufLocked returns a buffer for one shard's FEC span: a released
+// one when there is one. Not inlined, so that the allocation stays out
+// of storeLocked's body.
+//
+//go:noinline
+func (m *Member) shardBufLocked() []byte {
+	if n := len(m.free); n > 0 {
+		buf := m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+		return buf
+	}
+	return make([]byte, packet.ParityPayloadLen)
+}
+
+func (m *Member) ingestENCLocked(h packet.ENCHeader, raw []byte, blockRoot *keys.MerkleHash) (IngestResult, error) {
+	res := IngestResult{Kind: packet.TypeENC, MsgID: h.MsgID, Block: int(h.BlockID), Seq: int(h.Seq)}
+	a := m.assemblyLocked(h.MsgID)
+	blk := a.block(res.Block)
+	if err := blk.recordRoot(res.Block, blockRoot); err != nil {
 		return res, err
 	}
-	a.maxKID = int(p.MaxKID)
+	a.maxKID = int(h.MaxKID)
 	// Rederive this interval's node ID before the range check.
-	myID, ok := keytree.NewID(m.view.D, m.view.ID, int(p.MaxKID))
+	myID, ok := keytree.NewID(m.view.D, m.view.ID, int(h.MaxKID))
 	if !ok {
 		return res, fmt.Errorf("%w: member %d has no valid ID under maxKID %d",
-			ErrWrongMessage, m.view.Member, p.MaxKID)
+			ErrWrongMessage, m.view.Member, h.MaxKID)
 	}
-	if int(p.FrmID) <= myID && myID <= int(p.ToID) {
-		if err := m.view.Apply(int(p.MaxKID), p.Encs); err != nil {
+	if int(h.FrmID) <= myID && myID <= int(h.ToID) {
+		if err := m.view.Apply(int(h.MaxKID), packet.ENCEncryptions(raw)); err != nil {
 			return res, fmt.Errorf("%w: %v", ErrWrongMessage, err)
 		}
-		a.done = true
+		m.finishLocked()
 		res.Done = true
 		return res, nil
 	}
-	if !p.Dup {
+	if !h.Dup {
 		a.est.Observe(myID, blockplan.ENCHeader{
-			BlockID: int(p.BlockID), Seq: int(p.Seq),
-			FrmID: int(p.FrmID), ToID: int(p.ToID),
-			MaxKID: int(p.MaxKID),
+			BlockID: int(h.BlockID), Seq: int(h.Seq),
+			FrmID: int(h.FrmID), ToID: int(h.ToID),
+			MaxKID: int(h.MaxKID),
 		}, m.k, m.view.D)
 	}
-	res.Duplicate = !m.storeLocked(a, int(p.BlockID), int(p.Seq), raw[packet.FECOffset:])
-	return m.tryDecodeLocked(a, res)
+	return m.addShardLocked(a, blk, res, raw[packet.FECOffset:])
 }
 
-func (m *Member) ingestPARITYLocked(p *packet.PARITY, blockRoot *keys.MerkleHash) (IngestResult, error) {
-	res := IngestResult{Kind: packet.TypePARITY, MsgID: p.MsgID, Block: int(p.BlockID), Seq: int(p.Seq)}
-	a := m.assemblyLocked(p.MsgID)
-	if a.done {
-		return res, ErrStale
+// addShardLocked files one shard of block res.Block -- span is the
+// FEC-protected part of an ENC or PARITY packet -- and decodes the block
+// if this shard completes it.
+func (m *Member) addShardLocked(a *msgAssembly, blk *blockShards, res IngestResult, span []byte) (IngestResult, error) {
+	if !m.storeLocked(blk, uint8(res.Seq), span) {
+		res.Duplicate = true
+		return res, nil
 	}
-	if err := recordBlockRootLocked(a, int(p.BlockID), blockRoot); err != nil {
-		return res, err
+	// Any k shards decode a block, so it is tried once, when it first
+	// holds k. The estimator's range only narrows: a block outside it
+	// now never comes back in.
+	if len(blk.seqs) < m.k || res.Block < a.est.Low || res.Block > a.est.High {
+		return res, nil
 	}
-	res.Duplicate = !m.storeLocked(a, int(p.BlockID), int(p.Seq), p.Payload)
-	return m.tryDecodeLocked(a, res)
+	return m.decodeLocked(blk, res)
 }
 
 func (m *Member) ingestUSRLocked(p *packet.USR) (IngestResult, error) {
 	res := IngestResult{Kind: packet.TypeUSR, MsgID: p.MsgID, Block: -1, Seq: -1}
-	a := m.assemblyLocked(p.MsgID)
-	if a.done {
-		return res, ErrStale
-	}
+	m.assemblyLocked(p.MsgID)
 	if err := m.view.Apply(int(p.MaxKID), p.Encs); err != nil {
 		return res, fmt.Errorf("%w: %v", ErrWrongMessage, err)
 	}
 	if m.view.ID != int(p.NewID) {
 		return res, fmt.Errorf("%w: USR says ID %d, derived %d", ErrWrongMessage, p.NewID, m.view.ID)
 	}
-	a.done = true
+	m.finishLocked()
 	res.Done = true
 	return res, nil
 }
 
-// storeLocked records a shard and reports whether it was new.
-func (m *Member) storeLocked(a *msgAssembly, block, seq int, payload []byte) bool {
-	blk := a.shards[block]
-	if blk == nil {
-		blk = make(map[int][]byte)
-		a.shards[block] = blk
-	}
-	if _, dup := blk[seq]; dup {
+// storeLocked copies one shard's FEC span out of the caller's datagram
+// into the block and reports whether it did: not a sequence number the
+// block already holds, and not a (k+1)th shard -- any k decode it, so a
+// block never holds more, whoever is sending.
+//
+//rekeylint:hotpath
+func (m *Member) storeLocked(b *blockShards, seq uint8, span []byte) bool {
+	n := len(b.seqs)
+	if n >= m.k || bytes.IndexByte(b.seqs, seq) >= 0 {
 		return false
 	}
-	blk[seq] = append([]byte(nil), payload...)
+	if cap(b.seqs) == 0 {
+		b.init(m.k)
+	}
+	buf := m.shardBufLocked()
+	copy(buf, span)
+	b.seqs, b.bufs = b.seqs[:n+1], b.bufs[:n+1]
+	b.seqs[n], b.bufs[n] = seq, buf
 	return true
 }
 
-// tryDecodeLocked attempts FEC recovery of every candidate block inside the
-// estimated block-ID range that holds at least k shards; a decoded
-// block that contains the member's packet completes recovery.
-func (m *Member) tryDecodeLocked(a *msgAssembly, res IngestResult) (IngestResult, error) {
-	lo := a.est.Low
-	if lo < 0 {
-		lo = 0
+// decodeLocked reconstructs a block that holds k shards and applies the
+// member's packet if the block contains it. A block that fails its check
+// is dropped, to be rebuilt from whatever arrives next.
+func (m *Member) decodeLocked(blk *blockShards, res IngestResult) (IngestResult, error) {
+	if m.fulls == nil {
+		m.shards, m.fulls, m.spans = make([]fec.Shard, m.k), make([][]byte, m.k), make([][]byte, m.k)
+		for seq := range m.fulls {
+			m.fulls[seq] = make([]byte, packet.PacketLen)
+		}
 	}
-	for block, shardMap := range a.shards {
-		if block < lo || block > a.est.High || len(shardMap) < m.k {
+	for i, seq := range blk.seqs {
+		m.shards[i] = fec.Shard{Index: int(seq), Data: blk.bufs[i]}
+	}
+	// The coder writes each reconstructed span straight into its packet.
+	for seq, full := range m.fulls {
+		full[0], full[1], full[2] = byte(packet.TypeENC)<<6|res.MsgID, byte(res.Block), byte(seq)
+		m.spans[seq] = full[packet.FECOffset:]
+	}
+	if err := m.coder.DecodeInto(m.spans, m.shards); err != nil || !m.decodedBlockOKLocked(blk) {
+		m.dropShardsLocked(blk)
+		return res, nil
+	}
+	for _, full := range m.fulls {
+		h, _ := packet.ParseENCHeader(full) // cannot fail: PacketLen bytes typed ENC above
+		myID, ok := keytree.NewID(m.view.D, m.view.ID, int(h.MaxKID))
+		if !ok || myID < int(h.FrmID) || int(h.ToID) < myID {
 			continue
 		}
-		shards := make([]fec.Shard, 0, len(shardMap))
-		for seq, payload := range shardMap {
-			shards = append(shards, fec.Shard{Index: seq, Data: payload})
+		if err := m.view.Apply(int(h.MaxKID), packet.ENCEncryptions(full)); err != nil {
+			return res, fmt.Errorf("%w: %v", ErrWrongMessage, err)
 		}
-		if err := m.coder.DecodeInto(m.scratch, shards); err != nil {
-			continue // fewer than k distinct shards
-		}
-		fulls := make([][]byte, m.k)
-		for seq, payload := range m.scratch {
-			full := make([]byte, packet.PacketLen)
-			full[0] = byte(packet.TypeENC)<<6 | a.msgID
-			full[1] = byte(block)
-			full[2] = byte(seq)
-			copy(full[packet.FECOffset:], payload)
-			fulls[seq] = full
-		}
-		if m.verifier != nil {
-			// Parity payloads are not tree leaves, so a decoded block
-			// proves itself by reproducing the verified block root from
-			// its k reconstructed packets. A mismatch means at least one
-			// stored shard was forged: drop the whole block so honest
-			// retransmissions can rebuild it.
-			want, ok := a.blockRoots[block]
-			if !ok || !blockRootMatches(fulls, want) {
-				delete(a.shards, block)
-				continue
-			}
-		}
-		for seq, full := range fulls {
-			p, err := packet.ParseENC(full)
-			if err != nil {
-				return res, fmt.Errorf("rekey: decoded block %d slot %d corrupt: %w", block, seq, err)
-			}
-			myID, ok := keytree.NewID(m.view.D, m.view.ID, int(p.MaxKID))
-			if !ok {
-				continue
-			}
-			if int(p.FrmID) <= myID && myID <= int(p.ToID) {
-				if err := m.view.Apply(int(p.MaxKID), p.Encs); err != nil {
-					return res, fmt.Errorf("%w: %v", ErrWrongMessage, err)
-				}
-				a.done = true
-				res.Done = true
-				res.Recovered = true
-				return res, nil
-			}
-		}
+		m.finishLocked()
+		res.Done, res.Recovered = true, true
+		return res, nil
 	}
 	return res, nil
+}
+
+// decodedBlockOKLocked checks the block just decoded into m.fulls.
+// Parity payloads are not Merkle leaves, so on a verifying member a
+// decoded block proves itself by reproducing, from its k reconstructed
+// packets, the verified block root its shards arrived under; a mismatch
+// means at least one stored shard was forged. A member that verifies
+// nothing can still tell a block of ENC packets from the noise a
+// corrupt shard decodes to: every slot a header the server could have
+// written, all under one maxKID.
+func (m *Member) decodedBlockOKLocked(blk *blockShards) bool {
+	if m.verifier != nil {
+		return blk.hasRoot && blockRootMatches(m.fulls, blk.root)
+	}
+	for _, full := range m.fulls {
+		h, _ := packet.ParseENCHeader(full) // cannot fail: decodeLocked built the buffers
+		if full[3] > 1 || h.FrmID > h.ToID || h.MaxKID != binary.BigEndian.Uint16(m.fulls[0][4:]) {
+			return false
+		}
+	}
+	return true
 }
 
 // blockRootMatches recomputes a decoded block's Merkle subtree root
@@ -501,22 +632,13 @@ func blockRootMatches(fulls [][]byte, want keys.MerkleHash) bool {
 func (m *Member) NACK() (*packet.NACK, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	a := m.cur
-	if a == nil || a.done || len(a.shards) == 0 {
+	a := &m.cur
+	if !m.active || a.done || len(a.blocks) == 0 {
 		return nil, false
 	}
 	lo, hi := a.est.Low, a.est.High
-	if lo < 0 {
-		lo = 0
-	}
 	// Clamp the upper bound to blocks we can name on the wire.
-	maxSeen := 0
-	for b := range a.shards {
-		if b > maxSeen {
-			maxSeen = b
-		}
-	}
-	if hi > maxSeen+8 {
+	if maxSeen := len(a.blocks) - 1; hi > maxSeen+8 {
 		hi = maxSeen + 8 // rule-6 bound can exceed reality; stay modest
 	}
 	if hi > 0xff {
@@ -530,7 +652,10 @@ func (m *Member) NACK() (*packet.NACK, bool) {
 	}
 	n := &packet.NACK{MsgID: a.msgID, UserID: uint16(id)}
 	for b := lo; b <= hi; b++ {
-		need := m.k - len(a.shards[b])
+		need := m.k
+		if b < len(a.blocks) {
+			need -= len(a.blocks[b].seqs)
+		}
 		if need > 0 {
 			n.Requests = append(n.Requests, packet.BlockRequest{Count: uint8(need), BlockID: uint8(b)})
 		}
