@@ -61,7 +61,6 @@ type intervalAuth struct {
 	usrIndex   map[int]int // user node ID -> usrTree leaf index
 	sig        []byte      // RSA signature over top.Root()
 	nTop       int
-	encWire    [][]byte // full ENC datagrams: packet bytes + trailer
 	parityTr   [][]byte // per-block PARITY trailer bytes
 }
 
@@ -69,9 +68,10 @@ type intervalAuth struct {
 // authentication (the server was built WithSigner).
 func (rm *RekeyMessage) Authenticated() bool { return rm.auth != nil }
 
-// buildAuth constructs the interval Merkle tree, signs its root and
-// pre-builds the per-ENC and per-block trailers. Called once from
-// Rekey; rm is not yet shared.
+// buildAuth constructs the interval Merkle tree over rm.encWire's
+// packets, signs its root, appends each ENC datagram's trailer to it and
+// pre-builds the per-block PARITY trailers. Called once from Rekey; rm
+// is not yet shared.
 func (rm *RekeyMessage) buildAuth(signer *keys.Signer) error {
 	var start time.Time
 	if rm.obs.Enabled() {
@@ -82,20 +82,12 @@ func (rm *RekeyMessage) buildAuth(signer *keys.Signer) error {
 		blockTrees: make([]*keys.MerkleTree, nBlocks),
 		usrIndex:   make(map[int]int, len(rm.Result.UserIDs)),
 		nTop:       nBlocks + 1,
-		encWire:    make([][]byte, len(rm.ENC)),
 		parityTr:   make([][]byte, nBlocks),
 	}
 
-	// Block subtrees over the ENC packet bytes (kept: they become the
-	// send datagrams and the FEC payloads).
-	raws := make([][]byte, len(rm.ENC))
-	leaves := make([]keys.MerkleHash, len(rm.ENC))
-	for i, enc := range rm.ENC {
-		raw, err := enc.Marshal()
-		if err != nil {
-			return err
-		}
-		raws[i] = raw
+	// Block subtrees over the ENC packet bytes.
+	leaves := make([]keys.MerkleHash, len(rm.encWire))
+	for i, raw := range rm.encWire {
 		leaves[i] = keys.LeafHash(keys.DomainENC, raw)
 	}
 	topLeaves := make([]keys.MerkleHash, 0, a.nTop)
@@ -142,11 +134,11 @@ func (rm *RekeyMessage) buildAuth(signer *keys.Signer) error {
 			TopProof:  a.top.AppendProof(nil, b),
 			Sig:       a.sig,
 		}
-		wire, err := tr.AppendAuthTrailer(raws[i])
+		wire, err := tr.AppendAuthTrailer(rm.encWire[i])
 		if err != nil {
 			return err
 		}
-		a.encWire[i] = wire
+		rm.encWire[i] = wire
 		rm.obs.Observe(obs.HMerkleProofBytes, float64(len(wire)-packet.PacketLen))
 	}
 	for b := 0; b < nBlocks; b++ {
@@ -174,26 +166,10 @@ func (rm *RekeyMessage) buildAuth(signer *keys.Signer) error {
 
 // WireENC returns ENC datagram i's send bytes: the packet plus, on an
 // authenticated message, its auth trailer. The returned slice is
-// shared and must not be modified; after the first call for a given i
-// the bytes are cached, so repeated sends of one interval's packets
-// allocate nothing.
+// shared and must not be modified; Rekey built it, so sending one
+// interval's packets allocates nothing.
 func (rm *RekeyMessage) WireENC(i int) ([]byte, error) {
-	if rm.auth != nil {
-		return rm.auth.encWire[i], nil
-	}
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	if rm.wire == nil {
-		rm.wire = make([][]byte, len(rm.ENC))
-	}
-	if rm.wire[i] == nil {
-		raw, err := rm.ENC[i].Marshal()
-		if err != nil {
-			return nil, err
-		}
-		rm.wire[i] = raw
-	}
-	return rm.wire[i], nil
+	return rm.encWire[i], nil
 }
 
 // AppendWireParity appends the send bytes of PARITY packet idx of the

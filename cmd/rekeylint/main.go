@@ -1,16 +1,13 @@
-// Command rekeylint is the project's multichecker: it runs the full
-// internal/lint analyzer suite -- per-package checks plus the
-// module-wide keyflow / lockorder / escapes analyzers -- over package
-// patterns and exits non-zero on any finding, which is what makes it a
-// CI gate.
+// Command rekeylint is the project's multichecker: it runs the
+// internal/lint analyzer suite over package patterns and exits non-zero
+// on any finding, which is what makes it a CI gate.
 //
 // Usage:
 //
-//	go run ./cmd/rekeylint ./...            # whole module (the CI gate)
+//	go run ./cmd/rekeylint -ignores ./...   # whole module and every suppression (the CI gate)
 //	go run ./cmd/rekeylint ./internal/fec   # one package
 //	go run ./cmd/rekeylint -list            # show the analyzer suite
 //	go run ./cmd/rekeylint -only keyflow ./...
-//	go run ./cmd/rekeylint -ignores ./...   # audit every suppression
 //
 // Patterns are resolved relative to the module root (found by walking
 // up from the working directory to go.mod); `dir/...` recurses,
@@ -32,6 +29,12 @@ import (
 	"repro/internal/lint"
 )
 
+// fatal reports a failure of the run itself, as opposed to a finding.
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "rekeylint: %v\n", err)
+	os.Exit(2)
+}
+
 func main() {
 	list := flag.Bool("list", false, "list the analyzer suite and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
@@ -43,13 +46,9 @@ func main() {
 	flag.Parse()
 
 	analyzers := lint.DefaultAnalyzers()
-	modAnalyzers := lint.DefaultModuleAnalyzers()
 	if *list {
 		for _, a := range analyzers {
 			fmt.Printf("%-13s %s\n", a.Name, a.Doc)
-		}
-		for _, ma := range modAnalyzers {
-			fmt.Printf("%-13s %s\n", ma.Name, ma.Doc)
 		}
 		return
 	}
@@ -65,29 +64,25 @@ func main() {
 				delete(want, a.Name)
 			}
 		}
-		var mas []*lint.ModuleAnalyzer
-		for _, ma := range modAnalyzers {
-			if want[ma.Name] {
-				mas = append(mas, ma)
-				delete(want, ma.Name)
-			}
-		}
 		for name := range want {
 			fmt.Fprintf(os.Stderr, "rekeylint: unknown analyzer %q (see -list)\n", name)
 			os.Exit(2)
 		}
-		analyzers, modAnalyzers = as, mas
+		analyzers = as
 	}
 
 	modRoot, err := lint.FindModuleRoot(".")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rekeylint: %v\n", err)
-		os.Exit(2)
+		fatal(err)
 	}
-	res, err := lint.RunFull(modRoot, flag.Args(), analyzers, modAnalyzers)
+	loader, err := lint.NewLoader(modRoot)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rekeylint: %v\n", err)
-		os.Exit(2)
+		fatal(err)
+	}
+	loader.IncludeTests = true
+	res, err := lint.Run(loader, flag.Args(), analyzers)
+	if err != nil {
+		fatal(err)
 	}
 	if *ignores {
 		for _, e := range res.Ignores {

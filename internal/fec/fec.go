@@ -130,20 +130,18 @@ func (c *Coder) Encode(data [][]byte, first, n int) ([][]byte, error) {
 // of re-walking all k data packets per parity row as Encode does. The
 // n outputs share one row-major allocation. The bytes produced are
 // identical to Encode's (parity indices are stable).
-//
-//rekeylint:hotpath
 func (c *Coder) EncodeAll(data [][]byte, first, n int) ([][]byte, error) {
 	if err := c.checkData(data); err != nil {
 		return nil, err
 	}
 	if n < 0 {
-		return nil, errParityCount(n) //rekeylint:ignore cold validation-error path boxes its operands
+		return nil, fmt.Errorf("fec: parity count %d, must be non-negative", n)
 	}
 	if first < 0 || first+n > len(c.rows) {
-		return nil, errParityRange(first, n, len(c.rows)) //rekeylint:ignore cold validation-error path boxes its operands
+		return nil, fmt.Errorf("fec: parity range [%d,%d) outside [0,%d)", first, first+n, len(c.rows))
 	}
 	plen := len(data[0])
-	buf := make([]byte, n*plen) //rekeylint:ignore contractual output: one row-major parity buffer per block, amortized over n packets
+	buf := make([]byte, n*plen)
 	out := make([][]byte, n)
 	for i := range out {
 		out[i] = buf[i*plen : (i+1)*plen : (i+1)*plen]
@@ -154,20 +152,6 @@ func (c *Coder) EncodeAll(data [][]byte, first, n int) ([][]byte, error) {
 		}
 	}
 	return out, nil
-}
-
-// errParityCount, errParityRange, errOutSlots and errShardLen keep
-// fmt off the annotated hot paths; the message strings are unchanged.
-func errParityCount(n int) error {
-	return fmt.Errorf("fec: parity count %d, must be non-negative", n)
-}
-
-func errParityRange(first, n, max int) error {
-	return fmt.Errorf("fec: parity range [%d,%d) outside [0,%d)", first, first+n, max)
-}
-
-func errOutSlots(got, k int) error {
-	return fmt.Errorf("fec: out has %d slots, coder expects k=%d", got, k)
 }
 
 func errShardLen(idx, got, want int) error {
@@ -231,23 +215,21 @@ func (m *shardMask) testAndSet(i int) bool {
 // inverts an m x m system and does O(m*k) slice operations of plen
 // bytes, against the reference decoder's O(k^2). Solved coefficient
 // matrices are cached per loss pattern (see invCache).
-//
-//rekeylint:hotpath
 func (c *Coder) DecodeInto(out [][]byte, shards []Shard) error {
 	k := c.k
 	if len(out) != k {
-		return errOutSlots(len(out), k) //rekeylint:ignore cold validation-error path boxes its operands
+		return fmt.Errorf("fec: out has %d slots, coder expects k=%d", len(out), k)
 	}
 
 	// Partition the received shards by index: dataPos[j] locates the
 	// shard holding data packet j; parityPos collects distinct parity
 	// shards. Duplicate and out-of-range indices are ignored.
 	var seen shardMask
-	dataPos := make([]int, k) //rekeylint:ignore per-call index scratch sized by the loss pattern; the per-byte GF(2^8) kernels below are the hot loop
+	dataPos := make([]int, k)
 	for i := range dataPos {
 		dataPos[i] = -1
 	}
-	parityPos := make([]int, len(shards)) //rekeylint:ignore per-call index scratch sized by the loss pattern; the per-byte GF(2^8) kernels below are the hot loop
+	parityPos := make([]int, len(shards))
 	np := 0
 	have := 0
 	for i, s := range shards {
@@ -265,7 +247,7 @@ func (c *Coder) DecodeInto(out [][]byte, shards []Shard) error {
 		}
 	}
 	parityPos = parityPos[:np]
-	missing := make([]int, k-have) //rekeylint:ignore per-call index scratch sized by the loss pattern; the per-byte GF(2^8) kernels below are the hot loop
+	missing := make([]int, k-have)
 	nm := 0
 	for j, p := range dataPos {
 		if p < 0 {
@@ -306,19 +288,19 @@ func (c *Coder) DecodeInto(out [][]byte, shards []Shard) error {
 	}
 	for j, p := range dataPos {
 		if p >= 0 && len(shards[p].Data) != plen {
-			return errShardLen(j, len(shards[p].Data), plen) //rekeylint:ignore cold validation-error path boxes its operands
+			return errShardLen(j, len(shards[p].Data), plen)
 		}
 	}
 	for _, p := range parityPos {
 		if len(shards[p].Data) != plen {
-			return errShardLen(shards[p].Index, len(shards[p].Data), plen) //rekeylint:ignore cold validation-error path boxes its operands
+			return errShardLen(shards[p].Index, len(shards[p].Data), plen)
 		}
 	}
 
 	// Received data packets are already the answer: copy them through.
 	for j, p := range dataPos {
 		if p >= 0 {
-			d := ensure(out[j], plen) //rekeylint:ignore amortized: ensure reallocates only when the caller's slot is undersized
+			d := ensure(out[j], plen)
 			copy(d, shards[p].Data)
 			out[j] = d
 		}
@@ -335,7 +317,7 @@ func (c *Coder) DecodeInto(out [][]byte, shards []Shard) error {
 	// Reconstruct each missing packet as a coefficient combination of
 	// the m parity payloads followed by the k-m received data payloads.
 	for ci, j := range missing {
-		d := ensure(out[j], plen) //rekeylint:ignore amortized: ensure reallocates only when the caller's slot is undersized
+		d := ensure(out[j], plen)
 		clear(d)
 		row := coef.Row(ci)
 		for r, p := range parityPos {

@@ -115,8 +115,6 @@ func Div(a, b byte) byte {
 
 // MulSlice sets dst[i] = c*src[i] for all i. dst and src must have the
 // same length; they must not overlap unless they are identical slices.
-//
-//rekeylint:hotpath
 func MulSlice(dst, src []byte, c byte) {
 	if len(dst) != len(src) {
 		panic("gf256: MulSlice length mismatch")
@@ -138,8 +136,6 @@ func MulSlice(dst, src []byte, c byte) {
 // multiply-accumulate, the inner loop of Reed-Solomon encoding.
 // dst and src must have the same length; they must not overlap unless
 // they are identical slices.
-//
-//rekeylint:hotpath
 func MulAddSlice(dst, src []byte, c byte) {
 	if len(dst) != len(src) {
 		panic("gf256: MulAddSlice length mismatch")
@@ -164,8 +160,6 @@ func KernelName() string { return kernelName() }
 func CPUFeatures() []string { return cpuFeatureNames() }
 
 // xorSlice sets dst[i] ^= src[i]: the c==1 accumulate path.
-//
-//rekeylint:hotpath
 func xorSlice(dst, src []byte) {
 	i := 0
 	for ; i+8 <= len(src); i += 8 {
@@ -189,8 +183,6 @@ func xorSlice(dst, src []byte) {
 // branch-free 16-entry lookups per byte, 8 bytes per iteration.
 // Correct for every c (including 0 and 1); the exported wrapper
 // special-cases those only as a shortcut.
-//
-//rekeylint:hotpath
 func mulGeneric(dst, src []byte, c byte) {
 	lo, hi := &mulTblLo[c], &mulTblHi[c]
 	i := 0
@@ -214,8 +206,6 @@ func mulGeneric(dst, src []byte, c byte) {
 
 // mulAddGeneric is the portable nibble-table kernel behind
 // MulAddSlice. Correct for every c.
-//
-//rekeylint:hotpath
 func mulAddGeneric(dst, src []byte, c byte) {
 	lo, hi := &mulTblLo[c], &mulTblHi[c]
 	i := 0

@@ -37,7 +37,6 @@ func mulVecSSSE3(lo, hi *[16]byte, dst, src *byte, n int)
 //go:noescape
 func mulAddVecSSSE3(lo, hi *[16]byte, dst, src *byte, n int)
 
-//rekeylint:hotpath
 func mulKernel(dst, src []byte, c byte) {
 	if n := len(src) &^ 15; n > 0 && hasSSSE3 {
 		mulVecSSSE3(&mulTblLo[c], &mulTblHi[c], &dst[0], &src[0], n)
@@ -46,7 +45,6 @@ func mulKernel(dst, src []byte, c byte) {
 	mulGeneric(dst, src, c)
 }
 
-//rekeylint:hotpath
 func mulAddKernel(dst, src []byte, c byte) {
 	if n := len(src) &^ 15; n > 0 && hasSSSE3 {
 		mulAddVecSSSE3(&mulTblLo[c], &mulTblHi[c], &dst[0], &src[0], n)

@@ -6,8 +6,6 @@ func kernelName() string { return "generic" }
 
 func cpuFeatureNames() []string { return nil }
 
-//rekeylint:hotpath
 func mulKernel(dst, src []byte, c byte) { mulGeneric(dst, src, c) }
 
-//rekeylint:hotpath
 func mulAddKernel(dst, src []byte, c byte) { mulAddGeneric(dst, src, c) }

@@ -321,8 +321,6 @@ func (w *WrapContext) SetKey(outer Key) {
 // tag computes the truncated HMAC-SHA256 tag over ct into w.sum[:TagSize].
 // HMAC(K, m) = H(opad || H(ipad || m)); the key is shorter than the
 // block size, so the pads are the zero-padded key XOR constants.
-//
-//rekeylint:hotpath
 func (w *WrapContext) tag(ct []byte) {
 	d := w.digest
 	d.Reset()
@@ -337,8 +335,6 @@ func (w *WrapContext) tag(ct []byte) {
 
 // WrapInto encrypts inner under the context's key into out,
 // allocation-free. The bytes are identical to Wrap's.
-//
-//rekeylint:hotpath
 func (w *WrapContext) WrapInto(out *[WrappedSize]byte, inner Key) {
 	w.in = inner
 	w.block.Encrypt(out[:KeySize], w.in[:])

@@ -1,0 +1,65 @@
+package keytree
+
+import (
+	"testing"
+
+	"repro/internal/keys"
+)
+
+// TestHotPathAllocs is this package's part of the allocation gate
+// (DESIGN.md "Allocation discipline"): the per-member need walks
+// allocate nothing into a warm buffer, and the per-edge wrap loop costs
+// what its contract says -- re-keying the worker's context builds one
+// AES key schedule per edge -- and nothing beside it.
+func TestHotPathAllocs(t *testing.T) {
+	tr := New(4, keys.NewDeterministicGenerator(3))
+	joins := make([]Member, 200)
+	for i := range joins {
+		joins[i] = Member(i)
+	}
+	if _, err := tr.ProcessBatch(joins, nil); err != nil {
+		t.Fatal(err)
+	}
+	res, err := tr.ProcessBatch([]Member{300, 301}, []Member{5, 90, 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := len(res.Encryptions)
+	if edges == 0 {
+		t.Fatal("batch emitted no encryptions")
+	}
+	// The batch's labels stand until the next one, so one span over
+	// every level below the root refills exactly its encryptions.
+	refill := &BatchResult{Encryptions: make([]Encryption, edges)}
+	all := emitSpan{lo: 1, hi: len(tr.nodes)}
+	ctx := keys.NewWrapContext(keys.Key{})
+	encs, ids := make([]Encryption, 0, 64), make([]uint32, 0, 64)
+
+	rows := []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"AppendUserNeeds, every user", 0, func() {
+			for _, uid := range res.UserIDs {
+				encs = res.AppendUserNeeds(encs[:0], uid)
+			}
+		}},
+		{"AppendUserNeedIDs, every user", 0, func() {
+			for _, uid := range res.UserIDs {
+				ids = res.AppendUserNeedIDs(ids[:0], uid)
+			}
+		}},
+		{"fillSpan, one key schedule per edge", float64(edges), func() { tr.fillSpan(all, refill, ctx) }},
+	}
+	for _, r := range rows {
+		if got := testing.AllocsPerRun(100, r.fn); got != r.want {
+			t.Errorf("%s: %v allocs per call, want %v", r.name, got, r.want)
+		}
+	}
+	for i, e := range refill.Encryptions {
+		if e.ID == 0 {
+			t.Fatalf("fillSpan left slot %d of %d empty", i, edges)
+		}
+	}
+}

@@ -472,8 +472,6 @@ func (r *BatchResult) UserNeeds(userID int) []Encryption {
 // bottom-up order) and returns the extended slice. Per-user assignment
 // loops call it once per member per batch; with a reused buffer
 // (dst[:0]) it is allocation-free after warm-up.
-//
-//rekeylint:hotpath
 func (r *BatchResult) AppendUserNeeds(dst []Encryption, userID int) []Encryption {
 	for id := userID; id >= 0; id = ParentID(r.d, id) {
 		if i, ok := r.lookup(id); ok {
@@ -497,8 +495,6 @@ func (r *BatchResult) UserNeedIDs(userID int) []uint32 {
 
 // AppendUserNeedIDs appends user userID's required encryption IDs to
 // dst (in bottom-up order) and returns the extended slice.
-//
-//rekeylint:hotpath
 func (r *BatchResult) AppendUserNeedIDs(dst []uint32, userID int) []uint32 {
 	for id := userID; id >= 0; id = ParentID(r.d, id) {
 		if _, ok := r.lookup(id); ok {

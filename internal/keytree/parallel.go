@@ -103,8 +103,6 @@ func (t *Tree) emitParallel(res *BatchResult) {
 // re-keyed per edge; what it saves over the one-shot keys.Wrap is the
 // per-call cipher/HMAC object construction, which dominates Wrap's
 // allocation profile.
-//
-//rekeylint:hotpath
 func (t *Tree) fillSpan(sp emitSpan, res *BatchResult, ctx *keys.WrapContext) {
 	out := sp.out
 	for id := sp.lo; id < sp.hi; id++ {

@@ -215,15 +215,4 @@ func TestAppendUserNeeds(t *testing.T) {
 	if len(got) < 3 || got[0] != 7 || got[1] != 8 || got[2] != 9 {
 		t.Error("AppendUserNeedIDs clobbered the existing prefix")
 	}
-
-	// With a warm buffer of sufficient capacity, no allocation.
-	warm := make([]uint32, 0, 64)
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, uid := range res.UserIDs {
-			warm = res.AppendUserNeedIDs(warm[:0], uid)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("AppendUserNeedIDs with warm buffer allocates %.1f times per sweep", allocs)
-	}
 }

@@ -1,6 +1,6 @@
 package lint
 
-// callgraph.go builds the static call graph the module analyzers walk.
+// callgraph.go builds the static call graph lockorder and keyflow walk.
 // Resolution is deliberately conservative and cheap: a call site is an
 // edge only when the callee is statically known -- a package-level
 // function, a method called on a concrete receiver, or a method value

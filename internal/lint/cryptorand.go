@@ -10,6 +10,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -66,10 +67,16 @@ func cryptorandApplies(path string) bool {
 }
 
 func runCryptorand(pass *Pass) error {
-	if !cryptorandApplies(pass.Path) {
-		return nil
+	for _, pkg := range pass.targetPackages() {
+		if cryptorandApplies(pkg.Path) {
+			checkCryptorand(pass, pkg)
+		}
 	}
-	for _, f := range pass.Files {
+	return nil
+}
+
+func checkCryptorand(pass *Pass, pkg *Package) {
+	for _, f := range pkg.Files {
 		if pass.IsTestFile(f) {
 			continue
 		}
@@ -78,20 +85,17 @@ func runCryptorand(pass *Pass) error {
 			if path == "math/rand" || path == "math/rand/v2" {
 				pass.Reportf(imp.Pos(), "key-path package imports %s; key material must come from the internal/keys CSPRNG", path)
 			}
-			if path == "crypto/rand" && cryptorandInjectedOnlyApplies(pass.Path) {
+			if path == "crypto/rand" && cryptorandInjectedOnlyApplies(pkg.Path) {
 				pass.Reportf(imp.Pos(), "package imports crypto/rand directly; draw entropy from the injected keys.Generator instead")
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if !isSeedingCall(pass, call) {
+			if !ok || !isSeedingCall(call) {
 				return true
 			}
 			for _, arg := range call.Args {
-				if usesWallClock(pass, arg) {
+				if usesWallClock(pkg.Info, arg) {
 					pass.Reportf(call.Pos(), "seeding randomness from the wall clock; key-path seeds must be explicit or come from crypto/rand")
 					break
 				}
@@ -99,13 +103,12 @@ func runCryptorand(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // isSeedingCall reports whether the call plants a seed into a
 // generator: Seed / NewSource / NewPCG / NewChaCha8 / any
 // *Deterministic* constructor.
-func isSeedingCall(pass *Pass, call *ast.CallExpr) bool {
+func isSeedingCall(call *ast.CallExpr) bool {
 	var name string
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -121,14 +124,14 @@ func isSeedingCall(pass *Pass, call *ast.CallExpr) bool {
 
 // usesWallClock reports whether the expression contains a call to
 // time.Now (e.g. time.Now().UnixNano() as a seed).
-func usesWallClock(pass *Pass, e ast.Expr) bool {
+func usesWallClock(info *types.Info, e ast.Expr) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok || sel.Sel.Name != "Now" {
 			return true
 		}
-		if obj := pass.Info.Uses[sel.Sel]; obj != nil && pkgPathOf(obj) == "time" {
+		if obj := info.Uses[sel.Sel]; obj != nil && pkgPathOf(obj) == "time" {
 			found = true
 			return false
 		}

@@ -25,24 +25,26 @@ var CtxFirst = &Analyzer{
 }
 
 func runCtxFirst(pass *Pass) error {
-	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
+	for _, pkg := range pass.targetPackages() {
+		for _, f := range pkg.Files {
+			if pass.IsTestFile(f) {
 				continue
 			}
-			checkCtxPlacement(pass, fn)
-			if !fn.Name.IsExported() || fn.Name.Name == "Close" {
-				continue
-			}
-			if hasCtxFirst(pass, fn) {
-				continue
-			}
-			if pos, what := blockingConstruct(pass, fn.Body); pos.IsValid() {
-				pass.Reportf(fn.Pos(), "exported %s blocks (%s) but does not take a context.Context first parameter", fn.Name.Name, what)
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				checkCtxPlacement(pass, pkg.Info, fn)
+				if !fn.Name.IsExported() || fn.Name.Name == "Close" {
+					continue
+				}
+				if hasCtxFirst(pkg.Info, fn) {
+					continue
+				}
+				if pos, what := blockingConstruct(pkg.Info, fn.Body); pos.IsValid() {
+					pass.Reportf(fn.Pos(), "exported %s blocks (%s) but does not take a context.Context first parameter", fn.Name.Name, what)
+				}
 			}
 		}
 	}
@@ -51,10 +53,10 @@ func runCtxFirst(pass *Pass) error {
 
 // checkCtxPlacement flags a context.Context parameter at any position
 // but the first (exported or not: a misplaced ctx is wrong everywhere).
-func checkCtxPlacement(pass *Pass, fn *ast.FuncDecl) {
+func checkCtxPlacement(pass *Pass, info *types.Info, fn *ast.FuncDecl) {
 	idx := 0
 	for _, field := range fn.Type.Params.List {
-		tv := pass.Info.Types[field.Type]
+		tv := info.Types[field.Type]
 		n := len(field.Names)
 		if n == 0 {
 			n = 1
@@ -66,17 +68,17 @@ func checkCtxPlacement(pass *Pass, fn *ast.FuncDecl) {
 	}
 }
 
-func hasCtxFirst(pass *Pass, fn *ast.FuncDecl) bool {
+func hasCtxFirst(info *types.Info, fn *ast.FuncDecl) bool {
 	params := fn.Type.Params.List
 	if len(params) == 0 {
 		return false
 	}
-	return isContextType(pass.Info.Types[params[0].Type].Type)
+	return isContextType(info.Types[params[0].Type].Type)
 }
 
 // blockingConstruct scans a body (not descending into closures, which
 // may never run in this call) for constructs that block or spawn.
-func blockingConstruct(pass *Pass, body *ast.BlockStmt) (token.Pos, string) {
+func blockingConstruct(info *types.Info, body *ast.BlockStmt) (token.Pos, string) {
 	var pos token.Pos
 	var what string
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -97,18 +99,18 @@ func blockingConstruct(pass *Pass, body *ast.BlockStmt) (token.Pos, string) {
 				pos, what = x.Pos(), "receives from a channel"
 			}
 		case *ast.RangeStmt:
-			if tv, ok := pass.Info.Types[x.X]; ok {
+			if tv, ok := info.Types[x.X]; ok {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
 					pos, what = x.Pos(), "ranges over a channel"
 				}
 			}
 		case *ast.CallExpr:
 			if sel, ok := unparen(x.Fun).(*ast.SelectorExpr); ok {
-				obj := pass.Info.Uses[sel.Sel]
+				obj := info.Uses[sel.Sel]
 				switch {
 				case obj != nil && pkgPathOf(obj) == "time" && sel.Sel.Name == "Sleep":
 					pos, what = x.Pos(), "calls time.Sleep"
-				case sel.Sel.Name == "Wait" && isWaitGroup(pass, sel.X):
+				case sel.Sel.Name == "Wait" && isWaitGroup(info, sel.X):
 					pos, what = x.Pos(), "waits on a sync.WaitGroup"
 				}
 			}
@@ -118,8 +120,8 @@ func blockingConstruct(pass *Pass, body *ast.BlockStmt) (token.Pos, string) {
 	return pos, what
 }
 
-func isWaitGroup(pass *Pass, e ast.Expr) bool {
-	tv, ok := pass.Info.Types[e]
+func isWaitGroup(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
 	if !ok {
 		return false
 	}

@@ -15,14 +15,7 @@ func TestDumpLockEdges(t *testing.T) {
 		fmt.Printf("EDGE %-28s -> %-28s via=%-16s %s:%d\n", from, to, via, pos.Filename, pos.Line)
 	}
 	defer func() { lockOrderDebug = nil }()
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = RunFull(root, []string{"./..."}, nil, []*ModuleAnalyzer{LockOrder})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runOnRepo(t, LockOrder)
 }
 
 func TestDumpKeyFlowFacts(t *testing.T) {
@@ -33,12 +26,20 @@ func TestDumpKeyFlowFacts(t *testing.T) {
 		fmt.Printf("LEAK %-24s bits=%#x %-40s %s:%d\n", fn, bits, sink, pos.Filename, pos.Line)
 	}
 	defer func() { keyFlowDebug = nil }()
+	runOnRepo(t, KeyFlow)
+}
+
+func runOnRepo(t *testing.T, a *Analyzer) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunFull(root, []string{"./..."}, nil, []*ModuleAnalyzer{KeyFlow})
+	loader, err := NewLoader(root)
 	if err != nil {
+		t.Fatal(err)
+	}
+	loader.IncludeTests = true
+	if _, err := Run(loader, []string{"./..."}, []*Analyzer{a}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -24,16 +24,24 @@ var ErrSentinel = &Analyzer{
 }
 
 func runErrSentinel(pass *Pass) error {
-	for _, f := range pass.Files {
+	for _, pkg := range pass.targetPackages() {
+		checkErrSentinel(pass, pkg)
+	}
+	return nil
+}
+
+func checkErrSentinel(pass *Pass, pkg *Package) {
+	info := pkg.Info
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.BinaryExpr:
 				if x.Op != token.EQL && x.Op != token.NEQ {
 					return true
 				}
-				s := sentinelVar(pass, x.X)
+				s := sentinelVar(info, x.X)
 				if s == nil {
-					s = sentinelVar(pass, x.Y)
+					s = sentinelVar(info, x.Y)
 				}
 				if s != nil {
 					pass.Reportf(x.Pos(), "%s is compared with %s; sentinels are returned wrapped, use errors.Is", s.Name(), x.Op)
@@ -42,7 +50,7 @@ func runErrSentinel(pass *Pass) error {
 				if x.Tag == nil {
 					return true
 				}
-				tv, ok := pass.Info.Types[x.Tag]
+				tv, ok := info.Types[x.Tag]
 				if !ok || !types.Identical(tv.Type, errorType) {
 					return true
 				}
@@ -52,7 +60,7 @@ func runErrSentinel(pass *Pass) error {
 						continue
 					}
 					for _, e := range cc.List {
-						if s := sentinelVar(pass, e); s != nil {
+						if s := sentinelVar(info, e); s != nil {
 							pass.Reportf(e.Pos(), "switch case compares %s with ==; sentinels are returned wrapped, use errors.Is", s.Name())
 						}
 					}
@@ -61,11 +69,10 @@ func runErrSentinel(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // sentinelVar resolves e to a package-level error variable named Err*.
-func sentinelVar(pass *Pass, e ast.Expr) *types.Var {
+func sentinelVar(info *types.Info, e ast.Expr) *types.Var {
 	var id *ast.Ident
 	switch x := unparen(e).(type) {
 	case *ast.Ident:
@@ -75,7 +82,7 @@ func sentinelVar(pass *Pass, e ast.Expr) *types.Var {
 	default:
 		return nil
 	}
-	v, ok := pass.Info.Uses[id].(*types.Var)
+	v, ok := info.Uses[id].(*types.Var)
 	if !ok || !strings.HasPrefix(v.Name(), "Err") {
 		return nil
 	}

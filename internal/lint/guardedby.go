@@ -26,11 +26,18 @@ var GuardedBy = &Analyzer{
 var guardedByRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_.]*)`)
 
 func runGuardedBy(pass *Pass) error {
-	guarded := collectGuardedFields(pass)
-	if len(guarded) == 0 {
-		return nil
+	for _, pkg := range pass.targetPackages() {
+		checkGuardedBy(pass, pkg)
 	}
-	for _, f := range pass.Files {
+	return nil
+}
+
+func checkGuardedBy(pass *Pass, pkg *Package) {
+	guarded := collectGuardedFields(pkg)
+	if len(guarded) == 0 {
+		return
+	}
+	for _, f := range pkg.Files {
 		if pass.IsTestFile(f) {
 			continue
 		}
@@ -42,19 +49,18 @@ func runGuardedBy(pass *Pass) error {
 			if strings.HasSuffix(fn.Name.Name, "Locked") {
 				continue // the suffix is the documented caller-holds-lock contract
 			}
-			checkGuardedAccesses(pass, fn, guarded)
+			checkGuardedAccesses(pass, pkg.Info, fn, guarded)
 		}
 	}
-	return nil
 }
 
 // collectGuardedFields maps each annotated field object to the name of
 // the mutex that guards it (the last dot component of the annotation,
 // so `guarded by s.mu` and `guarded by mu` both mean the sibling field
 // mu).
-func collectGuardedFields(pass *Pass) map[types.Object]string {
+func collectGuardedFields(pkg *Package) map[types.Object]string {
 	guarded := make(map[types.Object]string)
-	for _, f := range pass.Files {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			st, ok := n.(*ast.StructType)
 			if !ok {
@@ -66,7 +72,7 @@ func collectGuardedFields(pass *Pass) map[types.Object]string {
 					continue
 				}
 				for _, name := range field.Names {
-					if obj := pass.Info.Defs[name]; obj != nil {
+					if obj := pkg.Info.Defs[name]; obj != nil {
 						guarded[obj] = mu
 					}
 				}
@@ -97,8 +103,8 @@ func annotationMutex(field *ast.Field) string {
 // the body visibly locks the guarding mutex. Accesses through a local
 // variable that fn itself built from a composite literal are exempt:
 // the value is not shared yet, so constructors need no lock.
-func checkGuardedAccesses(pass *Pass, fn *ast.FuncDecl, guarded map[types.Object]string) {
-	fresh := freshLocals(pass, fn)
+func checkGuardedAccesses(pass *Pass, info *types.Info, fn *ast.FuncDecl, guarded map[types.Object]string) {
+	fresh := freshLocals(info, fn)
 	var accesses []struct {
 		sel *ast.SelectorExpr
 		mu  string
@@ -108,7 +114,7 @@ func checkGuardedAccesses(pass *Pass, fn *ast.FuncDecl, guarded map[types.Object
 		if !ok {
 			return true
 		}
-		selection, ok := pass.Info.Selections[sel]
+		selection, ok := info.Selections[sel]
 		if !ok || selection.Kind() != types.FieldVal {
 			return true
 		}
@@ -117,7 +123,7 @@ func checkGuardedAccesses(pass *Pass, fn *ast.FuncDecl, guarded map[types.Object
 			return true
 		}
 		if root := chainRoot(sel.X); root != nil {
-			if obj := pass.Info.Uses[root]; obj != nil && fresh[obj] {
+			if obj := info.Uses[root]; obj != nil && fresh[obj] {
 				return true
 			}
 		}
@@ -130,7 +136,7 @@ func checkGuardedAccesses(pass *Pass, fn *ast.FuncDecl, guarded map[types.Object
 	if len(accesses) == 0 {
 		return
 	}
-	locked := lockedMutexes(pass, fn.Body)
+	locked := lockedMutexes(fn.Body)
 	for _, a := range accesses {
 		if locked[a.mu] {
 			continue
@@ -148,7 +154,7 @@ func fieldObject(selection *types.Selection) types.Object {
 // freshLocals returns the set of local variables fn initialises from a
 // composite literal (`v := T{...}` or `v := &T{...}`), i.e. values that
 // cannot yet be shared with another goroutine.
-func freshLocals(pass *Pass, fn *ast.FuncDecl) map[types.Object]bool {
+func freshLocals(info *types.Info, fn *ast.FuncDecl) map[types.Object]bool {
 	fresh := make(map[types.Object]bool)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -167,7 +173,7 @@ func freshLocals(pass *Pass, fn *ast.FuncDecl) map[types.Object]bool {
 			if _, ok := rhs.(*ast.CompositeLit); !ok {
 				continue
 			}
-			if obj := pass.Info.Defs[id]; obj != nil {
+			if obj := info.Defs[id]; obj != nil {
 				fresh[obj] = true
 			}
 		}
@@ -179,7 +185,7 @@ func freshLocals(pass *Pass, fn *ast.FuncDecl) map[types.Object]bool {
 // lockedMutexes scans the body for `<x>.<mu>.Lock()` / `.RLock()`
 // calls and returns the set of mutex field names locked anywhere in
 // the function (including inside closures handed to helpers).
-func lockedMutexes(pass *Pass, body *ast.BlockStmt) map[string]bool {
+func lockedMutexes(body *ast.BlockStmt) map[string]bool {
 	locked := make(map[string]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

@@ -43,7 +43,7 @@ import (
 
 // KeyFlow reports secret key material flowing into logs, errors,
 // traces or variable-time comparisons.
-var KeyFlow = &ModuleAnalyzer{
+var KeyFlow = &Analyzer{
 	Name: "keyflow",
 	Doc:  "secret key material must not reach fmt/log/errors/panic/trace sinks or non-constant-time comparisons",
 	Run:  runKeyFlow,
@@ -73,14 +73,14 @@ const (
 )
 
 type keyflowState struct {
-	mp       *ModulePass
+	pass     *Pass
 	contains map[types.Type]bool
 	visiting map[types.Type]bool
 }
 
-func runKeyFlow(mp *ModulePass) error {
+func runKeyFlow(pass *Pass) error {
 	st := &keyflowState{
-		mp:       mp,
+		pass:     pass,
 		contains: make(map[types.Type]bool),
 		visiting: make(map[types.Type]bool),
 	}
@@ -88,11 +88,11 @@ func runKeyFlow(mp *ModulePass) error {
 	// before any importer is analyzed. Within a package, iterate until
 	// the leak facts stop changing so intra-package helper chains
 	// resolve regardless of declaration order.
-	for _, pkg := range mp.All {
-		for pass := 0; pass < 8; pass++ {
+	for _, pkg := range pass.All {
+		for iter := 0; iter < 8; iter++ {
 			changed := false
 			for _, f := range pkg.Files {
-				if IsTestFilename(mp.Fset.Position(f.Pos()).Filename) {
+				if pass.IsTestFile(f) {
 					continue
 				}
 				for _, decl := range f.Decls {
@@ -111,12 +111,9 @@ func runKeyFlow(mp *ModulePass) error {
 		}
 	}
 	// Reporting pass over the target packages only.
-	for _, pkg := range mp.All {
-		if !mp.Targets[pkg] {
-			continue
-		}
+	for _, pkg := range pass.targetPackages() {
 		for _, f := range pkg.Files {
-			if IsTestFilename(mp.Fset.Position(f.Pos()).Filename) {
+			if pass.IsTestFile(f) {
 				continue
 			}
 			for _, decl := range f.Decls {
@@ -219,7 +216,7 @@ type funcTaint struct {
 func (st *keyflowState) analyzeFunc(pkg *Package, fn *ast.FuncDecl, report bool) bool {
 	if reason, ok := declassifyReason(fn.Doc); ok {
 		if reason == "" && report {
-			st.mp.Reportf(fn.Pos(), "rekeylint:declassify requires a reason, e.g. //rekeylint:declassify emits ciphertext, not key bytes")
+			st.pass.Reportf(fn.Pos(), "rekeylint:declassify requires a reason, e.g. //rekeylint:declassify emits ciphertext, not key bytes")
 		}
 		return false // trusted: body exempt, results public
 	}
@@ -232,7 +229,7 @@ func (st *keyflowState) analyzeFunc(pkg *Package, fn *ast.FuncDecl, report bool)
 	if obj == nil || ft.leak.mask == 0 {
 		return false
 	}
-	prev, _ := st.mp.Facts.Get(obj, "keyflow.leaks")
+	prev, _ := st.pass.Facts.Get(obj, "keyflow.leaks")
 	if p, ok := prev.(kfLeaks); ok && p.mask == (p.mask|ft.leak.mask) {
 		return false
 	}
@@ -240,7 +237,7 @@ func (st *keyflowState) analyzeFunc(pkg *Package, fn *ast.FuncDecl, report bool)
 	if p, ok := prev.(kfLeaks); ok {
 		merged.mask |= p.mask
 	}
-	st.mp.Facts.Set(obj, "keyflow.leaks", merged)
+	st.pass.Facts.Set(obj, "keyflow.leaks", merged)
 	return true
 }
 
@@ -639,7 +636,7 @@ func (st *keyflowState) directSecretType(t types.Type) bool {
 // directive (resolved through the call graph so cross-package calls
 // see the annotation).
 func (ft *funcTaint) isDeclassified(callee *types.Func) bool {
-	node := ft.st.mp.Graph.Nodes[callee]
+	node := ft.st.pass.Graph.Nodes[callee]
 	if node == nil {
 		return false
 	}
@@ -675,7 +672,7 @@ func (ft *funcTaint) check() {
 
 func (ft *funcTaint) reportf(pos token.Pos, format string, args ...any) {
 	if ft.report {
-		ft.st.mp.Reportf(pos, format, args...)
+		ft.st.pass.Reportf(pos, format, args...)
 	}
 }
 
@@ -699,7 +696,7 @@ func (ft *funcTaint) noteSink(pos token.Pos, m uint64, sink string) {
 				ft.leak.sink = sink
 			}
 			if keyFlowDebug != nil {
-				keyFlowDebug(ft.fn.Name.Name, ft.st.mp.Fset.Position(pos), bits, sink)
+				keyFlowDebug(ft.fn.Name.Name, ft.st.pass.Fset.Position(pos), bits, sink)
 			}
 		}
 	}
@@ -757,7 +754,7 @@ func (ft *funcTaint) checkCall(call *ast.CallExpr) {
 	}
 
 	// Interprocedural: callee passes some parameter onward to a sink.
-	if fact, ok := ft.st.mp.Facts.Get(callee, "keyflow.leaks"); ok {
+	if fact, ok := ft.st.pass.Facts.Get(callee, "keyflow.leaks"); ok {
 		leaks := fact.(kfLeaks)
 		// Parameter numbering in the fact counts the receiver first.
 		// Use the callee's own signature: the type of a method-value
@@ -793,7 +790,7 @@ func (ft *funcTaint) noteSinkVia(pos token.Pos, m uint64, callee *types.Func, si
 				ft.leak.sink = sink
 			}
 			if keyFlowDebug != nil {
-				keyFlowDebug(ft.fn.Name.Name, ft.st.mp.Fset.Position(pos), bits, "via "+callee.Name()+" -> "+sink)
+				keyFlowDebug(ft.fn.Name.Name, ft.st.pass.Fset.Position(pos), bits, "via "+callee.Name()+" -> "+sink)
 			}
 		}
 	}

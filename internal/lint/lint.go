@@ -1,33 +1,35 @@
 // Package lint is rekeylint: a project-native static-analysis suite
-// that machine-checks the invariants this repository's crypto, hot-path
-// and concurrency work depends on but `go vet` cannot see.
+// that machine-checks the invariants this repository's crypto and
+// concurrency work depends on and that no cheaper gate -- the compiler,
+// `go vet`, the -race suites, a unit test -- can see. DESIGN.md
+// "Statically enforced invariants" holds the per-analyzer argument.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
-// (Analyzer / Pass / Reportf and analysistest-style "// want" fixtures)
-// but is self-contained on the standard library's go/ast, go/types and
-// go/importer packages, so the repository keeps its zero-dependency
-// module while still getting a real multichecker. Packages are loaded
-// and type-checked by Loader (load.go); Run (run.go) expands `./...`
-// patterns, applies `//rekeylint:ignore <reason>` suppressions and
-// returns the surviving diagnostics.
+// (Analyzer / Pass / Reportf, per-object facts and analysistest-style
+// "// want" fixtures) but is self-contained on the standard library's
+// go/ast, go/types and go/importer packages, so the repository keeps
+// its zero-dependency module while still getting a real multichecker.
+// Packages are loaded and type-checked by Loader (load.go); Run
+// (run.go) expands `./...` patterns, hands every analyzer one Pass over
+// the loaded module, applies `//rekeylint:ignore <reason>` suppressions
+// and returns the surviving diagnostics.
 //
 // The analyzer set (one file each):
 //
-//   - cryptorand:   key-path packages must not use math/rand or
+//   - cryptorand:  key-path packages must not use math/rand or
 //     time-seeded randomness (crypto material comes from the batched
 //     CSPRNG in internal/keys only).
-//   - hotpathalloc: functions annotated //rekeylint:hotpath must stay
-//     free of append growth, map/slice literals, closures, fmt calls
-//     and interface-boxing conversions.
-//   - obsnil:       methods on the obs registry must start with the
-//     nil-receiver guard that makes a nil *Registry a no-op, and no
-//     caller may dereference a possibly-nil registry.
-//   - ctxfirst:     exported blocking APIs take context.Context first.
-//   - errsentinel:  sentinel errors are matched with errors.Is, never
+//   - ctxfirst:    exported blocking APIs take context.Context first.
+//   - errsentinel: sentinel errors are matched with errors.Is, never
 //     compared with == / != or switched on.
-//   - guardedby:    fields annotated "guarded by <mu>" are only
+//   - guardedby:   fields annotated "guarded by <mu>" are only
 //     touched by functions that lock that mutex (function-local,
 //     conservative; the *Locked name suffix marks caller-held locks).
+//   - keyflow:     secret key material never reaches a log, error,
+//     panic or trace sink, nor a variable-time comparison
+//     (interprocedural, through per-function facts).
+//   - lockorder:   the module's mutex classes are acquired in one
+//     canonical order; the lock graph is acyclic.
 package lint
 
 import (
@@ -39,15 +41,16 @@ import (
 	"strings"
 )
 
-// An Analyzer is one named check over a type-checked package.
+// An Analyzer is one named check over the loaded module.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and test output.
+	// Name identifies the analyzer in diagnostics and -only filters.
 	Name string
 	// Doc is a one-line description of the invariant enforced.
 	Doc string
-	// Run inspects the package behind pass and reports findings via
-	// pass.Reportf. A returned error aborts the whole lint run (it
-	// means the analyzer itself failed, not that the code is bad).
+	// Run inspects the module behind pass and reports findings via
+	// pass.Reportf / pass.ReportAt. A returned error aborts the whole
+	// lint run (it means the analyzer itself failed, not that the code
+	// is bad).
 	Run func(pass *Pass) error
 }
 
@@ -62,25 +65,55 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// A Pass carries one type-checked package through one analyzer.
+// A Pass carries the loaded module through one analyzer. A check that
+// needs one package at a time (cryptorand, ctxfirst, errsentinel,
+// guardedby) ranges over targetPackages; one that needs the whole
+// module (a secret key leaks through a helper in another package, a
+// lock cycle spans udptrans.Server and rekey.Server) computes over All
+// and reports in targets only.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	// Path is the package's import path. Fixture packages are loaded
-	// under synthetic paths, so path-scoped analyzers (cryptorand,
-	// obsnil) can be exercised from testdata.
-	Path  string
-	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
+
+	// All lists every module package the loader type-checked --
+	// analysis targets and their module-internal dependencies --
+	// topologically sorted dependencies-first.
+	All []*Package
+	// Targets is the subset of All matched by the run's patterns.
+	// Analyzers compute facts over All but report findings only in
+	// targets, mirroring how a partial `rekeylint ./internal/keytree`
+	// run should not complain about unrelated packages.
+	Targets map[*Package]bool
+
+	// Graph is the module's static call graph (callgraph.go).
+	Graph *CallGraph
+	// Facts is the cross-package fact store, shared by all analyzers
+	// in one run (names are prefixed per analyzer).
+	Facts *FactBase
 
 	diags *[]Diagnostic
 }
 
+// targetPackages returns the target packages, dependencies first.
+func (p *Pass) targetPackages() []*Package {
+	var out []*Package
+	for _, pkg := range p.All {
+		if p.Targets[pkg] {
+			out = append(out, pkg)
+		}
+	}
+	return out
+}
+
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.ReportAt(p.Fset.Position(pos), format, args...)
+}
+
+// ReportAt records a finding at an already-resolved position.
+func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
+		Pos:      pos,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -90,7 +123,43 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // analyzers exempt tests (deterministic seeds and direct field pokes
 // are fine there); errsentinel deliberately does not.
 func (p *Pass) IsTestFile(f *ast.File) bool {
-	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
+	return IsTestFilename(p.Fset.Position(f.Pos()).Filename)
+}
+
+// IsTestFilename reports whether the file path names a _test.go file.
+func IsTestFilename(name string) bool { return strings.HasSuffix(name, "_test.go") }
+
+// Facts follow the golang.org/x/tools/go/analysis model in miniature:
+// while analyzing package P, an analyzer may attach a named fact to any
+// object P exports (or uses internally); when a dependent package Q is
+// analyzed later, facts attached to the objects Q imports are visible.
+// Because Loader.Order is topologically sorted dependencies-first, a
+// single forward walk gives every package the facts of everything it
+// imports -- no fixpoint across packages is needed (within a package,
+// analyzers iterate locally as required).
+
+// A FactBase stores per-object facts keyed by (object, fact name).
+type FactBase struct {
+	m map[factKey]any
+}
+
+type factKey struct {
+	obj  types.Object
+	name string
+}
+
+// NewFactBase returns an empty fact store.
+func NewFactBase() *FactBase { return &FactBase{m: make(map[factKey]any)} }
+
+// Set attaches fact name=v to obj, overwriting any previous value.
+func (fb *FactBase) Set(obj types.Object, name string, v any) {
+	fb.m[factKey{obj, name}] = v
+}
+
+// Get returns the fact name attached to obj, if any.
+func (fb *FactBase) Get(obj types.Object, name string) (any, bool) {
+	v, ok := fb.m[factKey{obj, name}]
+	return v, ok
 }
 
 // DefaultAnalyzers returns the full rekeylint suite, the set
@@ -98,27 +167,12 @@ func (p *Pass) IsTestFile(f *ast.File) bool {
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		Cryptorand,
-		HotPathAlloc,
-		ObsNil,
 		CtxFirst,
 		ErrSentinel,
 		GuardedBy,
+		KeyFlow,
+		LockOrder,
 	}
-}
-
-// hasDirective reports whether the comment group contains the given
-// //rekeylint:<name> directive line.
-func hasDirective(doc *ast.CommentGroup, name string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text == "rekeylint:"+name || strings.HasPrefix(text, "rekeylint:"+name+" ") {
-			return true
-		}
-	}
-	return false
 }
 
 // ignoreDirective matches one //rekeylint:ignore comment and captures

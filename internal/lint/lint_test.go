@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"path/filepath"
 	"testing"
 
 	"repro/internal/lint"
@@ -30,30 +29,6 @@ func TestCryptorandUnrestricted(t *testing.T) {
 	linttest.Run(t, lint.Cryptorand, linttest.Fixture{
 		Dir:  "testdata/cryptorand/sim",
 		Path: "repro/internal/sim",
-	})
-}
-
-func TestHotPathAlloc(t *testing.T) {
-	linttest.Run(t, lint.HotPathAlloc, linttest.Fixture{
-		Dir:  "testdata/hotpathalloc",
-		Path: "repro/internal/hp",
-	})
-}
-
-func TestObsNilRegistry(t *testing.T) {
-	linttest.Run(t, lint.ObsNil, linttest.Fixture{
-		Dir:  "testdata/obsnil/obs",
-		Path: "repro/internal/obs",
-	})
-}
-
-func TestObsNilCallers(t *testing.T) {
-	linttest.Run(t, lint.ObsNil, linttest.Fixture{
-		Dir:  "testdata/obsnil/caller",
-		Path: "repro/internal/caller",
-		Overrides: map[string]string{
-			"repro/internal/obs": "testdata/obsnil/obs",
-		},
 	})
 }
 
@@ -90,40 +65,29 @@ func TestIgnoreRequiresReason(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := filepath.Abs("testdata/ignores")
+	res, err := lint.Run(loader, []string{"./internal/lint/testdata/ignores"}, []*lint.Analyzer{lint.ErrSentinel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader.Overrides["repro/internal/ig"] = dir
-	pkgs, err := loader.Packages("repro/internal/ig")
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Diags) != 2 {
+		t.Fatalf("got %d diagnostics, want 2 (missing reason + unsuppressed comparison): %v", len(res.Diags), res.Diags)
 	}
-	diags, err := lint.RunAnalyzers(pkgs[0], loader.Fset, []*lint.Analyzer{lint.HotPathAlloc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2 (missing reason + unsuppressed append): %v", len(diags), diags)
-	}
-	var sawReason, sawAppend bool
-	for _, d := range diags {
+	var sawReason, sawCompare bool
+	for _, d := range res.Diags {
 		switch d.Analyzer {
 		case "rekeylint":
 			sawReason = true
-		case "hotpathalloc":
-			sawAppend = true
+		case "errsentinel":
+			sawCompare = true
 		}
 	}
-	if !sawReason || !sawAppend {
-		t.Fatalf("diagnostics missing expected pair: %v", diags)
+	if !sawReason || !sawCompare {
+		t.Fatalf("diagnostics missing expected pair: %v", res.Diags)
 	}
 }
 
-// --- module-wide analyzers ---
-
 func TestKeyFlow(t *testing.T) {
-	linttest.RunModule(t, lint.KeyFlow, linttest.Fixture{
+	linttest.Run(t, lint.KeyFlow, linttest.Fixture{
 		Dir:  "testdata/keyflow/app",
 		Path: "repro/internal/app",
 		Overrides: map[string]string{
@@ -134,29 +98,15 @@ func TestKeyFlow(t *testing.T) {
 }
 
 func TestLockOrderDAG(t *testing.T) {
-	linttest.RunModule(t, lint.LockOrder, linttest.Fixture{
+	linttest.Run(t, lint.LockOrder, linttest.Fixture{
 		Dir:  "testdata/lockorder/dag",
 		Path: "repro/internal/dag",
 	})
 }
 
 func TestLockOrderCycle(t *testing.T) {
-	linttest.RunModule(t, lint.LockOrder, linttest.Fixture{
+	linttest.Run(t, lint.LockOrder, linttest.Fixture{
 		Dir:  "testdata/lockorder/cycle",
 		Path: "repro/internal/cycle",
-	})
-}
-
-func TestEscapesHot(t *testing.T) {
-	linttest.RunModule(t, lint.Escapes, linttest.Fixture{
-		Dir:  "testdata/escapes/hot",
-		Path: "repro/internal/hot",
-	})
-}
-
-func TestEscapesClean(t *testing.T) {
-	linttest.RunModule(t, lint.Escapes, linttest.Fixture{
-		Dir:  "testdata/escapes/clean",
-		Path: "repro/internal/clean",
 	})
 }

@@ -19,15 +19,15 @@ import (
 // A Fixture describes one testdata package to analyze.
 type Fixture struct {
 	// Dir is the fixture directory, relative to the test's working
-	// directory (e.g. "testdata/hotpathalloc").
+	// directory (e.g. "testdata/guardedby").
 	Dir string
 	// Path is the import path the fixture loads under. Path-scoped
-	// analyzers key off suffixes like internal/keys or internal/obs, so
-	// fixtures pick paths accordingly.
+	// analyzers key off suffixes like internal/keys, so fixtures pick
+	// paths accordingly.
 	Path string
 	// Overrides maps further synthetic import paths to directories, for
-	// fixtures that import a stand-in package (a caller fixture
-	// importing a fake repro/internal/obs, say).
+	// fixtures that import a stand-in package (the keyflow fixture
+	// importing a fake repro/internal/keys, say).
 	Overrides map[string]string
 	// IncludeTests loads the fixture's _test.go files too, for
 	// exercising test-file exemptions.
@@ -44,7 +44,10 @@ type want struct {
 }
 
 // Run analyzes the fixture with a and fails t on any mismatch between
-// reported diagnostics and the fixture's want comments.
+// reported diagnostics and the fixture's want comments. The fixture
+// package and its overrides form the loaded closure; only the fixture
+// package itself is a reporting target, mirroring a partial rekeylint
+// run.
 func Run(t *testing.T, a *lint.Analyzer, fx Fixture) {
 	t.Helper()
 	modRoot, err := lint.FindModuleRoot(".")
@@ -68,84 +71,27 @@ func Run(t *testing.T, a *lint.Analyzer, fx Fixture) {
 		}
 		loader.Overrides[p] = abs
 	}
-	pkgs, err := loader.Packages(fx.Path)
+	rel, err := filepath.Rel(modRoot, dir)
 	if err != nil {
-		t.Fatalf("loading fixture %s: %v", fx.Dir, err)
+		t.Fatal(err)
+	}
+	res, err := lint.Run(loader, []string{"./" + filepath.ToSlash(rel)}, []*lint.Analyzer{a})
+	if err != nil {
+		t.Fatalf("fixture %s: %v", fx.Dir, err)
 	}
 
-	var diags []lint.Diagnostic
 	var wants []*want
-	for _, pkg := range pkgs {
-		ds, err := lint.RunAnalyzers(pkg, loader.Fset, []*lint.Analyzer{a})
-		if err != nil {
-			t.Fatal(err)
+	for _, pkg := range loader.Order {
+		if pkg.Dir != dir {
+			continue
 		}
-		diags = append(diags, ds...)
 		ws, err := collectWants(loader.Fset, pkg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wants = append(wants, ws...)
 	}
-
-	for _, d := range diags {
-		if !consume(wants, d) {
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-	for _, w := range wants {
-		if !w.matched {
-			t.Errorf("%s:%d: no diagnostic matched want %q", w.file, w.line, w.raw)
-		}
-	}
-}
-
-// RunModule analyzes the fixture with a module-wide analyzer and fails
-// t on any mismatch between reported diagnostics and the fixture's
-// want comments. The fixture package and its overrides form the loaded
-// closure; only the fixture package itself is a reporting target,
-// mirroring a partial rekeylint run.
-func RunModule(t *testing.T, ma *lint.ModuleAnalyzer, fx Fixture) {
-	t.Helper()
-	modRoot, err := lint.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := lint.NewLoader(modRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader.IncludeTests = fx.IncludeTests
-	dir, err := filepath.Abs(fx.Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader.Overrides[fx.Path] = dir
-	for p, d := range fx.Overrides {
-		abs, err := filepath.Abs(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loader.Overrides[p] = abs
-	}
-	pkgs, err := loader.Packages(fx.Path)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", fx.Dir, err)
-	}
-
-	diags, err := lint.RunModuleAnalyzers(loader, modRoot, pkgs, []*lint.ModuleAnalyzer{ma})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wants []*want
-	for _, pkg := range pkgs {
-		ws, err := collectWants(loader.Fset, pkg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wants = append(wants, ws...)
-	}
-	for _, d := range diags {
+	for _, d := range res.Diags {
 		if !consume(wants, d) {
 			t.Errorf("unexpected diagnostic: %s", d)
 		}

@@ -40,7 +40,7 @@ import (
 
 // LockOrder enforces an acyclic, canonically-ranked lock-acquisition
 // order across the module.
-var LockOrder = &ModuleAnalyzer{
+var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "mutex acquisition must follow the canonical lock-order DAG (no cycles, ranked edges in order)",
 	Run:  runLockOrder,
@@ -79,7 +79,7 @@ type lockEdge struct {
 }
 
 type lockOrderState struct {
-	mp *ModulePass
+	pass *Pass
 	// class maps each mutex field/var object to its display name.
 	class map[*types.Var]string
 
@@ -98,17 +98,17 @@ type heldCall struct {
 	inTarget bool
 }
 
-func runLockOrder(mp *ModulePass) error {
+func runLockOrder(pass *Pass) error {
 	st := &lockOrderState{
-		mp:     mp,
+		pass:   pass,
 		class:  make(map[*types.Var]string),
 		direct: make(map[*types.Func]map[*types.Var]bool),
 		edges:  make(map[[2]*types.Var]*lockEdge),
 	}
 	st.collectClasses()
-	for _, pkg := range mp.All {
+	for _, pkg := range pass.All {
 		for _, f := range pkg.Files {
-			if IsTestFilename(mp.Fset.Position(f.Pos()).Filename) {
+			if pass.IsTestFile(f) {
 				continue
 			}
 			for _, decl := range f.Decls {
@@ -130,7 +130,7 @@ func runLockOrder(mp *ModulePass) error {
 // module: struct fields (walking nested anonymous structs, so the obs
 // registry's trace.mu gets its qualified name) and package-level vars.
 func (st *lockOrderState) collectClasses() {
-	for _, pkg := range st.mp.All {
+	for _, pkg := range st.pass.All {
 		display := pkg.Pkg.Name()
 		if display == "main" {
 			display = path.Base(strings.TrimSuffix(pkg.Path, ".test"))
@@ -139,7 +139,7 @@ func (st *lockOrderState) collectClasses() {
 		scope := pkg.Pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if IsTestFilename(st.mp.Fset.Position(obj.Pos()).Filename) {
+			if IsTestFilename(st.pass.Fset.Position(obj.Pos()).Filename) {
 				continue
 			}
 			switch o := obj.(type) {
@@ -193,13 +193,13 @@ func isMutexType(t types.Type) bool {
 // often runs on its own goroutine, where the enclosing function's
 // locks are not held).
 func (st *lockOrderState) scanBody(pkg *Package, fn *types.Func, body *ast.BlockStmt, held []*types.Var) {
-	inTarget := st.mp.Targets[pkg]
+	inTarget := st.pass.Targets[pkg]
 	var walkStmt func(s ast.Stmt, held *[]*types.Var)
 	var walkExpr func(e ast.Expr, held *[]*types.Var)
 
 	acquire := func(v *types.Var, pos token.Pos, held *[]*types.Var) {
 		for _, h := range *held {
-			st.addEdge(h, v, st.mp.Fset.Position(pos), "", inTarget)
+			st.addEdge(h, v, st.pass.Fset.Position(pos), "", inTarget)
 		}
 		*held = append(*held, v)
 		if fn != nil {
@@ -236,7 +236,7 @@ func (st *lockOrderState) scanBody(pkg *Package, fn *types.Func, body *ast.Block
 			st.calls = append(st.calls, heldCall{
 				callee:   callee,
 				held:     append([]*types.Var(nil), *held...),
-				pos:      st.mp.Fset.Position(call.Pos()),
+				pos:      st.pass.Fset.Position(call.Pos()),
 				inTarget: inTarget,
 			})
 		}
@@ -425,8 +425,8 @@ func (st *lockOrderState) closeOverCalls() {
 	}
 	for changed := true; changed; {
 		changed = false
-		for fn := range st.mp.Graph.Nodes {
-			for _, callee := range st.mp.Graph.Calls[fn] {
+		for fn := range st.pass.Graph.Nodes {
+			for _, callee := range st.pass.Graph.Calls[fn] {
 				for v := range acq[callee] {
 					set := acq[fn]
 					if set == nil {
@@ -484,7 +484,7 @@ func (st *lockOrderState) report() {
 			suffix = fmt.Sprintf(" (via call to %s)", e.via)
 		}
 		if e.from == e.to {
-			st.mp.ReportAt(e.pos, "lock class %s acquired while an instance of %s is already held%s; instance order is not statically checkable -- restructure to release first",
+			st.pass.ReportAt(e.pos, "lock class %s acquired while an instance of %s is already held%s; instance order is not statically checkable -- restructure to release first",
 				st.class[e.to], st.class[e.from], suffix)
 			continue
 		}
@@ -492,14 +492,14 @@ func (st *lockOrderState) report() {
 			cyc := st.cyclePath(succ, e.from, e.to)
 			if !reportedCycle[cyc] {
 				reportedCycle[cyc] = true
-				st.mp.ReportAt(e.pos, "lock-order cycle: %s%s; see the canonical lock order in DESIGN.md", cyc, suffix)
+				st.pass.ReportAt(e.pos, "lock-order cycle: %s%s; see the canonical lock order in DESIGN.md", cyc, suffix)
 			}
 			continue
 		}
 		rf, okf := lockRanks[st.class[e.from]]
 		rt, okt := lockRanks[st.class[e.to]]
 		if okf && okt && rf >= rt {
-			st.mp.ReportAt(e.pos, "acquires %s while holding %s%s, violating the canonical lock order (%s ranks before %s; see DESIGN.md)",
+			st.pass.ReportAt(e.pos, "acquires %s while holding %s%s, violating the canonical lock order (%s ranks before %s; see DESIGN.md)",
 				st.class[e.to], st.class[e.from], suffix, st.class[e.to], st.class[e.from])
 		}
 	}

@@ -1,10 +1,9 @@
 package lint
 
-// Run drives the whole suite over package patterns -- the multichecker
-// entry point cmd/rekeylint and the driver tests share. RunFull is the
-// complete pipeline: per-package analyzers, then module analyzers over
-// the loaded closure (keyflow / lockorder / escapes), then one global
-// suppression pass that both filters diagnostics through
+// Run drives the suite over package patterns -- the one entry point
+// cmd/rekeylint, the fixture runner and the driver tests share: load
+// the targets, hand every analyzer one Pass over the loaded closure,
+// then one suppression pass that both filters diagnostics through
 // //rekeylint:ignore directives and audits the directives themselves
 // (missing reasons and stale suppressions are findings).
 
@@ -34,36 +33,23 @@ type IgnoreEntry struct {
 	Used   bool
 }
 
-// Run loads every package matched by patterns (relative to modRoot;
-// "./..." walks the tree, "./dir" names one package) and applies the
-// per-package analyzers, returning the surviving diagnostics sorted by
-// position. A pattern that matches no packages is an error, not a
-// silent pass -- a typo'd pattern must not green a CI gate.
-func Run(modRoot string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	res, err := RunFull(modRoot, patterns, analyzers, nil)
+// Run loads every package matched by patterns (relative to the
+// loader's module root; "./..." walks the tree, "./dir" names one
+// package, and a directory the loader has an override for loads under
+// the overriding import path) and applies the analyzers, returning the
+// surviving diagnostics sorted by position. A pattern that matches no
+// packages is an error, not a silent pass -- a typo'd pattern must not
+// green a CI gate. The stale-ignore check only runs when the full
+// default suite is active (an ignore aimed at a filtered-out analyzer
+// is not stale).
+func Run(loader *Loader, patterns []string, analyzers []*Analyzer) (*Result, error) {
+	dirs, err := expandPatterns(loader.ModRoot, patterns)
 	if err != nil {
 		return nil, err
 	}
-	return res.Diags, nil
-}
-
-// RunFull is Run plus module analyzers and the suppression audit. The
-// stale-ignore check only runs when the full default suite is active
-// (an ignore aimed at a filtered-out analyzer is not stale).
-func RunFull(modRoot string, patterns []string, analyzers []*Analyzer, modAnalyzers []*ModuleAnalyzer) (*Result, error) {
-	loader, err := NewLoader(modRoot)
-	if err != nil {
-		return nil, err
-	}
-	loader.IncludeTests = true
-	dirs, err := expandPatterns(modRoot, patterns)
-	if err != nil {
-		return nil, err
-	}
-	var targets []*Package
-	targetSet := make(map[*Package]bool)
+	targets := make(map[*Package]bool)
 	for _, dir := range dirs {
-		path, err := importPathFor(modRoot, loader.ModPath, dir)
+		path, err := loader.importPathFor(dir)
 		if err != nil {
 			return nil, err
 		}
@@ -72,56 +58,32 @@ func RunFull(modRoot string, patterns []string, analyzers []*Analyzer, modAnalyz
 			return nil, err
 		}
 		for _, pkg := range pkgs {
-			if !targetSet[pkg] {
-				targetSet[pkg] = true
-				targets = append(targets, pkg)
-			}
+			targets[pkg] = true
 		}
 	}
 
 	var raw []Diagnostic
-	for _, pkg := range targets {
-		for _, a := range analyzers {
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     loader.Fset,
-				Path:     strings.TrimSuffix(pkg.Path, ".test"),
-				Files:    pkg.Files,
-				Pkg:      pkg.Pkg,
-				Info:     pkg.Info,
-				diags:    &raw,
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("lint: analyzer %s on %s: %w", a.Name, pkg.Path, err)
-			}
-		}
+	pass := &Pass{
+		Fset:    loader.Fset,
+		All:     loader.Order,
+		Targets: targets,
+		Graph:   BuildCallGraph(loader.Order),
+		Facts:   NewFactBase(),
+		diags:   &raw,
 	}
-
-	if len(modAnalyzers) > 0 {
-		mp := &ModulePass{
-			Fset:    loader.Fset,
-			ModRoot: modRoot,
-			ModPath: loader.ModPath,
-			All:     loader.Order,
-			Targets: targetSet,
-			Graph:   BuildCallGraph(loader.Order),
-			Facts:   NewFactBase(),
-			diags:   &raw,
-		}
-		for _, ma := range modAnalyzers {
-			mp.Analyzer = ma
-			if err := ma.Run(mp); err != nil {
-				return nil, fmt.Errorf("lint: analyzer %s: %w", ma.Name, err)
-			}
+	for _, a := range analyzers {
+		pass.Analyzer = a
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("lint: analyzer %s: %w", a.Name, err)
 		}
 	}
 
 	idx := newIgnoreIndex()
-	for _, pkg := range targets {
+	for _, pkg := range pass.targetPackages() {
 		idx.collect(loader.Fset, pkg.Files, &raw)
 	}
 	diags := idx.filter(raw)
-	if fullSuite(analyzers, modAnalyzers) {
+	if fullSuite(analyzers) {
 		diags = append(diags, idx.stale()...)
 	}
 	sortDiags(diags)
@@ -130,85 +92,17 @@ func RunFull(modRoot string, patterns []string, analyzers []*Analyzer, modAnalyz
 
 // fullSuite reports whether the run includes every default analyzer,
 // the precondition for calling an unused ignore stale.
-func fullSuite(analyzers []*Analyzer, modAnalyzers []*ModuleAnalyzer) bool {
+func fullSuite(analyzers []*Analyzer) bool {
 	have := make(map[string]bool)
 	for _, a := range analyzers {
 		have[a.Name] = true
-	}
-	for _, ma := range modAnalyzers {
-		have[ma.Name] = true
 	}
 	for _, a := range DefaultAnalyzers() {
 		if !have[a.Name] {
 			return false
 		}
 	}
-	for _, ma := range DefaultModuleAnalyzers() {
-		if !have[ma.Name] {
-			return false
-		}
-	}
 	return true
-}
-
-// RunAnalyzers applies the analyzers to one loaded package and filters
-// the findings through the package's //rekeylint:ignore directives --
-// the single-package entry point linttest uses. No stale-ignore audit
-// happens here; fixtures run one analyzer at a time.
-func RunAnalyzers(pkg *Package, fset *token.FileSet, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     fset,
-			Path:     strings.TrimSuffix(pkg.Path, ".test"),
-			Files:    pkg.Files,
-			Pkg:      pkg.Pkg,
-			Info:     pkg.Info,
-			diags:    &diags,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("lint: analyzer %s on %s: %w", a.Name, pkg.Path, err)
-		}
-	}
-	idx := newIgnoreIndex()
-	idx.collect(fset, pkg.Files, &diags)
-	return idx.filter(diags), nil
-}
-
-// RunModuleAnalyzers applies module analyzers over a loader's full
-// package closure, reporting findings only in targets and filtering
-// them through the targets' ignore directives -- the single-fixture
-// entry point linttest uses for keyflow / lockorder / escapes. The
-// loader must already have loaded the targets (All comes from its
-// dependency order).
-func RunModuleAnalyzers(loader *Loader, modRoot string, targets []*Package, modAnalyzers []*ModuleAnalyzer) ([]Diagnostic, error) {
-	targetSet := make(map[*Package]bool, len(targets))
-	for _, pkg := range targets {
-		targetSet[pkg] = true
-	}
-	var diags []Diagnostic
-	mp := &ModulePass{
-		Fset:    loader.Fset,
-		ModRoot: modRoot,
-		ModPath: loader.ModPath,
-		All:     loader.Order,
-		Targets: targetSet,
-		Graph:   BuildCallGraph(loader.Order),
-		Facts:   NewFactBase(),
-		diags:   &diags,
-	}
-	for _, ma := range modAnalyzers {
-		mp.Analyzer = ma
-		if err := ma.Run(mp); err != nil {
-			return nil, fmt.Errorf("lint: analyzer %s: %w", ma.Name, err)
-		}
-	}
-	idx := newIgnoreIndex()
-	for _, pkg := range targets {
-		idx.collect(loader.Fset, pkg.Files, &diags)
-	}
-	return idx.filter(diags), nil
 }
 
 // --- suppression index ---
@@ -379,18 +273,24 @@ func hasGoFiles(dir string) bool {
 	return len(matches) > 0
 }
 
-// importPathFor maps a directory back to its import path in the module.
-func importPathFor(modRoot, modPath, dir string) (string, error) {
-	rel, err := filepath.Rel(modRoot, dir)
+// importPathFor maps a directory back to its import path: the path an
+// override places it under, else its place in the module.
+func (l *Loader) importPathFor(dir string) (string, error) {
+	for path, d := range l.Overrides {
+		if d == dir {
+			return path, nil
+		}
+	}
+	rel, err := filepath.Rel(l.ModRoot, dir)
 	if err != nil {
 		return "", err
 	}
 	rel = filepath.ToSlash(rel)
 	if rel == "." {
-		return modPath, nil
+		return l.ModPath, nil
 	}
 	if strings.HasPrefix(rel, "../") {
 		return "", fmt.Errorf("lint: %s is outside the module", dir)
 	}
-	return modPath + "/" + rel, nil
+	return l.ModPath + "/" + rel, nil
 }

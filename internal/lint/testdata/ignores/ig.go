@@ -2,8 +2,11 @@
 // reason is a finding of its own and suppresses nothing.
 package ig
 
-//rekeylint:hotpath
-func grow(dst []byte, b byte) []byte {
+import "errors"
+
+var ErrGone = errors.New("ig: gone")
+
+func gone(err error) bool {
 	//rekeylint:ignore
-	return append(dst, b)
+	return err == ErrGone
 }

@@ -303,13 +303,9 @@ func NewWithDepth(depth int) *Registry {
 
 // Enabled reports whether the registry records anything. Use it to gate
 // work done solely to compute an observation (e.g. time.Now pairs).
-//
-//rekeylint:hotpath
 func (r *Registry) Enabled() bool { return r != nil }
 
 // Add increments counter c by n.
-//
-//rekeylint:hotpath
 func (r *Registry) Add(c Counter, n int64) {
 	if r == nil {
 		return
@@ -318,13 +314,9 @@ func (r *Registry) Add(c Counter, n int64) {
 }
 
 // Inc increments counter c by one.
-//
-//rekeylint:hotpath
 func (r *Registry) Inc(c Counter) { r.Add(c, 1) }
 
 // CounterValue returns counter c's current value (0 on nil).
-//
-//rekeylint:hotpath
 func (r *Registry) CounterValue(c Counter) int64 {
 	if r == nil {
 		return 0
@@ -333,8 +325,6 @@ func (r *Registry) CounterValue(c Counter) int64 {
 }
 
 // Set stores gauge g.
-//
-//rekeylint:hotpath
 func (r *Registry) Set(g Gauge, v float64) {
 	if r == nil {
 		return
@@ -343,8 +333,6 @@ func (r *Registry) Set(g Gauge, v float64) {
 }
 
 // GaugeValue returns gauge g's current value (0 on nil).
-//
-//rekeylint:hotpath
 func (r *Registry) GaugeValue(g Gauge) float64 {
 	if r == nil {
 		return 0
@@ -353,8 +341,6 @@ func (r *Registry) GaugeValue(g Gauge) float64 {
 }
 
 // Observe records v into histogram h.
-//
-//rekeylint:hotpath
 func (r *Registry) Observe(h Hist, v float64) {
 	if r == nil {
 		return
@@ -379,8 +365,6 @@ func (r *Registry) Observe(h Hist, v float64) {
 // ObserveSince records the seconds elapsed since start into h. start is
 // typically taken only when Enabled() -- on a nil registry this is a
 // no-op regardless.
-//
-//rekeylint:hotpath
 func (r *Registry) ObserveSince(h Hist, start time.Time) {
 	if r == nil {
 		return

@@ -3,23 +3,87 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 )
 
+// nilReceiverPanics calls every method in ptr's method set on a nil
+// receiver with zero arguments, serves one request from any
+// http.Handler that comes back, and returns the methods that panicked.
+func nilReceiverPanics(ptr reflect.Type) []string {
+	var bad []string
+	for i := 0; i < ptr.NumMethod(); i++ {
+		m := ptr.Method(i)
+		func() {
+			defer func() {
+				if recover() != nil {
+					bad = append(bad, m.Name)
+				}
+			}()
+			args := []reflect.Value{reflect.Zero(ptr)}
+			for j := 1; j < m.Type.NumIn(); j++ {
+				args = append(args, reflect.Zero(m.Type.In(j)))
+			}
+			for _, out := range m.Func.Call(args) {
+				if h, ok := out.Interface().(http.Handler); ok {
+					h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/metrics", nil))
+				}
+			}
+		}()
+	}
+	return bad
+}
+
+// leakyRegistry is the seeded violation of the deleted obsnil analyzer
+// (its testdata/obsnil/obs fixture, less the mutex: with one, go vet's
+// copylocks already rejects Size's receiver): Add has the required
+// shape, Reset touches fields with no guard, Size has a value receiver.
+type leakyRegistry struct {
+	counters map[string]int64
+}
+
+func (r *leakyRegistry) Add(name string, delta int64) {
+	if r == nil {
+		return
+	}
+	r.counters[name] += delta
+}
+
+func (r *leakyRegistry) Reset(name string) { delete(r.counters, name) }
+
+func (r leakyRegistry) Size() int { return len(r.counters) }
+
 // TestNilRegistryNoops: every method must be a safe no-op on nil, since
-// the uninstrumented hot paths call straight through.
+// the uninstrumented hot paths call straight through. The sweep is over
+// the method set, so a method added later is covered the day it lands;
+// run on the seeded violation, it names the two bad methods. The other
+// half of the contract -- no caller dereferences or copies a possibly-nil
+// registry -- needs no test: outside this package `r.start` is the
+// compiler's "cannot refer to unexported field", which holds while every
+// field stays unexported, and `*r` is go vet's "copylocks: return copies
+// lock value: obs.Registry contains sync/atomic.Int64".
 func TestNilRegistryNoops(t *testing.T) {
+	if bad := nilReceiverPanics(reflect.TypeOf((*Registry)(nil))); len(bad) != 0 {
+		t.Fatalf("methods that panic on a nil *Registry: %v", bad)
+	}
+	if bad := nilReceiverPanics(reflect.TypeOf((*leakyRegistry)(nil))); !reflect.DeepEqual(bad, []string{"Reset", "Size"}) {
+		t.Fatalf("seeded violation: sweep reports %v, want [Reset Size]", bad)
+	}
+	rt := reflect.TypeOf(Registry{})
+	for i := 0; i < rt.NumField(); i++ {
+		if f := rt.Field(i); f.IsExported() {
+			t.Errorf("Registry.%s is exported: callers could reach it through a nil pointer", f.Name)
+		}
+	}
+
 	var r *Registry
 	if r.Enabled() {
 		t.Fatal("nil registry reports enabled")
 	}
-	r.Inc(CEncSent)
-	r.Add(CNACKRecv, 7)
-	r.Set(GRho, 1.5)
-	r.Observe(HNACKsPerRound, 3)
-	r.Emit(Event{Kind: EvRoundStart})
 	if got := r.CounterValue(CEncSent); got != 0 {
 		t.Fatalf("nil CounterValue = %d", got)
 	}
@@ -35,6 +99,29 @@ func TestNilRegistryNoops(t *testing.T) {
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
 		t.Fatal("nil Snapshot not empty")
+	}
+}
+
+// TestHotPathAllocs is this package's part of the allocation gate
+// (DESIGN.md "Allocation discipline"): the fast paths every pipeline
+// stage calls allocate nothing, on the nil registry an unobserved run
+// passes and on a live one.
+func TestHotPathAllocs(t *testing.T) {
+	start := time.Now()
+	for name, r := range map[string]*Registry{"nil": nil, "live": New()} {
+		got := testing.AllocsPerRun(100, func() {
+			_ = r.Enabled()
+			r.Add(CNACKRecv, 7)
+			r.Inc(CEncSent)
+			_ = r.CounterValue(CEncSent)
+			r.Set(GRho, 1.5)
+			_ = r.GaugeValue(GRho)
+			r.Observe(HNACKsPerRound, 3)
+			r.ObserveSince(HNACKsPerRound, start)
+		})
+		if got != 0 {
+			t.Errorf("%s registry: %v allocs per pass over the fast paths, want 0", name, got)
+		}
 	}
 }
 

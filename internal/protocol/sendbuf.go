@@ -31,31 +31,21 @@ type SendBuf struct {
 // ready for an append-style builder. The caller must hand the grown
 // slice back via Store (append may have moved the backing array if the
 // build exceeded the pool's buffer capacity).
-//
-//rekeylint:hotpath
 func (sb *SendBuf) Take() []byte { return sb.b[:0] }
 
 // Store publishes b -- which must derive from a Take() on this buffer
 // -- as the buffer's contents, retaining any grown capacity for reuse.
-//
-//rekeylint:hotpath
 func (sb *SendBuf) Store(b []byte) { sb.b = b }
 
 // Bytes returns the current contents (the last Store).
-//
-//rekeylint:hotpath
 func (sb *SendBuf) Bytes() []byte { return sb.b }
 
 // Retain adds a reference: the buffer will not return to the pool
 // until every holder has called Release.
-//
-//rekeylint:hotpath
 func (sb *SendBuf) Retain() { sb.refs.Add(1) }
 
 // Release drops one reference; the last release returns the buffer to
 // its pool. Releasing more times than Get+Retain is a bug and panics.
-//
-//rekeylint:hotpath
 func (sb *SendBuf) Release() {
 	n := sb.refs.Add(-1)
 	if n > 0 {
@@ -64,7 +54,7 @@ func (sb *SendBuf) Release() {
 	if n < 0 {
 		panic("protocol: SendBuf over-released")
 	}
-	sb.pool.pool.Put(sb) //rekeylint:ignore pooling an existing *SendBuf stores a pointer already on the heap, no new allocation
+	sb.pool.pool.Put(sb)
 }
 
 // BufPool hands out SendBufs with at least its configured capacity,
@@ -84,8 +74,6 @@ func NewBufPool(bufCap int, reg *obs.Registry) *BufPool {
 }
 
 // Get returns an empty buffer with one reference held by the caller.
-//
-//rekeylint:hotpath
 func (p *BufPool) Get() *SendBuf {
 	if v := p.pool.Get(); v != nil {
 		sb := v.(*SendBuf)
@@ -95,8 +83,8 @@ func (p *BufPool) Get() *SendBuf {
 		return sb
 	}
 	p.reg.Inc(obs.CSendBufAlloc)
-	sb := &SendBuf{pool: p} //rekeylint:ignore pool-miss path: the steady state recycles, only a cold miss allocates
-	sb.b = make([]byte, 0, p.cap) //rekeylint:ignore pool-miss path: the steady state recycles, only a cold miss allocates
+	sb := &SendBuf{pool: p}
+	sb.b = make([]byte, 0, p.cap)
 	sb.refs.Store(1)
 	return sb
 }

@@ -63,8 +63,11 @@ func TestSendBufOverReleasePanics(t *testing.T) {
 	sb.Release()
 }
 
-// TestSendBufSteadyStateAllocs is the pool's core guarantee: a warm
-// get/build/release cycle allocates nothing.
+// TestSendBufSteadyStateAllocs is the pool's core guarantee, and this
+// package's part of the allocation gate (DESIGN.md "Allocation
+// discipline"): a warm cycle through every SendBuf method -- get, build,
+// a borrower's retain/read/release, the owner's release -- allocates
+// nothing.
 func TestSendBufSteadyStateAllocs(t *testing.T) {
 	p := NewBufPool(2048, nil)
 	payload := make([]byte, 1027)
@@ -75,9 +78,14 @@ func TestSendBufSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		sb := p.Get()
 		sb.Store(append(sb.Take(), payload...))
+		sb.Retain()
+		if len(sb.Bytes()) != len(payload) {
+			t.Fatal("Bytes is not what was stored")
+		}
+		sb.Release()
 		sb.Release()
 	})
 	if allocs != 0 {
-		t.Errorf("allocs per get/build/release cycle = %v, want 0", allocs)
+		t.Errorf("allocs per get/build/retain/release cycle = %v, want 0", allocs)
 	}
 }

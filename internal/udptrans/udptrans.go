@@ -162,16 +162,17 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	def := DefaultOptions()
 	if opts.RoundDur == 0 {
-		opts.RoundDur = 150 * time.Millisecond
+		opts.RoundDur = def.RoundDur
 	}
 	if opts.MaxUnicastWaves == 0 {
-		opts.MaxUnicastWaves = 8
+		opts.MaxUnicastWaves = def.MaxUnicastWaves
 	}
 	tun := s.ks.Tuning()
 	maxRounds := tun.MaxMulticastRounds
 	if maxRounds <= 0 {
-		maxRounds = 2
+		maxRounds = rekey.DefaultTuning().MaxMulticastRounds
 	}
 	s.obs.Set(obs.GRho, tun.InitialRho)
 
@@ -313,8 +314,6 @@ func (s *Server) multicastRefs(ctx context.Context, rm *rekey.RekeyMessage, refs
 // rebuilt into the pooled buffer from the cached FEC payload, and the
 // socket writes go through the AddrPort API -- zero allocations per
 // packet once the interval's caches are warm.
-//
-//rekeylint:hotpath
 func (s *Server) sendRef(rm *rekey.RekeyMessage, r blockplan.Ref, k int, buf *protocol.SendBuf, addrs []netip.AddrPort, st *Stats) error {
 	var wire []byte
 	if r.IsParity(k) {
@@ -342,13 +341,12 @@ func (s *Server) sendRef(rm *rekey.RekeyMessage, r blockplan.Ref, k int, buf *pr
 	defer buf.Release()
 	for _, a := range addrs {
 		if _, err := s.conn.WriteToUDPAddrPort(wire, a); err != nil {
-			return sendErr("multicast", err) //rekeylint:ignore cold socket-error path boxes the op name
+			return sendErr("multicast", err)
 		}
 	}
 	return nil
 }
 
-// sendErr wraps a socket error off the hot path (fmt allocates).
 func sendErr(op string, err error) error {
 	return fmt.Errorf("udptrans: %s: %w", op, err)
 }

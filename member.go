@@ -265,8 +265,6 @@ func (m *Member) Ingest(raw []byte) (IngestResult, error) {
 // number, which sit in bytes 0-2 in front of any payload or trailer.
 // Such a packet is neither stored nor applied whatever else it holds,
 // so nothing else of it is read, verified or copied.
-//
-//rekeylint:hotpath
 func (m *Member) stalePeekLocked(raw []byte) (IngestResult, bool) {
 	if !m.active || !m.cur.done || len(raw) < packet.FECOffset || raw[0]&packet.MaxMsgID != m.cur.msgID {
 		return IngestResult{}, false
@@ -419,15 +417,6 @@ func (a *msgAssembly) block(id int) *blockShards {
 	return &a.blocks[id]
 }
 
-// init gives a block record room for its k shards, once: the slices
-// outlive the messages that fill them. Not inlined, so that the
-// allocation stays out of storeLocked's body.
-//
-//go:noinline
-func (b *blockShards) init(k int) {
-	b.seqs, b.bufs = make([]uint8, 0, k), make([][]byte, 0, k)
-}
-
 // finishLocked marks the current message complete. Nothing of it is
 // needed any more: every later packet of it is stale.
 func (m *Member) finishLocked() {
@@ -457,10 +446,7 @@ func (m *Member) dropShardsLocked(b *blockShards) {
 }
 
 // shardBufLocked returns a buffer for one shard's FEC span: a released
-// one when there is one. Not inlined, so that the allocation stays out
-// of storeLocked's body.
-//
-//go:noinline
+// one when there is one.
 func (m *Member) shardBufLocked() []byte {
 	if n := len(m.free); n > 0 {
 		buf := m.free[n-1]
@@ -538,15 +524,15 @@ func (m *Member) ingestUSRLocked(p *packet.USR) (IngestResult, error) {
 // into the block and reports whether it did: not a sequence number the
 // block already holds, and not a (k+1)th shard -- any k decode it, so a
 // block never holds more, whoever is sending.
-//
-//rekeylint:hotpath
 func (m *Member) storeLocked(b *blockShards, seq uint8, span []byte) bool {
 	n := len(b.seqs)
 	if n >= m.k || bytes.IndexByte(b.seqs, seq) >= 0 {
 		return false
 	}
 	if cap(b.seqs) == 0 {
-		b.init(m.k)
+		// Room for the block's k shards, once: the slices outlive the
+		// messages that fill them.
+		b.seqs, b.bufs = make([]uint8, 0, m.k), make([][]byte, 0, m.k)
 	}
 	buf := m.shardBufLocked()
 	copy(buf, span)

@@ -80,11 +80,10 @@ func TestMemberParityOnlyRecovery(t *testing.T) {
 	}
 	var res IngestResult
 	for i := 0; i < k; i++ {
-		par, err := rm.Parity(blk, i)
+		praw, err := rm.AppendWireParity(nil, blk, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		praw, _ := par.Marshal()
 		res, err = victim.Ingest(praw)
 		if err != nil {
 			t.Fatal(err)
@@ -117,11 +116,10 @@ func TestMemberStaleMessagePacketsIgnoredAfterDone(t *testing.T) {
 	gk1, _ := m.GroupKey()
 	// A parity packet of the same message must be a no-op now.
 	if rm.Blocks() > 0 {
-		par, err := rm.Parity(0, 0)
+		raw, err := rm.AppendWireParity(nil, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, _ := par.Marshal()
 		res, err := m.Ingest(raw)
 		if !errors.Is(err, ErrStale) {
 			t.Fatalf("stale parity: err = %v, want ErrStale", err)

@@ -193,11 +193,7 @@ func TestIngestResultFields(t *testing.T) {
 	// ingest must report Done and Recovered.
 	var last IngestResult
 	for i := 0; i < k; i++ {
-		par, err := rm.Parity(blk, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		praw, err := par.Marshal()
+		praw, err := rm.AppendWireParity(nil, blk, i)
 		if err != nil {
 			t.Fatal(err)
 		}

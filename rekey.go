@@ -339,14 +339,20 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 		return nil, err
 	}
 	rm := &RekeyMessage{
-		MsgID:  msgID,
-		Result: res,
-		Plan:   plan,
-		ENC:    encs,
-		Part:   part,
-		degree: s.cfg.Degree,
-		k:      s.cfg.K,
-		obs:    s.obs,
+		MsgID:   msgID,
+		Result:  res,
+		Plan:    plan,
+		ENC:     encs,
+		Part:    part,
+		degree:  s.cfg.Degree,
+		k:       s.cfg.K,
+		obs:     s.obs,
+		encWire: make([][]byte, len(encs)),
+	}
+	for i, enc := range encs {
+		if rm.encWire[i], err = enc.Marshal(); err != nil {
+			return nil, err
+		}
 	}
 	if s.cfg.Signer != nil {
 		if err := rm.buildAuth(s.cfg.Signer); err != nil {
@@ -386,16 +392,19 @@ type RekeyMessage struct {
 	degree int
 	k      int
 	obs    *obs.Registry
+	// encWire holds every ENC datagram's send bytes, parallel to ENC:
+	// the packet, marshalled once, and after it the auth trailer when
+	// the server signs. The FEC payloads are slices of it.
+	encWire [][]byte
 	// auth is the interval's authentication state (Merkle trees, root
-	// signature, pre-built trailers); nil on an unsigned server. Built
-	// once in Rekey, read-only afterwards.
+	// signature, pre-built PARITY trailers); nil on an unsigned server.
+	// Both are built once in Rekey and read-only afterwards.
 	auth *intervalAuth
 
 	mu     sync.Mutex
 	coder  *fec.Coder // guarded by mu
 	data   [][][]byte // guarded by mu; per block: k FEC payloads, built lazily
 	parity [][][]byte // guarded by mu; per block: parity payloads generated so far
-	wire   [][]byte   // guarded by mu; cached ENC datagrams on unsigned messages
 }
 
 // Blocks returns the number of FEC blocks.
@@ -417,52 +426,18 @@ func (rm *RekeyMessage) ensureCoderLocked() error {
 	return nil
 }
 
-// blockDataLocked materialises (once) the FEC payloads of one block.
-// Callers hold rm.mu.
-func (rm *RekeyMessage) blockDataLocked(block int) ([][]byte, error) {
+// blockDataLocked materialises (once) the FEC payloads of one block:
+// parity covers the packet span of each datagram, not the three header
+// bytes before it or the trailer after. Callers hold rm.mu.
+func (rm *RekeyMessage) blockDataLocked(block int) [][]byte {
 	if rm.data[block] == nil {
 		payloads := make([][]byte, rm.k)
-		for s := 0; s < rm.k; s++ {
-			if rm.auth != nil {
-				// The authenticated wire bytes already exist; parity
-				// covers the packet span, not the trailer.
-				payloads[s] = rm.auth.encWire[block*rm.k+s][packet.FECOffset:packet.PacketLen]
-				continue
-			}
-			raw, err := rm.ENC[block*rm.k+s].Marshal()
-			if err != nil {
-				return nil, err
-			}
-			payloads[s] = raw[packet.FECOffset:]
+		for s := range payloads {
+			payloads[s] = rm.encWire[block*rm.k+s][packet.FECOffset:packet.PacketLen]
 		}
 		rm.data[block] = payloads
 	}
-	return rm.data[block], nil
-}
-
-// parityPacket wraps a cached payload in its wire header.
-func (rm *RekeyMessage) parityPacket(block, idx int, payload []byte) (*packet.PARITY, error) {
-	if block > 0xff || rm.k+idx > 0xff {
-		return nil, fmt.Errorf("rekey: parity shard (%d,%d) exceeds wire fields", block, rm.k+idx)
-	}
-	return &packet.PARITY{
-		MsgID:   rm.MsgID,
-		BlockID: uint8(block),
-		Seq:     uint8(rm.k + idx),
-		Payload: payload,
-	}, nil
-}
-
-// Parity generates PARITY packet idx (0-based, stable across calls) for
-// the given block. Generated payloads are cached: parity indices are
-// stable, so a prefix of each block's parity sequence is kept and
-// extended on demand (or in bulk by PrecomputeParity).
-func (rm *RekeyMessage) Parity(block, idx int) (*packet.PARITY, error) {
-	payload, err := rm.parityPayload(block, idx)
-	if err != nil {
-		return nil, err
-	}
-	return rm.parityPacket(block, idx, payload)
+	return rm.data[block]
 }
 
 // parityPayload returns (generating and caching if needed) the raw FEC
@@ -483,12 +458,8 @@ func (rm *RekeyMessage) parityPayload(block, idx int) ([]byte, error) {
 	}
 	if idx >= len(rm.parity[block]) {
 		rm.obs.Inc(obs.CParityCacheMiss)
-		data, err := rm.blockDataLocked(block)
-		if err != nil {
-			return nil, err
-		}
 		have := len(rm.parity[block])
-		fresh, err := rm.coder.EncodeAll(data, have, idx+1-have)
+		fresh, err := rm.coder.EncodeAll(rm.blockDataLocked(block), have, idx+1-have)
 		if err != nil {
 			return nil, err
 		}
@@ -501,13 +472,13 @@ func (rm *RekeyMessage) parityPayload(block, idx int) ([]byte, error) {
 
 // PrecomputeParity generates (and caches) parity payloads for many
 // blocks at once: after it returns, block b has at least counts[b]
-// parity packets cached, so subsequent Parity calls in that range are
-// lookups. The per-block encodes fan out across a bounded worker pool
-// (workers <= 0 means GOMAXPROCS); the cached bytes are identical to
-// what serial Parity calls would produce. counts may be shorter than
-// the block count; missing entries mean zero. Cancelling ctx abandons
-// the remaining encodes and returns ctx.Err(); already-cached parity
-// stays cached.
+// parity packets cached, so subsequent AppendWireParity calls in that
+// range are lookups. The per-block encodes fan out across a bounded
+// worker pool (workers <= 0 means GOMAXPROCS); the cached bytes are
+// identical to what serial AppendWireParity calls would produce. counts
+// may be shorter than the block count; missing entries mean zero.
+// Cancelling ctx abandons the remaining encodes and returns ctx.Err();
+// already-cached parity stays cached.
 func (rm *RekeyMessage) PrecomputeParity(ctx context.Context, counts []int, workers int) error {
 	rm.mu.Lock()
 	if err := rm.ensureCoderLocked(); err != nil {
@@ -529,12 +500,7 @@ func (rm *RekeyMessage) PrecomputeParity(ctx context.Context, counts []int, work
 			rm.mu.Unlock()
 			return fmt.Errorf("rekey: block %d wants %d parity packets, max %d", b, want, rm.coder.MaxParity())
 		}
-		data, err := rm.blockDataLocked(b)
-		if err != nil {
-			rm.mu.Unlock()
-			return err
-		}
-		reqs = append(reqs, protocol.BlockParity{Data: data, First: have, N: want - have})
+		reqs = append(reqs, protocol.BlockParity{Data: rm.blockDataLocked(b), First: have, N: want - have})
 		blockOf = append(blockOf, b)
 	}
 	rm.mu.Unlock()

@@ -53,37 +53,37 @@ func TestPrecomputeParityMatchesSerial(t *testing.T) {
 	}
 	for b := 0; b < blocks; b++ {
 		for i := 0; i < counts[b]; i++ {
-			got, err := pre.Parity(b, i)
+			got, err := pre.AppendWireParity(nil, b, i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := serial.Parity(b, i)
+			want, err := serial.AppendWireParity(nil, b, i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got.Payload, want.Payload) || got.Seq != want.Seq || got.BlockID != want.BlockID {
+			if !bytes.Equal(got, want) {
 				t.Fatalf("precomputed parity (%d,%d) differs from serial", b, i)
 			}
 		}
 	}
 	// Extending past the precomputed prefix must still match.
 	for b := 0; b < blocks; b++ {
-		got, err := pre.Parity(b, counts[b]+2)
+		got, err := pre.AppendWireParity(nil, b, counts[b]+2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := serial.Parity(b, counts[b]+2)
+		want, err := serial.AppendWireParity(nil, b, counts[b]+2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Payload, want.Payload) {
+		if !bytes.Equal(got, want) {
 			t.Fatalf("post-prefix parity (%d,%d) differs from serial", b, counts[b]+2)
 		}
 	}
 }
 
 // TestParityConcurrentCallers hammers one message's parity cache from
-// many goroutines mixing Parity and PrecomputeParity; run under -race
+// many goroutines mixing AppendWireParity and PrecomputeParity; run under -race
 // this checks the cache's locking, and every result is checked against
 // a serially generated twin.
 func TestParityConcurrentCallers(t *testing.T) {
@@ -94,11 +94,11 @@ func TestParityConcurrentCallers(t *testing.T) {
 	for b := 0; b < blocks; b++ {
 		want[b] = make([][]byte, perBlock)
 		for i := 0; i < perBlock; i++ {
-			p, err := serial.Parity(b, i)
+			p, err := serial.AppendWireParity(nil, b, i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[b][i] = p.Payload
+			want[b][i] = p
 		}
 	}
 	var wg sync.WaitGroup
@@ -119,12 +119,12 @@ func TestParityConcurrentCallers(t *testing.T) {
 			}
 			for b := 0; b < blocks; b++ {
 				for i := 0; i < perBlock; i++ {
-					p, err := rm.Parity(b, i)
+					p, err := rm.AppendWireParity(nil, b, i)
 					if err != nil {
 						errc <- err
 						return
 					}
-					if !bytes.Equal(p.Payload, want[b][i]) {
+					if !bytes.Equal(p, want[b][i]) {
 						t.Errorf("goroutine %d: parity (%d,%d) differs from serial", g, b, i)
 						return
 					}

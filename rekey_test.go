@@ -1,6 +1,7 @@
 package rekey
 
 import (
+	"bytes"
 	"errors"
 	"math/rand/v2"
 	"testing"
@@ -208,11 +209,7 @@ func TestMemberRecoversViaFEC(t *testing.T) {
 	if victim.Done() {
 		t.Fatal("victim done too early")
 	}
-	par, err := rm.Parity(blk, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := par.Marshal()
+	raw, err := rm.AppendWireParity(nil, blk, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,22 +378,18 @@ func TestParityStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := rm.Parity(0, 2)
+	ra, err := rm.AppendWireParity(nil, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rm.Parity(0, 2)
+	rb, err := rm.AppendWireParity(nil, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, _ := a.Marshal()
-	rb, _ := b.Marshal()
-	for i := range ra {
-		if ra[i] != rb[i] {
-			t.Fatal("parity packet not stable across calls")
-		}
+	if !bytes.Equal(ra, rb) {
+		t.Fatal("parity packet not stable across calls")
 	}
-	if _, err := rm.Parity(rm.Blocks(), 0); err == nil {
+	if _, err := rm.AppendWireParity(nil, rm.Blocks(), 0); err == nil {
 		t.Fatal("out-of-range block accepted")
 	}
 }
