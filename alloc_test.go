@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/keys"
 	"repro/internal/packet"
 )
 
@@ -60,6 +61,52 @@ func TestHotPathAllocs(t *testing.T) {
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.fn); got != r.want {
 			t.Errorf("%s: %v allocs per call, want %v", r.name, got, r.want)
+		}
+	}
+}
+
+// TestUSRSubtreeAllocs holds the one stage of buildAuth that grows with
+// the group, not the batch, to a fixed number of allocations: the leaf
+// array, a scratch datagram per worker and the goroutines themselves,
+// then the tree's slab -- nothing per user (the old loop paid a packet
+// struct, a need slice grown from nil, a marshalled copy and a map slot
+// for each). Four times the users must cost the same count.
+func TestUSRSubtreeAllocs(t *testing.T) {
+	signer, err := keys.NewSigner(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(n, workers int) float64 {
+		s, err := NewServer(WithKeySeed(uint64(n)), WithSigner(signer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bootstrap(t, s, n)
+		for m := 0; m < n/4; m++ {
+			if err := s.QueueLeave(MemberID(m)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rm, err := s.Rekey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			leaves, err := rm.usrLeaves(workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tree := keys.NewMerkleTreeWorkers(leaves, workers); tree.Root() != rm.auth.usrTree.Root() {
+				t.Fatal("rebuilt USR subtree has a different root")
+			}
+		})
+	}
+	for _, workers := range []int{1, 2} {
+		small, large := measure(1024, workers), measure(4096, workers)
+		// The deeper tree may grow a scratch buffer once more, and a level
+		// that now fans out starts its goroutines.
+		if large > small+float64(4*workers) || large > 40 {
+			t.Errorf("workers=%d: %v allocs at N=1024, %v at N=4096; want no growth with N", workers, small, large)
 		}
 	}
 }

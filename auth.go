@@ -25,6 +25,8 @@ import (
 	"crypto/rsa"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/keys"
@@ -58,8 +60,7 @@ type intervalAuth struct {
 	blockTrees []*keys.MerkleTree
 	usrTree    *keys.MerkleTree
 	top        *keys.MerkleTree
-	usrIndex   map[int]int // user node ID -> usrTree leaf index
-	sig        []byte      // RSA signature over top.Root()
+	sig        []byte // RSA signature over top.Root()
 	nTop       int
 	parityTr   [][]byte // per-block PARITY trailer bytes
 }
@@ -68,11 +69,60 @@ type intervalAuth struct {
 // authentication (the server was built WithSigner).
 func (rm *RekeyMessage) Authenticated() bool { return rm.auth != nil }
 
+// minUsersPerWorker is the shortest run of users worth a goroutine in
+// usrLeaves (~100 us of walking and hashing).
+const minUsersPerWorker = 256
+
+// usrLeaves returns the USR subtree's leaves: for every current user, in
+// UserIDs order (the leaf index of a node ID is its position there), the
+// hash of exactly the bytes WireUSR sends it. The users are independent,
+// so contiguous runs of them go to up to workers goroutines; each walks
+// its run with its own NeedsWalker and marshals into its own scratch
+// buffer, and writes only its own run of the result.
+func (rm *RekeyMessage) usrLeaves(workers int) ([]keys.MerkleHash, error) {
+	ids := rm.Result.UserIDs
+	if len(ids) > 0 { // sorted: the last is the largest
+		if err := rm.checkUSRFields(ids[len(ids)-1]); err != nil {
+			return nil, err
+		}
+	}
+	leaves := make([]keys.MerkleHash, len(ids))
+	run := func(lo, hi int) error {
+		w := rm.Result.Walker()
+		var buf []byte
+		var err error
+		for i := lo; i < hi; i++ {
+			if buf, err = rm.appendUSR(buf[:0], ids[i], w.Needs(ids[i])); err != nil {
+				return err
+			}
+			leaves[i] = keys.LeafHash(keys.DomainUSR, buf)
+		}
+		return nil
+	}
+	n := min(workers, len(ids)/minUsersPerWorker)
+	if n < 2 {
+		return leaves, run(0, len(ids))
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			errs[g] = run(g*len(ids)/n, (g+1)*len(ids)/n)
+		}(g)
+	}
+	wg.Wait()
+	return leaves, errors.Join(errs...)
+}
+
 // buildAuth constructs the interval Merkle tree over rm.encWire's
 // packets, signs its root, appends each ENC datagram's trailer to it and
 // pre-builds the per-block PARITY trailers. Called once from Rekey; rm
-// is not yet shared.
-func (rm *RekeyMessage) buildAuth(signer *keys.Signer) error {
+// is not yet shared. workers bounds the goroutines of the two stages
+// that grow with the group, not the batch: the USR leaves and the tree
+// over them.
+func (rm *RekeyMessage) buildAuth(signer *keys.Signer, workers int) error {
 	var start time.Time
 	if rm.obs.Enabled() {
 		start = time.Now()
@@ -80,7 +130,6 @@ func (rm *RekeyMessage) buildAuth(signer *keys.Signer) error {
 	nBlocks := rm.Blocks()
 	a := &intervalAuth{
 		blockTrees: make([]*keys.MerkleTree, nBlocks),
-		usrIndex:   make(map[int]int, len(rm.Result.UserIDs)),
 		nTop:       nBlocks + 1,
 		parityTr:   make([][]byte, nBlocks),
 	}
@@ -97,20 +146,11 @@ func (rm *RekeyMessage) buildAuth(signer *keys.Signer) error {
 	}
 
 	// USR subtree: one leaf per current user, sorted node-ID order.
-	usrLeaves := make([]keys.MerkleHash, len(rm.Result.UserIDs))
-	for i, uid := range rm.Result.UserIDs {
-		usr, err := rm.USRFor(uid)
-		if err != nil {
-			return err
-		}
-		raw, err := usr.Marshal()
-		if err != nil {
-			return err
-		}
-		usrLeaves[i] = keys.LeafHash(keys.DomainUSR, raw)
-		a.usrIndex[uid] = i
+	usrLeaves, err := rm.usrLeaves(workers)
+	if err != nil {
+		return err
 	}
-	a.usrTree = keys.NewMerkleTree(usrLeaves)
+	a.usrTree = keys.NewMerkleTreeWorkers(usrLeaves, workers)
 	topLeaves = append(topLeaves, a.usrTree.Root())
 
 	a.top = keys.NewMerkleTree(topLeaves)
@@ -201,19 +241,17 @@ func (rm *RekeyMessage) AppendWireParity(dst []byte, block, idx int) ([]byte, er
 // (leaf -> usrRoot -> interval root, built on demand -- unicast is the
 // cold path).
 func (rm *RekeyMessage) WireUSR(nodeID int) ([]byte, error) {
-	usr, err := rm.USRFor(nodeID)
-	if err != nil {
+	if err := rm.checkUSRFields(nodeID); err != nil {
 		return nil, err
 	}
-	raw, err := usr.Marshal()
-	if err != nil {
-		return nil, err
-	}
+	w := rm.Result.Walker()
+	needs := w.Needs(nodeID)
+	usrLen := packet.USRHeaderLen + len(needs)*packet.EncEntryLen
 	a := rm.auth
 	if a == nil {
-		return raw, nil
+		return rm.appendUSR(make([]byte, 0, usrLen), nodeID, needs)
 	}
-	idx, ok := a.usrIndex[nodeID]
+	idx, ok := slices.BinarySearch(rm.Result.UserIDs, nodeID)
 	if !ok {
 		return nil, ErrNoAuthLeaf
 	}
@@ -226,10 +264,13 @@ func (rm *RekeyMessage) WireUSR(nodeID int) ([]byte, error) {
 		TopProof:  a.top.AppendProof(nil, a.nTop-1),
 		Sig:       a.sig,
 	}
-	wire, err := tr.AppendAuthTrailer(raw)
+	wire, err := rm.appendUSR(make([]byte, 0, usrLen+tr.WireLen()), nodeID, needs)
 	if err != nil {
 		return nil, err
 	}
-	rm.obs.Observe(obs.HMerkleProofBytes, float64(len(wire)-len(raw)))
+	if wire, err = tr.AppendAuthTrailer(wire); err != nil {
+		return nil, err
+	}
+	rm.obs.Observe(obs.HMerkleProofBytes, float64(len(wire)-usrLen))
 	return wire, nil
 }

@@ -102,6 +102,54 @@ func BenchmarkRekeyMessageMaterialize(b *testing.B) {
 	}
 }
 
+// BenchmarkRekeySigned is build_16k's Rekey call on its own: N=16384,
+// J=L=4096 a batch, signed, seeded -- the interval where assignment and
+// the USR subtree, both O(N), outweigh the batch. Run with -benchmem.
+func BenchmarkRekeySigned(b *testing.B) {
+	const n, churn = 16384, 4096
+	signer, err := keys.NewSigner(2048)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := rekey.NewServer(rekey.WithKeySeed(1), rekey.WithSigner(signer))
+	if err != nil {
+		b.Fatal(err)
+	}
+	present := make([]rekey.MemberID, n)
+	for i := range present {
+		present[i] = rekey.MemberID(i)
+		if err := srv.QueueJoin(present[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := srv.Rekey(); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(2, 2))
+	next := rekey.MemberID(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < churn; j++ {
+			p := j + rng.IntN(n-j)
+			present[j], present[p] = present[p], present[j]
+			if err := srv.QueueLeave(present[j]); err != nil {
+				b.Fatal(err)
+			}
+			if err := srv.QueueJoin(next); err != nil {
+				b.Fatal(err)
+			}
+			present[j] = next
+			next++
+		}
+		b.StartTimer()
+		if _, err := srv.Rekey(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMemberIngest measures what one datagram costs a member, by
 // what the member still needs from it: own is its specific ENC packet
 // (header, 46 encryptions parsed, path keys unwrapped -- the per-user

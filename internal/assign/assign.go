@@ -27,6 +27,22 @@ type PacketPlan struct {
 	FrmID, ToID int
 	EncIDs      []uint32
 	Users       []int // user node IDs served, ascending
+	// encIdx is where Build found each of EncIDs in the batch's
+	// Encryptions, so Materialize need not search for them again; a
+	// hand-built plan leaves it nil.
+	encIdx []int32
+}
+
+// encryption returns the packet's j-th encryption from res: at Build's
+// index when the plan carries one and it names that encryption of res,
+// by the search on its ID otherwise.
+func (pp *PacketPlan) encryption(res *keytree.BatchResult, j int) (keytree.Encryption, bool) {
+	if j < len(pp.encIdx) {
+		if i := int(pp.encIdx[j]); i < len(res.Encryptions) && res.Encryptions[i].ID == pp.EncIDs[j] {
+			return res.Encryptions[i], true
+		}
+	}
+	return res.Encryption(int(pp.EncIDs[j]))
 }
 
 // Plan is the output of the UKA algorithm for one rekey message.
@@ -65,59 +81,72 @@ func BuildCapacity(res *keytree.BatchResult, capacity int) (*Plan, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("assign: capacity %d, must be positive", capacity)
 	}
-	plan := &Plan{UserPacket: make(map[int]int)}
 	users := res.UserIDs
 	if !sort.IntsAreSorted(users) {
 		return nil, fmt.Errorf("assign: user IDs not sorted")
 	}
+	plan := &Plan{UserPacket: make(map[int]int, len(users))}
 
-	distinct := make(map[uint32]bool)
+	// stamp[i] is 1 + the index of the last packet Encryptions[i] went
+	// into; zero means it has gone into none yet.
+	stamp := make([]int32, len(res.Encryptions))
+	room := min(capacity, len(res.Encryptions))
+	// Each user is served once, so every packet's Users is a run of one
+	// slab: served[first:] is the current packet's.
+	served, first := make([]int, 0, len(users)), 0
 	var cur PacketPlan
-	inCur := make(map[uint32]bool)
 
 	flush := func() {
-		if len(cur.Users) == 0 {
+		if len(served) == first {
 			return
 		}
+		cur.Users = served[first:len(served):len(served)]
 		cur.FrmID = cur.Users[0]
 		cur.ToID = cur.Users[len(cur.Users)-1]
 		plan.TotalEntries += len(cur.EncIDs)
 		plan.Packets = append(plan.Packets, cur)
-		cur = PacketPlan{}
-		inCur = make(map[uint32]bool)
+		cur, first = PacketPlan{}, len(served)
 	}
 
-	var needs []uint32 // reused per user: the path-walk is the UKA hot loop
+	w := res.Walker()
 	for _, u := range users {
-		needs = res.AppendUserNeedIDs(needs[:0], u)
+		needs := w.Needs(u)
 		if len(needs) == 0 {
 			continue // no key on this user's path changed
 		}
 		if len(needs) > capacity {
 			return nil, fmt.Errorf("assign: user %d needs %d encryptions, capacity %d", u, len(needs), capacity)
 		}
+		mark := int32(len(plan.Packets) + 1)
 		fresh := 0
-		for _, id := range needs {
-			if !inCur[id] {
+		for _, i := range needs {
+			if stamp[i] != mark {
 				fresh++
 			}
 		}
 		if len(cur.EncIDs)+fresh > capacity {
 			flush()
-			fresh = len(needs)
+			mark++
 		}
-		for _, id := range needs {
-			if !inCur[id] {
-				inCur[id] = true
-				cur.EncIDs = append(cur.EncIDs, id)
+		if cur.EncIDs == nil {
+			cur.EncIDs = make([]uint32, 0, room)
+			cur.encIdx = make([]int32, 0, room)
+		}
+		for _, i := range needs {
+			if stamp[i] == mark {
+				continue
 			}
-			distinct[id] = true
+			if stamp[i] == 0 {
+				plan.DistinctEncryptions++
+			}
+			stamp[i] = mark
+			cur.EncIDs = append(cur.EncIDs, res.Encryptions[i].ID)
+			cur.encIdx = append(cur.encIdx, i)
 		}
-		cur.Users = append(cur.Users, u)
+		served = append(served, u)
 		plan.UserPacket[u] = len(plan.Packets) // index the packet will get
 	}
 	flush()
-	plan.DistinctEncryptions = len(distinct)
 	return plan, nil
 }
 
@@ -163,12 +192,12 @@ func Materialize(plan *Plan, res *keytree.BatchResult, msgID uint8, k int) ([]*p
 			FrmID:   uint16(pp.FrmID),
 			ToID:    uint16(pp.ToID),
 		}
-		for _, id := range pp.EncIDs {
-			enc, ok := res.Encryption(int(id))
-			if !ok {
+		e.Encs = make([]keytree.Encryption, len(pp.EncIDs))
+		for j, id := range pp.EncIDs {
+			var ok bool
+			if e.Encs[j], ok = pp.encryption(res, j); !ok {
 				return nil, fmt.Errorf("assign: plan references missing encryption %d", id)
 			}
-			e.Encs = append(e.Encs, enc)
 		}
 		out = append(out, e)
 	}

@@ -2,6 +2,7 @@ package assign
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"repro/internal/keys"
@@ -213,6 +214,42 @@ func TestMaterializeRoundTrip(t *testing.T) {
 		}
 	}
 	_ = n
+}
+
+// TestMaterializeWithoutBuildIndex: a plan that does not carry Build's
+// encryption indexes -- written by hand, or built over another batch so
+// that its indexes name other encryptions -- materialises to the same
+// packets through the by-ID search.
+func TestMaterializeWithoutBuildIndex(t *testing.T) {
+	_, res := batch(t, 256, 16, 64, 8)
+	built, err := Build(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Materialize(built, res, 12, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byHand := &Plan{UserPacket: built.UserPacket}
+	shifted := &Plan{UserPacket: built.UserPacket}
+	for _, pp := range built.Packets {
+		byHand.Packets = append(byHand.Packets, PacketPlan{FrmID: pp.FrmID, ToID: pp.ToID, EncIDs: pp.EncIDs, Users: pp.Users})
+		off := make([]int32, len(pp.encIdx))
+		for j, i := range pp.encIdx {
+			off[j] = (i + 1) % int32(len(res.Encryptions))
+		}
+		pp.encIdx = off
+		shifted.Packets = append(shifted.Packets, pp)
+	}
+	for name, plan := range map[string]*Plan{"no index": byHand, "stale index": shifted} {
+		got, err := Materialize(plan, res, 12, 10)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: packets differ from those of Build's own plan", name)
+		}
+	}
 }
 
 func TestMaterializeUserDecryption(t *testing.T) {

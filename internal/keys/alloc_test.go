@@ -5,7 +5,9 @@ import "testing"
 // TestHotPathAllocs is this package's part of the allocation gate
 // (DESIGN.md "Allocation discipline"): the per-key wrap of the batch
 // pipeline allocates nothing once its context is keyed, through the AES
-// block's interface call and both HMAC passes.
+// block's interface call and both HMAC passes; and the two Merkle
+// hashes, which the server pays per user and per tree node and a member
+// per proof level, allocate nothing at all.
 func TestHotPathAllocs(t *testing.T) {
 	ks, err := NewDeterministicGenerator(3).NewKeys(2)
 	if err != nil {
@@ -13,6 +15,8 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	w, inner := NewWrapContext(ks[0]), ks[1]
 	var out [WrappedSize]byte
+	var left, right, node MerkleHash
+	datagram := make([]byte, 1027)
 	rows := []struct {
 		name string
 		want float64
@@ -20,10 +24,15 @@ func TestHotPathAllocs(t *testing.T) {
 	}{
 		{"WrapContext.WrapInto", 0, func() { w.WrapInto(&out, inner) }},
 		{"WrapContext.tag", 0, func() { w.tag(out[:KeySize]) }},
+		{"nodeHash", 0, func() { node = nodeHash(&left, &right) }},
+		{"LeafHash", 0, func() { left = LeafHash(DomainENC, datagram) }},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.fn); got != r.want {
 			t.Errorf("%s: %v allocs per call, want %v", r.name, got, r.want)
 		}
+	}
+	if node == (MerkleHash{}) {
+		t.Fatal("nodeHash returned the zero hash")
 	}
 }

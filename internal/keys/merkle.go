@@ -51,15 +51,11 @@ func LeafHash(domain byte, data []byte) MerkleHash {
 
 // nodeHash hashes one interior node: H(0x01 || left || right).
 func nodeHash(left, right *MerkleHash) MerkleHash {
-	h := sha256.New()
-	var pre [1]byte
-	pre[0] = 0x01
-	h.Write(pre[:])
-	h.Write(left[:])
-	h.Write(right[:])
-	var out MerkleHash
-	h.Sum(out[:0])
-	return out
+	var buf [1 + 2*HashSize]byte
+	buf[0] = 0x01
+	copy(buf[1:], left[:])
+	copy(buf[1+HashSize:], right[:])
+	return sha256.Sum256(buf[:])
 }
 
 // MerkleTree is a binary hash tree over a fixed ordered leaf set. A
@@ -68,31 +64,81 @@ func nodeHash(left, right *MerkleHash) MerkleHash {
 // least one packet per interval.
 type MerkleTree struct {
 	// levels[0] is the leaf level; levels[len-1] has exactly one node,
-	// the root.
+	// the root. All levels are runs of one allocation.
 	levels [][]MerkleHash
 }
 
 // NewMerkleTree builds the tree over the given leaf hashes. It panics
 // on an empty leaf set. The leaves slice is copied.
 func NewMerkleTree(leaves []MerkleHash) *MerkleTree {
+	return NewMerkleTreeWorkers(leaves, 1)
+}
+
+// minPairsPerWorker is the narrowest share of a level worth a goroutine:
+// below it (~100 us of hashing) starting and joining one costs more
+// than it saves.
+const minPairsPerWorker = 512
+
+// NewMerkleTreeWorkers is NewMerkleTree with the pair hashing of each
+// wide level spread over up to workers goroutines; workers is a count
+// the caller has resolved (tuning.ResolveWorkers), and below 2 the
+// build is serial. The tree is the same whatever the count.
+func NewMerkleTreeWorkers(leaves []MerkleHash, workers int) *MerkleTree {
 	if len(leaves) == 0 {
 		panic("keys: Merkle tree over zero leaves")
 	}
-	t := &MerkleTree{}
-	level := append([]MerkleHash(nil), leaves...)
-	t.levels = append(t.levels, level)
-	for len(level) > 1 {
-		next := make([]MerkleHash, (len(level)+1)/2)
-		for i := 0; i+1 < len(level); i += 2 {
-			next[i/2] = nodeHash(&level[i], &level[i+1])
+	total, depth := 0, 0
+	for w := len(leaves); ; w = (w + 1) / 2 {
+		total, depth = total+w, depth+1
+		if w == 1 {
+			break
 		}
+	}
+	slab := make([]MerkleHash, total)
+	t := &MerkleTree{levels: make([][]MerkleHash, 0, depth)}
+	level := slab[:len(leaves):len(leaves)]
+	copy(level, leaves)
+	t.levels = append(t.levels, level)
+	for off := len(level); len(level) > 1; {
+		w := (len(level) + 1) / 2
+		next := slab[off : off+w : off+w]
+		off += w
+		hashLevel(next[:len(level)/2], level, workers)
 		if len(level)%2 == 1 {
-			next[len(next)-1] = level[len(level)-1]
+			next[w-1] = level[len(level)-1]
 		}
 		level = next
 		t.levels = append(t.levels, level)
 	}
 	return t
+}
+
+// hashLevel fills next[i] with the node over level[2i] and level[2i+1],
+// in up to workers goroutines: worker g takes a contiguous run of next,
+// so it reads only its own pairs of level and writes only its own nodes.
+func hashLevel(next, level []MerkleHash, workers int) {
+	n := min(workers, len(next)/minPairsPerWorker)
+	if n < 2 {
+		hashPairs(next, level)
+		return
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		lo, hi := g*len(next)/n, (g+1)*len(next)/n
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hashPairs(next[lo:hi], level[2*lo:2*hi])
+		}()
+	}
+	wg.Wait()
+}
+
+// hashPairs is hashLevel's serial loop.
+func hashPairs(next, level []MerkleHash) {
+	for i := range next {
+		next[i] = nodeHash(&level[2*i], &level[2*i+1])
+	}
 }
 
 // NumLeaves returns the leaf count the tree was built over.

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -20,13 +21,25 @@ func merkleLeaves(rng *rand.Rand, n int) []MerkleHash {
 	return leaves
 }
 
+// refNodeHash is the interior-node hash as the format states it,
+// H(0x01 || left || right), streamed; nodeHash is held to it.
+func refNodeHash(left, right *MerkleHash) MerkleHash {
+	h := sha256.New()
+	h.Write([]byte{0x01})
+	h.Write(left[:])
+	h.Write(right[:])
+	var out MerkleHash
+	h.Sum(out[:0])
+	return out
+}
+
 // refRoot recomputes the root by straightforward level reduction,
 // independent of the MerkleTree structure.
 func refRoot(level []MerkleHash) MerkleHash {
 	for len(level) > 1 {
 		var next []MerkleHash
 		for i := 0; i+1 < len(level); i += 2 {
-			next = append(next, nodeHash(&level[i], &level[i+1]))
+			next = append(next, refNodeHash(&level[i], &level[i+1]))
 		}
 		if len(level)%2 == 1 {
 			next = append(next, level[len(level)-1])
@@ -77,6 +90,38 @@ func TestMerkleProofsAllLeavesAllSizes(t *testing.T) {
 			if _, ok := VerifyMerkleProof(leaves[i], i, n, append(append([]MerkleHash(nil), proof...), MerkleHash{})); ok {
 				t.Fatalf("n=%d leaf %d: extended proof accepted", n, i)
 			}
+		}
+	}
+}
+
+// TestMerkleTreeWorkersSameTree: every level of the tree, hence the
+// root and every proof, is the same at any worker count, at widths
+// below, at and just past where a level starts to fan out, odd ones
+// (a promoted lone node next to a worker's last pair) included.
+func TestMerkleTreeWorkersSameTree(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 9))
+	for _, n := range []int{1, 2, 3, 1023, 2*minPairsPerWorker*2 - 1, 2 * minPairsPerWorker * 2, 4097, 6*minPairsPerWorker + 3, 16385} {
+		leaves := merkleLeaves(rng, n)
+		want := refRoot(leaves)
+		serial := NewMerkleTree(leaves)
+		for _, workers := range []int{0, 1, 2, 3, 8} {
+			tree := NewMerkleTreeWorkers(leaves, workers)
+			if tree.Root() != want {
+				t.Fatalf("n=%d workers=%d: root differs from the reference reduction", n, workers)
+			}
+			if len(tree.levels) != len(serial.levels) {
+				t.Fatalf("n=%d workers=%d: %d levels, serial build has %d", n, workers, len(tree.levels), len(serial.levels))
+			}
+			for l := range tree.levels {
+				if !slices.Equal(tree.levels[l], serial.levels[l]) {
+					t.Fatalf("n=%d workers=%d: level %d differs from the serial build", n, workers, l)
+				}
+			}
+		}
+		// The tree owns its leaves: the caller's slice may be reused.
+		leaves[0][0] ^= 1
+		if serial.Root() != want {
+			t.Fatalf("n=%d: tree aliases the caller's leaves", n)
 		}
 	}
 }

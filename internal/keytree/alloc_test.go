@@ -6,11 +6,19 @@ import (
 	"repro/internal/keys"
 )
 
+// Sinks make each row's result outlive its call, as a caller's would.
+var (
+	sinkLen  int
+	sinkEncs []Encryption
+	sinkIDs  []uint32
+)
+
 // TestHotPathAllocs is this package's part of the allocation gate
 // (DESIGN.md "Allocation discipline"): the per-member need walks
-// allocate nothing into a warm buffer, and the per-edge wrap loop costs
-// what its contract says -- re-keying the worker's context builds one
-// AES key schedule per edge -- and nothing beside it.
+// allocate nothing into a warm buffer and once into a nil one, and the
+// per-edge wrap loop costs what its contract says -- re-keying the
+// worker's context builds one AES key schedule per edge -- and nothing
+// beside it.
 func TestHotPathAllocs(t *testing.T) {
 	tr := New(4, keys.NewDeterministicGenerator(3))
 	joins := make([]Member, 200)
@@ -34,6 +42,15 @@ func TestHotPathAllocs(t *testing.T) {
 	all := emitSpan{lo: 1, hi: len(tr.nodes)}
 	ctx := keys.NewWrapContext(keys.Key{})
 	encs, ids := make([]Encryption, 0, 64), make([]uint32, 0, 64)
+	deep := res.UserIDs[0]
+	for _, uid := range res.UserIDs {
+		if len(res.UserNeedIDs(uid)) > len(res.UserNeedIDs(deep)) {
+			deep = uid
+		}
+	}
+	if n := len(res.UserNeedIDs(deep)); n < 3 {
+		t.Fatalf("longest need list has %d entries, want a path of at least 3", n)
+	}
 
 	rows := []struct {
 		name string
@@ -50,6 +67,16 @@ func TestHotPathAllocs(t *testing.T) {
 				ids = res.AppendUserNeedIDs(ids[:0], uid)
 			}
 		}},
+		{"NeedsWalker.Needs, every user", 0, func() {
+			w := res.Walker()
+			for _, uid := range res.UserIDs {
+				sinkLen += len(w.Needs(uid))
+			}
+		}},
+		// A nil destination is sized to the path on the first miss: one
+		// allocation, not one per doubling from zero.
+		{"UserNeeds(nil), one user with a full path", 1, func() { sinkEncs = res.UserNeeds(deep) }},
+		{"UserNeedIDs(nil), one user with a full path", 1, func() { sinkIDs = res.UserNeedIDs(deep) }},
 		{"fillSpan, one key schedule per edge", float64(edges), func() { tr.fillSpan(all, refill, ctx) }},
 	}
 	for _, r := range rows {

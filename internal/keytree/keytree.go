@@ -460,35 +460,76 @@ func (r *BatchResult) Encryption(id int) (Encryption, bool) {
 	return r.Encryptions[i], true
 }
 
+// NeedsWalker yields, user by user, the encryptions a user requires as
+// indexes into Encryptions, in bottom-up order: those whose encrypting
+// key lies on the user's path to the root, its own individual key
+// included. The d children of one parent share every ancestor, so a
+// caller that walks UserIDs in order (they are sorted) pays the
+// ancestors' lookups once per sibling group, not once per user. The
+// zero value is not usable; a walker holds no heap memory, so one per
+// goroutine, or one per call, is free.
+type NeedsWalker struct {
+	r      *BatchResult
+	parent int // node whose chain fills idx[1:1+n]; noParent before the first user
+	n      int
+	// idx[0] is the slot of the user's own encryption, idx[1:] the
+	// parent's chain. A node at depth h has an ID of at least 2^h-1, so
+	// no path is longer than an int has bits.
+	idx [1 + 64]int32
+}
+
+const noParent = -2 // ParentID never returns it (-1 is the root's)
+
+// Walker returns a walker over r's encryptions.
+func (r *BatchResult) Walker() NeedsWalker { return NeedsWalker{r: r, parent: noParent} }
+
+// Needs returns user userID's required encryptions as indexes into
+// Encryptions. The slice is the walker's own and is valid until the
+// next call.
+func (w *NeedsWalker) Needs(userID int) []int32 {
+	r := w.r
+	if p := ParentID(r.d, userID); p != w.parent {
+		w.parent, w.n = p, 0
+		for id := p; id >= 0; id = ParentID(r.d, id) {
+			if i, ok := r.lookup(id); ok {
+				w.n++
+				w.idx[w.n] = int32(i)
+			}
+		}
+	}
+	if i, ok := r.lookup(userID); ok {
+		w.idx[0] = int32(i)
+		return w.idx[:1+w.n]
+	}
+	return w.idx[1 : 1+w.n]
+}
+
 // UserNeeds returns, in bottom-up order, the encryptions user userID
 // requires: those whose encrypting key lies on the user's path to the
 // root (including its own individual key). It allocates a fresh slice
-// per call; hot paths should use AppendUserNeeds with a reused buffer.
+// per call; hot paths should use AppendUserNeeds with a reused buffer,
+// or a NeedsWalker.
 func (r *BatchResult) UserNeeds(userID int) []Encryption {
 	return r.AppendUserNeeds(nil, userID)
 }
 
 // AppendUserNeeds appends user userID's required encryptions to dst (in
-// bottom-up order) and returns the extended slice. Per-user assignment
-// loops call it once per member per batch; with a reused buffer
-// (dst[:0]) it is allocation-free after warm-up.
+// bottom-up order) and returns the extended slice. With a reused buffer
+// (dst[:0]) it is allocation-free after warm-up; a nil dst costs one
+// allocation.
 func (r *BatchResult) AppendUserNeeds(dst []Encryption, userID int) []Encryption {
-	for id := userID; id >= 0; id = ParentID(r.d, id) {
-		if i, ok := r.lookup(id); ok {
-			if len(dst) == cap(dst) {
-				dst = growEncryptions(dst)
-			}
-			dst = dst[:len(dst)+1]
-			dst[len(dst)-1] = r.Encryptions[i]
-		}
+	w := r.Walker()
+	needs := w.Needs(userID)
+	dst = grow(dst, len(needs))
+	for _, i := range needs {
+		dst = append(dst, r.Encryptions[i])
 	}
 	return dst
 }
 
 // UserNeedIDs is like UserNeeds but returns only the encryption IDs, in
-// bottom-up order. The key assignment algorithm packs by ID;
-// ciphertexts are materialised later. It allocates per call; hot paths
-// should use AppendUserNeedIDs with a reused buffer.
+// bottom-up order. It allocates per call; hot paths should use
+// AppendUserNeedIDs with a reused buffer.
 func (r *BatchResult) UserNeedIDs(userID int) []uint32 {
 	return r.AppendUserNeedIDs(nil, userID)
 }
@@ -496,28 +537,23 @@ func (r *BatchResult) UserNeedIDs(userID int) []uint32 {
 // AppendUserNeedIDs appends user userID's required encryption IDs to
 // dst (in bottom-up order) and returns the extended slice.
 func (r *BatchResult) AppendUserNeedIDs(dst []uint32, userID int) []uint32 {
-	for id := userID; id >= 0; id = ParentID(r.d, id) {
-		if _, ok := r.lookup(id); ok {
-			if len(dst) == cap(dst) {
-				dst = growIDs(dst)
-			}
-			dst = dst[:len(dst)+1]
-			dst[len(dst)-1] = uint32(id)
-		}
+	w := r.Walker()
+	needs := w.Needs(userID)
+	dst = grow(dst, len(needs))
+	for _, i := range needs {
+		dst = append(dst, r.Encryptions[i].ID)
 	}
 	return dst
 }
 
-// growEncryptions is the cold grow path of AppendUserNeeds: extend the
-// buffer's capacity by one slot (amortised doubling via append) without
-// changing its length.
-func growEncryptions(dst []Encryption) []Encryption {
-	return append(dst, Encryption{})[:len(dst)]
-}
-
-// growIDs is the cold grow path of AppendUserNeedIDs.
-func growIDs(dst []uint32) []uint32 {
-	return append(dst, 0)[:len(dst)]
+// grow returns dst with room for n more elements: a destination too
+// small for a user's needs (a nil one, say) is sized to them in one
+// allocation, not by doubling from wherever it was.
+func grow[T any](dst []T, n int) []T {
+	if len(dst)+n <= cap(dst) {
+		return dst
+	}
+	return append(make([]T, 0, len(dst)+n), dst...)
 }
 
 // ProcessBatch applies one rekey interval: the L members in leaves

@@ -1,6 +1,8 @@
 package keytree
 
 import (
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -214,5 +216,53 @@ func TestAppendUserNeeds(t *testing.T) {
 	got := res.AppendUserNeedIDs(prefix, res.UserIDs[0])
 	if len(got) < 3 || got[0] != 7 || got[1] != 8 || got[2] != 9 {
 		t.Error("AppendUserNeedIDs clobbered the existing prefix")
+	}
+}
+
+// TestNeedsWalkerMatchesPathWalk holds the walker to the walk it
+// replaced -- one lookup per node from the user up to the root -- on all
+// four batch shapes: in UserIDs order with one walker (the shared-chain
+// path), then in shuffled order and over IDs that are no user's, where
+// the cached chain must be dropped whenever the parent changes.
+func TestNeedsWalkerMatchesPathWalk(t *testing.T) {
+	pathWalk := func(res *BatchResult, id int) []int32 {
+		var want []int32
+		for ; id >= 0; id = ParentID(res.d, id) {
+			if i, ok := res.lookup(id); ok {
+				want = append(want, int32(i))
+			}
+		}
+		return want
+	}
+	tr := New(4, keys.NewDeterministicGenerator(0x5eed))
+	rng := rand.New(rand.NewPCG(5, 5))
+	for _, b := range [][2][2]int{ // joins, leaves as [first, count]
+		{{0, 700}, {}}, {{700, 300}, {}}, {{}, {100, 250}}, {{1000, 120}, {500, 120}},
+	} {
+		var joins, leaves []Member
+		for m := b[0][0]; m < b[0][0]+b[0][1]; m++ {
+			joins = append(joins, Member(m))
+		}
+		for m := b[1][0]; m < b[1][0]+b[1][1]; m++ {
+			leaves = append(leaves, Member(m))
+		}
+		res, err := tr.ProcessBatch(joins, leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := append([]int(nil), res.UserIDs...)
+		w := res.Walker()
+		for _, id := range ids {
+			if got, want := w.Needs(id), pathWalk(res, id); !slices.Equal(got, want) {
+				t.Fatalf("in order, user %d: needs %v, want %v", id, got, want)
+			}
+		}
+		ids = append(ids, 0, 1, res.MaxKID, 0xfffe)
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		for _, id := range ids {
+			if got, want := w.Needs(id), pathWalk(res, id); !slices.Equal(got, want) {
+				t.Fatalf("shuffled, node %d: needs %v, want %v", id, got, want)
+			}
+		}
 	}
 }

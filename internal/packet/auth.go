@@ -40,6 +40,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/keys"
 )
@@ -89,6 +90,23 @@ type AuthTrailer struct {
 	Aux keys.MerkleHash
 	// Sig is the RSA signature over the interval root.
 	Sig []byte
+}
+
+// WireLen returns the number of bytes AppendAuthTrailer appends for t.
+func (t *AuthTrailer) WireLen() int {
+	n := authFixedLen + (len(t.SubProof)+len(t.TopProof))*keys.HashSize + len(t.Sig)
+	if t.HasAux {
+		n += keys.HashSize
+	}
+	return n
+}
+
+// ENCTrailerBound returns the most bytes the trailer of an ENC packet
+// can take in an interval of nTop top-tree leaves and blocks of k
+// packets, under a signature of sigLen bytes: a proof over n leaves has
+// at most ceil(log2 n) entries.
+func ENCTrailerBound(k, nTop, sigLen int) int {
+	return authFixedLen + (bits.Len(uint(k-1))+bits.Len(uint(nTop-1)))*keys.HashSize + sigLen
 }
 
 // AppendAuthTrailer appends t's wire form to b and returns the

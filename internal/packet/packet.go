@@ -84,21 +84,34 @@ type ENC struct {
 
 // Marshal renders the packet into exactly PacketLen bytes.
 func (p *ENC) Marshal() ([]byte, error) {
+	b := make([]byte, PacketLen)
+	if err := p.MarshalInto(b); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// MarshalInto renders the packet into b, which must be PacketLen bytes
+// (a run of a caller's slab, say); whatever b held is overwritten.
+func (p *ENC) MarshalInto(b []byte) error {
+	if len(b) != PacketLen {
+		return fmt.Errorf("packet: ENC buffer of %d bytes, want %d", len(b), PacketLen)
+	}
 	if p.MsgID > MaxMsgID {
-		return nil, fmt.Errorf("packet: message ID %d exceeds 6 bits", p.MsgID)
+		return fmt.Errorf("packet: message ID %d exceeds 6 bits", p.MsgID)
 	}
 	if len(p.Encs) > MaxEncPerPacket {
-		return nil, fmt.Errorf("packet: %d encryptions exceed capacity %d", len(p.Encs), MaxEncPerPacket)
+		return fmt.Errorf("packet: %d encryptions exceed capacity %d", len(p.Encs), MaxEncPerPacket)
 	}
 	for _, e := range p.Encs {
 		if e.ID == 0 {
-			return nil, errors.New("packet: encryption ID 0 is reserved for padding")
+			return errors.New("packet: encryption ID 0 is reserved for padding")
 		}
 	}
-	b := make([]byte, PacketLen)
 	b[0] = byte(TypeENC)<<6 | p.MsgID
 	b[1] = p.BlockID
 	b[2] = p.Seq
+	b[3] = 0
 	if p.Dup {
 		b[3] = 1
 	}
@@ -111,7 +124,8 @@ func (p *ENC) Marshal() ([]byte, error) {
 		copy(b[off+4:], e.Wrapped[:])
 		off += EncEntryLen
 	}
-	return b, nil
+	clear(b[off:])
+	return nil
 }
 
 // ENCHeader is the fixed ENCHeaderLen-byte head of an ENC packet: all a
@@ -246,27 +260,43 @@ type USR struct {
 	Encs   []keytree.Encryption
 }
 
+// USRHeaderLen is bytes 0..4 of a USR packet: type+msgID, newID, maxKID.
+const USRHeaderLen = 5
+
 // Marshal renders the packet; USR packets are variable length.
 func (p *USR) Marshal() ([]byte, error) {
-	if p.MsgID > MaxMsgID {
-		return nil, fmt.Errorf("packet: message ID %d exceeds 6 bits", p.MsgID)
+	b, err := AppendUSRHeader(make([]byte, 0, USRHeaderLen+len(p.Encs)*EncEntryLen), p.MsgID, p.NewID, p.MaxKID)
+	if err != nil {
+		return nil, err
 	}
-	b := make([]byte, 5+len(p.Encs)*EncEntryLen)
-	b[0] = byte(TypeUSR)<<6 | p.MsgID
-	binary.BigEndian.PutUint16(b[1:], p.NewID)
-	binary.BigEndian.PutUint16(b[3:], p.MaxKID)
-	off := 5
-	for _, e := range p.Encs {
-		binary.BigEndian.PutUint32(b[off:], e.ID)
-		copy(b[off+4:], e.Wrapped[:])
-		off += EncEntryLen
+	for i := range p.Encs {
+		b = AppendEncEntry(b, &p.Encs[i])
 	}
 	return b, nil
 }
 
+// AppendUSRHeader appends a USR packet's header to dst; the packet is
+// that header followed by one AppendEncEntry per encryption, so a
+// caller holding the encryptions elsewhere builds the datagram without
+// a USR struct or a slice of its own.
+func AppendUSRHeader(dst []byte, msgID uint8, newID, maxKID uint16) ([]byte, error) {
+	if msgID > MaxMsgID {
+		return nil, fmt.Errorf("packet: message ID %d exceeds 6 bits", msgID)
+	}
+	dst = append(dst, byte(TypeUSR)<<6|msgID)
+	dst = binary.BigEndian.AppendUint16(dst, newID)
+	return binary.BigEndian.AppendUint16(dst, maxKID), nil
+}
+
+// AppendEncEntry appends one <ID, encryption> element, EncEntryLen bytes.
+func AppendEncEntry(dst []byte, e *keytree.Encryption) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, e.ID)
+	return append(dst, e.Wrapped[:]...)
+}
+
 // ParseUSR decodes a USR packet produced by Marshal.
 func ParseUSR(b []byte) (*USR, error) {
-	if len(b) < 5 || (len(b)-5)%EncEntryLen != 0 {
+	if len(b) < USRHeaderLen || (len(b)-USRHeaderLen)%EncEntryLen != 0 {
 		return nil, fmt.Errorf("packet: bad USR length %d", len(b))
 	}
 	if Type(b[0]>>6) != TypeUSR {
@@ -277,7 +307,7 @@ func ParseUSR(b []byte) (*USR, error) {
 		NewID:  binary.BigEndian.Uint16(b[1:]),
 		MaxKID: binary.BigEndian.Uint16(b[3:]),
 	}
-	for off := 5; off < len(b); off += EncEntryLen {
+	for off := USRHeaderLen; off < len(b); off += EncEntryLen {
 		var e keytree.Encryption
 		e.ID = binary.BigEndian.Uint32(b[off:])
 		copy(e.Wrapped[:], b[off+4:])

@@ -367,7 +367,7 @@ func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, block
 		if err := s.conn.SetReadDeadline(deadline); err != nil {
 			return 0, nil, nil, err
 		}
-		n, _, rerr := s.conn.ReadFromUDP(buf)
+		n, _, rerr := s.conn.ReadFromUDPAddrPort(buf)
 		if rerr != nil {
 			var ne net.Error
 			if errors.As(rerr, &ne) && ne.Timeout() {
@@ -378,13 +378,15 @@ func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, block
 			}
 			return 0, nil, nil, rerr
 		}
-		typ, derr := packet.Detect(buf[:n])
-		if derr != nil || typ != packet.TypeNACK {
+		// Checked before anything is built from it: a datagram that is no
+		// NACK for this message costs the server no allocation. ParseNACK
+		// keeps nothing of its input, so buf is parsed where it lies.
+		if n == 0 || buf[0] != byte(packet.TypeNACK)<<6|rm.MsgID {
 			s.obs.Inc(obs.CNACKIgnored)
 			continue
 		}
-		nk, perr := packet.ParseNACK(append([]byte(nil), buf[:n]...))
-		if perr != nil || nk.MsgID != rm.MsgID {
+		nk, perr := packet.ParseNACK(buf[:n])
+		if perr != nil {
 			s.obs.Inc(obs.CNACKIgnored)
 			continue
 		}

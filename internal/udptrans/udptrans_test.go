@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand/v2"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -327,6 +328,50 @@ func TestForgedNACKCannotAbortInterval(t *testing.T) {
 				t.Fatalf("reactive parity for block 0 = %d over %d rounds, want in (0, %d]", reactive, st.Rounds, limit)
 			}
 		})
+	}
+}
+
+// TestStaleNACKFloodAllocs: NACKs of another message -- late
+// ones of the last interval, or anyone's forgeries -- are turned away on
+// their first byte. collectNACKs used to copy each datagram, parse the
+// copy and only then compare message IDs: three allocations a datagram,
+// and a fourth for the sender address nothing reads.
+func TestStaleNACKFloodAllocs(t *testing.T) {
+	const flood = 200
+	srv, rm := wiredServer(t, 4, rekey.WithKeySeed(9))
+	sender, err := net.DialUDP("udp", nil, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	reqs := []packet.BlockRequest{{Count: 2, BlockID: 0}, {Count: 1, BlockID: 1}}
+	for i := 0; i <= flood; i++ {
+		nack := &packet.NACK{MsgID: (rm.MsgID + 1) & packet.MaxMsgID, UserID: uint16(i), Requests: reqs}
+		if i == flood {
+			nack.MsgID = rm.MsgID // the one that counts, behind the flood
+		}
+		raw, err := nack.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sender.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nacks, amax, users, err := srv.collectNACKs(context.Background(), rm, rm.Blocks(), rm.Part.K, 200*time.Millisecond)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nacks != 1 || !users[flood] || amax[0] != 2 {
+		t.Fatalf("nacks=%d users=%v amax=%v, want the one NACK of this message", nacks, users, amax)
+	}
+	// The round's own state and the one parsed NACK are a dozen
+	// allocations; one per flooded datagram would be two hundred.
+	if got := after.Mallocs - before.Mallocs; got > flood/2 {
+		t.Errorf("%d allocations while turning away %d stale NACKs, want a count that does not grow with the flood", got, flood)
 	}
 }
 

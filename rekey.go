@@ -349,13 +349,21 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 		obs:     s.obs,
 		encWire: make([][]byte, len(encs)),
 	}
+	// One slab holds every datagram: the packet and, on a signing server,
+	// room after it for buildAuth to append the trailer in place.
+	stride := packet.PacketLen
+	if s.cfg.Signer != nil {
+		stride += packet.ENCTrailerBound(s.cfg.K, part.NumBlocks()+1, s.cfg.Signer.Public().Size())
+	}
+	slab := make([]byte, len(encs)*stride)
 	for i, enc := range encs {
-		if rm.encWire[i], err = enc.Marshal(); err != nil {
+		rm.encWire[i] = slab[i*stride : i*stride+packet.PacketLen : (i+1)*stride]
+		if err := enc.MarshalInto(rm.encWire[i]); err != nil {
 			return nil, err
 		}
 	}
 	if s.cfg.Signer != nil {
-		if err := rm.buildAuth(s.cfg.Signer); err != nil {
+		if err := rm.buildAuth(s.cfg.Signer, s.cfg.EffectiveWorkers()); err != nil {
 			return nil, err
 		}
 	}
@@ -549,11 +557,20 @@ func (rm *RekeyMessage) PacketFor(nodeID int) (*packet.ENC, bool) {
 	return rm.ENC[pi], true
 }
 
+// checkUSRFields reports whether nodeID and the batch's MaxKID fit the
+// USR packet's 16-bit fields.
+func (rm *RekeyMessage) checkUSRFields(nodeID int) error {
+	if nodeID > 0xffff || rm.Result.MaxKID > 0xffff {
+		return fmt.Errorf("rekey: node ID %d exceeds wire field", nodeID)
+	}
+	return nil
+}
+
 // USRFor builds the unicast USR packet for the given user node ID: just
 // that user's encryptions plus its (possibly new) ID.
 func (rm *RekeyMessage) USRFor(nodeID int) (*packet.USR, error) {
-	if nodeID > 0xffff || rm.Result.MaxKID > 0xffff {
-		return nil, fmt.Errorf("rekey: node ID %d exceeds wire field", nodeID)
+	if err := rm.checkUSRFields(nodeID); err != nil {
+		return nil, err
 	}
 	return &packet.USR{
 		MsgID:  rm.MsgID,
@@ -561,6 +578,20 @@ func (rm *RekeyMessage) USRFor(nodeID int) (*packet.USR, error) {
 		MaxKID: uint16(rm.Result.MaxKID),
 		Encs:   rm.Result.UserNeeds(nodeID),
 	}, nil
+}
+
+// appendUSR appends the bytes of USRFor(nodeID).Marshal() to dst, given
+// the user's needs as a keytree.NeedsWalker returned them; callers have
+// checked the fields with checkUSRFields.
+func (rm *RekeyMessage) appendUSR(dst []byte, nodeID int, needs []int32) ([]byte, error) {
+	dst, err := packet.AppendUSRHeader(dst, rm.MsgID, uint16(nodeID), uint16(rm.Result.MaxKID))
+	if err != nil {
+		return nil, err
+	}
+	for _, i := range needs {
+		dst = packet.AppendEncEntry(dst, &rm.Result.Encryptions[i])
+	}
+	return dst, nil
 }
 
 // NumRealPackets returns h, the number of real (non-duplicate) ENC

@@ -28,19 +28,26 @@ var serverGolden = []struct {
 	{"replace", [2]int{2200, 400}, [2]int{900, 400}, "e46494b979db431a10559ee8eb2de05f33d3e0c49aa1c623234962b2dac7540a"},
 }
 
+// queueRanges queues the joins and leaves of two [first, count] member-ID
+// ranges for the next interval.
+func queueRanges(t testing.TB, s *Server, joins, leaves [2]int) {
+	t.Helper()
+	for m := joins[0]; m < joins[0]+joins[1]; m++ {
+		if err := s.QueueJoin(MemberID(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for m := leaves[0]; m < leaves[0]+leaves[1]; m++ {
+		if err := s.QueueLeave(MemberID(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestServerGolden(t *testing.T) {
 	s := newServer(t, 0x5eed)
 	for _, gc := range serverGolden {
-		for m := gc.joins[0]; m < gc.joins[0]+gc.joins[1]; m++ {
-			if err := s.QueueJoin(MemberID(m)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for m := gc.leaves[0]; m < gc.leaves[0]+gc.leaves[1]; m++ {
-			if err := s.QueueLeave(MemberID(m)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		queueRanges(t, s, gc.joins, gc.leaves)
 		rm, err := s.Rekey()
 		if err != nil {
 			t.Fatalf("%s: %v", gc.name, err)
