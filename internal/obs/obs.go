@@ -41,8 +41,13 @@ const (
 	// CNACKRecv counts NACK packets the server accepted (deduplicated
 	// per user per round, matching udptrans.Stats).
 	CNACKRecv
-	// CNACKIgnored counts NACKs dropped as duplicate/stale/garbled.
+	// CNACKIgnored counts NACKs read inside a window and dropped: a
+	// duplicate, one of another message, or garbled.
 	CNACKIgnored
+	// CNACKStale counts datagrams the transport discarded unread before
+	// a NACK window opened: they arrived while the round they would be
+	// taken as feedback on was still being sent.
+	CNACKStale
 	// CParityCacheHit / CParityCacheMiss count Parity() calls served
 	// from the per-message parity cache vs needing a fresh FEC encode.
 	CParityCacheHit
@@ -102,6 +107,7 @@ var counterNames = [numCounters]string{
 	CUsrSent:          "usr_sent",
 	CNACKRecv:         "nack_recv",
 	CNACKIgnored:      "nack_ignored",
+	CNACKStale:        "nack_stale",
 	CParityCacheHit:   "parity_cache_hit",
 	CParityCacheMiss:  "parity_cache_miss",
 	CUnicastWaves:     "unicast_waves",

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/keys"
@@ -181,23 +182,26 @@ func TestOracleDetectsCorruptedView(t *testing.T) {
 	if err := o.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a surviving member's group-key entry. Consistency must
-	// catch the divergence even if this batch leaves node 0's key
-	// deliverable (it is rewrapped every batch, so Apply will fix it --
-	// corrupt a deeper path key instead: flip every key the view holds).
+	st, ok, err := dr.Step()
+	if err != nil || !ok || st.Res == nil {
+		t.Fatalf("step: ok=%v res=%v err=%v", ok, st.Res, err)
+	}
+	// Corrupt a member that survives the batch (one that leaves in it is
+	// dropped unchecked). Consistency must catch the divergence even if
+	// this batch leaves node 0's key deliverable (it is rewrapped every
+	// batch, so Apply will fix it -- corrupt a deeper path key instead:
+	// flip every key the view holds).
 	var victim *keytree.UserView
-	for _, v := range o.views {
-		victim = v
-		break
+	for m, v := range o.views {
+		if !slices.Contains(st.Leaves, m) {
+			victim = v
+			break
+		}
 	}
 	for id := range victim.Keys {
 		k := victim.Keys[id]
 		k[0] ^= 0xFF
 		victim.Keys[id] = k
-	}
-	st, ok, err := dr.Step()
-	if err != nil || !ok || st.Res == nil {
-		t.Fatalf("step: ok=%v res=%v err=%v", ok, st.Res, err)
 	}
 	err = o.ObserveBatch(st.Res, st.Joins, st.Leaves)
 	var v *Violation

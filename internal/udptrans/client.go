@@ -35,7 +35,9 @@ type Client struct {
 	Mangle func(pkt []byte) [][]byte
 
 	// QuietGap is how long the packet stream must pause before the
-	// client concludes a round ended and emits a NACK.
+	// client concludes a round ended and emits a NACK, and again every
+	// QuietGap while it is still pending. The server's window must
+	// cover it: Options.RoundDur >= QuietGap + RTT.
 	QuietGap time.Duration
 
 	// Obs, when non-nil, receives the client's packet counters and

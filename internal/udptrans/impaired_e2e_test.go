@@ -2,6 +2,7 @@ package udptrans
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -232,5 +233,62 @@ func TestImpairedEndToEnd(t *testing.T) {
 		if live == 0 || live != replay {
 			t.Errorf("counter %s: live=%d replay=%d (want equal, nonzero)", c.name, live, replay)
 		}
+	}
+}
+
+// TestRoundTwoLosersStayPending is the liveness side of the feedback
+// boundary at the default timers (QuietGap 60 ms, RoundDur 150 ms): the
+// server discards what queued while it was sending, so a member that
+// loses all of round two must NACK again inside round two's window --
+// one QuietGap after the round's last datagram -- or the server would
+// take the silence for success. Three members keep one parity shard of
+// round one, enough to NACK, and lose every other multicast datagram;
+// all three must be counted in both rounds, reach the unicast phase and
+// end keyed.
+func TestRoundTwoLosersStayPending(t *testing.T) {
+	const first, losers = 3, 3
+	tun := rekey.DefaultTuning()
+	tun.InitialRho = 1.5 // proactive parity: something to keep
+	k := tun.K
+	var armed atomic.Bool
+	drop := func(i int) func([]byte) bool {
+		if i < first || i >= first+losers {
+			return nil
+		}
+		return func(pkt []byte) bool {
+			if !armed.Load() {
+				return false
+			}
+			switch packet.Type(pkt[0] >> 6) {
+			case packet.TypeUSR:
+				return false
+			case packet.TypePARITY:
+				return int(pkt[2]) != k
+			}
+			return true
+		}
+	}
+	ks, srv, clients := group(t, 20, drop, rekey.WithTuning(tun), rekey.WithKeySeed(6))
+	if err := ks.QueueLeave(11); err != nil {
+		t.Fatal(err)
+	}
+	clients[11].Close()
+	srv.RemoveMemberAddr(11)
+	delete(clients, 11)
+	rm, err := ks.Rekey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	st, err := srv.Distribute(context.Background(), rm, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitKeyed(t, ks, clients, 3*time.Second)
+	if len(st.NACKsPerRound) < 3 || st.NACKsPerRound[0] != losers || st.NACKsPerRound[1] != losers {
+		t.Fatalf("want %d NACKers in round one and again in round two: %+v", losers, st)
+	}
+	if st.UnicastWaves == 0 || st.UsrSent < 2*losers {
+		t.Fatalf("members that lost round two were not served by unicast: %+v", st)
 	}
 }

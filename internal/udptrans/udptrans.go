@@ -79,18 +79,48 @@ func (s *Server) RemoveMemberAddr(id rekey.MemberID) {
 	delete(s.addrs, id)
 }
 
-// addrPorts snapshots the registered member addresses as netip values,
-// the form WriteToUDPAddrPort sends to without per-call sockaddr
-// allocations. Built once per multicast round, amortised over every
-// packet of the round.
-func (s *Server) addrPorts() []netip.AddrPort {
+// member is one row of a Distribute run's member table.
+type member struct {
+	node int // key tree node ID, the name NACKs and USR packets use; -1 without credentials
+	own  int // index into rm.ENC of the member's own packet; -1 when the plan assigns none
+	addr netip.AddrPort
+}
+
+// memberTable snapshots the registered members once per Distribute: node
+// IDs and packet assignment hold until the next Rekey, so every round
+// and the unicast phase read this one table. Addresses are netip
+// values, which WriteToUDPAddrPort sends to without a sockaddr
+// allocation per call. An address registered without credentials (a
+// departed member) stays in the fan-out, as on a multicast group it has
+// not left, under a node ID no NACK can name.
+func (s *Server) memberTable(rm *rekey.RekeyMessage) []member {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]netip.AddrPort, 0, len(s.addrs))
-	for _, a := range s.addrs {
-		out = append(out, addrPort(a))
+	out := make([]member, 0, len(s.addrs))
+	for id, a := range s.addrs {
+		m := member{node: -1, own: -1, addr: addrPort(a)}
+		if cred, ok := s.ks.Credentials(id); ok {
+			m.node = cred.NodeID
+			if pi, ok := rm.Plan.UserPacket[cred.NodeID]; ok {
+				m.own = pi
+			}
+		}
+		out = append(out, m)
 	}
 	return out
+}
+
+// waitingFirst moves the members nackers names to the front of the
+// table and returns how many there are.
+func waitingFirst(members []member, nackers map[int]bool) int {
+	n := 0
+	for i, m := range members {
+		if nackers[m.node] {
+			members[i], members[n] = members[n], m
+			n++
+		}
+	}
+	return n
 }
 
 // addrPort converts a registered *net.UDPAddr to netip form. Resolved
@@ -108,13 +138,16 @@ func addrPort(a *net.UDPAddr) netip.AddrPort {
 // them from the key server's shared tuning (rekey.Config.Tuning), so
 // every knob stays defined in exactly one options type.
 type Options struct {
-	// RoundDur is how long the server listens for NACKs after each
-	// multicast round (covers the maximum member RTT).
+	// RoundDur is how long the server listens for NACKs after the last
+	// datagram of a multicast round or unicast wave. The contract with
+	// the members' timer is RoundDur >= Client.QuietGap + RTT: a member
+	// still pending NACKs one QuietGap after its last datagram, which
+	// must fall inside the window, because what reached the socket before
+	// the window opened is discarded (drainStale). The defaults (150 ms
+	// over 60 ms) satisfy it.
 	RoundDur time.Duration
 	// MaxUnicastWaves bounds the unicast retransmission phase.
 	MaxUnicastWaves int
-	// SendInterval paces multicast sends; zero sends back to back.
-	SendInterval time.Duration
 }
 
 // DefaultOptions returns timing suitable for LAN/loopback operation.
@@ -132,9 +165,6 @@ func (o Options) Validate() error {
 	}
 	if o.MaxUnicastWaves < 0 {
 		return fmt.Errorf("udptrans: MaxUnicastWaves = %d, want >= 0", o.MaxUnicastWaves)
-	}
-	if o.SendInterval < 0 {
-		return fmt.Errorf("udptrans: SendInterval = %v, want >= 0", o.SendInterval)
 	}
 	return nil
 }
@@ -193,8 +223,13 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	// pendingUsers holds the node IDs that NACKed the latest round or
 	// wave: the members still missing keys. One that NACKed an earlier
 	// round only has been keyed since -- a pending member NACKs every
-	// QuietGap, so it is in this set or in the next wave's.
+	// QuietGap, so it is in this set or in the next wave's. They lead
+	// the next round's send order and are all the unicast phase serves.
 	var pendingUsers map[int]bool
+	members := s.memberTable(rm)
+	// One pooled buffer holds each round's parity datagrams in turn.
+	buf := s.bufs.Get()
+	defer buf.Release()
 
 	for round := 1; ; round++ {
 		if err := ctx.Err(); err != nil {
@@ -230,11 +265,12 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 		if err := rm.PrecomputeParity(ctx, nextParity, tun.Workers); err != nil {
 			return st, err
 		}
-		if err := s.multicastRefs(ctx, rm, refs, opts.SendInterval, st); err != nil {
+		if err := s.multicastRefs(ctx, rm, refs, members, pendingUsers, buf, st); err != nil {
 			return st, err
 		}
 		st.Rounds = round
 
+		s.drainStale()
 		nacks, want, users, err := s.collectNACKs(ctx, rm, blocks, k, opts.RoundDur)
 		if s.obs.Enabled() {
 			s.obs.ObserveSince(obs.HRoundLatency, roundStart)
@@ -256,7 +292,6 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	// Unicast phase: escalating duplicates per Fig. 22.
 	s.obs.Emit(obs.Event{Kind: obs.EvSwitchToUnicast, MsgID: rm.MsgID,
 		Round: st.Rounds, Value: float64(len(pendingUsers))})
-	byNode := s.nodeAddrs()
 	dups := 2
 	for wave := 1; wave <= opts.MaxUnicastWaves && len(pendingUsers) > 0; wave++ {
 		if err := ctx.Err(); err != nil {
@@ -264,10 +299,11 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 		}
 		st.UnicastWaves = wave
 		s.obs.Inc(obs.CUnicastWaves)
-		if err := s.unicastUSR(rm, pendingUsers, byNode, dups, st); err != nil {
+		if err := s.unicastUSR(rm, members[:waitingFirst(members, pendingUsers)], dups, st); err != nil {
 			return st, err
 		}
 		dups++
+		s.drainStale()
 		nacks, _, users, err := s.collectNACKs(ctx, rm, blocks, k, opts.RoundDur)
 		if s.obs.Enabled() {
 			s.obs.Observe(obs.HNACKsPerRound, float64(nacks))
@@ -287,68 +323,126 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	return st, nil
 }
 
-func (s *Server) multicastRefs(ctx context.Context, rm *rekey.RekeyMessage, refs []blockplan.Ref, pace time.Duration, st *Stats) error {
-	addrs := s.addrPorts()
+// multicastRefs puts one round on the wire under one rule: whoever is
+// known to be waiting goes first. The fan-out emulates multicast by
+// unicast, so a datagram reaches the last member a whole send loop
+// after the first; the order of the (member, datagram) pairs is what
+// the sender owns. In round one (nackers nil) every member waits for
+// its own ENC packet, the one packet user-oriented assignment makes it
+// need, so each gets that first; in later rounds the previous round's
+// nackers wait for parity, so each gets the whole round back to back.
+// Everything else then goes out packet-major in the interleaved order:
+// every member receives every datagram of the round exactly once.
+func (s *Server) multicastRefs(ctx context.Context, rm *rekey.RekeyMessage, refs []blockplan.Ref, members []member, nackers map[int]bool, buf *protocol.SendBuf, st *Stats) error {
 	k := rm.Part.K
-	// One pooled buffer serves every parity datagram of the round; ENC
-	// datagrams are sent straight from the message's cached wire bytes.
-	buf := s.bufs.Get()
-	defer buf.Release()
-	for _, r := range refs {
-		if ctx.Err() != nil {
-			return ctx.Err()
+	// The round is materialised once: ENC datagrams are the message's
+	// cached wire bytes, PARITY datagrams are built from the cached FEC
+	// payloads into buf, which grows to the round's size and keeps it.
+	wires := make([][]byte, len(refs))
+	slab := buf.Take()
+	for i, r := range refs {
+		if !r.IsParity(k) {
+			w, err := rm.WireENC(r.Block*k + r.Shard)
+			if err != nil {
+				return err
+			}
+			wires[i] = w
+			st.EncSent++
+			s.obs.Inc(obs.CEncSent)
+			continue
 		}
-		if err := s.sendRef(rm, r, k, buf, addrs, st); err != nil {
-			return err
-		}
-		if pace > 0 {
-			time.Sleep(pace)
-		}
-	}
-	return nil
-}
-
-// sendRef builds one ref's datagram and fans it out to every member
-// address. This is the transport's per-packet inner loop: ENC packets
-// reuse the interval's cached wire bytes outright, PARITY packets are
-// rebuilt into the pooled buffer from the cached FEC payload, and the
-// socket writes go through the AddrPort API -- zero allocations per
-// packet once the interval's caches are warm.
-func (s *Server) sendRef(rm *rekey.RekeyMessage, r blockplan.Ref, k int, buf *protocol.SendBuf, addrs []netip.AddrPort, st *Stats) error {
-	var wire []byte
-	if r.IsParity(k) {
-		w, err := rm.AppendWireParity(buf.Take(), r.Block, r.Shard-k)
+		start := len(slab)
+		w, err := rm.AppendWireParity(slab, r.Block, r.Shard-k)
 		if err != nil {
 			return err
 		}
-		buf.Store(w)
-		wire = w
+		// A slab that append moved leaves the earlier datagrams intact
+		// in the array they were built in.
+		slab, wires[i] = w, w[start:]
 		st.ParitySent++
 		s.obs.Inc(obs.CParitySent)
+	}
+	buf.Store(slab)
+
+	// First pass: the waiting members, each sent all it waits for.
+	rest := members
+	if nackers == nil {
+		for _, m := range members {
+			if m.own < 0 {
+				continue
+			}
+			w, err := rm.WireENC(m.own)
+			if err != nil {
+				return err
+			}
+			if err := s.send("multicast", w, m.addr); err != nil {
+				return err
+			}
+		}
 	} else {
-		w, err := rm.WireENC(r.Block*k + r.Shard)
-		if err != nil {
+		n := waitingFirst(members, nackers)
+		for _, m := range members[:n] {
+			for _, w := range wires {
+				if err := s.send("multicast", w, m.addr); err != nil {
+					return err
+				}
+			}
+		}
+		rest = members[n:]
+	}
+	// Second pass, packet-major: every pair the first did not send. This
+	// is the transport's inner loop: the bytes are the round's and the
+	// socket writes go through the AddrPort API -- no allocation per
+	// datagram.
+	for i, w := range wires {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		wire = w
-		st.EncSent++
-		s.obs.Inc(obs.CEncSent)
-	}
-	// The fan-out borrows the buffer; with synchronous writes the
-	// retain/release pair brackets the sends, and an async sender would
-	// hold its reference until the kernel is done with the bytes.
-	buf.Retain()
-	defer buf.Release()
-	for _, a := range addrs {
-		if _, err := s.conn.WriteToUDPAddrPort(wire, a); err != nil {
-			return sendErr("multicast", err)
+		enc := -1 // the ENC packet wires[i] is; its own members have it
+		if r := refs[i]; !r.IsParity(k) {
+			enc = r.Block*k + r.Shard
+		}
+		for _, m := range rest {
+			if enc >= 0 && m.own == enc {
+				continue
+			}
+			if err := s.send("multicast", w, m.addr); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-func sendErr(op string, err error) error {
-	return fmt.Errorf("udptrans: %s: %w", op, err)
+func (s *Server) send(op string, wire []byte, to netip.AddrPort) error {
+	if _, err := s.conn.WriteToUDPAddrPort(wire, to); err != nil {
+		return fmt.Errorf("udptrans: %s: %w", op, err)
+	}
+	return nil
+}
+
+// staleDrain bounds drainStale: long enough to empty a socket buffer
+// of NACKs, short against any RoundDur.
+const staleDrain = 500 * time.Microsecond
+
+// drainStale discards what queued on the socket while the server was
+// sending. A NACK that arrived before the last datagram left is no
+// feedback on what was just sent, and counting it would size the next
+// round, and pick the unicast phase's users, from members this round
+// may have keyed; one still pending NACKs again inside the window
+// (Options.RoundDur). A read-deadline loop rather than non-blocking
+// reads through SyscallConn: it is portable, with no per-OS recv call.
+// The deadline is absolute, so a flooder cannot hold the server here:
+// once it passes, every read fails whatever is queued.
+func (s *Server) drainStale() {
+	buf := make([]byte, 2048)
+	s.conn.SetReadDeadline(time.Now().Add(staleDrain)) //nolint:errcheck // a failed set fails the read below
+	for {
+		if _, _, err := s.conn.ReadFromUDPAddrPort(buf); err != nil {
+			return
+		}
+		s.obs.Inc(obs.CNACKStale)
+	}
 }
 
 // collectNACKs listens for one round duration and aggregates feedback.
@@ -415,44 +509,27 @@ func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, block
 	}
 }
 
-func (s *Server) unicastUSR(rm *rekey.RekeyMessage, users map[int]bool, byNode map[int]netip.AddrPort, dups int, st *Stats) error {
-	for nodeID := range users {
-		// Resolved first: NACKs are unauthenticated, and a node ID that
-		// is no member's has no USR leaf on a signed message -- WireUSR
-		// would fail the interval for everyone.
-		ap, ok := byNode[nodeID]
-		if !ok {
-			continue // member departed or unknown
-		}
+// unicastUSR sends each pending member its USR packet dups times. The
+// members come from the table, so a NACK naming a node ID that is no
+// member's -- NACKs are unauthenticated, and such an ID has no USR leaf
+// on a signed message: WireUSR would fail the interval for everyone --
+// is served nothing.
+func (s *Server) unicastUSR(rm *rekey.RekeyMessage, pending []member, dups int, st *Stats) error {
+	for _, m := range pending {
 		// WireUSR carries the auth trailer on signed messages and is the
 		// plain marshal otherwise; the unicast phase is the cold path, so
 		// the datagram is built per user rather than cached.
-		raw, err := rm.WireUSR(nodeID)
+		raw, err := rm.WireUSR(m.node)
 		if err != nil {
 			return err
 		}
 		for j := 0; j < dups; j++ {
-			if _, err := s.conn.WriteToUDPAddrPort(raw, ap); err != nil {
-				return sendErr("unicast", err)
+			if err := s.send("unicast", raw, m.addr); err != nil {
+				return err
 			}
 			st.UsrSent++
 			s.obs.Inc(obs.CUsrSent)
 		}
 	}
 	return nil
-}
-
-// nodeAddrs maps each registered member's current key tree node ID to
-// its address. Built once when the unicast phase starts: node IDs hold
-// until the next Rekey, and every wave resolves its NACKers here.
-func (s *Server) nodeAddrs() map[int]netip.AddrPort {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	byNode := make(map[int]netip.AddrPort, len(s.addrs))
-	for id, a := range s.addrs {
-		if cred, ok := s.ks.Credentials(id); ok {
-			byNode[cred.NodeID] = addrPort(a)
-		}
-	}
-	return byNode
 }

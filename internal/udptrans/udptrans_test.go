@@ -2,6 +2,7 @@ package udptrans
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"net"
 	"runtime"
@@ -64,7 +65,7 @@ func group(t *testing.T, n int, drop func(i int) func([]byte) bool, opts ...reke
 	return ks, srv, clients
 }
 
-func waitKeyed(t *testing.T, ks *rekey.Server, clients map[rekey.MemberID]*Client, timeout time.Duration) {
+func waitKeyed(t testing.TB, ks *rekey.Server, clients map[rekey.MemberID]*Client, timeout time.Duration) {
 	t.Helper()
 	want := ks.GroupKey()
 	deadline := time.Now().Add(timeout)
@@ -249,8 +250,10 @@ func TestUnicastSkipsMembersKeyedByRoundTwo(t *testing.T) {
 }
 
 // TestForgedNACKCannotAbortInterval: NACKs are unauthenticated, so any
-// host that sees the multicast can answer every datagram with a NACK
-// asking for 255 parity packets of block 0. The server must serve at
+// host that sees the multicast can, like a member on a short quiet
+// timer, answer every pause in it with a NACK asking for 255 parity
+// packets of block 0 (one sent while the round is still going out is
+// drained as stale, whoever sends it). The server must serve at
 // most k of them per round (a member is never short more than k shards)
 // and never ask the coder for more parity than it has -- either used to
 // fail the whole Distribute with "wants 255 parity packets, max 246".
@@ -297,21 +300,7 @@ func TestForgedNACKCannotAbortInterval(t *testing.T) {
 				t.Fatal(err)
 			}
 			srv.SetMemberAddr(9999, attacker.LocalAddr().(*net.UDPAddr))
-			echoed := make(chan struct{})
-			go func() {
-				defer close(echoed)
-				buf := make([]byte, 2048)
-				for {
-					if _, err := attacker.Read(buf); err != nil {
-						return
-					}
-					attacker.Write(forged) //nolint:errcheck
-				}
-			}()
-			defer func() {
-				attacker.Close()
-				<-echoed
-			}()
+			defer pauseNACKer(attacker, forged, math.MaxInt, nil)()
 
 			st, err := srv.Distribute(context.Background(), rm, DefaultOptions())
 			if err != nil {

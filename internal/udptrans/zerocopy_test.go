@@ -45,9 +45,10 @@ func wiredServer(t *testing.T, n int, opts ...rekey.Option) (*Server, *rekey.Rek
 }
 
 // TestSendRefSteadyStateAllocs pins the zero-copy guarantee from the
-// socket side: once the interval's wire and parity caches are warm, one
-// ENC fan-out plus one PARITY fan-out allocates nothing -- signed or
-// not.
+// socket side: once the interval's wire and parity caches are warm, a
+// round costs one allocation -- the table of its datagrams -- however
+// many datagrams its two passes send, signed or not. (The name is that
+// of the per-ref send function the two passes replaced.)
 func TestSendRefSteadyStateAllocs(t *testing.T) {
 	signer, err := keys.NewSigner(1024)
 	if err != nil {
@@ -71,30 +72,26 @@ func TestSendRefSteadyStateAllocs(t *testing.T) {
 			if err := rm.PrecomputeParity(context.Background(), counts, 1); err != nil {
 				t.Fatal(err)
 			}
-
-			addrs := srv.addrPorts()
+			members := srv.memberTable(rm)
+			roundOne := blockplan.RoundOne(rm.Part, 1.2) // k ENC and two PARITY a block
+			roundTwo := []blockplan.Ref{{Block: 0, Shard: k}, {Block: 0, Shard: k + 1}}
+			nackers := map[int]bool{members[0].node: true}
 			buf := srv.bufs.Get()
 			defer buf.Release()
 			st := &Stats{}
-			encRef := blockplan.Ref{Block: 0, Shard: 0}
-			parRef := blockplan.Ref{Block: 0, Shard: k} // parity 0
-
-			// Warm the wire caches once (first ENC marshal, first trailer).
-			for _, r := range []blockplan.Ref{encRef, parRef} {
-				if err := srv.sendRef(rm, r, k, buf, addrs, st); err != nil {
+			rounds := func() {
+				// Round one exercises the own-packet pass, round two the
+				// NACKers-first pass; both end in the packet-major one.
+				if err := srv.multicastRefs(context.Background(), rm, roundOne, members, nil, buf, st); err != nil {
+					t.Fatal(err)
+				}
+				if err := srv.multicastRefs(context.Background(), rm, roundTwo, members, nackers, buf, st); err != nil {
 					t.Fatal(err)
 				}
 			}
-			allocs := testing.AllocsPerRun(50, func() {
-				if err := srv.sendRef(rm, encRef, k, buf, addrs, st); err != nil {
-					t.Fatal(err)
-				}
-				if err := srv.sendRef(rm, parRef, k, buf, addrs, st); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("allocs per ENC+PARITY fan-out = %v, want 0", allocs)
+			rounds() // grows buf to a round's parity
+			if allocs := testing.AllocsPerRun(50, rounds); allocs > 2 {
+				t.Errorf("allocs per two rounds of %d datagrams = %v, want one a round", (len(roundOne)+len(roundTwo))*len(members), allocs)
 			}
 			if st.EncSent == 0 || st.ParitySent == 0 {
 				t.Fatalf("stats not advanced: %+v", st)
