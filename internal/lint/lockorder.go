@@ -62,6 +62,7 @@ var lockRanks = map[string]int{
 	"keys.RootVerifier.mu":  90,
 	"fec.invCache.mu":       100,
 	"obs.Registry.trace.mu": 110,
+	"udptrans.rxBufList.mu": 120,
 }
 
 // lockOrderDebug, when set (by tests), receives every edge of the

@@ -38,6 +38,10 @@ const (
 	CEncSent
 	CParitySent
 	CUsrSent
+	// CSendCalls counts the send calls of the multicast fan-out: a burst
+	// carries several datagrams to one member in one call, so datagrams
+	// fanned out over send_calls is 1 where the kernel refuses bursts.
+	CSendCalls
 	// CNACKRecv counts NACK packets the server accepted (deduplicated
 	// per user per round, matching udptrans.Stats).
 	CNACKRecv
@@ -68,6 +72,9 @@ const (
 	CEncRecv
 	CParityRecv
 	CUsrRecv
+	// CRecvCalls counts the client's successful socket reads; a
+	// coalesced read delivers several of the packets counted above.
+	CRecvCalls
 	// CNACKSent counts NACKs the client emitted at round boundaries.
 	CNACKSent
 	// CIngestStale counts packets for an already-completed message.
@@ -105,6 +112,7 @@ var counterNames = [numCounters]string{
 	CEncSent:          "enc_sent",
 	CParitySent:       "parity_sent",
 	CUsrSent:          "usr_sent",
+	CSendCalls:        "send_calls",
 	CNACKRecv:         "nack_recv",
 	CNACKIgnored:      "nack_ignored",
 	CNACKStale:        "nack_stale",
@@ -117,6 +125,7 @@ var counterNames = [numCounters]string{
 	CEncRecv:          "enc_recv",
 	CParityRecv:       "parity_recv",
 	CUsrRecv:          "usr_recv",
+	CRecvCalls:        "recv_calls",
 	CNACKSent:         "nack_sent",
 	CIngestStale:      "ingest_stale",
 	CIngestErrors:     "ingest_errors",

@@ -1,0 +1,182 @@
+//go:build !386
+
+// The Linux half of the burst fan-out: UDP segmentation offload on the
+// server's socket, coalesced receive on the members'. linux/386 has no
+// recvmsg system call number and takes burst_other.go's path.
+
+package udptrans
+
+import (
+	"encoding/binary"
+	"errors"
+	"net"
+	"net/netip"
+	"sync"
+	"syscall"
+	"unsafe"
+)
+
+// From <linux/udp.h>; package syscall does not carry them.
+const (
+	solUDP     = 17
+	udpSegment = 103 // sendmsg cmsg, uint16: cut the payload into datagrams of this size
+	udpGRO     = 104 // socket option; recvmsg cmsg, int: the read is datagrams of this size
+)
+
+// newBurst returns the server's segmented send over conn. The control
+// message is the server's, not the call's: only its segment size changes.
+func newBurst(conn *net.UDPConn) func(b []byte, seg int, to netip.AddrPort) error {
+	oob := make([]byte, syscall.CmsgSpace(2))
+	h := (*syscall.Cmsghdr)(unsafe.Pointer(&oob[0]))
+	h.Level, h.Type = solUDP, udpSegment
+	h.SetLen(syscall.CmsgLen(2))
+	return func(b []byte, seg int, to netip.AddrPort) error {
+		binary.NativeEndian.PutUint16(oob[syscall.CmsgLen(0):], uint16(seg))
+		_, _, err := conn.WriteMsgUDPAddrPort(b, oob, to)
+		return err
+	}
+}
+
+// burstRefused reports whether err is the kernel declining to segment:
+// EIO without checksum offload on the route, EINVAL or EMSGSIZE for a
+// segment over the path MTU, ENOPROTOOPT before Linux 4.18.
+func burstRefused(err error) bool {
+	var errno syscall.Errno
+	return errors.As(err, &errno) && (errno == syscall.EIO || errno == syscall.EINVAL ||
+		errno == syscall.EMSGSIZE || errno == syscall.ENOPROTOOPT)
+}
+
+// yield offers the CPU to any other thread that is ready to run on it;
+// with none it costs a system call that does nothing.
+func yield() { syscall.RawSyscall(syscall.SYS_SCHED_YIELD, 0, 0, 0) } //nolint:errcheck
+
+// rxBuf holds the largest read a coalescing socket returns.
+type rxBuf [64 << 10]byte
+
+// rxBufList is the process's free list of rxBufs. A process may host a
+// thousand clients (the benchmark, the tests) and must not own a
+// thousand of these: a client borrows one for a read attempt that will
+// not block and returns it before it waits again (two dozen are out at
+// once at a thousand members on two cores). The list keeps up to
+// rxBufsKeep (4 MiB) of what it allocated; a sync.Pool is emptied by
+// the collector between rounds and reallocates every burst.
+type rxBufList struct {
+	mu   sync.Mutex
+	free []*rxBuf // guarded by mu
+	out  int      // guarded by mu; borrowed and not returned
+	peak int      // guarded by mu; high-water mark of out
+}
+
+const rxBufsKeep = 64
+
+var rxBufs rxBufList
+
+func (l *rxBufList) get() *rxBuf {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.out++
+	l.peak = max(l.peak, l.out)
+	if n := len(l.free); n > 0 {
+		b := l.free[n-1]
+		l.free = l.free[:n-1]
+		return b
+	}
+	return new(rxBuf)
+}
+
+func (l *rxBufList) put(b *rxBuf) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.out--
+	if len(l.free) < rxBufsKeep {
+		l.free = append(l.free, b)
+	}
+}
+
+// reader is a client's receive half: recvmsg on a socket with UDP_GRO
+// set, through the runtime's poller so read deadlines keep working.
+type reader struct {
+	rc  syscall.RawConn
+	oob []byte // control message of the last read
+	try func(fd uintptr) bool
+
+	// Set by try for read.
+	held  *rxBuf // what the last read filled; nil once returned
+	n     int
+	errno syscall.Errno
+	msg   syscall.Msghdr
+	iov   syscall.Iovec
+}
+
+// newReader prepares conn for coalesced reads. A kernel without UDP_GRO
+// (before 5.0) fails the option and delivers single datagrams.
+func newReader(conn *net.UDPConn) (*reader, error) {
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		return nil, err
+	}
+	r := &reader{rc: rc, oob: make([]byte, syscall.CmsgSpace(4))}
+	r.try = r.recvmsg
+	err = rc.Control(func(fd uintptr) {
+		syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) //nolint:errcheck // see above
+	})
+	return r, err
+}
+
+// recvmsg is one non-blocking read attempt: false sends the caller to
+// the poller empty-handed. The sender's address is not asked for, which
+// syscall.Recvmsg would allocate per call.
+func (r *reader) recvmsg(fd uintptr) bool {
+	b := rxBufs.get()
+	r.iov.Base = &b[0]
+	r.iov.SetLen(len(b))
+	r.msg = syscall.Msghdr{Iov: &r.iov, Iovlen: 1, Control: &r.oob[0]}
+	r.msg.SetControllen(len(r.oob))
+	for {
+		n, _, errno := syscall.Syscall(syscall.SYS_RECVMSG, fd, uintptr(unsafe.Pointer(&r.msg)), 0)
+		switch errno {
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			rxBufs.put(b)
+			return false
+		}
+		r.held, r.n, r.errno = b, int(n), errno
+		return true
+	}
+}
+
+// read blocks, up to the socket's read deadline, for the next read and
+// returns its bytes, the shared buffer's until release, and the segment
+// size of a coalesced one (0 for a single datagram).
+func (r *reader) read() (b []byte, seg int, err error) {
+	if err := r.rc.Read(r.try); err != nil {
+		return nil, 0, err
+	}
+	if r.errno != 0 {
+		r.release()
+		return nil, 0, r.errno
+	}
+	return r.held[:r.n], groSegment(r.oob[:r.msg.Controllen]), nil
+}
+
+// release returns the shared buffer, if the last read still holds it.
+func (r *reader) release() {
+	if r.held != nil {
+		rxBufs.put(r.held)
+		r.held = nil
+	}
+}
+
+// groSegment returns the segment size in a read's control data, 0 when
+// the kernel attached none: the read was one datagram.
+func groSegment(oob []byte) int {
+	if len(oob) < syscall.CmsgLen(4) {
+		return 0
+	}
+	h := (*syscall.Cmsghdr)(unsafe.Pointer(&oob[0]))
+	if h.Level != solUDP || h.Type != udpGRO {
+		return 0
+	}
+	return int(int32(binary.NativeEndian.Uint32(oob[syscall.CmsgLen(0):])))
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -21,7 +22,8 @@ type Client struct {
 	Member *rekey.Member
 
 	conn   *net.UDPConn
-	server *net.UDPAddr
+	rd     *reader        // the platform's receive half
+	server netip.AddrPort // resolved once: a NACK allocates no sockaddr
 
 	// Drop, when non-nil, is a test-only fault injector: packets for
 	// which it returns true are discarded before ingestion, emulating a
@@ -72,17 +74,24 @@ func NewClientAt(cred rekey.Credentials, serverAddr *net.UDPAddr, local string) 
 // NewClientOnConn builds a client over an already-bound socket. Members
 // bind before registering so that packets distributed while
 // registration completes queue in the socket buffer instead of being
-// lost; Run drains them.
+// lost; Run drains them. Where the kernel can coalesce the datagrams of
+// a burst into one read (Linux, UDP_GRO) the socket is set to.
 func NewClientOnConn(cred rekey.Credentials, serverAddr *net.UDPAddr, conn *net.UDPConn) (*Client, error) {
 	m, err := rekey.NewMember(cred)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
+	rd, err := newReader(conn)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("udptrans: client socket: %w", err)
+	}
 	return &Client{
 		Member:   m,
 		conn:     conn,
-		server:   serverAddr,
+		rd:       rd,
+		server:   addrPort(serverAddr),
 		QuietGap: 60 * time.Millisecond,
 		done:     make(chan struct{}),
 	}, nil
@@ -111,9 +120,9 @@ func (c *Client) Close() error {
 // registry, not fatal. Run returns nil after Close and ctx.Err() after
 // cancellation.
 //
-// Every datagram is read into one buffer. Drop sees it there and must
-// not keep it; Mangle is handed a private copy; the member is fed the
-// buffer itself, which Ingest does not retain.
+// A read is one datagram or, coalesced, several; Drop sees each where it
+// was read and must not keep it; Mangle is handed a private copy; the
+// member is fed the read buffer itself, which Ingest does not retain.
 func (c *Client) Run(ctx context.Context) error {
 	defer close(c.done)
 	c.Member.SetObs(c.Obs)
@@ -121,19 +130,26 @@ func (c *Client) Run(ctx context.Context) error {
 		c.conn.SetReadDeadline(time.Now()) //nolint:errcheck
 	})
 	defer stopWatch()
-	// Sized for the largest possible datagram: a packet plus a
-	// maximal auth trailer on a signed interval.
-	buf := make([]byte, packet.PacketLen+packet.MaxAuthTrailer)
 	for {
+		// The quiet timer runs only while the member is short of keys: one
+		// that holds them has nothing to NACK, and sleeps until its next
+		// datagram. A burst reaches a thousand members hosted together
+		// within milliseconds, so their timers would all fire together too,
+		// every QuietGap, into whatever the host is doing then.
+		var deadline time.Time
+		if !c.Member.Done() {
+			deadline = time.Now().Add(c.QuietGap)
+		}
+		if err := c.conn.SetReadDeadline(deadline); err != nil {
+			return nil
+		}
+		// Checked after the deadline is set, not before: a cancellation
+		// whose wake-up the line above overwrote is seen here, and a later
+		// one ends the read.
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := c.conn.SetReadDeadline(time.Now().Add(c.QuietGap)); err != nil {
-			return nil
-		}
-		// The sender's address is not used: the AddrPort read returns it
-		// by value, where ReadFromUDP allocates one per datagram.
-		n, _, err := c.conn.ReadFromUDPAddrPort(buf)
+		read, seg, err := c.rd.read()
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				if cerr := ctx.Err(); cerr != nil {
@@ -143,7 +159,7 @@ func (c *Client) Run(ctx context.Context) error {
 				// perspective; NACK if still pending.
 				if nack, ok := c.Member.NACK(); ok {
 					if raw, err := nack.Marshal(); err == nil {
-						c.conn.WriteToUDP(raw, c.server) //nolint:errcheck
+						c.conn.WriteToUDPAddrPort(raw, c.server) //nolint:errcheck
 						c.Obs.Inc(obs.CNACKSent)
 					}
 				}
@@ -151,19 +167,38 @@ func (c *Client) Run(ctx context.Context) error {
 			}
 			return nil // socket closed
 		}
-		pkt := buf[:n]
-		if c.Drop != nil && c.Drop(pkt) {
-			continue
-		}
-		if c.Mangle == nil {
-			// Ingest copies what it keeps, so buf is free for the next read.
+		c.Obs.Inc(obs.CRecvCalls)
+		c.deliver(read, seg)
+		c.rd.release()
+	}
+}
+
+// deliver takes one read apart. A coalesced read is datagrams of seg
+// bytes back to back, the last possibly shorter; with any other seg the
+// read is one datagram. Each goes through Drop, Mangle and ingest as if
+// it had been read alone.
+func (c *Client) deliver(read []byte, seg int) {
+	if seg <= 0 || seg > len(read) {
+		seg = len(read)
+	}
+	for {
+		pkt := read[:min(seg, len(read))]
+		read = read[len(pkt):]
+		switch {
+		case c.Drop != nil && c.Drop(pkt):
+			// lost on the receiver link
+		case c.Mangle == nil:
+			// Ingest copies what it keeps, so the buffer is free for the next read.
 			c.ingest(pkt)
-			continue
+		default:
+			// The mangler gets a copy of its own: it may hold the packet
+			// past the next read, which reuses the buffer.
+			for _, p := range c.Mangle(append([]byte(nil), pkt...)) {
+				c.ingest(p)
+			}
 		}
-		// The mangler gets a copy of its own: it may hold the packet past
-		// the next read, which reuses buf.
-		for _, p := range c.Mangle(append([]byte(nil), pkt...)) {
-			c.ingest(p)
+		if len(read) == 0 {
+			return
 		}
 	}
 }

@@ -4,7 +4,11 @@
 // multicast routing), collects NACKs for a round, retransmits fresh
 // parity, and finally unicasts USR packets with escalating duplication
 // -- the same state machine internal/protocol simulates, driving real
-// bytes through real sockets.
+// bytes through real sockets. The fan-out pays per burst, not per
+// datagram: on Linux the server hands the kernel a run of datagrams for
+// one member in one segmented send and the member reads it back in one
+// coalesced receive (burst_linux.go); elsewhere, and where the kernel
+// refuses, the same loops move one datagram a call.
 package udptrans
 
 import (
@@ -32,6 +36,11 @@ type Server struct {
 	// bufs pools the datagram build buffers of the multicast hot path;
 	// sized for the largest possible datagram (packet + auth trailer).
 	bufs *protocol.BufPool
+	// burst sends b to one member as datagrams of seg bytes (the last
+	// may be shorter) in a single call. It is nil where the platform has
+	// no segmentation offload and once the kernel has refused a burst;
+	// tests clear it to get the per-datagram reference path.
+	burst func(b []byte, seg int, to netip.AddrPort) error
 
 	mu    sync.Mutex
 	addrs map[rekey.MemberID]*net.UDPAddr // guarded by mu
@@ -55,6 +64,7 @@ func NewServer(ks *rekey.Server, addr string) (*Server, error) {
 		conn:  conn,
 		obs:   ks.Obs(),
 		bufs:  protocol.NewBufPool(packet.PacketLen+packet.MaxAuthTrailer, ks.Obs()),
+		burst: newBurst(conn),
 		addrs: make(map[rekey.MemberID]*net.UDPAddr),
 	}, nil
 }
@@ -92,22 +102,26 @@ type member struct {
 // values, which WriteToUDPAddrPort sends to without a sockaddr
 // allocation per call. An address registered without credentials (a
 // departed member) stays in the fan-out, as on a multicast group it has
-// not left, under a node ID no NACK can name.
-func (s *Server) memberTable(rm *rekey.RekeyMessage) []member {
+// not left, under a node ID no NACK can name. addrOf is the table read
+// the other way -- node ID to address -- for checking where a NACK came
+// from.
+func (s *Server) memberTable(rm *rekey.RekeyMessage) (members []member, addrOf map[int]netip.AddrPort) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]member, 0, len(s.addrs))
+	members = make([]member, 0, len(s.addrs))
+	addrOf = make(map[int]netip.AddrPort, len(s.addrs))
 	for id, a := range s.addrs {
 		m := member{node: -1, own: -1, addr: addrPort(a)}
 		if cred, ok := s.ks.Credentials(id); ok {
 			m.node = cred.NodeID
+			addrOf[m.node] = m.addr
 			if pi, ok := rm.Plan.UserPacket[cred.NodeID]; ok {
 				m.own = pi
 			}
 		}
-		out = append(out, m)
+		members = append(members, m)
 	}
-	return out
+	return members, addrOf
 }
 
 // waitingFirst moves the members nackers names to the front of the
@@ -127,8 +141,9 @@ func waitingFirst(members []member, nackers map[int]bool) int {
 // IPv4 addresses often arrive in net.IP's 16-byte mapped encoding;
 // Unmap keeps them sendable through an IPv4-bound socket (a v4-in-6
 // netip address fails the address-family check in WriteToUDPAddrPort).
-func addrPort(a *net.UDPAddr) netip.AddrPort {
-	ap := a.AddrPort()
+func addrPort(a *net.UDPAddr) netip.AddrPort { return unmapped(a.AddrPort()) }
+
+func unmapped(ap netip.AddrPort) netip.AddrPort {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
@@ -184,7 +199,8 @@ type Stats struct {
 // the unicast wave budget is exhausted). The protocol knobs (rho0,
 // multicast round budget, encode workers) come from the key server's
 // tuning; opts carries only wire timing. Cancelling ctx aborts the
-// NACK-collection waits and returns ctx's error.
+// NACK-collection waits and returns ctx's error. Runs on one Server must
+// not overlap: they would read each other's NACKs off the one socket.
 func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Options) (*Stats, error) {
 	if len(rm.ENC) == 0 {
 		return &Stats{}, nil
@@ -226,10 +242,12 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	// QuietGap, so it is in this set or in the next wave's. They lead
 	// the next round's send order and are all the unicast phase serves.
 	var pendingUsers map[int]bool
-	members := s.memberTable(rm)
-	// One pooled buffer holds each round's parity datagrams in turn.
+	members, addrOf := s.memberTable(rm)
+	// One pooled buffer holds each round's datagrams in turn, and one
+	// scratch buffer every NACK read of the run.
 	buf := s.bufs.Get()
 	defer buf.Release()
+	scratch := make([]byte, 2048)
 
 	for round := 1; ; round++ {
 		if err := ctx.Err(); err != nil {
@@ -270,8 +288,8 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 		}
 		st.Rounds = round
 
-		s.drainStale()
-		nacks, want, users, err := s.collectNACKs(ctx, rm, blocks, k, opts.RoundDur)
+		s.drainStale(scratch)
+		nacks, want, users, err := s.collectNACKs(ctx, rm, addrOf, scratch, opts.RoundDur)
 		if s.obs.Enabled() {
 			s.obs.ObserveSince(obs.HRoundLatency, roundStart)
 			s.obs.Observe(obs.HNACKsPerRound, float64(nacks))
@@ -303,8 +321,8 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 			return st, err
 		}
 		dups++
-		s.drainStale()
-		nacks, _, users, err := s.collectNACKs(ctx, rm, blocks, k, opts.RoundDur)
+		s.drainStale(scratch)
+		nacks, _, users, err := s.collectNACKs(ctx, rm, addrOf, scratch, opts.RoundDur)
 		if s.obs.Enabled() {
 			s.obs.Observe(obs.HNACKsPerRound, float64(nacks))
 		}
@@ -323,6 +341,15 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	return st, nil
 }
 
+// Burst caps, a call: half of what the kernel takes in a segmented send
+// (64 segments, 65 507 bytes) and a fraction of a default receive
+// buffer, so a member not reading when a chunk of a long round arrives
+// still holds all of it.
+const (
+	maxBurst      = 32
+	maxBurstBytes = 32 << 10
+)
+
 // multicastRefs puts one round on the wire under one rule: whoever is
 // known to be waiting goes first. The fan-out emulates multicast by
 // unicast, so a datagram reaches the last member a whole send loop
@@ -331,36 +358,42 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 // its own ENC packet, the one packet user-oriented assignment makes it
 // need, so each gets that first; in later rounds the previous round's
 // nackers wait for parity, so each gets the whole round back to back.
-// Everything else then goes out packet-major in the interleaved order:
-// every member receives every datagram of the round exactly once.
+// Everything else then goes out in bursts, chunk-major: a chunk of the
+// interleaved order to every member in turn, then the next chunk. Every
+// member receives every datagram of the round exactly once, in the
+// interleaved order but for its own packet.
 func (s *Server) multicastRefs(ctx context.Context, rm *rekey.RekeyMessage, refs []blockplan.Ref, members []member, nackers map[int]bool, buf *protocol.SendBuf, st *Stats) error {
 	k := rm.Part.K
-	// The round is materialised once: ENC datagrams are the message's
-	// cached wire bytes, PARITY datagrams are built from the cached FEC
-	// payloads into buf, which grows to the round's size and keeps it.
-	wires := make([][]byte, len(refs))
+	// The round is materialised once, contiguously and in send order, so
+	// that any run of it is one buffer a burst can carry: ENC datagrams
+	// copied from the message's cached wire bytes, PARITY built from the
+	// cached FEC payloads, into buf, which grows to a round's size and
+	// keeps it. One table a round: offs[i] is where datagram i starts in
+	// the slab, at[e] where ENC packet e is in refs.
+	tab := make([]int, len(refs)+1+rm.Part.TotalSlots())
+	offs, at := tab[:len(refs)+1], tab[len(refs)+1:]
 	slab := buf.Take()
 	for i, r := range refs {
-		if !r.IsParity(k) {
-			w, err := rm.WireENC(r.Block*k + r.Shard)
+		if r.IsParity(k) {
+			w, err := rm.AppendWireParity(slab, r.Block, r.Shard-k)
 			if err != nil {
 				return err
 			}
-			wires[i] = w
+			slab = w
+			st.ParitySent++
+			s.obs.Inc(obs.CParitySent)
+		} else {
+			enc := r.Block*k + r.Shard
+			w, err := rm.WireENC(enc)
+			if err != nil {
+				return err
+			}
+			slab = append(slab, w...)
+			at[enc] = i
 			st.EncSent++
 			s.obs.Inc(obs.CEncSent)
-			continue
 		}
-		start := len(slab)
-		w, err := rm.AppendWireParity(slab, r.Block, r.Shard-k)
-		if err != nil {
-			return err
-		}
-		// A slab that append moved leaves the earlier datagrams intact
-		// in the array they were built in.
-		slab, wires[i] = w, w[start:]
-		st.ParitySent++
-		s.obs.Inc(obs.CParitySent)
+		offs[i+1] = len(slab)
 	}
 	buf.Store(slab)
 
@@ -368,48 +401,98 @@ func (s *Server) multicastRefs(ctx context.Context, rm *rekey.RekeyMessage, refs
 	rest := members
 	if nackers == nil {
 		for _, m := range members {
-			if m.own < 0 {
-				continue
-			}
-			w, err := rm.WireENC(m.own)
-			if err != nil {
-				return err
-			}
-			if err := s.send("multicast", w, m.addr); err != nil {
-				return err
+			if m.own >= 0 {
+				if err := s.sendSpan(slab, offs, at[m.own], at[m.own]+1, -1, m.addr); err != nil {
+					return err
+				}
 			}
 		}
 	} else {
 		n := waitingFirst(members, nackers)
 		for _, m := range members[:n] {
-			for _, w := range wires {
-				if err := s.send("multicast", w, m.addr); err != nil {
-					return err
-				}
+			if err := s.sendSpan(slab, offs, 0, len(refs), -1, m.addr); err != nil {
+				return err
 			}
 		}
 		rest = members[n:]
 	}
-	// Second pass, packet-major: every pair the first did not send. This
+	// Second pass, chunk-major: every pair the first did not send. This
 	// is the transport's inner loop: the bytes are the round's and the
 	// socket writes go through the AddrPort API -- no allocation per
-	// datagram.
-	for i, w := range wires {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		enc := -1 // the ENC packet wires[i] is; its own members have it
-		if r := refs[i]; !r.IsParity(k) {
-			enc = r.Block*k + r.Shard
-		}
+	// datagram, burst or member.
+	for lo, hi := 0, 0; lo < len(refs); lo = hi {
+		hi = spanEnd(offs, lo, len(refs), false)
 		for _, m := range rest {
-			if enc >= 0 && m.own == enc {
-				continue
-			}
-			if err := s.send("multicast", w, m.addr); err != nil {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
+			own := -1 // where in the round the packet the first pass sent m is
+			if nackers == nil && m.own >= 0 {
+				own = at[m.own]
+			}
+			if err := s.sendSpan(slab, offs, lo, hi, own, m.addr); err != nil {
+				return err
+			}
+			// Nobody is known to wait for this pass, and a thread that sends
+			// without pause keeps its CPU from the threads its sends wake
+			// (the kernel queues a wakee behind its waker): members hosted
+			// with the server get their own packets a scheduler tick late.
+			yield()
 		}
+	}
+	return nil
+}
+
+// spanEnd returns the end of the longest span of datagrams that starts
+// at lo, stops at or before hi and stays inside the burst caps. With
+// oneCall the span is also one the kernel can segment: datagrams of one
+// length, the last possibly shorter.
+func spanEnd(offs []int, lo, hi int, oneCall bool) int {
+	seg := offs[lo+1] - offs[lo]
+	end := lo + 1
+	for end < hi && end-lo < maxBurst && offs[end+1]-offs[lo] <= maxBurstBytes {
+		n := offs[end+1] - offs[end]
+		if oneCall && n > seg {
+			break
+		}
+		end++
+		if oneCall && n < seg {
+			break
+		}
+	}
+	return end
+}
+
+// sendSpan sends one member datagrams [lo, hi) of the round laid out in
+// slab, but for datagram skip, which it has: every run the kernel can
+// segment as one burst, a run of one -- every run, once bursts are off
+// -- as a plain send. A burst the kernel refuses sent nothing: it goes
+// out again datagram by datagram, and the server stops asking.
+func (s *Server) sendSpan(slab []byte, offs []int, lo, hi, skip int, to netip.AddrPort) error {
+	if lo <= skip && skip < hi {
+		if err := s.sendSpan(slab, offs, lo, skip, -1, to); err != nil {
+			return err
+		}
+		lo = skip + 1
+	}
+	for lo < hi {
+		end := lo + 1
+		if s.burst != nil {
+			end = spanEnd(offs, lo, hi, true)
+		}
+		if end-lo == 1 {
+			if err := s.send("multicast", slab[offs[lo]:offs[end]], to); err != nil {
+				return err
+			}
+		} else if err := s.burst(slab[offs[lo]:offs[end]], offs[lo+1]-offs[lo], to); err != nil {
+			if !burstRefused(err) {
+				return fmt.Errorf("udptrans: multicast: %w", err)
+			}
+			s.burst = nil
+			continue
+		}
+		s.obs.Inc(obs.CSendCalls)
+		lo = end
 	}
 	return nil
 }
@@ -434,8 +517,7 @@ const staleDrain = 500 * time.Microsecond
 // reads through SyscallConn: it is portable, with no per-OS recv call.
 // The deadline is absolute, so a flooder cannot hold the server here:
 // once it passes, every read fails whatever is queued.
-func (s *Server) drainStale() {
-	buf := make([]byte, 2048)
+func (s *Server) drainStale(buf []byte) {
 	s.conn.SetReadDeadline(time.Now().Add(staleDrain)) //nolint:errcheck // a failed set fails the read below
 	for {
 		if _, _, err := s.conn.ReadFromUDPAddrPort(buf); err != nil {
@@ -446,13 +528,16 @@ func (s *Server) drainStale() {
 }
 
 // collectNACKs listens for one round duration and aggregates feedback.
-// NACKs are unauthenticated, so each request counts for at most k: a
-// member can be short no more than k shards of a block.
-func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, blocks, k int, dur time.Duration) (nacks int, amax []int, users map[int]bool, err error) {
+// NACKs are unauthenticated, so each request counts for at most k -- a
+// member can be short no more than k shards of a block -- and a NACK
+// counts only when it came from the address registered for the node it
+// names (addrOf): a host that merely sees the multicast buys no parity
+// and no USR packet with a forged one.
+func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, addrOf map[int]netip.AddrPort, buf []byte, dur time.Duration) (nacks int, amax []int, users map[int]bool, err error) {
+	blocks, k := rm.Blocks(), rm.Part.K
 	amax = make([]int, blocks)
 	users = make(map[int]bool)
 	deadline := time.Now().Add(dur)
-	buf := make([]byte, 2048)
 	seen := make(map[uint16]bool)
 	for {
 		if err := ctx.Err(); err != nil {
@@ -461,7 +546,7 @@ func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, block
 		if err := s.conn.SetReadDeadline(deadline); err != nil {
 			return 0, nil, nil, err
 		}
-		n, _, rerr := s.conn.ReadFromUDPAddrPort(buf)
+		n, from, rerr := s.conn.ReadFromUDPAddrPort(buf)
 		if rerr != nil {
 			var ne net.Error
 			if errors.As(rerr, &ne) && ne.Timeout() {
@@ -481,6 +566,10 @@ func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, block
 		}
 		nk, perr := packet.ParseNACK(buf[:n])
 		if perr != nil {
+			s.obs.Inc(obs.CNACKIgnored)
+			continue
+		}
+		if to, ok := addrOf[int(nk.UserID)]; !ok || to != unmapped(from) {
 			s.obs.Inc(obs.CNACKIgnored)
 			continue
 		}

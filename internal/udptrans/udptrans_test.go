@@ -2,7 +2,6 @@ package udptrans
 
 import (
 	"context"
-	"math"
 	"math/rand/v2"
 	"net"
 	"runtime"
@@ -14,12 +13,27 @@ import (
 	"repro/internal/blockplan"
 	"repro/internal/fec"
 	"repro/internal/keys"
+	"repro/internal/obs"
 	"repro/internal/packet"
 )
+
+// perDatagram makes the servers the helpers below build send without
+// bursts: the reference path, and the one a kernel's refusal leaves.
+var perDatagram bool
 
 // group spins up a key server, UDP transport server, and n clients on
 // loopback, bootstrapped through the first rekey message.
 func group(t *testing.T, n int, drop func(i int) func([]byte) bool, opts ...rekey.Option) (*rekey.Server, *Server, map[rekey.MemberID]*Client) {
+	t.Helper()
+	return groupWith(t, n, func(i int, c *Client) {
+		if drop != nil {
+			c.Drop = drop(i)
+		}
+	}, opts...)
+}
+
+// groupWith is group with a hook that sets client i up before it runs.
+func groupWith(t *testing.T, n int, setup func(i int, c *Client), opts ...rekey.Option) (*rekey.Server, *Server, map[rekey.MemberID]*Client) {
 	t.Helper()
 	ks, err := rekey.NewServer(opts...)
 	if err != nil {
@@ -30,6 +44,9 @@ func group(t *testing.T, n int, drop func(i int) func([]byte) bool, opts ...reke
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
+	if perDatagram {
+		srv.burst = nil
+	}
 
 	for i := 0; i < n; i++ {
 		if err := ks.QueueJoin(rekey.MemberID(i)); err != nil {
@@ -50,9 +67,7 @@ func group(t *testing.T, n int, drop func(i int) func([]byte) bool, opts ...reke
 		if err != nil {
 			t.Fatal(err)
 		}
-		if drop != nil {
-			c.Drop = drop(i)
-		}
+		setup(i, c)
 		clients[rekey.MemberID(i)] = c
 		srv.SetMemberAddr(rekey.MemberID(i), c.Addr())
 		go c.Run(context.Background()) //nolint:errcheck
@@ -249,36 +264,43 @@ func TestUnicastSkipsMembersKeyedByRoundTwo(t *testing.T) {
 	}
 }
 
-// TestForgedNACKCannotAbortInterval: NACKs are unauthenticated, so any
-// host that sees the multicast can, like a member on a short quiet
-// timer, answer every pause in it with a NACK asking for 255 parity
+// TestForgedNACKCannotAbortInterval: NACKs are unauthenticated, so a
+// member on a short quiet timer -- or whoever holds its socket -- can
+// answer every pause in the multicast with a NACK asking for 255 parity
 // packets of block 0 (one sent while the round is still going out is
 // drained as stale, whoever sends it). The server must serve at
 // most k of them per round (a member is never short more than k shards)
 // and never ask the coder for more parity than it has -- either used to
 // fail the whole Distribute with "wants 255 parity packets, max 246".
+// A host that only sees the multicast gets nothing at all: its NACKs do
+// not come from the address of the node they name.
 func TestForgedNACKCannotAbortInterval(t *testing.T) {
 	// k = 128 leaves 128 parity indices: round 2 uses them all and
 	// round 3 must go without, not error.
 	wide := rekey.DefaultTuning()
 	wide.K = 128
 	wide.MaxMulticastRounds = 3
-	// On a signed message the forged user ID has no USR leaf: the
-	// unicast phase must skip it, not fail on it.
 	signer, err := keys.NewSigner(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, tc := range map[string]struct {
-		tun  rekey.Tuning
-		opts []rekey.Option
+		tun          rekey.Tuning
+		opts         []rekey.Option
+		unregistered bool // the attacker's socket is no member's
 	}{
-		"k=10":        {tun: rekey.DefaultTuning()},
-		"k=128":       {tun: wide},
-		"k=10,signed": {tun: rekey.DefaultTuning(), opts: []rekey.Option{rekey.WithSigner(signer)}},
+		"k=10":         {tun: rekey.DefaultTuning()},
+		"k=128":        {tun: wide},
+		"k=10,signed":  {tun: rekey.DefaultTuning(), opts: []rekey.Option{rekey.WithSigner(signer)}},
+		"unregistered": {tun: rekey.DefaultTuning(), unregistered: true},
+		// On a signed message the forged user ID has no USR leaf: it must
+		// never reach the unicast phase, which would fail on it.
+		"unregistered,signed": {tun: rekey.DefaultTuning(), opts: []rekey.Option{rekey.WithSigner(signer)}, unregistered: true},
 	} {
 		t.Run(name, func(t *testing.T) {
-			ks, srv, clients := group(t, 20, nil, append(tc.opts, rekey.WithTuning(tc.tun), rekey.WithKeySeed(4))...)
+			const victim = 5 // the member the attacker is, or names
+			reg := obs.New()
+			ks, srv, clients := group(t, 20, nil, append(tc.opts, rekey.WithTuning(tc.tun), rekey.WithKeySeed(4), rekey.WithObs(reg))...)
 			if err := ks.QueueLeave(7); err != nil {
 				t.Fatal(err)
 			}
@@ -289,18 +311,63 @@ func TestForgedNACKCannotAbortInterval(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			forged, err := (&packet.NACK{MsgID: rm.MsgID, UserID: 0xffff,
-				Requests: []packet.BlockRequest{{Count: 255, BlockID: 0}}}).Marshal()
-			if err != nil {
-				t.Fatal(err)
+			cred, ok := ks.Credentials(victim)
+			if !ok {
+				t.Fatal("no credentials")
+			}
+			forge := func(user int) []byte {
+				raw, err := (&packet.NACK{MsgID: rm.MsgID, UserID: uint16(user),
+					Requests: []packet.BlockRequest{{Count: 255, BlockID: 0}}}).Marshal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return raw
 			}
 			attacker, err := net.DialUDP("udp", nil, srv.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv.SetMemberAddr(9999, attacker.LocalAddr().(*net.UDPAddr))
-			defer pauseNACKer(attacker, forged, math.MaxInt, nil)()
+			k := rm.Part.K
+			proactive := blockplan.ProactiveParity(k, tc.tun.InitialRho) * rm.Blocks()
+
+			if tc.unregistered {
+				// Every 2 ms, by turns under a member's name and under no one's.
+				stop := make(chan struct{})
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						case <-time.After(2 * time.Millisecond):
+							attacker.Write(forge([]int{cred.NodeID, 0xffff}[i%2])) //nolint:errcheck
+						}
+					}
+				}()
+				st, err := srv.Distribute(context.Background(), rm, DefaultOptions())
+				close(stop)
+				<-done
+				attacker.Close()
+				if err != nil {
+					t.Fatalf("forged NACK aborted the interval: %v", err)
+				}
+				waitKeyed(t, ks, clients, 3*time.Second)
+				if st.Rounds != 1 || st.ParitySent != proactive || st.UsrSent != 0 || st.NACKsPerRound[0] != 0 {
+					t.Fatalf("forged NACKs from an unregistered socket bought parity or USR packets: %+v", st)
+				}
+				if reg.CounterValue(obs.CNACKIgnored) == 0 || reg.CounterValue(obs.CNACKRecv) != 0 {
+					t.Fatalf("nack_ignored = %d, nack_recv = %d, want the forgeries ignored", reg.CounterValue(obs.CNACKIgnored), reg.CounterValue(obs.CNACKRecv))
+				}
+				return
+			}
+
+			// The attacker holds the victim's registered socket, names it, and
+			// NACKs every multicast round.
+			clients[victim].Close()
+			delete(clients, victim)
+			srv.SetMemberAddr(victim, attacker.LocalAddr().(*net.UDPAddr))
+			defer pauseNACKer(attacker, forge(cred.NodeID), tc.tun.MaxMulticastRounds, nil)()
 
 			st, err := srv.Distribute(context.Background(), rm, DefaultOptions())
 			if err != nil {
@@ -310,8 +377,6 @@ func TestForgedNACKCannotAbortInterval(t *testing.T) {
 			if len(st.NACKsPerRound) < 2 || st.NACKsPerRound[0] != 1 {
 				t.Fatalf("forged NACK not counted once per round: %v", st.NACKsPerRound)
 			}
-			k := rm.Part.K
-			proactive := blockplan.ProactiveParity(k, tc.tun.InitialRho) * rm.Blocks()
 			limit := min(k*(st.Rounds-1), fec.MaxShards-k)
 			if reactive := st.ParitySent - proactive; reactive == 0 || reactive > limit {
 				t.Fatalf("reactive parity for block 0 = %d over %d rounds, want in (0, %d]", reactive, st.Rounds, limit)
@@ -333,11 +398,18 @@ func TestStaleNACKFloodAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sender.Close()
+	// The one that counts comes from a member's registered socket and
+	// names that member.
+	srv.SetMemberAddr(0, sender.LocalAddr().(*net.UDPAddr))
+	cred, ok := srv.ks.Credentials(0)
+	if !ok {
+		t.Fatal("no credentials")
+	}
 	reqs := []packet.BlockRequest{{Count: 2, BlockID: 0}, {Count: 1, BlockID: 1}}
 	for i := 0; i <= flood; i++ {
 		nack := &packet.NACK{MsgID: (rm.MsgID + 1) & packet.MaxMsgID, UserID: uint16(i), Requests: reqs}
 		if i == flood {
-			nack.MsgID = rm.MsgID // the one that counts, behind the flood
+			nack.MsgID, nack.UserID = rm.MsgID, uint16(cred.NodeID) // behind the flood
 		}
 		raw, err := nack.Marshal()
 		if err != nil {
@@ -347,14 +419,16 @@ func TestStaleNACKFloodAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	_, addrOf := srv.memberTable(rm)
+	buf := make([]byte, 2048)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	nacks, amax, users, err := srv.collectNACKs(context.Background(), rm, rm.Blocks(), rm.Part.K, 200*time.Millisecond)
+	nacks, amax, users, err := srv.collectNACKs(context.Background(), rm, addrOf, buf, 200*time.Millisecond)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nacks != 1 || !users[flood] || amax[0] != 2 {
+	if nacks != 1 || !users[cred.NodeID] || amax[0] != 2 {
 		t.Fatalf("nacks=%d users=%v amax=%v, want the one NACK of this message", nacks, users, amax)
 	}
 	// The round's own state and the one parsed NACK are a dozen

@@ -28,6 +28,9 @@ func wiredServer(t *testing.T, n int, opts ...rekey.Option) (*Server, *rekey.Rek
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
+	if perDatagram {
+		srv.burst = nil
+	}
 	for i := 0; i < n; i++ {
 		if err := ks.QueueJoin(rekey.MemberID(i)); err != nil {
 			t.Fatal(err)
@@ -47,8 +50,9 @@ func wiredServer(t *testing.T, n int, opts ...rekey.Option) (*Server, *rekey.Rek
 // TestSendRefSteadyStateAllocs pins the zero-copy guarantee from the
 // socket side: once the interval's wire and parity caches are warm, a
 // round costs one allocation -- the table of its datagrams -- however
-// many datagrams its two passes send, signed or not. (The name is that
-// of the per-ref send function the two passes replaced.)
+// many datagrams, bursts and members its two passes send, signed or
+// not, with bursts and without. (The name is that of the per-ref send
+// function the two passes replaced.)
 func TestSendRefSteadyStateAllocs(t *testing.T) {
 	signer, err := keys.NewSigner(1024)
 	if err != nil {
@@ -72,7 +76,7 @@ func TestSendRefSteadyStateAllocs(t *testing.T) {
 			if err := rm.PrecomputeParity(context.Background(), counts, 1); err != nil {
 				t.Fatal(err)
 			}
-			members := srv.memberTable(rm)
+			members, _ := srv.memberTable(rm)
 			roundOne := blockplan.RoundOne(rm.Part, 1.2) // k ENC and two PARITY a block
 			roundTwo := []blockplan.Ref{{Block: 0, Shard: k}, {Block: 0, Shard: k + 1}}
 			nackers := map[int]bool{members[0].node: true}
@@ -81,7 +85,7 @@ func TestSendRefSteadyStateAllocs(t *testing.T) {
 			st := &Stats{}
 			rounds := func() {
 				// Round one exercises the own-packet pass, round two the
-				// NACKers-first pass; both end in the packet-major one.
+				// NACKers-first pass; both end in the chunk-major one.
 				if err := srv.multicastRefs(context.Background(), rm, roundOne, members, nil, buf, st); err != nil {
 					t.Fatal(err)
 				}
@@ -89,9 +93,14 @@ func TestSendRefSteadyStateAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			rounds() // grows buf to a round's parity
-			if allocs := testing.AllocsPerRun(50, rounds); allocs > 2 {
-				t.Errorf("allocs per two rounds of %d datagrams = %v, want one a round", (len(roundOne)+len(roundTwo))*len(members), allocs)
+			for _, mode := range []string{"bursts", "per datagram"} {
+				if mode == "per datagram" {
+					srv.burst = nil
+				}
+				rounds() // grows buf to a round
+				if allocs := testing.AllocsPerRun(50, rounds); allocs > 2 {
+					t.Errorf("%s: allocs per two rounds of %d datagrams = %v, want one a round", mode, (len(roundOne)+len(roundTwo))*len(members), allocs)
+				}
 			}
 			if st.EncSent == 0 || st.ParitySent == 0 {
 				t.Fatalf("stats not advanced: %+v", st)
