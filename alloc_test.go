@@ -63,6 +63,16 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocs per call, want %v", r.name, got, r.want)
 		}
 	}
+	// Every joiner is a new member: its FEC coder shares the process's
+	// coding table instead of building the rows of its own.
+	creds := f.creds[id]
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := NewMember(creds); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 4 {
+		t.Errorf("NewMember: %v allocs per call, want at most 4", got)
+	}
 }
 
 // TestUSRSubtreeAllocs holds the one stage of buildAuth that grows with

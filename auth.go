@@ -116,42 +116,71 @@ func (rm *RekeyMessage) usrLeaves(workers int) ([]keys.MerkleHash, error) {
 	return leaves, errors.Join(errs...)
 }
 
-// buildAuth constructs the interval Merkle tree over rm.encWire's
-// packets, signs its root, appends each ENC datagram's trailer to it and
-// pre-builds the per-block PARITY trailers. Called once from Rekey; rm
-// is not yet shared. workers bounds the goroutines of the two stages
-// that grow with the group, not the batch: the USR leaves and the tree
-// over them.
-func (rm *RekeyMessage) buildAuth(signer *keys.Signer, workers int) error {
+// startUSRSubtree returns a function that yields the USR subtree -- the
+// leaves and the tree over them, on up to workers goroutines -- built
+// once: with more than one worker a goroutine starts on it now and the
+// function waits for it; with one, the first call builds it. The build
+// reads only rm.MsgID and rm.Result, so it may run while Rekey fills in
+// the rest of rm.
+func (rm *RekeyMessage) startUSRSubtree(workers int) func() (*keys.MerkleTree, error) {
+	build := sync.OnceValues(func() (*keys.MerkleTree, error) {
+		var start time.Time
+		if rm.obs.Enabled() {
+			start = time.Now()
+		}
+		leaves, err := rm.usrLeaves(workers)
+		if err != nil {
+			return nil, err
+		}
+		tree := keys.NewMerkleTreeWorkers(leaves, workers)
+		rm.obs.ObserveSince(obs.HUSRSubtree, start)
+		return tree, nil
+	})
+	if workers > 1 {
+		go build()
+	}
+	return build
+}
+
+// blockTrees returns the Merkle subtree of every FEC block, over its k
+// ENC datagrams as marshalled into rm.encWire.
+func (rm *RekeyMessage) blockTrees() []*keys.MerkleTree {
+	leaves := make([]keys.MerkleHash, len(rm.encWire))
+	for i, raw := range rm.encWire {
+		leaves[i] = keys.LeafHash(keys.DomainENC, raw)
+	}
+	trees := make([]*keys.MerkleTree, rm.Blocks())
+	for b := range trees {
+		trees[b] = keys.NewMerkleTree(leaves[b*rm.k : (b+1)*rm.k])
+	}
+	return trees
+}
+
+// buildAuth joins the block subtrees and the USR subtree (usrTree waits
+// for it, or builds it) under the interval's top tree, signs the root,
+// appends each ENC datagram's trailer to it and pre-builds the per-block
+// PARITY trailers. Called once from Rekey; rm is not yet shared.
+func (rm *RekeyMessage) buildAuth(signer *keys.Signer, blockTrees []*keys.MerkleTree, usrTree func() (*keys.MerkleTree, error)) error {
+	usr, err := usrTree()
+	if err != nil {
+		return err
+	}
 	var start time.Time
 	if rm.obs.Enabled() {
 		start = time.Now()
 	}
 	nBlocks := rm.Blocks()
 	a := &intervalAuth{
-		blockTrees: make([]*keys.MerkleTree, nBlocks),
+		blockTrees: blockTrees,
+		usrTree:    usr,
 		nTop:       nBlocks + 1,
 		parityTr:   make([][]byte, nBlocks),
 	}
-
-	// Block subtrees over the ENC packet bytes.
-	leaves := make([]keys.MerkleHash, len(rm.encWire))
-	for i, raw := range rm.encWire {
-		leaves[i] = keys.LeafHash(keys.DomainENC, raw)
-	}
 	topLeaves := make([]keys.MerkleHash, 0, a.nTop)
-	for b := 0; b < nBlocks; b++ {
-		a.blockTrees[b] = keys.NewMerkleTree(leaves[b*rm.k : (b+1)*rm.k])
-		topLeaves = append(topLeaves, a.blockTrees[b].Root())
+	for _, t := range blockTrees {
+		topLeaves = append(topLeaves, t.Root())
 	}
-
-	// USR subtree: one leaf per current user, sorted node-ID order.
-	usrLeaves, err := rm.usrLeaves(workers)
-	if err != nil {
-		return err
-	}
-	a.usrTree = keys.NewMerkleTreeWorkers(usrLeaves, workers)
-	topLeaves = append(topLeaves, a.usrTree.Root())
+	topLeaves = append(topLeaves, usr.Root())
 
 	a.top = keys.NewMerkleTree(topLeaves)
 	root := a.top.Root()

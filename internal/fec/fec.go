@@ -35,7 +35,8 @@ type Coder struct {
 	k int
 	// cauchyRow(i) over data index j is 1/(x_i ^ y_j) with
 	// x_i = k + i (parity index space) and y_j = j (data index space).
-	// Rows are materialised lazily up to maxParity at construction.
+	// A row depends on k and i alone, so rows is a read-only prefix of
+	// the table all Coders of this k share (cauchy).
 	rows [][]byte
 	// cache holds solved decode matrices keyed by loss pattern; loss
 	// patterns repeat heavily across blocks of one rekey message (and
@@ -59,15 +60,26 @@ func NewCoder(k, maxParity int) (*Coder, error) {
 	if k+maxParity > MaxShards {
 		return nil, fmt.Errorf("fec: k+maxParity = %d exceeds %d", k+maxParity, MaxShards)
 	}
-	c := &Coder{k: k, rows: make([][]byte, maxParity)}
-	for i := range c.rows {
-		row := make([]byte, k)
-		for j := 0; j < k; j++ {
-			row[j] = gf256.Inv(byte(k+i) ^ byte(j))
+	t := &cauchy[k]
+	t.once.Do(func() {
+		slab := make([]byte, (MaxShards-k)*k)
+		t.rows = make([][]byte, MaxShards-k)
+		for i := range t.rows {
+			t.rows[i] = slab[i*k : (i+1)*k : (i+1)*k]
+			for j := range t.rows[i] {
+				t.rows[i][j] = gf256.Inv(byte(k+i) ^ byte(j))
+			}
 		}
-		c.rows[i] = row
-	}
-	return c, nil
+	})
+	return &Coder{k: k, rows: t.rows[:maxParity:maxParity]}, nil
+}
+
+// cauchy holds, per block size k, the MaxShards-k parity rows any Coder
+// of that k can use, built on first use in one slab: every member holds
+// a Coder, and every joiner is a new member.
+var cauchy [MaxShards + 1]struct {
+	once sync.Once
+	rows [][]byte
 }
 
 // SetObs attaches a metrics registry (nil detaches). Returns the Coder

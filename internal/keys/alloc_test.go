@@ -4,8 +4,9 @@ import "testing"
 
 // TestHotPathAllocs is this package's part of the allocation gate
 // (DESIGN.md "Allocation discipline"): the per-key wrap of the batch
-// pipeline allocates nothing once its context is keyed, through the AES
-// block's interface call and both HMAC passes; and the two Merkle
+// pipeline and a member's per-key unwrap allocate nothing once their
+// context is keyed, through the AES block's interface call and both
+// HMAC passes; re-keying costs one AES key schedule; and the two Merkle
 // hashes, which the server pays per user and per tree node and a member
 // per proof level, allocate nothing at all.
 func TestHotPathAllocs(t *testing.T) {
@@ -24,6 +25,13 @@ func TestHotPathAllocs(t *testing.T) {
 	}{
 		{"WrapContext.WrapInto", 0, func() { w.WrapInto(&out, inner) }},
 		{"WrapContext.tag", 0, func() { w.tag(out[:KeySize]) }},
+		{"WrapContext.Unwrap", 0, func() {
+			if k, err := w.Unwrap(out); err != nil || k != inner {
+				t.Fatalf("Unwrap = %v, %v; want the wrapped key", k, err)
+			}
+		}},
+		// Re-keying costs the AES key schedule and nothing beside it.
+		{"WrapContext.SetKey", 1, func() { w.SetKey(ks[0]) }},
 		{"nodeHash", 0, func() { node = nodeHash(&left, &right) }},
 		{"LeafHash", 0, func() { left = LeafHash(DomainENC, datagram) }},
 	}

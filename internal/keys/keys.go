@@ -12,6 +12,7 @@
 package keys
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/aes"
 	"crypto/cipher"
@@ -287,11 +288,13 @@ type WrapContext struct {
 	digest     hash.Hash // one SHA-256, reused for inner and outer pass
 	ipad, opad [hmacBlockSize]byte
 	sum        [sha256.Size]byte
-	// in stages WrapInto's inner key: cipher.Block.Encrypt is an
-	// interface call, so slicing a stack parameter into it forces the
-	// parameter to escape (one 16-byte allocation per wrap); staging
-	// through context storage keeps the hot path allocation-free.
+	// in stages WrapInto's inner key and Unwrap's result, ct Unwrap's
+	// input: cipher.Block's methods and hash.Hash.Write are interface
+	// calls, so slicing a stack value into them forces it to escape (an
+	// allocation per call); staging through context storage keeps both
+	// hot paths allocation-free.
 	in Key
+	ct [WrappedSize]byte
 }
 
 // NewWrapContext returns a context keyed for outer.
@@ -301,6 +304,16 @@ func NewWrapContext(outer Key) *WrapContext {
 	return w
 }
 
+// HMAC's inner and outer pad bytes, as one word and as a whole pad: a
+// key's pads are these with the key XORed into their first KeySize
+// bytes, which SetKey does a word at a time.
+const ipadWord, opadWord = 0x3636363636363636, 0x5c5c5c5c5c5c5c5c
+
+var (
+	ipad0 = [hmacBlockSize]byte(bytes.Repeat([]byte{0x36}, hmacBlockSize))
+	opad0 = [hmacBlockSize]byte(bytes.Repeat([]byte{0x5c}, hmacBlockSize))
+)
+
 // SetKey re-keys the context for a new outer key, reusing the digest
 // and pad storage (the only allocation is the AES key schedule).
 func (w *WrapContext) SetKey(outer Key) {
@@ -309,12 +322,11 @@ func (w *WrapContext) SetKey(outer Key) {
 		panic(err) // KeySize is a valid AES-128 key length
 	}
 	w.block = block
-	for i := range w.ipad {
-		w.ipad[i], w.opad[i] = 0x36, 0x5c
-	}
-	for i, b := range outer {
-		w.ipad[i] ^= b
-		w.opad[i] ^= b
+	w.ipad, w.opad = ipad0, opad0
+	for i := 0; i < KeySize; i += 8 {
+		k := binary.LittleEndian.Uint64(outer[i:])
+		binary.LittleEndian.PutUint64(w.ipad[i:], k^ipadWord)
+		binary.LittleEndian.PutUint64(w.opad[i:], k^opadWord)
 	}
 }
 
@@ -353,13 +365,13 @@ func (w *WrapContext) Wrap(inner Key) [WrappedSize]byte {
 // truncated tag first. A tag mismatch yields ErrBadTag. Results are
 // identical to the package-level Unwrap.
 func (w *WrapContext) Unwrap(wrapped [WrappedSize]byte) (Key, error) {
-	w.tag(wrapped[:KeySize])
-	if !hmac.Equal(w.sum[:TagSize], wrapped[KeySize:]) {
+	w.ct = wrapped
+	w.tag(w.ct[:KeySize])
+	if !hmac.Equal(w.sum[:TagSize], w.ct[KeySize:]) {
 		return Key{}, ErrBadTag
 	}
-	var k Key
-	w.block.Decrypt(k[:], wrapped[:KeySize])
-	return k, nil
+	w.block.Decrypt(w.in[:], w.ct[:KeySize])
+	return w.in, nil
 }
 
 // UnwrapContext is the member-side name for the same cached-cipher

@@ -1,5 +1,7 @@
 package keytree
 
+import "math/bits"
+
 // bitset is a growable bit vector indexed by node ID. The marking
 // algorithm previously tracked join/replace/vacated positions in
 // map[int]bool sets; at batch sizes of 10^5-10^6 the map inserts and
@@ -30,4 +32,33 @@ func (b *bitset) clear(i int) {
 func (b *bitset) get(i int) bool {
 	word := i >> 6
 	return word < len(b.w) && b.w[word]&(1<<(uint(i)&63)) != 0
+}
+
+// rankedBitset is a bitset that also counts, in one popcount, the set
+// bits below a position: below[w] is the number set in the words before
+// word w. Set the bits, then call index once.
+type rankedBitset struct {
+	bitset
+	below []int32
+}
+
+// index fills the per-word running counts; rank needs them.
+func (b *rankedBitset) index() {
+	b.below = make([]int32, len(b.w))
+	n := 0
+	for i, w := range b.w {
+		b.below[i] = int32(n)
+		n += bits.OnesCount64(w)
+	}
+}
+
+// rank returns how many set bits lie below i and whether bit i is set;
+// positions outside the allocated words report (0, false).
+func (b *rankedBitset) rank(i int) (below int, set bool) {
+	word := i >> 6
+	if i < 0 || word >= len(b.w) {
+		return 0, false
+	}
+	w, bit := b.w[word], uint64(1)<<(uint(i)&63)
+	return int(b.below[word]) + bits.OnesCount64(w&(bit-1)), w&bit != 0
 }

@@ -393,15 +393,15 @@ type Encryption struct {
 	Wrapped [keys.WrappedSize]byte
 }
 
-// levelSeg locates one tree level's slice of the Encryptions array:
-// node IDs in [lo, hi) occupy Encryptions[start:next.start] with IDs
-// ascending. Encryptions are emitted deepest level first, so the
-// segments replace the old per-encryption hash index with a handful of
-// range records plus binary search -- nothing per-encryption to build,
-// which matters when a million-member batch emits ~10^6 entries.
+// levelSeg locates one tree level's run of the Encryptions array, which
+// holds the level's encryptions with IDs ascending; levels run deepest
+// first. Within a level an encryption's offset is its rank among the
+// emitting nodes, so with the emitted bitset a lookup is one popcount --
+// nothing per encryption to build, and a bit per node, not an entry.
 type levelSeg struct {
-	lo, hi int // node-ID bounds of the level, [lo, hi)
-	start  int // offset of the level's first encryption
+	lo    int // the level's first node ID
+	start int // offset of the level's first encryption
+	below int // emitting nodes with IDs below lo
 }
 
 // BatchResult is the outcome of one ProcessBatch: the workload handed to
@@ -410,9 +410,11 @@ type BatchResult struct {
 	// Encryptions in bottom-up (deepest level first, left-to-right)
 	// generation order.
 	Encryptions []Encryption
-	// levels are the per-tree-level segments of Encryptions, deepest
-	// level first (the generation order).
-	levels []levelSeg
+	// levels are the segments of Encryptions of the levels that emit,
+	// deepest first (the generation order); emitted marks, by node ID,
+	// the nodes that contribute an encryption.
+	levels  []levelSeg
+	emitted rankedBitset
 	// MaxKID after the batch; carried in every ENC packet.
 	MaxKID int
 	// GroupKey after the batch.
@@ -427,28 +429,28 @@ type BatchResult struct {
 }
 
 // lookup returns the position in Encryptions of the encryption whose
-// encrypting-key node is id: find the level segment covering the ID,
-// then binary-search the segment (IDs ascend within a level).
+// encrypting-key node is id: its level's start plus the emitting nodes
+// of that level below it.
 func (r *BatchResult) lookup(id int) (int, bool) {
-	if id < 0 {
+	below, ok := r.emitted.rank(id)
+	if !ok {
 		return 0, false
 	}
-	for li, seg := range r.levels {
-		if id < seg.lo || id >= seg.hi {
-			continue
+	for _, seg := range r.levels {
+		if id >= seg.lo { // levels run deepest first: the first starting at or before id holds it
+			return seg.start + below - seg.below, true
 		}
-		end := len(r.Encryptions)
-		if li+1 < len(r.levels) {
-			end = r.levels[li+1].start
-		}
-		encs := r.Encryptions[seg.start:end]
-		i := sort.Search(len(encs), func(j int) bool { return encs[j].ID >= uint32(id) })
-		if i < len(encs) && encs[i].ID == uint32(id) {
-			return seg.start + i, true
-		}
-		return 0, false
 	}
 	return 0, false
+}
+
+// indexLevels builds lookup's index once emission has marked every
+// emitting node and recorded every level's start.
+func (r *BatchResult) indexLevels() {
+	r.emitted.index()
+	for i := range r.levels {
+		r.levels[i].below, _ = r.emitted.rank(r.levels[i].lo)
+	}
 }
 
 // Encryption returns the encryption whose encrypting-key node is id.
@@ -758,6 +760,7 @@ func (t *Tree) levelBounds() []int {
 // one-shot keys.Wrap. The root level never emits (no parent edge).
 func (t *Tree) emitSeq(res *BatchResult) {
 	levelStart := t.levelBounds()
+	res.emitted.w = make([]uint64, (len(t.nodes)+63)/64)
 	for level := t.height; level >= 1; level-- {
 		lo, hi := levelStart[level], levelStart[level+1]
 		if hi > len(t.nodes) {
@@ -773,11 +776,13 @@ func (t *Tree) emitSeq(res *BatchResult) {
 				e.Wrapped = keys.Wrap(t.nodes[id].key, t.nodes[t.Parent(id)].key)
 			}
 			res.Encryptions = append(res.Encryptions, e)
+			res.emitted.set(id)
 		}
 		if len(res.Encryptions) > start {
-			res.levels = append(res.levels, levelSeg{lo: lo, hi: hi, start: start})
+			res.levels = append(res.levels, levelSeg{lo: lo, start: start})
 		}
 	}
+	res.indexLevels()
 }
 
 // NewID implements Theorem 4.2: given a user's pre-batch u-node ID m and

@@ -25,13 +25,15 @@ type emitSpan struct {
 
 // emitParallel produces exactly emitSeq's output, pre-sized and filled
 // in parallel. A serial counting pass over the rekey levels (cheap:
-// label/kind tests only, no crypto) fixes each span's output offset by
-// prefix sum, so every encryption's position is known before any wrap
+// label/kind tests only, no crypto) marks the emitting nodes and fixes
+// each span's output offset by prefix sum, so every encryption's
+// position is known -- and lookup's index built -- before any wrap
 // runs; workers then pull spans off an atomic cursor and fill them
 // with a per-worker WrapContext. No locks, no post-hoc sorting, and
 // the result is byte-identical to the sequential path by construction.
 func (t *Tree) emitParallel(res *BatchResult) {
 	levelStart := t.levelBounds()
+	res.emitted.w = make([]uint64, (len(t.nodes)+63)/64)
 	var spans []emitSpan
 	total := 0
 	for level := t.height; level >= 1; level-- {
@@ -48,6 +50,7 @@ func (t *Tree) emitParallel(res *BatchResult) {
 			cnt := 0
 			for id := s; id < e; id++ {
 				if t.emitEligible(id) {
+					res.emitted.set(id)
 					cnt++
 				}
 			}
@@ -57,9 +60,10 @@ func (t *Tree) emitParallel(res *BatchResult) {
 			}
 		}
 		if total > levelTotal {
-			res.levels = append(res.levels, levelSeg{lo: lo, hi: hi, start: levelTotal})
+			res.levels = append(res.levels, levelSeg{lo: lo, start: levelTotal})
 		}
 	}
+	res.indexLevels()
 	if total == 0 {
 		return
 	}

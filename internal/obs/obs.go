@@ -184,10 +184,19 @@ const (
 	// exported as shard_batch_s, the name bench/README.md's stage map
 	// and existing dashboards key on.
 	HShardBatch
-	// HSignRoot is seconds per interval spent building the interval
-	// Merkle tree and signing its root (the amortized-signing cost that
-	// replaces sign-per-message).
+	// HSignRoot is seconds per interval spent, once both subtrees exist,
+	// on the interval Merkle tree's top, the root signature and the
+	// packets' proof trailers (the amortized-signing cost that replaces
+	// sign-per-message).
 	HSignRoot
+	// HAssignBuild is seconds per interval from key assignment through
+	// the ENC packets' Merkle block trees, on Rekey's own goroutine.
+	HAssignBuild
+	// HUSRSubtree is seconds per interval building the USR subtree
+	// (leaves and tree), which a signing server with more than one
+	// worker runs beside HAssignBuild: the larger of the two is Rekey's
+	// critical path.
+	HUSRSubtree
 	// HMerkleProofBytes is the auth trailer size in bytes per packet
 	// kind built (the O(log n) proof overhead the paper's capacity
 	// analysis must budget for).
@@ -205,6 +214,8 @@ var histNames = [numHists]string{
 	HParityEncode:     "parity_encode_s",
 	HShardBatch:       "shard_batch_s",
 	HSignRoot:         "sign_root_s",
+	HAssignBuild:      "assign_build_s",
+	HUSRSubtree:       "usr_subtree_s",
 	HMerkleProofBytes: "merkle_proof_bytes",
 }
 
@@ -219,6 +230,8 @@ var histBounds = [numHists][]float64{
 	HParityEncode:     {0.0001, 0.0005, 0.001, 0.005, 0.02, 0.05, 0.1, 0.5, 1, 5},
 	HShardBatch:       {0.0001, 0.0005, 0.001, 0.005, 0.02, 0.05, 0.1, 0.5, 1, 5},
 	HSignRoot:         {0.00001, 0.0001, 0.0005, 0.001, 0.005, 0.02, 0.05, 0.1, 0.5, 1},
+	HAssignBuild:      {0.0001, 0.0005, 0.001, 0.005, 0.02, 0.05, 0.1, 0.5, 1, 5},
+	HUSRSubtree:       {0.0001, 0.0005, 0.001, 0.005, 0.02, 0.05, 0.1, 0.5, 1, 5},
 	HMerkleProofBytes: {0, 64, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048},
 }
 

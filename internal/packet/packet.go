@@ -161,25 +161,25 @@ func ParseENCHeader(b []byte) (ENCHeader, error) {
 	}, nil
 }
 
-// ENCEncryptions decodes the encryptions of an ENC packet whose header
-// ParseENCHeader accepted, into a slice sized exactly (nil for none):
-// the entries run from ENCHeaderLen to the first zero ID, where the
-// padding begins.
-func ENCEncryptions(b []byte) []keytree.Encryption {
+// AppendENCEncryptions appends to dst the encryptions of an ENC packet
+// whose header ParseENCHeader accepted: the entries run from
+// ENCHeaderLen to the first zero ID, where the padding begins. A dst
+// without room for them is grown to fit exactly, so a reused one stops
+// allocating and a nil one costs one allocation (none for no entries).
+func AppendENCEncryptions(dst []keytree.Encryption, b []byte) []keytree.Encryption {
 	n := 0
 	for off := ENCHeaderLen; off+EncEntryLen <= len(b) && binary.BigEndian.Uint32(b[off:]) != 0; off += EncEntryLen {
 		n++
 	}
-	if n == 0 {
-		return nil
+	if len(dst)+n > cap(dst) {
+		dst = append(make([]keytree.Encryption, 0, len(dst)+n), dst...)
 	}
-	encs := make([]keytree.Encryption, n)
-	for i := range encs {
-		off := ENCHeaderLen + i*EncEntryLen
-		encs[i].ID = binary.BigEndian.Uint32(b[off:])
-		copy(encs[i].Wrapped[:], b[off+4:])
+	for off := ENCHeaderLen; off < ENCHeaderLen+n*EncEntryLen; off += EncEntryLen {
+		e := keytree.Encryption{ID: binary.BigEndian.Uint32(b[off:])}
+		copy(e.Wrapped[:], b[off+4:])
+		dst = append(dst, e)
 	}
-	return encs
+	return dst
 }
 
 // ParseENC decodes an ENC packet produced by Marshal.
@@ -191,7 +191,7 @@ func ParseENC(b []byte) (*ENC, error) {
 	return &ENC{
 		MsgID: h.MsgID, BlockID: h.BlockID, Seq: h.Seq, Dup: h.Dup,
 		MaxKID: h.MaxKID, FrmID: h.FrmID, ToID: h.ToID,
-		Encs: ENCEncryptions(b),
+		Encs: AppendENCEncryptions(nil, b),
 	}, nil
 }
 

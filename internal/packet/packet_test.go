@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -66,8 +67,13 @@ func TestENCRoundTrip(t *testing.T) {
 		if h != want {
 			t.Fatalf("n=%d: ParseENCHeader = %+v, want %+v", n, h, want)
 		}
-		if encs := ENCEncryptions(b); len(encs) != n || cap(encs) != n {
-			t.Fatalf("n=%d: ENCEncryptions len %d cap %d", n, len(encs), cap(encs))
+		if encs := AppendENCEncryptions(nil, b); len(encs) != n || cap(encs) != n {
+			t.Fatalf("n=%d: AppendENCEncryptions(nil) len %d cap %d", n, len(encs), cap(encs))
+		}
+		// Appended after a kept prefix, into a reused buffer.
+		buf := make([]keytree.Encryption, 1, 1+MaxEncPerPacket)
+		if encs := AppendENCEncryptions(buf, b); len(encs) != 1+n || &encs[0] != &buf[0] || !slices.Equal(encs[1:], got.Encs) {
+			t.Fatalf("n=%d: AppendENCEncryptions into a reused buffer: len %d, moved %v", n, len(encs), &encs[0] != &buf[0])
 		}
 	}
 }

@@ -60,7 +60,7 @@ type IngestResult struct {
 // arrive in any order. Member is safe for concurrent use.
 type Member struct {
 	mu    sync.Mutex
-	view  *keytree.UserView // guarded by mu
+	view  keytree.UserView // guarded by mu
 	k     int
 	coder *fec.Coder
 	// cur is the one assembly the member ever has: a new message ID
@@ -76,6 +76,9 @@ type Member struct {
 	shards []fec.Shard
 	fulls  [][]byte
 	spans  [][]byte
+	// encs receives the entries of the member's own ENC packet, received
+	// or decoded, for the view to pick its path from. Guarded by mu.
+	encs [packet.MaxEncPerPacket]keytree.Encryption
 	// trailer is the parse target of every datagram's auth trailer.
 	trailer packet.AuthTrailer // guarded by mu
 	// verifier, when non-nil, makes every ingested packet prove itself
@@ -120,7 +123,7 @@ func NewMember(c Credentials) (*Member, error) {
 		return nil, err
 	}
 	return &Member{
-		view:  keytree.NewUserView(c.Degree, c.Member, c.NodeID, c.Key),
+		view:  *keytree.NewUserView(c.Degree, c.Member, c.NodeID, c.Key),
 		k:     c.BlockSize,
 		coder: coder,
 	}, nil
@@ -472,7 +475,7 @@ func (m *Member) ingestENCLocked(h packet.ENCHeader, raw []byte, blockRoot *keys
 			ErrWrongMessage, m.view.Member, h.MaxKID)
 	}
 	if int(h.FrmID) <= myID && myID <= int(h.ToID) {
-		if err := m.view.Apply(int(h.MaxKID), packet.ENCEncryptions(raw)); err != nil {
+		if err := m.view.Apply(int(h.MaxKID), packet.AppendENCEncryptions(m.encs[:0], raw)); err != nil {
 			return res, fmt.Errorf("%w: %v", ErrWrongMessage, err)
 		}
 		m.finishLocked()
@@ -569,7 +572,7 @@ func (m *Member) decodeLocked(blk *blockShards, res IngestResult) (IngestResult,
 		if !ok || myID < int(h.FrmID) || int(h.ToID) < myID {
 			continue
 		}
-		if err := m.view.Apply(int(h.MaxKID), packet.ENCEncryptions(full)); err != nil {
+		if err := m.view.Apply(int(h.MaxKID), packet.AppendENCEncryptions(m.encs[:0], full)); err != nil {
 			return res, fmt.Errorf("%w: %v", ErrWrongMessage, err)
 		}
 		m.finishLocked()

@@ -321,13 +321,38 @@ func (f *assemblyFixture) runSchedule(t *testing.T, seed uint64) {
 }
 
 // TestIngestAllocs pins what the receive path may allocate: nothing for
-// a packet of a completed message, signed or not, and nothing for
-// another member's ENC packet once the shard buffers of earlier
-// messages are there to reuse.
+// a packet of a completed message, signed or not; nothing for another
+// member's ENC packet once the shard buffers of earlier messages are
+// there to reuse; and for the member's own ENC packet, one AES key
+// schedule per key it unwraps and nothing else.
 func TestIngestAllocs(t *testing.T) {
 	for _, signed := range []bool{false, true} {
 		f := newAssemblyFixture(t, 61, 10, 1000, signed)
 		id := f.ids()[0]
+		if !signed {
+			// AllocsPerRun runs once unmeasured, then once per member left.
+			ids := f.ids()[:41]
+			members, wires := make([]*Member, len(ids)), make([][]byte, len(ids))
+			unwraps := 0
+			for i, mid := range ids {
+				members[i] = f.member(t, mid, nil)
+				own := f.ownPacket(t, mid)
+				wires[i] = f.datagram(t, own/f.rm2.Part.K, own%f.rm2.Part.K)
+				if i > 0 {
+					cred, _ := f.s.Credentials(mid)
+					unwraps += len(f.rm2.Result.UserNeeds(cred.NodeID))
+				}
+			}
+			i := 0
+			if allocs := testing.AllocsPerRun(len(ids)-1, func() {
+				if res, err := members[i].Ingest(wires[i]); err != nil || !res.Done {
+					t.Fatalf("own ENC of member %d: res=%+v err=%v", ids[i], res, err)
+				}
+				i++
+			}); allocs != float64(unwraps/(len(ids)-1)) {
+				t.Errorf("own ENC: %.1f allocs per ingest, want %d (one key schedule per unwrap)", allocs, unwraps/(len(ids)-1))
+			}
+		}
 		m := f.member(t, id, nil)
 		own := f.ownPacket(t, id)
 		ownBlock, ownSeq := f.rm2.Part.Slot(own)

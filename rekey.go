@@ -324,13 +324,34 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 		return nil, ErrNoChange
 	}
 
+	rm := &RekeyMessage{
+		MsgID:  s.msgSeq & packet.MaxMsgID,
+		Result: res,
+		degree: s.cfg.Degree,
+		k:      s.cfg.K,
+		obs:    s.obs,
+	}
+	// With more than one worker the USR subtree is built beside the ENC
+	// packets and buildAuth joins it; with one, buildAuth builds it. An
+	// error surfaces where the serial order would report it.
+	var usrTree func() (*keys.MerkleTree, error)
+	if s.cfg.Signer != nil {
+		workers := s.cfg.EffectiveWorkers()
+		usrTree = rm.startUSRSubtree(workers)
+		if workers > 1 {
+			defer usrTree() // every return waits: nothing touches rm after Rekey
+		}
+	}
+	var assignStart time.Time
+	if s.obs.Enabled() {
+		assignStart = time.Now()
+	}
 	plan, err := assign.Build(res)
 	if err != nil {
 		return nil, err
 	}
-	msgID := s.msgSeq & packet.MaxMsgID
 	s.msgSeq++
-	encs, err := assign.Materialize(plan, res, msgID, s.cfg.K)
+	encs, err := assign.Materialize(plan, res, rm.MsgID, s.cfg.K)
 	if err != nil {
 		return nil, err
 	}
@@ -338,17 +359,8 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 	if err != nil {
 		return nil, err
 	}
-	rm := &RekeyMessage{
-		MsgID:   msgID,
-		Result:  res,
-		Plan:    plan,
-		ENC:     encs,
-		Part:    part,
-		degree:  s.cfg.Degree,
-		k:       s.cfg.K,
-		obs:     s.obs,
-		encWire: make([][]byte, len(encs)),
-	}
+	rm.Plan, rm.ENC, rm.Part = plan, encs, part
+	rm.encWire = make([][]byte, len(encs))
 	// One slab holds every datagram: the packet and, on a signing server,
 	// room after it for buildAuth to append the trailer in place.
 	stride := packet.PacketLen
@@ -362,8 +374,13 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 			return nil, err
 		}
 	}
+	var blockTrees []*keys.MerkleTree
 	if s.cfg.Signer != nil {
-		if err := rm.buildAuth(s.cfg.Signer, s.cfg.EffectiveWorkers()); err != nil {
+		blockTrees = rm.blockTrees()
+	}
+	s.obs.ObserveSince(obs.HAssignBuild, assignStart)
+	if s.cfg.Signer != nil {
+		if err := rm.buildAuth(s.cfg.Signer, blockTrees, usrTree); err != nil {
 			return nil, err
 		}
 	}
@@ -375,7 +392,7 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 		s.obs.Observe(obs.HBatchSize, float64(res.Joined+res.Left))
 		s.obs.ObserveSince(obs.HRekeyBuild, buildStart)
 		s.obs.Set(obs.GGroupSize, float64(len(res.UserIDs)))
-		s.obs.Emit(obs.Event{Kind: obs.EvRekeyBuilt, MsgID: msgID, Value: float64(part.NumReal)})
+		s.obs.Emit(obs.Event{Kind: obs.EvRekeyBuilt, MsgID: rm.MsgID, Value: float64(part.NumReal)})
 	}
 	return rm, nil
 }
