@@ -7,8 +7,6 @@
 //	rekeybench -exp all [-quick] [-messages 25] [-seed 1]
 //	rekeybench -scenario [-quick] [-scenario.out EXPERIMENTS.md]
 //	rekeybench -scenario.check
-//	rekeybench -strategy [-quick] [-strategy.out EXPERIMENTS.md]
-//	rekeybench -strategy.check
 //
 // Each experiment prints one text table per figure: series blocks of
 // "x<TAB>y" rows, the same series the corresponding paper figure plots.
@@ -17,10 +15,7 @@
 // impairments with invariant oracles active, and prints (or writes into
 // the "Scenarios beyond the paper" section of -scenario.out) a markdown
 // comparison table. -scenario.check runs the quick-scale matrix as a
-// pass/fail regression guard for CI. -strategy races every registered
-// key tree placement strategy through the same matrix and renders the
-// per-strategy encryptions/bytes/latency comparison; -strategy.check is
-// its CI guard.
+// pass/fail regression guard for CI.
 package main
 
 import (
@@ -33,17 +28,16 @@ import (
 	"repro/internal/experiments"
 )
 
-// The markers delimit the generated tables inside the -*.out files.
+// The markers delimit the generated table inside the -scenario.out file.
 const (
 	scenarioBegin = "<!-- scenario-table:begin -->"
 	scenarioEnd   = "<!-- scenario-table:end -->"
-	strategyBegin = "<!-- strategy-table:begin -->"
-	strategyEnd   = "<!-- strategy-table:end -->"
 )
 
-// spliceTable replaces the region between begin/end markers in outFile
-// with the table, or prints table with the header when outFile is "".
-func spliceTable(outFile, begin, end, header, table string) error {
+// spliceTable replaces the region between the scenario-table markers in
+// outFile with the table, or prints table with the header when outFile
+// is "".
+func spliceTable(outFile, header, table string) error {
 	if outFile == "" {
 		fmt.Printf("%s\n\n%s", header, table)
 		return nil
@@ -53,36 +47,16 @@ func spliceTable(outFile, begin, end, header, table string) error {
 		return err
 	}
 	doc := string(raw)
-	lo := strings.Index(doc, begin)
-	hi := strings.Index(doc, end)
+	lo := strings.Index(doc, scenarioBegin)
+	hi := strings.Index(doc, scenarioEnd)
 	if lo < 0 || hi < 0 || hi < lo {
-		return fmt.Errorf("%s: markers %q/%q not found", outFile, begin, end)
+		return fmt.Errorf("%s: markers %q/%q not found", outFile, scenarioBegin, scenarioEnd)
 	}
-	doc = doc[:lo+len(begin)] + "\n" + table + doc[hi:]
+	doc = doc[:lo+len(scenarioBegin)] + "\n" + table + doc[hi:]
 	if err := os.WriteFile(outFile, []byte(doc), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("%s; table written to %s\n", header, outFile)
-	return nil
-}
-
-func runStrategySuite(opts experiments.Options, outFile string) error {
-	start := time.Now()
-	cells := experiments.RunStrategySuite(opts)
-	table := experiments.StrategyMarkdown(cells)
-	fail := 0
-	for _, c := range cells {
-		if !c.OK {
-			fail++
-		}
-	}
-	header := fmt.Sprintf("# strategy race — %d rows, %d failing, %v", len(cells), fail, time.Since(start).Round(time.Millisecond))
-	if err := spliceTable(outFile, strategyBegin, strategyEnd, header, table); err != nil {
-		return err
-	}
-	if fail > 0 {
-		return fmt.Errorf("%d strategy rows failed", fail)
-	}
 	return nil
 }
 
@@ -97,7 +71,7 @@ func runScenarioSuite(opts experiments.Options, outFile string) error {
 		}
 	}
 	header := fmt.Sprintf("# scenario suite — %d cells, %d failing, %v", len(cells), fail, time.Since(start).Round(time.Millisecond))
-	if err := spliceTable(outFile, scenarioBegin, scenarioEnd, header, table); err != nil {
+	if err := spliceTable(outFile, header, table); err != nil {
 		return err
 	}
 	if fail > 0 {
@@ -116,28 +90,8 @@ func main() {
 		scenario = flag.Bool("scenario", false, "run the adversarial churn scenario suite")
 		scenOut  = flag.String("scenario.out", "", "write the scenario table into this file (between scenario-table markers)")
 		scenChk  = flag.Bool("scenario.check", false, "quick-scale scenario matrix as a pass/fail regression guard")
-		strat    = flag.Bool("strategy", false, "race every key tree placement strategy through the scenario matrix")
-		stratOut = flag.String("strategy.out", "", "write the strategy table into this file (between strategy-table markers)")
-		stratChk = flag.Bool("strategy.check", false, "quick-scale strategy race as a pass/fail regression guard")
 	)
 	flag.Parse()
-
-	if *stratChk {
-		if err := experiments.StrategyCheck(experiments.Options{Seed: *seed}); err != nil {
-			fmt.Fprintf(os.Stderr, "rekeybench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("strategy check: all rows pass")
-		return
-	}
-	if *strat {
-		opts := experiments.Options{Seed: *seed, Quick: *quick}
-		if err := runStrategySuite(opts, *stratOut); err != nil {
-			fmt.Fprintf(os.Stderr, "rekeybench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *scenChk {
 		if err := experiments.ScenarioCheck(experiments.Options{Seed: *seed}); err != nil {

@@ -87,7 +87,6 @@ type ScenarioCell struct {
 	PeakN      int
 	FinalN     int
 	Encs       int     // total encryptions across the run
-	BatchNs    int64   // total ProcessBatch wall time across the run
 	Overhead   float64 // mean server bandwidth overhead h'/h
 	Rounds     float64 // mean multicast rounds per message
 	MaxWaves   int     // worst unicast waves of any message
@@ -99,16 +98,15 @@ type ScenarioCell struct {
 }
 
 // runScenarioCell drives one scenario under one impairment with the
-// three invariant oracles active. drOpts parameterise the driver's key
-// tree (the strategy race passes workload.WithStrategy).
-func runScenarioCell(ss ScenarioSpec, is ImpairmentSpec, opts Options, drOpts ...workload.DriverOption) ScenarioCell {
+// three invariant oracles active.
+func runScenarioCell(ss ScenarioSpec, is ImpairmentSpec, opts Options) ScenarioCell {
 	cell := ScenarioCell{Scenario: ss.ID, Impairment: is.ID}
 	fail := func(err error) ScenarioCell {
 		cell.Err = err.Error()
 		return cell
 	}
 
-	dr, err := workload.NewDriver(ss.Build(opts.Quick), 4, opts.Seed, drOpts...)
+	dr, err := workload.NewDriver(ss.Build(opts.Quick), 4, opts.Seed)
 	if err != nil {
 		return fail(err)
 	}
@@ -147,7 +145,6 @@ func runScenarioCell(ss ScenarioSpec, is ImpairmentSpec, opts Options, drOpts ..
 			cell.PeakN = n
 		}
 		cell.Encs += len(st.Res.Encryptions)
-		cell.BatchNs += st.BatchNs
 
 		// Transport: deliver this interval's message over the impaired
 		// network sized to the post-batch population. The session (and

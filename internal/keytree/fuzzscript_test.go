@@ -7,7 +7,7 @@ package keytree
 // (strided, prefix, suffix, scattered). Keeping the decoder in one
 // place means the checked-in corpora drive every consumer identically,
 // so a corpus entry that once broke the marking algorithm keeps
-// guarding its strategies and the golden digests alike.
+// guarding it and the golden digests alike.
 
 // fuzzScriptRounds caps the churn rounds one script replays.
 const fuzzScriptRounds = 8

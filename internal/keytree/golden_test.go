@@ -22,9 +22,9 @@ import (
 // every encryption ID and ciphertext byte, MaxKID, group key, user IDs
 // and update counts, across both the parallel and sequential pipelines
 // -- as SHA-256 digests over deterministic schedules. The digests in
-// testdata/golden_paper_marking.json were generated from the
-// pre-TreeStrategy monolithic ProcessBatch, so they prove the extracted
-// PaperMarking strategy is byte-identical to the code it replaced.
+// testdata/golden_paper_marking.json were generated from the original
+// monolithic ProcessBatch, and every restructuring of the marking since
+// has had to reproduce them byte for byte.
 //
 // Regenerate (only when an intentional output change is made) with:
 //
@@ -125,7 +125,7 @@ func corpusCases(t *testing.T) []goldenCase {
 	var cases []goldenCase
 	for _, dir := range []string{
 		"testdata/fuzz/FuzzMarkingAdversarial",
-		"testdata/fuzz/FuzzStrategyEquivalence",
+		"testdata/fuzz/FuzzMarkingScript",
 	} {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
@@ -300,8 +300,8 @@ func goldenCases(t *testing.T) []goldenCase {
 	return cases
 }
 
-// TestPaperMarkingGolden proves the default marking strategy reproduces
-// the pre-refactor ProcessBatch/ProcessBatchSeq output byte for byte.
+// TestPaperMarkingGolden proves the marking algorithm reproduces the
+// original ProcessBatch/ProcessBatchSeq output byte for byte.
 func TestPaperMarkingGolden(t *testing.T) {
 	got := make(map[string]string)
 	for _, gc := range goldenCases(t) {
@@ -338,7 +338,7 @@ func TestPaperMarkingGolden(t *testing.T) {
 			continue
 		}
 		if g != w {
-			t.Errorf("case %q: output diverged from the pre-strategy marking algorithm:\n  got  %s\n  want %s", name, g, w)
+			t.Errorf("case %q: output diverged from the original marking algorithm:\n  got  %s\n  want %s", name, g, w)
 		}
 	}
 }

@@ -17,10 +17,8 @@
 // (Unchanged/Join/Leave/Replace), generates new keys for every updated
 // k-node, and emits one encryption {parentKey}_childKey per
 // rekey-subtree edge, bottom-up -- the workload handed to rekey
-// transport. Batch placement and marking are pluggable: a TreeStrategy
-// (see strategy.go) decides where joiners land and which subtrees
-// rekey; the default PaperMarking strategy is the marking algorithm of
-// the paper's Appendix B.
+// transport. Placement and marking are the paper's Appendix B
+// algorithm, the one behind Lemma 4.1 and Theorem 4.2 (see mark).
 package keytree
 
 import (
@@ -118,13 +116,26 @@ type Tree struct {
 	// reg receives pipeline metrics (keys generated, wraps, wrap ns);
 	// nil costs only a nil check.
 	reg *obs.Registry
-	// strat owns batch placement and marking; never nil (defaults to
-	// PaperMarking).
-	strat Strategy
 }
 
-// New returns an empty key tree of the given degree (d >= 2), using the
-// PaperMarking placement strategy unless WithStrategy overrides it.
+// Option configures a Tree at construction time.
+type Option func(*Tree)
+
+// WithLite skips ciphertext materialisation in ProcessBatch: encryption
+// IDs and counts stay exact but Wrapped stays zero. Transport
+// experiments that only track packet bookkeeping use it to avoid paying
+// for AES on hundreds of simulated rekey messages.
+func WithLite(lite bool) Option { return func(t *Tree) { t.lite = lite } }
+
+// WithWorkers bounds the worker pool of the parallel batch pipeline;
+// n <= 0 means GOMAXPROCS (resolved via internal/tuning).
+func WithWorkers(n int) Option { return func(t *Tree) { t.workers = n } }
+
+// WithObs attaches a metrics registry (nil detaches); a nil registry
+// costs only a nil check.
+func WithObs(r *obs.Registry) Option { return func(t *Tree) { t.reg = r } }
+
+// New returns an empty key tree of the given degree (d >= 2).
 func New(d int, gen *keys.Generator, opts ...Option) *Tree {
 	if d < 2 {
 		panic(fmt.Sprintf("keytree: degree %d < 2", d))
@@ -138,16 +149,12 @@ func New(d int, gen *keys.Generator, opts ...Option) *Tree {
 		nodes:  make([]node, fullSize(d, 1)),
 		loc:    make(map[Member]int),
 		gen:    gen,
-		strat:  PaperMarking{},
 	}
 	for _, o := range opts {
 		o(t)
 	}
 	return t
 }
-
-// StrategyName returns the name of the tree's placement strategy.
-func (t *Tree) StrategyName() string { return t.strat.Name() }
 
 // fullSize returns the node count of a full, balanced tree of the given
 // degree and height: (d^(h+1)-1)/(d-1).
@@ -375,7 +382,7 @@ func (t *Tree) CheckInvariant() error {
 // that many trials can apply independent batches to identical starting
 // states.
 func (t *Tree) Clone() *Tree {
-	n := &Tree{d: t.d, height: t.height, gen: t.gen, lite: t.lite, workers: t.workers, reg: t.reg, strat: t.strat}
+	n := &Tree{d: t.d, height: t.height, gen: t.gen, lite: t.lite, workers: t.workers, reg: t.reg}
 	n.nodes = append([]node(nil), t.nodes...)
 	n.uids = append([]int(nil), t.uids...)
 	n.loc = make(map[Member]int, len(t.loc))
@@ -560,7 +567,7 @@ func grow[T any](dst []T, n int) []T {
 
 // ProcessBatch applies one rekey interval: the L members in leaves
 // depart and the J members in joins arrive, placed and marked by the
-// tree's strategy. It returns the generated rekey workload. A batch
+// paper's algorithm (mark). It returns the generated rekey workload. A batch
 // with no membership change returns an empty BatchResult (no rekeying
 // needed).
 //
@@ -613,16 +620,7 @@ func (t *Tree) processBatch(joins, leaves []Member, seq bool) (*BatchResult, err
 		t.nodes[i].label = Unchanged
 	}
 
-	// Hand the validated batch to the placement strategy, then fold its
-	// user-ID delta into the maintained sorted slice. A strategy error
-	// after mutation would leave the tree inconsistent, so strategies
-	// only error on contract violations (which validation above already
-	// rules out for the built-ins).
-	ops := newTreeOps(t, len(joins), len(leaves))
-	if err := t.strat.PlaceBatch(ops, joins, leaves); err != nil {
-		return nil, err
-	}
-	ops.commit()
+	t.mark(joins, leaves)
 	updated := t.rekeyKNodes(seq)
 
 	res := &BatchResult{
@@ -692,6 +690,295 @@ func (t *Tree) commitUserIDs(removed, added []int) {
 		ai++
 	}
 	t.uids = out
+}
+
+// batch is one batch's placement marks, from which relabel derives the
+// rekey subtree: positions filled by a pure join, positions refilled
+// after a same-interval departure, and positions vacated this interval
+// (u-nodes removed and not refilled, plus pruned k-nodes). removed and
+// added are the batch's user-ID delta with final-state cancellation: an
+// ID vacated and refilled within one batch nets out to no change, and
+// an ID placed then moved away by a split never enters uids at all.
+type batch struct {
+	t                               *Tree
+	joinPos, replacePos, vacatedPos bitset
+	removed, added                  map[int]bool
+}
+
+// mark is the tree-update phase of the paper's marking algorithm
+// (Appendix B steps 1-4) on a validated batch: departed positions are
+// refilled lowest ID first in join arrival order; when leaves outnumber
+// joins, emptied k-nodes prune; when joins outnumber leaves, the
+// overflow fills the u-region window left to right, then splits expand
+// the tree. Individual keys are drawn in placement order, which
+// TestPaperMarkingGolden pins.
+func (t *Tree) mark(joins, leaves []Member) {
+	b := &batch{t: t, removed: make(map[int]bool, len(leaves)), added: make(map[int]bool, len(joins))}
+	departed := make([]int, 0, len(leaves))
+	for _, m := range leaves {
+		departed = append(departed, b.remove(m))
+	}
+	sort.Ints(departed)
+
+	n := min(len(joins), len(leaves))
+	for i, m := range joins[:n] {
+		b.place(departed[i], m, true)
+	}
+	switch {
+	case len(joins) < len(leaves):
+		// The remaining L-J departed positions stay n-nodes; k-nodes
+		// whose children are all n-nodes become n-nodes, up the tree.
+		b.pruneEmptyKNodes()
+	case len(joins) > len(leaves):
+		b.placeExtra(joins[n:])
+	}
+
+	// Step 4: any n-node with a descendant u-node becomes a k-node.
+	// (Arises when a join fills a position under a pruned subtree.)
+	t.promoteNNodes()
+	b.relabel()
+	b.commit()
+}
+
+// placeExtra implements the J > L expansion: fill n-node positions with
+// IDs in (nk, d*nk+d], then repeatedly split node nk+1, where nk is the
+// maximum k-node ID, updating nk after each split. The split node
+// becomes its own leftmost child.
+func (b *batch) placeExtra(extra []Member) {
+	t := b.t
+	if t.N() == 0 && t.MaxKID() < 0 {
+		// Empty tree: seed it by making the root a k-node over a first
+		// leaf, then let the regular expansion take over.
+		t.growTo(t.d)
+		b.place(1, extra[0], false)
+		t.nodes[0].kind = KNode
+		extra = extra[1:]
+	}
+	if len(extra) == 0 {
+		return
+	}
+	i := b.fillWindow(extra)
+	// Still extra joins: the window is now fully packed, so splitGrow's
+	// precondition holds.
+	b.splitGrow(extra[i:])
+}
+
+func (b *batch) uidRemove(id int) {
+	if b.added[id] {
+		delete(b.added, id)
+	} else {
+		b.removed[id] = true
+	}
+}
+
+func (b *batch) uidAdd(id int) {
+	if b.removed[id] {
+		delete(b.removed, id)
+	} else {
+		b.added[id] = true
+	}
+}
+
+// commit folds the batch's u-node removals and additions into the
+// tree's maintained sorted user-ID slice.
+func (b *batch) commit() {
+	removed := make([]int, 0, len(b.removed))
+	for id := range b.removed {
+		removed = append(removed, id)
+	}
+	added := make([]int, 0, len(b.added))
+	for id := range b.added {
+		added = append(added, id)
+	}
+	b.t.commitUserIDs(removed, added)
+}
+
+// remove departs member m, whose membership the batch prologue has
+// validated: its position becomes a vacated n-node.
+func (b *batch) remove(m Member) int {
+	id := b.t.loc[m]
+	delete(b.t.loc, m)
+	b.t.nodes[id] = node{kind: NNode}
+	b.vacatedPos.set(id)
+	b.uidRemove(id)
+	return id
+}
+
+// place installs joiner m at position id with a fresh individual key
+// drawn from the tree's generator. replaced records whether the
+// position was vacated this same interval, which relabel turns into
+// Replace rather than Join.
+func (b *batch) place(id int, m Member, replaced bool) {
+	t := b.t
+	t.growTo(id)
+	t.nodes[id] = node{kind: UNode, member: m, key: t.gen.MustNewKey()}
+	t.loc[m] = id
+	b.vacatedPos.clear(id)
+	b.uidAdd(id)
+	if replaced {
+		b.replacePos.set(id)
+	} else {
+		b.joinPos.set(id)
+	}
+}
+
+// split expands the tree at u-node id per the Theorem 4.2 rule: the
+// occupant moves to the leftmost child d*id+1, position id becomes a
+// k-node (keyed by rekeyKNodes), and the d-1 sibling positions become
+// fresh n-node slots. Members rederive their IDs from maxKID alone
+// because no split moves an occupant anywhere else. It returns the
+// leftmost child ID.
+func (b *batch) split(id int) int {
+	t := b.t
+	child := t.d*id + 1
+	t.growTo(child + t.d - 1)
+	m := t.nodes[id]
+	t.nodes[child] = m
+	t.loc[m.member] = child
+	t.nodes[id] = node{kind: KNode}
+	b.uidRemove(id)
+	b.uidAdd(child)
+	return child
+}
+
+// fillWindow places joiners into n-node holes of the u-region window
+// (nk, d*nk+d], lowest ID first, and returns how many were placed.
+// Positions vacated this interval are marked Replace, inherited holes
+// Join.
+func (b *batch) fillWindow(extra []Member) int {
+	t := b.t
+	nk := t.MaxKID()
+	hi := t.d*nk + t.d
+	t.growTo(hi)
+	i := 0
+	for id := nk + 1; id <= hi && i < len(extra); id++ {
+		if t.kindOf(id) == NNode {
+			b.place(id, extra[i], b.vacatedPos.get(id))
+			i++
+		}
+	}
+	return i
+}
+
+// splitGrow expands the tree to absorb joiners once every position of
+// the u-region window is occupied: repeatedly split node nk+1 (nk the
+// maximum k-node ID, updated after each split) and fill the fresh
+// sibling slots. The precondition -- a fully packed window -- makes the
+// split target a u-node and the split children the only new holes, so
+// the pass is linear instead of a quadratic window rescan.
+func (b *batch) splitGrow(extra []Member) {
+	nk := b.t.MaxKID()
+	i := 0
+	for i < len(extra) {
+		split := nk + 1
+		child := b.split(split)
+		nk = split
+		for id := child + 1; id <= child+b.t.d-1 && i < len(extra); id++ {
+			b.place(id, extra[i], false)
+			i++
+		}
+	}
+}
+
+// pruneEmptyKNodes converts k-nodes whose children are all n-nodes into
+// n-nodes, iterating bottom-up until stable, recording the vacated
+// positions so relabel marks them Leave.
+func (b *batch) pruneEmptyKNodes() {
+	t := b.t
+	for id := len(t.nodes) - 1; id >= 0; id-- {
+		if t.nodes[id].kind != KNode {
+			continue
+		}
+		allN := true
+		first := t.d*id + 1
+		for c := first; c < first+t.d; c++ {
+			if t.kindOf(c) != NNode {
+				allN = false
+				break
+			}
+		}
+		if allN {
+			t.nodes[id] = node{kind: NNode}
+			b.vacatedPos.set(id)
+		}
+	}
+}
+
+// promoteNNodes converts n-nodes that acquired a u-node or k-node
+// descendant into k-nodes (rekeyKNodes keys them, since their labels
+// are necessarily not Unchanged). A single bottom-up pass suffices: a
+// node's promotion depends only on deeper nodes.
+func (t *Tree) promoteNNodes() {
+	for id := len(t.nodes) - 1; id >= 0; id-- {
+		if t.nodes[id].kind != NNode {
+			continue
+		}
+		first := t.d*id + 1
+		for c := first; c < first+t.d; c++ {
+			k := t.kindOf(c)
+			if k == UNode || k == KNode {
+				t.nodes[id].kind = KNode
+				break
+			}
+		}
+	}
+}
+
+// relabel labels the rekey subtree bottom-up from the batch's marks:
+// n-nodes are Leave only if vacated this interval (holes inherited from
+// earlier intervals are no change at all); u-nodes take Join or Replace
+// from their placement; a k-node derives its label from its children.
+func (b *batch) relabel() {
+	t := b.t
+	for id := len(t.nodes) - 1; id >= 0; id-- {
+		n := &t.nodes[id]
+		switch n.kind {
+		case NNode:
+			if b.vacatedPos.get(id) {
+				n.label = Leave
+			} else {
+				n.label = Unchanged
+			}
+		case UNode:
+			switch {
+			case b.joinPos.get(id):
+				n.label = Join
+			case b.replacePos.get(id):
+				n.label = Replace
+			default:
+				n.label = Unchanged
+			}
+		case KNode:
+			allLeave, allUnchanged, allUnchangedOrJoin := true, true, true
+			first := t.d*id + 1
+			for c := first; c < first+t.d; c++ {
+				var l Label = Leave
+				if c < len(t.nodes) {
+					l = t.nodes[c].label
+				}
+				if l != Leave {
+					allLeave = false
+				}
+				if l != Unchanged {
+					allUnchanged = false
+				}
+				if l != Unchanged && l != Join {
+					allUnchangedOrJoin = false
+				}
+			}
+			switch {
+			case allLeave:
+				// Cannot occur: such k-nodes were pruned to n-nodes.
+				n.label = Leave
+			case allUnchanged:
+				n.label = Unchanged
+			case allUnchangedOrJoin:
+				n.label = Join
+			default:
+				n.label = Replace
+			}
+		}
+	}
 }
 
 // rekeyKNodes generates new keys for every updated k-node (labels

@@ -2,9 +2,11 @@ package keytree
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/keys"
+	"repro/internal/obs"
 )
 
 func newTestTree(t testing.TB, d int, seed uint64) *Tree {
@@ -550,6 +552,149 @@ func BenchmarkProcessBatchN4096L1024(b *testing.B) {
 		b.StartTimer()
 		if _, err := cl.ProcessBatch(nil, leaves); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestTreeDefaults: a bare New is an empty degree-d tree of height 1
+// with no k-node and no group key; Clone carries the options.
+func TestTreeDefaults(t *testing.T) {
+	tr := New(4, keys.NewDeterministicGenerator(1))
+	if tr.Degree() != 4 || tr.Height() != 1 || tr.N() != 0 || tr.MaxKID() != -1 || !tr.GroupKey().Zero() {
+		t.Errorf("bare New: d=%d h=%d N=%d maxKID=%d", tr.Degree(), tr.Height(), tr.N(), tr.MaxKID())
+	}
+	tr = New(4, keys.NewDeterministicGenerator(1), WithLite(true))
+	res, err := tr.Clone().ProcessBatch([]Member{1, 2, 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Encryptions[0].Wrapped != [keys.WrappedSize]byte{} {
+		t.Error("Clone dropped WithLite")
+	}
+}
+
+// TestWithLiteMatchesFullCounts: a lite tree emits the same
+// encryption IDs and counts as a full tree, just without ciphertext.
+func TestWithLiteMatchesFullCounts(t *testing.T) {
+	reg := obs.New()
+	full := New(3, keys.NewDeterministicGenerator(42),
+		WithWorkers(2), WithObs(reg), WithLite(false))
+
+	joins := make([]Member, 50)
+	for i := range joins {
+		joins[i] = Member(i)
+	}
+	r1, err := full.ProcessBatch(joins, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lite := New(3, keys.NewDeterministicGenerator(42), WithLite(true))
+	r3, err := lite.ProcessBatch(joins, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r3.Encryptions) != len(r1.Encryptions) {
+		t.Fatalf("lite emitted %d encryptions, full %d", len(r3.Encryptions), len(r1.Encryptions))
+	}
+	if r3.Encryptions[0].Wrapped != [keys.WrappedSize]byte{} {
+		t.Error("WithLite(true) still materialised ciphertext")
+	}
+}
+
+// TestAppendUserNeeds: the append forms match the allocating forms and
+// honour a reused buffer.
+func TestAppendUserNeeds(t *testing.T) {
+	tr := New(4, keys.NewDeterministicGenerator(3))
+	joins := make([]Member, 200)
+	for i := range joins {
+		joins[i] = Member(i)
+	}
+	if _, err := tr.ProcessBatch(joins, nil); err != nil {
+		t.Fatal(err)
+	}
+	res, err := tr.ProcessBatch([]Member{300, 301}, []Member{5, 90, 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var encBuf []Encryption
+	var idBuf []uint32
+	for _, uid := range res.UserIDs {
+		wantE := res.UserNeeds(uid)
+		encBuf = res.AppendUserNeeds(encBuf[:0], uid)
+		if len(encBuf) != len(wantE) {
+			t.Fatalf("user %d: AppendUserNeeds len %d, UserNeeds len %d", uid, len(encBuf), len(wantE))
+		}
+		for i := range wantE {
+			if encBuf[i] != wantE[i] {
+				t.Fatalf("user %d: encryption %d differs", uid, i)
+			}
+		}
+		wantIDs := res.UserNeedIDs(uid)
+		idBuf = res.AppendUserNeedIDs(idBuf[:0], uid)
+		if len(idBuf) != len(wantIDs) {
+			t.Fatalf("user %d: AppendUserNeedIDs len %d, UserNeedIDs len %d", uid, len(idBuf), len(wantIDs))
+		}
+		for i := range wantIDs {
+			if idBuf[i] != wantIDs[i] {
+				t.Fatalf("user %d: need ID %d differs", uid, i)
+			}
+		}
+	}
+
+	// Appending to a non-empty prefix preserves it.
+	prefix := []uint32{7, 8, 9}
+	got := res.AppendUserNeedIDs(prefix, res.UserIDs[0])
+	if len(got) < 3 || got[0] != 7 || got[1] != 8 || got[2] != 9 {
+		t.Error("AppendUserNeedIDs clobbered the existing prefix")
+	}
+}
+
+// TestNeedsWalkerMatchesPathWalk holds the walker to the walk it
+// replaced -- one lookup per node from the user up to the root -- on all
+// four batch shapes: in UserIDs order with one walker (the shared-chain
+// path), then in shuffled order and over IDs that are no user's, where
+// the cached chain must be dropped whenever the parent changes.
+func TestNeedsWalkerMatchesPathWalk(t *testing.T) {
+	pathWalk := func(res *BatchResult, id int) []int32 {
+		var want []int32
+		for ; id >= 0; id = ParentID(res.d, id) {
+			if i, ok := res.lookup(id); ok {
+				want = append(want, int32(i))
+			}
+		}
+		return want
+	}
+	tr := New(4, keys.NewDeterministicGenerator(0x5eed))
+	rng := rand.New(rand.NewPCG(5, 5))
+	for _, b := range [][2][2]int{ // joins, leaves as [first, count]
+		{{0, 700}, {}}, {{700, 300}, {}}, {{}, {100, 250}}, {{1000, 120}, {500, 120}},
+	} {
+		var joins, leaves []Member
+		for m := b[0][0]; m < b[0][0]+b[0][1]; m++ {
+			joins = append(joins, Member(m))
+		}
+		for m := b[1][0]; m < b[1][0]+b[1][1]; m++ {
+			leaves = append(leaves, Member(m))
+		}
+		res, err := tr.ProcessBatch(joins, leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := append([]int(nil), res.UserIDs...)
+		w := res.Walker()
+		for _, id := range ids {
+			if got, want := w.Needs(id), pathWalk(res, id); !slices.Equal(got, want) {
+				t.Fatalf("in order, user %d: needs %v, want %v", id, got, want)
+			}
+		}
+		ids = append(ids, 0, 1, res.MaxKID, 0xfffe)
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		for _, id := range ids {
+			if got, want := w.Needs(id), pathWalk(res, id); !slices.Equal(got, want) {
+				t.Fatalf("shuffled, node %d: needs %v, want %v", id, got, want)
+			}
 		}
 	}
 }

@@ -58,7 +58,7 @@ func (t *Tree) Snapshot() []byte {
 
 // Restore rebuilds a tree from Snapshot bytes. The generator supplies
 // all future key draws (it carries no snapshot state); options
-// (WithWorkers, WithObs, WithLite, WithStrategy) configure the restored
+// (WithWorkers, WithObs, WithLite) configure the restored
 // tree exactly as New would. The restored tree is validated with
 // CheckInvariant before it is returned.
 func Restore(data []byte, gen *keys.Generator, opts ...Option) (*Tree, error) {
@@ -88,7 +88,6 @@ func Restore(data []byte, gen *keys.Generator, opts ...Option) (*Tree, error) {
 		nodes:  make([]node, count),
 		loc:    make(map[Member]int, 64),
 		gen:    gen,
-		strat:  PaperMarking{},
 	}
 	for _, o := range opts {
 		o(t)

@@ -27,10 +27,10 @@ var cryptorandRestricted = []string{
 
 // cryptorandInjectedOnly lists packages whose entropy must arrive
 // through an injected keys.Generator rather than a direct crypto/rand
-// read: keytree placement strategies draw keys via the TreeOps facade,
-// and a private crypto/rand call would bypass the deterministic
-// generators that the differential, golden and fuzz suites rely on --
-// silently, since the output would still look random. internal/keys
+// read: the key tree draws every key from the keys.Generator it was
+// built with, and a private crypto/rand call would bypass the
+// deterministic generators that the differential, golden and fuzz
+// suites rely on -- silently, since the output would still look random. internal/keys
 // itself is the one sanctioned crypto/rand consumer.
 var cryptorandInjectedOnly = []string{
 	"internal/keytree",

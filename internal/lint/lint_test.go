@@ -20,7 +20,7 @@ func TestCryptorandRestricted(t *testing.T) {
 
 func TestCryptorandInjectedOnly(t *testing.T) {
 	linttest.Run(t, lint.Cryptorand, linttest.Fixture{
-		Dir:  "testdata/cryptorand/strategy",
+		Dir:  "testdata/cryptorand/keytree",
 		Path: "repro/internal/keytree",
 	})
 }

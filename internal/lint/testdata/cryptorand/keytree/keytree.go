@@ -1,7 +1,7 @@
 // Fixture: loaded under repro/internal/keytree, the injected-only
-// package: placement strategies must draw every byte of entropy from
-// the tree's injected keys.Generator, so even crypto/rand -- fine in
-// internal/keys itself -- is a finding here.
+// package: the key tree must draw every byte of entropy from its
+// injected keys.Generator, so even crypto/rand -- fine in internal/keys
+// itself -- is a finding here.
 package keytree
 
 import (

@@ -41,11 +41,9 @@ type Tuning struct {
 	// Workers bounds the goroutines used for parallel work (FEC encode
 	// fan-out, per-user simulation); 0 means GOMAXPROCS. >= 0.
 	Workers int
-	// Strategy names the key tree's batch placement/marking strategy
-	// (keytree.StrategyNames lists the registered ones). Empty means
-	// "paper", the marking algorithm of the source paper's Appendix B.
-	// Validated by name resolution in rekey.NewServer -- this package
-	// sits below keytree and cannot consult the registry itself.
+	// Strategy names the key tree's marking algorithm. The only one is
+	// "paper", the source paper's Appendix B; empty means it too. It
+	// stays while the benchmark still hands it to keytree.NewStrategy.
 	Strategy string
 }
 
@@ -126,6 +124,9 @@ func (t Tuning) Validate() error {
 	}
 	if t.Workers < 0 {
 		return fmt.Errorf("tuning: Workers = %d, want Workers >= 0", t.Workers)
+	}
+	if t.Strategy != "" && t.Strategy != "paper" {
+		return fmt.Errorf("tuning: Strategy = %q, want \"paper\"", t.Strategy)
 	}
 	return nil
 }

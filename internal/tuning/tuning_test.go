@@ -46,15 +46,14 @@ func TestWithDefaults(t *testing.T) {
 		t.Errorf("zero tuning defaulted to %+v, want %+v", got, want)
 	}
 
-	explicit := Tuning{K: 32, Degree: 2, InitialRho: 2.5, NumNACK: 5, MaxNACK: 7, MaxMulticastRounds: 3, Workers: 4, Strategy: "leftmost"}
+	explicit := Tuning{K: 32, Degree: 2, InitialRho: 2.5, NumNACK: 5, MaxNACK: 7, MaxMulticastRounds: 3, Workers: 4, Strategy: "paper"}
 	if got := explicit.WithDefaults(); got != explicit {
 		t.Errorf("explicit tuning mutated: %+v", got)
 	}
 }
 
-// TestStrategyDefault: the Strategy knob defaults to the paper's
-// marking algorithm and explicit names are preserved (resolution
-// against the registry happens in rekey.NewServer).
+// TestStrategyDefault: the Strategy field defaults to the paper's
+// marking algorithm, the only one Validate accepts.
 func TestStrategyDefault(t *testing.T) {
 	if got := Default().Strategy; got != "paper" {
 		t.Errorf("default Strategy = %q, want paper", got)
@@ -81,6 +80,7 @@ func TestValidateNamesField(t *testing.T) {
 		{"MaxNACK", func(t *Tuning) { t.MaxNACK = -1 }, "MaxNACK"},
 		{"MaxMulticastRounds", func(t *Tuning) { t.MaxMulticastRounds = -1 }, "MaxMulticastRounds"},
 		{"Workers", func(t *Tuning) { t.Workers = -1 }, "Workers"},
+		{"Strategy", func(t *Tuning) { t.Strategy = "batchplace" }, "Strategy"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"time"
 
 	"repro/internal/assign"
 	"repro/internal/keys"
@@ -245,9 +244,6 @@ type Step struct {
 	Leaves   []keytree.Member
 	Res      *keytree.BatchResult
 	Plan     *assign.Plan
-	// BatchNs is the ProcessBatch wall time for this interval; the
-	// strategy race reports it as per-batch rekey latency.
-	BatchNs int64
 }
 
 // Driver folds a Scenario into one evolving key tree. Unlike Generator
@@ -263,25 +259,10 @@ type Driver struct {
 	reg  *obs.Registry
 }
 
-// DriverOption configures a Driver at construction time.
-type DriverOption func(*driverConfig)
-
-type driverConfig struct {
-	treeOpts []keytree.Option
-}
-
-// WithStrategy runs the driver's tree under the given placement
-// strategy (nil keeps the keytree default).
-func WithStrategy(s keytree.Strategy) DriverOption {
-	return func(c *driverConfig) {
-		c.treeOpts = append(c.treeOpts, keytree.WithStrategy(s))
-	}
-}
-
 // NewDriver builds a driver for the scenario over a degree-d tree and
 // bootstraps the initial population in one batch. All randomness --
 // key material and scenario choices -- derives from seed.
-func NewDriver(scn Scenario, d int, seed uint64, opts ...DriverOption) (*Driver, error) {
+func NewDriver(scn Scenario, d int, seed uint64) (*Driver, error) {
 	if d < 2 {
 		return nil, fmt.Errorf("workload: degree %d", d)
 	}
@@ -289,13 +270,9 @@ func NewDriver(scn Scenario, d int, seed uint64, opts ...DriverOption) (*Driver,
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: scenario %q bootstraps %d users", scn.Name(), n)
 	}
-	var dc driverConfig
-	for _, o := range opts {
-		o(&dc)
-	}
 	dr := &Driver{
 		scn:  scn,
-		tree: keytree.New(d, keys.NewDeterministicGenerator(seed), dc.treeOpts...),
+		tree: keytree.New(d, keys.NewDeterministicGenerator(seed)),
 		rng:  rand.New(rand.NewPCG(seed, 0x5ce0)),
 		next: keytree.Member(n),
 	}
@@ -331,9 +308,7 @@ func (dr *Driver) Step() (st *Step, ok bool, err error) {
 	if len(joins) == 0 && len(leaves) == 0 {
 		return st, true, nil
 	}
-	batchStart := time.Now()
 	res, err := dr.tree.ProcessBatch(joins, leaves)
-	st.BatchNs = time.Since(batchStart).Nanoseconds()
 	if err != nil {
 		return nil, false, fmt.Errorf("workload: %s interval %d: %w", dr.scn.Name(), i, err)
 	}

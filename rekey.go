@@ -154,10 +154,6 @@ func NewServer(opts ...Option) (*Server, error) {
 	if err := cfg.Tuning.Validate(); err != nil {
 		return nil, fmt.Errorf("rekey: %w", err)
 	}
-	strat, err := keytree.NewStrategy(cfg.Strategy)
-	if err != nil {
-		return nil, fmt.Errorf("rekey: %w", err)
-	}
 	gen := keys.NewGenerator()
 	if cfg.KeySeed != 0 {
 		gen = keys.NewDeterministicGenerator(cfg.KeySeed)
@@ -167,8 +163,7 @@ func NewServer(opts ...Option) (*Server, error) {
 		obs: cfg.Obs,
 		tree: keytree.New(cfg.Degree, gen,
 			keytree.WithWorkers(cfg.Workers),
-			keytree.WithObs(cfg.Obs),
-			keytree.WithStrategy(strat)),
+			keytree.WithObs(cfg.Obs)),
 		queued: make(map[MemberID]bool),
 	}, nil
 }
@@ -182,8 +177,38 @@ func (s *Server) Tuning() Tuning { return s.cfg.Tuning }
 // unobserved). The UDP transport shares it.
 func (s *Server) Obs() *obs.Registry { return s.obs }
 
+// ErrGroupFull is returned by QueueJoin when the join would take the
+// group past MaxMembers.
+var ErrGroupFull = errors.New("rekey: group full")
+
+// MaxMembers is the largest group of degree d whose every node ID fits
+// the 16-bit node-ID fields of the wire format: d^h for the deepest
+// level h whose last node ID, (d^(h+1)-1)/(d-1) - 1, is at most 0xffff.
+// That is 16 384 at d = 4 and 32 768 at d = 2.
+//
+// The bound holds because the marking splits only when the u-region
+// window (nk, d*nk+d] is packed with users, nk being the largest k-node
+// ID. Splitting node s therefore needs (d-1)(s-1)+d users already, plus
+// the joiner it makes room for. If s were on level h or deeper, that is
+// (d-1)s+2 >= d^h+1 users, since the nodes above level h number
+// (d^h-1)/(d-1). So a batch that ends with at most d^h users splits only
+// nodes above level h, every k-node stays above level h, and every
+// user, a child of a k-node, sits at or above level h. Leaves are
+// removed before joiners are placed, so no batch passes through a larger
+// group on its way.
+func MaxMembers(d int) int {
+	n, last := 1, 0 // a level's node count and its last node ID, from the root
+	for last+n*d <= 0xffff {
+		n *= d
+		last += n
+	}
+	return n
+}
+
 // QueueJoin records a join request for the next rekey interval. The
-// member's credentials become available after the next Rekey call.
+// member's credentials become available after the next Rekey call. A
+// join that would take the group, counted with every queued join and
+// leave, past MaxMembers fails with ErrGroupFull.
 func (s *Server) QueueJoin(m MemberID) error {
 	s.treeMu.Lock()
 	defer s.treeMu.Unlock()
@@ -192,6 +217,9 @@ func (s *Server) QueueJoin(m MemberID) error {
 	}
 	if s.queued[m] {
 		return fmt.Errorf("rekey: member %d already queued", m)
+	}
+	if limit := MaxMembers(s.cfg.Degree); s.tree.N()+len(s.joins)-len(s.leaves) >= limit {
+		return fmt.Errorf("%w: %d members at degree %d", ErrGroupFull, limit, s.cfg.Degree)
 	}
 	s.queued[m] = true
 	s.joins = append(s.joins, m)

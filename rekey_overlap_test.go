@@ -4,11 +4,9 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/keys"
 	"repro/internal/obs"
@@ -95,42 +93,6 @@ func TestSignedRekeyIndependentOfWorkers(t *testing.T) {
 				if h := snap.Histograms[name]; h.Count != int64(len(serverGolden)) {
 					t.Errorf("workers=%d: %s count %d, want one per interval (%d)", workers, name, h.Count, len(serverGolden))
 				}
-			}
-		}
-	}
-}
-
-// TestRekeyWideIDFailsLeavingNoGoroutine: one join into a full binary
-// tree of 2^15 users splits the leftmost u-node into IDs 65535 and
-// 65536, past the 16-bit wire field. Assignment and the USR subtree
-// both refuse it; Rekey fails with one of their errors whether or not
-// the two ran side by side, and no goroutine outlives it.
-func TestRekeyWideIDFailsLeavingNoGoroutine(t *testing.T) {
-	signer, err := keys.NewSigner(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2} {
-		tn := DefaultTuning()
-		tn.Degree, tn.Workers = 2, workers
-		s, err := NewServer(WithKeySeed(7), WithSigner(signer), WithTuning(tn))
-		if err != nil {
-			t.Fatal(err)
-		}
-		queueRanges(t, s, [2]int{0, 1 << 15}, [2]int{})
-		if _, err := s.Rekey(); err != nil {
-			t.Fatalf("workers=%d: bootstrap: %v", workers, err)
-		}
-		queueRanges(t, s, [2]int{1 << 15, 1}, [2]int{})
-		before := runtime.NumGoroutine()
-		_, err = s.Rekey()
-		if err == nil || !strings.Contains(err.Error(), "assign: user ID range") && !strings.Contains(err.Error(), "exceeds wire field") {
-			t.Fatalf("workers=%d: Rekey error %v, want the wire-field refusal of assignment or the USR subtree", workers, err)
-		}
-		// A goroutine that has returned may take a moment to be counted out.
-		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("workers=%d: %d goroutines after the failed Rekey, %d before", workers, runtime.NumGoroutine(), before)
 			}
 		}
 	}

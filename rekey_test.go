@@ -79,14 +79,11 @@ func TestServerValidation(t *testing.T) {
 		t.Error("block size 1000 accepted")
 	}
 	badStrat := DefaultTuning()
-	badStrat.Strategy = "no-such-strategy"
-	if _, err := NewServer(WithTuning(badStrat)); err == nil {
-		t.Error("unknown placement strategy accepted")
-	}
-	altStrat := DefaultTuning()
-	altStrat.Strategy = "batchplace"
-	if _, err := NewServer(WithTuning(altStrat)); err != nil {
-		t.Errorf("batchplace strategy rejected: %v", err)
+	for _, name := range []string{"no-such-strategy", "batchplace", "leftmost"} {
+		badStrat.Strategy = name
+		if _, err := NewServer(WithTuning(badStrat)); err == nil {
+			t.Errorf("strategy %q accepted", name)
+		}
 	}
 	s := newServer(t, 1)
 	if err := s.QueueJoin(5); err != nil {
@@ -444,5 +441,78 @@ func TestIngestRejectsGarbage(t *testing.T) {
 	nackRaw, _ := (&packet.NACK{}).Marshal()
 	if _, err := m.Ingest(nackRaw); err == nil {
 		t.Error("NACK accepted by a member")
+	}
+}
+
+// TestRekeyAtMaxMembersRefusesNextJoin: a group of degree d filled to
+// MaxMembers(d) rekeys, and keeps rekeying through scattered leaves and
+// rejoins, with every node ID and MaxKID inside the 16-bit wire fields
+// and a USR buildable for every member. One more join fails at
+// QueueJoin with ErrGroupFull and leaves the tree, the queues and the
+// message sequence as they were; a queued leave makes room for it.
+func TestRekeyAtMaxMembersRefusesNextJoin(t *testing.T) {
+	for _, d := range []int{2, 3, 4, 8} {
+		tn := DefaultTuning()
+		tn.Degree = d
+		s, err := NewServer(WithKeySeed(uint64(d)), WithTuning(tn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := MaxMembers(d)
+		queueRanges(t, s, [2]int{0, limit}, [2]int{})
+		members := make([]MemberID, limit)
+		for i := range members {
+			members[i] = MemberID(i)
+		}
+		next := MemberID(limit)
+		rng := rand.New(rand.NewPCG(uint64(d), 27))
+		for round := 0; round <= 20; round++ {
+			if round > 0 {
+				// Scattered leaves, rejoined by as many new members.
+				for _, j := range rng.Perm(limit)[:limit/64] {
+					if err := s.QueueLeave(members[j]); err != nil {
+						t.Fatal(err)
+					}
+					members[j] = next
+					if err := s.QueueJoin(next); err != nil {
+						t.Fatalf("d=%d round %d: rejoin: %v", d, round, err)
+					}
+					next++
+				}
+			}
+			rm, err := s.Rekey()
+			if err != nil {
+				t.Fatalf("d=%d round %d: %v", d, round, err)
+			}
+			if rm.Result.MaxKID > 0xffff {
+				t.Fatalf("d=%d round %d: MaxKID %d", d, round, rm.Result.MaxKID)
+			}
+			for _, m := range members {
+				cred, ok := s.Credentials(m)
+				if !ok || cred.NodeID > 0xffff {
+					t.Fatalf("d=%d round %d: member %d credentials %+v, %v", d, round, m, cred, ok)
+				}
+				if _, err := rm.WireUSR(cred.NodeID); err != nil {
+					t.Fatalf("d=%d round %d: member %d: %v", d, round, m, err)
+				}
+			}
+		}
+		if s.N() != limit {
+			t.Fatalf("d=%d: %d members, want %d", d, s.N(), limit)
+		}
+
+		snap, seq := s.Snapshot(), s.msgSeq
+		if err := s.QueueJoin(next); !errors.Is(err, ErrGroupFull) {
+			t.Fatalf("d=%d: join past %d members: %v, want ErrGroupFull", d, limit, err)
+		}
+		if j, l := s.Pending(); j != 0 || l != 0 || !bytes.Equal(s.Snapshot(), snap) || s.msgSeq != seq {
+			t.Fatalf("d=%d: refused join changed the server: %d/%d queued, msgSeq %d -> %d", d, j, l, seq, s.msgSeq)
+		}
+		if err := s.QueueLeave(members[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.QueueJoin(next); err != nil {
+			t.Fatalf("d=%d: join beside a queued leave: %v", d, err)
+		}
 	}
 }
