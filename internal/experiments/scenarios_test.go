@@ -74,42 +74,45 @@ func TestScenarioCheck(t *testing.T) {
 	}
 }
 
-// TestMarkingUnderAdversarialLeave drives the colluding-leaver scenario,
-// half the group departing at once, with the full oracle active: after
-// every rekeying interval, each surviving member must be able to reach
-// the new group key from exactly the encryptions addressed to it, and no
-// evicted member may.
-func TestMarkingUnderAdversarialLeave(t *testing.T) {
-	scn := &workload.AdversarialLeave{Base: 512, Alpha: 0.5, At: 1, Total: 4}
-	dr, err := workload.NewDriver(scn, 4, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := oracle.New(dr.Tree(), oracle.Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
-	if err := o.Bootstrap(); err != nil {
-		t.Fatal(err)
-	}
-	batches := 0
-	for {
-		st, ok, err := dr.Step()
+// TestStrategiesUnderAdversarialLeave drives the colluding-leaver
+// scenario, half the group departing at once, with the full oracle
+// active: after every rekeying interval, each surviving member must be
+// able to reach the new group key from exactly the encryptions addressed
+// to it, and no evicted member may. The key tree carries one marking, the
+// paper's, run as the "paper" subtest.
+func TestStrategiesUnderAdversarialLeave(t *testing.T) {
+	t.Run("paper", func(t *testing.T) {
+		scn := &workload.AdversarialLeave{Base: 512, Alpha: 0.5, At: 1, Total: 4}
+		dr, err := workload.NewDriver(scn, 4, 17)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			break
+		o := oracle.New(dr.Tree(), oracle.Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
+		if err := o.Bootstrap(); err != nil {
+			t.Fatal(err)
 		}
-		if st.Res == nil {
-			continue
+		batches := 0
+		for {
+			st, ok, err := dr.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if st.Res == nil {
+				continue
+			}
+			batches++
+			if err := o.ObserveBatch(st.Res, st.Joins, st.Leaves); err != nil {
+				t.Fatalf("interval %d: %v", st.Interval, err)
+			}
+			if err := dr.Tree().CheckInvariant(); err != nil {
+				t.Fatalf("interval %d: %v", st.Interval, err)
+			}
 		}
-		batches++
-		if err := o.ObserveBatch(st.Res, st.Joins, st.Leaves); err != nil {
-			t.Fatalf("interval %d: %v", st.Interval, err)
+		if batches == 0 {
+			t.Fatal("scenario produced no rekeying intervals")
 		}
-		if err := dr.Tree().CheckInvariant(); err != nil {
-			t.Fatalf("interval %d: %v", st.Interval, err)
-		}
-	}
-	if batches == 0 {
-		t.Fatal("scenario produced no rekeying intervals")
-	}
+	})
 }
