@@ -21,7 +21,7 @@ func init() {
 }
 
 // MeasureCosts times the key server's unit operations on this machine:
-// one RSA-1024 signature per message, one AES key wrap per encryption,
+// one RSA-1024 signature per message, one re-keyed wrap per encryption,
 // and Reed-Solomon parity generation (normalised per parity packet per
 // unit of block size).
 func MeasureCosts() (analysis.Costs, error) {
@@ -42,12 +42,19 @@ func MeasureCosts() (analysis.Costs, error) {
 	}
 	c.Sign = time.Since(start).Seconds() / signReps
 
-	g := keys.NewDeterministicGenerator(1)
-	outer, inner := g.MustNewKey(), g.MustNewKey()
+	// The server's wrap: one context re-keyed per tree edge, since every
+	// edge has its own child (outer) key.
 	const wrapReps = 20000
+	outers, err := keys.NewDeterministicGenerator(1).NewKeys(wrapReps + 1)
+	if err != nil {
+		return c, err
+	}
+	ctx := keys.NewWrapContext(keys.Key{})
+	var wrapped [keys.WrappedSize]byte
 	start = time.Now()
 	for i := 0; i < wrapReps; i++ {
-		keys.Wrap(outer, inner)
+		ctx.SetKey(outers[i])
+		ctx.WrapInto(&wrapped, outers[i+1])
 	}
 	c.Wrap = time.Since(start).Seconds() / wrapReps
 

@@ -1,0 +1,13 @@
+//go:build purego
+
+package keys
+
+import "testing"
+
+// TestPuregoIsGeneric: the purego tag is the only way to force the
+// crypto/aes path, and it must do so whatever the CPU offers.
+func TestPuregoIsGeneric(t *testing.T) {
+	if AESKernel() != "generic" {
+		t.Fatalf("purego build reports AES kernel %q", AESKernel())
+	}
+}

@@ -4,11 +4,12 @@ import "testing"
 
 // TestHotPathAllocs is this package's part of the allocation gate
 // (DESIGN.md "Allocation discipline"): the per-key wrap of the batch
-// pipeline and a member's per-key unwrap allocate nothing once their
-// context is keyed, through the AES block's interface call and both
-// HMAC passes; re-keying costs one AES key schedule; and the two Merkle
-// hashes, which the server pays per user and per tree node and a member
-// per proof level, allocate nothing at all.
+// pipeline, a member's per-key unwrap and re-keying the context
+// allocate nothing, through the AES block and both HMAC passes; and the
+// two Merkle hashes, which the server pays per user and per tree node
+// and a member per proof level, allocate nothing at all. Without the
+// AES-NI kernel (other CPUs and GOARCHes, -tags purego) each block
+// builds one crypto/aes key schedule.
 func TestHotPathAllocs(t *testing.T) {
 	ks, err := NewDeterministicGenerator(3).NewKeys(2)
 	if err != nil {
@@ -16,6 +17,10 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	w, inner := NewWrapContext(ks[0]), ks[1]
 	var out [WrappedSize]byte
+	schedule := 0.0
+	if !hasAES {
+		schedule = 1
+	}
 	var left, right, node MerkleHash
 	datagram := make([]byte, 1027)
 	rows := []struct {
@@ -23,15 +28,14 @@ func TestHotPathAllocs(t *testing.T) {
 		want float64
 		fn   func()
 	}{
-		{"WrapContext.WrapInto", 0, func() { w.WrapInto(&out, inner) }},
+		{"WrapContext.WrapInto", schedule, func() { w.WrapInto(&out, inner) }},
 		{"WrapContext.tag", 0, func() { w.tag(out[:KeySize]) }},
-		{"WrapContext.Unwrap", 0, func() {
+		{"WrapContext.Unwrap", schedule, func() {
 			if k, err := w.Unwrap(out); err != nil || k != inner {
 				t.Fatalf("Unwrap = %v, %v; want the wrapped key", k, err)
 			}
 		}},
-		// Re-keying costs the AES key schedule and nothing beside it.
-		{"WrapContext.SetKey", 1, func() { w.SetKey(ks[0]) }},
+		{"WrapContext.SetKey", 0, func() { w.SetKey(ks[0]) }},
 		{"nodeHash", 0, func() { node = nodeHash(&left, &right) }},
 		{"LeafHash", 0, func() { left = LeafHash(DomainENC, datagram) }},
 	}

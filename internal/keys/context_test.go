@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 )
 
-// TestWrapContextMatchesWrap checks the cached-state context against the
-// one-shot Wrap for many key pairs, including re-keying one context.
+// TestWrapContextMatchesWrap checks the context against the crypto/aes
+// and crypto/hmac reference for many key pairs, re-keying one context.
 func TestWrapContextMatchesWrap(t *testing.T) {
 	g := NewDeterministicGenerator(100)
 	ctx := NewWrapContext(Key{})
@@ -15,26 +15,26 @@ func TestWrapContextMatchesWrap(t *testing.T) {
 		outer, inner := g.MustNewKey(), g.MustNewKey()
 		ctx.SetKey(outer)
 		got := ctx.Wrap(inner)
-		want := Wrap(outer, inner)
+		want := refWrap(outer, inner)
 		if got != want {
-			t.Fatalf("iteration %d: WrapContext.Wrap != Wrap", i)
+			t.Fatalf("iteration %d: WrapContext.Wrap != refWrap", i)
 		}
 		var into [WrappedSize]byte
 		ctx.WrapInto(&into, inner)
 		if into != want {
-			t.Fatalf("iteration %d: WrapInto != Wrap", i)
+			t.Fatalf("iteration %d: WrapInto != refWrap", i)
 		}
 	}
 }
 
-// TestWrapContextUnwrapRoundTrip checks context-based unwrapping against
-// both context and one-shot wrapping.
+// TestWrapContextUnwrapRoundTrip checks context unwrapping against both
+// context and reference wrapping.
 func TestWrapContextUnwrapRoundTrip(t *testing.T) {
 	g := NewDeterministicGenerator(101)
 	for i := 0; i < 100; i++ {
 		outer, inner := g.MustNewKey(), g.MustNewKey()
-		ctx := NewUnwrapContext(outer)
-		got, err := ctx.Unwrap(Wrap(outer, inner))
+		ctx := NewWrapContext(outer)
+		got, err := ctx.Unwrap(refWrap(outer, inner))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,17 +64,17 @@ func TestWrapContextCorruptionDetected(t *testing.T) {
 }
 
 // TestQuickWrapContext cross-checks context wrap/unwrap against the
-// one-shot functions over random keys.
+// reference over random keys.
 func TestQuickWrapContext(t *testing.T) {
 	ctx := NewWrapContext(Key{})
 	f := func(outer, inner Key) bool {
 		ctx.SetKey(outer)
 		w := ctx.Wrap(inner)
-		if w != Wrap(outer, inner) {
+		if w != refWrap(outer, inner) {
 			return false
 		}
 		a, errA := ctx.Unwrap(w)
-		b, errB := Unwrap(outer, w)
+		b, errB := refUnwrap(outer, w)
 		return errA == nil && errB == nil && a == inner && b == inner
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -235,64 +235,58 @@ func (g *Generator) NewKeys(n int) ([]Key, error) {
 	return out, nil
 }
 
-// ErrBadTag is returned by Unwrap when the integrity tag does not match,
-// i.e. the wrapping key is wrong or the ciphertext was corrupted.
+// ErrBadTag is returned by WrapContext.Unwrap when the integrity tag
+// does not match, i.e. the wrapping key is wrong or the ciphertext was
+// corrupted.
 var ErrBadTag = errors.New("keys: wrapped key integrity tag mismatch")
 
-// Wrap encrypts the key inner under the key outer, producing the
-// "encryption" {inner}_outer carried in ENC and USR packets.
-func Wrap(outer, inner Key) [WrappedSize]byte {
-	var out [WrappedSize]byte
-	block, err := aes.NewCipher(outer[:])
+// AESKernel reports which AES-128 path wraps and unwraps: "aesni" on
+// amd64 CPUs that have it, "generic" (crypto/aes, with a key schedule
+// built per call) otherwise and under the purego build tag. Fixed at
+// init.
+func AESKernel() string {
+	if hasAES {
+		return "aesni"
+	}
+	return "generic"
+}
+
+// encryptBlockGeneric and decryptBlockGeneric are the portable AES-128
+// path: crypto/aes, keyed per call.
+func encryptBlockGeneric(key *Key, dst, src *[KeySize]byte) { newBlock(key).Encrypt(dst[:], src[:]) }
+
+func decryptBlockGeneric(key *Key, dst, src *[KeySize]byte) { newBlock(key).Decrypt(dst[:], src[:]) }
+
+func newBlock(key *Key) cipher.Block {
+	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		panic(err) // KeySize is a valid AES-128 key length
 	}
-	block.Encrypt(out[:KeySize], inner[:])
-	mac := hmac.New(sha256.New, outer[:])
-	mac.Write(out[:KeySize])
-	copy(out[KeySize:], mac.Sum(nil)[:TagSize])
-	return out
-}
-
-// Unwrap decrypts a wrapped key with the key outer, verifying the
-// integrity tag first. A tag mismatch yields ErrBadTag.
-func Unwrap(outer Key, wrapped [WrappedSize]byte) (Key, error) {
-	var sum [sha256.Size]byte
-	mac := hmac.New(sha256.New, outer[:])
-	mac.Write(wrapped[:KeySize])
-	if !hmac.Equal(mac.Sum(sum[:0])[:TagSize], wrapped[KeySize:]) {
-		return Key{}, ErrBadTag
-	}
-	block, err := aes.NewCipher(outer[:])
-	if err != nil {
-		panic(err)
-	}
-	var k Key
-	block.Decrypt(k[:], wrapped[:KeySize])
-	return k, nil
+	return block
 }
 
 // hmacBlockSize is SHA-256's block length, the pad width of HMAC.
 const hmacBlockSize = 64
 
-// WrapContext performs the same {k'}_k operation as Wrap and Unwrap,
-// but holds the per-outer-key state -- the AES cipher.Block and the
-// HMAC-SHA256 pads plus one reusable SHA-256 digest -- so that a hot
-// loop wrapping or unwrapping many keys reuses one context instead of
-// rebuilding cipher and MAC objects per call. SetKey re-keys the
-// context in place; WrapInto writes into a caller-supplied buffer. The
-// bytes produced are exactly Wrap's. A context is not safe for
-// concurrent use; the batch pipeline keeps one per worker.
+// WrapContext performs the {k'}_k operation that produces the
+// "encryptions" carried in ENC and USR packets: one AES-128 block (the
+// inner key encrypted under the outer key) followed by a truncated
+// HMAC-SHA256 tag under the outer key. It holds the per-outer-key state
+// -- the key itself, the HMAC pads and one reusable SHA-256 digest -- so
+// a hot loop wrapping or unwrapping many keys re-keys one context in
+// place instead of rebuilding cipher and MAC objects per call. A
+// context is not safe for concurrent use; the batch pipeline keeps one
+// per worker, a member one per view.
 type WrapContext struct {
-	block      cipher.Block
+	key        Key
 	digest     hash.Hash // one SHA-256, reused for inner and outer pass
 	ipad, opad [hmacBlockSize]byte
 	sum        [sha256.Size]byte
-	// in stages WrapInto's inner key and Unwrap's result, ct Unwrap's
-	// input: cipher.Block's methods and hash.Hash.Write are interface
-	// calls, so slicing a stack value into them forces it to escape (an
-	// allocation per call); staging through context storage keeps both
-	// hot paths allocation-free.
+	// in and ct stage the block cipher's input and output: the portable
+	// AES path and hash.Hash.Write are interface calls, so slicing a
+	// caller's value into them forces it to escape (an allocation per
+	// call); staging through context storage keeps both hot paths
+	// allocation-free.
 	in Key
 	ct [WrappedSize]byte
 }
@@ -314,14 +308,11 @@ var (
 	opad0 = [hmacBlockSize]byte(bytes.Repeat([]byte{0x5c}, hmacBlockSize))
 )
 
-// SetKey re-keys the context for a new outer key, reusing the digest
-// and pad storage (the only allocation is the AES key schedule).
+// SetKey re-keys the context for a new outer key: it copies the key and
+// the two pads and allocates nothing. The AES round keys are derived
+// per block, in registers where the CPU has AES-NI.
 func (w *WrapContext) SetKey(outer Key) {
-	block, err := aes.NewCipher(outer[:])
-	if err != nil {
-		panic(err) // KeySize is a valid AES-128 key length
-	}
-	w.block = block
+	w.key = outer
 	w.ipad, w.opad = ipad0, opad0
 	for i := 0; i < KeySize; i += 8 {
 		k := binary.LittleEndian.Uint64(outer[i:])
@@ -345,12 +336,12 @@ func (w *WrapContext) tag(ct []byte) {
 	d.Sum(w.sum[:0])
 }
 
-// WrapInto encrypts inner under the context's key into out,
-// allocation-free. The bytes are identical to Wrap's.
+// WrapInto encrypts inner under the context's key into out.
 func (w *WrapContext) WrapInto(out *[WrappedSize]byte, inner Key) {
 	w.in = inner
-	w.block.Encrypt(out[:KeySize], w.in[:])
-	w.tag(out[:KeySize])
+	encryptBlock(&w.key, (*[KeySize]byte)(w.ct[:KeySize]), (*[KeySize]byte)(&w.in))
+	w.tag(w.ct[:KeySize])
+	copy(out[:], w.ct[:KeySize])
 	copy(out[KeySize:], w.sum[:TagSize])
 }
 
@@ -362,25 +353,16 @@ func (w *WrapContext) Wrap(inner Key) [WrappedSize]byte {
 }
 
 // Unwrap decrypts a wrapped key with the context's key, verifying the
-// truncated tag first. A tag mismatch yields ErrBadTag. Results are
-// identical to the package-level Unwrap.
+// truncated tag first. A tag mismatch yields ErrBadTag.
 func (w *WrapContext) Unwrap(wrapped [WrappedSize]byte) (Key, error) {
 	w.ct = wrapped
 	w.tag(w.ct[:KeySize])
 	if !hmac.Equal(w.sum[:TagSize], w.ct[KeySize:]) {
 		return Key{}, ErrBadTag
 	}
-	w.block.Decrypt(w.in[:], w.ct[:KeySize])
+	decryptBlock(&w.key, (*[KeySize]byte)(&w.in), (*[KeySize]byte)(w.ct[:KeySize]))
 	return w.in, nil
 }
-
-// UnwrapContext is the member-side name for the same cached-cipher
-// context: the ingest path re-keys one context per path edge instead
-// of building a fresh HMAC and cipher per unwrap.
-type UnwrapContext = WrapContext
-
-// NewUnwrapContext returns a context keyed for outer.
-func NewUnwrapContext(outer Key) *UnwrapContext { return NewWrapContext(outer) }
 
 // Signer signs rekey messages. Signing is the expensive per-message
 // operation whose amortisation motivates periodic batch rekeying; the

@@ -44,8 +44,8 @@ func TestGeneratorProducesDistinctNonZeroKeys(t *testing.T) {
 func TestWrapUnwrapRoundTrip(t *testing.T) {
 	g := NewDeterministicGenerator(7)
 	outer, inner := g.MustNewKey(), g.MustNewKey()
-	w := Wrap(outer, inner)
-	got, err := Unwrap(outer, w)
+	ctx := NewWrapContext(outer)
+	got, err := ctx.Unwrap(ctx.Wrap(inner))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +57,8 @@ func TestWrapUnwrapRoundTrip(t *testing.T) {
 func TestUnwrapWrongKeyFails(t *testing.T) {
 	g := NewDeterministicGenerator(8)
 	outer, inner, wrong := g.MustNewKey(), g.MustNewKey(), g.MustNewKey()
-	w := Wrap(outer, inner)
-	if _, err := Unwrap(wrong, w); !errors.Is(err, ErrBadTag) {
+	w := NewWrapContext(outer).Wrap(inner)
+	if _, err := NewWrapContext(wrong).Unwrap(w); !errors.Is(err, ErrBadTag) {
 		t.Fatalf("unwrap with wrong key: err=%v, want ErrBadTag", err)
 	}
 }
@@ -66,11 +66,12 @@ func TestUnwrapWrongKeyFails(t *testing.T) {
 func TestUnwrapCorruptionDetected(t *testing.T) {
 	g := NewDeterministicGenerator(9)
 	outer, inner := g.MustNewKey(), g.MustNewKey()
-	w := Wrap(outer, inner)
+	ctx := NewWrapContext(outer)
+	w := ctx.Wrap(inner)
 	for i := 0; i < WrappedSize; i++ {
 		c := w
 		c[i] ^= 0x80
-		if _, err := Unwrap(outer, c); !errors.Is(err, ErrBadTag) {
+		if _, err := ctx.Unwrap(c); !errors.Is(err, ErrBadTag) {
 			t.Fatalf("corruption at byte %d undetected", i)
 		}
 	}
@@ -79,14 +80,15 @@ func TestUnwrapCorruptionDetected(t *testing.T) {
 func TestWrapDeterministic(t *testing.T) {
 	g := NewDeterministicGenerator(10)
 	outer, inner := g.MustNewKey(), g.MustNewKey()
-	if Wrap(outer, inner) != Wrap(outer, inner) {
+	if NewWrapContext(outer).Wrap(inner) != NewWrapContext(outer).Wrap(inner) {
 		t.Fatal("Wrap is not deterministic for fixed keys")
 	}
 }
 
 func TestQuickWrapUnwrap(t *testing.T) {
 	f := func(outer, inner Key) bool {
-		got, err := Unwrap(outer, Wrap(outer, inner))
+		ctx := NewWrapContext(outer)
+		got, err := ctx.Unwrap(ctx.Wrap(inner))
 		return err == nil && got == inner
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -120,22 +122,29 @@ func TestSignVerify(t *testing.T) {
 	}
 }
 
+// BenchmarkWrap and BenchmarkUnwrap re-key one context per call, as
+// the batch pipeline does per tree edge and a member per path edge.
 func BenchmarkWrap(b *testing.B) {
 	g := NewDeterministicGenerator(12)
 	outer, inner := g.MustNewKey(), g.MustNewKey()
+	ctx := NewWrapContext(outer)
+	var out [WrappedSize]byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Wrap(outer, inner)
+		ctx.SetKey(outer)
+		ctx.WrapInto(&out, inner)
 	}
 }
 
 func BenchmarkUnwrap(b *testing.B) {
 	g := NewDeterministicGenerator(13)
 	outer, inner := g.MustNewKey(), g.MustNewKey()
-	w := Wrap(outer, inner)
+	ctx := NewWrapContext(outer)
+	w := ctx.Wrap(inner)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Unwrap(outer, w); err != nil {
+		ctx.SetKey(outer)
+		if _, err := ctx.Unwrap(w); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,9 +16,9 @@ var (
 // TestHotPathAllocs is this package's part of the allocation gate
 // (DESIGN.md "Allocation discipline"): the per-member need walks
 // allocate nothing into a warm buffer and once into a nil one, and the
-// per-edge wrap loop costs what its contract says -- re-keying the
-// worker's context builds one AES key schedule per edge -- and nothing
-// beside it.
+// per-edge wrap loop allocates nothing -- except without the AES-NI
+// kernel (other CPUs and GOARCHes, -tags purego), where each edge
+// builds one crypto/aes key schedule and nothing beside it.
 func TestHotPathAllocs(t *testing.T) {
 	tr := New(4, keys.NewDeterministicGenerator(3))
 	joins := make([]Member, 200)
@@ -41,6 +41,10 @@ func TestHotPathAllocs(t *testing.T) {
 	refill := &BatchResult{Encryptions: make([]Encryption, edges)}
 	all := emitSpan{lo: 1, hi: len(tr.nodes)}
 	ctx := keys.NewWrapContext(keys.Key{})
+	schedules := 0
+	if keys.AESKernel() == "generic" {
+		schedules = edges
+	}
 	encs, ids := make([]Encryption, 0, 64), make([]uint32, 0, 64)
 	deep := res.UserIDs[0]
 	for _, uid := range res.UserIDs {
@@ -77,7 +81,7 @@ func TestHotPathAllocs(t *testing.T) {
 		// allocation, not one per doubling from zero.
 		{"UserNeeds(nil), one user with a full path", 1, func() { sinkEncs = res.UserNeeds(deep) }},
 		{"UserNeedIDs(nil), one user with a full path", 1, func() { sinkIDs = res.UserNeedIDs(deep) }},
-		{"fillSpan, one key schedule per edge", float64(edges), func() { tr.fillSpan(all, refill, ctx) }},
+		{"fillSpan, every edge", float64(schedules), func() { tr.fillSpan(all, refill, ctx) }},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.fn); got != r.want {

@@ -1043,10 +1043,12 @@ func (t *Tree) levelBounds() []int {
 }
 
 // emitSeq is the sequential reference emission: walk levels deepest
-// first, append one encryption per eligible edge, wrapping with the
-// one-shot keys.Wrap. The root level never emits (no parent edge).
+// first, append one encryption per eligible edge, wrapping with one
+// context re-keyed per edge. The root level never emits (no parent
+// edge).
 func (t *Tree) emitSeq(res *BatchResult) {
 	levelStart := t.levelBounds()
+	ctx := keys.NewWrapContext(keys.Key{})
 	res.emitted.w = make([]uint64, (len(t.nodes)+63)/64)
 	for level := t.height; level >= 1; level-- {
 		lo, hi := levelStart[level], levelStart[level+1]
@@ -1060,7 +1062,8 @@ func (t *Tree) emitSeq(res *BatchResult) {
 			}
 			e := Encryption{ID: uint32(id)}
 			if !t.lite {
-				e.Wrapped = keys.Wrap(t.nodes[id].key, t.nodes[t.Parent(id)].key)
+				ctx.SetKey(t.nodes[id].key)
+				ctx.WrapInto(&e.Wrapped, t.nodes[t.Parent(id)].key)
 			}
 			res.Encryptions = append(res.Encryptions, e)
 			res.emitted.set(id)

@@ -428,9 +428,11 @@ func TestForwardSecrecy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := keys.NewWrapContext(keys.Key{})
 	for _, e := range res.Encryptions {
 		for _, k := range view.Keys {
-			if _, err := keys.Unwrap(k, e.Wrapped); err == nil {
+			ctx.SetKey(k)
+			if _, err := ctx.Unwrap(e.Wrapped); err == nil {
 				t.Fatalf("departed member's key unwraps encryption %d", e.ID)
 			}
 		}

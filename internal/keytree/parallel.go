@@ -104,9 +104,8 @@ func (t *Tree) emitParallel(res *BatchResult) {
 
 // fillSpan writes one span's encryptions at their precomputed offsets.
 // Every tree edge has a distinct child (outer) key, so the context is
-// re-keyed per edge; what it saves over the one-shot keys.Wrap is the
-// per-call cipher/HMAC object construction, which dominates Wrap's
-// allocation profile.
+// re-keyed per edge, which copies the key and the HMAC pads and
+// allocates nothing.
 func (t *Tree) fillSpan(sp emitSpan, res *BatchResult, ctx *keys.WrapContext) {
 	out := sp.out
 	for id := sp.lo; id < sp.hi; id++ {

@@ -20,9 +20,9 @@ type UserView struct {
 	// of the k-nodes on its path to the root, as far as it has learned
 	// them. Keys[0] is the group key.
 	Keys map[int]keys.Key
-	// uctx is the cached unwrap context the ingest path re-keys per
-	// path edge, lazily built on first Apply.
-	uctx *keys.UnwrapContext
+	// uctx is the wrap context the ingest path re-keys per path edge to
+	// unwrap, lazily built on first Apply.
+	uctx *keys.WrapContext
 }
 
 // NewUserView returns the view a member holds right after registration:
@@ -80,7 +80,7 @@ func (u *UserView) Apply(maxKID int, encs []Encryption) error {
 			return fmt.Errorf("keytree: member %d: needs key of node %d to unwrap node %d's key, but does not hold it", u.Member, cur, parent)
 		}
 		if u.uctx == nil {
-			u.uctx = keys.NewUnwrapContext(holding)
+			u.uctx = keys.NewWrapContext(holding)
 		} else {
 			u.uctx.SetKey(holding)
 		}

@@ -22,7 +22,7 @@ package lint
 //   Sanitize  results of crypto/subtle functions are public, and a
 //             function annotated //rekeylint:declassify <reason> is
 //             trusted: its body is exempt and its results are public
-//             (keys.Wrap emits ciphertext, Key.String a fingerprint).
+//             (Key.String emits a fingerprint).
 //
 // The analysis is type- and flow-based per function, and goes
 // interprocedural through the facts layer: analyzing internal/keys
