@@ -116,7 +116,7 @@ func runScenarioCell(ss ScenarioSpec, is ImpairmentSpec, opts Options) ScenarioC
 	cfg.Obs = reg
 	orc := oracle.New(dr.Tree(), oracle.Config{
 		MaxMulticastRounds: cfg.MaxMulticastRounds,
-		MaxUnicastWaves:    50, // the protocol's internal wave budget
+		MaxUnicastWaves:    protocol.WaveBudget,
 	})
 	orc.SetObs(reg)
 	if err := orc.Bootstrap(); err != nil {

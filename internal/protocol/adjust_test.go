@@ -2,96 +2,63 @@ package protocol
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
-
-	"repro/internal/netsim"
 )
-
-func newBareSession(t *testing.T, cfg Config) *Session {
-	t.Helper()
-	net, err := netsim.NewStar(netsim.StarConfig{N: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSession(cfg, net, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
 
 // TestAdjustRhoIncrease checks the Fig. 11 worked example: 10 NACKs with
 // requests a0>=...>=a9, target numNACK=2, k=10, rho=1: the server adds
 // a2 parity packets per block, so rho becomes (a2+10)/10.
 func TestAdjustRhoIncrease(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NumNACK = 2
-	s := newBareSession(t, cfg)
-	s.rho = 1.0
 	a := []int{9, 7, 5, 4, 3, 3, 2, 2, 1, 1}
-	s.adjustRho(append([]int(nil), a...))
+	got := AdjustRho(1.0, 10, 2, a, nil)
 	want := (5.0 + 10.0) / 10.0
-	if math.Abs(s.rho-want) > 1e-12 {
-		t.Fatalf("rho = %v, want %v", s.rho, want)
+	if math.Abs(got-want) > 1e-12 {
+		t.Fatalf("rho = %v, want %v", got, want)
+	}
+	if a[0] != 9 || a[9] != 1 {
+		t.Fatalf("AdjustRho reordered its input: %v", a)
 	}
 }
 
 func TestAdjustRhoIncreaseUnsortedInput(t *testing.T) {
-	// The algorithm sorts descending itself.
-	cfg := DefaultConfig()
-	cfg.NumNACK = 1
-	s := newBareSession(t, cfg)
-	s.rho = 1.0
-	s.adjustRho([]int{1, 9, 4})
+	// The algorithm sorts itself.
+	got := AdjustRho(1.0, 10, 1, []int{1, 9, 4}, nil)
 	want := (4.0 + 10.0) / 10.0
-	if math.Abs(s.rho-want) > 1e-12 {
-		t.Fatalf("rho = %v, want %v", s.rho, want)
+	if math.Abs(got-want) > 1e-12 {
+		t.Fatalf("rho = %v, want %v", got, want)
 	}
 }
 
 func TestAdjustRhoNoChangeAtTarget(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NumNACK = 3
-	s := newBareSession(t, cfg)
-	s.rho = 1.4
-	s.adjustRho([]int{2, 2, 1})
-	if s.rho != 1.4 {
-		t.Fatalf("rho changed to %v with exactly-target NACKs", s.rho)
+	if got := AdjustRho(1.4, 10, 3, []int{2, 2, 1}, nil); got != 1.4 {
+		t.Fatalf("rho changed to %v with exactly-target NACKs", got)
 	}
 }
 
 func TestAdjustRhoDecreaseProbability(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 0x5e55))
 	// With zero NACKs the decrease probability is 1: rho must drop by
 	// exactly one packet's worth.
-	cfg := DefaultConfig()
-	cfg.NumNACK = 20
-	s := newBareSession(t, cfg)
-	s.rho = 2.0
-	s.adjustRho(nil)
+	got := AdjustRho(2.0, 10, 20, nil, rng)
 	want := math.Ceil(10*2.0-1) / 10 // 1.9
-	if math.Abs(s.rho-want) > 1e-12 {
-		t.Fatalf("rho = %v, want %v", s.rho, want)
+	if math.Abs(got-want) > 1e-12 {
+		t.Fatalf("rho = %v, want %v", got, want)
 	}
 	// With size(A)*2 >= target the probability is 0: never decreases.
-	s.rho = 2.0
 	for i := 0; i < 50; i++ {
-		s.adjustRho([]int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}) // 10 NACKs, 2*10 >= 20
-		if s.rho != 2.0 {
-			t.Fatalf("rho decreased to %v with zero decrease probability", s.rho)
+		if got := AdjustRho(2.0, 10, 20, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, rng); got != 2.0 { // 10 NACKs, 2*10 >= 20
+			t.Fatalf("rho decreased to %v with zero decrease probability", got)
 		}
 	}
 }
 
 func TestAdjustRhoZeroTarget(t *testing.T) {
 	// numNACK = 0: any NACK raises rho by the largest request.
-	cfg := DefaultConfig()
-	cfg.NumNACK = 0
-	s := newBareSession(t, cfg)
-	s.rho = 1.0
-	s.adjustRho([]int{3, 1})
+	got := AdjustRho(1.0, 10, 0, []int{3, 1}, nil)
 	want := (3.0 + 10.0) / 10.0
-	if math.Abs(s.rho-want) > 1e-12 {
-		t.Fatalf("rho = %v, want %v", s.rho, want)
+	if math.Abs(got-want) > 1e-12 {
+		t.Fatalf("rho = %v, want %v", got, want)
 	}
 }
 

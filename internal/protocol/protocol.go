@@ -1,19 +1,23 @@
-// Package protocol implements the rekey transport protocol's server and
-// user state machines (Figures 2, 3, 11, 22, 26 and 27 of the protocol
-// paper) over a simulated multicast network.
+// Package protocol is the rekey transport protocol (Figures 2, 3, 11,
+// 22, 26 and 27 of the protocol paper): Sender, the key server's state
+// machine for one rekey message, and Session, which drives it over a
+// simulated multicast network.
 //
-// For each rekey message the server multicasts the message's ENC packets
+// For each rekey message the Sender multicasts the message's ENC packets
 // plus ceil((rho-1)*k) proactive PARITY packets per block, interleaved
-// across blocks. At each round boundary it collects NACKs, each carrying
-// the number of parity packets a user still needs per block; it then
-// either multicasts amax[i] fresh parity packets per block, or -- after
-// at most MaxMulticastRounds rounds, or as soon as unicasting would be
-// cheaper -- switches to unicasting small USR packets with escalating
-// duplication. The proactivity factor rho adapts across messages so the
-// first-round NACK count tracks a target (AdjustRho, Fig. 11), and the
-// target itself adapts to deadline misses.
+// across blocks. At each round's end it takes the round's NACKs, each
+// carrying the number of parity packets a user still needs per block,
+// and either multicasts amax[i] fresh parity packets per block or --
+// after MaxMulticastRounds rounds -- switches to unicasting small USR
+// packets with escalating duplication. The Sender does no I/O: package
+// udptrans drives it over sockets, Session over netsim.
 //
-// The engine tracks packet bookkeeping rather than ciphertext bytes:
+// Session adds what carries across messages: the proactivity factor rho
+// adapts so the first-round NACK count tracks a target (AdjustRho, Fig.
+// 11), the target itself adapts to deadline misses, and early unicast
+// switches as soon as unicasting would be cheaper.
+//
+// Session tracks packet bookkeeping rather than ciphertext bytes:
 // which shards each user received determines recoverability exactly
 // (the MDS property of the FEC code), so bandwidth, NACK, latency and
 // deadline metrics are identical to a byte-level run at a fraction of
@@ -23,10 +27,9 @@ package protocol
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/assign"
@@ -45,10 +48,8 @@ import (
 // declared here are simulation-specific. DefaultConfig returns the
 // paper's defaults.
 type Config struct {
-	// Tuning is the shared knob core; see package tuning. Note that
-	// here MaxMulticastRounds = 0 disables unicast entirely (multicast
-	// until every user recovers), and the session reads Degree only
-	// through each Message's TreeDegree.
+	// Tuning is the shared knob core; see package tuning. The session
+	// reads Degree only through each Message's TreeDegree.
 	tuning.Tuning
 	// AdaptiveRho enables the AdjustRho algorithm; when false, rho stays
 	// at InitialRho for every message.
@@ -296,6 +297,10 @@ func (u *userState) recovered(k int) bool {
 	return u.gotSpecific || int(u.counts[u.block]) >= k
 }
 
+// observeRefs, when set (by tests), sees each multicast round's shards
+// in the order Run sends them.
+var observeRefs func(refs []blockplan.Ref)
+
 // Run executes the transport protocol for one rekey message and returns
 // its metrics. An empty message (no ENC packets) returns immediately.
 func (s *Session) Run(msg *Message) (*Metrics, error) {
@@ -335,48 +340,19 @@ func (s *Session) Run(msg *Message) (*Metrics, error) {
 	met.NeededUsers = pending
 
 	start := s.now
-	nextParity := make([]int, blocks) // next fresh parity shard index per block
-	for b := range nextParity {
-		nextParity[b] = k
-	}
-
-	// feedback aggregates one round's NACKs.
-	type feedback struct {
-		nacks int
-		a     []int // per-NACK maximum parity request
-		amax  []int // per-block maximum parity request
-	}
-
-	const maxRounds = 64
-	round := 0
-	var lastFb feedback
-	for {
-		round++
-		var refs []blockplan.Ref
-		perBlock := make([][]int, blocks)
-		if round == 1 {
-			pro := blockplan.ProactiveParity(k, s.rho)
-			for b := 0; b < blocks; b++ {
-				for sh := 0; sh < k+pro; sh++ {
-					perBlock[b] = append(perBlock[b], sh)
-				}
-			}
-		} else {
-			for b := 0; b < blocks; b++ {
-				for j := 0; j < lastFb.amax[b]; j++ {
-					perBlock[b] = append(perBlock[b], nextParity[b])
-					nextParity[b]++
-				}
-			}
-		}
+	snd := NewSender(msg.Part, s.rho, cfg.MaxMulticastRounds, WaveBudget)
+	step := Multicast
+	for ; step == Multicast; step = snd.Next() {
+		round := snd.Round()
+		refs := snd.Refs()
 		if cfg.SequentialSend {
-			for b, shards := range perBlock {
-				for _, sh := range shards {
-					refs = append(refs, blockplan.Ref{Block: b, Shard: sh})
-				}
-			}
-		} else {
-			refs = blockplan.Interleave(perBlock)
+			// The ablation's order: the same shards, each block's back
+			// to back.
+			refs = slices.Clone(refs)
+			slices.SortStableFunc(refs, func(a, b blockplan.Ref) int { return a.Block - b.Block })
+		}
+		if observeRefs != nil {
+			observeRefs(refs)
 		}
 		met.MulticastSent += len(refs)
 		for _, r := range refs {
@@ -396,30 +372,23 @@ func (s *Session) Run(msg *Message) (*Metrics, error) {
 		rd := s.net.MulticastRound(times)
 		s.now += float64(len(refs))*cfg.SendInterval + cfg.RoundSlack
 
-		fb := s.processRound(msg, users, refs, rd, round, blocks, met)
-		met.NACKsPerRound = append(met.NACKsPerRound, fb.nacks)
-		cfg.Obs.Observe(obs.HNACKsPerRound, float64(fb.nacks))
+		s.processRound(msg, users, refs, rd, round, snd, met)
+		nacks := snd.NACKs()
+		met.NACKsPerRound = append(met.NACKsPerRound, nacks)
+		cfg.Obs.Observe(obs.HNACKsPerRound, float64(nacks))
 		if round == 1 {
-			met.Round1NACKs = fb.nacks
+			met.Round1NACKs = nacks
 			if cfg.AdaptiveRho {
-				s.adjustRho(fb.a)
+				if rho := AdjustRho(s.rho, k, s.numNACK, snd.Demand(), s.rng); rho != s.rho {
+					s.rho = rho
+					cfg.Obs.Emit(obs.Event{Kind: obs.EvRhoAdjusted, MsgID: uint8(s.msgSeq & 0x3f), Value: s.rho})
+				}
+				cfg.Obs.Set(obs.GRho, s.rho)
 			}
 		}
-		lastFb = fb
 		met.MulticastRounds = round
-
-		if fb.nacks == 0 {
-			met.AllDone = true
-			break
-		}
-		if cfg.MaxMulticastRounds > 0 && round >= cfg.MaxMulticastRounds {
-			break
-		}
-		if cfg.EarlyUnicast && s.usrBytes(msg, users) <= s.parityBytes(fb.amax) {
-			break
-		}
-		if round >= maxRounds {
-			break
+		if cfg.EarlyUnicast && s.usrBytes(msg, users) <= s.parityBytes(snd.Amax()) {
+			snd.UnicastNow()
 		}
 	}
 
@@ -445,19 +414,12 @@ func (s *Session) Run(msg *Message) (*Metrics, error) {
 		}
 	}
 
-	if !met.AllDone {
-		if cfg.Obs.Enabled() {
-			pending := 0
-			for i := range users {
-				if !users[i].done() {
-					pending++
-				}
-			}
-			cfg.Obs.Emit(obs.Event{Kind: obs.EvSwitchToUnicast,
-				MsgID: uint8(met.MsgID & 0x3f), Round: met.MulticastRounds, Value: float64(pending)})
-		}
-		s.unicast(msg, users, met)
+	if step != Done {
+		cfg.Obs.Emit(obs.Event{Kind: obs.EvSwitchToUnicast,
+			MsgID: uint8(met.MsgID & 0x3f), Round: met.MulticastRounds, Value: float64(len(snd.Waiting()))})
+		step = s.unicast(users, snd, step, met)
 	}
+	met.AllDone = step == Done
 	met.Elapsed = s.now - start
 	// Idle gap between rekey messages keeps link processes realistic.
 	s.now += cfg.RoundSlack
@@ -465,37 +427,22 @@ func (s *Session) Run(msg *Message) (*Metrics, error) {
 }
 
 // processRound distributes one round's deliveries to the pending users
-// (in parallel) and aggregates their feedback.
-func (s *Session) processRound(msg *Message, users []userState, refs []blockplan.Ref, rd *netsim.RoundDelivery, round, blocks int, met *Metrics) (fb struct {
-	nacks int
-	a     []int
-	amax  []int
-}) {
+// (in parallel) and feeds each one still short of its packet to snd as a
+// NACK, in user order.
+func (s *Session) processRound(msg *Message, users []userState, refs []blockplan.Ref, rd *netsim.RoundDelivery, round int, snd *Sender, met *Metrics) {
 	k := s.cfg.K
+	blocks := msg.Part.NumBlocks()
 	workers := s.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	type partial struct {
-		nacks int
-		a     []int
-		amax  []int
-		hist  map[int]int
-	}
-	parts := make([]partial, workers)
+	nacks := make([][]Request, len(users)) // each user's NACK, nil for none
 	var wg sync.WaitGroup
 	chunk := (len(users) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, len(users))
-		if lo >= hi {
-			continue
-		}
+	for lo := 0; lo < len(users); lo += chunk {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			p := &parts[w]
-			p.amax = make([]int, blocks)
-			p.hist = make(map[int]int)
 			for ui := lo; ui < hi; ui++ {
 				u := &users[ui]
 				if u.done() {
@@ -523,85 +470,35 @@ func (s *Session) processRound(msg *Message, users []userState, refs []blockplan
 				}
 				if u.recovered(k) {
 					u.doneRound = round
-					p.hist[round]++
 					continue
 				}
 				// NACK: request parity for each block in the estimated
 				// range still short of k.
-				lo, hi := u.est.Low, u.est.High
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > blocks-1 {
-					hi = blocks - 1
-				}
-				maxA := 0
-				for b := lo; b <= hi; b++ {
+				for b := max(u.est.Low, 0); b <= min(u.est.High, blocks-1); b++ {
 					if a := k - int(u.counts[b]); a > 0 {
-						if a > p.amax[b] {
-							p.amax[b] = a
-						}
-						if a > maxA {
-							maxA = a
-						}
+						nacks[ui] = append(nacks[ui], Request{Block: b, Count: a})
 					}
 				}
-				if maxA > 0 {
-					p.nacks++
-					p.a = append(p.a, maxA)
-				} else {
+				if nacks[ui] == nil {
 					// The estimated range is fully stocked yet the user
 					// could not decode its packet: only possible when the
 					// range excludes the true block, which the estimator
 					// forbids. Guard regardless.
-					p.nacks++
-					p.a = append(p.a, 1)
-					if p.amax[u.block] < 1 {
-						p.amax[u.block] = 1
-					}
+					nacks[ui] = []Request{{Block: u.block, Count: 1}}
 				}
 			}
-		}(w, lo, hi)
+		}(lo, min(lo+chunk, len(users)))
 	}
 	wg.Wait()
 
-	fb.amax = make([]int, blocks)
-	for _, p := range parts {
-		fb.nacks += p.nacks
-		fb.a = append(fb.a, p.a...)
-		for b, v := range p.amax {
-			if v > fb.amax[b] {
-				fb.amax[b] = v
-			}
+	for ui, reqs := range nacks {
+		if users[ui].doneRound == round {
+			met.UserRoundHist[round]++
 		}
-		for r, c := range p.hist {
-			met.UserRoundHist[r] += c
+		if reqs != nil {
+			snd.NACK(ui, reqs)
 		}
 	}
-	return fb
-}
-
-// adjustRho implements the AdjustRho algorithm (Fig. 11) on the
-// first-round NACK list.
-func (s *Session) adjustRho(a []int) {
-	k := s.cfg.K
-	target := s.numNACK
-	before := s.rho
-	switch {
-	case len(a) > target:
-		sort.Sort(sort.Reverse(sort.IntSlice(a)))
-		add := a[target] // the (numNACK+1)-th largest request
-		s.rho = (float64(add) + math.Ceil(float64(k)*s.rho-1e-9)) / float64(k)
-	case len(a) < target:
-		prob := math.Max(0, float64(target-len(a)*2)/float64(target))
-		if s.rng.Float64() < prob {
-			s.rho = math.Max(0, math.Ceil(float64(k)*s.rho-1-1e-9)) / float64(k)
-		}
-	}
-	if s.rho != before {
-		s.cfg.Obs.Emit(obs.Event{Kind: obs.EvRhoAdjusted, MsgID: uint8(s.msgSeq & 0x3f), Value: s.rho})
-	}
-	s.cfg.Obs.Set(obs.GRho, s.rho)
 }
 
 // usrBytes is the total size of the USR packets (plus UDP headers) that
@@ -629,23 +526,17 @@ func (s *Session) parityBytes(amax []int) int {
 	return n * (packet.PacketLen + udpHeader)
 }
 
-// unicast implements Switch2Unicast (Fig. 22): wave w sends w+1
-// duplicate USR packets to each pending user, starting at 2 duplicates,
-// until every user has recovered.
-func (s *Session) unicast(msg *Message, users []userState, met *Metrics) {
-	pendingIdx := make([]int, 0)
-	for i := range users {
-		if !users[i].done() {
-			pendingIdx = append(pendingIdx, i)
-		}
-	}
-	const maxWaves = 50
-	dups := 2
-	for wave := 1; len(pendingIdx) > 0 && wave <= maxWaves; wave++ {
-		var still []int
-		for _, ui := range pendingIdx {
+// unicast implements Switch2Unicast (Fig. 22) and returns the Sender's
+// last step. A waiting user none of a wave's Dups copies reach NACKs it.
+func (s *Session) unicast(users []userState, snd *Sender, step Step, met *Metrics) Step {
+	for ; step == Unicast; step = snd.Next() {
+		wave, waiting := snd.Wave(), snd.Waiting()
+		for ui := range users {
+			if !waiting[ui] {
+				continue
+			}
 			got := false
-			for j := 0; j < dups; j++ {
+			for j := 0; j < snd.Dups(); j++ {
 				met.UsrSent++
 				// Duplicates of one wave go out back to back; distinct
 				// users' sends share the wave window.
@@ -658,13 +549,11 @@ func (s *Session) unicast(msg *Message, users []userState, met *Metrics) {
 				users[ui].doneRound = met.MulticastRounds + wave
 				met.UserRoundHist[met.MulticastRounds+wave]++
 			} else {
-				still = append(still, ui)
+				snd.NACK(ui, nil)
 			}
 		}
 		s.now += s.cfg.UnicastInterval
 		met.UnicastWaves = wave
-		pendingIdx = still
-		dups++
 	}
-	met.AllDone = len(pendingIdx) == 0
+	return step
 }

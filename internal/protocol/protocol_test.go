@@ -3,6 +3,7 @@ package protocol
 import (
 	"testing"
 
+	"repro/internal/blockplan"
 	"repro/internal/netsim"
 	"repro/internal/workload"
 )
@@ -345,5 +346,39 @@ func BenchmarkSessionN4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run(b, gen, s, 4096)
+	}
+}
+
+// TestNoShardSentTwice: within one message no (block, shard) goes out
+// twice. Rounds after the first send fresh parity, never round one's
+// proactive shards again.
+func TestNoShardSentTwice(t *testing.T) {
+	var sent map[blockplan.Ref]bool
+	later := 0 // refs sent after round one, over all runs
+	observeRefs = func(refs []blockplan.Ref) {
+		if len(sent) > 0 {
+			later += len(refs)
+		}
+		for _, r := range refs {
+			if sent[r] {
+				t.Fatalf("shard %v sent twice", r)
+			}
+			sent[r] = true
+		}
+	}
+	defer func() { observeRefs = nil }()
+	for _, rho := range []float64{1, 1.5, 2.6} {
+		cfg := DefaultConfig()
+		cfg.AdaptiveRho = false
+		cfg.InitialRho = rho
+		cfg.MaxMulticastRounds = 0
+		gen, s := session(t, cfg, 1024, paperStar(), 12)
+		for i := 0; i < 10; i++ {
+			sent = make(map[blockplan.Ref]bool)
+			run(t, gen, s, 1024)
+		}
+	}
+	if later == 0 {
+		t.Fatal("no run went past round one")
 	}
 }

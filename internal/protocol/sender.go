@@ -1,0 +1,175 @@
+package protocol
+
+import (
+	"math"
+	"math/rand/v2"
+	"slices"
+
+	"repro/internal/blockplan"
+	"repro/internal/fec"
+)
+
+// RoundCap bounds a message's multicast rounds. It is also what a round
+// budget of 0 means: multicast until a round draws no NACK.
+const RoundCap = 64
+
+// WaveBudget is the unicast wave budget of a simulated Session.
+const WaveBudget = 50
+
+// Request is one block's entry in a NACK: how many more parity packets
+// the user needs for it.
+type Request struct{ Block, Count int }
+
+// Step is what a Sender's driver does next.
+type Step int
+
+const (
+	Multicast Step = iota // send Refs to every user, then feed the round's NACKs
+	Unicast               // send Dups copies of each Waiting user's USR packet, then feed the wave's NACKs
+	Done                  // the last round or wave drew no NACK
+	GiveUp                // the wave budget ran out with users still waiting
+)
+
+// Sender is the server half of the transport for one rekey message
+// (Figs. 2, 3 and 22): which shards each multicast round sends, which
+// users each unicast wave serves, and when to stop. It does no I/O and
+// reads no clock. A driver sends what it says, feeds it the round's
+// NACKs through NACK and calls Next at the round's end.
+type Sender struct {
+	k, maxRounds, maxWaves int
+	step                   Step
+	round, wave            int
+	refs                   []blockplan.Ref
+	next                   []int // the parity cursor: parity packets sent so far, per block
+	// The round or wave in progress: each block's and each NACK's
+	// largest request, and who NACKed.
+	amax, demand []int
+	seen         map[int]bool
+	waiting      map[int]bool // who NACKed the last round or wave to end
+}
+
+// NewSender starts the transport of a message partitioned as part, with
+// proactivity factor rho, at most maxRounds multicast rounds (0 means
+// RoundCap) and at most maxWaves unicast waves. Refs holds round one:
+// k data and ceil((rho-1)*k) proactive parity shards a block.
+func NewSender(part blockplan.Partition, rho float64, maxRounds, maxWaves int) *Sender {
+	if maxRounds <= 0 || maxRounds > RoundCap {
+		maxRounds = RoundCap
+	}
+	blocks := part.NumBlocks()
+	s := &Sender{k: part.K, maxRounds: maxRounds, maxWaves: maxWaves, round: 1,
+		next: make([]int, blocks), amax: make([]int, blocks), seen: make(map[int]bool)}
+	for b := range s.amax {
+		s.amax[b] = blockplan.ProactiveParity(part.K, rho)
+	}
+	s.layout(part.K, s.amax)
+	clear(s.amax)
+	return s
+}
+
+// layout sets Refs to the first data shards of every block and then
+// parity[b] fresh parity shards of block b -- fewer once the block runs
+// out of parity indices -- interleaved across blocks.
+func (s *Sender) layout(data int, parity []int) {
+	perBlock := make([][]int, len(s.next))
+	for b, want := range parity {
+		for sh := 0; sh < data; sh++ {
+			perBlock[b] = append(perBlock[b], sh)
+		}
+		for n := min(want, fec.MaxShards-s.k-s.next[b]); n > 0; n-- {
+			perBlock[b] = append(perBlock[b], s.k+s.next[b])
+			s.next[b]++
+		}
+	}
+	s.refs = blockplan.Interleave(perBlock)
+}
+
+// Round and Wave return the multicast rounds and unicast waves begun.
+func (s *Sender) Round() int { return s.round }
+func (s *Sender) Wave() int  { return s.wave }
+
+// Refs returns the current multicast round's shards in send order.
+func (s *Sender) Refs() []blockplan.Ref { return s.refs }
+
+// ParityPrefix returns each block's parity packets the rounds so far use.
+func (s *Sender) ParityPrefix() []int { return s.next }
+
+// Dups returns the copies of each USR packet a wave sends: 2, 3, 4, ...
+func (s *Sender) Dups() int { return s.wave + 1 }
+
+// NACKs returns how many NACKs the current round or wave has taken.
+func (s *Sender) NACKs() int { return len(s.seen) }
+
+// Amax returns each block's largest request of the current round.
+func (s *Sender) Amax() []int { return s.amax }
+
+// Demand returns each NACK's largest request of the current round.
+func (s *Sender) Demand() []int { return s.demand }
+
+// Waiting returns who NACKed the last round or wave; nil before one ends.
+func (s *Sender) Waiting() map[int]bool { return s.waiting }
+
+// UnicastNow makes the current round the last multicast one.
+func (s *Sender) UnicastNow() { s.maxRounds = s.round }
+
+// NACK takes user's NACK of the current round or wave. A request counts
+// for at most k -- no user is short more -- and none outside the message.
+// It returns the largest request, or ok = false for a user's second NACK
+// of a round, which counts for nothing.
+func (s *Sender) NACK(user int, reqs []Request) (demand int, ok bool) {
+	if s.seen[user] {
+		return 0, false
+	}
+	s.seen[user] = true
+	for _, r := range reqs {
+		c := min(r.Count, s.k)
+		if r.Block >= 0 && r.Block < len(s.amax) && c > s.amax[r.Block] {
+			s.amax[r.Block] = c
+		}
+		demand = max(demand, c)
+	}
+	s.demand = append(s.demand, demand)
+	return demand, true
+}
+
+// Next ends the current round or wave and returns the next step: done
+// without NACKs, else another round (amax fresh parity a block) within
+// the round budget, else the next unicast wave within the wave budget.
+func (s *Sender) Next() Step {
+	s.waiting, s.seen = s.seen, make(map[int]bool)
+	switch {
+	case len(s.waiting) == 0:
+		s.step = Done
+	case s.step == Multicast && s.round < s.maxRounds:
+		s.round++
+		s.layout(0, s.amax)
+	case s.wave >= s.maxWaves:
+		s.step = GiveUp
+	default:
+		s.step = Unicast
+		s.wave++
+	}
+	clear(s.amax)
+	s.demand = nil
+	return s.step
+}
+
+// AdjustRho (Fig. 11) returns the next message's rho from this one's,
+// the block size, the NACK target and round one's Demand. Over target,
+// rho grows by the (target+1)-th largest request; under it, it falls by
+// 1/k with probability (target - 2*NACKs)/target, drawn from rng.
+func AdjustRho(rho float64, k, target int, demand []int, rng *rand.Rand) float64 {
+	switch {
+	case len(demand) > target:
+		d := slices.Clone(demand)
+		slices.Sort(d)
+		add := d[len(d)-1-target] // the (target+1)-th largest request
+		return (float64(add) + math.Ceil(float64(k)*rho-1e-9)) / float64(k)
+	case len(demand) < target:
+		prob := math.Max(0, float64(target-len(demand)*2)/float64(target))
+		if rng.Float64() < prob {
+			return math.Max(0, math.Ceil(float64(k)*rho-1-1e-9)) / float64(k)
+		}
+	}
+	return rho
+}

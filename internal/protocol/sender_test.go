@@ -1,0 +1,199 @@
+package protocol
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/blockplan"
+	"repro/internal/fec"
+)
+
+// nack is one scripted NACK.
+type nack struct {
+	user int
+	reqs []Request
+}
+
+func req(block, count int) []Request { return []Request{{Block: block, Count: count}} }
+
+// transcript drives s through script -- the NACKs of each round or wave
+// in turn -- and writes down what it was told to do: "R<round>" and the
+// round's refs as block.shard (round one's only counted), or
+// "W<wave> x<dups>" and the users served, then after "|" what each NACK
+// was worth ("-" when it counted for nothing), and the final step.
+func transcript(s *Sender, script [][]nack) string {
+	var b strings.Builder
+	step := Multicast
+	for _, nacks := range script {
+		switch {
+		case step == Multicast && s.Round() == 1:
+			fmt.Fprintf(&b, "R1 (%d)", len(s.Refs()))
+		case step == Multicast:
+			fmt.Fprintf(&b, "R%d", s.Round())
+			for _, r := range s.Refs() {
+				fmt.Fprintf(&b, " %d.%d", r.Block, r.Shard)
+			}
+		case step == Unicast:
+			var waiting []int
+			for u := range s.Waiting() {
+				waiting = append(waiting, u)
+			}
+			slices.Sort(waiting)
+			fmt.Fprintf(&b, "W%d x%d %v", s.Wave(), s.Dups(), waiting)
+		}
+		b.WriteString(" |")
+		for _, n := range nacks {
+			if d, ok := s.NACK(n.user, n.reqs); ok {
+				fmt.Fprintf(&b, " %d", d)
+			} else {
+				b.WriteString(" -")
+			}
+		}
+		b.WriteString("\n")
+		if step = s.Next(); step == Done || step == GiveUp {
+			break
+		}
+	}
+	return b.String() + map[Step]string{Multicast: "Multicast", Unicast: "Unicast", Done: "Done", GiveUp: "GiveUp"}[step]
+}
+
+func TestSenderScripts(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		k, packets    int
+		rho           float64
+		rounds, waves int
+		script        [][]nack
+		want          string
+	}{{
+		name: "round one, then done", k: 2, packets: 5, rho: 1.5, rounds: 2, waves: 3,
+		script: [][]nack{nil},
+		want:   "R1 (9) |\nDone",
+	}, {
+		// Round one sent parity shard 2 of every block: later rounds
+		// start at 3.
+		name: "fresh parity per round", k: 2, packets: 5, rho: 1.5, rounds: 3, waves: 3,
+		script: [][]nack{
+			{{1, []Request{{0, 2}, {2, 1}}}},
+			{{1, req(0, 1)}},
+			nil,
+		},
+		want: "R1 (9) | 2\nR2 0.3 2.3 0.4 | 1\nR3 0.5 |\nDone",
+	}, {
+		name: "one NACK a user a round, counts at most k, blocks outside ignored", k: 2, packets: 5, rho: 1, rounds: 2, waves: 3,
+		script: [][]nack{
+			{{1, req(0, 1)}, {1, req(1, 2)}, {2, req(1, 255)}, {3, []Request{{3, 2}, {-1, 2}}}},
+			nil,
+		},
+		want: "R1 (6) | 1 - 2 2\nR2 0.2 1.2 1.3 |\nDone",
+	}, {
+		// k = 127 leaves 129 parity indices: round one takes 127,
+		// round two the last 2, round three none.
+		name: "parity capped at MaxShards", k: 127, packets: 127, rho: 2, rounds: 3, waves: 0,
+		script: [][]nack{{{1, req(0, 127)}}, {{1, req(0, 127)}}, {{1, req(0, 127)}}},
+		want:   "R1 (254) | 127\nR2 0.254 0.255 | 127\nR3 | 127\nGiveUp",
+	}, {
+		name: "unicast after the round budget, duplicates 2, 3, 4, then the wave budget", k: 2, packets: 5, rho: 1, rounds: 1, waves: 3,
+		script: [][]nack{
+			{{5, req(0, 1)}, {7, nil}},
+			{{7, nil}, {5, nil}},
+			{{5, nil}},
+			{{5, nil}},
+		},
+		want: "R1 (6) | 1 0\nW1 x2 [5 7] | 0 0\nW2 x3 [5 7] | 0\nW3 x4 [5] | 0\nGiveUp",
+	}, {
+		name: "a wave without NACKs ends the message", k: 2, packets: 5, rho: 1, rounds: 1, waves: 3,
+		script: [][]nack{{{5, req(0, 1)}}, nil},
+		want:   "R1 (6) | 1\nW1 x2 [5] |\nDone",
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			part, err := blockplan.NewPartition(tc.packets, tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewSender(part, tc.rho, tc.rounds, tc.waves)
+			if !slices.Equal(s.Refs(), blockplan.RoundOne(part, tc.rho)) {
+				t.Fatalf("round one %v, want blockplan.RoundOne's", s.Refs())
+			}
+			if got := transcript(s, tc.script); got != tc.want {
+				t.Fatalf("transcript\n%s\nwant\n%s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestSenderZeroRoundBudget: a round budget of 0 multicasts while
+// rounds draw NACKs, up to RoundCap rounds, then unicasts.
+func TestSenderZeroRoundBudget(t *testing.T) {
+	part, err := blockplan.NewPartition(25, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSender(part, 1, 0, 1)
+	step := Multicast
+	for ; step == Multicast; step = s.Next() {
+		s.NACK(1, req(0, 1))
+	}
+	if step != Unicast || s.Round() != RoundCap {
+		t.Fatalf("step %d after %d rounds, want unicast after %d", step, s.Round(), RoundCap)
+	}
+}
+
+// FuzzSender runs the Sender over random partitions, budgets and NACK
+// scripts. Whatever the NACKs say, no shard goes out twice, the parity
+// cursor stays inside the coder's range, amax stays at most k, and the
+// run ends within its round budget plus its wave budget.
+func FuzzSender(f *testing.F) {
+	f.Add(uint8(10), uint16(25), uint8(15), uint8(2), uint8(3), []byte{1, 0, 3, 0xff, 1, 0, 3, 0xff, 1})
+	f.Add(uint8(1), uint16(300), uint8(26), uint8(0), uint8(1), []byte{7, 255, 255, 0xff, 7, 3, 1})
+	f.Add(uint8(128), uint16(128), uint8(20), uint8(4), uint8(0), []byte{0, 0, 200, 0xff, 0, 0, 200, 0xff, 0, 0, 200})
+	f.Fuzz(func(t *testing.T, k8 uint8, packets uint16, rho10, rounds, waves uint8, script []byte) {
+		k := max(int(k8)%129, 1)
+		part, err := blockplan.NewPartition(int(packets)%2000, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rho := float64(rho10) / 10
+		s := NewSender(part, rho, int(rounds)%70, int(waves)%10)
+		budget := int(rounds) % 70
+		if budget == 0 || budget > RoundCap {
+			budget = RoundCap
+		}
+		sent := make(map[blockplan.Ref]bool)
+		steps := 0
+		for step := Multicast; step == Multicast || step == Unicast; step = s.Next() {
+			if steps++; steps > budget+int(waves)%10 {
+				t.Fatalf("still going after %d steps: %d rounds, %d waves", steps-1, s.Round(), s.Wave())
+			}
+			if step == Multicast {
+				for _, r := range s.Refs() {
+					if sent[r] {
+						t.Fatalf("round %d sends %v again", s.Round(), r)
+					}
+					sent[r] = true
+				}
+				for b, n := range s.ParityPrefix() {
+					if n > fec.MaxShards-k {
+						t.Fatalf("block %d parity cursor %d > %d", b, n, fec.MaxShards-k)
+					}
+				}
+			}
+			// Feed NACKs of (user, block, count) byte triples up to the
+			// next 0xff; an empty script ends the run with a quiet round.
+			for len(script) >= 3 && script[0] != 0xff {
+				s.NACK(int(script[0]%8), req(int(int8(script[1])), int(script[2])))
+				script = script[3:]
+			}
+			if len(script) > 0 {
+				script = script[1:]
+			}
+			for b, a := range s.Amax() {
+				if a > k {
+					t.Fatalf("amax[%d] = %d > k = %d", b, a, k)
+				}
+			}
+		}
+	})
+}

@@ -36,7 +36,8 @@ type Tuning struct {
 	MaxNACK int
 	// MaxMulticastRounds is the round count after which the server
 	// switches to unicast (the paper suggests 1 or 2). Zero means
-	// multicast until every user recovers (simulation only).
+	// multicast until a round draws no NACK, for at most 64 rounds
+	// (protocol.RoundCap), on the wire as in the simulator.
 	MaxMulticastRounds int
 	// Workers bounds the goroutines used for parallel work (FEC encode
 	// fan-out, per-user simulation); 0 means GOMAXPROCS. >= 0.

@@ -2,13 +2,15 @@
 // sockets: the key server multicasts ENC and PARITY packets (emulated
 // as a unicast fan-out, which keeps the code portable to hosts without
 // multicast routing), collects NACKs for a round, retransmits fresh
-// parity, and finally unicasts USR packets with escalating duplication
-// -- the same state machine internal/protocol simulates, driving real
-// bytes through real sockets. The fan-out pays per burst, not per
-// datagram: on Linux the server hands the kernel a run of datagrams for
-// one member in one segmented send and the member reads it back in one
-// coalesced receive (burst_linux.go); elsewhere, and where the kernel
-// refuses, the same loops move one datagram a call.
+// parity, and finally unicasts USR packets with escalating duplication.
+// What to send and when to stop is protocol.Sender's to decide -- the
+// same state machine the simulated protocol.Session drives -- and this
+// package moves real bytes through real sockets: who is sent what first,
+// the NACK window and its source check. The fan-out pays per burst, not
+// per datagram: on Linux the server hands the kernel a run of datagrams
+// for one member in one segmented send and the member reads it back in
+// one coalesced receive (burst_linux.go); elsewhere, and where the
+// kernel refuses, the same loops move one datagram a call.
 package udptrans
 
 import (
@@ -22,7 +24,6 @@ import (
 
 	rekey "repro"
 	"repro/internal/blockplan"
-	"repro/internal/fec"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/protocol"
@@ -194,9 +195,10 @@ type Stats struct {
 	NACKsPerRound []int
 }
 
-// Distribute runs the full transport protocol for one rekey message.
-// It returns once the NACK stream has gone quiet (all members done or
-// the unicast wave budget is exhausted). The protocol knobs (rho0,
+// Distribute runs the full transport protocol for one rekey message,
+// sending what a protocol.Sender decides. It returns once the NACK
+// stream has gone quiet (all members done or the unicast wave budget is
+// exhausted). The protocol knobs (rho0,
 // multicast round budget, encode workers) come from the key server's
 // tuning; opts carries only wire timing. Cancelling ctx aborts the
 // NACK-collection waits and returns ctx's error. Runs on one Server must
@@ -216,32 +218,17 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 		opts.MaxUnicastWaves = def.MaxUnicastWaves
 	}
 	tun := s.ks.Tuning()
-	maxRounds := tun.MaxMulticastRounds
-	if maxRounds <= 0 {
-		maxRounds = rekey.DefaultTuning().MaxMulticastRounds
-	}
 	s.obs.Set(obs.GRho, tun.InitialRho)
 
-	// A cancelled context unblocks the read wait in collectNACKs by
-	// expiring the socket's read deadline immediately.
+	// A cancelled context unblocks the read wait in listen by expiring
+	// the socket's read deadline immediately.
 	stopWatch := context.AfterFunc(ctx, func() {
 		s.conn.SetReadDeadline(time.Now()) //nolint:errcheck
 	})
 	defer stopWatch()
 
 	st := &Stats{}
-	k := rm.Part.K
-	blocks := rm.Part.NumBlocks()
-	nextParity := make([]int, blocks)
-	// amax is the previous round's per-block parity demand.
-	var amax []int
-
-	// pendingUsers holds the node IDs that NACKed the latest round or
-	// wave: the members still missing keys. One that NACKed an earlier
-	// round only has been keyed since -- a pending member NACKs every
-	// QuietGap, so it is in this set or in the next wave's. They lead
-	// the next round's send order and are all the unicast phase serves.
-	var pendingUsers map[int]bool
+	snd := protocol.NewSender(rm.Part, tun.InitialRho, tun.MaxMulticastRounds, opts.MaxUnicastWaves)
 	members, addrOf := s.memberTable(rm)
 	// One pooled buffer holds each round's datagrams in turn, and one
 	// scratch buffer every NACK read of the run.
@@ -249,7 +236,13 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	defer buf.Release()
 	scratch := make([]byte, 2048)
 
-	for round := 1; ; round++ {
+	for step := protocol.Multicast; ; step = snd.Next() {
+		switch step {
+		case protocol.Done:
+			return st, nil
+		case protocol.GiveUp:
+			return st, fmt.Errorf("udptrans: %d users still pending after unicast budget", len(snd.Waiting()))
+		}
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
@@ -257,88 +250,44 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 		if s.obs.Enabled() {
 			roundStart = time.Now()
 		}
-		var refs []blockplan.Ref
-		if round == 1 {
-			refs = blockplan.RoundOne(rm.Part, tun.InitialRho)
-			for b := range nextParity {
-				nextParity[b] = blockplan.ProactiveParity(k, tun.InitialRho)
+		if step == protocol.Multicast {
+			refs := snd.Refs()
+			s.obs.Emit(obs.Event{Kind: obs.EvRoundStart, MsgID: rm.MsgID, Round: snd.Round(), Value: float64(len(refs))})
+			// Generate the parity this round reaches into across all
+			// blocks in parallel, so multicastRefs hits the cache.
+			if err := rm.PrecomputeParity(ctx, snd.ParityPrefix(), tun.Workers); err != nil {
+				return st, err
 			}
+			if err := s.multicastRefs(ctx, rm, refs, members, snd.Waiting(), buf, st); err != nil {
+				return st, err
+			}
+			st.Rounds = snd.Round()
 		} else {
-			perBlock := make([][]int, blocks)
-			for b := 0; b < blocks; b++ {
-				// The coder has MaxShards-k parity indices per block;
-				// a long multicast budget may run a block out of them.
-				n := min(amax[b], fec.MaxShards-k-nextParity[b])
-				for j := 0; j < n; j++ {
-					perBlock[b] = append(perBlock[b], k+nextParity[b])
-					nextParity[b]++
-				}
+			// Unicast (Fig. 22) to the latest round's or wave's NACKers
+			// only: a member still pending NACKs every QuietGap.
+			if snd.Wave() == 1 {
+				s.obs.Emit(obs.Event{Kind: obs.EvSwitchToUnicast, MsgID: rm.MsgID,
+					Round: st.Rounds, Value: float64(len(snd.Waiting()))})
 			}
-			refs = blockplan.Interleave(perBlock)
+			st.UnicastWaves = snd.Wave()
+			s.obs.Inc(obs.CUnicastWaves)
+			if err := s.unicastUSR(rm, members[:waitingFirst(members, snd.Waiting())], snd.Dups(), st); err != nil {
+				return st, err
+			}
 		}
-		s.obs.Emit(obs.Event{Kind: obs.EvRoundStart, MsgID: rm.MsgID, Round: round, Value: float64(len(refs))})
-		// After either branch, nextParity[b] is the total parity prefix
-		// this round's refs reach into; generate it across all blocks in
-		// parallel so multicastRefs hits the cache.
-		if err := rm.PrecomputeParity(ctx, nextParity, tun.Workers); err != nil {
-			return st, err
-		}
-		if err := s.multicastRefs(ctx, rm, refs, members, pendingUsers, buf, st); err != nil {
-			return st, err
-		}
-		st.Rounds = round
-
 		s.drainStale(scratch)
-		nacks, want, users, err := s.collectNACKs(ctx, rm, addrOf, scratch, opts.RoundDur)
+		err := s.listen(ctx, rm, addrOf, snd, scratch, opts.RoundDur)
 		if s.obs.Enabled() {
-			s.obs.ObserveSince(obs.HRoundLatency, roundStart)
-			s.obs.Observe(obs.HNACKsPerRound, float64(nacks))
+			if step == protocol.Multicast {
+				s.obs.ObserveSince(obs.HRoundLatency, roundStart)
+			}
+			s.obs.Observe(obs.HNACKsPerRound, float64(snd.NACKs()))
 		}
 		if err != nil {
 			return st, err
 		}
-		st.NACKsPerRound = append(st.NACKsPerRound, nacks)
-		if nacks == 0 {
-			return st, nil
-		}
-		amax, pendingUsers = want, users
-		if round >= maxRounds {
-			break
-		}
+		st.NACKsPerRound = append(st.NACKsPerRound, snd.NACKs())
 	}
-
-	// Unicast phase: escalating duplicates per Fig. 22.
-	s.obs.Emit(obs.Event{Kind: obs.EvSwitchToUnicast, MsgID: rm.MsgID,
-		Round: st.Rounds, Value: float64(len(pendingUsers))})
-	dups := 2
-	for wave := 1; wave <= opts.MaxUnicastWaves && len(pendingUsers) > 0; wave++ {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		st.UnicastWaves = wave
-		s.obs.Inc(obs.CUnicastWaves)
-		if err := s.unicastUSR(rm, members[:waitingFirst(members, pendingUsers)], dups, st); err != nil {
-			return st, err
-		}
-		dups++
-		s.drainStale(scratch)
-		nacks, _, users, err := s.collectNACKs(ctx, rm, addrOf, scratch, opts.RoundDur)
-		if s.obs.Enabled() {
-			s.obs.Observe(obs.HNACKsPerRound, float64(nacks))
-		}
-		if err != nil {
-			return st, err
-		}
-		st.NACKsPerRound = append(st.NACKsPerRound, nacks)
-		pendingUsers = users
-		if nacks == 0 {
-			return st, nil
-		}
-	}
-	if len(pendingUsers) > 0 {
-		return st, fmt.Errorf("udptrans: %d users still pending after unicast budget", len(pendingUsers))
-	}
-	return st, nil
 }
 
 // Burst caps, a call: half of what the kernel takes in a segmented send
@@ -527,35 +476,27 @@ func (s *Server) drainStale(buf []byte) {
 	}
 }
 
-// collectNACKs listens for one round duration and aggregates feedback.
-// NACKs are unauthenticated, so each request counts for at most k -- a
-// member can be short no more than k shards of a block -- and a NACK
-// counts only when it came from the address registered for the node it
-// names (addrOf): a host that merely sees the multicast buys no parity
-// and no USR packet with a forged one.
-func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, addrOf map[int]netip.AddrPort, buf []byte, dur time.Duration) (nacks int, amax []int, users map[int]bool, err error) {
-	blocks, k := rm.Blocks(), rm.Part.K
-	amax = make([]int, blocks)
-	users = make(map[int]bool)
+// listen feeds snd the NACKs that arrive within one window of dur. NACKs
+// are unauthenticated, so one counts only from the address registered
+// for the node it names (addrOf): a host that merely sees the multicast
+// buys nothing with a forged one. The Sender caps what a member's buys.
+func (s *Server) listen(ctx context.Context, rm *rekey.RekeyMessage, addrOf map[int]netip.AddrPort, snd *protocol.Sender, buf []byte, dur time.Duration) error {
 	deadline := time.Now().Add(dur)
-	seen := make(map[uint16]bool)
+	var reqs []protocol.Request
 	for {
 		if err := ctx.Err(); err != nil {
-			return 0, nil, nil, err
+			return err
 		}
 		if err := s.conn.SetReadDeadline(deadline); err != nil {
-			return 0, nil, nil, err
+			return err
 		}
 		n, from, rerr := s.conn.ReadFromUDPAddrPort(buf)
 		if rerr != nil {
 			var ne net.Error
 			if errors.As(rerr, &ne) && ne.Timeout() {
-				if err := ctx.Err(); err != nil {
-					return 0, nil, nil, err
-				}
-				return nacks, amax, users, nil
+				return ctx.Err()
 			}
-			return 0, nil, nil, rerr
+			return rerr
 		}
 		// Checked before anything is built from it: a datagram that is no
 		// NACK for this message costs the server no allocation. ParseNACK
@@ -573,27 +514,19 @@ func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, addrO
 			s.obs.Inc(obs.CNACKIgnored)
 			continue
 		}
-		if seen[nk.UserID] {
-			s.obs.Inc(obs.CNACKIgnored)
-			continue // one NACK per user per round
-		}
-		seen[nk.UserID] = true
-		nacks++
-		users[int(nk.UserID)] = true
-		maxReq := 0
+		reqs = reqs[:0]
 		for _, r := range nk.Requests {
-			c := min(int(r.Count), k)
-			if int(r.BlockID) < blocks && c > amax[r.BlockID] {
-				amax[r.BlockID] = c
-			}
-			if c > maxReq {
-				maxReq = c
-			}
+			reqs = append(reqs, protocol.Request{Block: int(r.BlockID), Count: int(r.Count)})
+		}
+		demand, ok := snd.NACK(int(nk.UserID), reqs)
+		if !ok {
+			s.obs.Inc(obs.CNACKIgnored)
+			continue
 		}
 		if s.obs.Enabled() {
 			s.obs.Inc(obs.CNACKRecv)
 			s.obs.Emit(obs.Event{Kind: obs.EvNACKReceived, MsgID: rm.MsgID,
-				User: int(nk.UserID), Value: float64(maxReq)})
+				User: int(nk.UserID), Value: float64(demand)})
 		}
 	}
 }
