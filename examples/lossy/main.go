@@ -1,8 +1,9 @@
 // Lossy: runs the rekey transport over the paper's simulated topology
-// (20% of users behind 20%-loss links, the rest at 2%, 1% source loss)
-// and shows the adaptive proactivity controller converging: after a few
-// rekey messages the first-round NACK count settles around the target
-// while bandwidth overhead stays modest.
+// (20% of users behind 20%-loss links, the rest at 2%, 1% source loss),
+// delivering each interval's real datagrams to a real rekey.Member per
+// user, and shows the adaptive proactivity controller converging: after
+// a few rekey messages the first-round NACK count settles around the
+// target while bandwidth overhead stays modest.
 //
 //	go run ./examples/lossy
 package main
@@ -10,45 +11,49 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand/v2"
 
+	rekey "repro"
 	"repro/internal/netsim"
-	"repro/internal/protocol"
-	"repro/internal/workload"
+	"repro/internal/vsim"
 )
 
 func main() {
 	const n = 4096
-	gen, err := workload.NewGenerator(n, 4, 10, 42)
+	grp, err := vsim.NewGroup(n, rekey.WithKeySeed(42))
 	if err != nil {
 		log.Fatal(err)
 	}
-	star := netsim.DefaultStar(gen.PostBatchUsers(0, n/4), 42)
-	net, err := netsim.NewStar(star)
+	net, err := netsim.NewStar(netsim.DefaultStar(n, 42))
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := protocol.DefaultConfig()
+	cfg := vsim.DefaultConfig()
 	cfg.AdaptiveRho = true
 	cfg.NumNACK = 20
 	cfg.MaxMulticastRounds = 2 // then unicast
-	sess, err := protocol.NewSession(cfg, net, 42)
+	sess, err := vsim.NewSession(cfg, net, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("group: %d users (%d leave per interval), 20%% of receivers at 20%% loss\n", n, n/4)
+	fmt.Printf("group: %d users (%d leave and %d join per interval), 20%% of receivers at 20%% loss\n", n, n/4, n/4)
 	fmt.Printf("%-4s %-6s %-12s %-10s %-10s %-8s %-8s\n",
 		"msg", "rho", "round1NACKs", "overhead", "usrPkts", "rounds", "missed")
+	rng := rand.New(rand.NewPCG(42, 0))
 	for i := 0; i < 15; i++ {
-		res, plan, err := gen.Batch(0, n/4)
+		// A quarter of the group leaves and as many newcomers join.
+		live := grp.Tree().Members()
+		rng.Shuffle(n, func(a, b int) { live[a], live[b] = live[b], live[a] })
+		joins := make([]rekey.MemberID, n/4)
+		for j := range joins {
+			joins[j] = rekey.MemberID(n + i*n/4 + j)
+		}
+		rm, members, err := grp.Rekey(joins, live[:n/4])
 		if err != nil {
 			log.Fatal(err)
 		}
-		msg, err := protocol.BuildMessage(res, plan, 10, 4)
-		if err != nil {
-			log.Fatal(err)
-		}
-		met, err := sess.Run(msg)
+		met, err := sess.Run(rm, members)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/netsim"
-	"repro/internal/protocol"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -141,21 +140,15 @@ func runAblInterleave(o Options) ([]*stats.Figure, error) {
 		s := fig.NewSeries(label)
 		sn := nfig.NewSeries(label)
 		for _, alpha := range alphaSweep(o.Quick) {
-			ms, err := runTransportSeq(transportConfig{
-				N: n, Alpha: alpha, Rho: 1, Messages: o.Messages, Seed: o.Seed,
-			}, seq)
+			ms, err := runTransport(transportConfig{
+				N: n, Alpha: alpha, Rho: 1, Messages: o.Messages, Seed: o.Seed, sequential: seq,
+			})
 			if err != nil {
 				return nil, err
 			}
-			s.Add(alpha, meanOver(ms, 0, (*protocol.Metrics).BandwidthOverhead))
-			sn.Add(alpha, meanOver(ms, 0, func(m *protocol.Metrics) float64 { return float64(m.Round1NACKs) }))
+			s.Add(alpha, meanOver(ms, 0, overhead))
+			sn.Add(alpha, meanOver(ms, 0, round1NACKs))
 		}
 	}
 	return []*stats.Figure{fig, nfig}, nil
-}
-
-// runTransportSeq is runTransport with the send-order switch exposed.
-func runTransportSeq(tc transportConfig, sequential bool) ([]*protocol.Metrics, error) {
-	tc.sequential = sequential
-	return runTransport(tc)
 }

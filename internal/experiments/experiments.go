@@ -11,9 +11,10 @@ import (
 	"io"
 	"sort"
 
+	rekey "repro"
 	"repro/internal/netsim"
-	"repro/internal/protocol"
 	"repro/internal/stats"
+	"repro/internal/vsim"
 	"repro/internal/workload"
 )
 
@@ -108,8 +109,7 @@ func Fprint(w io.Writer, f *stats.Figure) error {
 
 // transportConfig bundles the knobs of one transport run.
 type transportConfig struct {
-	N         int // pre-batch group size
-	J, L      int // churn per message (L defaults to N/4 when both zero)
+	N         int // pre-batch group size; N/4 leave per message
 	K         int
 	Alpha     float64
 	Rho       float64
@@ -119,7 +119,6 @@ type transportConfig struct {
 	AdaptNACK bool
 	MaxMcast  int // 0 = multicast until done
 	Deadline  int
-	EarlyUni  bool
 	Messages  int
 	Seed      uint64
 	// sequential disables interleaving (ablation only).
@@ -139,23 +138,23 @@ func (tc transportConfig) fill() transportConfig {
 	if tc.MaxNACK == 0 {
 		tc.MaxNACK = 100
 	}
-	if tc.J == 0 && tc.L == 0 {
-		tc.L = tc.N / 4
-	}
 	return tc
 }
 
 // runTransport executes Messages rekey messages and returns their
-// metrics. Each message applies an independent (J,L) batch to the same
-// pristine N-user tree, the paper's stationary workload.
-func runTransport(tc transportConfig) ([]*protocol.Metrics, error) {
+// metrics. Each message applies an independent batch of N/4 leaves to
+// the same pristine N-member group, the paper's stationary workload: a
+// deterministic, unsigned key server whose members were admitted by its
+// first message, rebuilt from the seed for every message, with the
+// leavers drawn as workload.Generator draws them.
+func runTransport(tc transportConfig) ([]*vsim.Metrics, error) {
 	tc = tc.fill()
 	gen, err := workload.NewGenerator(tc.N, 4, tc.K, tc.Seed)
 	if err != nil {
 		return nil, err
 	}
 	star := netsim.StarConfig{
-		N:     gen.PostBatchUsers(tc.J, tc.L),
+		N:     gen.PostBatchUsers(0, tc.N/4),
 		Alpha: tc.Alpha, PHigh: 0.20, PLow: 0.02, PSource: 0.01,
 		Seed: tc.Seed ^ 0xfeed,
 	}
@@ -163,7 +162,7 @@ func runTransport(tc transportConfig) ([]*protocol.Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := protocol.DefaultConfig()
+	cfg := vsim.DefaultConfig()
 	cfg.K = tc.K
 	cfg.InitialRho = tc.Rho
 	cfg.AdaptiveRho = tc.Adaptive
@@ -175,23 +174,26 @@ func runTransport(tc transportConfig) ([]*protocol.Metrics, error) {
 	cfg.AdaptNumNACK = tc.AdaptNACK
 	cfg.MaxMulticastRounds = tc.MaxMcast
 	cfg.DeadlineRounds = tc.Deadline
-	cfg.EarlyUnicast = tc.EarlyUni
 	cfg.SequentialSend = tc.sequential
-	sess, err := protocol.NewSession(cfg, net, tc.Seed^0xbeef)
+	sess, err := vsim.NewSession(cfg, net, tc.Seed^0xbeef)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*protocol.Metrics, 0, tc.Messages)
+	out := make([]*vsim.Metrics, 0, tc.Messages)
 	for i := 0; i < tc.Messages; i++ {
-		res, plan, err := gen.Batch(tc.J, tc.L)
+		_, leaves, err := gen.Draw(0, tc.N/4)
 		if err != nil {
 			return nil, err
 		}
-		msg, err := protocol.BuildMessage(res, plan, tc.K, 4)
+		grp, err := vsim.NewGroup(tc.N, rekey.WithTuning(rekey.Tuning{K: tc.K, Degree: 4}), rekey.WithKeySeed(tc.Seed))
 		if err != nil {
 			return nil, err
 		}
-		met, err := sess.Run(msg)
+		rm, members, err := grp.Rekey(nil, leaves)
+		if err != nil {
+			return nil, err
+		}
+		met, err := sess.Run(rm, members)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +204,7 @@ func runTransport(tc transportConfig) ([]*protocol.Metrics, error) {
 
 // meanOver computes the mean of a metric over messages, optionally
 // skipping a warmup prefix.
-func meanOver(ms []*protocol.Metrics, warmup int, f func(*protocol.Metrics) float64) float64 {
+func meanOver(ms []*vsim.Metrics, warmup int, f func(*vsim.Metrics) float64) float64 {
 	var acc stats.Accumulator
 	for i, m := range ms {
 		if i < warmup {

@@ -10,11 +10,12 @@ import (
 	"fmt"
 	"strings"
 
+	rekey "repro"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/oracle"
-	"repro/internal/protocol"
 	"repro/internal/stats"
+	"repro/internal/vsim"
 	"repro/internal/workload"
 )
 
@@ -37,7 +38,9 @@ func ScenarioSpecs() []ScenarioSpec {
 			if quick {
 				return &workload.FlashCrowd{Base: 256, Spike: 2048, SpikeAt: 1, Total: 4, Background: 4}
 			}
-			return &workload.FlashCrowd{Base: 4096, Spike: 100000, SpikeAt: 2, Total: 6, Background: 8}
+			// The spike keeps the peak under rekey.MaxMembers(4), the v1
+			// wire's ceiling; the paper's J=10^5 waits for wider IDs.
+			return &workload.FlashCrowd{Base: 4096, Spike: 12000, SpikeAt: 2, Total: 6, Background: 8}
 		}},
 		{"diurnal", func(quick bool) workload.Scenario {
 			if quick {
@@ -91,6 +94,7 @@ type ScenarioCell struct {
 	Rounds     float64 // mean multicast rounds per message
 	MaxWaves   int     // worst unicast waves of any message
 	R1NACKs    float64 // mean round-1 NACKs per message
+	Unreached  int     // members that heard nothing of a message, summed over the run
 	Checks     int64   // oracle checks run
 	Violations int64   // oracle violations found
 	OK         bool
@@ -98,7 +102,8 @@ type ScenarioCell struct {
 }
 
 // runScenarioCell drives one scenario under one impairment with the
-// three invariant oracles active.
+// three invariant oracles active: every interval's real message goes to
+// a real Member for each member of the group.
 func runScenarioCell(ss ScenarioSpec, is ImpairmentSpec, opts Options) ScenarioCell {
 	cell := ScenarioCell{Scenario: ss.ID, Impairment: is.ID}
 	fail := func(err error) ScenarioCell {
@@ -112,18 +117,28 @@ func runScenarioCell(ss ScenarioSpec, is ImpairmentSpec, opts Options) ScenarioC
 	}
 	reg := obs.New()
 	dr.SetObs(reg)
-	cfg := protocol.DefaultConfig()
+	cfg := vsim.DefaultConfig()
 	cfg.Obs = reg
-	orc := oracle.New(dr.Tree(), oracle.Config{
+	orc := oracle.New(oracle.Config{
 		MaxMulticastRounds: cfg.MaxMulticastRounds,
-		MaxUnicastWaves:    protocol.WaveBudget,
+		MaxUnicastWaves:    vsim.WaveBudget,
 	})
 	orc.SetObs(reg)
-	if err := orc.Bootstrap(); err != nil {
+	if err := orc.Bootstrap(dr.Tree()); err != nil {
+		return fail(err)
+	}
+	// One network for the whole run, with a link for every member the
+	// group can hold; member i of an interval listens behind link i. The
+	// session (and its adaptive rho state) carries across intervals.
+	star, err := netsim.NewStar(is.Star(rekey.MaxMembers(4), opts.Seed^uint64(0xce11)))
+	if err != nil {
+		return fail(err)
+	}
+	sess, err := vsim.NewSession(cfg, star, opts.Seed^0xbeef)
+	if err != nil {
 		return fail(err)
 	}
 
-	var sess *protocol.Session
 	var roundAcc, overheadAcc, nackAcc stats.Accumulator
 	cell.PeakN = len(dr.Tree().Members())
 	for {
@@ -134,38 +149,19 @@ func runScenarioCell(ss ScenarioSpec, is ImpairmentSpec, opts Options) ScenarioC
 		if !ok {
 			break
 		}
-		if st.Res == nil {
+		if st.Msg == nil {
 			continue
 		}
-		if err := orc.ObserveBatch(st.Res, st.Joins, st.Leaves); err != nil {
+		if err := orc.ObserveBatch(dr.Tree(), st.Msg.Result, st.Joins, st.Leaves); err != nil {
 			return fail(err)
 		}
 		n := len(dr.Tree().Members())
 		if n > cell.PeakN {
 			cell.PeakN = n
 		}
-		cell.Encs += len(st.Res.Encryptions)
+		cell.Encs += len(st.Msg.Result.Encryptions)
 
-		// Transport: deliver this interval's message over the impaired
-		// network sized to the post-batch population. The session (and
-		// its adaptive rho state) carries across intervals; the network
-		// is rebuilt because the population changed.
-		star, err := netsim.NewStar(is.Star(n, opts.Seed^uint64(0xce11)+uint64(st.Interval)))
-		if err != nil {
-			return fail(err)
-		}
-		if sess == nil {
-			if sess, err = protocol.NewSession(cfg, star, opts.Seed^0xbeef); err != nil {
-				return fail(err)
-			}
-		} else {
-			sess.Rebind(star)
-		}
-		msg, err := protocol.BuildMessage(st.Res, st.Plan, cfg.K, 4)
-		if err != nil {
-			return fail(err)
-		}
-		met, err := sess.Run(msg)
+		met, err := sess.Run(st.Msg, st.Members)
 		if err != nil {
 			return fail(err)
 		}
@@ -176,6 +172,7 @@ func runScenarioCell(ss ScenarioSpec, is ImpairmentSpec, opts Options) ScenarioC
 		roundAcc.Add(float64(met.MulticastRounds))
 		overheadAcc.Add(met.BandwidthOverhead())
 		nackAcc.Add(float64(met.Round1NACKs))
+		cell.Unreached += met.Unreached
 		if met.UnicastWaves > cell.MaxWaves {
 			cell.MaxWaves = met.UnicastWaves
 		}
@@ -206,8 +203,8 @@ func RunScenarioSuite(opts Options) []ScenarioCell {
 // embedded in EXPERIMENTS.md.
 func ScenarioMarkdown(cells []ScenarioCell) string {
 	var b strings.Builder
-	b.WriteString("| scenario | network | rekeys | peak N | final N | encryptions | overhead h'/h | mcast rounds | max uni waves | round-1 NACKs | oracle checks | verdict |\n")
-	b.WriteString("|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---|\n")
+	b.WriteString("| scenario | network | rekeys | peak N | final N | encryptions | overhead h'/h | mcast rounds | max uni waves | round-1 NACKs | unreached | oracle checks | verdict |\n")
+	b.WriteString("|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---|\n")
 	for _, c := range cells {
 		verdict := "PASS"
 		if !c.OK {
@@ -216,9 +213,9 @@ func ScenarioMarkdown(cells []ScenarioCell) string {
 				verdict = "FAIL: " + c.Err
 			}
 		}
-		fmt.Fprintf(&b, "| %s | %s | %d | %d | %d | %d | %.3f | %.2f | %d | %.1f | %d | %s |\n",
+		fmt.Fprintf(&b, "| %s | %s | %d | %d | %d | %d | %.3f | %.2f | %d | %.1f | %d | %d | %s |\n",
 			c.Scenario, c.Impairment, c.Rekeys, c.PeakN, c.FinalN, c.Encs,
-			c.Overhead, c.Rounds, c.MaxWaves, c.R1NACKs, c.Checks, verdict)
+			c.Overhead, c.Rounds, c.MaxWaves, c.R1NACKs, c.Unreached, c.Checks, verdict)
 	}
 	return b.String()
 }

@@ -87,8 +87,8 @@ func TestStrategiesUnderAdversarialLeave(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := oracle.New(dr.Tree(), oracle.Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
-		if err := o.Bootstrap(); err != nil {
+		o := oracle.New(oracle.Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
+		if err := o.Bootstrap(dr.Tree()); err != nil {
 			t.Fatal(err)
 		}
 		batches := 0
@@ -100,11 +100,11 @@ func TestStrategiesUnderAdversarialLeave(t *testing.T) {
 			if !ok {
 				break
 			}
-			if st.Res == nil {
+			if st.Msg == nil {
 				continue
 			}
 			batches++
-			if err := o.ObserveBatch(st.Res, st.Joins, st.Leaves); err != nil {
+			if err := o.ObserveBatch(dr.Tree(), st.Msg.Result, st.Joins, st.Leaves); err != nil {
 				t.Fatalf("interval %d: %v", st.Interval, err)
 			}
 			if err := dr.Tree().CheckInvariant(); err != nil {

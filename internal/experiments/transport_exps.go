@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/protocol"
 	"repro/internal/stats"
+	"repro/internal/vsim"
 )
 
 func init() {
@@ -57,25 +57,114 @@ func defaultN(quick bool) int {
 	return 4096
 }
 
+func numNACKSweep(quick bool) []int {
+	if quick {
+		return []int{-1, 20, 100}
+	}
+	return []int{-1, 5, 10, 20, 40, 60, 80, 100}
+}
+
 // warmup is how many leading messages adaptive-rho averages skip so the
 // controller has settled (Fig. 12 shows settling within ~5 messages).
 const warmup = 5
 
-func runF8Bandwidth(o Options) ([]*stats.Figure, error) {
-	o = o.fill()
-	n := defaultN(o.Quick)
-	fig := &stats.Figure{ID: "F8l", Title: fmt.Sprintf("server bandwidth overhead vs k (rho=1, N=%d, L=N/4)", n), XLabel: "k", YLabel: "avg server bandwidth overhead"}
-	for _, alpha := range alphaSweep(o.Quick) {
-		s := fig.NewSeries(fmt.Sprintf("alpha=%g", alpha))
-		for _, k := range kSweep(o.Quick) {
-			ms, err := runTransport(transportConfig{N: n, K: k, Alpha: alpha, Rho: 1, Messages: o.Messages, Seed: o.Seed})
+// fitsWire reports whether an N-user group at block size k keeps its
+// block IDs within the v1 wire's 8 bits. At k=1 and N >= 8192 the
+// message admitting the group has more than 256 one-packet blocks; those
+// points wait for wider block IDs (ROADMAP 5(b)).
+func fitsWire(n, k int) bool { return k > 1 || n <= 4096 }
+
+// The per-message quantities the figures plot.
+var (
+	overhead   = (*vsim.Metrics).BandwidthOverhead
+	userRounds = (*vsim.Metrics).AvgUserRounds
+)
+
+func round1NACKs(m *vsim.Metrics) float64 { return float64(m.Round1NACKs) }
+func mcastRounds(m *vsim.Metrics) float64 { return float64(m.MulticastRounds) }
+
+func labels[T any](format string, vs []T) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = fmt.Sprintf(format, v)
+	}
+	return out
+}
+
+func floats(vs []int) []float64 {
+	out := make([]float64, len(vs))
+	for i, v := range vs {
+		out[i] = float64(v)
+	}
+	return out
+}
+
+// zeroTarget maps a numNACK target to transportConfig's, in which 0 is
+// unset and -1 stands for a zero target.
+func zeroTarget(t int) int {
+	if t == 0 {
+		return -1
+	}
+	return t
+}
+
+// adaptive configures an adaptive-rho run.
+func adaptive(o Options, n, k int, alpha, initRho float64, numNACK int) transportConfig {
+	return transportConfig{
+		N: n, K: k, Alpha: alpha, Rho: initRho, Adaptive: true,
+		NumNACK: numNACK, Messages: o.Messages, Seed: o.Seed,
+	}
+}
+
+// sweep adds to fig a series per label with a point per x: the mean of
+// y over the messages tc(series, x) runs, from message skip on. Points
+// the v1 wire cannot carry are left out.
+func sweep(fig *stats.Figure, labels []string, xs []float64, skip int, y func(*vsim.Metrics) float64, tc func(series int, x float64) transportConfig) ([]*stats.Figure, error) {
+	for si, label := range labels {
+		s := fig.NewSeries(label)
+		for _, x := range xs {
+			c := tc(si, x).fill()
+			if !fitsWire(c.N, c.K) {
+				continue
+			}
+			ms, err := runTransport(c)
 			if err != nil {
 				return nil, err
 			}
-			s.Add(float64(k), meanOver(ms, 0, (*protocol.Metrics).BandwidthOverhead))
+			s.Add(x, meanOver(ms, skip, y))
 		}
 	}
 	return []*stats.Figure{fig}, nil
+}
+
+// rhoTraces builds one figure per initial rho, 1 and 2, each with a
+// series per label: y of every message tc(initRho, series) runs.
+func rhoTraces(id string, title func(initRho float64) string, ylabel string, labels []string, y func(*vsim.Metrics) float64, tc func(initRho float64, series int) transportConfig) ([]*stats.Figure, error) {
+	var figs []*stats.Figure
+	for _, initRho := range []float64{1.0, 2.0} {
+		fig := &stats.Figure{ID: fmt.Sprintf("%s-init%g", id, initRho), Title: title(initRho), XLabel: "rekey message ID", YLabel: ylabel}
+		for si, label := range labels {
+			ms, err := runTransport(tc(initRho, si))
+			if err != nil {
+				return nil, err
+			}
+			s := fig.NewSeries(label)
+			for i, m := range ms {
+				s.Add(float64(i), y(m))
+			}
+		}
+		figs = append(figs, fig)
+	}
+	return figs, nil
+}
+
+func runF8Bandwidth(o Options) ([]*stats.Figure, error) {
+	o = o.fill()
+	n, alphas := defaultN(o.Quick), alphaSweep(o.Quick)
+	fig := &stats.Figure{ID: "F8l", Title: fmt.Sprintf("server bandwidth overhead vs k (rho=1, N=%d, L=N/4)", n), XLabel: "k", YLabel: "avg server bandwidth overhead"}
+	return sweep(fig, labels("alpha=%g", alphas), floats(kSweep(o.Quick)), 0, overhead, func(s int, k float64) transportConfig {
+		return transportConfig{N: n, K: int(k), Alpha: alphas[s], Rho: 1, Messages: o.Messages, Seed: o.Seed}
+	})
 }
 
 func runF8EncTime(o Options) ([]*stats.Figure, error) {
@@ -89,7 +178,7 @@ func runF8EncTime(o Options) ([]*stats.Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.Add(float64(k), meanOver(ms, 0, func(m *protocol.Metrics) float64 {
+			s.Add(float64(k), meanOver(ms, 0, func(m *vsim.Metrics) float64 {
 				return float64(m.ParitySent * k)
 			}))
 		}
@@ -97,38 +186,24 @@ func runF8EncTime(o Options) ([]*stats.Figure, error) {
 	return []*stats.Figure{fig}, nil
 }
 
+// rhoSweepFig plots y against rho at rho fixed (Figs. 9 and 10).
+func rhoSweepFig(o Options, fig *stats.Figure, y func(*vsim.Metrics) float64) ([]*stats.Figure, error) {
+	alphas := alphaSweep(o.Quick)
+	return sweep(fig, labels("alpha=%g", alphas), rhoSweep(o.Quick), 0, y, func(s int, rho float64) transportConfig {
+		return transportConfig{N: defaultN(o.Quick), Alpha: alphas[s], Rho: rho, Messages: o.Messages, Seed: o.Seed}
+	})
+}
+
 func runF9NACKs(o Options) ([]*stats.Figure, error) {
 	o = o.fill()
-	n := defaultN(o.Quick)
-	fig := &stats.Figure{ID: "F9l", Title: fmt.Sprintf("average first-round NACKs vs rho (N=%d, k=10)", n), XLabel: "proactivity factor", YLabel: "avg # NACKs (round 1)"}
-	for _, alpha := range alphaSweep(o.Quick) {
-		s := fig.NewSeries(fmt.Sprintf("alpha=%g", alpha))
-		for _, rho := range rhoSweep(o.Quick) {
-			ms, err := runTransport(transportConfig{N: n, Alpha: alpha, Rho: rho, Messages: o.Messages, Seed: o.Seed})
-			if err != nil {
-				return nil, err
-			}
-			s.Add(rho, meanOver(ms, 0, func(m *protocol.Metrics) float64 { return float64(m.Round1NACKs) }))
-		}
-	}
-	return []*stats.Figure{fig}, nil
+	fig := &stats.Figure{ID: "F9l", Title: fmt.Sprintf("average first-round NACKs vs rho (N=%d, k=10)", defaultN(o.Quick)), XLabel: "proactivity factor", YLabel: "avg # NACKs (round 1)"}
+	return rhoSweepFig(o, fig, round1NACKs)
 }
 
 func runF9Rounds(o Options) ([]*stats.Figure, error) {
 	o = o.fill()
-	n := defaultN(o.Quick)
-	fig := &stats.Figure{ID: "F9r", Title: fmt.Sprintf("average rounds until all users recover vs rho (N=%d, k=10)", n), XLabel: "proactivity factor", YLabel: "avg # server rounds"}
-	for _, alpha := range alphaSweep(o.Quick) {
-		s := fig.NewSeries(fmt.Sprintf("alpha=%g", alpha))
-		for _, rho := range rhoSweep(o.Quick) {
-			ms, err := runTransport(transportConfig{N: n, Alpha: alpha, Rho: rho, Messages: o.Messages, Seed: o.Seed})
-			if err != nil {
-				return nil, err
-			}
-			s.Add(rho, meanOver(ms, 0, func(m *protocol.Metrics) float64 { return float64(m.MulticastRounds) }))
-		}
-	}
-	return []*stats.Figure{fig}, nil
+	fig := &stats.Figure{ID: "F9r", Title: fmt.Sprintf("average rounds until all users recover vs rho (N=%d, k=10)", defaultN(o.Quick)), XLabel: "proactivity factor", YLabel: "avg # server rounds"}
+	return rhoSweepFig(o, fig, mcastRounds)
 }
 
 func runF10UserRounds(o Options) ([]*stats.Figure, error) {
@@ -160,70 +235,26 @@ func runF10UserRounds(o Options) ([]*stats.Figure, error) {
 
 func runF10Bandwidth(o Options) ([]*stats.Figure, error) {
 	o = o.fill()
-	n := defaultN(o.Quick)
-	fig := &stats.Figure{ID: "F10r", Title: fmt.Sprintf("average server bandwidth overhead vs rho (N=%d, k=10)", n), XLabel: "proactivity factor", YLabel: "avg server bandwidth overhead"}
-	for _, alpha := range alphaSweep(o.Quick) {
-		s := fig.NewSeries(fmt.Sprintf("alpha=%g", alpha))
-		for _, rho := range rhoSweep(o.Quick) {
-			ms, err := runTransport(transportConfig{N: n, Alpha: alpha, Rho: rho, Messages: o.Messages, Seed: o.Seed})
-			if err != nil {
-				return nil, err
-			}
-			s.Add(rho, meanOver(ms, 0, (*protocol.Metrics).BandwidthOverhead))
-		}
-	}
-	return []*stats.Figure{fig}, nil
-}
-
-// adaptiveTrace runs an adaptive-rho session and returns per-message
-// metrics for trace figures.
-func adaptiveTrace(o Options, n int, k int, alpha float64, initRho float64, numNACK int) ([]*protocol.Metrics, error) {
-	return runTransport(transportConfig{
-		N: n, K: k, Alpha: alpha, Rho: initRho, Adaptive: true,
-		NumNACK: numNACK, Messages: o.Messages, Seed: o.Seed,
-	})
+	fig := &stats.Figure{ID: "F10r", Title: fmt.Sprintf("average server bandwidth overhead vs rho (N=%d, k=10)", defaultN(o.Quick)), XLabel: "proactivity factor", YLabel: "avg server bandwidth overhead"}
+	return rhoSweepFig(o, fig, overhead)
 }
 
 func runF12RhoTrace(o Options) ([]*stats.Figure, error) {
 	o = o.fill()
-	n := defaultN(o.Quick)
-	var figs []*stats.Figure
-	for _, initRho := range []float64{1.0, 2.0} {
-		fig := &stats.Figure{ID: fmt.Sprintf("F12-init%g", initRho), Title: fmt.Sprintf("adaptive rho trajectory, initial rho=%g (N=%d, numNACK=20)", initRho, n), XLabel: "rekey message ID", YLabel: "proactivity factor"}
-		for _, alpha := range alphaSweep(o.Quick) {
-			ms, err := adaptiveTrace(o, n, 10, alpha, initRho, 20)
-			if err != nil {
-				return nil, err
-			}
-			s := fig.NewSeries(fmt.Sprintf("alpha=%g", alpha))
-			for i, m := range ms {
-				s.Add(float64(i), m.RhoUsed)
-			}
-		}
-		figs = append(figs, fig)
-	}
-	return figs, nil
+	n, alphas := defaultN(o.Quick), alphaSweep(o.Quick)
+	return rhoTraces("F12", func(initRho float64) string {
+		return fmt.Sprintf("adaptive rho trajectory, initial rho=%g (N=%d, numNACK=20)", initRho, n)
+	}, "proactivity factor", labels("alpha=%g", alphas), func(m *vsim.Metrics) float64 { return m.RhoUsed },
+		func(initRho float64, s int) transportConfig { return adaptive(o, n, 10, alphas[s], initRho, 20) })
 }
 
 func runF13NACKTrace(o Options) ([]*stats.Figure, error) {
 	o = o.fill()
-	n := defaultN(o.Quick)
-	var figs []*stats.Figure
-	for _, initRho := range []float64{1.0, 2.0} {
-		fig := &stats.Figure{ID: fmt.Sprintf("F13-init%g", initRho), Title: fmt.Sprintf("first-round NACKs per message, initial rho=%g (N=%d, numNACK=20)", initRho, n), XLabel: "rekey message ID", YLabel: "# NACKs (round 1)"}
-		for _, alpha := range alphaSweep(o.Quick) {
-			ms, err := adaptiveTrace(o, n, 10, alpha, initRho, 20)
-			if err != nil {
-				return nil, err
-			}
-			s := fig.NewSeries(fmt.Sprintf("alpha=%g", alpha))
-			for i, m := range ms {
-				s.Add(float64(i), float64(m.Round1NACKs))
-			}
-		}
-		figs = append(figs, fig)
-	}
-	return figs, nil
+	n, alphas := defaultN(o.Quick), alphaSweep(o.Quick)
+	return rhoTraces("F13", func(initRho float64) string {
+		return fmt.Sprintf("first-round NACKs per message, initial rho=%g (N=%d, numNACK=20)", initRho, n)
+	}, "# NACKs (round 1)", labels("alpha=%g", alphas), round1NACKs,
+		func(initRho float64, s int) transportConfig { return adaptive(o, n, 10, alphas[s], initRho, 20) })
 }
 
 func runF14TargetSweep(o Options) ([]*stats.Figure, error) {
@@ -233,27 +264,12 @@ func runF14TargetSweep(o Options) ([]*stats.Figure, error) {
 	if o.Quick {
 		targets = []int{0, 10, 100}
 	}
-	var figs []*stats.Figure
-	for _, initRho := range []float64{1.0, 2.0} {
-		fig := &stats.Figure{ID: fmt.Sprintf("F14-init%g", initRho), Title: fmt.Sprintf("first-round NACKs per message for numNACK targets, initial rho=%g (N=%d, alpha=20%%)", initRho, n), XLabel: "rekey message ID", YLabel: "# NACKs (round 1)"}
-		for _, target := range targets {
-			tc := transportConfig{N: n, Alpha: 0.2, Rho: initRho, Adaptive: true, NumNACK: target, Messages: o.Messages, Seed: o.Seed}
-			if target == 0 {
-				// fill() treats 0 as unset; -1 sentinel is mapped here.
-				tc.NumNACK = -1
-			}
-			ms, err := runTransport(tc)
-			if err != nil {
-				return nil, err
-			}
-			s := fig.NewSeries(fmt.Sprintf("numNACK=%d", target))
-			for i, m := range ms {
-				s.Add(float64(i), float64(m.Round1NACKs))
-			}
-		}
-		figs = append(figs, fig)
-	}
-	return figs, nil
+	return rhoTraces("F14", func(initRho float64) string {
+		return fmt.Sprintf("first-round NACKs per message for numNACK targets, initial rho=%g (N=%d, alpha=20%%)", initRho, n)
+	}, "# NACKs (round 1)", labels("numNACK=%d", targets), round1NACKs,
+		func(initRho float64, s int) transportConfig {
+			return adaptive(o, n, 0, 0.2, initRho, zeroTarget(targets[s]))
+		})
 }
 
 func runF15NACKvsK(o Options) ([]*stats.Figure, error) {
@@ -263,39 +279,25 @@ func runF15NACKvsK(o Options) ([]*stats.Figure, error) {
 	if o.Quick {
 		ks = []int{1, 10, 50}
 	}
-	var figs []*stats.Figure
-	for _, initRho := range []float64{1.0, 2.0} {
-		fig := &stats.Figure{ID: fmt.Sprintf("F15-init%g", initRho), Title: fmt.Sprintf("first-round NACKs per message for block sizes, initial rho=%g (N=%d, alpha=20%%, numNACK=20)", initRho, n), XLabel: "rekey message ID", YLabel: "# NACKs (round 1)"}
-		for _, k := range ks {
-			ms, err := adaptiveTrace(o, n, k, 0.2, initRho, 20)
-			if err != nil {
-				return nil, err
-			}
-			s := fig.NewSeries(fmt.Sprintf("k=%d", k))
-			for i, m := range ms {
-				s.Add(float64(i), float64(m.Round1NACKs))
-			}
-		}
-		figs = append(figs, fig)
-	}
-	return figs, nil
+	return rhoTraces("F15", func(initRho float64) string {
+		return fmt.Sprintf("first-round NACKs per message for block sizes, initial rho=%g (N=%d, alpha=20%%, numNACK=20)", initRho, n)
+	}, "# NACKs (round 1)", labels("k=%d", ks), round1NACKs,
+		func(initRho float64, s int) transportConfig { return adaptive(o, n, ks[s], 0.2, initRho, 20) })
+}
+
+// kSweepFig plots y against k under adaptive rho, a series per alpha
+// (Figs. 16 left and 17).
+func kSweepFig(o Options, fig *stats.Figure, y func(*vsim.Metrics) float64) ([]*stats.Figure, error) {
+	alphas := alphaSweep(o.Quick)
+	return sweep(fig, labels("alpha=%g", alphas), floats(kSweep(o.Quick)), warmup, y, func(s int, k float64) transportConfig {
+		return adaptive(o, defaultN(o.Quick), int(k), alphas[s], 1.0, 20)
+	})
 }
 
 func runF16Alpha(o Options) ([]*stats.Figure, error) {
 	o = o.fill()
-	n := defaultN(o.Quick)
-	fig := &stats.Figure{ID: "F16l", Title: fmt.Sprintf("bandwidth overhead vs k, adaptive rho (N=%d, numNACK=20)", n), XLabel: "k", YLabel: "avg server bandwidth overhead"}
-	for _, alpha := range alphaSweep(o.Quick) {
-		s := fig.NewSeries(fmt.Sprintf("alpha=%g", alpha))
-		for _, k := range kSweep(o.Quick) {
-			ms, err := adaptiveTrace(o, n, k, alpha, 1.0, 20)
-			if err != nil {
-				return nil, err
-			}
-			s.Add(float64(k), meanOver(ms, warmup, (*protocol.Metrics).BandwidthOverhead))
-		}
-	}
-	return []*stats.Figure{fig}, nil
+	fig := &stats.Figure{ID: "F16l", Title: fmt.Sprintf("bandwidth overhead vs k, adaptive rho (N=%d, numNACK=20)", defaultN(o.Quick)), XLabel: "k", YLabel: "avg server bandwidth overhead"}
+	return kSweepFig(o, fig, overhead)
 }
 
 func runF16N(o Options) ([]*stats.Figure, error) {
@@ -305,100 +307,63 @@ func runF16N(o Options) ([]*stats.Figure, error) {
 		ns = []int{1024, 4096}
 	}
 	fig := &stats.Figure{ID: "F16r", Title: "bandwidth overhead vs k, adaptive rho (alpha=20%, numNACK=20)", XLabel: "k", YLabel: "avg server bandwidth overhead"}
-	for _, n := range ns {
-		s := fig.NewSeries(fmt.Sprintf("N=%d", n))
-		for _, k := range kSweep(o.Quick) {
-			ms, err := adaptiveTrace(o, n, k, 0.2, 1.0, 20)
-			if err != nil {
-				return nil, err
-			}
-			s.Add(float64(k), meanOver(ms, warmup, (*protocol.Metrics).BandwidthOverhead))
-		}
-	}
-	return []*stats.Figure{fig}, nil
+	return sweep(fig, labels("N=%d", ns), floats(kSweep(o.Quick)), warmup, overhead, func(s int, k float64) transportConfig {
+		return adaptive(o, ns[s], int(k), 0.2, 1.0, 20)
+	})
 }
 
 func runF17Server(o Options) ([]*stats.Figure, error) {
 	o = o.fill()
-	n := defaultN(o.Quick)
-	fig := &stats.Figure{ID: "F17l", Title: fmt.Sprintf("average rounds for all users vs k, adaptive rho (N=%d, numNACK=20)", n), XLabel: "k", YLabel: "avg # server rounds"}
-	for _, alpha := range alphaSweep(o.Quick) {
-		s := fig.NewSeries(fmt.Sprintf("alpha=%g", alpha))
-		for _, k := range kSweep(o.Quick) {
-			ms, err := adaptiveTrace(o, n, k, alpha, 1.0, 20)
-			if err != nil {
-				return nil, err
-			}
-			s.Add(float64(k), meanOver(ms, warmup, func(m *protocol.Metrics) float64 { return float64(m.MulticastRounds) }))
-		}
-	}
-	return []*stats.Figure{fig}, nil
+	fig := &stats.Figure{ID: "F17l", Title: fmt.Sprintf("average rounds for all users vs k, adaptive rho (N=%d, numNACK=20)", defaultN(o.Quick)), XLabel: "k", YLabel: "avg # server rounds"}
+	return kSweepFig(o, fig, mcastRounds)
 }
 
 func runF17User(o Options) ([]*stats.Figure, error) {
 	o = o.fill()
-	n := defaultN(o.Quick)
-	fig := &stats.Figure{ID: "F17r", Title: fmt.Sprintf("average rounds needed by a user vs k, adaptive rho (N=%d, numNACK=20)", n), XLabel: "k", YLabel: "avg # rounds per user"}
-	for _, alpha := range alphaSweep(o.Quick) {
-		s := fig.NewSeries(fmt.Sprintf("alpha=%g", alpha))
-		for _, k := range kSweep(o.Quick) {
-			ms, err := adaptiveTrace(o, n, k, alpha, 1.0, 20)
-			if err != nil {
-				return nil, err
-			}
-			s.Add(float64(k), meanOver(ms, warmup, (*protocol.Metrics).AvgUserRounds))
-		}
-	}
-	return []*stats.Figure{fig}, nil
+	fig := &stats.Figure{ID: "F17r", Title: fmt.Sprintf("average rounds needed by a user vs k, adaptive rho (N=%d, numNACK=20)", defaultN(o.Quick)), XLabel: "k", YLabel: "avg # rounds per user"}
+	return kSweepFig(o, fig, userRounds)
 }
 
-func numNACKSweep(quick bool) []int {
-	if quick {
-		return []int{-1, 20, 100}
+// numNACKFig plots y against the numNACK target, a series per alpha
+// (Fig. 18); the target 0 is the point plotted at x=0.
+func numNACKFig(o Options, fig *stats.Figure, y func(*vsim.Metrics) float64) ([]*stats.Figure, error) {
+	alphas := alphaSweep(o.Quick)
+	xs := floats(numNACKSweep(o.Quick))
+	for i := range xs {
+		xs[i] = max(xs[i], 0)
 	}
-	return []int{-1, 5, 10, 20, 40, 60, 80, 100}
+	return sweep(fig, labels("alpha=%g", alphas), xs, warmup, y, func(s int, x float64) transportConfig {
+		return adaptive(o, defaultN(o.Quick), 0, alphas[s], 1, zeroTarget(int(x)))
+	})
 }
 
 func runF18Latency(o Options) ([]*stats.Figure, error) {
 	o = o.fill()
-	n := defaultN(o.Quick)
-	fig := &stats.Figure{ID: "F18l", Title: fmt.Sprintf("average rounds needed by a user vs numNACK (N=%d, k=10)", n), XLabel: "numNACK", YLabel: "avg # rounds per user"}
-	for _, alpha := range alphaSweep(o.Quick) {
-		s := fig.NewSeries(fmt.Sprintf("alpha=%g", alpha))
-		for _, target := range numNACKSweep(o.Quick) {
-			ms, err := runTransport(transportConfig{N: n, Alpha: alpha, Rho: 1, Adaptive: true, NumNACK: target, Messages: o.Messages, Seed: o.Seed})
-			if err != nil {
-				return nil, err
-			}
-			x := float64(target)
-			if target == -1 {
-				x = 0
-			}
-			s.Add(x, meanOver(ms, warmup, (*protocol.Metrics).AvgUserRounds))
-		}
-	}
-	return []*stats.Figure{fig}, nil
+	fig := &stats.Figure{ID: "F18l", Title: fmt.Sprintf("average rounds needed by a user vs numNACK (N=%d, k=10)", defaultN(o.Quick)), XLabel: "numNACK", YLabel: "avg # rounds per user"}
+	return numNACKFig(o, fig, userRounds)
 }
 
 func runF18Bandwidth(o Options) ([]*stats.Figure, error) {
 	o = o.fill()
-	n := defaultN(o.Quick)
-	fig := &stats.Figure{ID: "F18r", Title: fmt.Sprintf("average server bandwidth overhead vs numNACK (N=%d, k=10)", n), XLabel: "numNACK", YLabel: "avg server bandwidth overhead"}
-	for _, alpha := range alphaSweep(o.Quick) {
-		s := fig.NewSeries(fmt.Sprintf("alpha=%g", alpha))
-		for _, target := range numNACKSweep(o.Quick) {
-			ms, err := runTransport(transportConfig{N: n, Alpha: alpha, Rho: 1, Adaptive: true, NumNACK: target, Messages: o.Messages, Seed: o.Seed})
-			if err != nil {
-				return nil, err
-			}
-			x := float64(target)
-			if target == -1 {
-				x = 0
-			}
-			s.Add(x, meanOver(ms, warmup, (*protocol.Metrics).BandwidthOverhead))
-		}
+	fig := &stats.Figure{ID: "F18r", Title: fmt.Sprintf("average server bandwidth overhead vs numNACK (N=%d, k=10)", defaultN(o.Quick)), XLabel: "numNACK", YLabel: "avg server bandwidth overhead"}
+	return numNACKFig(o, fig, overhead)
+}
+
+// extraFig plots the bandwidth overhead of adaptive rho and of rho=1
+// against k: for each of names, a pair of series whose runs tc
+// configures from the adaptive one (Figs. 19 and 20).
+func extraFig(o Options, fig *stats.Figure, names []string, tc func(s, k int) transportConfig) ([]*stats.Figure, error) {
+	var pairs []string
+	for _, name := range names {
+		pairs = append(pairs, name+", adaptive rho", name+", rho=1")
 	}
-	return []*stats.Figure{fig}, nil
+	return sweep(fig, pairs, floats(kSweep(o.Quick)), warmup, overhead, func(s int, k float64) transportConfig {
+		c := tc(s/2, int(k))
+		if s%2 == 1 {
+			c = transportConfig{N: c.N, K: c.K, Alpha: c.Alpha, Rho: 1, Messages: o.Messages, Seed: o.Seed}
+		}
+		return c
+	})
 }
 
 func runF19(o Options) ([]*stats.Figure, error) {
@@ -409,23 +374,9 @@ func runF19(o Options) ([]*stats.Figure, error) {
 		alphas = []float64{0, 0.2}
 	}
 	fig := &stats.Figure{ID: "F19", Title: fmt.Sprintf("adaptive rho vs rho=1 bandwidth overhead (N=%d, numNACK=20)", n), XLabel: "k", YLabel: "avg server bandwidth overhead"}
-	for _, alpha := range alphas {
-		sA := fig.NewSeries(fmt.Sprintf("alpha=%g, adaptive rho", alpha))
-		sF := fig.NewSeries(fmt.Sprintf("alpha=%g, rho=1", alpha))
-		for _, k := range kSweep(o.Quick) {
-			msA, err := adaptiveTrace(o, n, k, alpha, 1.0, 20)
-			if err != nil {
-				return nil, err
-			}
-			msF, err := runTransport(transportConfig{N: n, K: k, Alpha: alpha, Rho: 1, Messages: o.Messages, Seed: o.Seed})
-			if err != nil {
-				return nil, err
-			}
-			sA.Add(float64(k), meanOver(msA, warmup, (*protocol.Metrics).BandwidthOverhead))
-			sF.Add(float64(k), meanOver(msF, warmup, (*protocol.Metrics).BandwidthOverhead))
-		}
-	}
-	return []*stats.Figure{fig}, nil
+	return extraFig(o, fig, labels("alpha=%g", alphas), func(s, k int) transportConfig {
+		return adaptive(o, n, k, alphas[s], 1.0, 20)
+	})
 }
 
 func runF20(o Options) ([]*stats.Figure, error) {
@@ -435,23 +386,9 @@ func runF20(o Options) ([]*stats.Figure, error) {
 		ns = []int{1024, 4096}
 	}
 	fig := &stats.Figure{ID: "F20", Title: "adaptive rho vs rho=1 bandwidth overhead per group size (alpha=20%, numNACK=20)", XLabel: "k", YLabel: "avg server bandwidth overhead"}
-	for _, n := range ns {
-		sA := fig.NewSeries(fmt.Sprintf("N=%d, adaptive rho", n))
-		sF := fig.NewSeries(fmt.Sprintf("N=%d, rho=1", n))
-		for _, k := range kSweep(o.Quick) {
-			msA, err := adaptiveTrace(o, n, k, 0.2, 1.0, 20)
-			if err != nil {
-				return nil, err
-			}
-			msF, err := runTransport(transportConfig{N: n, K: k, Alpha: 0.2, Rho: 1, Messages: o.Messages, Seed: o.Seed})
-			if err != nil {
-				return nil, err
-			}
-			sA.Add(float64(k), meanOver(msA, warmup, (*protocol.Metrics).BandwidthOverhead))
-			sF.Add(float64(k), meanOver(msF, warmup, (*protocol.Metrics).BandwidthOverhead))
-		}
-	}
-	return []*stats.Figure{fig}, nil
+	return extraFig(o, fig, labels("N=%d", ns), func(s, k int) transportConfig {
+		return adaptive(o, ns[s], k, 0.2, 1.0, 20)
+	})
 }
 
 func runF21(o Options) ([]*stats.Figure, error) {

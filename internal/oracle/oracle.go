@@ -15,11 +15,14 @@
 //     says it should, so all survivors converge to one group key.
 //
 //   - Recovery-bound compliance: a transport run finishes within the
-//     configured multicast-round and unicast-wave budgets.
+//     configured multicast-round and unicast-wave budgets. Members that
+//     heard nothing of a message to ask for it with are counted apart
+//     (Unreached): they are a gap of the protocol, not a budget overrun.
 //
 // The oracle mirrors a workload.Driver: Bootstrap once, then
 // ObserveBatch after every Driver step, and CheckRecovery after each
-// transport run.
+// transport run. Each call reads the key tree it is handed, the server's
+// as of that batch.
 package oracle
 
 import (
@@ -28,7 +31,7 @@ import (
 	"repro/internal/keys"
 	"repro/internal/keytree"
 	"repro/internal/obs"
-	"repro/internal/protocol"
+	"repro/internal/vsim"
 )
 
 // Config bounds the recovery-compliance check.
@@ -43,7 +46,7 @@ type Config struct {
 
 // Oracle watches one evolving key tree and its members' views.
 type Oracle struct {
-	tree *keytree.Tree
+	tree *keytree.Tree // as of the last call
 	cfg  Config
 	reg  *obs.Registry
 
@@ -55,11 +58,9 @@ type Oracle struct {
 	departed map[keys.Key]keytree.Member
 }
 
-// New returns an oracle over the given tree, which must not be lite:
-// the oracle replays real ciphertexts into member views.
-func New(tree *keytree.Tree, cfg Config) *Oracle {
+// New returns an oracle with the given recovery bounds.
+func New(cfg Config) *Oracle {
 	return &Oracle{
-		tree:     tree,
 		cfg:      cfg,
 		views:    make(map[keytree.Member]*keytree.UserView),
 		departed: make(map[keys.Key]keytree.Member),
@@ -69,10 +70,13 @@ func New(tree *keytree.Tree, cfg Config) *Oracle {
 // SetObs attaches an observability registry; nil disables counting.
 func (o *Oracle) SetObs(reg *obs.Registry) { o.reg = reg }
 
-// Bootstrap registers a view for every current member, seeded with the
+// Bootstrap registers a view for every member of tree, seeded with the
 // full path keys the server hands a member at registration. Call once,
 // after the tree's initial population and before the first ObserveBatch.
-func (o *Oracle) Bootstrap() error {
+// The tree must not be lite: the oracle replays real ciphertexts into
+// member views.
+func (o *Oracle) Bootstrap(tree *keytree.Tree) error {
+	o.tree = tree
 	for _, m := range o.tree.Members() {
 		if err := o.register(m); err != nil {
 			return err
@@ -114,11 +118,12 @@ func (v *Violation) Error() string {
 }
 
 // ObserveBatch checks one completed batch: res must be the result of
-// applying (joins, leaves) to the oracle's tree. It updates every
-// member view from the batch's encryptions, then verifies forward
-// secrecy and key consistency. The first violation found is returned
-// as a *Violation error.
-func (o *Oracle) ObserveBatch(res *keytree.BatchResult, joins, leaves []keytree.Member) error {
+// applying (joins, leaves) to the tree the oracle last saw, leaving
+// tree. It updates every member view from the batch's encryptions, then
+// verifies forward secrecy and key consistency. The first violation
+// found is returned as a *Violation error.
+func (o *Oracle) ObserveBatch(tree *keytree.Tree, res *keytree.BatchResult, joins, leaves []keytree.Member) error {
+	o.tree = tree
 	o.reg.Inc(obs.COracleChecks)
 	if err := o.observeBatch(res, joins, leaves); err != nil {
 		o.reg.Inc(obs.COracleViolations)
@@ -232,9 +237,10 @@ func (o *Oracle) Members() int { return len(o.views) }
 func (o *Oracle) DepartedKeys() int { return len(o.departed) }
 
 // CheckRecovery verifies one transport run against the configured
-// recovery bounds: the run must complete, within the multicast-round
-// budget and (if it switched over) the unicast-wave budget.
-func (o *Oracle) CheckRecovery(met *protocol.Metrics) error {
+// recovery bounds: every member that asked must be served, within the
+// multicast-round budget and (if it switched over) the unicast-wave
+// budget. Unreached members (Metrics.Unreached) are not a violation.
+func (o *Oracle) CheckRecovery(met *vsim.Metrics) error {
 	o.reg.Inc(obs.COracleChecks)
 	err := o.checkRecovery(met)
 	if err != nil {
@@ -243,8 +249,14 @@ func (o *Oracle) CheckRecovery(met *protocol.Metrics) error {
 	return err
 }
 
-func (o *Oracle) checkRecovery(met *protocol.Metrics) error {
-	if !met.AllDone {
+func (o *Oracle) checkRecovery(met *vsim.Metrics) error {
+	served := 0
+	for _, c := range met.UserRoundHist {
+		served += c
+	}
+	// Not done, and not only because of the unreached: someone who asked
+	// was still waiting when the budget ran out.
+	if !met.AllDone && (met.Unreached == 0 || served+met.Unreached < met.NeededUsers) {
 		return &Violation{"recovery-bound", "run ended with users still missing the message"}
 	}
 	if met.MulticastRounds > o.cfg.MaxMulticastRounds {

@@ -8,7 +8,7 @@ import (
 	"repro/internal/keys"
 	"repro/internal/keytree"
 	"repro/internal/obs"
-	"repro/internal/protocol"
+	"repro/internal/vsim"
 	"repro/internal/workload"
 )
 
@@ -19,8 +19,8 @@ func driveScenario(t *testing.T, scn workload.Scenario, seed uint64) (*workload.
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := New(dr.Tree(), Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
-	if err := o.Bootstrap(); err != nil {
+	o := New(Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
+	if err := o.Bootstrap(dr.Tree()); err != nil {
 		t.Fatal(err)
 	}
 	for {
@@ -31,10 +31,10 @@ func driveScenario(t *testing.T, scn workload.Scenario, seed uint64) (*workload.
 		if !ok {
 			break
 		}
-		if st.Res == nil {
+		if st.Msg == nil {
 			continue
 		}
-		if err := o.ObserveBatch(st.Res, st.Joins, st.Leaves); err != nil {
+		if err := o.ObserveBatch(dr.Tree(), st.Msg.Result, st.Joins, st.Leaves); err != nil {
 			t.Fatalf("interval %d: %v", st.Interval, err)
 		}
 	}
@@ -79,8 +79,8 @@ func TestOracleDifferentialAttacker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := New(dr.Tree(), Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
-	if err := o.Bootstrap(); err != nil {
+	o := New(Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
+	if err := o.Bootstrap(dr.Tree()); err != nil {
 		t.Fatal(err)
 	}
 	// attacker key sets: all key values held at leave time, per leaver.
@@ -93,7 +93,7 @@ func TestOracleDifferentialAttacker(t *testing.T) {
 		if !ok {
 			break
 		}
-		if st.Res == nil {
+		if st.Msg == nil {
 			continue
 		}
 		// Freeze leavers' holdings before the oracle retires their views.
@@ -104,7 +104,7 @@ func TestOracleDifferentialAttacker(t *testing.T) {
 			}
 			attackers[m] = held
 		}
-		if err := o.ObserveBatch(st.Res, st.Joins, st.Leaves); err != nil {
+		if err := o.ObserveBatch(dr.Tree(), st.Msg.Result, st.Joins, st.Leaves); err != nil {
 			t.Fatal(err)
 		}
 		// Every attacker tries transitive closure over this batch's
@@ -113,8 +113,8 @@ func TestOracleDifferentialAttacker(t *testing.T) {
 		for m, held := range attackers {
 			for changed := true; changed; {
 				changed = false
-				for i := range st.Res.Encryptions {
-					child := int(st.Res.Encryptions[i].ID)
+				for i := range st.Msg.Result.Encryptions {
+					child := int(st.Msg.Result.Encryptions[i].ID)
 					ck, _, ok := dr.Tree().NodeKey(child)
 					if !ok || !held[ck] {
 						continue
@@ -153,17 +153,18 @@ func TestOracleDetectsUnrotatedKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := New(dr.Tree(), Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
-	if err := o.Bootstrap(); err != nil {
+	o := New(Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
+	if err := o.Bootstrap(dr.Tree()); err != nil {
 		t.Fatal(err)
 	}
 	// Server processes a join-only batch; oracle is told member 0 also
 	// left. Member 0's path keys were never rotated.
-	res, err := dr.Tree().ProcessBatch([]keytree.Member{1000}, nil)
+	tree := dr.Tree()
+	res, err := tree.ProcessBatch([]keytree.Member{1000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = o.ObserveBatch(res, []keytree.Member{1000}, []keytree.Member{0})
+	err = o.ObserveBatch(tree, res, []keytree.Member{1000}, []keytree.Member{0})
 	var v *Violation
 	if !errors.As(err, &v) || v.Invariant != "forward-secrecy" {
 		t.Fatalf("want forward-secrecy violation, got %v", err)
@@ -178,13 +179,13 @@ func TestOracleDetectsCorruptedView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := New(dr.Tree(), Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
-	if err := o.Bootstrap(); err != nil {
+	o := New(Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
+	if err := o.Bootstrap(dr.Tree()); err != nil {
 		t.Fatal(err)
 	}
 	st, ok, err := dr.Step()
-	if err != nil || !ok || st.Res == nil {
-		t.Fatalf("step: ok=%v res=%v err=%v", ok, st.Res, err)
+	if err != nil || !ok || st.Msg == nil {
+		t.Fatalf("step: ok=%v msg=%v err=%v", ok, st.Msg, err)
 	}
 	// Corrupt a member that survives the batch (one that leaves in it is
 	// dropped unchecked). Consistency must catch the divergence even if
@@ -203,7 +204,7 @@ func TestOracleDetectsCorruptedView(t *testing.T) {
 		k[0] ^= 0xFF
 		victim.Keys[id] = k
 	}
-	err = o.ObserveBatch(st.Res, st.Joins, st.Leaves)
+	err = o.ObserveBatch(dr.Tree(), st.Msg.Result, st.Joins, st.Leaves)
 	var v *Violation
 	if !errors.As(err, &v) || v.Invariant != "key-consistency" {
 		t.Fatalf("want key-consistency violation, got %v", err)
@@ -211,18 +212,18 @@ func TestOracleDetectsCorruptedView(t *testing.T) {
 }
 
 func TestCheckRecovery(t *testing.T) {
-	o := New(keytree.New(2, keys.NewDeterministicGenerator(1)), Config{MaxMulticastRounds: 2, MaxUnicastWaves: 5})
+	o := New(Config{MaxMulticastRounds: 2, MaxUnicastWaves: 5})
 	reg := obs.New()
 	o.SetObs(reg)
 	cases := []struct {
-		met  protocol.Metrics
+		met  vsim.Metrics
 		fail bool
 	}{
-		{protocol.Metrics{AllDone: true, MulticastRounds: 2, UnicastWaves: 0}, false},
-		{protocol.Metrics{AllDone: true, MulticastRounds: 2, UnicastWaves: 5}, false},
-		{protocol.Metrics{AllDone: false, MulticastRounds: 1}, true},
-		{protocol.Metrics{AllDone: true, MulticastRounds: 3}, true},
-		{protocol.Metrics{AllDone: true, MulticastRounds: 2, UnicastWaves: 6}, true},
+		{vsim.Metrics{AllDone: true, MulticastRounds: 2, UnicastWaves: 0}, false},
+		{vsim.Metrics{AllDone: true, MulticastRounds: 2, UnicastWaves: 5}, false},
+		{vsim.Metrics{AllDone: false, MulticastRounds: 1}, true},
+		{vsim.Metrics{AllDone: true, MulticastRounds: 3}, true},
+		{vsim.Metrics{AllDone: true, MulticastRounds: 2, UnicastWaves: 6}, true},
 	}
 	fails := 0
 	for i, tc := range cases {
@@ -251,17 +252,17 @@ func TestOracleObsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := New(dr.Tree(), Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
+	o := New(Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
 	reg := obs.New()
 	o.SetObs(reg)
-	if err := o.Bootstrap(); err != nil {
+	if err := o.Bootstrap(dr.Tree()); err != nil {
 		t.Fatal(err)
 	}
 	st, _, err := dr.Step()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.ObserveBatch(st.Res, st.Joins, st.Leaves); err != nil {
+	if err := o.ObserveBatch(dr.Tree(), st.Msg.Result, st.Joins, st.Leaves); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.CounterValue(obs.COracleChecks); got != 1 {

@@ -61,34 +61,3 @@ func TestAdjustRhoZeroTarget(t *testing.T) {
 		t.Fatalf("rho = %v, want %v", got, want)
 	}
 }
-
-func TestUserStateRecovered(t *testing.T) {
-	u := userState{pkt: 3, block: 1, counts: []uint16{0, 4, 0}}
-	if u.recovered(10) {
-		t.Fatal("recovered with 4 of 10 shards")
-	}
-	u.counts[1] = 10
-	if !u.recovered(10) {
-		t.Fatal("not recovered with k shards")
-	}
-	u.counts[1] = 0
-	u.gotSpecific = true
-	if !u.recovered(10) {
-		t.Fatal("not recovered despite specific packet")
-	}
-}
-
-func TestMetricsDerivations(t *testing.T) {
-	m := &Metrics{EncPackets: 100, MulticastSent: 150,
-		UserRoundHist: map[int]int{1: 90, 2: 10}}
-	if got := m.BandwidthOverhead(); got != 1.5 {
-		t.Fatalf("overhead %v", got)
-	}
-	if got := m.AvgUserRounds(); math.Abs(got-1.1) > 1e-12 {
-		t.Fatalf("avg rounds %v", got)
-	}
-	empty := &Metrics{UserRoundHist: map[int]int{}}
-	if empty.BandwidthOverhead() != 0 || empty.AvgUserRounds() != 0 {
-		t.Fatal("empty metrics not zero")
-	}
-}

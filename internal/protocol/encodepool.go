@@ -3,10 +3,9 @@ package protocol
 // This file implements the parallel FEC encode pool. A rekey message's
 // parity generation is embarrassingly parallel across its blocks (the
 // Coder is read-only after construction), so the per-message
-// multi-block encode fans out across a bounded set of workers,
-// mirroring the WaitGroup sharding the receiver simulation in
-// processRound uses. The output is byte-for-byte identical to the
-// serial per-block encode regardless of worker count.
+// multi-block encode fans out across a bounded set of workers. The
+// output is byte-for-byte identical to the serial per-block encode
+// regardless of worker count.
 
 import (
 	"context"

@@ -1,3 +1,17 @@
+// Package protocol is the server half of the rekey transport protocol
+// (Figures 2, 3, 11 and 22 of the protocol paper): Sender, the key
+// server's state machine for one rekey message, and AdjustRho, which
+// carries the proactivity factor from one message to the next.
+//
+// For each rekey message the Sender multicasts the message's ENC packets
+// plus ceil((rho-1)*k) proactive PARITY packets per block, interleaved
+// across blocks. At each round's end it takes the round's NACKs, each
+// carrying the number of parity packets a user still needs per block,
+// and either multicasts amax[i] fresh parity packets per block or --
+// after MaxMulticastRounds rounds -- switches to unicasting small USR
+// packets with escalating duplication. The Sender does no I/O: package
+// udptrans drives it over sockets, package vsim over a simulated
+// network to real members. EncodeBlocks and BufPool serve the send path.
 package protocol
 
 import (
@@ -12,9 +26,6 @@ import (
 // RoundCap bounds a message's multicast rounds. It is also what a round
 // budget of 0 means: multicast until a round draws no NACK.
 const RoundCap = 64
-
-// WaveBudget is the unicast wave budget of a simulated Session.
-const WaveBudget = 50
 
 // Request is one block's entry in a NACK: how many more parity packets
 // the user needs for it.

@@ -1,6 +1,6 @@
 // Package tuning is the single definition of the rekey protocol's
 // tuning knobs. The key server (rekey.Config), the simulation engine
-// (protocol.Config) and the UDP transport all embed or read the same
+// (vsim.Config) and the UDP transport all embed or read the same
 // Tuning struct, so each knob -- FEC block size k, key tree degree d,
 // proactivity factor rho, the NACK target, the multicast round budget
 // and the encode worker bound -- is defined, defaulted and validated in

@@ -4,7 +4,7 @@
 // multicast routing), collects NACKs for a round, retransmits fresh
 // parity, and finally unicasts USR packets with escalating duplication.
 // What to send and when to stop is protocol.Sender's to decide -- the
-// same state machine the simulated protocol.Session drives -- and this
+// same state machine the simulated vsim.Session drives -- and this
 // package moves real bytes through real sockets: who is sent what first,
 // the NACK window and its source check. The fan-out pays per burst, not
 // per datagram: on Linux the server hands the kernel a run of datagrams

@@ -1,0 +1,591 @@
+// Package vsim is the virtual-time driver of the rekey transport: the
+// paper's simulated evaluation (Figs. 8-21) run on the code the key
+// server daemon runs. Each rekey message is a real rekey.RekeyMessage;
+// protocol.Sender, the state machine udptrans drives over sockets,
+// decides what each round sends; netsim's star decides which datagrams
+// each member's link lets through at which virtual time; and real
+// rekey.Members ingest those bytes and answer with real NACK bytes.
+//
+// Session adds what the paper's key server carries across messages: the
+// proactivity factor rho adapts so the first-round NACK count tracks a
+// target (AdjustRho, Fig. 11), the target itself adapts to deadline
+// misses, and early unicast switches as soon as unicasting would be
+// cheaper. Group keeps a real Member for every member of a key server's
+// group.
+package vsim
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"runtime"
+	"slices"
+	"sync"
+
+	rekey "repro"
+	"repro/internal/blockplan"
+	"repro/internal/keytree"
+	"repro/internal/netsim"
+	"repro/internal/obs"
+	"repro/internal/packet"
+	"repro/internal/protocol"
+	"repro/internal/tuning"
+)
+
+// WaveBudget is the unicast wave budget of a Session.
+const WaveBudget = 50
+
+// udpHeader is what a datagram costs on the wire beyond its bytes, for
+// the early-unicast comparison.
+const udpHeader = 8
+
+// Config holds the transport protocol parameters. The shared knobs
+// (k, rho0, NACK targets, round budget, workers) come from the embedded
+// tuning core -- the same struct rekey.Config embeds -- so they are
+// defined and validated in exactly one place; the fields declared here
+// are simulation-specific. DefaultConfig returns the paper's defaults.
+type Config struct {
+	// Tuning is the shared knob core; see package tuning. The session
+	// never reads Degree: the members know their tree's.
+	tuning.Tuning
+	// AdaptiveRho enables the AdjustRho algorithm; when false, rho stays
+	// at InitialRho for every message.
+	AdaptiveRho bool
+	// AdaptNumNACK enables deadline-driven adaptation of NumNACK
+	// (requires DeadlineRounds > 0).
+	AdaptNumNACK bool
+	// EarlyUnicast also switches to unicast as soon as the USR datagrams
+	// of a round's NACKers are no larger than the PARITY datagrams the
+	// next multicast round would send.
+	EarlyUnicast bool
+	// DeadlineRounds is the soft real-time deadline, in multicast
+	// rounds. Zero disables deadline accounting.
+	DeadlineRounds int
+	// SendInterval is the time between consecutive multicast packets
+	// (seconds); the paper's server sends 10 packets/second.
+	SendInterval float64
+	// RoundSlack is added to each round's duration beyond transmission
+	// time, covering the maximum user RTT.
+	RoundSlack float64
+	// UnicastInterval is the duration of one unicast retransmission
+	// wave, typically one RTT -- much shorter than a multicast round.
+	UnicastInterval float64
+	// SequentialSend disables the interleaved send order, transmitting
+	// each block's shards back to back. The protocol interleaves by
+	// default so a burst-loss period cannot claim several shards of one
+	// block; this switch exists for the ablation experiment.
+	SequentialSend bool
+	// Obs, when non-nil, receives per-round metrics and trace events
+	// (NACKs per round, RhoAdjusted, SwitchToUnicast). A nil registry
+	// costs the simulation hot path only a pointer check.
+	Obs *obs.Registry
+}
+
+// DefaultConfig returns the paper's default parameters: the shared
+// tuning defaults (k=10, rho0=1, numNACK target 20 capped at 100,
+// unicast after 2 multicast rounds) plus adaptive rho, deadline 2
+// rounds, 10 packets/second.
+func DefaultConfig() Config {
+	return Config{
+		Tuning:          tuning.Default(),
+		AdaptiveRho:     true,
+		DeadlineRounds:  2,
+		SendInterval:    0.100,
+		RoundSlack:      0.500,
+		UnicastInterval: 0.200,
+	}
+}
+
+func (c Config) validate() error {
+	if err := c.Tuning.Validate(); err != nil {
+		return fmt.Errorf("vsim: %w", err)
+	}
+	if c.SendInterval <= 0 {
+		return fmt.Errorf("vsim: SendInterval = %v, want > 0", c.SendInterval)
+	}
+	if c.AdaptNumNACK && c.DeadlineRounds <= 0 {
+		return fmt.Errorf("vsim: AdaptNumNACK requires DeadlineRounds > 0")
+	}
+	return nil
+}
+
+// Metrics reports one rekey message's transport outcome.
+type Metrics struct {
+	MsgID         int
+	RhoUsed       float64
+	NumNACKTarget int
+	EncPackets    int // h: real ENC packets
+	Blocks        int
+	// MulticastSent is h': every multicast packet sent (ENC packets
+	// including last-block duplicates, plus all PARITY packets, across
+	// all rounds).
+	MulticastSent int
+	ParitySent    int
+	Round1NACKs   int
+	// MulticastRounds is the number of multicast rounds run.
+	MulticastRounds int
+	UsrSent         int
+	UnicastWaves    int
+	// UserRoundHist maps finishing round to member count: the round in
+	// which a member's Ingest first reported Done. Multicast finishers
+	// record their round (1-based); unicast finishers record
+	// MulticastRounds + wave.
+	UserRoundHist  map[int]int
+	MissedDeadline int
+	// NeededUsers is how many members the message was for.
+	NeededUsers int
+	// Unreached counts members that ended the run without the message
+	// and without asking for it: nothing they heard gave them a block to
+	// NACK, so the Sender never served them (ROADMAP item 4). Run hands
+	// each its USR datagram out of band afterwards, so that the group's
+	// next message finds it keyed.
+	Unreached int
+	// AllDone reports that the Sender finished and no member is
+	// unreached.
+	AllDone bool
+}
+
+// BandwidthOverhead is h'/h, the server multicast bandwidth overhead.
+func (m *Metrics) BandwidthOverhead() float64 {
+	if m.EncPackets == 0 {
+		return 0
+	}
+	return float64(m.MulticastSent) / float64(m.EncPackets)
+}
+
+// AvgUserRounds is the mean finishing round over members that finished.
+func (m *Metrics) AvgUserRounds() float64 {
+	total, n := 0, 0
+	for r, c := range m.UserRoundHist {
+		total += r * c
+		n += c
+	}
+	if n == 0 {
+		return 0
+	}
+	return float64(total) / float64(n)
+}
+
+// Member is the client half a Session delivers to, *rekey.Member: it
+// consumes datagrams and, at a round's end, says what it still needs
+// (Fig. 27).
+type Member interface {
+	Ingest(raw []byte) (rekey.IngestResult, error)
+	NACK() (*packet.NACK, bool)
+}
+
+// Session runs rekey messages over one network, carrying the adaptive
+// state (rho and the NACK target) across messages as the key server
+// does.
+type Session struct {
+	cfg     Config
+	net     *netsim.Star
+	rho     float64
+	numNACK int
+	now     float64
+	msgSeq  int
+	rng     *rand.Rand
+}
+
+// NewSession creates a session over net, whose user count bounds the
+// members a message may have.
+func NewSession(cfg Config, net *netsim.Star, seed uint64) (*Session, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	cfg.Obs.Set(obs.GRho, cfg.InitialRho)
+	return &Session{
+		cfg:     cfg,
+		net:     net,
+		rho:     cfg.InitialRho,
+		numNACK: cfg.NumNACK,
+		rng:     rand.New(rand.NewPCG(seed, 0x5e55)),
+	}, nil
+}
+
+// Rho returns the proactivity factor the next message will use.
+func (s *Session) Rho() float64 { return s.rho }
+
+// NumNACK returns the current first-round NACK target.
+func (s *Session) NumNACK() int { return s.numNACK }
+
+// run is one message's transport state.
+type run struct {
+	rm      *rekey.RekeyMessage
+	members []Member
+	done    []int // each member's finishing round; 0 while pending
+}
+
+// usrWire returns member i's USR datagram.
+func (r *run) usrWire(i int) ([]byte, error) { return r.rm.WireUSR(r.rm.Result.UserIDs[i]) }
+
+// Run transports one rekey message to members -- the members of its
+// group in rm.Result.UserIDs order, as Group.Rekey returns them; member
+// i listens behind the network's link i -- and returns its metrics. A
+// message with no ENC packets returns at once.
+func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error) {
+	cfg := s.cfg
+	k := cfg.K
+	switch {
+	case len(members) > s.net.N():
+		return nil, fmt.Errorf("vsim: %d members on a %d-user network", len(members), s.net.N())
+	case len(rm.ENC) > 0 && rm.Part.K != k:
+		return nil, fmt.Errorf("vsim: message partition uses k=%d, session k=%d", rm.Part.K, k)
+	case len(rm.ENC) > 0 && len(members) != len(rm.Result.UserIDs):
+		return nil, fmt.Errorf("vsim: %d members for a %d-member message", len(members), len(rm.Result.UserIDs))
+	}
+	met := &Metrics{
+		MsgID:         s.msgSeq,
+		RhoUsed:       s.rho,
+		NumNACKTarget: s.numNACK,
+		NeededUsers:   len(members),
+		UserRoundHist: make(map[int]int),
+	}
+	s.msgSeq++
+	if len(rm.ENC) == 0 {
+		met.AllDone = true
+		return met, nil
+	}
+	met.EncPackets, met.Blocks = rm.NumRealPackets(), rm.Blocks()
+	r := &run{rm: rm, members: members, done: make([]int, len(members))}
+
+	snd := protocol.NewSender(rm.Part, s.rho, cfg.MaxMulticastRounds, WaveBudget)
+	step := protocol.Multicast
+	for ; step == protocol.Multicast; step = snd.Next() {
+		round := snd.Round()
+		refs := snd.Refs()
+		if cfg.SequentialSend {
+			// The ablation's order: the same shards, each block's back
+			// to back.
+			refs = slices.Clone(refs)
+			slices.SortStableFunc(refs, func(a, b blockplan.Ref) int { return a.Block - b.Block })
+		}
+		met.MulticastSent += len(refs)
+		for _, ref := range refs {
+			if ref.IsParity(k) {
+				met.ParitySent++
+			}
+		}
+		cfg.Obs.Emit(obs.Event{Kind: obs.EvRoundStart, MsgID: rm.MsgID, Round: round, Value: float64(len(refs))})
+		times := make([]float64, len(refs))
+		for i := range times {
+			times[i] = s.now + float64(i)*cfg.SendInterval
+		}
+		rd := s.net.MulticastRound(times)
+		s.now += float64(len(refs))*cfg.SendInterval + cfg.RoundSlack
+
+		nacks, err := s.deliver(r, refs, rd, round)
+		if err != nil {
+			return nil, err
+		}
+		usrBytes := 0
+		for i, raw := range nacks {
+			if r.done[i] == round {
+				met.UserRoundHist[round]++
+			}
+			if raw == nil {
+				continue
+			}
+			if feedNACK(snd, rm.MsgID, i, raw) && cfg.EarlyUnicast {
+				w, err := r.usrWire(i)
+				if err != nil {
+					return nil, err
+				}
+				usrBytes += len(w) + udpHeader
+			}
+		}
+		n := snd.NACKs()
+		cfg.Obs.Observe(obs.HNACKsPerRound, float64(n))
+		if round == 1 {
+			met.Round1NACKs = n
+			if cfg.AdaptiveRho {
+				if rho := protocol.AdjustRho(s.rho, k, s.numNACK, snd.Demand(), s.rng); rho != s.rho {
+					s.rho = rho
+					cfg.Obs.Emit(obs.Event{Kind: obs.EvRhoAdjusted, MsgID: uint8(s.msgSeq & 0x3f), Value: s.rho})
+				}
+				cfg.Obs.Set(obs.GRho, s.rho)
+			}
+		}
+		met.MulticastRounds = round
+		if cfg.EarlyUnicast && n > 0 {
+			parity, err := parityBytes(rm, snd.Amax())
+			if err != nil {
+				return nil, err
+			}
+			if usrBytes <= parity {
+				snd.UnicastNow()
+			}
+		}
+	}
+
+	// Deadline accounting happens at the multicast/unicast boundary: a
+	// member meets the deadline iff it was keyed within DeadlineRounds
+	// multicast rounds.
+	if cfg.DeadlineRounds > 0 {
+		for _, d := range r.done {
+			if d == 0 || d > cfg.DeadlineRounds {
+				met.MissedDeadline++
+			}
+		}
+		if cfg.AdaptNumNACK {
+			if met.MissedDeadline == 0 {
+				s.numNACK = min(s.numNACK+1, cfg.MaxNACK)
+			} else {
+				s.numNACK = max(s.numNACK-met.MissedDeadline, 0)
+			}
+		}
+	}
+
+	if step == protocol.Unicast {
+		cfg.Obs.Emit(obs.Event{Kind: obs.EvSwitchToUnicast,
+			MsgID: rm.MsgID, Round: met.MulticastRounds, Value: float64(len(snd.Waiting()))})
+		var err error
+		if step, err = s.unicast(r, snd, met); err != nil {
+			return nil, err
+		}
+	}
+	// Whoever is neither keyed nor still asking heard nothing to ask
+	// with: it gets its keys out of band, as a re-registration would.
+	waiting := snd.Waiting()
+	for i, d := range r.done {
+		if d > 0 || waiting[i] {
+			continue
+		}
+		met.Unreached++
+		if err := keyOutOfBand(members[i], rm, i); err != nil {
+			return nil, err
+		}
+	}
+	met.AllDone = step == protocol.Done && met.Unreached == 0
+	// Idle gap between rekey messages keeps link processes realistic.
+	s.now += cfg.RoundSlack
+	return met, nil
+}
+
+// deliver hands one multicast round to the members on cfg.Workers
+// goroutines: each pending member ingests the round's datagrams its link
+// let through, then, still pending, marshals its NACK. It returns the
+// NACK bytes by member (nil for none) and records each finisher's round.
+//
+// A member takes its own ENC packet first when the link delivered it, as
+// the wire's need-first order sends it, and stops listening once keyed:
+// what else the round carries is stale to it. Neither changes what a
+// member ends the round holding or asking for.
+func (s *Session) deliver(r *run, refs []blockplan.Ref, rd *netsim.RoundDelivery, round int) ([][]byte, error) {
+	k := r.rm.Part.K
+	// The round's datagrams, each materialised once: ENC from the
+	// message's wire bytes, PARITY built from its FEC payloads.
+	wires := make([][]byte, len(refs))
+	for i, ref := range refs {
+		var err error
+		if ref.IsParity(k) {
+			wires[i], err = r.rm.AppendWireParity(nil, ref.Block, ref.Shard-k)
+		} else {
+			wires[i], err = r.rm.WireENC(ref.Block*k + ref.Shard)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	workers := s.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	nacks := make([][]byte, len(r.members))
+	var wg sync.WaitGroup
+	chunk := (len(r.members) + workers - 1) / workers
+	for lo := 0; lo < len(r.members); lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				if r.done[i] > 0 {
+					continue
+				}
+				got := rd.Received(i)
+				if own, ok := r.rm.Plan.UserPacket[r.rm.Result.UserIDs[i]]; ok {
+					j := slices.Index(refs, blockplan.Ref{Block: own / k, Shard: own % k})
+					if _, ok := slices.BinarySearch(got, j); ok {
+						got = append([]int{j}, got...)
+					}
+				}
+				m := r.members[i]
+				for _, idx := range got {
+					if res, err := m.Ingest(wires[idx]); err == nil && res.Done {
+						r.done[i] = round
+						break
+					}
+				}
+				if nk, ok := m.NACK(); ok { // none once keyed
+					nacks[i], _ = nk.Marshal() // a member's own msgID always fits
+				}
+			}
+		}(lo, min(lo+chunk, len(r.members)))
+	}
+	wg.Wait()
+	return nacks, nil
+}
+
+// feedNACK parses member i's NACK bytes, as udptrans's listener does, and
+// hands them to snd. It reports whether snd took them.
+func feedNACK(snd *protocol.Sender, msgID uint8, i int, raw []byte) bool {
+	nk, err := packet.ParseNACK(raw)
+	if err != nil || nk.MsgID != msgID {
+		return false
+	}
+	reqs := make([]protocol.Request, len(nk.Requests))
+	for j, q := range nk.Requests {
+		reqs[j] = protocol.Request{Block: int(q.BlockID), Count: int(q.Count)}
+	}
+	_, ok := snd.NACK(i, reqs)
+	return ok
+}
+
+// parityBytes is the size of the PARITY datagrams the next multicast
+// round would send: amax of each block's, each as long as its block's
+// first.
+func parityBytes(rm *rekey.RekeyMessage, amax []int) (int, error) {
+	total := 0
+	for b, a := range amax {
+		if a == 0 {
+			continue
+		}
+		w, err := rm.AppendWireParity(nil, b, 0)
+		if err != nil {
+			return 0, err
+		}
+		total += a * (len(w) + udpHeader)
+	}
+	return total, nil
+}
+
+// unicast implements Switch2Unicast (Fig. 22) and returns the Sender's
+// last step. A waiting member none of a wave's Dups copies reach NACKs
+// again.
+func (s *Session) unicast(r *run, snd *protocol.Sender, met *Metrics) (protocol.Step, error) {
+	step := protocol.Unicast
+	for ; step == protocol.Unicast; step = snd.Next() {
+		wave, waiting := snd.Wave(), snd.Waiting()
+		for i, m := range r.members {
+			if !waiting[i] {
+				continue
+			}
+			got := false
+			for j := 0; j < snd.Dups(); j++ {
+				met.UsrSent++
+				// Duplicates of one wave go out back to back; distinct
+				// members' sends share the wave window.
+				got = s.net.Unicast(i, s.now+float64(j)*0.001) || got
+			}
+			if got {
+				w, err := r.usrWire(i)
+				if err != nil {
+					return step, err
+				}
+				if res, err := m.Ingest(w); err == nil && res.Done {
+					r.done[i] = met.MulticastRounds + wave
+					met.UserRoundHist[r.done[i]]++
+					continue
+				}
+			}
+			if nk, ok := m.NACK(); ok {
+				raw, _ := nk.Marshal() // a member's own msgID always fits
+				feedNACK(snd, r.rm.MsgID, i, raw)
+			}
+		}
+		s.now += s.cfg.UnicastInterval
+		met.UnicastWaves = wave
+	}
+	return step, nil
+}
+
+// Group is a key server's group as a Session meets it: a real
+// rekey.Member for each of its members.
+type Group struct {
+	srv     *rekey.Server
+	tree    *keytree.Tree
+	members map[rekey.MemberID]*rekey.Member
+}
+
+// NewGroup starts a key server from opts, admits members 0..n-1 in its
+// first message, and keys each one's Member out of band with its USR
+// datagram of that message, as registration would.
+func NewGroup(n int, opts ...rekey.Option) (*Group, error) {
+	srv, err := rekey.NewServer(opts...)
+	if err != nil {
+		return nil, err
+	}
+	g := &Group{srv: srv}
+	ids := make([]rekey.MemberID, n)
+	for i := range ids {
+		ids[i] = rekey.MemberID(i)
+	}
+	boot, members, err := g.Rekey(ids, nil)
+	if err != nil {
+		return nil, err
+	}
+	for i, m := range members {
+		if err := keyOutOfBand(m, boot, i); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// keyOutOfBand hands member i of rm's group its USR datagram directly.
+func keyOutOfBand(m Member, rm *rekey.RekeyMessage, i int) error {
+	w, err := rm.WireUSR(rm.Result.UserIDs[i])
+	if err != nil {
+		return err
+	}
+	if res, err := m.Ingest(w); err != nil || !res.Done {
+		return fmt.Errorf("vsim: member %d: USR out of band: done=%v err=%v", i, res.Done, err)
+	}
+	return nil
+}
+
+// Tree returns the server's key tree as of the last Rekey, restored
+// from its snapshot: changing it changes nothing of the group's.
+func (g *Group) Tree() *keytree.Tree { return g.tree }
+
+// Rekey queues joins and leaves, rekeys, and returns the message with
+// the group's Members in the order Session.Run takes them: ascending
+// node ID, as rm.Result.UserIDs lists them. A joiner gets a Member from
+// its credentials; a leaver loses its own.
+func (g *Group) Rekey(joins, leaves []rekey.MemberID) (*rekey.RekeyMessage, []Member, error) {
+	for _, id := range joins {
+		if err := g.srv.QueueJoin(id); err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, id := range leaves {
+		if err := g.srv.QueueLeave(id); err != nil {
+			return nil, nil, err
+		}
+	}
+	rm, err := g.srv.Rekey()
+	if err != nil {
+		return nil, nil, err
+	}
+	if g.tree, err = keytree.Restore(g.srv.Snapshot(), nil); err != nil {
+		return nil, nil, err
+	}
+	ids := g.tree.Members()
+	out := make([]Member, len(ids))
+	live := make(map[rekey.MemberID]*rekey.Member, len(ids))
+	for i, id := range ids {
+		m := g.members[id]
+		if m == nil {
+			cred, ok := g.srv.Credentials(id)
+			if !ok {
+				return nil, nil, fmt.Errorf("vsim: no credentials for member %d", id)
+			}
+			if m, err = rekey.NewMember(cred); err != nil {
+				return nil, nil, err
+			}
+		}
+		live[id], out[i] = m, m
+	}
+	g.members = live
+	return rm, out, nil
+}

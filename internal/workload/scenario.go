@@ -2,8 +2,8 @@
 // and leave schedules that stress the rekeying pipeline in ways the
 // paper's stationary workload does not -- flash crowds, diurnal cycles,
 // network partitions healing, and colluding leavers picked to maximise
-// key-tree damage. A Driver folds a Scenario into one evolving key tree
-// so invariant oracles can watch every batch.
+// key-tree damage. A Driver folds a Scenario into one evolving group on
+// a key server so invariant oracles can watch every batch.
 
 package workload
 
@@ -12,10 +12,10 @@ import (
 	"math"
 	"math/rand/v2"
 
-	"repro/internal/assign"
-	"repro/internal/keys"
+	rekey "repro"
 	"repro/internal/keytree"
 	"repro/internal/obs"
+	"repro/internal/vsim"
 )
 
 // Scenario describes a churn schedule. Implementations must be
@@ -242,17 +242,20 @@ type Step struct {
 	Interval int
 	Joins    []keytree.Member
 	Leaves   []keytree.Member
-	Res      *keytree.BatchResult
-	Plan     *assign.Plan
+	// Msg is the interval's rekey message and Members the group's
+	// members in the order vsim.Session.Run takes them.
+	Msg     *rekey.RekeyMessage
+	Members []vsim.Member
 }
 
-// Driver folds a Scenario into one evolving key tree. Unlike Generator
-// (which clones a pristine tree per batch), the Driver's tree carries
-// state across intervals and materialises real ciphertexts, so invariant
-// oracles can check what members can actually decrypt.
+// Driver folds a Scenario into one evolving group: a deterministic,
+// unsigned rekey.Server with a real Member per member (vsim.Group)
+// carries the key tree across intervals and builds each interval's real
+// rekey message, so invariant oracles can check what members can
+// actually decrypt and a transport can deliver it.
 type Driver struct {
 	scn  Scenario
-	tree *keytree.Tree
+	grp  *vsim.Group
 	rng  *rand.Rand
 	next keytree.Member
 	i    int
@@ -270,24 +273,21 @@ func NewDriver(scn Scenario, d int, seed uint64) (*Driver, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: scenario %q bootstraps %d users", scn.Name(), n)
 	}
-	dr := &Driver{
-		scn:  scn,
-		tree: keytree.New(d, keys.NewDeterministicGenerator(seed)),
-		rng:  rand.New(rand.NewPCG(seed, 0x5ce0)),
-		next: keytree.Member(n),
-	}
-	joins := make([]keytree.Member, n)
-	for i := range joins {
-		joins[i] = keytree.Member(i)
-	}
-	if _, err := dr.tree.ProcessBatch(joins, nil); err != nil {
+	grp, err := vsim.NewGroup(n, rekey.WithTuning(rekey.Tuning{Degree: d}), rekey.WithKeySeed(seed))
+	if err != nil {
 		return nil, err
 	}
-	return dr, nil
+	return &Driver{
+		scn:  scn,
+		grp:  grp,
+		rng:  rand.New(rand.NewPCG(seed, 0x5ce0)),
+		next: keytree.Member(n),
+	}, nil
 }
 
-// Tree exposes the evolving tree (for oracles; do not mutate).
-func (dr *Driver) Tree() *keytree.Tree { return dr.tree }
+// Tree returns the server's key tree as of the last batch (for oracles;
+// mutating it changes nothing the driver does).
+func (dr *Driver) Tree() *keytree.Tree { return dr.grp.Tree() }
 
 // SetObs attaches an observability registry; each churn batch applied
 // increments the scenario_steps counter. nil disables counting.
@@ -296,27 +296,21 @@ func (dr *Driver) SetObs(reg *obs.Registry) { dr.reg = reg }
 // Step runs the next interval: asks the scenario for churn, applies it
 // as one batch, and returns the result. ok is false once the scenario
 // is exhausted. Intervals with no churn at all are returned with a nil
-// Res and Plan (there is nothing to rekey).
+// Msg (there is nothing to rekey).
 func (dr *Driver) Step() (st *Step, ok bool, err error) {
 	if dr.i >= dr.scn.Intervals() {
 		return nil, false, nil
 	}
 	i := dr.i
 	dr.i++
-	joins, leaves := dr.scn.Churn(i, dr.tree.Members(), dr.rng, dr.alloc)
+	joins, leaves := dr.scn.Churn(i, dr.Tree().Members(), dr.rng, dr.alloc)
 	st = &Step{Interval: i, Joins: joins, Leaves: leaves}
 	if len(joins) == 0 && len(leaves) == 0 {
 		return st, true, nil
 	}
-	res, err := dr.tree.ProcessBatch(joins, leaves)
-	if err != nil {
+	if st.Msg, st.Members, err = dr.grp.Rekey(joins, leaves); err != nil {
 		return nil, false, fmt.Errorf("workload: %s interval %d: %w", dr.scn.Name(), i, err)
 	}
-	plan, err := assign.Build(res)
-	if err != nil {
-		return nil, false, fmt.Errorf("workload: %s interval %d: %w", dr.scn.Name(), i, err)
-	}
-	st.Res, st.Plan = res, plan
 	dr.reg.Inc(obs.CScenarioSteps)
 	return st, true, nil
 }

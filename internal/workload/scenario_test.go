@@ -28,11 +28,11 @@ func runScenario(t *testing.T, scn Scenario, d int, seed uint64) ([]string, *key
 			break
 		}
 		line := fmt.Sprintf("i=%d j=%d l=%d", st.Interval, len(st.Joins), len(st.Leaves))
-		if st.Res != nil {
+		if st.Msg != nil {
 			if err := dr.Tree().CheckInvariant(); err != nil {
 				t.Fatalf("interval %d: %v", st.Interval, err)
 			}
-			line += fmt.Sprintf(" n=%d encs=%d maxkid=%d", len(dr.Tree().Members()), len(st.Res.Encryptions), st.Res.MaxKID)
+			line += fmt.Sprintf(" n=%d encs=%d maxkid=%d", len(dr.Tree().Members()), len(st.Msg.Result.Encryptions), st.Msg.Result.MaxKID)
 		}
 		trace = append(trace, line)
 	}
@@ -143,7 +143,7 @@ func TestAdversarialLeaveDamage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.Res.UpdatedKNodes
+		return st.Msg.Result.UpdatedKNodes
 	}()
 	uniform := func() int {
 		g, err := NewGenerator(base, d, 10, 9)
@@ -228,7 +228,7 @@ func TestDriverScenarioStepsCounter(t *testing.T) {
 		if !ok {
 			break
 		}
-		if st.Res != nil {
+		if st.Msg != nil {
 			applied++
 		}
 	}

@@ -50,26 +50,35 @@ func NewGenerator(n, d, k int, seed uint64) (*Generator, error) {
 // N returns the group size.
 func (g *Generator) N() int { return g.n }
 
-// Batch applies one (J joins, L leaves) batch to a clone of the pristine
-// tree and returns the batch result together with its UKA plan. Leavers
-// are chosen uniformly at random.
-func (g *Generator) Batch(j, l int) (*keytree.BatchResult, *assign.Plan, error) {
+// Draw returns the next batch against the pristine group: l leavers
+// chosen uniformly at random and j fresh member handles. Batch applies
+// it; a run that rebuilds the pristine group per message applies it too.
+func (g *Generator) Draw(j, l int) (joins, leaves []keytree.Member, err error) {
 	if l > g.n {
 		return nil, nil, fmt.Errorf("workload: %d leaves from %d users", l, g.n)
 	}
-	tr := g.pristine.Clone()
-	members := tr.Members()
+	members := g.pristine.Members()
 	perm := g.rng.Perm(len(members))
-	leaves := make([]keytree.Member, l)
+	leaves = make([]keytree.Member, l)
 	for i := 0; i < l; i++ {
 		leaves[i] = members[perm[i]]
 	}
-	joins := make([]keytree.Member, j)
+	joins = make([]keytree.Member, j)
 	for i := range joins {
 		joins[i] = g.next
 		g.next++
 	}
-	res, err := tr.ProcessBatch(joins, leaves)
+	return joins, leaves, nil
+}
+
+// Batch applies the next Draw to a clone of the pristine tree and returns
+// the batch result together with its UKA plan.
+func (g *Generator) Batch(j, l int) (*keytree.BatchResult, *assign.Plan, error) {
+	joins, leaves, err := g.Draw(j, l)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := g.pristine.Clone().ProcessBatch(joins, leaves)
 	if err != nil {
 		return nil, nil, err
 	}

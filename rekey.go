@@ -13,10 +13,10 @@
 // direct reception, FEC recovery and unicast -- and maintains the
 // member's view of the group key.
 //
-// The packet bookkeeping and loss-recovery policy (rounds, NACKs,
-// adaptive proactivity) live in internal/protocol for simulation and in
-// internal/udptrans for the wire; this package is the key-management
-// core both share.
+// The loss-recovery policy (rounds, NACKs, adaptive proactivity) lives
+// in internal/protocol, driven over sockets by internal/udptrans and
+// over a simulated network by internal/vsim; this package is the
+// key-management core and the member both share.
 //
 // Servers are built with functional options mirroring keytree.New:
 // NewServer(WithTuning(t), WithKeySeed(seed), WithObs(reg)). The
@@ -68,7 +68,7 @@ type Credentials struct {
 
 // Tuning is the protocol's shared tuning core: the single definition
 // of k, tree degree, rho0, the NACK targets and the worker bound. It
-// is embedded here, in protocol.Config, and read by the UDP transport,
+// is embedded here, in vsim.Config, and read by the UDP transport,
 // so every layer agrees on one validated set of knobs.
 type Tuning = tuning.Tuning
 
