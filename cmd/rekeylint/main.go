@@ -6,8 +6,6 @@
 //
 //	go run ./cmd/rekeylint -ignores ./...   # whole module and every suppression (the CI gate)
 //	go run ./cmd/rekeylint ./internal/fec   # one package
-//	go run ./cmd/rekeylint -list            # show the analyzer suite
-//	go run ./cmd/rekeylint -only keyflow ./...
 //
 // Patterns are resolved relative to the module root (found by walking
 // up from the working directory to go.mod); `dir/...` recurses,
@@ -16,15 +14,13 @@
 // analyzer: message. A finding is silenced only by fixing it or by a
 // reviewed `//rekeylint:ignore <reason>` comment on the same line or
 // the line above -- an ignore without a reason is itself a finding,
-// and when the full suite runs, so is an ignore that suppresses
-// nothing.
+// and so is an ignore that suppresses nothing.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 )
@@ -36,40 +32,12 @@ func fatal(err error) {
 }
 
 func main() {
-	list := flag.Bool("list", false, "list the analyzer suite and exit")
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	ignores := flag.Bool("ignores", false, "print every //rekeylint:ignore with file:line, reason and whether it suppressed anything")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: rekeylint [-list] [-only names] [-ignores] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: rekeylint [-ignores] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	analyzers := lint.DefaultAnalyzers()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-13s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *only != "" {
-		want := make(map[string]bool)
-		for _, name := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(name)] = true
-		}
-		var as []*lint.Analyzer
-		for _, a := range analyzers {
-			if want[a.Name] {
-				as = append(as, a)
-				delete(want, a.Name)
-			}
-		}
-		for name := range want {
-			fmt.Fprintf(os.Stderr, "rekeylint: unknown analyzer %q (see -list)\n", name)
-			os.Exit(2)
-		}
-		analyzers = as
-	}
 
 	modRoot, err := lint.FindModuleRoot(".")
 	if err != nil {
@@ -80,7 +48,7 @@ func main() {
 		fatal(err)
 	}
 	loader.IncludeTests = true
-	res, err := lint.Run(loader, flag.Args(), analyzers)
+	res, err := lint.Run(loader, flag.Args(), lint.DefaultAnalyzers())
 	if err != nil {
 		fatal(err)
 	}

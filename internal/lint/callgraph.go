@@ -1,13 +1,13 @@
 package lint
 
-// callgraph.go builds the static call graph lockorder and keyflow walk.
+// callgraph.go builds the static call graph locks and keyflow walk.
 // Resolution is deliberately conservative and cheap: a call site is an
 // edge only when the callee is statically known -- a package-level
 // function, a method called on a concrete receiver, or a method value
 // whose object go/types resolves. Calls through interface values and
-// closure-typed variables stay unresolved (lockorder and keyflow note
-// this in their docs: they prove the static structure, the race
-// detector and runtime gates cover the dynamic remainder).
+// closure-typed variables stay unresolved (locks and keyflow note this
+// in their docs: they prove the static structure, the race detector
+// and runtime gates cover the dynamic remainder).
 
 import (
 	"go/ast"

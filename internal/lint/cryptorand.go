@@ -41,7 +41,6 @@ var cryptorandInjectedOnly = []string{
 // point there.
 var Cryptorand = &Analyzer{
 	Name: "cryptorand",
-	Doc:  "key-path packages must draw randomness from the internal/keys CSPRNG, not math/rand or the clock",
 	Run:  runCryptorand,
 }
 

@@ -19,7 +19,6 @@ import (
 // ErrSentinel bans direct comparisons against sentinel error values.
 var ErrSentinel = &Analyzer{
 	Name: "errsentinel",
-	Doc:  "compare sentinel errors with errors.Is, never == / != or switch cases",
 	Run:  runErrSentinel,
 }
 

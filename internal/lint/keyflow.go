@@ -45,7 +45,6 @@ import (
 // traces or variable-time comparisons.
 var KeyFlow = &Analyzer{
 	Name: "keyflow",
-	Doc:  "secret key material must not reach fmt/log/errors/panic/trace sinks or non-constant-time comparisons",
 	Run:  runKeyFlow,
 }
 
@@ -676,11 +675,6 @@ func (ft *funcTaint) reportf(pos token.Pos, format string, args ...any) {
 	}
 }
 
-// keyFlowDebug, when set (tests only), observes every leak-fact
-// contribution: which function, at which position, leaked which
-// parameter bits into which sink.
-var keyFlowDebug func(fn string, pos token.Position, bits uint64, sink string)
-
 // noteSink records that the given argument mask reached a sink: a
 // concrete secret is reported, a parameter-derived value becomes part
 // of the function's leaks fact.
@@ -694,9 +688,6 @@ func (ft *funcTaint) noteSink(pos token.Pos, m uint64, sink string) {
 			ft.leak.mask |= bits
 			if ft.leak.sink == "" {
 				ft.leak.sink = sink
-			}
-			if keyFlowDebug != nil {
-				keyFlowDebug(ft.fn.Name.Name, ft.st.pass.Fset.Position(pos), bits, sink)
 			}
 		}
 	}
@@ -788,9 +779,6 @@ func (ft *funcTaint) noteSinkVia(pos token.Pos, m uint64, callee *types.Func, si
 			ft.leak.mask |= bits
 			if ft.leak.sink == "" {
 				ft.leak.sink = sink
-			}
-			if keyFlowDebug != nil {
-				keyFlowDebug(ft.fn.Name.Name, ft.st.pass.Fset.Position(pos), bits, "via "+callee.Name()+" -> "+sink)
 			}
 		}
 	}

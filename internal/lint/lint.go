@@ -19,17 +19,15 @@
 //   - cryptorand:  key-path packages must not use math/rand or
 //     time-seeded randomness (crypto material comes from the batched
 //     CSPRNG in internal/keys only).
-//   - ctxfirst:    exported blocking APIs take context.Context first.
 //   - errsentinel: sentinel errors are matched with errors.Is, never
 //     compared with == / != or switched on.
-//   - guardedby:   fields annotated "guarded by <mu>" are only
-//     touched by functions that lock that mutex (function-local,
-//     conservative; the *Locked name suffix marks caller-held locks).
 //   - keyflow:     secret key material never reaches a log, error,
 //     panic or trace sink, nor a variable-time comparison
 //     (interprocedural, through per-function facts).
-//   - lockorder:   the module's mutex classes are acquired in one
-//     canonical order; the lock graph is acyclic.
+//   - locks:       fields annotated "guarded by <mu>" are only touched
+//     by declarations that acquire that sibling mutex (the *Locked
+//     name suffix marks caller-held locks), and every nested mutex
+//     acquisition goes strictly up one rank table.
 package lint
 
 import (
@@ -43,10 +41,8 @@ import (
 
 // An Analyzer is one named check over the loaded module.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -only filters.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is a one-line description of the invariant enforced.
-	Doc string
 	// Run inspects the module behind pass and reports findings via
 	// pass.Reportf / pass.ReportAt. A returned error aborts the whole
 	// lint run (it means the analyzer itself failed, not that the code
@@ -66,11 +62,11 @@ func (d Diagnostic) String() string {
 }
 
 // A Pass carries the loaded module through one analyzer. A check that
-// needs one package at a time (cryptorand, ctxfirst, errsentinel,
-// guardedby) ranges over targetPackages; one that needs the whole
-// module (a secret key leaks through a helper in another package, a
-// lock cycle spans udptrans.Server and rekey.Server) computes over All
-// and reports in targets only.
+// needs one package at a time (cryptorand, errsentinel) ranges over
+// targetPackages; one that needs the whole module (a secret key leaks
+// through a helper in another package, a lock nesting spans
+// udptrans.Server and rekey.Server) computes over All and reports in
+// targets only.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -167,11 +163,9 @@ func (fb *FactBase) Get(obj types.Object, name string) (any, bool) {
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		Cryptorand,
-		CtxFirst,
 		ErrSentinel,
-		GuardedBy,
 		KeyFlow,
-		LockOrder,
+		Locks,
 	}
 }
 
@@ -209,7 +203,7 @@ func sortIgnores(entries []IgnoreEntry) {
 	})
 }
 
-// sortDiags orders findings by file, line, column, analyzer.
+// sortDiags orders findings by file, line, column, analyzer, message.
 func sortDiags(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -222,23 +216,16 @@ func sortDiags(diags []Diagnostic) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }
 
 // --- small shared type/AST helpers used by several analyzers ---
 
 var errorType = types.Universe.Lookup("error").Type()
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
 
 // unparen strips parentheses.
 func unparen(e ast.Expr) ast.Expr {

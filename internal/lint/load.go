@@ -50,7 +50,7 @@ type Loader struct {
 	// Order lists every module package this loader has type-checked, in
 	// completion order -- imports finish before their importers, so the
 	// slice is topologically sorted dependencies-first. Module analyses
-	// (keyflow's facts layer, the lockorder call graph) walk it to see
+	// (keyflow's facts layer, the locks call graph) walk it to see
 	// the whole module at once with per-package facts already computed.
 	Order []*Package
 

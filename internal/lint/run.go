@@ -39,10 +39,33 @@ type IgnoreEntry struct {
 // the overriding import path) and applies the analyzers, returning the
 // surviving diagnostics sorted by position. A pattern that matches no
 // packages is an error, not a silent pass -- a typo'd pattern must not
-// green a CI gate. The stale-ignore check only runs when the full
-// default suite is active (an ignore aimed at a filtered-out analyzer
-// is not stale).
+// green a CI gate. An ignore that suppresses nothing is always a
+// finding.
 func Run(loader *Loader, patterns []string, analyzers []*Analyzer) (*Result, error) {
+	var raw []Diagnostic
+	pass, err := newPass(loader, patterns, &raw)
+	if err != nil {
+		return nil, err
+	}
+	for _, a := range analyzers {
+		pass.Analyzer = a
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("lint: analyzer %s: %w", a.Name, err)
+		}
+	}
+
+	idx := newIgnoreIndex()
+	for _, pkg := range pass.targetPackages() {
+		idx.collect(loader.Fset, pkg.Files, &raw)
+	}
+	diags := append(idx.filter(raw), idx.stale()...)
+	sortDiags(diags)
+	return &Result{Diags: diags, Ignores: idx.sortedEntries()}, nil
+}
+
+// newPass loads the packages patterns match and returns a pass over
+// them that reports into diags.
+func newPass(loader *Loader, patterns []string, diags *[]Diagnostic) (*Pass, error) {
 	dirs, err := expandPatterns(loader.ModRoot, patterns)
 	if err != nil {
 		return nil, err
@@ -61,48 +84,14 @@ func Run(loader *Loader, patterns []string, analyzers []*Analyzer) (*Result, err
 			targets[pkg] = true
 		}
 	}
-
-	var raw []Diagnostic
-	pass := &Pass{
+	return &Pass{
 		Fset:    loader.Fset,
 		All:     loader.Order,
 		Targets: targets,
 		Graph:   BuildCallGraph(loader.Order),
 		Facts:   NewFactBase(),
-		diags:   &raw,
-	}
-	for _, a := range analyzers {
-		pass.Analyzer = a
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("lint: analyzer %s: %w", a.Name, err)
-		}
-	}
-
-	idx := newIgnoreIndex()
-	for _, pkg := range pass.targetPackages() {
-		idx.collect(loader.Fset, pkg.Files, &raw)
-	}
-	diags := idx.filter(raw)
-	if fullSuite(analyzers) {
-		diags = append(diags, idx.stale()...)
-	}
-	sortDiags(diags)
-	return &Result{Diags: diags, Ignores: idx.sortedEntries()}, nil
-}
-
-// fullSuite reports whether the run includes every default analyzer,
-// the precondition for calling an unused ignore stale.
-func fullSuite(analyzers []*Analyzer) bool {
-	have := make(map[string]bool)
-	for _, a := range analyzers {
-		have[a.Name] = true
-	}
-	for _, a := range DefaultAnalyzers() {
-		if !have[a.Name] {
-			return false
-		}
-	}
-	return true
+		diags:   diags,
+	}, nil
 }
 
 // --- suppression index ---

@@ -1,5 +1,6 @@
-// Fixture for guardedby: `// guarded by <mu>` fields are only touched
-// under that mutex, in *Locked helpers, or on freshly-built values.
+// Fixture for the locks analyzer's guards: `// guarded by <mu>` fields
+// are only touched under that very mutex, in *Locked helpers, or on
+// freshly-built values.
 package gb
 
 import "sync"
@@ -69,4 +70,25 @@ func (t *Two) Wrong() int {
 	t.bmu.Lock()
 	defer t.bmu.Unlock()
 	return t.a // want "a is guarded by amu"
+}
+
+// Other has a mutex of the same name as Box's.
+type Other struct {
+	mu sync.Mutex
+	n  int // guarded by mu
+}
+
+// IncUnder locks another type's mu: the guard names Box.mu itself, so
+// that satisfies nothing.
+func (b *Box) IncUnder(o *Other) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.n++
+	b.count++ // want "count is guarded by mu"
+}
+
+// Lost names a mutex the struct does not have.
+type Lost struct {
+	mu sync.Mutex
+	v  int // guarded by vmu // want "guarded by vmu names no sync.Mutex or sync.RWMutex field"
 }

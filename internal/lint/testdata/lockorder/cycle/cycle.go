@@ -1,6 +1,6 @@
-// Fixture: two lock classes acquired in both orders -- the canonical
-// deadlock shape. The lockorder analyzer must report the cycle at the
-// acquisition edges.
+// Fixture: two lock classes lockRanks does not list, acquired in both
+// orders -- the canonical deadlock shape. Only ranked classes may nest,
+// so each nesting is a finding on its own, and with them the cycle.
 package cycle
 
 import "sync"
@@ -18,13 +18,13 @@ type B struct {
 func (a *A) Forward() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.b.mu.Lock() // want "lock-order cycle"
+	a.b.mu.Lock() // want "acquires cycle.B.mu while holding cycle.A.mu; cycle.A.mu is unranked"
 	a.b.mu.Unlock()
 }
 
 func (b *B) Backward() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.a.mu.Lock() // want "lock-order cycle"
+	b.a.mu.Lock() // want "acquires cycle.A.mu while holding cycle.B.mu; cycle.B.mu is unranked"
 	b.a.mu.Unlock()
 }
