@@ -18,7 +18,6 @@ import (
 	rekey "repro"
 	"repro/internal/experiments"
 	"repro/internal/fec"
-	"repro/internal/gf256"
 	"repro/internal/keys"
 	"repro/internal/keytree"
 	"repro/internal/obs"
@@ -271,32 +270,6 @@ func BenchmarkMemberIngest(b *testing.B) {
 // large block.
 var benchPacketSizes = []int{64, 1027, 8192}
 
-// BenchmarkMulAddSlice measures the GF(2^8) fused multiply-accumulate
-// -- the inner loop of Reed-Solomon encoding -- for the dispatched
-// kernel (SSSE3 on amd64, nibble tables elsewhere) and the retained
-// scalar reference kernel. What the kernel is worth to a rekey interval
-// is fec.encode_ms_per_interval in bench/ (bench/README.md).
-func BenchmarkMulAddSlice(b *testing.B) {
-	for _, n := range benchPacketSizes {
-		src, dst := make([]byte, n), make([]byte, n)
-		for i := range src {
-			src[i] = byte(i*31 + 7)
-		}
-		b.Run(fmt.Sprintf("kernel/%dB", n), func(b *testing.B) {
-			b.SetBytes(int64(n))
-			for i := 0; i < b.N; i++ {
-				gf256.MulAddSlice(dst, src, 0x57)
-			}
-		})
-		b.Run(fmt.Sprintf("ref/%dB", n), func(b *testing.B) {
-			b.SetBytes(int64(n))
-			for i := 0; i < b.N; i++ {
-				gf256.RefMulAddSlice(dst, src, 0x57)
-			}
-		})
-	}
-}
-
 // BenchmarkFECEncode measures one-block parity generation with the
 // one-pass encoder across block sizes and packet lengths; bytes/op is
 // the data read per encode (k*plen), the paper's linear-in-k unit.
@@ -434,128 +407,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("live", func(b *testing.B) { run(b, obs.New(), true) })
 	if sink == 42 {
 		b.Log("unreachable; defeats dead-code elimination")
-	}
-}
-
-// benchTrees caches populated key trees per size so the parallel and
-// sequential ProcessBatch sub-benchmarks share one (deterministic)
-// build instead of paying the million-member population twice.
-var benchTrees = map[int]*keytree.Tree{}
-
-func benchTree(b *testing.B, n int) *keytree.Tree {
-	b.Helper()
-	if tr, ok := benchTrees[n]; ok {
-		return tr
-	}
-	tr := keytree.New(4, keys.NewDeterministicGenerator(uint64(n)))
-	joins := make([]keytree.Member, n)
-	for i := range joins {
-		joins[i] = keytree.Member(i)
-	}
-	if _, err := tr.ProcessBatch(joins, nil); err != nil {
-		b.Fatal(err)
-	}
-	benchTrees[n] = tr
-	return tr
-}
-
-// BenchmarkProcessBatch measures one leave-heavy batch (J=0, L=N/4) on
-// trees of 4096 and 2^20 members, for the parallel pipeline and the
-// retained sequential reference. This is the server-capacity unit of
-// DESIGN.md's Section 8 analysis at the paper's largest N; the
-// acceptance target is sub-second at N=2^20 on a multi-core host with
-// near-linear -cpu 1 -> 4 scaling, and >= 5x fewer allocations than
-// the sequential reference.
-func BenchmarkProcessBatch(b *testing.B) {
-	for _, n := range []int{4096, 1 << 20} {
-		for _, seq := range []bool{false, true} {
-			name := fmt.Sprintf("N=%d,J=0,L=N÷4", n)
-			if seq {
-				name += "/seq"
-			}
-			b.Run(name, func(b *testing.B) {
-				base := benchTree(b, n)
-				rng := rand.New(rand.NewPCG(uint64(n), 9))
-				perm := rng.Perm(n)[:n/4]
-				leaves := make([]keytree.Member, len(perm))
-				for i, p := range perm {
-					leaves[i] = keytree.Member(p)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					tr := base.Clone()
-					b.StartTimer()
-					var err error
-					if seq {
-						_, err = tr.ProcessBatchSeq(nil, leaves)
-					} else {
-						_, err = tr.ProcessBatch(nil, leaves)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFECDecode measures block reconstruction at the paper's
-// packet size for the best case (1 lost data packet) and the heavy
-// case (k/2 lost), for the missing-shard-only decoder and the
-// full-inverse reference. The interval-level counterpart is
-// fec.decode_us_per_block in bench/ (bench/README.md).
-func BenchmarkFECDecode(b *testing.B) {
-	const k, plen = 10, 1027
-	c, err := fec.NewCoder(k, k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(3, 3))
-	data := make([][]byte, k)
-	for i := range data {
-		data[i] = make([]byte, plen)
-		for j := range data[i] {
-			data[i][j] = byte(rng.Uint32())
-		}
-	}
-	parity, err := c.EncodeAll(data, 0, k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	shardsWithLoss := func(nLoss int) []fec.Shard {
-		var shards []fec.Shard
-		for j := nLoss; j < k; j++ {
-			shards = append(shards, fec.Shard{Index: j, Data: data[j]})
-		}
-		for i := 0; i < nLoss; i++ {
-			shards = append(shards, fec.Shard{Index: k + i, Data: parity[i]})
-		}
-		return shards
-	}
-	for _, nLoss := range []int{1, k / 2} {
-		shards := shardsWithLoss(nLoss)
-		out := make([][]byte, k)
-		b.Run(fmt.Sprintf("loss=%d", nLoss), func(b *testing.B) {
-			b.SetBytes(int64(k * plen))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := c.DecodeInto(out, shards); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("loss=%d/ref", nLoss), func(b *testing.B) {
-			b.SetBytes(int64(k * plen))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.RefDecode(shards); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

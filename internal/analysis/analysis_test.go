@@ -71,7 +71,7 @@ func TestClosedFormMatchesMarkingAlgorithm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := keytree.New(d, keys.NewDeterministicGenerator(uint64(tc.N*tc.L)), keytree.WithLite(true))
+		tr := keytree.New(d, keys.NewDeterministicGenerator(uint64(tc.N*tc.L)))
 		joins := make([]keytree.Member, tc.N)
 		for i := range joins {
 			joins[i] = keytree.Member(i)
@@ -110,7 +110,7 @@ func TestUpdatedKNodesMatchesMarking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := keytree.New(d, keys.NewDeterministicGenerator(5), keytree.WithLite(true))
+	tr := keytree.New(d, keys.NewDeterministicGenerator(5))
 	joins := make([]keytree.Member, N)
 	for i := range joins {
 		joins[i] = keytree.Member(i)

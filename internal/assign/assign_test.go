@@ -79,9 +79,9 @@ func TestUserEncryptionsAllInItsPacket(t *testing.T) {
 			inPkt[id] = true
 		}
 		for _, u := range pp.Users {
-			for _, need := range res.UserNeedIDs(u) {
-				if !inPkt[need] {
-					t.Fatalf("user %d's encryption %d missing from its packet", u, need)
+			for _, need := range res.UserNeeds(u) {
+				if !inPkt[need.ID] {
+					t.Fatalf("user %d's encryption %d missing from its packet", u, need.ID)
 				}
 			}
 		}

@@ -29,31 +29,23 @@ func BuildBaseline(res *keytree.BatchResult, capacity int) (*BaselinePlan, error
 		return nil, fmt.Errorf("assign: capacity %d, must be positive", capacity)
 	}
 	plan := &BaselinePlan{UserPackets: make(map[int][]int)}
-	where := make(map[uint32]int, len(res.Encryptions))
-	var cur []uint32
-	for _, e := range res.Encryptions {
-		if len(cur) == capacity {
-			plan.Packets = append(plan.Packets, cur)
-			cur = nil
+	for i := 0; i < len(res.Encryptions); i += capacity {
+		encs := res.Encryptions[i:min(i+capacity, len(res.Encryptions))]
+		pkt := make([]uint32, len(encs))
+		for j, e := range encs {
+			pkt[j] = e.ID
 		}
-		where[e.ID] = len(plan.Packets)
-		cur = append(cur, e.ID)
+		plan.Packets = append(plan.Packets, pkt)
 	}
-	if len(cur) > 0 {
-		plan.Packets = append(plan.Packets, cur)
-	}
-	var needs []uint32
+	// Encryption i sits in packet i/capacity. A user's needs run bottom-up
+	// and Encryptions deepest level first, so its packets come ascending
+	// and a repeat is always the last one recorded.
+	w := res.Walker()
 	for _, u := range res.UserIDs {
-		seen := map[int]bool{}
-		needs = res.AppendUserNeedIDs(needs[:0], u)
-		for _, id := range needs {
-			pi, ok := where[id]
-			if !ok {
-				return nil, fmt.Errorf("assign: encryption %d missing from baseline plan", id)
-			}
-			if !seen[pi] {
-				seen[pi] = true
-				plan.UserPackets[u] = append(plan.UserPackets[u], pi)
+		for _, i := range w.Needs(u) {
+			pi := int(i) / capacity
+			if ps := plan.UserPackets[u]; len(ps) == 0 || ps[len(ps)-1] != pi {
+				plan.UserPackets[u] = append(ps, pi)
 			}
 		}
 	}

@@ -34,9 +34,9 @@ func TestBaselineUserPacketsSufficient(t *testing.T) {
 				inPkts[id] = true
 			}
 		}
-		for _, need := range res.UserNeedIDs(u) {
-			if !inPkts[need] {
-				t.Fatalf("user %d: encryption %d not covered by its packets", u, need)
+		for _, need := range res.UserNeeds(u) {
+			if !inPkts[need.ID] {
+				t.Fatalf("user %d: encryption %d not covered by its packets", u, need.ID)
 			}
 		}
 	}

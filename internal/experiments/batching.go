@@ -81,7 +81,7 @@ func runBatchVsIndividual(o Options) ([]*stats.Figure, error) {
 
 			// Individual: same membership change as 2L single-request
 			// batches on a live tree.
-			tr := keytree.New(4, keys.NewDeterministicGenerator(seed^0x1d1), keytree.WithLite(true))
+			tr := keytree.New(4, keys.NewDeterministicGenerator(seed^0x1d1))
 			joins := make([]keytree.Member, n)
 			for i := range joins {
 				joins[i] = keytree.Member(i)

@@ -14,6 +14,7 @@ import (
 	rekey "repro"
 	"repro/internal/netsim"
 	"repro/internal/stats"
+	"repro/internal/tuning"
 	"repro/internal/vsim"
 	"repro/internal/workload"
 )
@@ -125,19 +126,11 @@ type transportConfig struct {
 	sequential bool
 }
 
+// fill takes every unset knob from tuning's defaults, the one place
+// the paper's k, rho, numNACK and maxNACK are written down.
 func (tc transportConfig) fill() transportConfig {
-	if tc.K == 0 {
-		tc.K = 10
-	}
-	if tc.Rho == 0 {
-		tc.Rho = 1
-	}
-	if tc.NumNACK == 0 {
-		tc.NumNACK = 20
-	}
-	if tc.MaxNACK == 0 {
-		tc.MaxNACK = 100
-	}
+	t := tuning.Tuning{K: tc.K, InitialRho: tc.Rho, NumNACK: tc.NumNACK, MaxNACK: tc.MaxNACK}.WithDefaults()
+	tc.K, tc.Rho, tc.NumNACK, tc.MaxNACK = t.K, t.InitialRho, t.NumNACK, t.MaxNACK
 	return tc
 }
 

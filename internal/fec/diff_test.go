@@ -10,7 +10,7 @@ import (
 )
 
 // TestDecodeIntoMatchesRefDecode drives the missing-shard-only decoder
-// and the retained full-inverse reference over randomized loss
+// and the full-inverse refDecode over randomized loss
 // patterns, shard orders and duplicate deliveries; the reconstructed
 // data must be identical bytes.
 func TestDecodeIntoMatchesRefDecode(t *testing.T) {
@@ -55,8 +55,8 @@ func TestDecodeIntoMatchesRefDecode(t *testing.T) {
 				}
 				rng.Shuffle(len(shards), func(i, j int) { shards[i], shards[j] = shards[j], shards[i] })
 
-				got, errNew := c.Decode(shards)
-				ref, errRef := c.RefDecode(shards)
+				got, errNew := decode(c, shards)
+				ref, errRef := refDecode(c, shards)
 				if errNew != nil || errRef != nil {
 					t.Fatalf("trial %d: decode errors: new=%v ref=%v", trial, errNew, errRef)
 				}
@@ -160,7 +160,7 @@ func TestDecodeMatrixCache(t *testing.T) {
 		for i := range lost {
 			shards = append(shards, Shard{Index: k + i, Data: parity[i]})
 		}
-		got, err := c.Decode(shards)
+		got, err := decode(c, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,5 +203,51 @@ func TestInvCacheEviction(t *testing.T) {
 	}
 	if _, ok := ic.m[fmt.Sprintf("p%03d", invCacheCap+4)]; !ok {
 		t.Error("newest entry missing")
+	}
+}
+
+// BenchmarkFECDecode measures block reconstruction at the paper's
+// packet size for the best case (1 lost data packet) and the heavy
+// case (k/2 lost), for DecodeInto and, under /ref, the full-inverse
+// reference. The interval-level counterpart is fec.decode_us_per_block
+// in bench/ (bench/README.md).
+func BenchmarkFECDecode(b *testing.B) {
+	const k, plen = 10, 1027
+	c, err := NewCoder(k, k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := randBlock(rand.New(rand.NewPCG(3, 3)), k, plen)
+	parity, err := c.EncodeAll(data, 0, k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, nLoss := range []int{1, k / 2} {
+		var shards []Shard
+		for j := nLoss; j < k; j++ {
+			shards = append(shards, Shard{Index: j, Data: data[j]})
+		}
+		for i := 0; i < nLoss; i++ {
+			shards = append(shards, Shard{Index: k + i, Data: parity[i]})
+		}
+		out := make([][]byte, k)
+		b.Run(fmt.Sprintf("loss=%d", nLoss), func(b *testing.B) {
+			b.SetBytes(int64(k * plen))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.DecodeInto(out, shards); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("loss=%d/ref", nLoss), func(b *testing.B) {
+			b.SetBytes(int64(k * plen))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := refDecode(c, shards); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

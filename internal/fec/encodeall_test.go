@@ -8,7 +8,7 @@ import (
 
 // TestEncodeAllMatchesEncode is the differential test for the one-pass
 // encoder: for a sweep of (k, parity window, packet length) it must
-// produce byte-identical output to the row-at-a-time Encode path.
+// produce byte-identical output to the row-at-a-time refEncode.
 func TestEncodeAllMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	for _, k := range []int{1, 2, 5, 10, 20, 50} {
@@ -20,9 +20,9 @@ func TestEncodeAllMatchesEncode(t *testing.T) {
 			data := randBlock(rng, k, plen)
 			for _, win := range [][2]int{{0, 0}, {0, 1}, {0, k}, {1, k}, {3, k - 1}, {0, k + 3}} {
 				first, n := win[0], win[1]
-				want, err := c.Encode(data, first, n)
+				want, err := refEncode(c, data, first, n)
 				if err != nil {
-					t.Fatalf("Encode(k=%d, first=%d, n=%d): %v", k, first, n, err)
+					t.Fatalf("refEncode(k=%d, first=%d, n=%d): %v", k, first, n, err)
 				}
 				got, err := c.EncodeAll(data, first, n)
 				if err != nil {

@@ -3,7 +3,7 @@
 // PARITY packets for each block of ENC packets.
 //
 // A Coder is configured with a block size k (number of data packets).
-// Encode produces any number m of parity packets (k+m <= 256); a receiver
+// EncodeAll produces any number m of parity packets (k+m <= 256); a receiver
 // holding ANY k of the k+m packets of a block reconstructs the k data
 // packets. This is the same maximum-distance-separable property as
 // L. Rizzo's Vandermonde-based codec used by the paper; we derive parity
@@ -96,52 +96,17 @@ func (c *Coder) K() int { return c.k }
 // produce for one block.
 func (c *Coder) MaxParity() int { return len(c.rows) }
 
-// ErrShortBlock is returned by Decode when fewer than k packets of the
-// block are available.
+// ErrShortBlock is returned by DecodeInto when fewer than k packets of
+// the block are available.
 var ErrShortBlock = errors.New("fec: fewer than k packets available")
-
-// Parity computes parity packet number idx (0-based) for the given data
-// packets. All data packets must have equal length; the result has the
-// same length. Parity indices are stable: packet idx is the same bytes
-// regardless of how many other parity packets are generated, so the
-// server can generate additional parity packets in later rounds without
-// re-encoding earlier ones.
-func (c *Coder) Parity(data [][]byte, idx int) ([]byte, error) {
-	if err := c.checkData(data); err != nil {
-		return nil, err
-	}
-	if idx < 0 || idx >= len(c.rows) {
-		return nil, fmt.Errorf("fec: parity index %d out of range [0,%d)", idx, len(c.rows))
-	}
-	out := make([]byte, len(data[0]))
-	row := c.rows[idx]
-	for j, d := range data {
-		gf256.MulAddSlice(out, d, row[j])
-	}
-	return out, nil
-}
-
-// Encode computes parity packets [first, first+n) for the block, one
-// row at a time. It is the simple serial path; EncodeAll produces the
-// same bytes with better locality and fewer allocations.
-func (c *Coder) Encode(data [][]byte, first, n int) ([][]byte, error) {
-	out := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		p, err := c.Parity(data, first+i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
 
 // EncodeAll computes parity packets [first, first+n) for the block in
 // one pass over the data: each data packet is loaded once and
 // accumulated into every parity row while it is hot in cache, instead
-// of re-walking all k data packets per parity row as Encode does. The
-// n outputs share one row-major allocation. The bytes produced are
-// identical to Encode's (parity indices are stable).
+// of re-walking all k data packets per parity row. The n outputs share
+// one row-major allocation. Parity indices are stable: packet i is the
+// same bytes whatever window it is computed in, so the server can send
+// fresh parity in later rounds without re-encoding earlier ones.
 func (c *Coder) EncodeAll(data [][]byte, first, n int) ([][]byte, error) {
 	if err := c.checkData(data); err != nil {
 		return nil, err
@@ -191,17 +156,6 @@ type Shard struct {
 	Data  []byte
 }
 
-// Decode reconstructs the k data packets of a block from any k received
-// shards. Extra shards beyond k are ignored. It returns ErrShortBlock if
-// fewer than k distinct shard indices are present.
-func (c *Coder) Decode(shards []Shard) ([][]byte, error) {
-	out := make([][]byte, c.k)
-	if err := c.DecodeInto(out, shards); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // shardMask tracks which of the up-to-256 shard indices have been seen;
 // the per-call map the old decoder built for this dominated its small-
 // loss profile.
@@ -216,8 +170,10 @@ func (m *shardMask) testAndSet(i int) bool {
 	return false
 }
 
-// DecodeInto is Decode writing the k reconstructed data packets into
-// out, which must have length k. Non-nil entries with sufficient
+// DecodeInto reconstructs the k data packets of a block from any k
+// received shards into out, which must have length k. Extra shards
+// beyond k and duplicates are ignored; fewer than k distinct shard
+// indices return ErrShortBlock. Non-nil entries with sufficient
 // capacity are reused in place (a receiver draining many blocks can
 // recycle one buffer set); short or nil entries are allocated.
 //
@@ -225,7 +181,7 @@ func (m *shardMask) testAndSet(i int) bool {
 // every data packet, DecodeInto substitutes the data shards that
 // arrived and solves only for the missing ones: with m losses it
 // inverts an m x m system and does O(m*k) slice operations of plen
-// bytes, against the reference decoder's O(k^2). Solved coefficient
+// bytes, against a full k x k inverse's O(k^2). Solved coefficient
 // matrices are cached per loss pattern (see invCache).
 func (c *Coder) DecodeInto(out [][]byte, shards []Shard) error {
 	k := c.k
@@ -474,86 +430,4 @@ func (ic *invCache) put(key string, coef *gf256.Matrix) {
 	}
 	ic.m[key] = coef
 	ic.order = append(ic.order, key)
-}
-
-// RefDecode is the retained full-inverse reference decoder: it picks k
-// shards (data first, in input order), builds the k x k decode matrix,
-// inverts it, and multiplies every row -- O(k^2) slice operations and
-// a fresh inversion per call. Differential tests and the decode
-// benchmarks compare DecodeInto against it; production callers use
-// Decode/DecodeInto.
-func (c *Coder) RefDecode(shards []Shard) ([][]byte, error) {
-	k := c.k
-	// Select k shards with distinct indices, preferring data shards
-	// (identity rows keep the decode matrix well-conditioned and cheap).
-	seen := make(map[int]bool, len(shards))
-	picked := make([]Shard, 0, k)
-	for _, s := range shards {
-		if s.Index >= 0 && s.Index < k && !seen[s.Index] {
-			seen[s.Index] = true
-			picked = append(picked, s)
-		}
-	}
-	for _, s := range shards {
-		if len(picked) == k {
-			break
-		}
-		if s.Index >= k && s.Index < k+len(c.rows) && !seen[s.Index] {
-			seen[s.Index] = true
-			picked = append(picked, s)
-		}
-	}
-	if len(picked) < k {
-		return nil, ErrShortBlock
-	}
-	var plen = len(picked[0].Data)
-	for _, s := range picked {
-		if len(s.Data) != plen {
-			return nil, fmt.Errorf("fec: shard %d has length %d, want %d", s.Index, len(s.Data), plen)
-		}
-	}
-
-	// Fast path: all k data shards present.
-	allData := true
-	for _, s := range picked {
-		if s.Index >= k {
-			allData = false
-			break
-		}
-	}
-	out := make([][]byte, k)
-	if allData {
-		for _, s := range picked {
-			out[s.Index] = append([]byte(nil), s.Data...)
-		}
-		return out, nil
-	}
-
-	// Build the k x k decode matrix whose row r is the generator row of
-	// shard picked[r], invert it, and multiply by the received payloads.
-	m := gf256.NewMatrix(k, k)
-	for r, s := range picked {
-		if s.Index < k {
-			m.Set(r, s.Index, 1)
-		} else {
-			copy(m.Row(r), c.rows[s.Index-k])
-		}
-	}
-	inv, ok := m.Invert()
-	if !ok {
-		// Cannot happen for a Cauchy code with distinct indices; guard
-		// anyway so corrupted indices fail loudly rather than silently.
-		return nil, errors.New("fec: decode matrix singular")
-	}
-	for i := 0; i < k; i++ {
-		row := inv.Row(i)
-		d := make([]byte, plen)
-		for r, coef := range row {
-			if coef != 0 {
-				gf256.MulAddSlice(d, picked[r].Data, coef)
-			}
-		}
-		out[i] = d
-	}
-	return out, nil
 }

@@ -47,11 +47,11 @@ func TestParityStableAcrossRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := c.Encode(data, 0, 5)
+	first, err := c.EncodeAll(data, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := c.Encode(data, 0, 40)
+	again, err := c.EncodeAll(data, 0, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestDecodeAllData(t *testing.T) {
 	for i := range shards {
 		shards[i] = Shard{Index: i, Data: data[i]}
 	}
-	got, err := c.Decode(shards)
+	got, err := decode(c, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDecodeWithErasures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parity, err := c.Encode(data, 0, k)
+		parity, err := c.EncodeAll(data, 0, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestDecodeWithErasures(t *testing.T) {
 			for i := 0; i < e; i++ {
 				shards = append(shards, Shard{Index: k + i, Data: parity[i]})
 			}
-			got, err := c.Decode(shards)
+			got, err := decode(c, shards)
 			if err != nil {
 				t.Fatalf("k=%d e=%d: %v", k, e, err)
 			}
@@ -122,7 +122,7 @@ func TestDecodeRandomErasurePatterns(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	data := randBlock(rng, k, plen)
 	c, _ := NewCoder(k, m)
-	parity, _ := c.Encode(data, 0, m)
+	parity, _ := c.EncodeAll(data, 0, m)
 	all := make([]Shard, 0, k+m)
 	for i := range data {
 		all = append(all, Shard{Index: i, Data: data[i]})
@@ -137,7 +137,7 @@ func TestDecodeRandomErasurePatterns(t *testing.T) {
 		for _, idx := range perm[:keep] {
 			shards = append(shards, all[idx])
 		}
-		got, err := c.Decode(shards)
+		got, err := decode(c, shards)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -157,7 +157,7 @@ func TestDecodeShortBlock(t *testing.T) {
 		{Index: 1, Data: data[1]},
 		{Index: 0, Data: data[0]}, // duplicate must not count twice
 	}
-	if _, err := c.Decode(shards); !errors.Is(err, ErrShortBlock) {
+	if _, err := decode(c, shards); !errors.Is(err, ErrShortBlock) {
 		t.Fatalf("got %v, want ErrShortBlock", err)
 	}
 }
@@ -167,7 +167,7 @@ func TestDecodeIgnoresDuplicatesAndExtra(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	data := randBlock(rng, k, 32)
 	c, _ := NewCoder(k, 4)
-	parity, _ := c.Encode(data, 0, 4)
+	parity, _ := c.EncodeAll(data, 0, 4)
 	shards := []Shard{
 		{Index: k, Data: parity[0]},
 		{Index: k, Data: parity[0]},
@@ -177,7 +177,7 @@ func TestDecodeIgnoresDuplicatesAndExtra(t *testing.T) {
 		{Index: k + 2, Data: parity[2]},
 		{Index: k + 3, Data: parity[3]},
 	}
-	got, err := c.Decode(shards)
+	got, err := decode(c, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,18 +191,18 @@ func TestDecodeIgnoresDuplicatesAndExtra(t *testing.T) {
 func TestEncodeRejectsBadInput(t *testing.T) {
 	c, _ := NewCoder(3, 3)
 	short := [][]byte{{1}, {2}}
-	if _, err := c.Encode(short, 0, 1); err == nil {
+	if _, err := c.EncodeAll(short, 0, 1); err == nil {
 		t.Error("wrong shard count accepted")
 	}
 	uneven := [][]byte{{1, 2}, {3}, {4, 5}}
-	if _, err := c.Encode(uneven, 0, 1); err == nil {
+	if _, err := c.EncodeAll(uneven, 0, 1); err == nil {
 		t.Error("uneven lengths accepted")
 	}
 	ok := [][]byte{{1}, {2}, {3}}
-	if _, err := c.Parity(ok, 3); err == nil {
+	if _, err := c.EncodeAll(ok, 3, 1); err == nil {
 		t.Error("parity index out of range accepted")
 	}
-	if _, err := c.Parity(ok, -1); err == nil {
+	if _, err := c.EncodeAll(ok, -1, 1); err == nil {
 		t.Error("negative parity index accepted")
 	}
 }
@@ -213,13 +213,13 @@ func TestDecodeRejectsUnevenShardLengths(t *testing.T) {
 		{Index: 0, Data: []byte{1, 2}},
 		{Index: 1, Data: []byte{3}},
 	}
-	if _, err := c.Decode(shards); err == nil {
+	if _, err := decode(c, shards); err == nil {
 		t.Error("uneven shard lengths accepted")
 	}
 }
 
 // Property: for random payloads, block sizes, and loss patterns that keep
-// at least k shards, Decode inverts Encode.
+// at least k shards, DecodeInto inverts EncodeAll.
 func TestQuickEncodeDecode(t *testing.T) {
 	f := func(seed uint64, kRaw, plenRaw uint8) bool {
 		k := int(kRaw)%16 + 1
@@ -230,7 +230,7 @@ func TestQuickEncodeDecode(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		parity, err := c.Encode(data, 0, k)
+		parity, err := c.EncodeAll(data, 0, k)
 		if err != nil {
 			return false
 		}
@@ -246,7 +246,7 @@ func TestQuickEncodeDecode(t *testing.T) {
 		for _, idx := range perm[:k] {
 			shards = append(shards, all[idx])
 		}
-		got, err := c.Decode(shards)
+		got, err := decode(c, shards)
 		if err != nil {
 			return false
 		}
@@ -273,7 +273,7 @@ func benchEncode(b *testing.B, k int) {
 	b.SetBytes(int64(plen))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Parity(data, i%k); err != nil {
+		if _, err := c.EncodeAll(data, i%k, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -292,14 +292,15 @@ func BenchmarkFECDecodeK10AllParity(b *testing.B) {
 	rng := rand.New(rand.NewPCG(2, 3))
 	data := randBlock(rng, k, plen)
 	c, _ := NewCoder(k, k)
-	parity, _ := c.Encode(data, 0, k)
+	parity, _ := c.EncodeAll(data, 0, k)
 	shards := make([]Shard, k)
 	for i := range shards {
 		shards[i] = Shard{Index: k + i, Data: parity[i]}
 	}
+	out := make([][]byte, k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decode(shards); err != nil {
+		if err := c.DecodeInto(out, shards); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,9 +8,9 @@ import (
 
 // FuzzFECDecode drives the MDS property from fuzzer-chosen parameters:
 // derive (k, m, packet length, shard subset) from the input, encode a
-// block, hand Decode an arbitrary k-sized mixture of data and parity
+// block, hand DecodeInto an arbitrary k-sized mixture of data and parity
 // shards, and require exact reconstruction. It then corrupts shard
-// indices and requires Decode to fail loudly (error), never to return
+// indices and requires DecodeInto to fail loudly (error), never to return
 // success with wrong data.
 func FuzzFECDecode(f *testing.F) {
 	f.Add(uint8(10), uint8(5), uint16(64), uint64(1))
@@ -49,9 +49,9 @@ func FuzzFECDecode(f *testing.F) {
 				shards = append(shards, Shard{Index: idx, Data: parity[idx-k]})
 			}
 		}
-		got, err := c.Decode(shards)
+		got, err := decode(c, shards)
 		if err != nil {
-			t.Fatalf("Decode of %d valid shards (k=%d, m=%d): %v", len(shards), k, m, err)
+			t.Fatalf("DecodeInto of %d valid shards (k=%d, m=%d): %v", len(shards), k, m, err)
 		}
 		for i := range data {
 			if !bytes.Equal(got[i], data[i]) {
@@ -61,7 +61,7 @@ func FuzzFECDecode(f *testing.F) {
 
 		// Corrupt one shard's index so the set no longer holds k distinct
 		// valid indices: duplicate another shard's index, or push it out
-		// of range. Decode must return an error, not wrong data.
+		// of range. DecodeInto must return an error, not wrong data.
 		bad := make([]Shard, len(shards))
 		copy(bad, shards)
 		victim := rng.IntN(len(bad))
@@ -70,13 +70,13 @@ func FuzzFECDecode(f *testing.F) {
 		} else {
 			bad[victim].Index = k + m + rng.IntN(8)
 		}
-		if _, err := c.Decode(bad); err == nil {
-			t.Fatalf("Decode accepted a corrupted shard index set (k=%d, m=%d)", k, m)
+		if _, err := decode(c, bad); err == nil {
+			t.Fatalf("DecodeInto accepted a corrupted shard index set (k=%d, m=%d)", k, m)
 		}
 	})
 }
 
-// FuzzDecodeShardSoup feeds Decode arbitrary shard index/length
+// FuzzDecodeShardSoup feeds DecodeInto arbitrary shard index/length
 // combinations: it must never panic, and any successful decode under a
 // consistent shard set must round-trip through re-encoding.
 func FuzzDecodeShardSoup(f *testing.F) {
@@ -104,6 +104,6 @@ func FuzzDecodeShardSoup(f *testing.F) {
 			shards = append(shards, Shard{Index: int(b) - 3, Data: payload})
 		}
 		// Must not panic; errors are fine.
-		c.Decode(shards)
+		decode(c, shards)
 	})
 }

@@ -16,9 +16,9 @@
 // branch with two branch-free lookups into 16-entry tables that stay
 // resident in L1. On amd64 the same pair of 16-entry tables drives an
 // SSSE3 PSHUFB kernel that performs the two nibble lookups for 16
-// bytes per instruction pair. The original scalar kernels are retained
-// as RefMulSlice/RefMulAddSlice, the reference implementations the
-// differential tests compare against.
+// bytes per instruction pair. The original scalar log/exp kernels live
+// on in the package's tests, as the reference the differential tests
+// and the kernel fuzzer compare every path against.
 package gf256
 
 // Order is the number of elements in GF(2^8).
@@ -224,57 +224,6 @@ func mulAddGeneric(dst, src []byte, c byte) {
 	for ; i < len(src); i++ {
 		s := src[i]
 		dst[i] ^= lo[s&0xf] ^ hi[s>>4]
-	}
-}
-
-// RefMulSlice is the original byte-at-a-time log/exp kernel, retained
-// as the reference implementation for differential testing of
-// MulSlice. Semantics are identical.
-func RefMulSlice(dst, src []byte, c byte) {
-	if len(dst) != len(src) {
-		panic("gf256: RefMulSlice length mismatch")
-	}
-	if c == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	if c == 1 {
-		copy(dst, src)
-		return
-	}
-	lc := logTbl[c]
-	for i, s := range src {
-		if s == 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = expTbl[lc+logTbl[s]]
-		}
-	}
-}
-
-// RefMulAddSlice is the original byte-at-a-time log/exp kernel,
-// retained as the reference implementation for differential testing of
-// MulAddSlice. Semantics are identical.
-func RefMulAddSlice(dst, src []byte, c byte) {
-	if len(dst) != len(src) {
-		panic("gf256: RefMulAddSlice length mismatch")
-	}
-	if c == 0 {
-		return
-	}
-	if c == 1 {
-		for i, s := range src {
-			dst[i] ^= s
-		}
-		return
-	}
-	lc := logTbl[c]
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= expTbl[lc+logTbl[s]]
-		}
 	}
 }
 

@@ -1,8 +1,8 @@
 package gf256
 
 // Differential tests for the table-driven vector kernels: the nibble
-// split-table MulSlice/MulAddSlice must match the retained scalar
-// reference kernels (RefMulSlice/RefMulAddSlice) byte for byte on
+// split-table MulSlice/MulAddSlice must match the scalar reference
+// kernels (refMulSlice/refMulAddSlice, ref_test.go) byte for byte on
 // every coefficient, on lengths around the 8-byte unroll boundary, on
 // large packets, and on unaligned sub-slices.
 
@@ -33,7 +33,7 @@ func TestMulSliceMatchesRefAllCoefficients(t *testing.T) {
 		want := make([]byte, n)
 		for c := 0; c < Order; c++ {
 			MulSlice(got, src, byte(c))
-			RefMulSlice(want, src, byte(c))
+			refMulSlice(want, src, byte(c))
 			if !bytes.Equal(got, want) {
 				t.Fatalf("MulSlice(len=%d, c=%d) diverges from reference", n, c)
 			}
@@ -52,7 +52,7 @@ func TestMulAddSliceMatchesRefAllCoefficients(t *testing.T) {
 			copy(got, init)
 			copy(want, init)
 			MulAddSlice(got, src, byte(c))
-			RefMulAddSlice(want, src, byte(c))
+			refMulAddSlice(want, src, byte(c))
 			if !bytes.Equal(got, want) {
 				t.Fatalf("MulAddSlice(len=%d, c=%d) diverges from reference", n, c)
 			}
@@ -76,7 +76,7 @@ func TestKernelsUnalignedTails(t *testing.T) {
 		got := make([]byte, n)
 		want := make([]byte, n)
 		MulSlice(got, src, c)
-		RefMulSlice(want, src, c)
+		refMulSlice(want, src, c)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("MulSlice off=%d len=%d c=%d diverges", off, n, c)
 		}
@@ -84,7 +84,7 @@ func TestKernelsUnalignedTails(t *testing.T) {
 		copy(got, acc[off:off+n])
 		copy(want, acc[off:off+n])
 		MulAddSlice(got, src, c)
-		RefMulAddSlice(want, src, c)
+		refMulAddSlice(want, src, c)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("MulAddSlice off=%d len=%d c=%d diverges", off, n, c)
 		}
@@ -106,14 +106,14 @@ func TestGenericKernelsMatchRef(t *testing.T) {
 			// The generic kernels are documented correct for every c,
 			// including the 0 and 1 the wrappers shortcut.
 			mulGeneric(got, src, byte(c))
-			RefMulSlice(want, src, byte(c))
+			refMulSlice(want, src, byte(c))
 			if !bytes.Equal(got, want) {
 				t.Fatalf("mulGeneric(len=%d, c=%d) diverges from reference", n, c)
 			}
 			copy(got, init)
 			copy(want, init)
 			mulAddGeneric(got, src, byte(c))
-			RefMulAddSlice(want, src, byte(c))
+			refMulAddSlice(want, src, byte(c))
 			if !bytes.Equal(got, want) {
 				t.Fatalf("mulAddGeneric(len=%d, c=%d) diverges from reference", n, c)
 			}
@@ -129,7 +129,7 @@ func TestMulSliceAliased(t *testing.T) {
 		for _, c := range []byte{0, 1, 2, 0x1d, 0xff} {
 			orig := randBytes(rng, n)
 			want := make([]byte, n)
-			RefMulSlice(want, orig, c)
+			refMulSlice(want, orig, c)
 			inPlace := append([]byte(nil), orig...)
 			MulSlice(inPlace, inPlace, c)
 			if !bytes.Equal(inPlace, want) {
@@ -159,8 +159,8 @@ func TestMulAddSliceAgainstScalarMul(t *testing.T) {
 
 func TestRefKernelLengthMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"RefMulSlice":    func() { RefMulSlice(make([]byte, 2), make([]byte, 3), 1) },
-		"RefMulAddSlice": func() { RefMulAddSlice(make([]byte, 2), make([]byte, 3), 1) },
+		"refMulSlice":    func() { refMulSlice(make([]byte, 2), make([]byte, 3), 1) },
+		"refMulAddSlice": func() { refMulAddSlice(make([]byte, 2), make([]byte, 3), 1) },
 		"MulAddSlice":    func() { MulAddSlice(make([]byte, 2), make([]byte, 3), 1) },
 	} {
 		func() {
@@ -200,35 +200,28 @@ func TestExpFullDomain(t *testing.T) {
 	}
 }
 
-func BenchmarkMulAddSliceTable(b *testing.B) {
+// BenchmarkMulAddSlice measures the fused multiply-accumulate -- the
+// inner loop of Reed-Solomon encoding -- for the dispatched kernel
+// (SSSE3 on amd64, nibble tables elsewhere) and the scalar reference.
+// What the kernel is worth to a rekey interval is
+// fec.encode_ms_per_interval in bench/ (bench/README.md).
+func BenchmarkMulAddSlice(b *testing.B) {
 	for _, n := range []int{64, 1027, 8192} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			src, dst := make([]byte, n), make([]byte, n)
-			for i := range src {
-				src[i] = byte(i)
-			}
-			b.SetBytes(int64(n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MulAddSlice(dst, src, 0x57)
-			}
-		})
-	}
-}
-
-func BenchmarkMulAddSliceRef(b *testing.B) {
-	for _, n := range []int{64, 1027, 8192} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			src, dst := make([]byte, n), make([]byte, n)
-			for i := range src {
-				src[i] = byte(i)
-			}
-			b.SetBytes(int64(n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				RefMulAddSlice(dst, src, 0x57)
-			}
-		})
+		src, dst := make([]byte, n), make([]byte, n)
+		for i := range src {
+			src[i] = byte(i*31 + 7)
+		}
+		for _, k := range []struct {
+			name string
+			fn   func(dst, src []byte, c byte)
+		}{{"kernel", MulAddSlice}, {"ref", refMulAddSlice}} {
+			b.Run(k.name+"/"+sizeName(n), func(b *testing.B) {
+				b.SetBytes(int64(n))
+				for i := 0; i < b.N; i++ {
+					k.fn(dst, src, 0x57)
+				}
+			})
+		}
 	}
 }
 

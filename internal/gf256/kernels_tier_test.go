@@ -47,14 +47,14 @@ func TestAllKernelTiersMatchRefAllCoefficients(t *testing.T) {
 			want := make([]byte, n)
 			for c := 0; c < Order; c++ {
 				p.mul(got, src, byte(c))
-				RefMulSlice(want, src, byte(c))
+				refMulSlice(want, src, byte(c))
 				if !bytes.Equal(got, want) {
 					t.Fatalf("%s mul(len=%d, c=%d) diverges from reference", p.name, n, c)
 				}
 				copy(got, init)
 				copy(want, init)
 				p.mulAdd(got, src, byte(c))
-				RefMulAddSlice(want, src, byte(c))
+				refMulAddSlice(want, src, byte(c))
 				if !bytes.Equal(got, want) {
 					t.Fatalf("%s mulAdd(len=%d, c=%d) diverges from reference", p.name, n, c)
 				}
@@ -77,7 +77,7 @@ func TestAllKernelTiersUnalignedTails(t *testing.T) {
 			got := make([]byte, n)
 			want := make([]byte, n)
 			p.mul(got, src, c)
-			RefMulSlice(want, src, c)
+			refMulSlice(want, src, c)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s mul off=%d len=%d c=%d diverges", p.name, off, n, c)
 			}
@@ -85,7 +85,7 @@ func TestAllKernelTiersUnalignedTails(t *testing.T) {
 			copy(got, acc[off:off+n])
 			copy(want, acc[off:off+n])
 			p.mulAdd(got, src, c)
-			RefMulAddSlice(want, src, c)
+			refMulAddSlice(want, src, c)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s mulAdd off=%d len=%d c=%d diverges", p.name, off, n, c)
 			}
@@ -122,9 +122,9 @@ func FuzzKernelPathsMatchRef(f *testing.F) {
 		span := src[o:]
 		want := make([]byte, len(span))
 		wantAdd := make([]byte, len(span))
-		RefMulSlice(want, span, c)
+		refMulSlice(want, span, c)
 		copy(wantAdd, src[:len(span)])
-		RefMulAddSlice(wantAdd, span, c)
+		refMulAddSlice(wantAdd, span, c)
 		got := make([]byte, len(span))
 		for _, p := range paths {
 			p.mul(got, span, c)

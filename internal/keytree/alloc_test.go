@@ -10,15 +10,14 @@ import (
 var (
 	sinkLen  int
 	sinkEncs []Encryption
-	sinkIDs  []uint32
 )
 
 // TestHotPathAllocs is this package's part of the allocation gate
-// (DESIGN.md "Allocation discipline"): the per-member need walks
-// allocate nothing into a warm buffer and once into a nil one, and the
-// per-edge wrap loop allocates nothing -- except without the AES-NI
-// kernel (other CPUs and GOARCHes, -tags purego), where each edge
-// builds one crypto/aes key schedule and nothing beside it.
+// (DESIGN.md "Allocation discipline"): the per-member need walk
+// allocates nothing, a one-off UserNeeds once, and the per-edge wrap
+// loop nothing -- except without the AES-NI kernel (other CPUs and
+// GOARCHes, -tags purego), where each edge builds one crypto/aes key
+// schedule and nothing beside it.
 func TestHotPathAllocs(t *testing.T) {
 	tr := New(4, keys.NewDeterministicGenerator(3))
 	joins := make([]Member, 200)
@@ -45,14 +44,13 @@ func TestHotPathAllocs(t *testing.T) {
 	if keys.AESKernel() == "generic" {
 		schedules = edges
 	}
-	encs, ids := make([]Encryption, 0, 64), make([]uint32, 0, 64)
 	deep := res.UserIDs[0]
 	for _, uid := range res.UserIDs {
-		if len(res.UserNeedIDs(uid)) > len(res.UserNeedIDs(deep)) {
+		if len(res.UserNeeds(uid)) > len(res.UserNeeds(deep)) {
 			deep = uid
 		}
 	}
-	if n := len(res.UserNeedIDs(deep)); n < 3 {
+	if n := len(res.UserNeeds(deep)); n < 3 {
 		t.Fatalf("longest need list has %d entries, want a path of at least 3", n)
 	}
 
@@ -61,26 +59,15 @@ func TestHotPathAllocs(t *testing.T) {
 		want float64
 		fn   func()
 	}{
-		{"AppendUserNeeds, every user", 0, func() {
-			for _, uid := range res.UserIDs {
-				encs = res.AppendUserNeeds(encs[:0], uid)
-			}
-		}},
-		{"AppendUserNeedIDs, every user", 0, func() {
-			for _, uid := range res.UserIDs {
-				ids = res.AppendUserNeedIDs(ids[:0], uid)
-			}
-		}},
 		{"NeedsWalker.Needs, every user", 0, func() {
 			w := res.Walker()
 			for _, uid := range res.UserIDs {
 				sinkLen += len(w.Needs(uid))
 			}
 		}},
-		// A nil destination is sized to the path on the first miss: one
-		// allocation, not one per doubling from zero.
-		{"UserNeeds(nil), one user with a full path", 1, func() { sinkEncs = res.UserNeeds(deep) }},
-		{"UserNeedIDs(nil), one user with a full path", 1, func() { sinkIDs = res.UserNeedIDs(deep) }},
+		// The result is sized to the path: one allocation, not one per
+		// doubling from zero.
+		{"UserNeeds, one user with a full path", 1, func() { sinkEncs = res.UserNeeds(deep) }},
 		{"fillSpan, every edge", float64(schedules), func() { tr.fillSpan(all, refill, ctx) }},
 	}
 	for _, r := range rows {

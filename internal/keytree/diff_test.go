@@ -10,7 +10,7 @@ import (
 )
 
 // diffPair drives two trees -- one through the parallel ProcessBatch,
-// one through the sequential reference ProcessBatchSeq -- with
+// one through the sequential reference processBatchSeq -- with
 // deterministic generators built from the same seed. The trees must be
 // built independently (not Cloned): a Clone shares one generator, and
 // interleaved draws from two consumers would diverge the streams.
@@ -31,7 +31,7 @@ func newDiffPair(d int, seed uint64, workers int) *diffPair {
 func (p *diffPair) step(t *testing.T, joins, leaves []Member) {
 	t.Helper()
 	rp, errP := p.par.ProcessBatch(joins, leaves)
-	rs, errS := p.seq.ProcessBatchSeq(joins, leaves)
+	rs, errS := p.seq.processBatchSeq(joins, leaves)
 	if (errP == nil) != (errS == nil) {
 		t.Fatalf("error mismatch: parallel=%v sequential=%v", errP, errS)
 	}

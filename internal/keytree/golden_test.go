@@ -70,9 +70,10 @@ func (g *goldenHasher) batch(res *BatchResult, err error) {
 	}
 	// Fold in every user's needed-encryption view: this pins the level
 	// segment index (lookup) behaviour, not just the flat slice.
+	w := res.Walker()
 	for _, uid := range res.UserIDs {
-		for _, eid := range res.UserNeedIDs(uid) {
-			g.writeInt(int(eid))
+		for _, i := range w.Needs(uid) {
+			g.writeInt(int(res.Encryptions[i].ID))
 		}
 		g.writeInt(-1)
 	}
@@ -102,7 +103,7 @@ func goldenDigest(t *testing.T, gc goldenCase) string {
 	gh := newGoldenHasher()
 	step := func(joins, leaves []Member) {
 		rp, errP := par.ProcessBatch(joins, leaves)
-		rs, errS := seq.ProcessBatchSeq(joins, leaves)
+		rs, errS := seq.processBatchSeq(joins, leaves)
 		gh.batch(rp, errP)
 		gh.batch(rs, errS)
 		if errP == nil {
@@ -301,7 +302,7 @@ func goldenCases(t *testing.T) []goldenCase {
 }
 
 // TestPaperMarkingGolden proves the marking algorithm reproduces the
-// original ProcessBatch/ProcessBatchSeq output byte for byte.
+// original ProcessBatch/processBatchSeq output byte for byte.
 func TestPaperMarkingGolden(t *testing.T) {
 	got := make(map[string]string)
 	for _, gc := range goldenCases(t) {

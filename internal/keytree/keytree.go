@@ -105,11 +105,6 @@ type Tree struct {
 	// removals/additions replaces the old per-batch full sort).
 	uids []int
 	gen  *keys.Generator
-	// lite skips ciphertext materialisation in ProcessBatch: encryption
-	// IDs and counts are exact but Wrapped stays zero. Transport
-	// experiments that only need packet bookkeeping use it to avoid
-	// paying for AES on hundreds of simulated rekey messages.
-	lite bool
 	// workers bounds the goroutines of the parallel wrap-emission phase;
 	// <= 0 means GOMAXPROCS (resolved via internal/tuning).
 	workers int
@@ -120,12 +115,6 @@ type Tree struct {
 
 // Option configures a Tree at construction time.
 type Option func(*Tree)
-
-// WithLite skips ciphertext materialisation in ProcessBatch: encryption
-// IDs and counts stay exact but Wrapped stays zero. Transport
-// experiments that only track packet bookkeeping use it to avoid paying
-// for AES on hundreds of simulated rekey messages.
-func WithLite(lite bool) Option { return func(t *Tree) { t.lite = lite } }
 
 // WithWorkers bounds the worker pool of the parallel batch pipeline;
 // n <= 0 means GOMAXPROCS (resolved via internal/tuning).
@@ -382,7 +371,7 @@ func (t *Tree) CheckInvariant() error {
 // that many trials can apply independent batches to identical starting
 // states.
 func (t *Tree) Clone() *Tree {
-	n := &Tree{d: t.d, height: t.height, gen: t.gen, lite: t.lite, workers: t.workers, reg: t.reg}
+	n := &Tree{d: t.d, height: t.height, gen: t.gen, workers: t.workers, reg: t.reg}
 	n.nodes = append([]node(nil), t.nodes...)
 	n.uids = append([]int(nil), t.uids...)
 	n.loc = make(map[Member]int, len(t.loc))
@@ -515,54 +504,16 @@ func (w *NeedsWalker) Needs(userID int) []int32 {
 
 // UserNeeds returns, in bottom-up order, the encryptions user userID
 // requires: those whose encrypting key lies on the user's path to the
-// root (including its own individual key). It allocates a fresh slice
-// per call; hot paths should use AppendUserNeeds with a reused buffer,
-// or a NeedsWalker.
+// root (including its own individual key). It allocates the result;
+// loops over many users should use a NeedsWalker.
 func (r *BatchResult) UserNeeds(userID int) []Encryption {
-	return r.AppendUserNeeds(nil, userID)
-}
-
-// AppendUserNeeds appends user userID's required encryptions to dst (in
-// bottom-up order) and returns the extended slice. With a reused buffer
-// (dst[:0]) it is allocation-free after warm-up; a nil dst costs one
-// allocation.
-func (r *BatchResult) AppendUserNeeds(dst []Encryption, userID int) []Encryption {
 	w := r.Walker()
 	needs := w.Needs(userID)
-	dst = grow(dst, len(needs))
-	for _, i := range needs {
-		dst = append(dst, r.Encryptions[i])
+	out := make([]Encryption, len(needs))
+	for j, i := range needs {
+		out[j] = r.Encryptions[i]
 	}
-	return dst
-}
-
-// UserNeedIDs is like UserNeeds but returns only the encryption IDs, in
-// bottom-up order. It allocates per call; hot paths should use
-// AppendUserNeedIDs with a reused buffer.
-func (r *BatchResult) UserNeedIDs(userID int) []uint32 {
-	return r.AppendUserNeedIDs(nil, userID)
-}
-
-// AppendUserNeedIDs appends user userID's required encryption IDs to
-// dst (in bottom-up order) and returns the extended slice.
-func (r *BatchResult) AppendUserNeedIDs(dst []uint32, userID int) []uint32 {
-	w := r.Walker()
-	needs := w.Needs(userID)
-	dst = grow(dst, len(needs))
-	for _, i := range needs {
-		dst = append(dst, r.Encryptions[i].ID)
-	}
-	return dst
-}
-
-// grow returns dst with room for n more elements: a destination too
-// small for a user's needs (a nil one, say) is sized to them in one
-// allocation, not by doubling from wherever it was.
-func grow[T any](dst []T, n int) []T {
-	if len(dst)+n <= cap(dst) {
-		return dst
-	}
-	return append(make([]T, 0, len(dst)+n), dst...)
+	return out
 }
 
 // ProcessBatch applies one rekey interval: the L members in leaves
@@ -571,89 +522,64 @@ func grow[T any](dst []T, n int) []T {
 // with no membership change returns an empty BatchResult (no rekeying
 // needed).
 //
-// ProcessBatch is the parallel pipeline: updated k-node keys are drawn
-// in one bulk CSPRNG read and the wrap emission fans out across a
-// worker pool (WithWorkers). Its output is byte-identical to
-// ProcessBatchSeq given the same starting tree and generator state.
+// Updated k-node keys are drawn in one bulk CSPRNG read and the wrap
+// emission fans out across a worker pool (WithWorkers).
 func (t *Tree) ProcessBatch(joins, leaves []Member) (*BatchResult, error) {
-	return t.processBatch(joins, leaves, false)
+	if err := t.checkBatch(joins, leaves); err != nil {
+		return nil, err
+	}
+	if len(joins) == 0 && len(leaves) == 0 {
+		return t.result(), nil
+	}
+	t.mark(joins, leaves)
+	updated := t.rekeyKNodes()
+	res := t.result()
+	res.Joined, res.Left, res.UpdatedKNodes = len(joins), len(leaves), updated
+	var emitStart time.Time
+	if t.reg.Enabled() {
+		emitStart = time.Now()
+	}
+	t.emitParallel(res)
+	if t.reg.Enabled() {
+		t.reg.Add(obs.CKeysGenerated, int64(len(joins)+updated))
+		t.reg.Add(obs.CWraps, int64(len(res.Encryptions)))
+		t.reg.Add(obs.CWrapNs, time.Since(emitStart).Nanoseconds())
+	}
+	return res, nil
 }
 
-// ProcessBatchSeq is the retained sequential reference implementation:
-// per-node key draws and a single-threaded append-based wrap emission.
-// Differential tests and the CI benchmark guard compare ProcessBatch
-// against it; production callers use ProcessBatch.
-func (t *Tree) ProcessBatchSeq(joins, leaves []Member) (*BatchResult, error) {
-	return t.processBatch(joins, leaves, true)
-}
-
-func (t *Tree) processBatch(joins, leaves []Member, seq bool) (*BatchResult, error) {
+// checkBatch rejects a batch that leaves an absent member, joins a
+// present one, or names a member twice.
+func (t *Tree) checkBatch(joins, leaves []Member) error {
 	for _, m := range leaves {
 		if _, ok := t.loc[m]; !ok {
-			return nil, fmt.Errorf("keytree: leave request for unknown member %d", m)
+			return fmt.Errorf("keytree: leave request for unknown member %d", m)
 		}
 	}
 	seen := make(map[Member]bool, len(joins))
 	for _, m := range joins {
 		if _, ok := t.loc[m]; ok {
-			return nil, fmt.Errorf("keytree: join request for already-present member %d", m)
+			return fmt.Errorf("keytree: join request for already-present member %d", m)
 		}
 		if seen[m] {
-			return nil, fmt.Errorf("keytree: duplicate join request for member %d", m)
+			return fmt.Errorf("keytree: duplicate join request for member %d", m)
 		}
 		seen[m] = true
 	}
 	leaveSet := make(map[Member]bool, len(leaves))
 	for _, m := range leaves {
 		if leaveSet[m] {
-			return nil, fmt.Errorf("keytree: duplicate leave request for member %d", m)
+			return fmt.Errorf("keytree: duplicate leave request for member %d", m)
 		}
 		leaveSet[m] = true
 	}
-
-	if len(joins) == 0 && len(leaves) == 0 {
-		return &BatchResult{MaxKID: t.MaxKID(), GroupKey: t.GroupKey(), UserIDs: t.userIDs(), d: t.d}, nil
-	}
-
-	// Reset labels.
-	for i := range t.nodes {
-		t.nodes[i].label = Unchanged
-	}
-
-	t.mark(joins, leaves)
-	updated := t.rekeyKNodes(seq)
-
-	res := &BatchResult{
-		MaxKID:        t.MaxKID(),
-		GroupKey:      t.GroupKey(),
-		UserIDs:       t.userIDs(),
-		UpdatedKNodes: updated,
-		Joined:        len(joins),
-		Left:          len(leaves),
-		d:             t.d,
-	}
-	var emitStart time.Time
-	if t.reg.Enabled() {
-		emitStart = time.Now()
-	}
-	if seq {
-		t.emitSeq(res)
-	} else {
-		t.emitParallel(res)
-	}
-	if t.reg.Enabled() {
-		t.reg.Add(obs.CKeysGenerated, int64(len(joins)+updated))
-		if !t.lite {
-			t.reg.Add(obs.CWraps, int64(len(res.Encryptions)))
-		}
-		t.reg.Add(obs.CWrapNs, time.Since(emitStart).Nanoseconds())
-	}
-	return res, nil
+	return nil
 }
 
-// userIDs returns a copy of the maintained sorted user-ID slice.
-func (t *Tree) userIDs() []int {
-	return append([]int(nil), t.uids...)
+// result returns a BatchResult carrying the tree's current MaxKID,
+// group key and (copied) user IDs.
+func (t *Tree) result() *BatchResult {
+	return &BatchResult{MaxKID: t.MaxKID(), GroupKey: t.GroupKey(), UserIDs: append([]int(nil), t.uids...), d: t.d}
 }
 
 // commitUserIDs folds one batch's u-node removals and additions into
@@ -982,23 +908,10 @@ func (b *batch) relabel() {
 }
 
 // rekeyKNodes generates new keys for every updated k-node (labels
-// Join/Replace) and returns how many there were. The sequential
-// reference draws one key per node in ascending ID order; the parallel
-// pipeline collects the IDs and draws them all in one bulk generator
-// read. Generator.NewKeys consumes the CSPRNG stream exactly as the
-// per-node draws would, so both paths install identical keys.
-func (t *Tree) rekeyKNodes(seq bool) int {
-	if seq {
-		updated := 0
-		for id := range t.nodes {
-			n := &t.nodes[id]
-			if n.kind == KNode && (n.label == Join || n.label == Replace) {
-				n.key = t.gen.MustNewKey()
-				updated++
-			}
-		}
-		return updated
-	}
+// Join/Replace), in ascending ID order from one bulk generator read, and
+// returns how many there were. Generator.NewKeys consumes the CSPRNG
+// stream exactly as one MustNewKey per node would.
+func (t *Tree) rekeyKNodes() int {
 	ids := make([]int, 0, 64)
 	for id := range t.nodes {
 		n := &t.nodes[id]
@@ -1018,8 +931,8 @@ func (t *Tree) rekeyKNodes(seq bool) int {
 
 // emitEligible reports whether node id (at a level below the root)
 // contributes an encryption: it is a live node whose parent k-node got
-// a new key, and it did not itself leave. Both emission paths and the
-// parallel counting pass share this single test.
+// a new key, and it did not itself leave. The counting pass and the
+// fill share this single test.
 func (t *Tree) emitEligible(id int) bool {
 	n := &t.nodes[id]
 	if n.kind != UNode && n.kind != KNode {
@@ -1040,39 +953,6 @@ func (t *Tree) levelBounds() []int {
 		levelStart[l] = fullSize(t.d, l-1) // nodes in levels 0..l-1
 	}
 	return levelStart
-}
-
-// emitSeq is the sequential reference emission: walk levels deepest
-// first, append one encryption per eligible edge, wrapping with one
-// context re-keyed per edge. The root level never emits (no parent
-// edge).
-func (t *Tree) emitSeq(res *BatchResult) {
-	levelStart := t.levelBounds()
-	ctx := keys.NewWrapContext(keys.Key{})
-	res.emitted.w = make([]uint64, (len(t.nodes)+63)/64)
-	for level := t.height; level >= 1; level-- {
-		lo, hi := levelStart[level], levelStart[level+1]
-		if hi > len(t.nodes) {
-			hi = len(t.nodes)
-		}
-		start := len(res.Encryptions)
-		for id := lo; id < hi; id++ {
-			if !t.emitEligible(id) {
-				continue
-			}
-			e := Encryption{ID: uint32(id)}
-			if !t.lite {
-				ctx.SetKey(t.nodes[id].key)
-				ctx.WrapInto(&e.Wrapped, t.nodes[t.Parent(id)].key)
-			}
-			res.Encryptions = append(res.Encryptions, e)
-			res.emitted.set(id)
-		}
-		if len(res.Encryptions) > start {
-			res.levels = append(res.levels, levelSeg{lo: lo, start: start})
-		}
-	}
-	res.indexLevels()
 }
 
 // NewID implements Theorem 4.2: given a user's pre-batch u-node ID m and

@@ -537,27 +537,6 @@ func TestParentIDRelation(t *testing.T) {
 	}
 }
 
-func BenchmarkProcessBatchN4096L1024(b *testing.B) {
-	tr := newTestTree(b, 4, 99)
-	populate(b, tr, 4096)
-	rng := rand.New(rand.NewPCG(1, 2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cl := tr.Clone()
-		members := cl.Members()
-		perm := rng.Perm(len(members))
-		leaves := make([]Member, 1024)
-		for j := range leaves {
-			leaves[j] = members[perm[j]]
-		}
-		b.StartTimer()
-		if _, err := cl.ProcessBatch(nil, leaves); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestTreeDefaults: a bare New is an empty degree-d tree of height 1
 // with no k-node and no group key; Clone carries the options.
 func TestTreeDefaults(t *testing.T) {
@@ -565,91 +544,14 @@ func TestTreeDefaults(t *testing.T) {
 	if tr.Degree() != 4 || tr.Height() != 1 || tr.N() != 0 || tr.MaxKID() != -1 || !tr.GroupKey().Zero() {
 		t.Errorf("bare New: d=%d h=%d N=%d maxKID=%d", tr.Degree(), tr.Height(), tr.N(), tr.MaxKID())
 	}
-	tr = New(4, keys.NewDeterministicGenerator(1), WithLite(true))
+	reg := obs.New()
+	tr = New(4, keys.NewDeterministicGenerator(1), WithObs(reg))
 	res, err := tr.Clone().ProcessBatch([]Member{1, 2, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Encryptions[0].Wrapped != [keys.WrappedSize]byte{} {
-		t.Error("Clone dropped WithLite")
-	}
-}
-
-// TestWithLiteMatchesFullCounts: a lite tree emits the same
-// encryption IDs and counts as a full tree, just without ciphertext.
-func TestWithLiteMatchesFullCounts(t *testing.T) {
-	reg := obs.New()
-	full := New(3, keys.NewDeterministicGenerator(42),
-		WithWorkers(2), WithObs(reg), WithLite(false))
-
-	joins := make([]Member, 50)
-	for i := range joins {
-		joins[i] = Member(i)
-	}
-	r1, err := full.ProcessBatch(joins, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	lite := New(3, keys.NewDeterministicGenerator(42), WithLite(true))
-	r3, err := lite.ProcessBatch(joins, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r3.Encryptions) != len(r1.Encryptions) {
-		t.Fatalf("lite emitted %d encryptions, full %d", len(r3.Encryptions), len(r1.Encryptions))
-	}
-	if r3.Encryptions[0].Wrapped != [keys.WrappedSize]byte{} {
-		t.Error("WithLite(true) still materialised ciphertext")
-	}
-}
-
-// TestAppendUserNeeds: the append forms match the allocating forms and
-// honour a reused buffer.
-func TestAppendUserNeeds(t *testing.T) {
-	tr := New(4, keys.NewDeterministicGenerator(3))
-	joins := make([]Member, 200)
-	for i := range joins {
-		joins[i] = Member(i)
-	}
-	if _, err := tr.ProcessBatch(joins, nil); err != nil {
-		t.Fatal(err)
-	}
-	res, err := tr.ProcessBatch([]Member{300, 301}, []Member{5, 90, 150})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var encBuf []Encryption
-	var idBuf []uint32
-	for _, uid := range res.UserIDs {
-		wantE := res.UserNeeds(uid)
-		encBuf = res.AppendUserNeeds(encBuf[:0], uid)
-		if len(encBuf) != len(wantE) {
-			t.Fatalf("user %d: AppendUserNeeds len %d, UserNeeds len %d", uid, len(encBuf), len(wantE))
-		}
-		for i := range wantE {
-			if encBuf[i] != wantE[i] {
-				t.Fatalf("user %d: encryption %d differs", uid, i)
-			}
-		}
-		wantIDs := res.UserNeedIDs(uid)
-		idBuf = res.AppendUserNeedIDs(idBuf[:0], uid)
-		if len(idBuf) != len(wantIDs) {
-			t.Fatalf("user %d: AppendUserNeedIDs len %d, UserNeedIDs len %d", uid, len(idBuf), len(wantIDs))
-		}
-		for i := range wantIDs {
-			if idBuf[i] != wantIDs[i] {
-				t.Fatalf("user %d: need ID %d differs", uid, i)
-			}
-		}
-	}
-
-	// Appending to a non-empty prefix preserves it.
-	prefix := []uint32{7, 8, 9}
-	got := res.AppendUserNeedIDs(prefix, res.UserIDs[0])
-	if len(got) < 3 || got[0] != 7 || got[1] != 8 || got[2] != 9 {
-		t.Error("AppendUserNeedIDs clobbered the existing prefix")
+	if got := reg.CounterValue(obs.CWraps); got != int64(len(res.Encryptions)) {
+		t.Errorf("Clone's batch counted %d wraps, want %d", got, len(res.Encryptions))
 	}
 }
 

@@ -36,69 +36,66 @@ func searchLookup(r *BatchResult, id int) (int, bool) {
 // TestLookupMatchesSearchOracle holds the rank index to the binary
 // search it replaced, for every ID from -1 to one past the tree, over
 // random batches of every shape -- join-only, leave-only, replace and
-// mixed, small enough that some levels emit nothing -- at four degrees,
-// on full and lite trees.
+// mixed, small enough that some levels emit nothing -- at four degrees.
 func TestLookupMatchesSearchOracle(t *testing.T) {
 	shapes := []string{"join", "leave", "replace", "mixed", "one-leave"}
 	for _, d := range []int{2, 3, 4, 8} {
-		for _, lite := range []bool{false, true} {
-			t.Run(fmt.Sprintf("d=%d,lite=%v", d, lite), func(t *testing.T) {
-				tr := New(d, keys.NewDeterministicGenerator(uint64(d)), WithLite(lite), WithWorkers(2))
-				rng := rand.New(rand.NewPCG(uint64(d), 9))
-				var present []Member
-				next := Member(0)
-				join := func(n int) []Member {
-					js := make([]Member, n)
-					for i := range js {
-						js[i], next = next, next+1
-					}
-					return js
+		t.Run(fmt.Sprintf("d=%d", d), func(t *testing.T) {
+			tr := New(d, keys.NewDeterministicGenerator(uint64(d)), WithWorkers(2))
+			rng := rand.New(rand.NewPCG(uint64(d), 9))
+			var present []Member
+			next := Member(0)
+			join := func(n int) []Member {
+				js := make([]Member, n)
+				for i := range js {
+					js[i], next = next, next+1
 				}
-				leave := func(n int) []Member {
-					n = min(n, len(present))
-					rng.Shuffle(len(present), func(i, j int) { present[i], present[j] = present[j], present[i] })
-					ls := append([]Member(nil), present[:n]...)
-					present = present[n:]
-					return ls
+				return js
+			}
+			leave := func(n int) []Member {
+				n = min(n, len(present))
+				rng.Shuffle(len(present), func(i, j int) { present[i], present[j] = present[j], present[i] })
+				ls := append([]Member(nil), present[:n]...)
+				present = present[n:]
+				return ls
+			}
+			quiet := 0 // batches with a level below the root that emits nothing
+			for b := 0; b < 40; b++ {
+				var joins, leaves []Member
+				switch shape := shapes[b%len(shapes)]; {
+				case b == 0:
+					joins = join(50 + rng.IntN(300))
+				case shape == "join":
+					joins = join(1 + rng.IntN(60))
+				case shape == "leave":
+					leaves = leave(1 + rng.IntN(60))
+				case shape == "replace":
+					n := 1 + rng.IntN(40)
+					leaves, joins = leave(n), join(n)
+				case shape == "mixed":
+					leaves, joins = leave(rng.IntN(50)), join(rng.IntN(50))
+				default:
+					leaves = leave(1)
 				}
-				quiet := 0 // batches with a level below the root that emits nothing
-				for b := 0; b < 40; b++ {
-					var joins, leaves []Member
-					switch shape := shapes[b%len(shapes)]; {
-					case b == 0:
-						joins = join(50 + rng.IntN(300))
-					case shape == "join":
-						joins = join(1 + rng.IntN(60))
-					case shape == "leave":
-						leaves = leave(1 + rng.IntN(60))
-					case shape == "replace":
-						n := 1 + rng.IntN(40)
-						leaves, joins = leave(n), join(n)
-					case shape == "mixed":
-						leaves, joins = leave(rng.IntN(50)), join(rng.IntN(50))
-					default:
-						leaves = leave(1)
-					}
-					res, err := tr.ProcessBatch(joins, leaves)
-					if err != nil {
-						t.Fatal(err)
-					}
-					present = append(present, joins...)
-					if len(res.Encryptions) > 0 && len(res.levels) < tr.height {
-						quiet++
-					}
-					for id := -1; id <= len(tr.nodes); id++ {
-						gi, gok := res.lookup(id)
-						wi, wok := searchLookup(res, id)
-						if gi != wi || gok != wok {
-							t.Fatalf("batch %d, id %d: lookup = (%d, %v), oracle (%d, %v)", b, id, gi, gok, wi, wok)
-						}
+				res, err := tr.ProcessBatch(joins, leaves)
+				if err != nil {
+					t.Fatal(err)
+				}
+				present = append(present, joins...)
+				if len(res.Encryptions) > 0 && len(res.levels) < tr.height {
+					quiet++
+				}
+				for id := -1; id <= len(tr.nodes); id++ {
+					gi, gok := res.lookup(id)
+					wi, wok := searchLookup(res, id)
+					if gi != wi || gok != wok {
+						t.Fatalf("batch %d, id %d: lookup = (%d, %v), oracle (%d, %v)", b, id, gi, gok, wi, wok)
 					}
 				}
-				if quiet == 0 {
-					t.Error("no batch left a level below the root without encryptions")
-				}
-			})
-		}
+			}
+			if quiet == 0 {
+				t.Error("no batch left a level below the root without encryptions")
+			}
+		})
 	}
 }

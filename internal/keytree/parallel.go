@@ -23,14 +23,15 @@ type emitSpan struct {
 	out    int
 }
 
-// emitParallel produces exactly emitSeq's output, pre-sized and filled
-// in parallel. A serial counting pass over the rekey levels (cheap:
-// label/kind tests only, no crypto) marks the emitting nodes and fixes
-// each span's output offset by prefix sum, so every encryption's
+// emitParallel writes the batch's encryptions, deepest level first and
+// IDs ascending within a level, pre-sized and filled in parallel. A
+// serial counting pass over the rekey levels (cheap: label/kind tests
+// only, no crypto) marks the emitting nodes and fixes each span's
+// output offset by prefix sum, so every encryption's
 // position is known -- and lookup's index built -- before any wrap
 // runs; workers then pull spans off an atomic cursor and fill them
 // with a per-worker WrapContext. No locks, no post-hoc sorting, and
-// the result is byte-identical to the sequential path by construction.
+// the result does not depend on the worker count.
 func (t *Tree) emitParallel(res *BatchResult) {
 	levelStart := t.levelBounds()
 	res.emitted.w = make([]uint64, (len(t.nodes)+63)/64)
@@ -73,9 +74,7 @@ func (t *Tree) emitParallel(res *BatchResult) {
 	if workers > len(spans) {
 		workers = len(spans)
 	}
-	if workers <= 1 || t.lite {
-		// Inline: single-threaded fill (lite mode writes IDs only --
-		// no crypto to amortise goroutines over).
+	if workers <= 1 {
 		ctx := keys.NewWrapContext(keys.Key{})
 		for _, sp := range spans {
 			t.fillSpan(sp, res, ctx)
@@ -114,10 +113,8 @@ func (t *Tree) fillSpan(sp emitSpan, res *BatchResult, ctx *keys.WrapContext) {
 		}
 		e := &res.Encryptions[out]
 		e.ID = uint32(id)
-		if !t.lite {
-			ctx.SetKey(t.nodes[id].key)
-			ctx.WrapInto(&e.Wrapped, t.nodes[t.Parent(id)].key)
-		}
+		ctx.SetKey(t.nodes[id].key)
+		ctx.WrapInto(&e.Wrapped, t.nodes[t.Parent(id)].key)
 		out++
 	}
 }

@@ -505,11 +505,7 @@ func (ft *funcTaint) exprMask(e ast.Expr) uint64 {
 			m |= ft.exprMask(x.X)
 		}
 	case *ast.IndexExpr:
-		// Indexing narrows like field selection: a byte of a key is
-		// secret, the Member ID looked up in a map[Key]Member is not.
-		if ft.carriesElem(x) {
-			m |= ft.exprMask(x.X)
-		}
+		m |= ft.exprMask(x.X)
 	case *ast.SliceExpr:
 		m |= ft.exprMask(x.X)
 	case *ast.StarExpr:

@@ -73,8 +73,6 @@ func (o *Oracle) SetObs(reg *obs.Registry) { o.reg = reg }
 // Bootstrap registers a view for every member of tree, seeded with the
 // full path keys the server hands a member at registration. Call once,
 // after the tree's initial population and before the first ObserveBatch.
-// The tree must not be lite: the oracle replays real ciphertexts into
-// member views.
 func (o *Oracle) Bootstrap(tree *keytree.Tree) error {
 	o.tree = tree
 	for _, m := range o.tree.Members() {
@@ -165,7 +163,7 @@ func (o *Oracle) observeBatch(res *keytree.BatchResult, joins, leaves []keytree.
 		if !ok {
 			return &Violation{"key-consistency", fmt.Sprintf("member %d: no post-batch ID for %d (maxKID %d)", m, v.ID, res.MaxKID)}
 		}
-		if err := v.Apply(res.MaxKID, res.AppendUserNeeds(nil, newID)); err != nil {
+		if err := v.Apply(res.MaxKID, res.UserNeeds(newID)); err != nil {
 			return &Violation{"key-consistency", fmt.Sprintf("member %d: %v", m, err)}
 		}
 	}

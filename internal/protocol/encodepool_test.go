@@ -31,7 +31,7 @@ func makeReqs(rng *rand.Rand, blocks, k, plen int, rho float64) []BlockParity {
 // TestEncodeBlocksDeterministic: for several (blocks, k, rho)
 // combinations, every worker count must produce output byte-identical
 // to the serial path (workers=1), which itself must match the plain
-// per-block Encode.
+// per-block EncodeAll.
 func TestEncodeBlocksDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 11))
 	cases := []struct {
@@ -55,13 +55,13 @@ func TestEncodeBlocksDeterministic(t *testing.T) {
 			t.Fatalf("serial EncodeBlocks(%+v): %v", tc, err)
 		}
 		for b, req := range reqs {
-			want, err := c.Encode(req.Data, req.First, req.N)
+			want, err := c.EncodeAll(req.Data, req.First, req.N)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range want {
 				if !bytes.Equal(serial[b][i], want[i]) {
-					t.Fatalf("serial pool output differs from Encode at block %d parity %d", b, i)
+					t.Fatalf("serial pool output differs from per-block EncodeAll at block %d parity %d", b, i)
 				}
 			}
 		}

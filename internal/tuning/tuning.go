@@ -90,8 +90,9 @@ func (t Tuning) WithDefaults() Tuning {
 
 // ResolveWorkers resolves a Workers knob value to a concrete goroutine
 // count: n > 0 is taken as-is, anything else means GOMAXPROCS. Every
-// parallel stage (FEC encode fan-out, the batch rekey pipeline) resolves
-// its bound through here so "0 = all cores" is defined once.
+// parallel stage (FEC encode fan-out, the batch rekey pipeline, the
+// simulator's member delivery) resolves its bound through here so
+// "0 = all cores" is defined once.
 func ResolveWorkers(n int) int {
 	if n > 0 {
 		return n

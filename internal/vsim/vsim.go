@@ -17,7 +17,6 @@ package vsim
 import (
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -387,10 +386,7 @@ func (s *Session) deliver(r *run, refs []blockplan.Ref, rd *netsim.RoundDelivery
 		}
 	}
 
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := s.cfg.EffectiveWorkers()
 	nacks := make([][]byte, len(r.members))
 	var wg sync.WaitGroup
 	chunk := (len(r.members) + workers - 1) / workers

@@ -55,7 +55,7 @@ func FuzzGeneratorBatch(f *testing.F) {
 			if uid <= res.MaxKID {
 				t.Fatalf("user ID %d <= maxKID %d", uid, res.MaxKID)
 			}
-			need := res.UserNeedIDs(uid)
+			need := res.UserNeeds(uid)
 			if len(need) == 0 {
 				continue
 			}
@@ -74,9 +74,9 @@ func FuzzGeneratorBatch(f *testing.F) {
 			for _, id := range pkt.EncIDs {
 				carried[id] = true
 			}
-			for _, id := range need {
-				if !carried[id] {
-					t.Fatalf("user %d packet %d missing encryption %d", uid, pi, id)
+			for _, e := range need {
+				if !carried[e.ID] {
+					t.Fatalf("user %d packet %d missing encryption %d", uid, pi, e.ID)
 				}
 			}
 		}

@@ -25,13 +25,12 @@ type Generator struct {
 }
 
 // NewGenerator builds a generator for an N-user group, degree-d tree,
-// and FEC block size k. Lite trees are used: ciphertexts are not
-// materialised (transport experiments track packets, not bytes).
+// and FEC block size k.
 func NewGenerator(n, d, k int, seed uint64) (*Generator, error) {
 	if n <= 0 || d < 2 || k <= 0 {
 		return nil, fmt.Errorf("workload: bad parameters n=%d d=%d k=%d", n, d, k)
 	}
-	tr := keytree.New(d, keys.NewDeterministicGenerator(seed), keytree.WithLite(true))
+	tr := keytree.New(d, keys.NewDeterministicGenerator(seed))
 	joins := make([]keytree.Member, n)
 	for i := range joins {
 		joins[i] = keytree.Member(i)
