@@ -143,10 +143,10 @@ func (rm *RekeyMessage) startUSRSubtree(workers int) func() (*keys.MerkleTree, e
 }
 
 // blockTrees returns the Merkle subtree of every FEC block, over its k
-// ENC datagrams as marshalled into rm.encWire.
+// ENC datagrams as marshalled into rm.ENC.
 func (rm *RekeyMessage) blockTrees() []*keys.MerkleTree {
-	leaves := make([]keys.MerkleHash, len(rm.encWire))
-	for i, raw := range rm.encWire {
+	leaves := make([]keys.MerkleHash, len(rm.ENC))
+	for i, raw := range rm.ENC {
 		leaves[i] = keys.LeafHash(keys.DomainENC, raw)
 	}
 	trees := make([]*keys.MerkleTree, rm.Blocks())
@@ -203,11 +203,11 @@ func (rm *RekeyMessage) buildAuth(signer *keys.Signer, blockTrees []*keys.Merkle
 			TopProof:  a.top.AppendProof(nil, b),
 			Sig:       a.sig,
 		}
-		wire, err := tr.AppendAuthTrailer(rm.encWire[i])
+		wire, err := tr.AppendAuthTrailer(rm.ENC[i])
 		if err != nil {
 			return err
 		}
-		rm.encWire[i] = wire
+		rm.ENC[i] = wire
 		rm.obs.Observe(obs.HMerkleProofBytes, float64(len(wire)-packet.PacketLen))
 	}
 	for b := 0; b < nBlocks; b++ {
@@ -238,7 +238,7 @@ func (rm *RekeyMessage) buildAuth(signer *keys.Signer, blockTrees []*keys.Merkle
 // shared and must not be modified; Rekey built it, so sending one
 // interval's packets allocates nothing.
 func (rm *RekeyMessage) WireENC(i int) ([]byte, error) {
-	return rm.encWire[i], nil
+	return rm.ENC[i], nil
 }
 
 // AppendWireParity appends the send bytes of PARITY packet idx of the

@@ -375,11 +375,7 @@ func TestVerifierRejectsUnsignedTraffic(t *testing.T) {
 	if !ok {
 		t.Fatal("no packet")
 	}
-	raw, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Ingest(raw); !errors.Is(err, ErrBadPacket) {
+	if _, err := m.Ingest(p[:packet.PacketLen]); !errors.Is(err, ErrBadPacket) {
 		t.Fatalf("unsigned ENC error = %v, want ErrBadPacket", err)
 	}
 }

@@ -44,7 +44,7 @@ func BenchmarkFigures(b *testing.B) {
 // BenchmarkMarkingAlgorithm measures one batch (J=0, L=N/4) on a
 // 4096-user tree: the key management component's per-interval work.
 func BenchmarkMarkingAlgorithm(b *testing.B) {
-	gen, err := workload.NewGenerator(4096, 4, 10, 1)
+	gen, err := workload.NewGenerator(4096, 4, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func BenchmarkFECEncodeParallel(b *testing.B) {
 }
 
 // BenchmarkObsOverhead prices the observability layer on the transport
-// hot path -- the ENC marshal fan-out plus NACK parse/aggregate loop
+// hot path -- the ENC send fan-out plus NACK parse/aggregate loop
 // that udptrans runs per round -- in three configurations:
 //
 //	baseline  the loop with no instrumentation calls at all
@@ -373,7 +373,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for pi := range rm.ENC {
-				raw, err := rm.ENC[pi].Marshal()
+				raw, err := rm.WireENC(pi)
 				if err != nil {
 					b.Fatal(err)
 				}

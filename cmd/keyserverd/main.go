@@ -16,7 +16,7 @@
 //	JOIN <member-id> <udp-host:port>   -> "OK <nodeID> <hexkey> <degree> <k>" after next rekey
 //	LEAVE <member-id>                  -> "OK"
 //	REKEY                              -> force an immediate batch
-//	STATUS                             -> group size, pending counts
+//	STATUS                             -> group size, pending counts, group key fingerprint
 //
 // The HTTP port serves the live observability registry: GET /metrics
 // returns counters/gauges/histograms (packets sent by type, NACKs per
@@ -54,6 +54,9 @@ type daemon struct {
 	tr      *udptrans.Server
 	opts    udptrans.Options
 	pending map[rekey.MemberID]*net.UDPAddr // joiners awaiting the next batch
+	// forced carries REKEY commands to the goroutine that owns Rekey and
+	// Distribute (runRekeys), each with a channel for its result.
+	forced chan chan error
 }
 
 func main() {
@@ -86,7 +89,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer tr.Close()
-	d := &daemon{ks: ks, tr: tr, opts: udptrans.DefaultOptions(), pending: make(map[rekey.MemberID]*net.UDPAddr)}
+	d := &daemon{ks: ks, tr: tr, opts: udptrans.DefaultOptions(),
+		pending: make(map[rekey.MemberID]*net.UDPAddr), forced: make(chan chan error)}
 
 	if *httpAddr != "" {
 		hln, err := net.Listen("tcp", *httpAddr)
@@ -108,21 +112,7 @@ func main() {
 	}
 	log.Printf("keyserverd: control on %s, transport on %s, interval %v", ln.Addr(), tr.Addr(), *interval)
 
-	go func() {
-		tick := time.NewTicker(*interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-				if err := d.rekey(ctx); err != nil &&
-					!errors.Is(err, rekey.ErrNoChange) && !errors.Is(err, context.Canceled) {
-					log.Printf("rekey: %v", err)
-				}
-			}
-		}
-	}()
+	go d.runRekeys(ctx, *interval)
 
 	go func() {
 		<-ctx.Done()
@@ -138,6 +128,31 @@ func main() {
 			log.Fatal(err)
 		}
 		go d.serveCtl(ctx, conn)
+	}
+}
+
+// runRekeys is the one goroutine that rekeys and distributes: at every
+// tick, and for every REKEY command, which waits for its result. Two
+// distributions on one transport would read each other's NACKs, so they
+// never overlap.
+func (d *daemon) runRekeys(ctx context.Context, interval time.Duration) {
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	for {
+		var result chan error
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+		case result = <-d.forced:
+		}
+		err := d.rekey(ctx)
+		switch {
+		case result != nil:
+			result <- err
+		case err != nil && !errors.Is(err, rekey.ErrNoChange) && !errors.Is(err, context.Canceled):
+			log.Printf("rekey: %v", err)
+		}
 	}
 }
 
@@ -230,13 +245,19 @@ func (d *daemon) handle(ctx context.Context, fields []string) string {
 		}
 		return "OK"
 	case "REKEY":
-		if err := d.rekey(ctx); err != nil && !errors.Is(err, rekey.ErrNoChange) {
+		result := make(chan error, 1)
+		select {
+		case d.forced <- result:
+		case <-ctx.Done():
+			return "ERR " + ctx.Err().Error()
+		}
+		if err := <-result; err != nil && !errors.Is(err, rekey.ErrNoChange) {
 			return "ERR " + err.Error()
 		}
 		return "OK"
 	case "STATUS":
 		j, l := d.ks.Pending()
-		return fmt.Sprintf("OK n=%d pendingJoins=%d pendingLeaves=%d", d.ks.N(), j, l)
+		return fmt.Sprintf("OK n=%d pendingJoins=%d pendingLeaves=%d group=%s", d.ks.N(), j, l, d.ks.GroupKey())
 	default:
 		return "ERR unknown command"
 	}

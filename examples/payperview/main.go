@@ -134,13 +134,9 @@ func mustMember(server *rekey.Server, id rekey.MemberID, msg *rekey.RekeyMessage
 }
 
 func deliver(msg *rekey.RekeyMessage, m *rekey.Member, nodeID int) {
-	pkt, ok := msg.PacketFor(nodeID)
+	raw, ok := msg.PacketFor(nodeID)
 	if !ok {
 		log.Fatalf("no packet for node %d", nodeID)
-	}
-	raw, err := pkt.Marshal()
-	if err != nil {
-		log.Fatal(err)
 	}
 	// Fresh joiners are keyed at construction and see their packet a
 	// second time in the delivery sweep; that duplicate is ErrStale by

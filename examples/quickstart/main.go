@@ -86,13 +86,9 @@ func main() {
 // (The UDP transport finds the packet by user-ID range; in process we
 // look it up directly with the member's post-batch node ID.)
 func deliver(msg *rekey.RekeyMessage, m *rekey.Member, nodeID int) {
-	pkt, ok := msg.PacketFor(nodeID)
+	raw, ok := msg.PacketFor(nodeID)
 	if !ok {
 		log.Fatalf("no packet for node %d", nodeID)
-	}
-	raw, err := pkt.Marshal()
-	if err != nil {
-		log.Fatal(err)
 	}
 	if _, err := m.Ingest(raw); err != nil {
 		log.Fatal(err)

@@ -52,13 +52,13 @@ func runAblUKA(o Options) ([]*stats.Figure, error) {
 	cUKA := cost.NewSeries("UKA")
 	cBase := cost.NewSeries("baseline")
 
-	gen, err := workload.NewGenerator(n, 4, 10, o.Seed)
+	gen, err := workload.NewGenerator(n, 4, o.Seed)
 	if err != nil {
 		return nil, err
 	}
 	for _, alpha := range alphaSweep(o.Quick) {
 		star := netsim.StarConfig{
-			N: gen.PostBatchUsers(0, n/4), Alpha: alpha,
+			N: n - n/4, Alpha: alpha,
 			PHigh: 0.20, PLow: 0.02, PSource: 0.01, Seed: o.Seed ^ 0xab1,
 		}
 		net, err := netsim.NewStar(star)

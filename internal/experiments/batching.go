@@ -69,7 +69,7 @@ func runBatchVsIndividual(o Options) ([]*stats.Figure, error) {
 		for trial := 0; trial < trials; trial++ {
 			seed := o.Seed + uint64(l*7+trial)
 			// Batch: one message for J=L joins + L leaves.
-			gen, err := workload.NewGenerator(n, 4, 10, seed)
+			gen, err := workload.NewGenerator(n, 4, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -135,7 +135,7 @@ func runDegreeSweep(o Options) ([]*stats.Figure, error) {
 	se := fig.NewSeries("encryptions")
 	sp := fig.NewSeries("ENC packets")
 	for _, d := range []int{2, 3, 4, 6, 8, 16} {
-		gen, err := workload.NewGenerator(n, d, 10, o.Seed+uint64(d))
+		gen, err := workload.NewGenerator(n, d, o.Seed+uint64(d))
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"sort"
 
 	rekey "repro"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tuning"
 	"repro/internal/vsim"
-	"repro/internal/workload"
 )
 
 // Options control experiment scale. The zero value is replaced by
@@ -139,15 +139,11 @@ func (tc transportConfig) fill() transportConfig {
 // the same pristine N-member group, the paper's stationary workload: a
 // deterministic, unsigned key server whose members were admitted by its
 // first message, rebuilt from the seed for every message, with the
-// leavers drawn as workload.Generator draws them.
+// leavers drawn uniformly from one rng stream across messages.
 func runTransport(tc transportConfig) ([]*vsim.Metrics, error) {
 	tc = tc.fill()
-	gen, err := workload.NewGenerator(tc.N, 4, tc.K, tc.Seed)
-	if err != nil {
-		return nil, err
-	}
 	star := netsim.StarConfig{
-		N:     gen.PostBatchUsers(0, tc.N/4),
+		N:     tc.N - tc.N/4,
 		Alpha: tc.Alpha, PHigh: 0.20, PLow: 0.02, PSource: 0.01,
 		Seed: tc.Seed ^ 0xfeed,
 	}
@@ -172,15 +168,17 @@ func runTransport(tc transportConfig) ([]*vsim.Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
+	rng := rand.New(rand.NewPCG(tc.Seed, 0x10ad))
 	out := make([]*vsim.Metrics, 0, tc.Messages)
 	for i := 0; i < tc.Messages; i++ {
-		_, leaves, err := gen.Draw(0, tc.N/4)
-		if err != nil {
-			return nil, err
-		}
 		grp, err := vsim.NewGroup(tc.N, rekey.WithTuning(rekey.Tuning{K: tc.K, Degree: 4}), rekey.WithKeySeed(tc.Seed))
 		if err != nil {
 			return nil, err
+		}
+		ids := grp.Tree().Members()
+		leaves := make([]rekey.MemberID, tc.N/4)
+		for j, p := range rng.Perm(len(ids))[:len(leaves)] {
+			leaves[j] = ids[p]
 		}
 		rm, members, err := grp.Rekey(nil, leaves)
 		if err != nil {

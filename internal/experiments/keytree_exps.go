@@ -11,7 +11,7 @@ import (
 // batchPoint runs `trials` independent (J,L) batches on an N-user tree
 // and returns the mean ENC packet count and mean duplication overhead.
 func batchPoint(n, j, l, trials int, seed uint64) (encPkts, dupOverhead float64, err error) {
-	gen, err := workload.NewGenerator(n, 4, 10, seed)
+	gen, err := workload.NewGenerator(n, 4, seed)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -172,7 +172,7 @@ func runEncAnalysis(o Options) ([]*stats.Figure, error) {
 	}
 	closed := fig.NewSeries("closed form")
 	sim := fig.NewSeries("marking algorithm (simulated)")
-	gen, err := workload.NewGenerator(n, 4, 10, o.Seed)
+	gen, err := workload.NewGenerator(n, 4, o.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -124,7 +124,7 @@ func runScenarioCell(ss ScenarioSpec, is ImpairmentSpec, opts Options) ScenarioC
 		MaxUnicastWaves:    vsim.WaveBudget,
 	})
 	orc.SetObs(reg)
-	if err := orc.Bootstrap(dr.Tree()); err != nil {
+	if err := orc.Bootstrap(dr.Tree(), dr.Members()); err != nil {
 		return fail(err)
 	}
 	// One network for the whole run, with a link for every member the
@@ -152,7 +152,7 @@ func runScenarioCell(ss ScenarioSpec, is ImpairmentSpec, opts Options) ScenarioC
 		if st.Msg == nil {
 			continue
 		}
-		if err := orc.ObserveBatch(dr.Tree(), st.Msg.Result, st.Joins, st.Leaves); err != nil {
+		if err := orc.ObserveBatch(dr.Tree(), st.Msg.Result, st.Leaves); err != nil {
 			return fail(err)
 		}
 		n := len(dr.Tree().Members())
@@ -165,7 +165,7 @@ func runScenarioCell(ss ScenarioSpec, is ImpairmentSpec, opts Options) ScenarioC
 		if err != nil {
 			return fail(err)
 		}
-		if err := orc.CheckRecovery(met); err != nil {
+		if err := orc.CheckRun(met, st.Members); err != nil {
 			return fail(err)
 		}
 		cell.Rekeys++

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/oracle"
+	"repro/internal/vsim"
 	"repro/internal/workload"
 )
 
@@ -76,10 +78,10 @@ func TestScenarioCheck(t *testing.T) {
 
 // TestStrategiesUnderAdversarialLeave drives the colluding-leaver
 // scenario, half the group departing at once, with the full oracle
-// active: after every rekeying interval, each surviving member must be
-// able to reach the new group key from exactly the encryptions addressed
-// to it, and no evicted member may. The key tree carries one marking, the
-// paper's, run as the "paper" subtest.
+// active: every rekeying interval's message goes over the paper's lossy
+// star to the group's real members, each of which must then hold the
+// new group key, and no evicted member's keys may protect it. The key
+// tree carries one marking, the paper's, run as the "paper" subtest.
 func TestStrategiesUnderAdversarialLeave(t *testing.T) {
 	t.Run("paper", func(t *testing.T) {
 		scn := &workload.AdversarialLeave{Base: 512, Alpha: 0.5, At: 1, Total: 4}
@@ -87,8 +89,16 @@ func TestStrategiesUnderAdversarialLeave(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := oracle.New(oracle.Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
-		if err := o.Bootstrap(dr.Tree()); err != nil {
+		o := oracle.New(oracle.Config{MaxMulticastRounds: 2, MaxUnicastWaves: vsim.WaveBudget})
+		if err := o.Bootstrap(dr.Tree(), dr.Members()); err != nil {
+			t.Fatal(err)
+		}
+		star, err := netsim.NewStar(netsim.DefaultStar(scn.Base, 17))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := vsim.NewSession(vsim.DefaultConfig(), star, 17)
+		if err != nil {
 			t.Fatal(err)
 		}
 		batches := 0
@@ -104,7 +114,14 @@ func TestStrategiesUnderAdversarialLeave(t *testing.T) {
 				continue
 			}
 			batches++
-			if err := o.ObserveBatch(dr.Tree(), st.Msg.Result, st.Joins, st.Leaves); err != nil {
+			if err := o.ObserveBatch(dr.Tree(), st.Msg.Result, st.Leaves); err != nil {
+				t.Fatalf("interval %d: %v", st.Interval, err)
+			}
+			met, err := sess.Run(st.Msg, st.Members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := o.CheckRun(met, st.Members); err != nil {
 				t.Fatalf("interval %d: %v", st.Interval, err)
 			}
 			if err := dr.Tree().CheckInvariant(); err != nil {

@@ -9,20 +9,20 @@
 //     decrypted something" is noise at scale; key-value identity is
 //     exact.)
 //
-//   - Key consistency: after each batch, every member's client-side
-//     view -- reconstructed purely from maxKID and the encryptions
-//     addressed to it -- holds exactly the path keys the server's tree
-//     says it should, so all survivors converge to one group key.
+//   - Key consistency: after each transport run, every real member --
+//     the rekey.Member the datagrams went to -- holds the path keys the
+//     server's tree says it should, so all survivors converge to one
+//     group key.
 //
 //   - Recovery-bound compliance: a transport run finishes within the
 //     configured multicast-round and unicast-wave budgets. Members that
 //     heard nothing of a message to ask for it with are counted apart
 //     (Unreached): they are a gap of the protocol, not a budget overrun.
 //
-// The oracle mirrors a workload.Driver: Bootstrap once, then
-// ObserveBatch after every Driver step, and CheckRecovery after each
-// transport run. Each call reads the key tree it is handed, the server's
-// as of that batch.
+// The oracle mirrors a workload.Driver: Bootstrap once with the group's
+// first members, then ObserveBatch after every Driver step and CheckRun
+// after the transport run of its message. Each batch reads the key tree
+// it is handed, the server's as of that batch.
 package oracle
 
 import (
@@ -44,14 +44,16 @@ type Config struct {
 	MaxUnicastWaves int
 }
 
-// Oracle watches one evolving key tree and its members' views.
+// Oracle watches one evolving key tree and its real members.
 type Oracle struct {
 	tree *keytree.Tree // as of the last call
 	cfg  Config
 	reg  *obs.Registry
 
-	// views is the simulated client state of every current member.
-	views map[keytree.Member]*keytree.UserView
+	// members holds the real members as of the last check. A leaver
+	// receives nothing after it, so what its member holds there is what
+	// it held when it left.
+	members map[keytree.Member]vsim.Member
 	// departed maps every key value any past leaver held to the first
 	// leaver that held it. Keys are fresh CSPRNG output, so a value may
 	// never legitimately reappear -- records are kept forever.
@@ -60,49 +62,18 @@ type Oracle struct {
 
 // New returns an oracle with the given recovery bounds.
 func New(cfg Config) *Oracle {
-	return &Oracle{
-		cfg:      cfg,
-		views:    make(map[keytree.Member]*keytree.UserView),
-		departed: make(map[keys.Key]keytree.Member),
-	}
+	return &Oracle{cfg: cfg, departed: make(map[keys.Key]keytree.Member)}
 }
 
 // SetObs attaches an observability registry; nil disables counting.
 func (o *Oracle) SetObs(reg *obs.Registry) { o.reg = reg }
 
-// Bootstrap registers a view for every member of tree, seeded with the
-// full path keys the server hands a member at registration. Call once,
-// after the tree's initial population and before the first ObserveBatch.
-func (o *Oracle) Bootstrap(tree *keytree.Tree) error {
+// Bootstrap checks the group's first members, keyed out of band at
+// registration, against tree: members in tree.Members() order, as
+// Session.Run takes them. Call once, before the first ObserveBatch.
+func (o *Oracle) Bootstrap(tree *keytree.Tree, members []vsim.Member) error {
 	o.tree = tree
-	for _, m := range o.tree.Members() {
-		if err := o.register(m); err != nil {
-			return err
-		}
-		pk, ok := o.tree.PathKeys(m)
-		if !ok {
-			return fmt.Errorf("oracle: no path keys for member %d", m)
-		}
-		for id, k := range pk {
-			o.views[m].Keys[id] = k
-		}
-	}
-	return nil
-}
-
-// register creates the post-registration view (ID + individual key) for
-// member m from the server tree's current state.
-func (o *Oracle) register(m keytree.Member) error {
-	uid, ok := o.tree.UserID(m)
-	if !ok {
-		return fmt.Errorf("oracle: member %d not in tree", m)
-	}
-	ik, ok := o.tree.IndividualKey(m)
-	if !ok {
-		return fmt.Errorf("oracle: member %d has no individual key", m)
-	}
-	o.views[m] = keytree.NewUserView(o.tree.Degree(), m, uid, ik)
-	return nil
+	return o.checkMembers(members)
 }
 
 // Violation is a detected invariant breach.
@@ -115,60 +86,40 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("oracle: %s violated: %s", v.Invariant, v.Detail)
 }
 
-// ObserveBatch checks one completed batch: res must be the result of
-// applying (joins, leaves) to the tree the oracle last saw, leaving
-// tree. It updates every member view from the batch's encryptions, then
-// verifies forward secrecy and key consistency. The first violation
-// found is returned as a *Violation error.
-func (o *Oracle) ObserveBatch(tree *keytree.Tree, res *keytree.BatchResult, joins, leaves []keytree.Member) error {
+// ObserveBatch checks one completed batch: res must be the result of a
+// batch with leaves that turned the tree the oracle last saw into tree.
+// It confiscates what the leavers held, then verifies forward secrecy.
+// The first violation found is returned as a *Violation error.
+func (o *Oracle) ObserveBatch(tree *keytree.Tree, res *keytree.BatchResult, leaves []keytree.Member) error {
 	o.tree = tree
 	o.reg.Inc(obs.COracleChecks)
-	if err := o.observeBatch(res, joins, leaves); err != nil {
+	if err := o.observeBatch(res, leaves); err != nil {
 		o.reg.Inc(obs.COracleViolations)
 		return err
 	}
 	return nil
 }
 
-func (o *Oracle) observeBatch(res *keytree.BatchResult, joins, leaves []keytree.Member) error {
-	// 1. Retire leavers, confiscating every key value they held.
+func (o *Oracle) observeBatch(res *keytree.BatchResult, leaves []keytree.Member) error {
+	// 1. Retire leavers, confiscating every key value their members held.
 	for _, m := range leaves {
-		v, ok := o.views[m]
+		mem, ok := o.members[m]
 		if !ok {
-			return fmt.Errorf("oracle: leaver %d has no view", m)
+			return fmt.Errorf("oracle: leaver %d was never checked", m)
 		}
 		// The oracle is the test harness's omniscient observer: it
 		// deliberately retains every departed key *value* to prove the
 		// live tree never reuses one, so its index is the key bytes
 		// themselves rather than a key ID.
-		for _, k := range v.Keys {
+		for _, k := range mem.Keys() {
 			if _, dup := o.departed[k]; !dup { //rekeylint:ignore forward-secrecy oracle retains departed key values by design
 				o.departed[k] = m //rekeylint:ignore forward-secrecy oracle retains departed key values by design
 			}
 		}
-		delete(o.views, m)
+		delete(o.members, m)
 	}
 
-	// 2. Register joiners (rejoining handles get brand-new views).
-	for _, m := range joins {
-		if err := o.register(m); err != nil {
-			return err
-		}
-	}
-
-	// 3. Deliver the batch to every member: exactly the encryptions the
-	// assignment would address to it, keyed by its post-batch ID.
-	for m, v := range o.views {
-		newID, ok := keytree.NewID(v.D, v.ID, res.MaxKID)
-		if !ok {
-			return &Violation{"key-consistency", fmt.Sprintf("member %d: no post-batch ID for %d (maxKID %d)", m, v.ID, res.MaxKID)}
-		}
-		if err := v.Apply(res.MaxKID, res.UserNeeds(newID)); err != nil {
-			return &Violation{"key-consistency", fmt.Sprintf("member %d: %v", m, err)}
-		}
-	}
-
-	// 4. Forward secrecy, wrap side: no encryption in this batch may be
+	// 2. Forward secrecy, wrap side: no encryption in this batch may be
 	// wrapped under a key a departed member holds. The wrapping key of
 	// an encryption is the current key of the child node it is keyed by.
 	for i := range res.Encryptions {
@@ -182,7 +133,7 @@ func (o *Oracle) observeBatch(res *keytree.BatchResult, joins, leaves []keytree.
 		}
 	}
 
-	// 5. Forward secrecy, tree side: no surviving node -- k-node or
+	// 3. Forward secrecy, tree side: no surviving node -- k-node or
 	// member individual key -- may hold a key a departed member held.
 	var fsErr error
 	o.tree.ForEachKNode(func(id int, k keys.Key) {
@@ -193,7 +144,7 @@ func (o *Oracle) observeBatch(res *keytree.BatchResult, joins, leaves []keytree.
 	if fsErr != nil {
 		return fsErr
 	}
-	for m := range o.views {
+	for _, m := range o.tree.Members() {
 		ik, ok := o.tree.IndividualKey(m)
 		if !ok {
 			return fmt.Errorf("oracle: member %d lost its individual key", m)
@@ -202,18 +153,52 @@ func (o *Oracle) observeBatch(res *keytree.BatchResult, joins, leaves []keytree.
 			return &Violation{"forward-secrecy", fmt.Sprintf("member %d's individual key was held by departed member %d", m, dm)}
 		}
 	}
+	return nil
+}
 
-	// 6. Key consistency: every member's view contains exactly the path
-	// keys the server tree prescribes (stale extra entries are allowed;
-	// wrong or missing ones are not), hence a single converged group key.
+// DepartedKeys returns how many confiscated key values are on record.
+func (o *Oracle) DepartedKeys() int { return len(o.departed) }
+
+// CheckRun verifies the transport run of the batch ObserveBatch last
+// saw, whose metrics are met and whose members, in the order
+// Session.Run took them, are members. Every member that asked must be
+// served, within the multicast-round budget and (if it switched over)
+// the unicast-wave budget; unreached members (Metrics.Unreached) are
+// not a violation, since the run keys them out of band. Then every
+// member must hold its path keys and the group key.
+func (o *Oracle) CheckRun(met *vsim.Metrics, members []vsim.Member) error {
+	o.reg.Inc(obs.COracleChecks)
+	err := o.checkRecovery(met)
+	if err == nil {
+		err = o.checkMembers(members)
+	}
+	if err != nil {
+		o.reg.Inc(obs.COracleViolations)
+	}
+	return err
+}
+
+// checkMembers requires member i of members, the tree's i-th member in
+// node-ID order, to hold the key of every node on its path as the tree
+// has it (stale extra keys are allowed; wrong or missing ones are not),
+// the group key among them, and records the members for the leaves to
+// come.
+func (o *Oracle) checkMembers(members []vsim.Member) error {
+	ids := o.tree.Members()
+	if len(members) != len(ids) {
+		return fmt.Errorf("oracle: %d members for a %d-member tree", len(members), len(ids))
+	}
 	group := o.tree.GroupKey()
-	for m, v := range o.views {
+	o.members = make(map[keytree.Member]vsim.Member, len(ids))
+	for i, m := range ids {
+		o.members[m] = members[i]
 		want, ok := o.tree.PathKeys(m)
 		if !ok {
 			return fmt.Errorf("oracle: no path keys for member %d", m)
 		}
+		held := members[i].Keys()
 		for id, wk := range want {
-			got, ok := v.Keys[id]
+			got, ok := held[id]
 			if !ok {
 				return &Violation{"key-consistency", fmt.Sprintf("member %d missing key of node %d", m, id)}
 			}
@@ -221,30 +206,11 @@ func (o *Oracle) observeBatch(res *keytree.BatchResult, joins, leaves []keytree.
 				return &Violation{"key-consistency", fmt.Sprintf("member %d holds a wrong key for node %d", m, id)}
 			}
 		}
-		if gk, ok := v.GroupKey(); !ok || !gk.Equal(group) {
+		if gk, ok := held[0]; !ok || !gk.Equal(group) {
 			return &Violation{"key-consistency", fmt.Sprintf("member %d did not converge to the group key", m)}
 		}
 	}
 	return nil
-}
-
-// Members returns how many member views the oracle currently tracks.
-func (o *Oracle) Members() int { return len(o.views) }
-
-// DepartedKeys returns how many confiscated key values are on record.
-func (o *Oracle) DepartedKeys() int { return len(o.departed) }
-
-// CheckRecovery verifies one transport run against the configured
-// recovery bounds: every member that asked must be served, within the
-// multicast-round budget and (if it switched over) the unicast-wave
-// budget. Unreached members (Metrics.Unreached) are not a violation.
-func (o *Oracle) CheckRecovery(met *vsim.Metrics) error {
-	o.reg.Inc(obs.COracleChecks)
-	err := o.checkRecovery(met)
-	if err != nil {
-		o.reg.Inc(obs.COracleViolations)
-	}
-	return err
 }
 
 func (o *Oracle) checkRecovery(met *vsim.Metrics) error {

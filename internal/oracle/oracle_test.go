@@ -5,24 +5,58 @@ import (
 	"slices"
 	"testing"
 
+	rekey "repro"
 	"repro/internal/keys"
 	"repro/internal/keytree"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/vsim"
 	"repro/internal/workload"
 )
 
-// driveScenario runs a scenario under the oracle and returns it.
-func driveScenario(t *testing.T, scn workload.Scenario, seed uint64) (*workload.Driver, *Oracle) {
+// newRun starts a driver for the scenario under a bootstrapped oracle,
+// and a session over the paper's lossy star to deliver its messages.
+func newRun(t *testing.T, scn workload.Scenario, d int, seed uint64) (*workload.Driver, *Oracle, *vsim.Session) {
 	t.Helper()
-	dr, err := workload.NewDriver(scn, 4, seed)
+	dr, err := workload.NewDriver(scn, d, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := New(Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
-	if err := o.Bootstrap(dr.Tree()); err != nil {
+	o := New(Config{MaxMulticastRounds: 2, MaxUnicastWaves: vsim.WaveBudget})
+	if err := o.Bootstrap(dr.Tree(), dr.Members()); err != nil {
 		t.Fatal(err)
 	}
+	star, err := netsim.NewStar(netsim.DefaultStar(2048, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := vsim.NewSession(vsim.DefaultConfig(), star, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dr, o, sess
+}
+
+// observe checks st's batch, delivers its message to the group's real
+// members and checks the run.
+func observe(t *testing.T, dr *workload.Driver, o *Oracle, sess *vsim.Session, st *workload.Step) {
+	t.Helper()
+	if err := o.ObserveBatch(dr.Tree(), st.Msg.Result, st.Leaves); err != nil {
+		t.Fatalf("interval %d: %v", st.Interval, err)
+	}
+	met, err := sess.Run(st.Msg, st.Members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.CheckRun(met, st.Members); err != nil {
+		t.Fatalf("interval %d: %v", st.Interval, err)
+	}
+}
+
+// driveScenario runs a scenario under the oracle and returns it.
+func driveScenario(t *testing.T, scn workload.Scenario, seed uint64) *Oracle {
+	t.Helper()
+	dr, o, sess := newRun(t, scn, 4, seed)
 	for {
 		st, ok, err := dr.Step()
 		if err != nil {
@@ -31,14 +65,11 @@ func driveScenario(t *testing.T, scn workload.Scenario, seed uint64) (*workload.
 		if !ok {
 			break
 		}
-		if st.Msg == nil {
-			continue
-		}
-		if err := o.ObserveBatch(dr.Tree(), st.Msg.Result, st.Joins, st.Leaves); err != nil {
-			t.Fatalf("interval %d: %v", st.Interval, err)
+		if st.Msg != nil {
+			observe(t, dr, o, sess, st)
 		}
 	}
-	return dr, o
+	return o
 }
 
 func TestOracleAcceptsAllScenarios(t *testing.T) {
@@ -52,16 +83,13 @@ func TestOracleAcceptsAllScenarios(t *testing.T) {
 		{"adversarial-leave", &workload.AdversarialLeave{Base: 128, Alpha: 0.25, At: 1, Total: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dr, o := driveScenario(t, tc.scn, 33)
-			if o.Members() != len(dr.Tree().Members()) {
-				t.Fatalf("oracle tracks %d members, tree has %d", o.Members(), len(dr.Tree().Members()))
-			}
+			driveScenario(t, tc.scn, 33)
 		})
 	}
 }
 
 func TestOracleDepartedKeysAccumulate(t *testing.T) {
-	_, o := driveScenario(t, &workload.AdversarialLeave{Base: 64, Alpha: 0.5, At: 0, Total: 1}, 5)
+	o := driveScenario(t, &workload.AdversarialLeave{Base: 64, Alpha: 0.5, At: 0, Total: 1}, 5)
 	if o.DepartedKeys() == 0 {
 		t.Fatal("mass leave recorded no departed keys")
 	}
@@ -75,17 +103,11 @@ func TestOracleDepartedKeysAccumulate(t *testing.T) {
 // must learn nothing the oracle did not flag -- and since the oracle
 // passed, nothing at all.
 func TestOracleDifferentialAttacker(t *testing.T) {
-	dr, err := workload.NewDriver(&workload.Diurnal{Base: 64, Mean: 12, Amplitude: 0.9, Period: 4, Total: 8}, 3, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := New(Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
-	if err := o.Bootstrap(dr.Tree()); err != nil {
-		t.Fatal(err)
-	}
+	dr, o, sess := newRun(t, &workload.Diurnal{Base: 64, Mean: 12, Amplitude: 0.9, Period: 4, Total: 8}, 3, 17)
 	// attacker key sets: all key values held at leave time, per leaver.
 	attackers := make(map[keytree.Member]map[keys.Key]bool)
 	for {
+		ids, members := dr.Tree().Members(), dr.Members()
 		st, ok, err := dr.Step()
 		if err != nil {
 			t.Fatal(err)
@@ -96,17 +118,15 @@ func TestOracleDifferentialAttacker(t *testing.T) {
 		if st.Msg == nil {
 			continue
 		}
-		// Freeze leavers' holdings before the oracle retires their views.
+		// A leaver holds what its real member held before the batch.
 		for _, m := range st.Leaves {
 			held := make(map[keys.Key]bool)
-			for _, k := range o.views[m].Keys {
+			for _, k := range members[slices.Index(ids, m)].Keys() {
 				held[k] = true
 			}
 			attackers[m] = held
 		}
-		if err := o.ObserveBatch(dr.Tree(), st.Msg.Result, st.Joins, st.Leaves); err != nil {
-			t.Fatal(err)
-		}
+		observe(t, dr, o, sess, st)
 		// Every attacker tries transitive closure over this batch's
 		// encryptions: it can unwrap {parent}_child iff it holds the true
 		// current key of the child node.
@@ -154,57 +174,58 @@ func TestOracleDetectsUnrotatedKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := New(Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
-	if err := o.Bootstrap(dr.Tree()); err != nil {
+	if err := o.Bootstrap(dr.Tree(), dr.Members()); err != nil {
 		t.Fatal(err)
 	}
-	// Server processes a join-only batch; oracle is told member 0 also
-	// left. Member 0's path keys were never rotated.
+	// Server processes a join-only batch; oracle is told member 0 left.
+	// Member 0's path keys were never rotated.
 	tree := dr.Tree()
 	res, err := tree.ProcessBatch([]keytree.Member{1000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = o.ObserveBatch(tree, res, []keytree.Member{1000}, []keytree.Member{0})
+	err = o.ObserveBatch(tree, res, []keytree.Member{0})
 	var v *Violation
 	if !errors.As(err, &v) || v.Invariant != "forward-secrecy" {
 		t.Fatalf("want forward-secrecy violation, got %v", err)
 	}
 }
 
-// TestOracleDetectsCorruptedView injects a key-consistency bug: one
-// member's client state is corrupted so it can no longer unwrap its
-// path, or silently diverges.
+// withheld is a member from which one interval's datagrams are kept: it
+// drops every datagram, the out-of-band USR one too, yet reports each
+// as the one that keyed it, so the session neither serves it again nor
+// keys it out of band.
+type withheld struct{ vsim.Member }
+
+func (withheld) Ingest([]byte) (rekey.IngestResult, error) {
+	return rekey.IngestResult{Done: true}, nil
+}
+
+// TestOracleDetectsCorruptedView injects a key-consistency fault: one
+// surviving member never receives an interval's message, so it keeps
+// the keys the batch replaced. The run looks clean; the member does
+// not.
 func TestOracleDetectsCorruptedView(t *testing.T) {
-	dr, err := workload.NewDriver(&workload.Diurnal{Base: 64, Mean: 8, Amplitude: 0.5, Period: 4, Total: 2}, 4, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := New(Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
-	if err := o.Bootstrap(dr.Tree()); err != nil {
-		t.Fatal(err)
-	}
+	dr, o, sess := newRun(t, &workload.Diurnal{Base: 64, Mean: 8, Amplitude: 0.5, Period: 4, Total: 2}, 4, 21)
 	st, ok, err := dr.Step()
 	if err != nil || !ok || st.Msg == nil {
 		t.Fatalf("step: ok=%v msg=%v err=%v", ok, st.Msg, err)
 	}
-	// Corrupt a member that survives the batch (one that leaves in it is
-	// dropped unchecked). Consistency must catch the divergence even if
-	// this batch leaves node 0's key deliverable (it is rewrapped every
-	// batch, so Apply will fix it -- corrupt a deeper path key instead:
-	// flip every key the view holds).
-	var victim *keytree.UserView
-	for m, v := range o.views {
-		if !slices.Contains(st.Leaves, m) {
-			victim = v
+	if err := o.ObserveBatch(dr.Tree(), st.Msg.Result, st.Leaves); err != nil {
+		t.Fatal(err)
+	}
+	// The victim survives the batch: a joiner has nothing to lose yet.
+	for i, m := range dr.Tree().Members() {
+		if !slices.Contains(st.Joins, m) {
+			st.Members[i] = withheld{st.Members[i]}
 			break
 		}
 	}
-	for id := range victim.Keys {
-		k := victim.Keys[id]
-		k[0] ^= 0xFF
-		victim.Keys[id] = k
+	met, err := sess.Run(st.Msg, st.Members)
+	if err != nil {
+		t.Fatal(err)
 	}
-	err = o.ObserveBatch(dr.Tree(), st.Msg.Result, st.Joins, st.Leaves)
+	err = o.CheckRun(met, st.Members)
 	var v *Violation
 	if !errors.As(err, &v) || v.Invariant != "key-consistency" {
 		t.Fatalf("want key-consistency violation, got %v", err)
@@ -215,6 +236,10 @@ func TestCheckRecovery(t *testing.T) {
 	o := New(Config{MaxMulticastRounds: 2, MaxUnicastWaves: 5})
 	reg := obs.New()
 	o.SetObs(reg)
+	// An empty group: every run's members are trivially keyed.
+	if err := o.Bootstrap(keytree.New(4, nil), nil); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		met  vsim.Metrics
 		fail bool
@@ -227,7 +252,7 @@ func TestCheckRecovery(t *testing.T) {
 	}
 	fails := 0
 	for i, tc := range cases {
-		err := o.CheckRecovery(&tc.met)
+		err := o.CheckRun(&tc.met, nil)
 		if (err != nil) != tc.fail {
 			t.Errorf("case %d: err=%v want fail=%v", i, err, tc.fail)
 		}
@@ -247,26 +272,18 @@ func TestCheckRecovery(t *testing.T) {
 	}
 }
 
+// TestOracleObsCounters: one batch and its run are two checks.
 func TestOracleObsCounters(t *testing.T) {
-	dr, err := workload.NewDriver(&workload.AdversarialLeave{Base: 32, Alpha: 0.25, At: 0, Total: 1}, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := New(Config{MaxMulticastRounds: 2, MaxUnicastWaves: 50})
+	dr, o, sess := newRun(t, &workload.AdversarialLeave{Base: 32, Alpha: 0.25, At: 0, Total: 1}, 4, 2)
 	reg := obs.New()
 	o.SetObs(reg)
-	if err := o.Bootstrap(dr.Tree()); err != nil {
-		t.Fatal(err)
-	}
 	st, _, err := dr.Step()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.ObserveBatch(dr.Tree(), st.Msg.Result, st.Joins, st.Leaves); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.CounterValue(obs.COracleChecks); got != 1 {
-		t.Errorf("oracle_checks = %d, want 1", got)
+	observe(t, dr, o, sess, st)
+	if got := reg.CounterValue(obs.COracleChecks); got != 2 {
+		t.Errorf("oracle_checks = %d, want 2", got)
 	}
 	if got := reg.CounterValue(obs.COracleViolations); got != 0 {
 		t.Errorf("oracle_violations = %d, want 0", got)

@@ -21,15 +21,12 @@ import (
 
 	"repro/internal/blockplan"
 	"repro/internal/fec"
+	"repro/internal/packet"
 )
 
 // RoundCap bounds a message's multicast rounds. It is also what a round
 // budget of 0 means: multicast until a round draws no NACK.
 const RoundCap = 64
-
-// Request is one block's entry in a NACK: how many more parity packets
-// the user needs for it.
-type Request struct{ Block, Count int }
 
 // Step is what a Sender's driver does next.
 type Step int
@@ -127,15 +124,15 @@ func (s *Sender) UnicastNow() { s.maxRounds = s.round }
 // for at most k -- no user is short more -- and none outside the message.
 // It returns the largest request, or ok = false for a user's second NACK
 // of a round, which counts for nothing.
-func (s *Sender) NACK(user int, reqs []Request) (demand int, ok bool) {
+func (s *Sender) NACK(user int, reqs []packet.BlockRequest) (demand int, ok bool) {
 	if s.seen[user] {
 		return 0, false
 	}
 	s.seen[user] = true
 	for _, r := range reqs {
-		c := min(r.Count, s.k)
-		if r.Block >= 0 && r.Block < len(s.amax) && c > s.amax[r.Block] {
-			s.amax[r.Block] = c
+		c, b := min(int(r.Count), s.k), int(r.BlockID)
+		if b < len(s.amax) && c > s.amax[b] {
+			s.amax[b] = c
 		}
 		demand = max(demand, c)
 	}

@@ -8,15 +8,18 @@ import (
 
 	"repro/internal/blockplan"
 	"repro/internal/fec"
+	"repro/internal/packet"
 )
 
 // nack is one scripted NACK.
 type nack struct {
 	user int
-	reqs []Request
+	reqs []packet.BlockRequest
 }
 
-func req(block, count int) []Request { return []Request{{Block: block, Count: count}} }
+func req(block, count uint8) []packet.BlockRequest {
+	return []packet.BlockRequest{{BlockID: block, Count: count}}
+}
 
 // transcript drives s through script -- the NACKs of each round or wave
 // in turn -- and writes down what it was told to do: "R<round>" and the
@@ -76,7 +79,7 @@ func TestSenderScripts(t *testing.T) {
 		// start at 3.
 		name: "fresh parity per round", k: 2, packets: 5, rho: 1.5, rounds: 3, waves: 3,
 		script: [][]nack{
-			{{1, []Request{{0, 2}, {2, 1}}}},
+			{{1, []packet.BlockRequest{{BlockID: 0, Count: 2}, {BlockID: 2, Count: 1}}}},
 			{{1, req(0, 1)}},
 			nil,
 		},
@@ -84,7 +87,7 @@ func TestSenderScripts(t *testing.T) {
 	}, {
 		name: "one NACK a user a round, counts at most k, blocks outside ignored", k: 2, packets: 5, rho: 1, rounds: 2, waves: 3,
 		script: [][]nack{
-			{{1, req(0, 1)}, {1, req(1, 2)}, {2, req(1, 255)}, {3, []Request{{3, 2}, {-1, 2}}}},
+			{{1, req(0, 1)}, {1, req(1, 2)}, {2, req(1, 255)}, {3, req(3, 2)}},
 			nil,
 		},
 		want: "R1 (6) | 1 - 2 2\nR2 0.2 1.2 1.3 |\nDone",
@@ -183,7 +186,7 @@ func FuzzSender(f *testing.F) {
 			// Feed NACKs of (user, block, count) byte triples up to the
 			// next 0xff; an empty script ends the run with a quiet round.
 			for len(script) >= 3 && script[0] != 0xff {
-				s.NACK(int(script[0]%8), req(int(int8(script[1])), int(script[2])))
+				s.NACK(int(script[0]%8), req(script[1], script[2]))
 				script = script[3:]
 			}
 			if len(script) > 0 {

@@ -53,44 +53,52 @@ func yield() { syscall.RawSyscall(syscall.SYS_SCHED_YIELD, 0, 0, 0) } //nolint:e
 // rxBuf holds the largest read a coalescing socket returns.
 type rxBuf [64 << 10]byte
 
-// rxBufList is the process's free list of rxBufs. A process may host a
+// rxBufList is the process's pool of rxBufs. A process may host a
 // thousand clients (the benchmark, the tests) and must not own a
 // thousand of these: a client borrows one for a read attempt that will
-// not block and returns it before it waits again (two dozen are out at
-// once at a thousand members on two cores). The list keeps up to
-// rxBufsKeep (4 MiB) of what it allocated; a sync.Pool is emptied by
-// the collector between rounds and reallocates every burst.
+// not block and returns it before it waits again. The pool is the
+// rxBufsMax buffers (4 MiB) made on first use; a read that finds them
+// all out waits for one. One to three dozen are out at a thousand
+// members on two cores, but a collection can park seventy readers in
+// mid-delivery, and a list that then allocated past what it kept spent
+// 5 MB on one interval and nothing on the next.
 type rxBufList struct {
 	mu   sync.Mutex
-	free []*rxBuf // guarded by mu
-	out  int      // guarded by mu; borrowed and not returned
-	peak int      // guarded by mu; high-water mark of out
+	back sync.Cond // L is mu; signalled by put
+	free []*rxBuf  // guarded by mu
+	out  int       // guarded by mu; borrowed and not returned
+	peak int       // guarded by mu; high-water mark of out
 }
 
-const rxBufsKeep = 64
+const rxBufsMax = 64
 
 var rxBufs rxBufList
 
 func (l *rxBufList) get() *rxBuf {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.back.L == nil {
+		l.back.L = &l.mu
+		for range rxBufsMax {
+			l.free = append(l.free, new(rxBuf))
+		}
+	}
+	for len(l.free) == 0 {
+		l.back.Wait()
+	}
 	l.out++
 	l.peak = max(l.peak, l.out)
-	if n := len(l.free); n > 0 {
-		b := l.free[n-1]
-		l.free = l.free[:n-1]
-		return b
-	}
-	return new(rxBuf)
+	b := l.free[len(l.free)-1]
+	l.free = l.free[:len(l.free)-1]
+	return b
 }
 
 func (l *rxBufList) put(b *rxBuf) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.out--
-	if len(l.free) < rxBufsKeep {
-		l.free = append(l.free, b)
-	}
+	l.free = append(l.free, b)
+	l.back.Signal()
 }
 
 // reader is a client's receive half: recvmsg on a socket with UDP_GRO

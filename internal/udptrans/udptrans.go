@@ -482,7 +482,6 @@ func (s *Server) drainStale(buf []byte) {
 // buys nothing with a forged one. The Sender caps what a member's buys.
 func (s *Server) listen(ctx context.Context, rm *rekey.RekeyMessage, addrOf map[int]netip.AddrPort, snd *protocol.Sender, buf []byte, dur time.Duration) error {
 	deadline := time.Now().Add(dur)
-	var reqs []protocol.Request
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -514,11 +513,7 @@ func (s *Server) listen(ctx context.Context, rm *rekey.RekeyMessage, addrOf map[
 			s.obs.Inc(obs.CNACKIgnored)
 			continue
 		}
-		reqs = reqs[:0]
-		for _, r := range nk.Requests {
-			reqs = append(reqs, protocol.Request{Block: int(r.BlockID), Count: int(r.Count)})
-		}
-		demand, ok := snd.NACK(int(nk.UserID), reqs)
+		demand, ok := snd.NACK(int(nk.UserID), nk.Requests)
 		if !ok {
 			s.obs.Inc(obs.CNACKIgnored)
 			continue

@@ -22,6 +22,7 @@ import (
 
 	rekey "repro"
 	"repro/internal/blockplan"
+	"repro/internal/keys"
 	"repro/internal/keytree"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -36,6 +37,19 @@ const WaveBudget = 50
 // udpHeader is what a datagram costs on the wire beyond its bytes, for
 // the early-unicast comparison.
 const udpHeader = 8
+
+// The session's virtual clock, in seconds.
+const (
+	// sendInterval is the time between consecutive multicast packets:
+	// the paper's server sends 10 packets/second.
+	sendInterval = 0.100
+	// roundSlack is added to each round's duration beyond transmission
+	// time, covering the maximum user RTT.
+	roundSlack = 0.500
+	// unicastInterval is the duration of one unicast retransmission
+	// wave, typically one RTT -- much shorter than a multicast round.
+	unicastInterval = 0.200
+)
 
 // Config holds the transport protocol parameters. The shared knobs
 // (k, rho0, NACK targets, round budget, workers) come from the embedded
@@ -59,15 +73,6 @@ type Config struct {
 	// DeadlineRounds is the soft real-time deadline, in multicast
 	// rounds. Zero disables deadline accounting.
 	DeadlineRounds int
-	// SendInterval is the time between consecutive multicast packets
-	// (seconds); the paper's server sends 10 packets/second.
-	SendInterval float64
-	// RoundSlack is added to each round's duration beyond transmission
-	// time, covering the maximum user RTT.
-	RoundSlack float64
-	// UnicastInterval is the duration of one unicast retransmission
-	// wave, typically one RTT -- much shorter than a multicast round.
-	UnicastInterval float64
 	// SequentialSend disables the interleaved send order, transmitting
 	// each block's shards back to back. The protocol interleaves by
 	// default so a burst-loss period cannot claim several shards of one
@@ -81,25 +86,19 @@ type Config struct {
 
 // DefaultConfig returns the paper's default parameters: the shared
 // tuning defaults (k=10, rho0=1, numNACK target 20 capped at 100,
-// unicast after 2 multicast rounds) plus adaptive rho, deadline 2
-// rounds, 10 packets/second.
+// unicast after 2 multicast rounds) plus adaptive rho and a deadline of
+// 2 rounds.
 func DefaultConfig() Config {
 	return Config{
-		Tuning:          tuning.Default(),
-		AdaptiveRho:     true,
-		DeadlineRounds:  2,
-		SendInterval:    0.100,
-		RoundSlack:      0.500,
-		UnicastInterval: 0.200,
+		Tuning:         tuning.Default(),
+		AdaptiveRho:    true,
+		DeadlineRounds: 2,
 	}
 }
 
 func (c Config) validate() error {
 	if err := c.Tuning.Validate(); err != nil {
 		return fmt.Errorf("vsim: %w", err)
-	}
-	if c.SendInterval <= 0 {
-		return fmt.Errorf("vsim: SendInterval = %v, want > 0", c.SendInterval)
 	}
 	if c.AdaptNumNACK && c.DeadlineRounds <= 0 {
 		return fmt.Errorf("vsim: AdaptNumNACK requires DeadlineRounds > 0")
@@ -166,10 +165,12 @@ func (m *Metrics) AvgUserRounds() float64 {
 
 // Member is the client half a Session delivers to, *rekey.Member: it
 // consumes datagrams and, at a round's end, says what it still needs
-// (Fig. 27).
+// (Fig. 27). Keys, which the session never calls, is what it holds by
+// node ID, for a checker to judge.
 type Member interface {
 	Ingest(raw []byte) (rekey.IngestResult, error)
 	NACK() (*packet.NACK, bool)
+	Keys() map[int]keys.Key
 }
 
 // Session runs rekey messages over one network, carrying the adaptive
@@ -267,10 +268,10 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 		cfg.Obs.Emit(obs.Event{Kind: obs.EvRoundStart, MsgID: rm.MsgID, Round: round, Value: float64(len(refs))})
 		times := make([]float64, len(refs))
 		for i := range times {
-			times[i] = s.now + float64(i)*cfg.SendInterval
+			times[i] = s.now + float64(i)*sendInterval
 		}
 		rd := s.net.MulticastRound(times)
-		s.now += float64(len(refs))*cfg.SendInterval + cfg.RoundSlack
+		s.now += float64(len(refs))*sendInterval + roundSlack
 
 		nacks, err := s.deliver(r, refs, rd, round)
 		if err != nil {
@@ -299,7 +300,7 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 			if cfg.AdaptiveRho {
 				if rho := protocol.AdjustRho(s.rho, k, s.numNACK, snd.Demand(), s.rng); rho != s.rho {
 					s.rho = rho
-					cfg.Obs.Emit(obs.Event{Kind: obs.EvRhoAdjusted, MsgID: uint8(s.msgSeq & 0x3f), Value: s.rho})
+					cfg.Obs.Emit(obs.Event{Kind: obs.EvRhoAdjusted, MsgID: rm.MsgID, Value: s.rho})
 				}
 				cfg.Obs.Set(obs.GRho, s.rho)
 			}
@@ -356,7 +357,7 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 	}
 	met.AllDone = step == protocol.Done && met.Unreached == 0
 	// Idle gap between rekey messages keeps link processes realistic.
-	s.now += cfg.RoundSlack
+	s.now += roundSlack
 	return met, nil
 }
 
@@ -429,11 +430,7 @@ func feedNACK(snd *protocol.Sender, msgID uint8, i int, raw []byte) bool {
 	if err != nil || nk.MsgID != msgID {
 		return false
 	}
-	reqs := make([]protocol.Request, len(nk.Requests))
-	for j, q := range nk.Requests {
-		reqs[j] = protocol.Request{Block: int(q.BlockID), Count: int(q.Count)}
-	}
-	_, ok := snd.NACK(i, reqs)
+	_, ok := snd.NACK(i, nk.Requests)
 	return ok
 }
 
@@ -489,7 +486,7 @@ func (s *Session) unicast(r *run, snd *protocol.Sender, met *Metrics) (protocol.
 				feedNACK(snd, r.rm.MsgID, i, raw)
 			}
 		}
-		s.now += s.cfg.UnicastInterval
+		s.now += unicastInterval
 		met.UnicastWaves = wave
 	}
 	return step, nil
@@ -511,7 +508,7 @@ func NewGroup(n int, opts ...rekey.Option) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Group{srv: srv}
+	g := &Group{srv: srv, members: make(map[rekey.MemberID]*rekey.Member)}
 	ids := make([]rekey.MemberID, n)
 	for i := range ids {
 		ids[i] = rekey.MemberID(i)
@@ -544,10 +541,21 @@ func keyOutOfBand(m Member, rm *rekey.RekeyMessage, i int) error {
 // from its snapshot: changing it changes nothing of the group's.
 func (g *Group) Tree() *keytree.Tree { return g.tree }
 
+// Members returns the group's Members in the order Session.Run takes
+// them: ascending node ID, as the last message's Result.UserIDs lists
+// them.
+func (g *Group) Members() []Member {
+	ids := g.tree.Members()
+	out := make([]Member, len(ids))
+	for i, id := range ids {
+		out[i] = g.members[id]
+	}
+	return out
+}
+
 // Rekey queues joins and leaves, rekeys, and returns the message with
-// the group's Members in the order Session.Run takes them: ascending
-// node ID, as rm.Result.UserIDs lists them. A joiner gets a Member from
-// its credentials; a leaver loses its own.
+// the group's Members (see Members). A joiner gets a Member from its
+// credentials; a leaver loses its own.
 func (g *Group) Rekey(joins, leaves []rekey.MemberID) (*rekey.RekeyMessage, []Member, error) {
 	for _, id := range joins {
 		if err := g.srv.QueueJoin(id); err != nil {
@@ -566,22 +574,17 @@ func (g *Group) Rekey(joins, leaves []rekey.MemberID) (*rekey.RekeyMessage, []Me
 	if g.tree, err = keytree.Restore(g.srv.Snapshot(), nil); err != nil {
 		return nil, nil, err
 	}
-	ids := g.tree.Members()
-	out := make([]Member, len(ids))
-	live := make(map[rekey.MemberID]*rekey.Member, len(ids))
-	for i, id := range ids {
-		m := g.members[id]
-		if m == nil {
-			cred, ok := g.srv.Credentials(id)
-			if !ok {
-				return nil, nil, fmt.Errorf("vsim: no credentials for member %d", id)
-			}
-			if m, err = rekey.NewMember(cred); err != nil {
-				return nil, nil, err
-			}
-		}
-		live[id], out[i] = m, m
+	for _, id := range leaves {
+		delete(g.members, id)
 	}
-	g.members = live
-	return rm, out, nil
+	for _, id := range joins {
+		cred, ok := g.srv.Credentials(id)
+		if !ok {
+			return nil, nil, fmt.Errorf("vsim: no credentials for member %d", id)
+		}
+		if g.members[id], err = rekey.NewMember(cred); err != nil {
+			return nil, nil, err
+		}
+	}
+	return rm, g.Members(), nil
 }

@@ -8,6 +8,7 @@ import (
 
 	rekey "repro"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/packet"
 )
 
@@ -398,6 +399,59 @@ func TestEmptyMessage(t *testing.T) {
 	}
 	if !met.AllDone || met.MulticastSent != 0 {
 		t.Fatalf("empty message sent %d packets", met.MulticastSent)
+	}
+}
+
+// TestRhoAdjustedCarriesMessageID runs a fresh group per message, as the
+// paper's stationary runs build them, so every message has the same ID
+// while the session counts on. Each RhoAdjusted event must name the
+// message whose round one moved rho, as that message's RoundStart does.
+func TestRhoAdjustedCarriesMessageID(t *testing.T) {
+	reg := obs.New()
+	cfg := DefaultConfig()
+	cfg.Obs = reg
+	// A lossless network draws no NACK, so under a target of 100 rho
+	// falls by 1/k after every message.
+	cfg.NumNACK = 100
+	star := lossless()
+	star.N, star.Seed = 64, 16
+	net, err := netsim.NewStar(star)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(cfg, net, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		grp, err := NewGroup(64, rekey.WithTuning(rekey.Tuning{K: cfg.K}), rekey.WithKeySeed(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rm, members, err := grp.Rekey(nil, []rekey.MemberID{3, 17, 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Run(rm, members); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var round, adjusted int
+	var msgID uint8
+	for _, ev := range reg.Events() {
+		switch ev.Kind {
+		case obs.EvRoundStart:
+			round++
+			msgID = ev.MsgID
+		case obs.EvRhoAdjusted:
+			adjusted++
+			if round == 0 || ev.MsgID != msgID {
+				t.Fatalf("RhoAdjusted %d carries message ID %d, its RoundStart %d", adjusted, ev.MsgID, msgID)
+			}
+		}
+	}
+	if adjusted < 5 {
+		t.Fatalf("%d RhoAdjusted events over 5 messages, want 5", adjusted)
 	}
 }
 

@@ -9,17 +9,16 @@ import (
 // post-batch population accounting, and UKA plan consistency (every
 // user's packet exists and carries every encryption that user needs).
 func FuzzGeneratorBatch(f *testing.F) {
-	f.Add(uint16(8), uint8(0), uint8(3), uint64(1), uint16(3), uint16(2))
-	f.Add(uint16(255), uint8(2), uint8(9), uint64(42), uint16(64), uint16(64))
-	f.Add(uint16(100), uint8(1), uint8(0), uint64(7), uint16(0), uint16(512))
-	f.Add(uint16(1), uint8(5), uint8(19), uint64(9), uint16(1), uint16(1))
-	f.Fuzz(func(t *testing.T, n uint16, d, k uint8, seed uint64, j, l uint16) {
+	f.Add(uint16(8), uint8(0), uint64(1), uint16(3), uint16(2))
+	f.Add(uint16(255), uint8(2), uint64(42), uint16(64), uint16(64))
+	f.Add(uint16(100), uint8(1), uint64(7), uint16(0), uint16(512))
+	f.Add(uint16(1), uint8(5), uint64(9), uint16(1), uint16(1))
+	f.Fuzz(func(t *testing.T, n uint16, d uint8, seed uint64, j, l uint16) {
 		nn := int(n%1024) + 1
 		dd := int(d%7) + 2
-		kk := int(k%20) + 1
 		jj := int(j % 256)
 		ll := int(l % 2048)
-		g, err := NewGenerator(nn, dd, kk, seed)
+		g, err := NewGenerator(nn, dd, seed)
 		if err != nil {
 			t.Fatalf("valid params rejected: %v", err)
 		}
@@ -48,7 +47,7 @@ func FuzzGeneratorBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Batch(%d,%d) on n=%d: %v", jj, ll, nn, err)
 		}
-		if got, want := len(res.UserIDs), g.PostBatchUsers(jj, ll); got != want {
+		if got, want := len(res.UserIDs), nn+jj-ll; got != want {
 			t.Fatalf("post-batch users %d, want %d", got, want)
 		}
 		for _, uid := range res.UserIDs {

@@ -289,6 +289,10 @@ func NewDriver(scn Scenario, d int, seed uint64) (*Driver, error) {
 // mutating it changes nothing the driver does).
 func (dr *Driver) Tree() *keytree.Tree { return dr.grp.Tree() }
 
+// Members returns the group's members as of the last batch, in the
+// order vsim.Session.Run takes them (for oracles).
+func (dr *Driver) Members() []vsim.Member { return dr.grp.Members() }
+
 // SetObs attaches an observability registry; each churn batch applied
 // increments the scenario_steps counter. nil disables counting.
 func (dr *Driver) SetObs(reg *obs.Registry) { dr.reg = reg }

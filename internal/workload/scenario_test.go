@@ -146,7 +146,7 @@ func TestAdversarialLeaveDamage(t *testing.T) {
 		return st.Msg.Result.UpdatedKNodes
 	}()
 	uniform := func() int {
-		g, err := NewGenerator(base, d, 10, 9)
+		g, err := NewGenerator(base, d, 9)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,19 +3,16 @@ package workload
 import "testing"
 
 func TestNewGeneratorValidation(t *testing.T) {
-	if _, err := NewGenerator(0, 4, 10, 1); err == nil {
+	if _, err := NewGenerator(0, 4, 1); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := NewGenerator(10, 1, 10, 1); err == nil {
+	if _, err := NewGenerator(10, 1, 1); err == nil {
 		t.Error("d=1 accepted")
-	}
-	if _, err := NewGenerator(10, 4, 0, 1); err == nil {
-		t.Error("k=0 accepted")
 	}
 }
 
 func TestBatchLeavesPristineIntact(t *testing.T) {
-	gen, err := NewGenerator(256, 4, 10, 1)
+	gen, err := NewGenerator(256, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +28,10 @@ func TestBatchLeavesPristineIntact(t *testing.T) {
 	if len(r1.UserIDs) != 192 || len(r2.UserIDs) != 192 {
 		t.Fatalf("post-batch sizes %d, %d; want 192", len(r1.UserIDs), len(r2.UserIDs))
 	}
-	if gen.N() != 256 {
-		t.Fatalf("pristine size changed to %d", gen.N())
-	}
 }
 
 func TestBatchesAreIndependentDraws(t *testing.T) {
-	gen, err := NewGenerator(256, 4, 10, 2)
+	gen, err := NewGenerator(256, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +60,7 @@ func TestBatchesAreIndependentDraws(t *testing.T) {
 }
 
 func TestBatchRejectsOversizedLeave(t *testing.T) {
-	gen, err := NewGenerator(16, 4, 10, 3)
+	gen, err := NewGenerator(16, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +70,7 @@ func TestBatchRejectsOversizedLeave(t *testing.T) {
 }
 
 func TestJoinsGetFreshMembers(t *testing.T) {
-	gen, err := NewGenerator(64, 4, 10, 4)
+	gen, err := NewGenerator(64, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +80,5 @@ func TestJoinsGetFreshMembers(t *testing.T) {
 	}
 	if len(r.UserIDs) != 80 {
 		t.Fatalf("post-batch users %d, want 80", len(r.UserIDs))
-	}
-	if gen.PostBatchUsers(16, 0) != 80 {
-		t.Fatalf("PostBatchUsers = %d", gen.PostBatchUsers(16, 0))
-	}
-	if gen.K() != 10 || gen.Degree() != 4 {
-		t.Fatal("accessor mismatch")
 	}
 }

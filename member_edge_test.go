@@ -21,7 +21,7 @@ func TestMemberDuplicateIngestIdempotent(t *testing.T) {
 	}
 	cred, _ := s.Credentials(3)
 	pkt, _ := rm.PacketFor(cred.NodeID)
-	raw, _ := pkt.Marshal()
+	raw := pkt[:packet.PacketLen]
 	for i := 0; i < 3; i++ {
 		// Re-ingesting after completion is reported as ErrStale, never
 		// as a hard failure or a changed key.
@@ -74,7 +74,7 @@ func TestMemberParityOnlyRecovery(t *testing.T) {
 	// the message exists and bounds the range; then k parity packets of
 	// the victim's block.
 	other := (blk + 1) % rm.Blocks()
-	raw, _ := rm.ENC[other*k].Marshal()
+	raw := rm.ENC[other*k][:packet.PacketLen]
 	if _, err := victim.Ingest(raw); err != nil {
 		t.Fatal(err)
 	}

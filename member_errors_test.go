@@ -120,11 +120,7 @@ func TestIngestErrStale(t *testing.T) {
 		t.Fatal("stale ingest reported Done")
 	}
 	if len(rm.ENC) > 0 {
-		encRaw, err := rm.ENC[0].Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Ingest(encRaw); !errors.Is(err, ErrStale) {
+		if _, err := m.Ingest(rm.ENC[0][:packet.PacketLen]); !errors.Is(err, ErrStale) {
 			t.Fatalf("stale ENC err = %v, want ErrStale", err)
 		}
 	}
@@ -161,8 +157,8 @@ func TestIngestResultFields(t *testing.T) {
 
 	// A shard from another block: counted, not duplicate, not done.
 	otherBlk := (blk + 1) % rm.Blocks()
-	p := rm.ENC[otherBlk*k]
-	raw, err := p.Marshal()
+	raw := rm.ENC[otherBlk*k][:packet.PacketLen]
+	p, err := packet.ParseENC(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

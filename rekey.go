@@ -387,8 +387,8 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 	if err != nil {
 		return nil, err
 	}
-	rm.Plan, rm.ENC, rm.Part = plan, encs, part
-	rm.encWire = make([][]byte, len(encs))
+	rm.Plan, rm.Part = plan, part
+	rm.ENC = make([][]byte, len(encs))
 	// One slab holds every datagram: the packet and, on a signing server,
 	// room after it for buildAuth to append the trailer in place.
 	stride := packet.PacketLen
@@ -397,8 +397,8 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 	}
 	slab := make([]byte, len(encs)*stride)
 	for i, enc := range encs {
-		rm.encWire[i] = slab[i*stride : i*stride+packet.PacketLen : (i+1)*stride]
-		if err := enc.MarshalInto(rm.encWire[i]); err != nil {
+		rm.ENC[i] = slab[i*stride : i*stride+packet.PacketLen : (i+1)*stride]
+		if err := enc.MarshalInto(rm.ENC[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -437,18 +437,17 @@ type RekeyMessage struct {
 	MsgID  uint8
 	Result *keytree.BatchResult
 	Plan   *assign.Plan
-	// ENC holds the materialised packets in send order: block b's data
-	// slot s is ENC[b*k+s]; last-block padding duplicates included.
-	ENC  []*packet.ENC
+	// ENC holds every ENC datagram's send bytes in send order: block b's
+	// data slot s is ENC[b*k+s]; last-block padding duplicates included.
+	// Each is the packet, marshalled once, and after it the auth trailer
+	// when the server signs. The FEC payloads are slices of them. The
+	// bytes are shared and must not be modified.
+	ENC  [][]byte
 	Part blockplan.Partition
 
 	degree int
 	k      int
 	obs    *obs.Registry
-	// encWire holds every ENC datagram's send bytes, parallel to ENC:
-	// the packet, marshalled once, and after it the auth trailer when
-	// the server signs. The FEC payloads are slices of it.
-	encWire [][]byte
 	// auth is the interval's authentication state (Merkle trees, root
 	// signature, pre-built PARITY trailers); nil on an unsigned server.
 	// Both are built once in Rekey and read-only afterwards.
@@ -486,7 +485,7 @@ func (rm *RekeyMessage) blockDataLocked(block int) [][]byte {
 	if rm.data[block] == nil {
 		payloads := make([][]byte, rm.k)
 		for s := range payloads {
-			payloads[s] = rm.encWire[block*rm.k+s][packet.FECOffset:packet.PacketLen]
+			payloads[s] = rm.ENC[block*rm.k+s][packet.FECOffset:packet.PacketLen]
 		}
 		rm.data[block] = payloads
 	}
@@ -593,8 +592,8 @@ func (rm *RekeyMessage) PrecomputeParity(ctx context.Context, counts []int, work
 	return nil
 }
 
-// PacketFor returns the ENC packet serving the given user node ID.
-func (rm *RekeyMessage) PacketFor(nodeID int) (*packet.ENC, bool) {
+// PacketFor returns the ENC datagram serving the given user node ID.
+func (rm *RekeyMessage) PacketFor(nodeID int) ([]byte, bool) {
 	pi, ok := rm.Plan.UserPacket[nodeID]
 	if !ok {
 		return nil, false

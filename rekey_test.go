@@ -54,11 +54,7 @@ func deliverSpecific(t testing.TB, rm *RekeyMessage, m *Member, nodeID int) {
 	if !ok {
 		t.Fatalf("no packet for node %d", nodeID)
 	}
-	raw, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Ingest(raw)
+	res, err := m.Ingest(p[:packet.PacketLen])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +186,7 @@ func TestMemberRecoversViaFEC(t *testing.T) {
 		if s2 == seq {
 			continue // lose the specific packet
 		}
-		raw, err := rm.ENC[blk*k+s2].Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := victim.Ingest(raw)
+		res, err := victim.Ingest(rm.ENC[blk*k+s2][:packet.PacketLen])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,11 +245,7 @@ func TestMemberNACKAndUSR(t *testing.T) {
 	// message, then check its NACK names the right block.
 	other := (blk + 1) % rm.Blocks()
 	for s2 := 0; s2 < 3 && s2 < k; s2++ {
-		raw, err := rm.ENC[other*k+s2].Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := victim.Ingest(raw); err != nil {
+		if _, err := victim.Ingest(rm.ENC[other*k+s2][:packet.PacketLen]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -406,12 +394,8 @@ func TestEvictedMemberCannotFollow(t *testing.T) {
 	// learn the new group key.
 	old, _ := evicted.GroupKey()
 	for _, p := range rm.ENC {
-		raw, err := p.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Ingest may error (its unwrap fails) or simply not complete.
-		res, _ := evicted.Ingest(raw)
+		res, _ := evicted.Ingest(p[:packet.PacketLen])
 		if res.Done {
 			gk, _ := evicted.GroupKey()
 			if gk != old {
