@@ -91,7 +91,7 @@ func runAblUKA(o Options) ([]*stats.Figure, error) {
 			fU, fB := 0, 0
 			for ui, nodeID := range res.UserIDs {
 				got := map[int]bool{}
-				for _, idx := range rd.Received(ui) {
+				for _, idx := range rd.Received(nil, ui) {
 					got[idx] = true
 				}
 				if pi, ok := plan.UserPacket[nodeID]; ok && !got[pi] {

@@ -132,7 +132,7 @@ func TestStarClusterCorrelation(t *testing.T) {
 	rd := s.MulticastRound(times)
 	recv := func(u int) map[int]bool {
 		m := make(map[int]bool)
-		for _, i := range rd.Received(u) {
+		for _, i := range rd.Received(nil, u) {
 			m[i] = true
 		}
 		return m
@@ -180,7 +180,7 @@ func TestStarClusterDeterminism(t *testing.T) {
 		for r := 0; r < 3; r++ {
 			rd := s.MulticastRound(times)
 			for u := 0; u < cfg.N; u++ {
-				got = append(got, len(rd.Received(u)))
+				got = append(got, len(rd.Received(nil, u)))
 			}
 		}
 		return got

@@ -220,17 +220,17 @@ type RoundDelivery struct {
 	cluLost [][]bool // per cluster, per packet; nil without clusters
 }
 
-// Received returns the indices of the round's packets that user u
-// received. It must be called exactly once per user per round (it
-// advances the user's link state); calls for distinct users may run
-// concurrently.
-func (rd *RoundDelivery) Received(u int) []int {
+// Received appends to dst the indices of the round's packets that user
+// u received and returns the extended slice, so a caller can reuse one
+// buffer across users. It must be called exactly once per user per
+// round (it advances the user's link state); calls for distinct users
+// may run concurrently.
+func (rd *RoundDelivery) Received(dst []int, u int) []int {
 	link := rd.star.Recv[u]
 	var clu []bool
 	if rd.cluLost != nil {
 		clu = rd.cluLost[rd.star.ClusterOf[u]]
 	}
-	out := make([]int, 0, len(rd.times))
 	for i, t := range rd.times {
 		if rd.srcLost[i] {
 			continue
@@ -239,10 +239,10 @@ func (rd *RoundDelivery) Received(u int) []int {
 			continue
 		}
 		if !link.Lost(t) {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
 // Unicast reports whether a single packet sent to user u at time t is

@@ -136,7 +136,7 @@ func TestStarDeterministicForSeed(t *testing.T) {
 		rd := s.MulticastRound(times)
 		out := make([][]int, 64)
 		for u := 0; u < 64; u++ {
-			out[u] = rd.Received(u)
+			out[u] = rd.Received(nil, u)
 		}
 		return out
 	}
@@ -164,7 +164,7 @@ func TestStarConcurrentReceivedMatchesSerial(t *testing.T) {
 		rd := s.MulticastRound(times)
 		out := make([][]int, n)
 		for u := 0; u < n; u++ {
-			out[u] = rd.Received(u)
+			out[u] = rd.Received(nil, u)
 		}
 		return out
 	}()
@@ -177,7 +177,7 @@ func TestStarConcurrentReceivedMatchesSerial(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				out[u] = rd.Received(u)
+				out[u] = rd.Received(nil, u)
 			}()
 		}
 		wg.Wait()
@@ -211,7 +211,7 @@ func TestMulticastLossRatesPlausible(t *testing.T) {
 		}
 		rd := s.MulticastRound(times)
 		for u := 0; u < 400; u++ {
-			recv[u] += len(rd.Received(u))
+			recv[u] += len(rd.Received(nil, u))
 		}
 	}
 	lowSum, lowN, highSum, highN := 0.0, 0, 0.0, 0

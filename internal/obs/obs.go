@@ -38,9 +38,10 @@ const (
 	CEncSent
 	CParitySent
 	CUsrSent
-	// CSendCalls counts the send calls of the multicast fan-out: a burst
-	// carries several datagrams to one member in one call, so datagrams
-	// fanned out over send_calls is 1 where the kernel refuses bursts.
+	// CSendCalls counts the system calls of the fan-out: a sendmmsg
+	// carries up to 64 members' messages, each a run of datagrams, so
+	// datagrams fanned out over send_calls is 1 where the kernel refuses
+	// batches.
 	CSendCalls
 	// CNACKRecv counts NACK packets the server accepted (deduplicated
 	// per user per round, matching udptrans.Stats).

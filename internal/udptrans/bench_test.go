@@ -18,9 +18,10 @@ import (
 // the start of Distribute to their EvMemberDone -- with the fan-out
 // emulating multicast by unicast, a measure of where in the send order
 // a member's own packet sits -- and the system calls the fan-out cost on
-// each end, sends/op and recvs/op (for ~30 datagrams a member, a few
-// each with bursts, 30 without). ns/op is dominated by the one NACK
-// window an interval waits out.
+// each end, sends/op and recvs/op. For ~30 datagrams a member, sends/op
+// is a few sendmmsg calls a pass over the members, and recvs/op a few
+// reads a member; without batches both are one a (member, datagram).
+// ns/op is dominated by the one NACK window an interval waits out.
 func BenchmarkDistributeTimeToKey(b *testing.B) {
 	const n, churn = 256, 64
 	sreg := obs.New()

@@ -1,8 +1,9 @@
 //go:build !386
 
-// The Linux half of the burst fan-out: UDP segmentation offload on the
-// server's socket, coalesced receive on the members'. linux/386 has no
-// recvmsg system call number and takes burst_other.go's path.
+// The Linux half of the batched fan-out: sendmmsg with UDP segmentation
+// offload on the server's socket, coalesced receive on the members'.
+// linux/386 has no recvmsg or sendmmsg system call number and takes
+// burst_other.go's path.
 
 package udptrans
 
@@ -10,7 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
-	"net/netip"
+	"os"
 	"sync"
 	"syscall"
 	"unsafe"
@@ -23,27 +24,98 @@ const (
 	udpGRO     = 104 // socket option; recvmsg cmsg, int: the read is datagrams of this size
 )
 
-// newBurst returns the server's segmented send over conn. The control
-// message is the server's, not the call's: only its segment size changes.
-func newBurst(conn *net.UDPConn) func(b []byte, seg int, to netip.AddrPort) error {
-	oob := make([]byte, syscall.CmsgSpace(2))
-	h := (*syscall.Cmsghdr)(unsafe.Pointer(&oob[0]))
-	h.Level, h.Type = solUDP, udpSegment
-	h.SetLen(syscall.CmsgLen(2))
-	return func(b []byte, seg int, to netip.AddrPort) error {
-		binary.NativeEndian.PutUint16(oob[syscall.CmsgLen(0):], uint16(seg))
-		_, _, err := conn.WriteMsgUDPAddrPort(b, oob, to)
-		return err
+// mmsgBatch is the kernel's view of a send list, rewritten in place each
+// call: a header (struct mmsghdr), an address, two iovecs and a
+// UDP_SEGMENT control message (CmsgSpace(2) bytes) a message.
+type mmsgBatch struct {
+	rc    syscall.RawConn
+	inet6 bool // the socket is AF_INET6, as Go makes one bound to [::] or 0.0.0.0: IPv4 addresses go v4-mapped
+	hdrs  [batchSize]struct {
+		syscall.Msghdr
+		msgLen uint32 // bytes sent, set by the kernel
 	}
+	names [batchSize]syscall.RawSockaddrInet6
+	iovs  [batchSize][2]syscall.Iovec
+	oob   [batchSize]struct {
+		syscall.Cmsghdr
+		seg uint16
+	}
+	try func(fd uintptr) bool
+
+	// Set by try for send.
+	n, sent int
+	errno   syscall.Errno
 }
 
-// burstRefused reports whether err is the kernel declining to segment:
+// newMmsg returns the server's batched send over conn: the list, up to
+// batchSize messages of it, in one sendmmsg, and how many the kernel took.
+func newMmsg(conn *net.UDPConn) func(msgs []outMsg) (int, error) {
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		return nil
+	}
+	b := &mmsgBatch{rc: rc, inet6: conn.LocalAddr().(*net.UDPAddr).IP.To4() == nil}
+	// One non-blocking attempt at the list: EAGAIN sends the caller to the
+	// poller until the socket takes more.
+	b.try = func(fd uintptr) bool {
+		n, _, errno := syscall.Syscall6(sysSendmmsg, fd, uintptr(unsafe.Pointer(&b.hdrs[0])), uintptr(b.n), 0, 0, 0)
+		b.sent, b.errno = int(n), errno
+		return errno != syscall.EAGAIN
+	}
+	return b.send
+}
+
+func (b *mmsgBatch) send(msgs []outMsg) (int, error) {
+	b.n = min(len(msgs), batchSize)
+	for i, m := range msgs[:b.n] {
+		h, sa, a := &b.hdrs[i].Msghdr, &b.names[i], m.to.Addr()
+		*h = syscall.Msghdr{Name: (*byte)(unsafe.Pointer(sa)), Namelen: syscall.SizeofSockaddrInet6, Iov: &b.iovs[i][0]}
+		if !b.inet6 && a.Is4() {
+			*(*syscall.RawSockaddrInet4)(unsafe.Pointer(sa)) = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Addr: a.As4()}
+			h.Namelen = syscall.SizeofSockaddrInet4
+		} else {
+			*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Addr: a.As16()}
+			if z := a.Zone(); z != "" {
+				if ifi, err := net.InterfaceByName(z); err == nil {
+					sa.Scope_id = uint32(ifi.Index)
+				}
+			}
+		}
+		// The port sits at the same offset in both families.
+		binary.BigEndian.PutUint16((*[2]byte)(unsafe.Pointer(&sa.Port))[:], m.to.Port())
+		total := 0
+		for _, p := range m.iov {
+			if len(p) > 0 {
+				b.iovs[i][h.Iovlen].Base = &p[0]
+				b.iovs[i][h.Iovlen].SetLen(len(p))
+				h.Iovlen++
+				total += len(p)
+			}
+		}
+		if c := &b.oob[i]; total > m.seg {
+			c.Level, c.Type, c.seg = solUDP, udpSegment, uint16(m.seg)
+			c.SetLen(syscall.CmsgLen(2))
+			h.Control = (*byte)(unsafe.Pointer(c))
+			h.SetControllen(syscall.CmsgSpace(2))
+		}
+	}
+	if err := b.rc.Write(b.try); err != nil {
+		return 0, err
+	}
+	if b.errno != 0 {
+		return 0, os.NewSyscallError("sendmmsg", b.errno)
+	}
+	return b.sent, nil
+}
+
+// batchRefused reports whether err is the kernel declining a batch:
 // EIO without checksum offload on the route, EINVAL or EMSGSIZE for a
-// segment over the path MTU, ENOPROTOOPT before Linux 4.18.
-func burstRefused(err error) bool {
+// segment over the path MTU, ENOPROTOOPT before Linux 4.18, ENOSYS
+// without sendmmsg.
+func batchRefused(err error) bool {
 	var errno syscall.Errno
 	return errors.As(err, &errno) && (errno == syscall.EIO || errno == syscall.EINVAL ||
-		errno == syscall.EMSGSIZE || errno == syscall.ENOPROTOOPT)
+		errno == syscall.EMSGSIZE || errno == syscall.ENOPROTOOPT || errno == syscall.ENOSYS)
 }
 
 // yield offers the CPU to any other thread that is ready to run on it;

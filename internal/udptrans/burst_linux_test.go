@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/netip"
 	"os"
+	"slices"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -19,49 +20,71 @@ import (
 	"repro/internal/blockplan"
 )
 
-// TestRefusedBurstFallsBackPerDatagram: a burst the kernel refuses with
-// EINVAL -- a segment over the path MTU -- goes out again datagram by
-// datagram, nothing is sent twice, and the server asks no more.
+// TestRefusedBurstFallsBackPerDatagram: a batch the kernel takes only in
+// part resumes at the first message it did not take; a message it then
+// refuses with EINVAL -- a segment over the path MTU -- goes out again
+// datagram by datagram with the rest of the list. Every member receives
+// every datagram of the round once, its own packet first and the rest in
+// round order, and the server asks for no batch again.
 func TestRefusedBurstFallsBackPerDatagram(t *testing.T) {
-	srv, rm := wiredServer(t, 4, rekey.WithKeySeed(54))
-	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rx.Close()
-	srv.SetMemberAddr(0, rx.LocalAddr().(*net.UDPAddr))
-	refused := 0
-	srv.burst = func([]byte, int, netip.AddrPort) error {
-		refused++
-		return &net.OpError{Op: "write", Net: "udp", Err: os.NewSyscallError("sendmsg", syscall.EINVAL)}
+	const n = 12
+	srv, rm := wiredServer(t, n, rekey.WithKeySeed(54))
+	rxOf := make(map[netip.AddrPort]*net.UDPConn, n)
+	for i := range n {
+		rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rx.Close()
+		srv.SetMemberAddr(rekey.MemberID(i), rx.LocalAddr().(*net.UDPAddr))
+		rxOf[addrPort(rx.LocalAddr().(*net.UDPAddr))] = rx
 	}
 	members, _ := srv.memberTable(rm)
 	refs := blockplan.RoundOne(rm.Part, 1.0)
+	k := rm.Part.K
+	round := make([]wireRef, len(refs))
+	for i, r := range refs {
+		w, err := rm.WireENC(r.Block*k + r.Shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round[i] = wireRef(w[:3])
+	}
+	taken := n + 2 // the own-packet pass and two messages of the next
+	calls, listed := 0, 0
+	batch := srv.mmsg
+	srv.mmsg = func(msgs []outMsg) (int, error) {
+		if calls++; calls == 1 {
+			listed = len(msgs)
+			return batch(msgs[:taken])
+		}
+		return 0, &net.OpError{Op: "write", Net: "udp", Err: os.NewSyscallError("sendmmsg", syscall.EINVAL)}
+	}
 	buf := srv.bufs.Get()
 	defer buf.Release()
-	for round := 1; round <= 2; round++ {
+	for r := 1; r <= 2; r++ {
 		if err := srv.multicastRefs(context.Background(), rm, refs, members, nil, buf, &Stats{}); err != nil {
-			t.Fatalf("round %d: %v", round, err)
+			t.Fatalf("round %d: %v", r, err)
 		}
-		if refused != 1 || srv.burst != nil {
-			t.Fatalf("round %d: %d bursts refused, bursts still on: %v; want one refusal to turn them off", round, refused, srv.burst != nil)
+		if calls != 2 || listed <= taken || srv.mmsg != nil {
+			t.Fatalf("round %d: %d batch calls, the first of %d messages, batches still on: %v; want %d taken of more, one refusal, then none",
+				r, calls, listed, srv.mmsg != nil, taken)
 		}
-		seen := make(map[wireRef]int)
-		pkt := make([]byte, 2048)
-		for {
-			rx.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //nolint:errcheck
-			n, err := rx.Read(pkt)
-			if err != nil {
-				break
+		for _, m := range members {
+			own := slices.Index(refs, blockplan.Ref{Block: m.own / k, Shard: m.own % k})
+			want := append([]wireRef{round[own]}, slices.Delete(slices.Clone(round), own, own+1)...)
+			var got []wireRef
+			pkt := make([]byte, 2048)
+			for rx := rxOf[m.addr]; ; {
+				rx.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //nolint:errcheck
+				n, err := rx.Read(pkt)
+				if err != nil {
+					break
+				}
+				got = append(got, wireRef(pkt[:n]))
 			}
-			seen[wireRef(pkt[:n])]++
-		}
-		if len(seen) != len(refs) {
-			t.Fatalf("round %d: %d distinct datagrams arrived, want %d", round, len(seen), len(refs))
-		}
-		for r, n := range seen {
-			if n != 1 {
-				t.Fatalf("round %d: datagram %v arrived %d times", round, r, n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d: member %d received %v, want %v", r, m.node, got, want)
 			}
 		}
 	}
@@ -94,8 +117,8 @@ func TestGROSegment(t *testing.T) {
 // poller holds no shared read buffer.
 func TestClientReadSteadyStateAllocs(t *testing.T) {
 	srv, rm := wiredServer(t, 4, rekey.WithKeySeed(55))
-	if srv.burst == nil {
-		t.Fatal("no bursts on linux")
+	if srv.mmsg == nil {
+		t.Fatal("no batches on linux")
 	}
 	cred, _ := srv.ks.Credentials(0)
 	c, err := NewClient(cred, srv.Addr())
@@ -108,6 +131,11 @@ func TestClientReadSteadyStateAllocs(t *testing.T) {
 	}
 	burst := bytes.Repeat(wire, 8)
 	to := addrPort(c.Addr())
+	one := make([]outMsg, 1)
+	send := func(b []byte) error {
+		one[0] = outMsg{to: to, iov: [2][]byte{b}, seg: len(wire)}
+		return srv.send(context.Background(), one)
+	}
 	var delivered atomic.Int64 // Drop runs on the receive loop's goroutine at the end
 	c.Drop = func([]byte) bool {
 		delivered.Add(1)
@@ -117,8 +145,8 @@ func TestClientReadSteadyStateAllocs(t *testing.T) {
 		send func() error
 		want int64
 	}{
-		"single":    {func() error { return srv.send("test", wire, to) }, 1},
-		"coalesced": {func() error { return srv.burst(burst, len(wire), to) }, 8},
+		"single":    {func() error { return send(wire) }, 1},
+		"coalesced": {func() error { return send(burst) }, 8},
 	} {
 		read := func() {
 			if err := tc.send(); err != nil {
@@ -146,7 +174,7 @@ func TestClientReadSteadyStateAllocs(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- c.Run(context.Background()) }()
 	delivered.Store(0)
-	if err := srv.burst(burst, len(wire), to); err != nil {
+	if err := send(burst); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)

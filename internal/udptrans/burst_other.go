@@ -1,20 +1,19 @@
 //go:build !linux || 386
 
-// Platforms without the burst fan-out's kernel half (burst_linux.go):
+// Platforms without the batched fan-out's kernel half (burst_linux.go):
 // the server sends and the client reads one datagram a call.
 
 package udptrans
 
 import (
 	"net"
-	"net/netip"
 
 	"repro/internal/packet"
 )
 
-func newBurst(*net.UDPConn) func(b []byte, seg int, to netip.AddrPort) error { return nil }
+func newMmsg(*net.UDPConn) func(msgs []outMsg) (int, error) { return nil }
 
-func burstRefused(error) bool { return false }
+func batchRefused(error) bool { return false }
 
 func yield() {}
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"math/rand/v2"
+	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -73,7 +75,7 @@ func burstRun(t *testing.T, signer *keys.Signer, bursts bool) (map[int][][]byte,
 			c.Member.SetVerifier(keys.NewRootVerifier(signer.Public()))
 		}
 	}, opts...)
-	if bursts && srv.burst == nil {
+	if bursts && srv.mmsg == nil {
 		t.Skip("no segmentation offload on this platform")
 	}
 	for i := 0; i < n; i += 3 {
@@ -97,7 +99,7 @@ func burstRun(t *testing.T, signer *keys.Signer, bursts bool) (map[int][][]byte,
 	}
 	waitKeyed(t, ks, clients, 3*time.Second)
 	armed.Store(false)
-	if bursts && srv.burst == nil {
+	if bursts && srv.mmsg == nil {
 		t.Fatal("the kernel refused a burst on loopback")
 	}
 	mu.Lock()
@@ -114,7 +116,7 @@ func burstRun(t *testing.T, signer *keys.Signer, bursts bool) (map[int][][]byte,
 // member's arrival sequence is the same bytes in the same order, signed
 // and unsigned, over a round one longer than a burst cap and a round two
 // that its NACKers lead -- while the burst run makes a fraction of the
-// send and receive calls.
+// receive calls and a send call per batch of members a pass.
 func TestBurstsDeliverWhatDatagramsDeliver(t *testing.T) {
 	signer, err := keys.NewSigner(1024)
 	if err != nil {
@@ -151,8 +153,19 @@ func TestBurstsDeliverWhatDatagramsDeliver(t *testing.T) {
 			if calls := wantCli.Counters["recv_calls"]; calls != fanned {
 				t.Errorf("per datagram: recv_calls = %d, want %d", calls, fanned)
 			}
-			if calls := gotSrv.Counters["send_calls"]; calls*4 > fanned {
-				t.Errorf("bursts: send_calls = %d for %d datagrams fanned out", calls, fanned)
+			// A pass sends each member a message: each round's first pass,
+			// then a pass a chunk, of which each round but the last may end
+			// one short. A pass is ⌈members/64⌉ batches, a call each.
+			longest := 0
+			for _, w := range want {
+				for _, d := range w {
+					longest = max(longest, len(d))
+				}
+			}
+			chunk, sent := min(maxBurst, maxBurstBytes/longest), wantSt.EncSent+wantSt.ParitySent
+			passes := 2*wantSt.Rounds - 1 + (sent+chunk-1)/chunk
+			if calls, most := gotSrv.Counters["send_calls"], int64(passes*((len(want)+batchSize-1)/batchSize)); calls > most {
+				t.Errorf("bursts: send_calls = %d for %d passes over %d members, want at most %d", calls, passes, len(want), most)
 			}
 			if calls := gotCli.Counters["recv_calls"]; calls*4 > fanned {
 				t.Errorf("bursts: recv_calls = %d for %d datagrams received", calls, fanned)
@@ -218,9 +231,10 @@ func TestDeliverSplitsCoalescedRead(t *testing.T) {
 
 // TestBurstCaps walks rounds of 1 to 200 datagrams, of one length and
 // of mixed ones, the way the fan-out does -- chunks, then the runs one
-// call carries -- and checks every call against the kernel's limits (64
-// segments, 65 507 bytes), the transport's own tighter caps, and the
-// shape a segmented send needs: one length, the last possibly shorter.
+// message carries, around a member's own packet in every other chunk --
+// and checks every message against the kernel's limits (64 segments,
+// 65 507 bytes), the transport's own tighter caps, and the shape a
+// segmented send needs: one length, the last possibly shorter.
 func TestBurstCaps(t *testing.T) {
 	rng := rand.New(rand.NewPCG(53, 0))
 	lengths := map[string]func(i int) int{
@@ -236,12 +250,20 @@ func TestBurstCaps(t *testing.T) {
 			}
 			next := 0
 			for lo, hi := 0, 0; lo < n; lo = hi {
-				hi = spanEnd(offs, lo, n, false)
+				hi = spanEnd(offs, lo, n, -1, false)
 				if hi <= lo || hi-lo > maxBurst || (hi-lo > 1 && offs[hi]-offs[lo] > maxBurstBytes) {
 					t.Fatalf("%s, %d datagrams: chunk [%d,%d) of %d bytes", name, n, lo, hi, offs[hi]-offs[lo])
 				}
+				skip := -1 // in every other chunk, the member's own packet
+				if lo%2 == 0 {
+					skip = lo + rng.IntN(hi-lo)
+				}
 				for a, b := lo, lo; a < hi; a = b {
-					b = spanEnd(offs, a, hi, true)
+					if a == skip {
+						b, next = a+1, a+1
+						continue
+					}
+					b = spanEnd(offs, a, hi, skip, true)
 					if a != next || b <= a || b > hi {
 						t.Fatalf("%s, %d datagrams: run [%d,%d) after %d in chunk [%d,%d)", name, n, a, b, next, lo, hi)
 					}
@@ -250,8 +272,12 @@ func TestBurstCaps(t *testing.T) {
 					if b-a > 64 || (b-a > 1 && offs[b]-offs[a] > 65507) {
 						t.Fatalf("%s, %d datagrams: one call carries %d segments, %d bytes", name, n, b-a, offs[b]-offs[a])
 					}
+					last := b - 1
+					if last == skip {
+						last--
+					}
 					for i := a; i < b; i++ {
-						if l := offs[i+1] - offs[i]; l > seg || (l < seg && i != b-1) {
+						if l := offs[i+1] - offs[i]; i != skip && (l > seg || (l < seg && i != last)) {
 							t.Fatalf("%s, %d datagrams: run [%d,%d) of %d-byte segments holds a %d-byte datagram at %d", name, n, a, b, seg, l, i)
 						}
 					}
@@ -260,6 +286,91 @@ func TestBurstCaps(t *testing.T) {
 			if next != n {
 				t.Fatalf("%s: runs cover %d of %d datagrams", name, next, n)
 			}
+		}
+	}
+}
+
+// TestDistributeDualStack: a server on [::] reaches members on 127.0.0.1
+// and on [::1] in one signed interval -- v4-mapped and IPv6 addresses in
+// one send list -- and keys every member, each receiving what it
+// receives one datagram a call.
+func TestDistributeDualStack(t *testing.T) {
+	probe, err := net.ListenUDP("udp6", &net.UDPAddr{IP: net.IPv6loopback})
+	if err != nil {
+		t.Skipf("no IPv6 on this host: %v", err)
+	}
+	probe.Close()
+	signer, err := keys.NewSigner(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(batched bool) map[int][][]byte {
+		const n = 48
+		ks, err := rekey.NewServer(rekey.WithKeySeed(57), rekey.WithSigner(signer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(ks, "[::]:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		if !batched {
+			srv.mmsg = nil
+		}
+		batching := srv.mmsg != nil
+		for i := range n {
+			if err := ks.QueueJoin(rekey.MemberID(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rm, err := ks.Rekey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		arrivals := make(map[int][][]byte) // guarded by mu
+		clients := make(map[rekey.MemberID]*Client, n)
+		for i := range n {
+			cred, _ := ks.Credentials(rekey.MemberID(i))
+			local, server := "127.0.0.1:0", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: srv.Addr().Port}
+			if i%2 == 1 {
+				local, server = "[::1]:0", &net.UDPAddr{IP: net.IPv6loopback, Port: srv.Addr().Port}
+			}
+			c, err := NewClientAt(cred, server, local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Member.SetVerifier(keys.NewRootVerifier(signer.Public()))
+			c.Drop = func(pkt []byte) bool {
+				mu.Lock()
+				defer mu.Unlock()
+				arrivals[i] = append(arrivals[i], bytes.Clone(pkt))
+				return false
+			}
+			clients[rekey.MemberID(i)] = c
+			srv.SetMemberAddr(rekey.MemberID(i), c.Addr())
+			go c.Run(context.Background()) //nolint:errcheck
+			defer c.Close()
+		}
+		if _, err := srv.Distribute(context.Background(), rm, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+		waitKeyed(t, ks, clients, 3*time.Second)
+		if batching && srv.mmsg == nil {
+			t.Fatal("the kernel refused a batch to a dual-stack group")
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return arrivals
+	}
+	want, got := run(false), run(true)
+	if len(got) != len(want) {
+		t.Fatalf("%d members saw datagrams batched, %d one a call", len(got), len(want))
+	}
+	for id, w := range want {
+		if g := got[id]; !slices.EqualFunc(g, w, bytes.Equal) {
+			t.Fatalf("member %d: %d datagrams batched, %d one a call, or the same count in another order", id, len(g), len(w))
 		}
 	}
 }

@@ -6,11 +6,11 @@
 // What to send and when to stop is protocol.Sender's to decide -- the
 // same state machine the simulated vsim.Session drives -- and this
 // package moves real bytes through real sockets: who is sent what first,
-// the NACK window and its source check. The fan-out pays per burst, not
-// per datagram: on Linux the server hands the kernel a run of datagrams
-// for one member in one segmented send and the member reads it back in
-// one coalesced receive (burst_linux.go); elsewhere, and where the
-// kernel refuses, the same loops move one datagram a call.
+// the NACK window and its source check. The fan-out pays per batch, not
+// per datagram: on Linux one sendmmsg hands the kernel up to 64 members'
+// runs of datagrams, each run segmented, and a member reads its run back
+// in one coalesced receive (burst_linux.go); elsewhere, and where the
+// kernel refuses, the same list goes out one datagram a call.
 package udptrans
 
 import (
@@ -37,11 +37,12 @@ type Server struct {
 	// bufs pools the datagram build buffers of the multicast hot path;
 	// sized for the largest possible datagram (packet + auth trailer).
 	bufs *protocol.BufPool
-	// burst sends b to one member as datagrams of seg bytes (the last
-	// may be shorter) in a single call. It is nil where the platform has
-	// no segmentation offload and once the kernel has refused a burst;
-	// tests clear it to get the per-datagram reference path.
-	burst func(b []byte, seg int, to netip.AddrPort) error
+	// mmsg hands the kernel a send list in one call and returns how many
+	// messages it took. It is nil where the platform has no batched,
+	// segmented send and once the kernel has refused one; tests clear it
+	// to get the per-datagram reference path.
+	mmsg func(msgs []outMsg) (int, error)
+	out  []outMsg // the last send list, whose array the next one reuses
 
 	mu    sync.Mutex
 	addrs map[rekey.MemberID]*net.UDPAddr // guarded by mu
@@ -65,7 +66,7 @@ func NewServer(ks *rekey.Server, addr string) (*Server, error) {
 		conn:  conn,
 		obs:   ks.Obs(),
 		bufs:  protocol.NewBufPool(packet.PacketLen+packet.MaxAuthTrailer, ks.Obs()),
-		burst: newBurst(conn),
+		mmsg:  newMmsg(conn),
 		addrs: make(map[rekey.MemberID]*net.UDPAddr),
 	}, nil
 }
@@ -271,7 +272,7 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 			}
 			st.UnicastWaves = snd.Wave()
 			s.obs.Inc(obs.CUnicastWaves)
-			if err := s.unicastUSR(rm, members[:waitingFirst(members, snd.Waiting())], snd.Dups(), st); err != nil {
+			if err := s.unicastUSR(ctx, rm, members[:waitingFirst(members, snd.Waiting())], snd.Dups(), st); err != nil {
 				return st, err
 			}
 		}
@@ -290,14 +291,24 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	}
 }
 
-// Burst caps, a call: half of what the kernel takes in a segmented send
-// (64 segments, 65 507 bytes) and a fraction of a default receive
+// Burst caps, a message: half of what the kernel takes in a segmented
+// send (64 segments, 65 507 bytes) and a fraction of a default receive
 // buffer, so a member not reading when a chunk of a long round arrives
-// still holds all of it.
+// still holds all of it. A batch, one call, is up to batchSize messages.
 const (
 	maxBurst      = 32
 	maxBurstBytes = 32 << 10
+	batchSize     = 64
 )
+
+// outMsg is one entry of a send list: datagrams for one member in one or
+// two pieces of a round's slab, which the kernel cuts into datagrams of
+// seg bytes, the last possibly shorter.
+type outMsg struct {
+	to  netip.AddrPort
+	iov [2][]byte
+	seg int
+}
 
 // multicastRefs puts one round on the wire under one rule: whoever is
 // known to be waiting goes first. The fan-out emulates multicast by
@@ -347,108 +358,116 @@ func (s *Server) multicastRefs(ctx context.Context, rm *rekey.RekeyMessage, refs
 	buf.Store(slab)
 
 	// First pass: the waiting members, each sent all it waits for.
+	msgs := s.out[:0]
 	rest := members
 	if nackers == nil {
 		for _, m := range members {
 			if m.own >= 0 {
-				if err := s.sendSpan(slab, offs, at[m.own], at[m.own]+1, -1, m.addr); err != nil {
-					return err
-				}
+				msgs = appendSpan(msgs, slab, offs, at[m.own], at[m.own]+1, -1, m.addr)
 			}
 		}
 	} else {
 		n := waitingFirst(members, nackers)
 		for _, m := range members[:n] {
-			if err := s.sendSpan(slab, offs, 0, len(refs), -1, m.addr); err != nil {
-				return err
-			}
+			msgs = appendSpan(msgs, slab, offs, 0, len(refs), -1, m.addr)
 		}
 		rest = members[n:]
 	}
-	// Second pass, chunk-major: every pair the first did not send. This
-	// is the transport's inner loop: the bytes are the round's and the
-	// socket writes go through the AddrPort API -- no allocation per
-	// datagram, burst or member.
+	// Second pass, chunk-major: every pair the first did not send, a
+	// member's chunk one message around its own packet. This is the
+	// transport's inner loop: the messages point into the round's bytes,
+	// and the list reuses the last one's array -- no allocation per
+	// datagram, message or batch.
 	for lo, hi := 0, 0; lo < len(refs); lo = hi {
-		hi = spanEnd(offs, lo, len(refs), false)
+		hi = spanEnd(offs, lo, len(refs), -1, false)
 		for _, m := range rest {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			own := -1 // where in the round the packet the first pass sent m is
 			if nackers == nil && m.own >= 0 {
 				own = at[m.own]
 			}
-			if err := s.sendSpan(slab, offs, lo, hi, own, m.addr); err != nil {
-				return err
-			}
-			// Nobody is known to wait for this pass, and a thread that sends
-			// without pause keeps its CPU from the threads its sends wake
-			// (the kernel queues a wakee behind its waker): members hosted
-			// with the server get their own packets a scheduler tick late.
-			yield()
+			msgs = appendSpan(msgs, slab, offs, lo, hi, own, m.addr)
 		}
 	}
-	return nil
+	s.out = msgs
+	return s.send(ctx, msgs)
 }
 
 // spanEnd returns the end of the longest span of datagrams that starts
 // at lo, stops at or before hi and stays inside the burst caps. With
-// oneCall the span is also one the kernel can segment: datagrams of one
-// length, the last possibly shorter.
-func spanEnd(offs []int, lo, hi int, oneCall bool) int {
+// oneCall the span but for datagram skip is also one the kernel can
+// segment: datagrams of one length, the last possibly shorter.
+func spanEnd(offs []int, lo, hi, skip int, oneCall bool) int {
 	seg := offs[lo+1] - offs[lo]
 	end := lo + 1
 	for end < hi && end-lo < maxBurst && offs[end+1]-offs[lo] <= maxBurstBytes {
 		n := offs[end+1] - offs[end]
-		if oneCall && n > seg {
+		if oneCall && end != skip && n > seg {
 			break
 		}
 		end++
-		if oneCall && n < seg {
+		if oneCall && end-1 != skip && n < seg {
 			break
 		}
 	}
 	return end
 }
 
-// sendSpan sends one member datagrams [lo, hi) of the round laid out in
-// slab, but for datagram skip, which it has: every run the kernel can
-// segment as one burst, a run of one -- every run, once bursts are off
-// -- as a plain send. A burst the kernel refuses sent nothing: it goes
-// out again datagram by datagram, and the server stops asking.
-func (s *Server) sendSpan(slab []byte, offs []int, lo, hi, skip int, to netip.AddrPort) error {
-	if lo <= skip && skip < hi {
-		if err := s.sendSpan(slab, offs, lo, skip, -1, to); err != nil {
-			return err
-		}
-		lo = skip + 1
-	}
+// appendSpan appends the messages for datagrams [lo, hi) of the round in
+// slab but skip, which the member has: one for every run the kernel can
+// segment, in two pieces where the run spans skip.
+func appendSpan(msgs []outMsg, slab []byte, offs []int, lo, hi, skip int, to netip.AddrPort) []outMsg {
 	for lo < hi {
-		end := lo + 1
-		if s.burst != nil {
-			end = spanEnd(offs, lo, hi, true)
-		}
-		if end-lo == 1 {
-			if err := s.send("multicast", slab[offs[lo]:offs[end]], to); err != nil {
-				return err
-			}
-		} else if err := s.burst(slab[offs[lo]:offs[end]], offs[lo+1]-offs[lo], to); err != nil {
-			if !burstRefused(err) {
-				return fmt.Errorf("udptrans: multicast: %w", err)
-			}
-			s.burst = nil
+		if lo == skip {
+			lo++
 			continue
 		}
-		s.obs.Inc(obs.CSendCalls)
+		end := spanEnd(offs, lo, hi, skip, true)
+		m := outMsg{to: to, iov: [2][]byte{slab[offs[lo]:offs[end]]}, seg: offs[lo+1] - offs[lo]}
+		if lo < skip && skip < end {
+			m.iov = [2][]byte{slab[offs[lo]:offs[skip]], slab[offs[skip+1]:offs[end]]}
+		}
+		msgs = append(msgs, m)
 		lo = end
 	}
-	return nil
+	return msgs
 }
 
-func (s *Server) send(op string, wire []byte, to netip.AddrPort) error {
-	if _, err := s.conn.WriteToUDPAddrPort(wire, to); err != nil {
-		return fmt.Errorf("udptrans: %s: %w", op, err)
+// send puts a send list on the wire a batch a call, resuming a batch the
+// kernel took in part at its first message left. A message it refuses
+// sent nothing: from it on, for good, the server sends one datagram a
+// call. It yields after each batch: a thread that sends without pause
+// keeps its CPU from the threads its sends wake, which the kernel queues
+// behind it, and members hosted with it would key a tick late.
+func (s *Server) send(ctx context.Context, msgs []outMsg) error {
+	for len(msgs) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		batch := msgs[:min(len(msgs), batchSize)]
+		if s.mmsg != nil {
+			n, err := s.mmsg(batch)
+			if err == nil {
+				s.obs.Inc(obs.CSendCalls)
+				batch = batch[:n]
+			} else if batchRefused(err) {
+				s.mmsg = nil
+			} else {
+				return fmt.Errorf("udptrans: send: %w", err)
+			}
+		}
+		for i := 0; s.mmsg == nil && i < len(batch); i++ {
+			m := batch[i]
+			for _, p := range m.iov {
+				for ; len(p) > 0; p = p[min(m.seg, len(p)):] {
+					if _, err := s.conn.WriteToUDPAddrPort(p[:min(m.seg, len(p))], m.to); err != nil {
+						return fmt.Errorf("udptrans: send: %w", err)
+					}
+					s.obs.Inc(obs.CSendCalls)
+				}
+			}
+		}
+		msgs = msgs[len(batch):]
+		yield()
 	}
 	return nil
 }
@@ -531,7 +550,8 @@ func (s *Server) listen(ctx context.Context, rm *rekey.RekeyMessage, addrOf map[
 // member's -- NACKs are unauthenticated, and such an ID has no USR leaf
 // on a signed message: WireUSR would fail the interval for everyone --
 // is served nothing.
-func (s *Server) unicastUSR(rm *rekey.RekeyMessage, pending []member, dups int, st *Stats) error {
+func (s *Server) unicastUSR(ctx context.Context, rm *rekey.RekeyMessage, pending []member, dups int, st *Stats) error {
+	msgs := s.out[:0]
 	for _, m := range pending {
 		// WireUSR carries the auth trailer on signed messages and is the
 		// plain marshal otherwise; the unicast phase is the cold path, so
@@ -541,12 +561,11 @@ func (s *Server) unicastUSR(rm *rekey.RekeyMessage, pending []member, dups int, 
 			return err
 		}
 		for j := 0; j < dups; j++ {
-			if err := s.send("unicast", raw, m.addr); err != nil {
-				return err
-			}
+			msgs = append(msgs, outMsg{to: m.addr, iov: [2][]byte{raw}, seg: len(raw)})
 			st.UsrSent++
 			s.obs.Inc(obs.CUsrSent)
 		}
 	}
-	return nil
+	s.out = msgs
+	return s.send(ctx, msgs)
 }

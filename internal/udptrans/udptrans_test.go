@@ -45,7 +45,7 @@ func groupWith(t *testing.T, n int, setup func(i int, c *Client), opts ...rekey.
 	}
 	t.Cleanup(func() { srv.Close() })
 	if perDatagram {
-		srv.burst = nil
+		srv.mmsg = nil
 	}
 
 	for i := 0; i < n; i++ {

@@ -29,7 +29,7 @@ func wiredServer(t *testing.T, n int, opts ...rekey.Option) (*Server, *rekey.Rek
 	}
 	t.Cleanup(func() { srv.Close() })
 	if perDatagram {
-		srv.burst = nil
+		srv.mmsg = nil
 	}
 	for i := 0; i < n; i++ {
 		if err := ks.QueueJoin(rekey.MemberID(i)); err != nil {
@@ -95,7 +95,7 @@ func TestSendRefSteadyStateAllocs(t *testing.T) {
 			}
 			for _, mode := range []string{"bursts", "per datagram"} {
 				if mode == "per datagram" {
-					srv.burst = nil
+					srv.mmsg = nil
 				}
 				rounds() // grows buf to a round
 				if allocs := testing.AllocsPerRun(50, rounds); allocs > 2 {

@@ -395,23 +395,25 @@ func (s *Session) deliver(r *run, refs []blockplan.Ref, rd *netsim.RoundDelivery
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			var got []int // the worker's buffer, one member's at a time
 			for i := lo; i < hi; i++ {
 				if r.done[i] > 0 {
 					continue
 				}
-				got := rd.Received(i)
+				got = rd.Received(got[:0], i)
+				m := r.members[i]
+				keyed := false
 				if own, ok := r.rm.Plan.UserPacket[r.rm.Result.UserIDs[i]]; ok {
 					j := slices.Index(refs, blockplan.Ref{Block: own / k, Shard: own % k})
 					if _, ok := slices.BinarySearch(got, j); ok {
-						got = append([]int{j}, got...)
+						keyed = keyedBy(m, wires[j])
 					}
 				}
-				m := r.members[i]
-				for _, idx := range got {
-					if res, err := m.Ingest(wires[idx]); err == nil && res.Done {
-						r.done[i] = round
-						break
-					}
+				for n := 0; !keyed && n < len(got); n++ {
+					keyed = keyedBy(m, wires[got[n]])
+				}
+				if keyed {
+					r.done[i] = round
 				}
 				if nk, ok := m.NACK(); ok { // none once keyed
 					nacks[i], _ = nk.Marshal() // a member's own msgID always fits
@@ -421,6 +423,12 @@ func (s *Session) deliver(r *run, refs []blockplan.Ref, rd *netsim.RoundDelivery
 	}
 	wg.Wait()
 	return nacks, nil
+}
+
+// keyedBy reports whether ingesting wire left m keyed.
+func keyedBy(m Member, wire []byte) bool {
+	res, err := m.Ingest(wire)
+	return err == nil && res.Done
 }
 
 // feedNACK parses member i's NACK bytes, as udptrans's listener does, and
