@@ -3,7 +3,8 @@
 // delivering each interval's real datagrams to a real rekey.Member per
 // user, and shows the adaptive proactivity controller converging: after
 // a few rekey messages the first-round NACK count settles around the
-// target while bandwidth overhead stays modest.
+// target while bandwidth overhead stays modest. It exits non-zero if,
+// after any message, a member does not hold the new group key.
 //
 //	go run ./examples/lossy
 package main
@@ -56,6 +57,11 @@ func main() {
 		met, err := sess.Run(rm, members)
 		if err != nil {
 			log.Fatal(err)
+		}
+		for i, m := range members {
+			if k, ok := m.Keys()[0]; !ok || !k.Equal(rm.Result.GroupKey) {
+				log.Fatalf("message %d: member %d of %d does not hold the group key", met.MsgID, i, len(members))
+			}
 		}
 		fmt.Printf("%-4d %-6.2f %-12d %-10.3f %-10d %-8d %-8d\n",
 			met.MsgID, met.RhoUsed, met.Round1NACKs, met.BandwidthOverhead(),

@@ -1,8 +1,9 @@
 // UDPGroup: a complete group over real UDP sockets on loopback. The key
 // server multicasts ENC + proactive PARITY packets; a quarter of the
-// members drop 30% of multicast packets, so recovery exercises the
+// members drop 50% of multicast packets, so recovery exercises the
 // NACK / reactive-parity / unicast machinery end to end -- the protocol
-// on real bytes rather than in the simulator.
+// on real bytes rather than in the simulator. It exits non-zero unless
+// every member agrees on the group key after each interval.
 //
 //	go run ./examples/udpgroup
 package main
@@ -14,6 +15,7 @@ import (
 	"math/rand/v2"
 
 	rekey "repro"
+	"repro/internal/keys"
 	"repro/internal/packet"
 	"repro/internal/udptrans"
 )
@@ -77,14 +79,8 @@ func main() {
 	fmt.Printf("bootstrap: %d ENC, %d PARITY, %d USR, rounds %d, NACKs/round %v\n",
 		st.EncSent, st.ParitySent, st.UsrSent, st.Rounds, st.NACKsPerRound)
 
-	agree := 0
 	want := ks.GroupKey()
-	for _, c := range clients {
-		if gk, ok := c.Member.GroupKey(); ok && gk.Equal(want) {
-			agree++
-		}
-	}
-	fmt.Printf("group key %s: %d/%d members agree\n", want.String(), agree, len(clients))
+	fmt.Printf("group key %s: %d/%d members agree\n", want.String(), mustAgree(clients, want), len(clients))
 
 	// Churn interval: ten members leave, one joins.
 	for _, id := range []rekey.MemberID{4, 9, 13, 21, 33, 47, 58, 66, 79, 91} {
@@ -116,13 +112,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	agree = 0
 	want = ks.GroupKey()
+	fmt.Printf("after churn: group key %s: %d/%d members agree (%d ENC, %d PARITY, %d USR)\n",
+		want.String(), mustAgree(clients, want), len(clients), st.EncSent, st.ParitySent, st.UsrSent)
+}
+
+// mustAgree returns how many clients hold want as their group key and
+// exits non-zero unless all of them do.
+func mustAgree(clients map[rekey.MemberID]*udptrans.Client, want keys.Key) int {
+	agree := 0
 	for _, c := range clients {
 		if gk, ok := c.Member.GroupKey(); ok && gk.Equal(want) {
 			agree++
 		}
 	}
-	fmt.Printf("after churn: group key %s: %d/%d members agree (%d ENC, %d PARITY, %d USR)\n",
-		want.String(), agree, len(clients), st.EncSent, st.ParitySent, st.UsrSent)
+	if agree != len(clients) {
+		log.Fatalf("group key %s: only %d/%d members agree", want.String(), agree, len(clients))
+	}
+	return agree
 }

@@ -19,8 +19,9 @@ import (
 	"repro/internal/vsim"
 )
 
-// Options control experiment scale. The zero value is replaced by
-// Defaults(); Quick shrinks sweeps so the full suite runs in CI time.
+// Options control experiment scale. Zero fields take the paper-scale
+// values (25 messages, seed 1); Quick shrinks sweeps so the full suite
+// runs in CI time.
 type Options struct {
 	// Messages is the number of rekey messages (or trials) per
 	// configuration point.
@@ -30,9 +31,6 @@ type Options struct {
 	// Quick shrinks group sizes and sweep ranges for fast runs.
 	Quick bool
 }
-
-// Defaults returns the paper-scale options.
-func Defaults() Options { return Options{Messages: 25, Seed: 1} }
 
 func (o Options) fill() Options {
 	if o.Messages <= 0 {

@@ -43,6 +43,27 @@ func FuzzMarkingScript(f *testing.F) {
 				ik, _ := tr.IndividualKey(m)
 				views[m] = NewUserView(script.d, m, uid, ik)
 			}
+			// UserIDs ascends strictly and is exactly the IDs of the
+			// members this test tracks, and Members() lists their
+			// occupants in the same order.
+			members := tr.Members()
+			if len(res.UserIDs) != len(views) || len(members) != len(views) {
+				t.Fatalf("round %d: %d user IDs and %d members for %d tracked members",
+					round, len(res.UserIDs), len(members), len(views))
+			}
+			for i, uid := range res.UserIDs {
+				if i > 0 && res.UserIDs[i-1] >= uid {
+					t.Fatalf("round %d: UserIDs not strictly ascending at %d", round, i)
+				}
+				m := members[i]
+				if _, ok := views[m]; !ok {
+					t.Fatalf("round %d: Members()[%d] = %d is not a tracked member", round, i, m)
+				}
+				if got, _ := tr.UserID(m); got != uid {
+					t.Fatalf("round %d: Members()[%d] = %d sits at %d, UserIDs[%d] = %d",
+						round, i, m, got, i, uid)
+				}
+			}
 			for m, v := range views {
 				uid, ok := tr.UserID(m)
 				if !ok {

@@ -99,12 +99,7 @@ type Tree struct {
 	height int // depth of the deepest level; root is level 0
 	nodes  []node
 	loc    map[Member]int // member -> u-node ID
-	// uids is the sorted list of current u-node IDs, maintained
-	// incrementally across batches (the Lemma 4.1 invariant keeps
-	// membership changes clustered, so a merge of the per-batch
-	// removals/additions replaces the old per-batch full sort).
-	uids []int
-	gen  *keys.Generator
+	gen    *keys.Generator
 	// workers bounds the goroutines of the parallel wrap-emission phase;
 	// <= 0 means GOMAXPROCS (resolved via internal/tuning).
 	workers int
@@ -219,13 +214,15 @@ func (t *Tree) IndividualKey(m Member) (keys.Key, bool) {
 	return t.nodes[id].key, true
 }
 
-// Members returns all current members, sorted by u-node ID.
+// Members returns all current members, sorted by u-node ID: the
+// occupant of BatchResult.UserIDs[i] is Members()[i].
 func (t *Tree) Members() []Member {
 	ms := make([]Member, 0, len(t.loc))
-	for m := range t.loc {
-		ms = append(ms, m)
+	for id := range t.nodes {
+		if t.nodes[id].kind == UNode {
+			ms = append(ms, t.nodes[id].member)
+		}
 	}
-	sort.Slice(ms, func(i, j int) bool { return t.loc[ms[i]] < t.loc[ms[j]] })
 	return ms
 }
 
@@ -295,8 +292,7 @@ func (t *Tree) growTo(id int) {
 }
 
 // CheckInvariant verifies Lemma 4.1 (every k-node ID below every u-node
-// ID), the incrementally-maintained user-ID slice, plus structural
-// sanity; tests call it after every mutation.
+// ID) plus structural sanity; tests call it after every mutation.
 func (t *Tree) CheckInvariant() error {
 	maxK, minU := -1, math.MaxInt
 	users := 0
@@ -352,17 +348,6 @@ func (t *Tree) CheckInvariant() error {
 	if maxK >= 0 && minU < math.MaxInt && maxK >= minU {
 		return fmt.Errorf("keytree: Lemma 4.1 violated: maxKID=%d >= minUID=%d", maxK, minU)
 	}
-	if len(t.uids) != len(t.loc) {
-		return fmt.Errorf("keytree: uids has %d entries but loc has %d", len(t.uids), len(t.loc))
-	}
-	for i, id := range t.uids {
-		if i > 0 && t.uids[i-1] >= id {
-			return fmt.Errorf("keytree: uids not strictly sorted at %d", i)
-		}
-		if id >= len(t.nodes) || t.nodes[id].kind != UNode {
-			return fmt.Errorf("keytree: uids entry %d is not a u-node", id)
-		}
-	}
 	return nil
 }
 
@@ -373,7 +358,6 @@ func (t *Tree) CheckInvariant() error {
 func (t *Tree) Clone() *Tree {
 	n := &Tree{d: t.d, height: t.height, gen: t.gen, workers: t.workers, reg: t.reg}
 	n.nodes = append([]node(nil), t.nodes...)
-	n.uids = append([]int(nil), t.uids...)
 	n.loc = make(map[Member]int, len(t.loc))
 	for m, id := range t.loc {
 		n.loc[m] = id
@@ -577,58 +561,24 @@ func (t *Tree) checkBatch(joins, leaves []Member) error {
 }
 
 // result returns a BatchResult carrying the tree's current MaxKID,
-// group key and (copied) user IDs.
+// group key and user IDs, read off the node array in ID order.
 func (t *Tree) result() *BatchResult {
-	return &BatchResult{MaxKID: t.MaxKID(), GroupKey: t.GroupKey(), UserIDs: append([]int(nil), t.uids...), d: t.d}
-}
-
-// commitUserIDs folds one batch's u-node removals and additions into
-// the maintained sorted slice: one merge pass over the old slice
-// instead of the old rebuild-and-sort over the loc map. An ID may
-// appear in both lists (a departed position refilled the same
-// interval); removal is applied first, so it survives.
-func (t *Tree) commitUserIDs(removed, added []int) {
-	sort.Ints(removed)
-	sort.Ints(added)
-	out := make([]int, 0, len(t.uids)-len(removed)+len(added))
-	ri := 0
-	ai := 0
-	push := func(id int) {
-		// Merge in pending additions below id.
-		for ai < len(added) && added[ai] < id {
-			out = append(out, added[ai])
-			ai++
+	ids := make([]int, 0, len(t.loc))
+	for id := range t.nodes {
+		if t.nodes[id].kind == UNode {
+			ids = append(ids, id)
 		}
-		out = append(out, id)
 	}
-	for _, id := range t.uids {
-		for ri < len(removed) && removed[ri] < id {
-			ri++
-		}
-		if ri < len(removed) && removed[ri] == id {
-			ri++
-			continue
-		}
-		push(id)
-	}
-	for ai < len(added) {
-		out = append(out, added[ai])
-		ai++
-	}
-	t.uids = out
+	return &BatchResult{MaxKID: t.MaxKID(), GroupKey: t.GroupKey(), UserIDs: ids, d: t.d}
 }
 
 // batch is one batch's placement marks, from which relabel derives the
 // rekey subtree: positions filled by a pure join, positions refilled
 // after a same-interval departure, and positions vacated this interval
-// (u-nodes removed and not refilled, plus pruned k-nodes). removed and
-// added are the batch's user-ID delta with final-state cancellation: an
-// ID vacated and refilled within one batch nets out to no change, and
-// an ID placed then moved away by a split never enters uids at all.
+// (u-nodes removed and not refilled, plus pruned k-nodes).
 type batch struct {
 	t                               *Tree
 	joinPos, replacePos, vacatedPos bitset
-	removed, added                  map[int]bool
 }
 
 // mark is the tree-update phase of the paper's marking algorithm
@@ -639,7 +589,7 @@ type batch struct {
 // the tree. Individual keys are drawn in placement order, which
 // TestPaperMarkingGolden pins.
 func (t *Tree) mark(joins, leaves []Member) {
-	b := &batch{t: t, removed: make(map[int]bool, len(leaves)), added: make(map[int]bool, len(joins))}
+	b := &batch{t: t}
 	departed := make([]int, 0, len(leaves))
 	for _, m := range leaves {
 		departed = append(departed, b.remove(m))
@@ -663,7 +613,6 @@ func (t *Tree) mark(joins, leaves []Member) {
 	// (Arises when a join fills a position under a pruned subtree.)
 	t.promoteNNodes()
 	b.relabel()
-	b.commit()
 }
 
 // placeExtra implements the J > L expansion: fill n-node positions with
@@ -689,36 +638,6 @@ func (b *batch) placeExtra(extra []Member) {
 	b.splitGrow(extra[i:])
 }
 
-func (b *batch) uidRemove(id int) {
-	if b.added[id] {
-		delete(b.added, id)
-	} else {
-		b.removed[id] = true
-	}
-}
-
-func (b *batch) uidAdd(id int) {
-	if b.removed[id] {
-		delete(b.removed, id)
-	} else {
-		b.added[id] = true
-	}
-}
-
-// commit folds the batch's u-node removals and additions into the
-// tree's maintained sorted user-ID slice.
-func (b *batch) commit() {
-	removed := make([]int, 0, len(b.removed))
-	for id := range b.removed {
-		removed = append(removed, id)
-	}
-	added := make([]int, 0, len(b.added))
-	for id := range b.added {
-		added = append(added, id)
-	}
-	b.t.commitUserIDs(removed, added)
-}
-
 // remove departs member m, whose membership the batch prologue has
 // validated: its position becomes a vacated n-node.
 func (b *batch) remove(m Member) int {
@@ -726,7 +645,6 @@ func (b *batch) remove(m Member) int {
 	delete(b.t.loc, m)
 	b.t.nodes[id] = node{kind: NNode}
 	b.vacatedPos.set(id)
-	b.uidRemove(id)
 	return id
 }
 
@@ -740,7 +658,6 @@ func (b *batch) place(id int, m Member, replaced bool) {
 	t.nodes[id] = node{kind: UNode, member: m, key: t.gen.MustNewKey()}
 	t.loc[m] = id
 	b.vacatedPos.clear(id)
-	b.uidAdd(id)
 	if replaced {
 		b.replacePos.set(id)
 	} else {
@@ -762,8 +679,6 @@ func (b *batch) split(id int) int {
 	t.nodes[child] = m
 	t.loc[m.member] = child
 	t.nodes[id] = node{kind: KNode}
-	b.uidRemove(id)
-	b.uidAdd(child)
 	return child
 }
 

@@ -2,10 +2,10 @@
 // state, the failover surface a standby server restarts from. The
 // encoding covers exactly what the server must not lose -- degree,
 // height and the node array (kinds, keys, member handles); the loc map
-// and the sorted user-ID slice are derived state and are rebuilt on
-// restore. The key generator is deliberately NOT serialised: a CSPRNG
-// position is not state worth resuming (a restarted server draws future
-// keys from a fresh generator), so Restore takes one explicitly.
+// is derived state and is rebuilt on restore. The key generator is
+// deliberately NOT serialised: a CSPRNG position is not state worth
+// resuming (a restarted server draws future keys from a fresh
+// generator), so Restore takes one explicitly.
 
 package keytree
 
@@ -121,7 +121,6 @@ func Restore(data []byte, gen *keys.Generator, opts ...Option) (*Tree, error) {
 			}
 			t.nodes[id].member = m
 			t.loc[m] = id
-			t.uids = append(t.uids, id)
 		default:
 			return nil, fmt.Errorf("keytree: snapshot: node %d has invalid kind %d", id, kind)
 		}

@@ -404,8 +404,8 @@ func (ft *funcTaint) assignMask(lhs ast.Expr, m uint64, mark func(*ast.Ident, ui
 // -- a slice or array chain bottoming out in uint8 ([]byte, [16]byte,
 // [][]byte). Only such values can physically hold secret bytes copied
 // out of a key, so only they propagate flow taint through a struct
-// field selection: t.uids ([]int) or cfg.Strategy (string) selected
-// from a secret-holding struct are lengths and names, not material.
+// field selection: res.UserIDs ([]int) or cfg.Strategy (string)
+// selected from a secret-holding struct are IDs and names, not material.
 func byteBacked(t types.Type) bool {
 	if t == nil {
 		return false

@@ -131,8 +131,7 @@ type Server struct {
 
 	mu sync.Mutex
 	// The message state below is guarded by mu.
-	msgSeq  uint8         // guarded by mu
-	lastMsg *RekeyMessage // guarded by mu
+	msgSeq uint8 // guarded by mu
 
 	treeMu sync.Mutex
 	// The key tree and the next interval's batch are guarded by treeMu.
@@ -412,7 +411,6 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 			return nil, err
 		}
 	}
-	s.lastMsg = rm
 	if s.obs.Enabled() {
 		s.obs.Inc(obs.CRekeys)
 		s.obs.Add(obs.CJoins, int64(res.Joined))
@@ -423,13 +421,6 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 		s.obs.Emit(obs.Event{Kind: obs.EvRekeyBuilt, MsgID: rm.MsgID, Value: float64(part.NumReal)})
 	}
 	return rm, nil
-}
-
-// LastMessage returns the most recent rekey message, if any.
-func (s *Server) LastMessage() *RekeyMessage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastMsg
 }
 
 // RekeyMessage is one interval's rekey workload, ready for transport.

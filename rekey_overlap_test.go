@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/keys"
@@ -144,9 +145,12 @@ func TestSignedRekeyConcurrentWithQueue(t *testing.T) {
 	s, _ := newSignedServer(t, 3, WithTuning(tn))
 	const n, rounds = 400, 12
 	queueRanges(t, s, [2]int{0, n}, [2]int{})
-	if _, err := s.Rekey(); err != nil {
+	rm0, err := s.Rekey()
+	if err != nil {
 		t.Fatal(err)
 	}
+	var last atomic.Pointer[RekeyMessage] // the latest finished message
+	last.Store(rm0)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(3)
@@ -179,7 +183,7 @@ func TestSignedRekeyConcurrentWithQueue(t *testing.T) {
 			m := MemberID(n - 1 - i%n)
 			s.Credentials(m)
 			s.PathKeys(m)
-			if rm := s.LastMessage(); rm != nil && len(rm.Result.UserIDs) > 0 {
+			if rm := last.Load(); len(rm.Result.UserIDs) > 0 {
 				if _, err := rm.WireUSR(rm.Result.UserIDs[i%len(rm.Result.UserIDs)]); err != nil {
 					t.Errorf("WireUSR on the last message: %v", err)
 					return
@@ -188,8 +192,12 @@ func TestSignedRekeyConcurrentWithQueue(t *testing.T) {
 		}
 	}()
 	for r := 0; r < rounds; r++ {
-		if _, err := s.Rekey(); err != nil && !errors.Is(err, ErrNoChange) {
+		rm, err := s.Rekey()
+		if err != nil && !errors.Is(err, ErrNoChange) {
 			t.Errorf("round %d: %v", r, err)
+		}
+		if err == nil {
+			last.Store(rm)
 		}
 	}
 	close(done)
