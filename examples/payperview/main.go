@@ -62,6 +62,9 @@ func main() {
 			}
 		}
 		fmt.Printf("interval %d: %d/%d subscribers decrypted the broadcast\n", interval, ok, len(members))
+		if ok != len(members) {
+			log.Fatalf("interval %d: %d subscribers could not decrypt", interval, len(members)-ok)
+		}
 		if lapsed != nil {
 			gk, _ := lapsed.GroupKey()
 			if bytes.Equal(open(gk, ct), []byte(content)) {

@@ -47,7 +47,7 @@ func main() {
 		members[rekey.MemberID(i)] = m
 	}
 	fmt.Printf("group key: %s (all %d members agree: %v)\n",
-		server.GroupKey().String(), len(members), allAgree(server, members))
+		server.GroupKey().String(), len(members), mustAgree(server, members))
 
 	// One rekey interval later: members 7 and 23 leave, members 65 and
 	// 66 join. One rekey message re-keys everyone.
@@ -79,12 +79,13 @@ func main() {
 		deliver(msg, m, cred.NodeID)
 	}
 	fmt.Printf("after churn (2 leave, 2 join): group key %s (all %d members agree: %v)\n",
-		server.GroupKey().String(), len(members), allAgree(server, members))
+		server.GroupKey().String(), len(members), mustAgree(server, members))
 }
 
 // deliver hands a member its specific ENC packet over "the wire".
-// (The UDP transport finds the packet by user-ID range; in process we
-// look it up directly with the member's post-batch node ID.)
+// (The UDP transport finds each member's packet through the message's
+// Plan.UserPacket; in process PacketFor looks it up the same way, by the
+// member's post-batch node ID.)
 func deliver(msg *rekey.RekeyMessage, m *rekey.Member, nodeID int) {
 	raw, ok := msg.PacketFor(nodeID)
 	if !ok {
@@ -95,12 +96,14 @@ func deliver(msg *rekey.RekeyMessage, m *rekey.Member, nodeID int) {
 	}
 }
 
-func allAgree(server *rekey.Server, members map[rekey.MemberID]*rekey.Member) bool {
+// mustAgree reports that every member holds the server's group key, and
+// exits non-zero if one does not.
+func mustAgree(server *rekey.Server, members map[rekey.MemberID]*rekey.Member) bool {
 	want := server.GroupKey()
-	for _, m := range members {
+	for id, m := range members {
 		gk, ok := m.GroupKey()
 		if !ok || !gk.Equal(want) {
-			return false
+			log.Fatalf("member %d does not hold the group key", id)
 		}
 	}
 	return true

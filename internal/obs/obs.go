@@ -97,11 +97,6 @@ const (
 	// broken (forward secrecy, key consistency or a recovery bound).
 	COracleChecks
 	COracleViolations
-	// Zero-copy send path.
-	// CSendBufReuse counts pooled send buffers served from the pool;
-	// CSendBufAlloc counts fresh allocations the pool had to make.
-	CSendBufReuse
-	CSendBufAlloc
 
 	numCounters
 )
@@ -136,8 +131,6 @@ var counterNames = [numCounters]string{
 	CScenarioSteps:    "scenario_steps",
 	COracleChecks:     "oracle_checks",
 	COracleViolations: "oracle_violations",
-	CSendBufReuse:     "sendbuf_reuse",
-	CSendBufAlloc:     "sendbuf_alloc",
 }
 
 // Gauge identifies a last-value-wins measurement.

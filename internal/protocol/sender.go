@@ -11,7 +11,7 @@
 // after MaxMulticastRounds rounds -- switches to unicasting small USR
 // packets with escalating duplication. The Sender does no I/O: package
 // udptrans drives it over sockets, package vsim over a simulated
-// network to real members. EncodeBlocks and BufPool serve the send path.
+// network to real members. EncodeBlocks serves the send path.
 package protocol
 
 import (

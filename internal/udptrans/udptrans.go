@@ -34,15 +34,15 @@ type Server struct {
 	ks   *rekey.Server
 	conn *net.UDPConn
 	obs  *obs.Registry // shared with ks; nil when unobserved
-	// bufs pools the datagram build buffers of the multicast hot path;
-	// sized for the largest possible datagram (packet + auth trailer).
-	bufs *protocol.BufPool
 	// mmsg hands the kernel a send list in one call and returns how many
 	// messages it took. It is nil where the platform has no batched,
 	// segmented send and once the kernel has refused one; tests clear it
 	// to get the per-datagram reference path.
 	mmsg func(msgs []outMsg) (int, error)
-	out  []outMsg // the last send list, whose array the next one reuses
+	// round and out are the last round's datagrams and send list, whose
+	// arrays the next reuses; runs never overlap.
+	round rekey.Round
+	out   []outMsg
 
 	mu    sync.Mutex
 	addrs map[rekey.MemberID]*net.UDPAddr // guarded by mu
@@ -65,7 +65,6 @@ func NewServer(ks *rekey.Server, addr string) (*Server, error) {
 		ks:    ks,
 		conn:  conn,
 		obs:   ks.Obs(),
-		bufs:  protocol.NewBufPool(packet.PacketLen+packet.MaxAuthTrailer, ks.Obs()),
 		mmsg:  newMmsg(conn),
 		addrs: make(map[rekey.MemberID]*net.UDPAddr),
 	}, nil
@@ -231,11 +230,7 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	st := &Stats{}
 	snd := protocol.NewSender(rm.Part, tun.InitialRho, tun.MaxMulticastRounds, opts.MaxUnicastWaves)
 	members, addrOf := s.memberTable(rm)
-	// One pooled buffer holds each round's datagrams in turn, and one
-	// scratch buffer every NACK read of the run.
-	buf := s.bufs.Get()
-	defer buf.Release()
-	scratch := make([]byte, 2048)
+	scratch := make([]byte, 2048) // every NACK read of the run
 
 	for step := protocol.Multicast; ; step = snd.Next() {
 		switch step {
@@ -259,7 +254,7 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 			if err := rm.PrecomputeParity(ctx, snd.ParityPrefix(), tun.Workers); err != nil {
 				return st, err
 			}
-			if err := s.multicastRefs(ctx, rm, refs, members, snd.Waiting(), buf, st); err != nil {
+			if err := s.multicastRefs(ctx, rm, refs, members, snd.Waiting(), st); err != nil {
 				return st, err
 			}
 			st.Rounds = snd.Round()
@@ -322,40 +317,18 @@ type outMsg struct {
 // interleaved order to every member in turn, then the next chunk. Every
 // member receives every datagram of the round exactly once, in the
 // interleaved order but for its own packet.
-func (s *Server) multicastRefs(ctx context.Context, rm *rekey.RekeyMessage, refs []blockplan.Ref, members []member, nackers map[int]bool, buf *protocol.SendBuf, st *Stats) error {
-	k := rm.Part.K
-	// The round is materialised once, contiguously and in send order, so
-	// that any run of it is one buffer a burst can carry: ENC datagrams
-	// copied from the message's cached wire bytes, PARITY built from the
-	// cached FEC payloads, into buf, which grows to a round's size and
-	// keeps it. One table a round: offs[i] is where datagram i starts in
-	// the slab, at[e] where ENC packet e is in refs.
-	tab := make([]int, len(refs)+1+rm.Part.TotalSlots())
-	offs, at := tab[:len(refs)+1], tab[len(refs)+1:]
-	slab := buf.Take()
-	for i, r := range refs {
-		if r.IsParity(k) {
-			w, err := rm.AppendWireParity(slab, r.Block, r.Shard-k)
-			if err != nil {
-				return err
-			}
-			slab = w
-			st.ParitySent++
-			s.obs.Inc(obs.CParitySent)
-		} else {
-			enc := r.Block*k + r.Shard
-			w, err := rm.WireENC(enc)
-			if err != nil {
-				return err
-			}
-			slab = append(slab, w...)
-			at[enc] = i
-			st.EncSent++
-			s.obs.Inc(obs.CEncSent)
-		}
-		offs[i+1] = len(slab)
+func (s *Server) multicastRefs(ctx context.Context, rm *rekey.RekeyMessage, refs []blockplan.Ref, members []member, nackers map[int]bool, st *Stats) error {
+	// The round is laid out once, contiguously and in send order, so
+	// that any run of it is one buffer a message can carry.
+	if err := rm.BuildRound(&s.round, refs); err != nil {
+		return err
 	}
-	buf.Store(slab)
+	slab, offs, at := s.round.Bytes, s.round.Offs, s.round.At
+	enc, parity := len(refs)-s.round.Parity, s.round.Parity
+	st.EncSent += enc
+	st.ParitySent += parity
+	s.obs.Add(obs.CEncSent, int64(enc))
+	s.obs.Add(obs.CParitySent, int64(parity))
 
 	// First pass: the waiting members, each sent all it waits for.
 	msgs := s.out[:0]

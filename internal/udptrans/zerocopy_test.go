@@ -48,11 +48,11 @@ func wiredServer(t *testing.T, n int, opts ...rekey.Option) (*Server, *rekey.Rek
 }
 
 // TestSendRefSteadyStateAllocs pins the zero-copy guarantee from the
-// socket side: once the interval's wire and parity caches are warm, a
-// round costs one allocation -- the table of its datagrams -- however
-// many datagrams, bursts and members its two passes send, signed or
-// not, with bursts and without. (The name is that of the per-ref send
-// function the two passes replaced.)
+// socket side: once the interval's wire and parity caches are warm and
+// the server's round and send list have grown to a round, a round
+// allocates nothing, however many datagrams, bursts and members its two
+// passes send, signed or not, with bursts and without. (The name is
+// that of the per-ref send function the two passes replaced.)
 func TestSendRefSteadyStateAllocs(t *testing.T) {
 	signer, err := keys.NewSigner(1024)
 	if err != nil {
@@ -80,16 +80,14 @@ func TestSendRefSteadyStateAllocs(t *testing.T) {
 			roundOne := blockplan.RoundOne(rm.Part, 1.2) // k ENC and two PARITY a block
 			roundTwo := []blockplan.Ref{{Block: 0, Shard: k}, {Block: 0, Shard: k + 1}}
 			nackers := map[int]bool{members[0].node: true}
-			buf := srv.bufs.Get()
-			defer buf.Release()
 			st := &Stats{}
 			rounds := func() {
 				// Round one exercises the own-packet pass, round two the
 				// NACKers-first pass; both end in the chunk-major one.
-				if err := srv.multicastRefs(context.Background(), rm, roundOne, members, nil, buf, st); err != nil {
+				if err := srv.multicastRefs(context.Background(), rm, roundOne, members, nil, st); err != nil {
 					t.Fatal(err)
 				}
-				if err := srv.multicastRefs(context.Background(), rm, roundTwo, members, nackers, buf, st); err != nil {
+				if err := srv.multicastRefs(context.Background(), rm, roundTwo, members, nackers, st); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -97,9 +95,9 @@ func TestSendRefSteadyStateAllocs(t *testing.T) {
 				if mode == "per datagram" {
 					srv.mmsg = nil
 				}
-				rounds() // grows buf to a round
-				if allocs := testing.AllocsPerRun(50, rounds); allocs > 2 {
-					t.Errorf("%s: allocs per two rounds of %d datagrams = %v, want one a round", mode, (len(roundOne)+len(roundTwo))*len(members), allocs)
+				rounds() // grows the round and the send list
+				if allocs := testing.AllocsPerRun(50, rounds); allocs != 0 {
+					t.Errorf("%s: allocs per two rounds of %d datagrams = %v, want 0", mode, (len(roundOne)+len(roundTwo))*len(members), allocs)
 				}
 			}
 			if st.EncSent == 0 || st.ParitySent == 0 {

@@ -133,7 +133,7 @@ type Metrics struct {
 	NeededUsers int
 	// Unreached counts members that ended the run without the message
 	// and without asking for it: nothing they heard gave them a block to
-	// NACK, so the Sender never served them (ROADMAP item 4). Run hands
+	// NACK, so the Sender never served them (ROADMAP item 16). Run hands
 	// each its USR datagram out of band afterwards, so that the group's
 	// next message finds it keyed.
 	Unreached int
@@ -184,6 +184,7 @@ type Session struct {
 	now     float64
 	msgSeq  int
 	rng     *rand.Rand
+	round   rekey.Round // the round being delivered; its arrays carry over
 }
 
 // NewSession creates a session over net, whose user count bounds the
@@ -259,12 +260,11 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 			refs = slices.Clone(refs)
 			slices.SortStableFunc(refs, func(a, b blockplan.Ref) int { return a.Block - b.Block })
 		}
-		met.MulticastSent += len(refs)
-		for _, ref := range refs {
-			if ref.IsParity(k) {
-				met.ParitySent++
-			}
+		if err := rm.BuildRound(&s.round, refs); err != nil {
+			return nil, err
 		}
+		met.MulticastSent += len(refs)
+		met.ParitySent += s.round.Parity
 		cfg.Obs.Emit(obs.Event{Kind: obs.EvRoundStart, MsgID: rm.MsgID, Round: round, Value: float64(len(refs))})
 		times := make([]float64, len(refs))
 		for i := range times {
@@ -273,10 +273,7 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 		rd := s.net.MulticastRound(times)
 		s.now += float64(len(refs))*sendInterval + roundSlack
 
-		nacks, err := s.deliver(r, refs, rd, round)
-		if err != nil {
-			return nil, err
-		}
+		nacks := s.deliver(r, rd, round)
 		usrBytes := 0
 		for i, raw := range nacks {
 			if r.done[i] == round {
@@ -361,7 +358,7 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 	return met, nil
 }
 
-// deliver hands one multicast round to the members on cfg.Workers
+// deliver hands the round in s.round to the members on cfg.Workers
 // goroutines: each pending member ingests the round's datagrams its link
 // let through, then, still pending, marshals its NACK. It returns the
 // NACK bytes by member (nil for none) and records each finisher's round.
@@ -370,23 +367,8 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 // the wire's need-first order sends it, and stops listening once keyed:
 // what else the round carries is stale to it. Neither changes what a
 // member ends the round holding or asking for.
-func (s *Session) deliver(r *run, refs []blockplan.Ref, rd *netsim.RoundDelivery, round int) ([][]byte, error) {
-	k := r.rm.Part.K
-	// The round's datagrams, each materialised once: ENC from the
-	// message's wire bytes, PARITY built from its FEC payloads.
-	wires := make([][]byte, len(refs))
-	for i, ref := range refs {
-		var err error
-		if ref.IsParity(k) {
-			wires[i], err = r.rm.AppendWireParity(nil, ref.Block, ref.Shard-k)
-		} else {
-			wires[i], err = r.rm.WireENC(ref.Block*k + ref.Shard)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-
+func (s *Session) deliver(r *run, rd *netsim.RoundDelivery, round int) [][]byte {
+	rnd := &s.round
 	workers := s.cfg.EffectiveWorkers()
 	nacks := make([][]byte, len(r.members))
 	var wg sync.WaitGroup
@@ -404,13 +386,13 @@ func (s *Session) deliver(r *run, refs []blockplan.Ref, rd *netsim.RoundDelivery
 				m := r.members[i]
 				keyed := false
 				if own, ok := r.rm.Plan.UserPacket[r.rm.Result.UserIDs[i]]; ok {
-					j := slices.Index(refs, blockplan.Ref{Block: own / k, Shard: own % k})
+					j := rnd.At[own] // -1, which got never holds, when the round lacks it
 					if _, ok := slices.BinarySearch(got, j); ok {
-						keyed = keyedBy(m, wires[j])
+						keyed = keyedBy(m, rnd.Datagram(j))
 					}
 				}
 				for n := 0; !keyed && n < len(got); n++ {
-					keyed = keyedBy(m, wires[got[n]])
+					keyed = keyedBy(m, rnd.Datagram(got[n]))
 				}
 				if keyed {
 					r.done[i] = round
@@ -422,7 +404,7 @@ func (s *Session) deliver(r *run, refs []blockplan.Ref, rd *netsim.RoundDelivery
 		}(lo, min(lo+chunk, len(r.members)))
 	}
 	wg.Wait()
-	return nacks, nil
+	return nacks
 }
 
 // keyedBy reports whether ingesting wire left m keyed.
