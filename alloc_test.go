@@ -2,6 +2,7 @@ package rekey
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/keys"
@@ -77,16 +78,17 @@ func TestHotPathAllocs(t *testing.T) {
 
 // TestUSRSubtreeAllocs holds the one stage of buildAuth that grows with
 // the group, not the batch, to a fixed number of allocations: the leaf
-// array, a scratch datagram per worker and the goroutines themselves,
-// then the tree's slab -- nothing per user (the old loop paid a packet
-// struct, a need slice grown from nil, a marshalled copy and a map slot
-// for each). Four times the users must cost the same count.
+// array, a scratch datagram per goroutine and the goroutines
+// themselves, then the tree's slab -- nothing per user (the old loop
+// paid a packet struct, a need slice grown from nil, a marshalled copy
+// and a map slot for each). Four times the users must cost the same
+// count, at one P, where every fan-out runs inline, and at two.
 func TestUSRSubtreeAllocs(t *testing.T) {
 	signer, err := keys.NewSigner(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := func(n, workers int) float64 {
+	measure := func(n, procs int) float64 {
 		s, err := NewServer(WithKeySeed(uint64(n)), WithSigner(signer))
 		if err != nil {
 			t.Fatal(err)
@@ -101,24 +103,39 @@ func TestUSRSubtreeAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(10, func() {
-			leaves, err := rm.usrLeaves(workers)
+		return allocsAt(procs, 10, func() {
+			leaves, err := rm.usrLeaves()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tree := keys.NewMerkleTreeWorkers(leaves, workers); tree.Root() != rm.auth.usrTree.Root() {
+			if tree := keys.NewMerkleTree(leaves); tree.Root() != rm.auth.usrTree.Root() {
 				t.Fatal("rebuilt USR subtree has a different root")
 			}
 		})
 	}
-	for _, workers := range []int{1, 2} {
-		small, large := measure(1024, workers), measure(4096, workers)
-		// The deeper tree may grow a scratch buffer once more, and a level
-		// that now fans out starts its goroutines.
-		if large > small+float64(4*workers) || large > 40 {
-			t.Errorf("workers=%d: %v allocs at N=1024, %v at N=4096; want no growth with N", workers, small, large)
+	for _, procs := range []int{1, 2} {
+		small, large := measure(1024, procs), measure(4096, procs)
+		// A level that now fans out builds its closure and starts its
+		// goroutines.
+		if large > small+float64(4*procs) || large > 40 {
+			t.Errorf("procs=%d: %v allocs at N=1024, %v at N=4096; want no growth with N", procs, small, large)
 		}
 	}
+}
+
+// allocsAt is testing.AllocsPerRun at procs Ps. AllocsPerRun itself
+// pins GOMAXPROCS to 1, where every fan-out runs inline and starts no
+// goroutine.
+func allocsAt(procs, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f() // warm-up, as AllocsPerRun does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }
 
 // The seeded violations of the deleted hotpathalloc and escapes

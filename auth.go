@@ -30,8 +30,10 @@ import (
 	"time"
 
 	"repro/internal/keys"
+	"repro/internal/keytree"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/tuning"
 )
 
 // ErrNoAuthLeaf is returned by WireUSR when the requested node ID has
@@ -69,17 +71,24 @@ type intervalAuth struct {
 // authentication (the server was built WithSigner).
 func (rm *RekeyMessage) Authenticated() bool { return rm.auth != nil }
 
-// minUsersPerWorker is the shortest run of users worth a goroutine in
-// usrLeaves (~100 us of walking and hashing).
-const minUsersPerWorker = 256
+// minUsersPerPiece is the run of users usrLeaves hands a goroutine at a
+// time (~100 us of walking and hashing).
+const minUsersPerPiece = 256
+
+// usrScratch is one usrLeaves goroutine's walker and marshal buffer, at
+// PacketLen: no USR datagram (16-bit IDs, at most 17 entries) outgrows it.
+type usrScratch struct {
+	w   keytree.NeedsWalker
+	buf []byte
+}
 
 // usrLeaves returns the USR subtree's leaves: for every current user, in
 // UserIDs order (the leaf index of a node ID is its position there), the
 // hash of exactly the bytes WireUSR sends it. The users are independent,
-// so contiguous runs of them go to up to workers goroutines; each walks
-// its run with its own NeedsWalker and marshals into its own scratch
-// buffer, and writes only its own run of the result.
-func (rm *RekeyMessage) usrLeaves(workers int) ([]keys.MerkleHash, error) {
+// so runs of them fan out (tuning.FanOut); each goroutine walks its runs
+// with its own NeedsWalker, marshals into its own scratch buffer, and
+// writes only its own runs of the result.
+func (rm *RekeyMessage) usrLeaves() ([]keys.MerkleHash, error) {
 	ids := rm.Result.UserIDs
 	if len(ids) > 0 { // sorted: the last is the largest
 		if err := rm.checkUSRFields(ids[len(ids)-1]); err != nil {
@@ -87,58 +96,40 @@ func (rm *RekeyMessage) usrLeaves(workers int) ([]keys.MerkleHash, error) {
 		}
 	}
 	leaves := make([]keys.MerkleHash, len(ids))
-	run := func(lo, hi int) error {
-		w := rm.Result.Walker()
-		var buf []byte
+	err := tuning.FanOut(len(ids), minUsersPerPiece, func() *usrScratch {
+		return &usrScratch{w: rm.Result.Walker(), buf: make([]byte, 0, packet.PacketLen)}
+	}, func(s *usrScratch, lo, hi int) error {
 		var err error
 		for i := lo; i < hi; i++ {
-			if buf, err = rm.appendUSR(buf[:0], ids[i], w.Needs(ids[i])); err != nil {
+			if s.buf, err = rm.appendUSR(s.buf[:0], ids[i], s.w.Needs(ids[i])); err != nil {
 				return err
 			}
-			leaves[i] = keys.LeafHash(keys.DomainUSR, buf)
+			leaves[i] = keys.LeafHash(keys.DomainUSR, s.buf)
 		}
 		return nil
-	}
-	n := min(workers, len(ids)/minUsersPerWorker)
-	if n < 2 {
-		return leaves, run(0, len(ids))
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for g := 0; g < n; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			errs[g] = run(g*len(ids)/n, (g+1)*len(ids)/n)
-		}(g)
-	}
-	wg.Wait()
-	return leaves, errors.Join(errs...)
+	})
+	return leaves, err
 }
 
-// startUSRSubtree returns a function that yields the USR subtree -- the
-// leaves and the tree over them, on up to workers goroutines -- built
-// once: with more than one worker a goroutine starts on it now and the
-// function waits for it; with one, the first call builds it. The build
-// reads only rm.MsgID and rm.Result, so it may run while Rekey fills in
-// the rest of rm.
-func (rm *RekeyMessage) startUSRSubtree(workers int) func() (*keys.MerkleTree, error) {
+// startUSRSubtree starts a goroutine on the USR subtree -- the leaves
+// and the tree over them -- and returns a function that waits for it.
+// The build reads only rm.MsgID and rm.Result, so it may run while
+// Rekey fills in the rest of rm.
+func (rm *RekeyMessage) startUSRSubtree() func() (*keys.MerkleTree, error) {
 	build := sync.OnceValues(func() (*keys.MerkleTree, error) {
 		var start time.Time
 		if rm.obs.Enabled() {
 			start = time.Now()
 		}
-		leaves, err := rm.usrLeaves(workers)
+		leaves, err := rm.usrLeaves()
 		if err != nil {
 			return nil, err
 		}
-		tree := keys.NewMerkleTreeWorkers(leaves, workers)
+		tree := keys.NewMerkleTree(leaves)
 		rm.obs.ObserveSince(obs.HUSRSubtree, start)
 		return tree, nil
 	})
-	if workers > 1 {
-		go build()
-	}
+	go build()
 	return build
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/keys"
@@ -74,7 +75,7 @@ func checkUSRSubtree(t *testing.T, s *Server, rm *RekeyMessage) (leaves []keys.M
 	return leaves, usrRoot
 }
 
-// TestUSRSubtreeMatchesReference runs the builder at every worker count
+// TestUSRSubtreeMatchesReference runs the builder at several GOMAXPROCS
 // and at group sizes on both sides of every chunking edge (one user, one
 // pair, a lone promoted leaf, a level wide enough to fan out, an odd
 // width above it), through a bootstrap and a replace interval.
@@ -83,11 +84,11 @@ func TestUSRSubtreeMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, n := range []int{1, 2, 5, 1000, 4097} {
 		for _, workers := range []int{1, 2, 3, 8} {
-			tn := DefaultTuning()
-			tn.Workers = workers
-			s, err := NewServer(WithKeySeed(uint64(n)), WithSigner(signer), WithTuning(tn))
+			runtime.GOMAXPROCS(workers)
+			s, err := NewServer(WithKeySeed(uint64(n)), WithSigner(signer))
 			if err != nil {
 				t.Fatal(err)
 			}

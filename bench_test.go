@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	rekey "repro"
@@ -105,12 +106,40 @@ func BenchmarkRekeyMessageMaterialize(b *testing.B) {
 // J=L=4096 a batch, signed, seeded -- the interval where assignment and
 // the USR subtree, both O(N), outweigh the batch. Run with -benchmem.
 func BenchmarkRekeySigned(b *testing.B) {
-	const n, churn = 16384, 4096
 	signer, err := keys.NewSigner(2048)
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := rekey.NewServer(rekey.WithKeySeed(1), rekey.WithSigner(signer))
+	benchRekey(b, 16384, 4096, rekey.WithSigner(signer))
+}
+
+// BenchmarkRekeyVsChurn prices Rekey against the batch at N=16384: J=L
+// from one member to a quarter of the group, unsigned and signed. The
+// paper's batch cost grows with J+L (times log N); what a one-member
+// batch still costs is the server's floor in N. Run with -benchmem.
+func BenchmarkRekeyVsChurn(b *testing.B) {
+	signer, err := keys.NewSigner(2048)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, signed := range []bool{false, true} {
+		mode, opts := "unsigned", []rekey.Option(nil)
+		if signed {
+			mode, opts = "signed", []rekey.Option{rekey.WithSigner(signer)}
+		}
+		for _, churn := range []int{1, 16, 256, 4096} {
+			b.Run(fmt.Sprintf("%s/J=L=%d", mode, churn), func(b *testing.B) {
+				benchRekey(b, 16384, churn, opts...)
+			})
+		}
+	}
+}
+
+// benchRekey times Rekey over a seeded group of n members, churn of
+// them, drawn at random, leaving and as many joining each batch; the
+// queueing is untimed.
+func benchRekey(b *testing.B, n, churn int, opts ...rekey.Option) {
+	srv, err := rekey.NewServer(append([]rekey.Option{rekey.WithKeySeed(1)}, opts...)...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -302,10 +331,9 @@ func BenchmarkFECEncode(b *testing.B) {
 }
 
 // BenchmarkFECEncodeParallel measures multi-block parity generation
-// through the bounded worker pool at several worker counts (the
-// per-rekey-message fan-out). On a multi-core host throughput should
-// scale near-linearly to 4 workers; the recorded baseline notes the
-// host's core count.
+// through the per-rekey-message fan-out at several GOMAXPROCS. On a
+// multi-core host throughput should scale near-linearly to 4 Ps; the
+// recorded baseline notes the host's core count.
 func BenchmarkFECEncodeParallel(b *testing.B) {
 	const blocks, k, plen = 32, 10, 1027
 	coder, err := fec.NewCoder(k, fec.MaxShards-k)
@@ -324,11 +352,12 @@ func BenchmarkFECEncodeParallel(b *testing.B) {
 		}
 		reqs[bi] = protocol.BlockParity{Data: data, First: 0, N: k / 2}
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+	for _, procs := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			b.SetBytes(int64(blocks * k * plen))
 			for i := 0; i < b.N; i++ {
-				if _, err := protocol.EncodeBlocks(context.Background(), coder, reqs, workers); err != nil {
+				if _, err := protocol.EncodeBlocks(context.Background(), coder, reqs, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -67,7 +67,6 @@ func main() {
 		interval = flag.Duration("interval", 2*time.Second, "rekey interval")
 		rho      = flag.Float64("rho", 1.2, "proactivity factor rho0")
 		k        = flag.Int("k", 10, "FEC block size")
-		workers  = flag.Int("workers", 0, "parity encode workers (0 = GOMAXPROCS)")
 		seed     = flag.Uint64("seed", 0, "deterministic key seed (0 = crypto/rand)")
 	)
 	flag.Parse()
@@ -79,7 +78,6 @@ func main() {
 	tun := rekey.DefaultTuning()
 	tun.K = *k
 	tun.InitialRho = *rho
-	tun.Workers = *workers
 	ks, err := rekey.NewServer(rekey.WithTuning(tun), rekey.WithKeySeed(*seed), rekey.WithObs(reg))
 	if err != nil {
 		log.Fatal(err)

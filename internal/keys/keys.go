@@ -276,7 +276,7 @@ const hmacBlockSize = 64
 // a hot loop wrapping or unwrapping many keys re-keys one context in
 // place instead of rebuilding cipher and MAC objects per call. A
 // context is not safe for concurrent use; the batch pipeline keeps one
-// per worker, a member one per view.
+// per goroutine, a member one per view.
 type WrapContext struct {
 	key        Key
 	digest     hash.Hash // one SHA-256, reused for inner and outer pass

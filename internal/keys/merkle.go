@@ -20,6 +20,8 @@ import (
 	"crypto/rsa"
 	"crypto/sha256"
 	"sync"
+
+	"repro/internal/tuning"
 )
 
 // HashSize is the size of the Merkle tree's hashes (SHA-256).
@@ -69,21 +71,10 @@ type MerkleTree struct {
 }
 
 // NewMerkleTree builds the tree over the given leaf hashes. It panics
-// on an empty leaf set. The leaves slice is copied.
+// on an empty leaf set. The leaves slice is copied. The pair hashing of
+// each wide level fans out over GOMAXPROCS goroutines; the tree is the
+// same whatever their number.
 func NewMerkleTree(leaves []MerkleHash) *MerkleTree {
-	return NewMerkleTreeWorkers(leaves, 1)
-}
-
-// minPairsPerWorker is the narrowest share of a level worth a goroutine:
-// below it (~100 us of hashing) starting and joining one costs more
-// than it saves.
-const minPairsPerWorker = 512
-
-// NewMerkleTreeWorkers is NewMerkleTree with the pair hashing of each
-// wide level spread over up to workers goroutines; workers is a count
-// the caller has resolved (tuning.ResolveWorkers), and below 2 the
-// build is serial. The tree is the same whatever the count.
-func NewMerkleTreeWorkers(leaves []MerkleHash, workers int) *MerkleTree {
 	if len(leaves) == 0 {
 		panic("keys: Merkle tree over zero leaves")
 	}
@@ -103,7 +94,7 @@ func NewMerkleTreeWorkers(leaves []MerkleHash, workers int) *MerkleTree {
 		w := (len(level) + 1) / 2
 		next := slab[off : off+w : off+w]
 		off += w
-		hashLevel(next[:len(level)/2], level, workers)
+		hashLevel(next[:len(level)/2], level)
 		if len(level)%2 == 1 {
 			next[w-1] = level[len(level)-1]
 		}
@@ -113,29 +104,24 @@ func NewMerkleTreeWorkers(leaves []MerkleHash, workers int) *MerkleTree {
 	return t
 }
 
-// hashLevel fills next[i] with the node over level[2i] and level[2i+1],
-// in up to workers goroutines: worker g takes a contiguous run of next,
-// so it reads only its own pairs of level and writes only its own nodes.
-func hashLevel(next, level []MerkleHash, workers int) {
-	n := min(workers, len(next)/minPairsPerWorker)
-	if n < 2 {
-		hashPairs(next, level)
+// minPairsPerPiece is the share of a level handed to a goroutine at a
+// time, ~100 us of hashing with SHA-NI. A level no wider hashes inline,
+// so only trees past 2048 leaves pay for a fan-out at all.
+const minPairsPerPiece = 1024
+
+// hashLevel fills next[i] with the node over level[2i] and level[2i+1].
+// A level of one piece is hashed here, before any closure is built, so
+// the narrow levels of every tree cost no allocation; a wider one is cut
+// into such pieces of next, each reading only its own pairs of level.
+func hashLevel(next, level []MerkleHash) {
+	if len(next) > minPairsPerPiece {
+		// No piece fails, so FanOut returns nil.
+		_ = tuning.FanOut(len(next), minPairsPerPiece, nil, func(_ struct{}, lo, hi int) error {
+			hashLevel(next[lo:hi], level[2*lo:2*hi])
+			return nil
+		})
 		return
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < n; g++ {
-		lo, hi := g*len(next)/n, (g+1)*len(next)/n
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			hashPairs(next[lo:hi], level[2*lo:2*hi])
-		}()
-	}
-	wg.Wait()
-}
-
-// hashPairs is hashLevel's serial loop.
-func hashPairs(next, level []MerkleHash) {
 	for i := range next {
 		next[i] = nodeHash(&level[2*i], &level[2*i+1])
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -95,26 +96,29 @@ func TestMerkleProofsAllLeavesAllSizes(t *testing.T) {
 }
 
 // TestMerkleTreeWorkersSameTree: every level of the tree, hence the
-// root and every proof, is the same at any worker count, at widths
+// root and every proof, is the same at any GOMAXPROCS, at widths
 // below, at and just past where a level starts to fan out, odd ones
-// (a promoted lone node next to a worker's last pair) included.
+// (a promoted lone node next to a piece's last pair) included.
 func TestMerkleTreeWorkersSameTree(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
-	for _, n := range []int{1, 2, 3, 1023, 2*minPairsPerWorker*2 - 1, 2 * minPairsPerWorker * 2, 4097, 6*minPairsPerWorker + 3, 16385} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range []int{1, 2, 3, 1023, 2*minPairsPerPiece*2 - 1, 2 * minPairsPerPiece * 2, 4097, 6*minPairsPerPiece + 3, 16385} {
 		leaves := merkleLeaves(rng, n)
 		want := refRoot(leaves)
+		runtime.GOMAXPROCS(1)
 		serial := NewMerkleTree(leaves)
-		for _, workers := range []int{0, 1, 2, 3, 8} {
-			tree := NewMerkleTreeWorkers(leaves, workers)
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			tree := NewMerkleTree(leaves)
 			if tree.Root() != want {
-				t.Fatalf("n=%d workers=%d: root differs from the reference reduction", n, workers)
+				t.Fatalf("n=%d procs=%d: root differs from the reference reduction", n, procs)
 			}
 			if len(tree.levels) != len(serial.levels) {
-				t.Fatalf("n=%d workers=%d: %d levels, serial build has %d", n, workers, len(tree.levels), len(serial.levels))
+				t.Fatalf("n=%d procs=%d: %d levels, serial build has %d", n, procs, len(tree.levels), len(serial.levels))
 			}
 			for l := range tree.levels {
 				if !slices.Equal(tree.levels[l], serial.levels[l]) {
-					t.Fatalf("n=%d workers=%d: level %d differs from the serial build", n, workers, l)
+					t.Fatalf("n=%d procs=%d: level %d differs from the serial build", n, procs, l)
 				}
 			}
 		}

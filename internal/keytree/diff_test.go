@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"repro/internal/keys"
@@ -18,9 +19,9 @@ type diffPair struct {
 	par, seq *Tree
 }
 
-func newDiffPair(d int, seed uint64, workers int) *diffPair {
+func newDiffPair(d int, seed uint64) *diffPair {
 	return &diffPair{
-		par: New(d, keys.NewDeterministicGenerator(seed), WithWorkers(workers)),
+		par: New(d, keys.NewDeterministicGenerator(seed)),
 		seq: New(d, keys.NewDeterministicGenerator(seed)),
 	}
 }
@@ -92,7 +93,7 @@ func (p *diffPair) step(t *testing.T, joins, leaves []Member) {
 
 // TestProcessBatchMatchesSeqRandomSchedules runs randomized join/leave
 // schedules through both pipelines and requires byte-identical results
-// at every batch, across degrees and worker counts.
+// at every batch, across degrees and GOMAXPROCS values.
 func TestProcessBatchMatchesSeqRandomSchedules(t *testing.T) {
 	for _, tc := range []struct {
 		d, workers int
@@ -105,7 +106,8 @@ func TestProcessBatchMatchesSeqRandomSchedules(t *testing.T) {
 		{5, 8, 105},
 	} {
 		t.Run(fmt.Sprintf("d=%d,workers=%d", tc.d, tc.workers), func(t *testing.T) {
-			p := newDiffPair(tc.d, tc.seed, tc.workers)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.workers)) // 0 keeps it
+			p := newDiffPair(tc.d, tc.seed)
 			rng := rand.New(rand.NewPCG(tc.seed, 77))
 			next := Member(0)
 			var present []Member
@@ -136,7 +138,7 @@ func TestProcessBatchMatchesSeqRandomSchedules(t *testing.T) {
 // may miss: empty batches, total departure, single-member churn, and
 // the J<L prune cascade from a full tree.
 func TestProcessBatchMatchesSeqEdgeCases(t *testing.T) {
-	p := newDiffPair(4, 42, 0)
+	p := newDiffPair(4, 42)
 
 	// Empty batch on an empty tree.
 	p.step(t, nil, nil)

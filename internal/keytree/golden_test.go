@@ -10,6 +10,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,7 +88,7 @@ func (g *goldenHasher) sum() string { return fmt.Sprintf("%x", g.h.Sum(nil)) }
 type goldenCase struct {
 	name    string
 	d       int
-	workers int
+	workers int // the GOMAXPROCS the parallel tree runs at; 0 keeps it
 	seed    uint64
 	run     func(step func(joins, leaves []Member), live func() []Member)
 }
@@ -98,7 +99,8 @@ type goldenCase struct {
 // same seed (a shared generator would interleave the streams).
 func goldenDigest(t *testing.T, gc goldenCase) string {
 	t.Helper()
-	par := New(gc.d, keys.NewDeterministicGenerator(gc.seed), WithWorkers(gc.workers))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gc.workers))
+	par := New(gc.d, keys.NewDeterministicGenerator(gc.seed))
 	seq := New(gc.d, keys.NewDeterministicGenerator(gc.seed))
 	gh := newGoldenHasher()
 	step := func(joins, leaves []Member) {

@@ -92,7 +92,7 @@ type node struct {
 
 // Tree is the key server's key tree. It is not safe for concurrent
 // mutation; the key server serialises batches. ProcessBatch fans the
-// wrap-emission phase out across a worker pool internally, but the
+// wrap-emission phase out over GOMAXPROCS goroutines, but the
 // caller still sees one synchronous call.
 type Tree struct {
 	d      int
@@ -100,9 +100,6 @@ type Tree struct {
 	nodes  []node
 	loc    map[Member]int // member -> u-node ID
 	gen    *keys.Generator
-	// workers bounds the goroutines of the parallel wrap-emission phase;
-	// <= 0 means GOMAXPROCS (resolved via internal/tuning).
-	workers int
 	// reg receives pipeline metrics (keys generated, wraps, wrap ns);
 	// nil costs only a nil check.
 	reg *obs.Registry
@@ -110,10 +107,6 @@ type Tree struct {
 
 // Option configures a Tree at construction time.
 type Option func(*Tree)
-
-// WithWorkers bounds the worker pool of the parallel batch pipeline;
-// n <= 0 means GOMAXPROCS (resolved via internal/tuning).
-func WithWorkers(n int) Option { return func(t *Tree) { t.workers = n } }
 
 // WithObs attaches a metrics registry (nil detaches); a nil registry
 // costs only a nil check.
@@ -356,7 +349,7 @@ func (t *Tree) CheckInvariant() error {
 // that many trials can apply independent batches to identical starting
 // states.
 func (t *Tree) Clone() *Tree {
-	n := &Tree{d: t.d, height: t.height, gen: t.gen, workers: t.workers, reg: t.reg}
+	n := &Tree{d: t.d, height: t.height, gen: t.gen, reg: t.reg}
 	n.nodes = append([]node(nil), t.nodes...)
 	n.loc = make(map[Member]int, len(t.loc))
 	for m, id := range t.loc {
@@ -507,7 +500,7 @@ func (r *BatchResult) UserNeeds(userID int) []Encryption {
 // needed).
 //
 // Updated k-node keys are drawn in one bulk CSPRNG read and the wrap
-// emission fans out across a worker pool (WithWorkers).
+// emission fans out over GOMAXPROCS goroutines (tuning.FanOut).
 func (t *Tree) ProcessBatch(joins, leaves []Member) (*BatchResult, error) {
 	if err := t.checkBatch(joins, leaves); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package keytree
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -41,7 +42,8 @@ func TestLookupMatchesSearchOracle(t *testing.T) {
 	shapes := []string{"join", "leave", "replace", "mixed", "one-leave"}
 	for _, d := range []int{2, 3, 4, 8} {
 		t.Run(fmt.Sprintf("d=%d", d), func(t *testing.T) {
-			tr := New(d, keys.NewDeterministicGenerator(uint64(d)), WithWorkers(2))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+			tr := New(d, keys.NewDeterministicGenerator(uint64(d)))
 			rng := rand.New(rand.NewPCG(uint64(d), 9))
 			var present []Member
 			next := Member(0)

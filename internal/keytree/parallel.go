@@ -1,19 +1,16 @@
 package keytree
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/keys"
 	"repro/internal/tuning"
 )
 
-// emitChunk is the span width of the parallel emission: workers pull
-// node-ID spans of this many positions off a shared atomic cursor.
+// emitChunk is the span width of the parallel emission: the fan-out
+// hands out node-ID spans of this many positions one at a time.
 // Large enough that the counting pass and cursor traffic are noise
 // against the AES work inside a span, small enough that a
-// million-entry level splits into hundreds of units and the pool
-// stays balanced even when eligibility is clustered.
+// million-entry level splits into hundreds of units and the
+// goroutines stay balanced even when eligibility is clustered.
 const emitChunk = 2048
 
 // emitSpan is one unit of parallel emission work: the eligible nodes
@@ -29,9 +26,9 @@ type emitSpan struct {
 // only, no crypto) marks the emitting nodes and fixes each span's
 // output offset by prefix sum, so every encryption's
 // position is known -- and lookup's index built -- before any wrap
-// runs; workers then pull spans off an atomic cursor and fill them
-// with a per-worker WrapContext. No locks, no post-hoc sorting, and
-// the result does not depend on the worker count.
+// runs; tuning.FanOut then hands the spans out one at a time, each
+// goroutine filling its own with a WrapContext of its own. No locks, no
+// post-hoc sorting, and the result does not depend on GOMAXPROCS.
 func (t *Tree) emitParallel(res *BatchResult) {
 	levelStart := t.levelBounds()
 	res.emitted.w = make([]uint64, (len(t.nodes)+63)/64)
@@ -70,35 +67,13 @@ func (t *Tree) emitParallel(res *BatchResult) {
 	}
 	res.Encryptions = make([]Encryption, total)
 
-	workers := tuning.ResolveWorkers(t.workers)
-	if workers > len(spans) {
-		workers = len(spans)
-	}
-	if workers <= 1 {
-		ctx := keys.NewWrapContext(keys.Key{})
-		for _, sp := range spans {
-			t.fillSpan(sp, res, ctx)
-		}
-		return
-	}
-
-	var cursor int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := keys.NewWrapContext(keys.Key{})
-			for {
-				i := int(atomic.AddInt64(&cursor, 1)) - 1
-				if i >= len(spans) {
-					return
-				}
-				t.fillSpan(spans[i], res, ctx)
-			}
-		}()
-	}
-	wg.Wait()
+	// No span fails, so FanOut returns nil.
+	_ = tuning.FanOut(len(spans), 1, func() *keys.WrapContext {
+		return keys.NewWrapContext(keys.Key{})
+	}, func(ctx *keys.WrapContext, i, _ int) error {
+		t.fillSpan(spans[i], res, ctx)
+		return nil
+	})
 }
 
 // fillSpan writes one span's encryptions at their precomputed offsets.

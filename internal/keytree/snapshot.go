@@ -58,9 +58,8 @@ func (t *Tree) Snapshot() []byte {
 
 // Restore rebuilds a tree from Snapshot bytes. The generator supplies
 // all future key draws (it carries no snapshot state); options
-// (WithWorkers, WithObs) configure the restored tree exactly as New
-// would. The restored tree is validated with CheckInvariant before it is
-// returned.
+// (WithObs) configure the restored tree exactly as New would. The
+// restored tree is validated with CheckInvariant before it is returned.
 func Restore(data []byte, gen *keys.Generator, opts ...Option) (*Tree, error) {
 	if len(data) < snapHeaderSize || string(data[:len(snapMagic)]) != snapMagic {
 		return nil, fmt.Errorf("keytree: snapshot: bad magic or truncated header")

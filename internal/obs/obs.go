@@ -187,9 +187,8 @@ const (
 	// the ENC packets' Merkle block trees, on Rekey's own goroutine.
 	HAssignBuild
 	// HUSRSubtree is seconds per interval building the USR subtree
-	// (leaves and tree), which a signing server with more than one
-	// worker runs beside HAssignBuild: the larger of the two is Rekey's
-	// critical path.
+	// (leaves and tree), which a signing server runs beside
+	// HAssignBuild: the larger of the two is Rekey's critical path.
 	HUSRSubtree
 	// HMerkleProofBytes is the auth trailer size in bytes per packet
 	// kind built (the O(log n) proof overhead the paper's capacity

@@ -3,8 +3,10 @@ package protocol
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -29,11 +31,12 @@ func makeReqs(rng *rand.Rand, blocks, k, plen int, rho float64) []BlockParity {
 }
 
 // TestEncodeBlocksDeterministic: for several (blocks, k, rho)
-// combinations, every worker count must produce output byte-identical
-// to the serial path (workers=1), which itself must match the plain
+// combinations, every GOMAXPROCS must produce output byte-identical
+// to the serial path (one P), which itself must match the plain
 // per-block EncodeAll.
 func TestEncodeBlocksDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 11))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cases := []struct {
 		blocks, k int
 		rho       float64
@@ -50,7 +53,8 @@ func TestEncodeBlocksDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		reqs := makeReqs(rng, tc.blocks, tc.k, 256, tc.rho)
-		serial, err := EncodeBlocks(context.Background(), c, reqs, 1)
+		runtime.GOMAXPROCS(1)
+		serial, err := EncodeBlocks(context.Background(), c, reqs, 0)
 		if err != nil {
 			t.Fatalf("serial EncodeBlocks(%+v): %v", tc, err)
 		}
@@ -65,8 +69,9 @@ func TestEncodeBlocksDeterministic(t *testing.T) {
 				}
 			}
 		}
-		for _, workers := range []int{0, 2, 3, 4, 8, 64} {
-			got, err := EncodeBlocks(context.Background(), c, reqs, workers)
+		for _, workers := range []int{2, 3, 4, 8, 64} {
+			runtime.GOMAXPROCS(workers)
+			got, err := EncodeBlocks(context.Background(), c, reqs, 0)
 			if err != nil {
 				t.Fatalf("EncodeBlocks(workers=%d): %v", workers, err)
 			}
@@ -86,26 +91,31 @@ func TestEncodeBlocksDeterministic(t *testing.T) {
 
 func TestEncodeBlocksEmptyAndErrors(t *testing.T) {
 	c, _ := fec.NewCoder(4, 4)
-	out, err := EncodeBlocks(context.Background(), c, nil, 4)
+	out, err := EncodeBlocks(context.Background(), c, nil, 0)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty request list: out=%v err=%v", out, err)
 	}
 	rng := rand.New(rand.NewPCG(12, 12))
 	reqs := makeReqs(rng, 4, 4, 64, 1.5)
 	reqs[2].N = 99 // out of range for maxParity=4
-	if _, err := EncodeBlocks(context.Background(), c, reqs, 2); err == nil {
+	if _, err := EncodeBlocks(context.Background(), c, reqs, 0); err == nil {
 		t.Fatal("out-of-range parity request did not error")
 	}
 	reqs[2].N = 2
 	reqs[2].Data = reqs[2].Data[:3] // short block
-	if _, err := EncodeBlocks(context.Background(), c, reqs, 2); err == nil {
+	if _, err := EncodeBlocks(context.Background(), c, reqs, 0); err == nil {
 		t.Fatal("short block did not error")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := EncodeBlocks(ctx, c, makeReqs(rng, 8, 4, 64, 1.5), 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled encode: err = %v, want context.Canceled", err)
 	}
 }
 
 // TestEncodeBlocksSharedCoderConcurrent runs several concurrent
-// "rekey messages" through one shared Coder, each with its own worker
-// fan-out, and checks every message's output against the serial path.
+// "rekey messages" through one shared Coder, each with its own
+// fan-out, and checks every message's output against a lone call's.
 // Run with -race this doubles as the data-race check on the shared
 // read-only Coder.
 func TestEncodeBlocksSharedCoderConcurrent(t *testing.T) {
@@ -123,7 +133,7 @@ func TestEncodeBlocksSharedCoderConcurrent(t *testing.T) {
 	for m := range all {
 		rng := rand.New(rand.NewPCG(uint64(m), 99))
 		all[m].reqs = makeReqs(rng, 5+m, k, 256, 1.5)
-		all[m].want, err = EncodeBlocks(context.Background(), coder, all[m].reqs, 1)
+		all[m].want, err = EncodeBlocks(context.Background(), coder, all[m].reqs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +144,7 @@ func TestEncodeBlocksSharedCoderConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(m int) {
 			defer wg.Done()
-			got, err := EncodeBlocks(context.Background(), coder, all[m].reqs, 4)
+			got, err := EncodeBlocks(context.Background(), coder, all[m].reqs, 0)
 			if err != nil {
 				errc <- err
 				return
@@ -170,11 +180,12 @@ func BenchmarkEncodeBlocksWorkers(b *testing.B) {
 	}
 	rng := rand.New(rand.NewPCG(13, 13))
 	reqs := makeReqs(rng, blocks, k, plen, 1.5)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("%dw", workers), func(b *testing.B) {
+	for _, procs := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("%dw", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			b.SetBytes(int64(blocks * k * plen))
 			for i := 0; i < b.N; i++ {
-				if _, err := EncodeBlocks(context.Background(), coder, reqs, workers); err != nil {
+				if _, err := EncodeBlocks(context.Background(), coder, reqs, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,17 +2,14 @@
 // tuning knobs. The key server (rekey.Config), the simulation engine
 // (vsim.Config) and the UDP transport all embed or read the same
 // Tuning struct, so each knob -- FEC block size k, key tree degree d,
-// proactivity factor rho, the NACK target, the multicast round budget
-// and the encode worker bound -- is defined, defaulted and validated in
-// exactly one place. The defaults are the paper's (DESIGN.md): k=10,
-// d=4, rho0=1, numNACK=20 (cap 100), switch to unicast after 2
-// multicast rounds.
+// proactivity factor rho, the NACK target and the multicast round
+// budget -- is defined, defaulted and validated in exactly one place.
+// The defaults are the paper's (DESIGN.md): k=10, d=4, rho0=1,
+// numNACK=20 (cap 100), switch to unicast after 2 multicast rounds.
+// Parallel stages have no knob: FanOut sizes them by GOMAXPROCS.
 package tuning
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // MaxK bounds the FEC block size: k data shards plus at least k parity
 // shards must fit in the Reed-Solomon code's 256-shard space
@@ -39,9 +36,6 @@ type Tuning struct {
 	// multicast until a round draws no NACK, for at most 64 rounds
 	// (protocol.RoundCap), on the wire as in the simulator.
 	MaxMulticastRounds int
-	// Workers bounds the goroutines used for parallel work (FEC encode
-	// fan-out, per-user simulation); 0 means GOMAXPROCS. >= 0.
-	Workers int
 	// Strategy names the key tree's marking algorithm. The only one is
 	// "paper", the source paper's Appendix B; empty means it too. It
 	// stays while the benchmark still hands it to keytree.NewStrategy.
@@ -61,10 +55,10 @@ func Default() Tuning {
 	}
 }
 
-// WithDefaults fills zero-valued knobs from Default. Booleans and
-// legitimately-zero knobs (MaxMulticastRounds, Workers) are left alone:
-// only K, Degree, InitialRho, NumNACK and MaxNACK are defaulted, and
-// only when unset.
+// WithDefaults fills zero-valued knobs from Default. The
+// legitimately-zero MaxMulticastRounds is left alone: only K, Degree,
+// InitialRho, NumNACK, MaxNACK and Strategy are defaulted, and only
+// when unset.
 func (t Tuning) WithDefaults() Tuning {
 	d := Default()
 	if t.K == 0 {
@@ -88,21 +82,6 @@ func (t Tuning) WithDefaults() Tuning {
 	return t
 }
 
-// ResolveWorkers resolves a Workers knob value to a concrete goroutine
-// count: n > 0 is taken as-is, anything else means GOMAXPROCS. Every
-// parallel stage (FEC encode fan-out, the batch rekey pipeline, the
-// simulator's member delivery) resolves its bound through here so
-// "0 = all cores" is defined once.
-func ResolveWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// EffectiveWorkers resolves the Workers knob (see ResolveWorkers).
-func (t Tuning) EffectiveWorkers() int { return ResolveWorkers(t.Workers) }
-
 // Validate checks every knob and returns an error naming the offending
 // field, or nil.
 func (t Tuning) Validate() error {
@@ -123,9 +102,6 @@ func (t Tuning) Validate() error {
 	}
 	if t.MaxMulticastRounds < 0 {
 		return fmt.Errorf("tuning: MaxMulticastRounds = %d, want MaxMulticastRounds >= 0", t.MaxMulticastRounds)
-	}
-	if t.Workers < 0 {
-		return fmt.Errorf("tuning: Workers = %d, want Workers >= 0", t.Workers)
 	}
 	if t.Strategy != "" && t.Strategy != "paper" {
 		return fmt.Errorf("tuning: Strategy = %q, want \"paper\"", t.Strategy)

@@ -28,16 +28,13 @@ func TestDefaultsMatchPaper(t *testing.T) {
 	if d.MaxMulticastRounds != 2 {
 		t.Errorf("MaxMulticastRounds = %d, want 2", d.MaxMulticastRounds)
 	}
-	if d.Workers != 0 {
-		t.Errorf("Workers = %d, want 0 (GOMAXPROCS)", d.Workers)
-	}
 	if err := d.Validate(); err != nil {
 		t.Errorf("defaults fail validation: %v", err)
 	}
 }
 
 // TestWithDefaults fills only unset knobs and preserves explicit ones,
-// including the legitimately-zero MaxMulticastRounds and Workers.
+// including the legitimately-zero MaxMulticastRounds.
 func TestWithDefaults(t *testing.T) {
 	got := Tuning{}.WithDefaults()
 	want := Default()
@@ -46,7 +43,7 @@ func TestWithDefaults(t *testing.T) {
 		t.Errorf("zero tuning defaulted to %+v, want %+v", got, want)
 	}
 
-	explicit := Tuning{K: 32, Degree: 2, InitialRho: 2.5, NumNACK: 5, MaxNACK: 7, MaxMulticastRounds: 3, Workers: 4, Strategy: "paper"}
+	explicit := Tuning{K: 32, Degree: 2, InitialRho: 2.5, NumNACK: 5, MaxNACK: 7, MaxMulticastRounds: 3, Strategy: "paper"}
 	if got := explicit.WithDefaults(); got != explicit {
 		t.Errorf("explicit tuning mutated: %+v", got)
 	}
@@ -79,7 +76,6 @@ func TestValidateNamesField(t *testing.T) {
 		{"NumNACK", func(t *Tuning) { t.NumNACK = -1 }, "NumNACK"},
 		{"MaxNACK", func(t *Tuning) { t.MaxNACK = -1 }, "MaxNACK"},
 		{"MaxMulticastRounds", func(t *Tuning) { t.MaxMulticastRounds = -1 }, "MaxMulticastRounds"},
-		{"Workers", func(t *Tuning) { t.Workers = -1 }, "Workers"},
 		{"Strategy", func(t *Tuning) { t.Strategy = "batchplace" }, "Strategy"},
 	}
 	for _, tc := range cases {

@@ -150,7 +150,7 @@ func unmapped(ap netip.AddrPort) netip.AddrPort {
 
 // Options tune one Distribute run's wire behaviour: timing and the
 // unicast budget. The protocol knobs -- rho0, the multicast round
-// budget, the encode worker bound -- are NOT here: Distribute reads
+// budget -- are NOT here: Distribute reads
 // them from the key server's shared tuning (rekey.Config.Tuning), so
 // every knob stays defined in exactly one options type.
 type Options struct {
@@ -199,8 +199,8 @@ type Stats struct {
 // sending what a protocol.Sender decides. It returns once the NACK
 // stream has gone quiet (all members done or the unicast wave budget is
 // exhausted). The protocol knobs (rho0,
-// multicast round budget, encode workers) come from the key server's
-// tuning; opts carries only wire timing. Cancelling ctx aborts the
+// multicast round budget) come from the key server's tuning;
+// opts carries only wire timing. Cancelling ctx aborts the
 // NACK-collection waits and returns ctx's error. Runs on one Server must
 // not overlap: they would read each other's NACKs off the one socket.
 func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Options) (*Stats, error) {
@@ -251,7 +251,7 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 			s.obs.Emit(obs.Event{Kind: obs.EvRoundStart, MsgID: rm.MsgID, Round: snd.Round(), Value: float64(len(refs))})
 			// Generate the parity this round reaches into across all
 			// blocks in parallel, so multicastRefs hits the cache.
-			if err := rm.PrecomputeParity(ctx, snd.ParityPrefix(), tun.Workers); err != nil {
+			if err := rm.PrecomputeParity(ctx, snd.ParityPrefix(), 0); err != nil {
 				return st, err
 			}
 			if err := s.multicastRefs(ctx, rm, refs, members, snd.Waiting(), st); err != nil {

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"sync"
 
 	rekey "repro"
 	"repro/internal/blockplan"
@@ -52,7 +51,7 @@ const (
 )
 
 // Config holds the transport protocol parameters. The shared knobs
-// (k, rho0, NACK targets, round budget, workers) come from the embedded
+// (k, rho0, NACK targets, round budget) come from the embedded
 // tuning core -- the same struct rekey.Config embeds -- so they are
 // defined and validated in exactly one place; the fields declared here
 // are simulation-specific. DefaultConfig returns the paper's defaults.
@@ -358,10 +357,11 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 	return met, nil
 }
 
-// deliver hands the round in s.round to the members on cfg.Workers
-// goroutines: each pending member ingests the round's datagrams its link
-// let through, then, still pending, marshals its NACK. It returns the
-// NACK bytes by member (nil for none) and records each finisher's round.
+// deliver hands the round in s.round to the members, runs of them at a
+// time over GOMAXPROCS goroutines (tuning.FanOut): each pending member
+// ingests the round's datagrams its link let through, then, still
+// pending, marshals its NACK. It returns the NACK bytes by member (nil
+// for none) and records each finisher's round.
 //
 // A member takes its own ENC packet first when the link delivered it, as
 // the wire's need-first order sends it, and stops listening once keyed:
@@ -369,43 +369,42 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 // member ends the round holding or asking for.
 func (s *Session) deliver(r *run, rd *netsim.RoundDelivery, round int) [][]byte {
 	rnd := &s.round
-	workers := s.cfg.EffectiveWorkers()
 	nacks := make([][]byte, len(r.members))
-	var wg sync.WaitGroup
-	chunk := (len(r.members) + workers - 1) / workers
-	for lo := 0; lo < len(r.members); lo += chunk {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var got []int // the worker's buffer, one member's at a time
-			for i := lo; i < hi; i++ {
-				if r.done[i] > 0 {
-					continue
-				}
-				got = rd.Received(got[:0], i)
-				m := r.members[i]
-				keyed := false
-				if own, ok := r.rm.Plan.UserPacket[r.rm.Result.UserIDs[i]]; ok {
-					j := rnd.At[own] // -1, which got never holds, when the round lacks it
-					if _, ok := slices.BinarySearch(got, j); ok {
-						keyed = keyedBy(m, rnd.Datagram(j))
-					}
-				}
-				for n := 0; !keyed && n < len(got); n++ {
-					keyed = keyedBy(m, rnd.Datagram(got[n]))
-				}
-				if keyed {
-					r.done[i] = round
-				}
-				if nk, ok := m.NACK(); ok { // none once keyed
-					nacks[i], _ = nk.Marshal() // a member's own msgID always fits
+	// No piece fails, so FanOut returns nil.
+	_ = tuning.FanOut(len(r.members), membersPerPiece, func() *[]int { return new([]int) }, func(buf *[]int, lo, hi int) error {
+		got := *buf // the goroutine's buffer, one member's at a time
+		for i := lo; i < hi; i++ {
+			if r.done[i] > 0 {
+				continue
+			}
+			got = rd.Received(got[:0], i)
+			m := r.members[i]
+			keyed := false
+			if own, ok := r.rm.Plan.UserPacket[r.rm.Result.UserIDs[i]]; ok {
+				j := rnd.At[own] // -1, which got never holds, when the round lacks it
+				if _, ok := slices.BinarySearch(got, j); ok {
+					keyed = keyedBy(m, rnd.Datagram(j))
 				}
 			}
-		}(lo, min(lo+chunk, len(r.members)))
-	}
-	wg.Wait()
+			for n := 0; !keyed && n < len(got); n++ {
+				keyed = keyedBy(m, rnd.Datagram(got[n]))
+			}
+			if keyed {
+				r.done[i] = round
+			}
+			if nk, ok := m.NACK(); ok { // none once keyed
+				nacks[i], _ = nk.Marshal() // a member's own msgID always fits
+			}
+		}
+		*buf = got
+		return nil
+	})
 	return nacks
 }
+
+// membersPerPiece is how many members deliver hands a goroutine at a
+// time: enough ingests that taking a piece off the cursor is noise.
+const membersPerPiece = 64
 
 // keyedBy reports whether ingesting wire left m keyed.
 func keyedBy(m Member, wire []byte) bool {

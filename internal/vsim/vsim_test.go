@@ -3,6 +3,7 @@ package vsim
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -317,10 +318,10 @@ func TestDeterministicForSeed(t *testing.T) {
 
 func TestWorkerCountInvariance(t *testing.T) {
 	// Results must not depend on the parallel fan-out width.
-	runWith := func(workers int) []int {
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		w := newWorld(t, cfg, 1024, paperStar(), 43)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runWith := func(procs int) []int {
+		runtime.GOMAXPROCS(procs)
+		w := newWorld(t, DefaultConfig(), 1024, paperStar(), 43)
 		var out []int
 		for i := 0; i < 3; i++ {
 			met := w.run()
@@ -331,7 +332,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	a, b := runWith(1), runWith(8)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("worker counts change results at %d: %d vs %d", i, a[i], b[i])
+			t.Fatalf("GOMAXPROCS changes results at %d: %d vs %d", i, a[i], b[i])
 		}
 	}
 }

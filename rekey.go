@@ -21,8 +21,8 @@
 // Servers are built with functional options mirroring keytree.New:
 // NewServer(WithTuning(t), WithKeySeed(seed), WithObs(reg)). The
 // options populate a validated Config core embedding Tuning (the
-// shared protocol knobs -- k, d, rho0, numNACK, round budget, workers
-// -- defined once in internal/tuning and reused by every layer).
+// shared protocol knobs -- k, d, rho0, numNACK, round budget --
+// defined once in internal/tuning and reused by every layer).
 // Passing a registry via WithObs threads live metrics and trace events
 // through the server, the message builder and the transports; a nil
 // registry costs only a nil check. Member.Ingest reports typed
@@ -67,7 +67,7 @@ type Credentials struct {
 }
 
 // Tuning is the protocol's shared tuning core: the single definition
-// of k, tree degree, rho0, the NACK targets and the worker bound. It
+// of k, tree degree, rho0, the NACK targets and the round budget. It
 // is embedded here, in vsim.Config, and read by the UDP transport,
 // so every layer agrees on one validated set of knobs.
 type Tuning = tuning.Tuning
@@ -82,7 +82,7 @@ type Config struct {
 	// Tuning holds the shared protocol knobs. Zero-valued fields take
 	// the paper defaults (DefaultTuning); the server itself consumes K
 	// and Degree, while the transports read the rest through
-	// Server.Tuning so rho0, the NACK target and the worker bound are
+	// Server.Tuning so rho0, the NACK target and the round budget are
 	// configured in exactly one place.
 	Tuning
 	// KeySeed, when non-zero, makes key generation deterministic --
@@ -158,18 +158,16 @@ func NewServer(opts ...Option) (*Server, error) {
 		gen = keys.NewDeterministicGenerator(cfg.KeySeed)
 	}
 	return &Server{
-		cfg: cfg,
-		obs: cfg.Obs,
-		tree: keytree.New(cfg.Degree, gen,
-			keytree.WithWorkers(cfg.Workers),
-			keytree.WithObs(cfg.Obs)),
+		cfg:    cfg,
+		obs:    cfg.Obs,
+		tree:   keytree.New(cfg.Degree, gen, keytree.WithObs(cfg.Obs)),
 		queued: make(map[MemberID]bool),
 	}, nil
 }
 
 // Tuning returns the server's effective (defaulted, validated) tuning.
-// The transports read rho0, the round budget and the worker bound from
-// here so the knobs stay defined in one place.
+// The transports read rho0 and the round budget from here so the knobs
+// stay defined in one place.
 func (s *Server) Tuning() Tuning { return s.cfg.Tuning }
 
 // Obs returns the registry the server reports to (nil when
@@ -358,16 +356,12 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 		k:      s.cfg.K,
 		obs:    s.obs,
 	}
-	// With more than one worker the USR subtree is built beside the ENC
-	// packets and buildAuth joins it; with one, buildAuth builds it. An
-	// error surfaces where the serial order would report it.
+	// The USR subtree is built beside the ENC packets and buildAuth
+	// joins it. An error surfaces where the serial order would report it.
 	var usrTree func() (*keys.MerkleTree, error)
 	if s.cfg.Signer != nil {
-		workers := s.cfg.EffectiveWorkers()
-		usrTree = rm.startUSRSubtree(workers)
-		if workers > 1 {
-			defer usrTree() // every return waits: nothing touches rm after Rekey
-		}
+		usrTree = rm.startUSRSubtree()
+		defer usrTree() // every return waits: nothing touches rm after Rekey
 	}
 	var assignStart time.Time
 	if s.obs.Enabled() {
@@ -516,9 +510,10 @@ func (rm *RekeyMessage) parityPayload(block, idx int) ([]byte, error) {
 // PrecomputeParity generates (and caches) parity payloads for many
 // blocks at once: after it returns, block b has at least counts[b]
 // parity packets cached, so subsequent AppendWireParity calls in that
-// range are lookups. The per-block encodes fan out across a bounded
-// worker pool (workers <= 0 means GOMAXPROCS); the cached bytes are
-// identical to what serial AppendWireParity calls would produce. counts
+// range are lookups. The per-block encodes fan out over GOMAXPROCS
+// goroutines, and workers is unused (protocol.EncodeBlocks); the cached
+// bytes are identical to what serial AppendWireParity calls would
+// produce. counts
 // may be shorter than the block count; missing entries mean zero.
 // Cancelling ctx abandons the remaining encodes and returns ctx.Err();
 // already-cached parity stays cached.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,21 +46,21 @@ func signedDigest(t *testing.T, rm *RekeyMessage) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestSignedRekeyIndependentOfWorkers: building the USR subtree beside
-// assignment (Workers > 1) or after it (Workers == 1) changes no byte a
-// signed server sends, with metrics on or off; with them on, every
-// interval records both branches of the overlap once.
+// TestSignedRekeyIndependentOfWorkers: the GOMAXPROCS the fan-outs and
+// the USR subtree's goroutine run at changes no byte a signed server
+// sends, with metrics on or off; with them on, every interval records
+// both branches of the overlap once.
 func TestSignedRekeyIndependentOfWorkers(t *testing.T) {
 	signer, err := keys.NewSigner(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []string
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(workers)
 		for _, observed := range []bool{false, true} {
-			tn := DefaultTuning()
-			tn.Workers = workers
-			opts := []Option{WithKeySeed(0x5eed), WithSigner(signer), WithTuning(tn)}
+			opts := []Option{WithKeySeed(0x5eed), WithSigner(signer)}
 			var reg *obs.Registry
 			if observed {
 				reg = obs.New()
@@ -83,7 +84,7 @@ func TestSignedRekeyIndependentOfWorkers(t *testing.T) {
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Errorf("workers=%d obs=%v %s: digest %s, Workers=1 unobserved gave %s", workers, observed, serverGolden[i].name, got[i], want[i])
+					t.Errorf("workers=%d obs=%v %s: digest %s, GOMAXPROCS=1 unobserved gave %s", workers, observed, serverGolden[i].name, got[i], want[i])
 				}
 			}
 			if !observed {
@@ -103,15 +104,17 @@ func TestSignedRekeyIndependentOfWorkers(t *testing.T) {
 // needs more than 256 blocks, which assignment refuses a few milliseconds
 // in, while the USR subtree over every user is still being built beside
 // it. Rekey returns only once that build has finished (and observed its
-// histogram); with one worker the serial order never starts it.
+// histogram), at one P as at two.
 func TestFailedRekeyWaitsForUSRSubtree(t *testing.T) {
 	signer, err := keys.NewSigner(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 2} {
+		runtime.GOMAXPROCS(workers)
 		tn := DefaultTuning()
-		tn.K, tn.Workers = 1, workers
+		tn.K = 1
 		reg := obs.New()
 		s, err := NewServer(WithKeySeed(5), WithSigner(signer), WithTuning(tn), WithObs(reg))
 		if err != nil {
@@ -122,12 +125,8 @@ func TestFailedRekeyWaitsForUSRSubtree(t *testing.T) {
 			t.Fatalf("workers=%d: Rekey error %v, want the block-ID refusal", workers, err)
 		}
 		snap := reg.Snapshot()
-		want := int64(0)
-		if workers > 1 {
-			want = 1
-		}
-		if got := snap.Histograms["usr_subtree_s"].Count; got != want {
-			t.Errorf("workers=%d: %d USR subtrees built by the time Rekey returned, want %d", workers, got, want)
+		if got := snap.Histograms["usr_subtree_s"].Count; got != 1 {
+			t.Errorf("workers=%d: %d USR subtrees built by the time Rekey returned, want 1", workers, got)
 		}
 		if got := snap.Histograms["assign_build_s"].Count; got != 0 {
 			t.Errorf("workers=%d: assign_build_s observed %d times for a failed assignment", workers, got)
@@ -140,9 +139,7 @@ func TestFailedRekeyWaitsForUSRSubtree(t *testing.T) {
 // read the previous message: under -race, the USR subtree's goroutine
 // shares nothing it should not.
 func TestSignedRekeyConcurrentWithQueue(t *testing.T) {
-	tn := DefaultTuning()
-	tn.Workers = 2
-	s, _ := newSignedServer(t, 3, WithTuning(tn))
+	s, _ := newSignedServer(t, 3)
 	const n, rounds = 400, 12
 	queueRanges(t, s, [2]int{0, n}, [2]int{})
 	rm0, err := s.Rekey()
