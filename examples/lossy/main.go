@@ -29,11 +29,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := vsim.DefaultConfig()
-	cfg.AdaptiveRho = true
-	cfg.NumNACK = 20
-	cfg.MaxMulticastRounds = 2 // then unicast
-	sess, err := vsim.NewSession(cfg, net, 42)
+	// The paper's defaults: adaptive rho toward 20 first-round NACKs,
+	// and unicast after 2 multicast rounds, which is also the deadline.
+	sess, err := vsim.NewSession(vsim.DefaultConfig(), net, 42)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -140,9 +140,9 @@ func runAblInterleave(o Options) ([]*stats.Figure, error) {
 		s := fig.NewSeries(label)
 		sn := nfig.NewSeries(label)
 		for _, alpha := range alphaSweep(o.Quick) {
-			ms, err := runTransport(transportConfig{
-				N: n, Alpha: alpha, Rho: 1, Messages: o.Messages, Seed: o.Seed, sequential: seq,
-			})
+			c := transport(o, n, alpha, 1)
+			c.SequentialSend = seq
+			ms, err := runTransport(c)
 			if err != nil {
 				return nil, err
 			}

@@ -15,7 +15,6 @@ import (
 	rekey "repro"
 	"repro/internal/netsim"
 	"repro/internal/stats"
-	"repro/internal/tuning"
 	"repro/internal/vsim"
 )
 
@@ -106,40 +105,36 @@ func Fprint(w io.Writer, f *stats.Figure) error {
 	return err
 }
 
-// transportConfig bundles the knobs of one transport run.
+// transportConfig is one transport run: the group, its links and the
+// message count around the session's own configuration.
 type transportConfig struct {
-	N         int // pre-batch group size; N/4 leave per message
-	K         int
-	Alpha     float64
-	Rho       float64
-	Adaptive  bool
-	NumNACK   int
-	MaxNACK   int
-	AdaptNACK bool
-	MaxMcast  int // 0 = multicast until done
-	Deadline  int
-	Messages  int
-	Seed      uint64
-	// sequential disables interleaving (ablation only).
-	sequential bool
+	N        int // pre-batch group size; N/4 leave per message
+	Alpha    float64
+	Messages int
+	Seed     uint64
+	vsim.Config
 }
 
-// fill takes every unset knob from tuning's defaults, the one place
-// the paper's k, rho, numNACK and maxNACK are written down.
-func (tc transportConfig) fill() transportConfig {
-	t := tuning.Tuning{K: tc.K, InitialRho: tc.Rho, NumNACK: tc.NumNACK, MaxNACK: tc.MaxNACK}.WithDefaults()
-	tc.K, tc.Rho, tc.NumNACK, tc.MaxNACK = t.K, t.InitialRho, t.NumNACK, t.MaxNACK
-	return tc
+// transport configures a run of o.Messages messages to an n-member
+// group, a share alpha of whose links are lossy: the paper's defaults
+// at rho fixed, multicasting until a round draws no NACK. Each figure
+// sets the knobs it varies on the result.
+func transport(o Options, n int, alpha, rho float64) transportConfig {
+	cfg := vsim.DefaultConfig()
+	cfg.AdaptiveRho = false
+	cfg.InitialRho = rho
+	cfg.MaxMulticastRounds = 0
+	return transportConfig{N: n, Alpha: alpha, Messages: o.Messages, Seed: o.Seed, Config: cfg}
 }
 
 // runTransport executes Messages rekey messages and returns their
 // metrics. Each message applies an independent batch of N/4 leaves to
 // the same pristine N-member group, the paper's stationary workload: a
-// deterministic, unsigned key server whose members were admitted by its
-// first message, rebuilt from the seed for every message, with the
-// leavers drawn uniformly from one rng stream across messages.
+// deterministic, unsigned key server of the session's tuning whose
+// members were admitted by its first message, rebuilt from the seed for
+// every message, with the leavers drawn uniformly from one rng stream
+// across messages.
 func runTransport(tc transportConfig) ([]*vsim.Metrics, error) {
-	tc = tc.fill()
 	star := netsim.StarConfig{
 		N:     tc.N - tc.N/4,
 		Alpha: tc.Alpha, PHigh: 0.20, PLow: 0.02, PSource: 0.01,
@@ -149,27 +144,14 @@ func runTransport(tc transportConfig) ([]*vsim.Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := vsim.DefaultConfig()
-	cfg.K = tc.K
-	cfg.InitialRho = tc.Rho
-	cfg.AdaptiveRho = tc.Adaptive
-	cfg.NumNACK = tc.NumNACK
-	if cfg.NumNACK < 0 {
-		cfg.NumNACK = 0 // -1 is the sweep sentinel for a zero target
-	}
-	cfg.MaxNACK = tc.MaxNACK
-	cfg.AdaptNumNACK = tc.AdaptNACK
-	cfg.MaxMulticastRounds = tc.MaxMcast
-	cfg.DeadlineRounds = tc.Deadline
-	cfg.SequentialSend = tc.sequential
-	sess, err := vsim.NewSession(cfg, net, tc.Seed^0xbeef)
+	sess, err := vsim.NewSession(tc.Config, net, tc.Seed^0xbeef)
 	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewPCG(tc.Seed, 0x10ad))
 	out := make([]*vsim.Metrics, 0, tc.Messages)
 	for i := 0; i < tc.Messages; i++ {
-		grp, err := vsim.NewGroup(tc.N, rekey.WithTuning(rekey.Tuning{K: tc.K, Degree: 4}), rekey.WithKeySeed(tc.Seed))
+		grp, err := vsim.NewGroup(tc.N, rekey.WithTuning(tc.Tuning), rekey.WithKeySeed(tc.Seed))
 		if err != nil {
 			return nil, err
 		}

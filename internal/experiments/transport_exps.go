@@ -59,9 +59,9 @@ func defaultN(quick bool) int {
 
 func numNACKSweep(quick bool) []int {
 	if quick {
-		return []int{-1, 20, 100}
+		return []int{0, 20, 100}
 	}
-	return []int{-1, 5, 10, 20, 40, 60, 80, 100}
+	return []int{0, 5, 10, 20, 40, 60, 80, 100}
 }
 
 // warmup is how many leading messages adaptive-rho averages skip so the
@@ -99,21 +99,11 @@ func floats(vs []int) []float64 {
 	return out
 }
 
-// zeroTarget maps a numNACK target to transportConfig's, in which 0 is
-// unset and -1 stands for a zero target.
-func zeroTarget(t int) int {
-	if t == 0 {
-		return -1
-	}
-	return t
-}
-
 // adaptive configures an adaptive-rho run.
 func adaptive(o Options, n, k int, alpha, initRho float64, numNACK int) transportConfig {
-	return transportConfig{
-		N: n, K: k, Alpha: alpha, Rho: initRho, Adaptive: true,
-		NumNACK: numNACK, Messages: o.Messages, Seed: o.Seed,
-	}
+	c := transport(o, n, alpha, initRho)
+	c.K, c.AdaptiveRho, c.NumNACK = k, true, numNACK
+	return c
 }
 
 // sweep adds to fig a series per label with a point per x: the mean of
@@ -123,7 +113,7 @@ func sweep(fig *stats.Figure, labels []string, xs []float64, skip int, y func(*v
 	for si, label := range labels {
 		s := fig.NewSeries(label)
 		for _, x := range xs {
-			c := tc(si, x).fill()
+			c := tc(si, x)
 			if !fitsWire(c.N, c.K) {
 				continue
 			}
@@ -163,7 +153,9 @@ func runF8Bandwidth(o Options) ([]*stats.Figure, error) {
 	n, alphas := defaultN(o.Quick), alphaSweep(o.Quick)
 	fig := &stats.Figure{ID: "F8l", Title: fmt.Sprintf("server bandwidth overhead vs k (rho=1, N=%d, L=N/4)", n), XLabel: "k", YLabel: "avg server bandwidth overhead"}
 	return sweep(fig, labels("alpha=%g", alphas), floats(kSweep(o.Quick)), 0, overhead, func(s int, k float64) transportConfig {
-		return transportConfig{N: n, K: int(k), Alpha: alphas[s], Rho: 1, Messages: o.Messages, Seed: o.Seed}
+		c := transport(o, n, alphas[s], 1)
+		c.K = int(k)
+		return c
 	})
 }
 
@@ -174,7 +166,9 @@ func runF8EncTime(o Options) ([]*stats.Figure, error) {
 	for _, alpha := range alphaSweep(o.Quick) {
 		s := fig.NewSeries(fmt.Sprintf("alpha=%g", alpha))
 		for _, k := range kSweep(o.Quick) {
-			ms, err := runTransport(transportConfig{N: n, K: k, Alpha: alpha, Rho: 1, Messages: o.Messages, Seed: o.Seed})
+			c := transport(o, n, alpha, 1)
+			c.K = k
+			ms, err := runTransport(c)
 			if err != nil {
 				return nil, err
 			}
@@ -190,7 +184,7 @@ func runF8EncTime(o Options) ([]*stats.Figure, error) {
 func rhoSweepFig(o Options, fig *stats.Figure, y func(*vsim.Metrics) float64) ([]*stats.Figure, error) {
 	alphas := alphaSweep(o.Quick)
 	return sweep(fig, labels("alpha=%g", alphas), rhoSweep(o.Quick), 0, y, func(s int, rho float64) transportConfig {
-		return transportConfig{N: defaultN(o.Quick), Alpha: alphas[s], Rho: rho, Messages: o.Messages, Seed: o.Seed}
+		return transport(o, defaultN(o.Quick), alphas[s], rho)
 	})
 }
 
@@ -211,7 +205,7 @@ func runF10UserRounds(o Options) ([]*stats.Figure, error) {
 	n := defaultN(o.Quick)
 	fig := &stats.Figure{ID: "F10l", Title: fmt.Sprintf("fraction of users finishing in a given round (N=%d, alpha=20%%)", n), XLabel: "round", YLabel: "fraction of users"}
 	for _, rho := range []float64{1.0, 1.6, 2.0} {
-		ms, err := runTransport(transportConfig{N: n, Alpha: 0.2, Rho: rho, Messages: o.Messages, Seed: o.Seed})
+		ms, err := runTransport(transport(o, n, 0.2, rho))
 		if err != nil {
 			return nil, err
 		}
@@ -268,7 +262,7 @@ func runF14TargetSweep(o Options) ([]*stats.Figure, error) {
 		return fmt.Sprintf("first-round NACKs per message for numNACK targets, initial rho=%g (N=%d, alpha=20%%)", initRho, n)
 	}, "# NACKs (round 1)", labels("numNACK=%d", targets), round1NACKs,
 		func(initRho float64, s int) transportConfig {
-			return adaptive(o, n, 0, 0.2, initRho, zeroTarget(targets[s]))
+			return adaptive(o, n, 10, 0.2, initRho, targets[s])
 		})
 }
 
@@ -325,15 +319,11 @@ func runF17User(o Options) ([]*stats.Figure, error) {
 }
 
 // numNACKFig plots y against the numNACK target, a series per alpha
-// (Fig. 18); the target 0 is the point plotted at x=0.
+// (Fig. 18).
 func numNACKFig(o Options, fig *stats.Figure, y func(*vsim.Metrics) float64) ([]*stats.Figure, error) {
 	alphas := alphaSweep(o.Quick)
-	xs := floats(numNACKSweep(o.Quick))
-	for i := range xs {
-		xs[i] = max(xs[i], 0)
-	}
-	return sweep(fig, labels("alpha=%g", alphas), xs, warmup, y, func(s int, x float64) transportConfig {
-		return adaptive(o, defaultN(o.Quick), 0, alphas[s], 1, zeroTarget(int(x)))
+	return sweep(fig, labels("alpha=%g", alphas), floats(numNACKSweep(o.Quick)), warmup, y, func(s int, x float64) transportConfig {
+		return adaptive(o, defaultN(o.Quick), 10, alphas[s], 1, int(x))
 	})
 }
 
@@ -360,7 +350,7 @@ func extraFig(o Options, fig *stats.Figure, names []string, tc func(s, k int) tr
 	return sweep(fig, pairs, floats(kSweep(o.Quick)), warmup, overhead, func(s int, k float64) transportConfig {
 		c := tc(s/2, int(k))
 		if s%2 == 1 {
-			c = transportConfig{N: c.N, K: c.K, Alpha: c.Alpha, Rho: 1, Messages: o.Messages, Seed: o.Seed}
+			c.AdaptiveRho, c.InitialRho = false, 1
 		}
 		return c
 	})
@@ -398,12 +388,9 @@ func runF21(o Options) ([]*stats.Figure, error) {
 	if o.Quick {
 		messages = 20
 	}
-	ms, err := runTransport(transportConfig{
-		N: n, Alpha: 0.2, Rho: 1, Adaptive: true,
-		NumNACK: 200, MaxNACK: 200, AdaptNACK: true,
-		Deadline: 2, MaxMcast: 2,
-		Messages: messages, Seed: o.Seed,
-	})
+	c := adaptive(o, n, 10, 0.2, 1, 200)
+	c.MaxNACK, c.AdaptNumNACK, c.MaxMulticastRounds, c.Messages = 200, true, 2, messages
+	ms, err := runTransport(c)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,8 @@
 // budget -- is defined, defaulted and validated in exactly one place.
 // The defaults are the paper's (DESIGN.md): k=10, d=4, rho0=1,
 // numNACK=20 (cap 100), switch to unicast after 2 multicast rounds.
+// Default is the only place they live: no layer fills in a zero knob,
+// so a zero means zero and a partial Tuning starts from Default().
 // Parallel stages have no knob: FanOut sizes them by GOMAXPROCS.
 package tuning
 
@@ -32,9 +34,11 @@ type Tuning struct {
 	// MaxNACK caps NumNACK adaptation. >= 0.
 	MaxNACK int
 	// MaxMulticastRounds is the round count after which the server
-	// switches to unicast (the paper suggests 1 or 2). Zero means
-	// multicast until a round draws no NACK, for at most 64 rounds
-	// (protocol.RoundCap), on the wire as in the simulator.
+	// switches to unicast (the paper suggests 1 or 2); it is also the
+	// soft real-time deadline a member's key is counted against. Zero
+	// means multicast until a round draws no NACK, for at most 64
+	// rounds (protocol.RoundCap), on the wire as in the simulator, and
+	// no deadline.
 	MaxMulticastRounds int
 	// Strategy names the key tree's marking algorithm. The only one is
 	// "paper", the source paper's Appendix B; empty means it too. It
@@ -53,33 +57,6 @@ func Default() Tuning {
 		MaxMulticastRounds: 2,
 		Strategy:           "paper",
 	}
-}
-
-// WithDefaults fills zero-valued knobs from Default. The
-// legitimately-zero MaxMulticastRounds is left alone: only K, Degree,
-// InitialRho, NumNACK, MaxNACK and Strategy are defaulted, and only
-// when unset.
-func (t Tuning) WithDefaults() Tuning {
-	d := Default()
-	if t.K == 0 {
-		t.K = d.K
-	}
-	if t.Degree == 0 {
-		t.Degree = d.Degree
-	}
-	if t.InitialRho == 0 {
-		t.InitialRho = d.InitialRho
-	}
-	if t.NumNACK == 0 {
-		t.NumNACK = d.NumNACK
-	}
-	if t.MaxNACK == 0 {
-		t.MaxNACK = d.MaxNACK
-	}
-	if t.Strategy == "" {
-		t.Strategy = d.Strategy
-	}
-	return t
 }
 
 // Validate checks every knob and returns an error naming the offending

@@ -33,30 +33,16 @@ func TestDefaultsMatchPaper(t *testing.T) {
 	}
 }
 
-// TestWithDefaults fills only unset knobs and preserves explicit ones,
-// including the legitimately-zero MaxMulticastRounds.
-func TestWithDefaults(t *testing.T) {
-	got := Tuning{}.WithDefaults()
-	want := Default()
-	want.MaxMulticastRounds = 0 // zero means "multicast until done", kept
-	if got != want {
-		t.Errorf("zero tuning defaulted to %+v, want %+v", got, want)
-	}
-
-	explicit := Tuning{K: 32, Degree: 2, InitialRho: 2.5, NumNACK: 5, MaxNACK: 7, MaxMulticastRounds: 3, Strategy: "paper"}
-	if got := explicit.WithDefaults(); got != explicit {
-		t.Errorf("explicit tuning mutated: %+v", got)
-	}
-}
-
 // TestStrategyDefault: the Strategy field defaults to the paper's
-// marking algorithm, the only one Validate accepts.
+// marking algorithm, the only one Validate accepts; empty means it too.
 func TestStrategyDefault(t *testing.T) {
 	if got := Default().Strategy; got != "paper" {
 		t.Errorf("default Strategy = %q, want paper", got)
 	}
-	if got := (Tuning{}).WithDefaults().Strategy; got != "paper" {
-		t.Errorf("zero Strategy defaulted to %q, want paper", got)
+	empty := Default()
+	empty.Strategy = ""
+	if err := empty.Validate(); err != nil {
+		t.Errorf("empty Strategy rejected: %v", err)
 	}
 }
 

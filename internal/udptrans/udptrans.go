@@ -149,10 +149,11 @@ func unmapped(ap netip.AddrPort) netip.AddrPort {
 }
 
 // Options tune one Distribute run's wire behaviour: timing and the
-// unicast budget. The protocol knobs -- rho0, the multicast round
-// budget -- are NOT here: Distribute reads
-// them from the key server's shared tuning (rekey.Config.Tuning), so
-// every knob stays defined in exactly one options type.
+// unicast budget. Distribute uses them as given; DefaultOptions holds
+// the defaults. The protocol knobs -- rho0, the multicast round
+// budget -- are NOT here: Distribute reads them from the key server's
+// shared tuning (rekey.Config.Tuning), so every knob stays defined in
+// exactly one options type.
 type Options struct {
 	// RoundDur is how long the server listens for NACKs after the last
 	// datagram of a multicast round or unicast wave. The contract with
@@ -160,9 +161,11 @@ type Options struct {
 	// still pending NACKs one QuietGap after its last datagram, which
 	// must fall inside the window, because what reached the socket before
 	// the window opened is discarded (drainStale). The defaults (150 ms
-	// over 60 ms) satisfy it.
+	// over 60 ms) satisfy it. > 0.
 	RoundDur time.Duration
-	// MaxUnicastWaves bounds the unicast retransmission phase.
+	// MaxUnicastWaves bounds the unicast retransmission phase. Zero
+	// means no unicast wave: members the multicast rounds leave
+	// pending end the run with an error. >= 0.
 	MaxUnicastWaves int
 }
 
@@ -176,8 +179,8 @@ func DefaultOptions() Options {
 
 // Validate checks the wire options, naming the offending field.
 func (o Options) Validate() error {
-	if o.RoundDur < 0 {
-		return fmt.Errorf("udptrans: RoundDur = %v, want >= 0", o.RoundDur)
+	if o.RoundDur <= 0 {
+		return fmt.Errorf("udptrans: RoundDur = %v, want > 0", o.RoundDur)
 	}
 	if o.MaxUnicastWaves < 0 {
 		return fmt.Errorf("udptrans: MaxUnicastWaves = %d, want >= 0", o.MaxUnicastWaves)
@@ -198,24 +201,17 @@ type Stats struct {
 // Distribute runs the full transport protocol for one rekey message,
 // sending what a protocol.Sender decides. It returns once the NACK
 // stream has gone quiet (all members done or the unicast wave budget is
-// exhausted). The protocol knobs (rho0,
-// multicast round budget) come from the key server's tuning;
-// opts carries only wire timing. Cancelling ctx aborts the
-// NACK-collection waits and returns ctx's error. Runs on one Server must
-// not overlap: they would read each other's NACKs off the one socket.
+// exhausted). The protocol knobs (rho0, multicast round budget) come
+// from the key server's tuning; opts carries only wire timing and is
+// used as given. Cancelling ctx aborts the NACK-collection waits and
+// returns ctx's error. Runs on one Server must not overlap: they would
+// read each other's NACKs off the one socket.
 func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Options) (*Stats, error) {
-	if len(rm.ENC) == 0 {
-		return &Stats{}, nil
-	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	def := DefaultOptions()
-	if opts.RoundDur == 0 {
-		opts.RoundDur = def.RoundDur
-	}
-	if opts.MaxUnicastWaves == 0 {
-		opts.MaxUnicastWaves = def.MaxUnicastWaves
+	if len(rm.ENC) == 0 {
+		return &Stats{}, nil
 	}
 	tun := s.ks.Tuning()
 	s.obs.Set(obs.GRho, tun.InitialRho)

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -438,6 +439,8 @@ func TestStaleNACKFloodAllocs(t *testing.T) {
 	}
 }
 
+// TestDistributeEmptyMessage: an empty message sends nothing, and the
+// options are used as given, so zero ones are refused first.
 func TestDistributeEmptyMessage(t *testing.T) {
 	ks, err := rekey.NewServer(rekey.WithKeySeed(3))
 	if err != nil {
@@ -448,6 +451,9 @@ func TestDistributeEmptyMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	if _, err := srv.Distribute(context.Background(), &rekey.RekeyMessage{}, Options{}); err == nil || !strings.Contains(err.Error(), "RoundDur") {
+		t.Fatalf("Options{}: err = %v, want one naming RoundDur", err)
+	}
 	st, err := srv.Distribute(context.Background(), &rekey.RekeyMessage{}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -63,15 +63,12 @@ type Config struct {
 	// at InitialRho for every message.
 	AdaptiveRho bool
 	// AdaptNumNACK enables deadline-driven adaptation of NumNACK
-	// (requires DeadlineRounds > 0).
+	// (requires MaxMulticastRounds > 0, the deadline).
 	AdaptNumNACK bool
 	// EarlyUnicast also switches to unicast as soon as the USR datagrams
 	// of a round's NACKers are no larger than the PARITY datagrams the
 	// next multicast round would send.
 	EarlyUnicast bool
-	// DeadlineRounds is the soft real-time deadline, in multicast
-	// rounds. Zero disables deadline accounting.
-	DeadlineRounds int
 	// SequentialSend disables the interleaved send order, transmitting
 	// each block's shards back to back. The protocol interleaves by
 	// default so a burst-loss period cannot claim several shards of one
@@ -85,22 +82,18 @@ type Config struct {
 
 // DefaultConfig returns the paper's default parameters: the shared
 // tuning defaults (k=10, rho0=1, numNACK target 20 capped at 100,
-// unicast after 2 multicast rounds) plus adaptive rho and a deadline of
-// 2 rounds.
+// unicast after 2 multicast rounds, which is also the deadline) plus
+// adaptive rho.
 func DefaultConfig() Config {
-	return Config{
-		Tuning:         tuning.Default(),
-		AdaptiveRho:    true,
-		DeadlineRounds: 2,
-	}
+	return Config{Tuning: tuning.Default(), AdaptiveRho: true}
 }
 
 func (c Config) validate() error {
 	if err := c.Tuning.Validate(); err != nil {
 		return fmt.Errorf("vsim: %w", err)
 	}
-	if c.AdaptNumNACK && c.DeadlineRounds <= 0 {
-		return fmt.Errorf("vsim: AdaptNumNACK requires DeadlineRounds > 0")
+	if c.AdaptNumNACK && c.MaxMulticastRounds <= 0 {
+		return fmt.Errorf("vsim: AdaptNumNACK requires MaxMulticastRounds > 0, the deadline")
 	}
 	return nil
 }
@@ -314,11 +307,11 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 	}
 
 	// Deadline accounting happens at the multicast/unicast boundary: a
-	// member meets the deadline iff it was keyed within DeadlineRounds
-	// multicast rounds.
-	if cfg.DeadlineRounds > 0 {
+	// member meets the deadline iff it was keyed within the
+	// MaxMulticastRounds multicast rounds before the unicast switch.
+	if cfg.MaxMulticastRounds > 0 {
 		for _, d := range r.done {
-			if d == 0 || d > cfg.DeadlineRounds {
+			if d == 0 || d > cfg.MaxMulticastRounds {
 				met.MissedDeadline++
 			}
 		}

@@ -28,7 +28,9 @@ type world struct {
 
 func newWorld(t testing.TB, cfg Config, n int, star netsim.StarConfig, seed uint64) *world {
 	t.Helper()
-	grp, err := NewGroup(n, rekey.WithTuning(rekey.Tuning{K: cfg.K}), rekey.WithKeySeed(seed))
+	tun := rekey.DefaultTuning()
+	tun.K = cfg.K
+	grp, err := NewGroup(n, rekey.WithTuning(tun), rekey.WithKeySeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,6 @@ func TestLossyMulticastOnlyCompletes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AdaptiveRho = false
 	cfg.MaxMulticastRounds = 0 // multicast until done
-	cfg.DeadlineRounds = 0
 	met := newWorld(t, cfg, 1024, paperStar(), 2).run()
 	if met.MulticastRounds < 2 {
 		t.Fatalf("lossy run finished in %d rounds; suspicious", met.MulticastRounds)
@@ -193,7 +194,6 @@ func TestProactivityReducesNACKs(t *testing.T) {
 		cfg.AdaptiveRho = false
 		cfg.InitialRho = rho
 		cfg.MaxMulticastRounds = 0
-		cfg.DeadlineRounds = 0
 		w := newWorld(t, cfg, 2048, paperStar(), 3)
 		total := 0
 		for i := 0; i < 3; i++ {
@@ -235,7 +235,6 @@ func TestAdjustRhoConvergesToTarget(t *testing.T) {
 		cfg.InitialRho = initRho
 		cfg.NumNACK = 20
 		cfg.MaxMulticastRounds = 0
-		cfg.DeadlineRounds = 0
 		w := newWorld(t, cfg, 2048, paperStar(), 5)
 		var tail []int
 		for i := 0; i < 15; i++ {
@@ -261,7 +260,6 @@ func TestAdjustRhoStableValuesAgree(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.InitialRho = initRho
 		cfg.MaxMulticastRounds = 0
-		cfg.DeadlineRounds = 0
 		w := newWorld(t, cfg, 2048, paperStar(), 6)
 		for i := 0; i < 12; i++ {
 			w.run()
@@ -279,7 +277,6 @@ func TestNumNACKAdaptsDownOnMisses(t *testing.T) {
 	cfg.NumNACK = 200
 	cfg.MaxNACK = 200
 	cfg.AdaptNumNACK = true
-	cfg.DeadlineRounds = 2
 	cfg.MaxMulticastRounds = 2
 	w := newWorld(t, cfg, 2048, paperStar(), 7)
 	start := w.sess.NumNACK()
@@ -362,7 +359,7 @@ func TestRunValidation(t *testing.T) {
 	}
 	bad := DefaultConfig()
 	bad.AdaptNumNACK = true
-	bad.DeadlineRounds = 0
+	bad.MaxMulticastRounds = 0
 	if _, err := NewSession(bad, nil, 1); err == nil {
 		t.Fatal("AdaptNumNACK without deadline accepted")
 	}
@@ -373,7 +370,6 @@ func TestEarlyUnicastSwitches(t *testing.T) {
 	cfg.AdaptiveRho = false
 	cfg.MaxMulticastRounds = 10
 	cfg.EarlyUnicast = true
-	cfg.DeadlineRounds = 0
 	met := newWorld(t, cfg, 2048, paperStar(), 9).run()
 	if !finished(met) {
 		t.Fatal("run did not complete")
@@ -425,7 +421,7 @@ func TestRhoAdjustedCarriesMessageID(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		grp, err := NewGroup(64, rekey.WithTuning(rekey.Tuning{K: cfg.K}), rekey.WithKeySeed(16))
+		grp, err := NewGroup(64, rekey.WithKeySeed(16)) // DefaultTuning's k, as cfg's
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -584,7 +580,6 @@ func TestMetricsDerivations(t *testing.T) {
 func BenchmarkSessionN4096(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.MaxMulticastRounds = 0
-	cfg.DeadlineRounds = 0
 	w := newWorld(b, cfg, 4096, paperStar(), 11)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -273,7 +273,9 @@ func NewDriver(scn Scenario, d int, seed uint64) (*Driver, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: scenario %q bootstraps %d users", scn.Name(), n)
 	}
-	grp, err := vsim.NewGroup(n, rekey.WithTuning(rekey.Tuning{Degree: d}), rekey.WithKeySeed(seed))
+	tun := rekey.DefaultTuning()
+	tun.Degree = d
+	grp, err := vsim.NewGroup(n, rekey.WithTuning(tun), rekey.WithKeySeed(seed))
 	if err != nil {
 		return nil, err
 	}

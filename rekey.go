@@ -22,7 +22,8 @@
 // NewServer(WithTuning(t), WithKeySeed(seed), WithObs(reg)). The
 // options populate a validated Config core embedding Tuning (the
 // shared protocol knobs -- k, d, rho0, numNACK, round budget --
-// defined once in internal/tuning and reused by every layer).
+// defined and defaulted once in internal/tuning and reused by every
+// layer).
 // Passing a registry via WithObs threads live metrics and trace events
 // through the server, the message builder and the transports; a nil
 // registry costs only a nil check. Member.Ingest reports typed
@@ -79,11 +80,11 @@ func DefaultTuning() Tuning { return tuning.Default() }
 // Config is the server's validated options core; NewServer's
 // functional options populate it.
 type Config struct {
-	// Tuning holds the shared protocol knobs. Zero-valued fields take
-	// the paper defaults (DefaultTuning); the server itself consumes K
-	// and Degree, while the transports read the rest through
-	// Server.Tuning so rho0, the NACK target and the round budget are
-	// configured in exactly one place.
+	// Tuning holds the shared protocol knobs, DefaultTuning unless
+	// WithTuning replaces them; a zero knob means zero. The server
+	// itself consumes K and Degree, while the transports read the rest
+	// through Server.Tuning so rho0, the NACK target and the round
+	// budget are configured in exactly one place.
 	Tuning
 	// KeySeed, when non-zero, makes key generation deterministic --
 	// for tests and experiments only.
@@ -97,16 +98,11 @@ type Config struct {
 	Signer *keys.Signer
 }
 
-func (c Config) withDefaults() Config {
-	c.Tuning = c.Tuning.WithDefaults()
-	return c
-}
-
 // Option configures a Server (see NewServer).
 type Option func(*Config)
 
-// WithTuning sets the shared protocol knobs; zero-valued fields take
-// the paper defaults.
+// WithTuning replaces the shared protocol knobs whole: no zero field
+// is filled in, so start a partial Tuning from DefaultTuning.
 func WithTuning(t Tuning) Option { return func(c *Config) { c.Tuning = t } }
 
 // WithKeySeed makes key generation deterministic -- tests and
@@ -142,14 +138,13 @@ type Server struct {
 }
 
 // NewServer creates a server with an empty group. With no options it
-// uses the paper's default tuning, a CSPRNG key generator and no
-// observability.
+// uses the paper's default tuning (DefaultTuning), a CSPRNG key
+// generator and no observability.
 func NewServer(opts ...Option) (*Server, error) {
-	var cfg Config
+	cfg := Config{Tuning: DefaultTuning()}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cfg = cfg.withDefaults()
 	if err := cfg.Tuning.Validate(); err != nil {
 		return nil, fmt.Errorf("rekey: %w", err)
 	}
@@ -165,7 +160,7 @@ func NewServer(opts ...Option) (*Server, error) {
 	}, nil
 }
 
-// Tuning returns the server's effective (defaulted, validated) tuning.
+// Tuning returns the server's validated tuning.
 // The transports read rho0 and the round budget from here so the knobs
 // stay defined in one place.
 func (s *Server) Tuning() Tuning { return s.cfg.Tuning }

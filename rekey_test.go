@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"repro/internal/packet"
@@ -64,21 +65,46 @@ func deliverSpecific(t testing.TB, rm *RekeyMessage, m *Member, nodeID int) {
 }
 
 func TestServerValidation(t *testing.T) {
-	badDeg := DefaultTuning()
-	badDeg.Degree = 1
-	if _, err := NewServer(WithTuning(badDeg)); err == nil {
-		t.Error("degree 1 accepted")
+	// Each bad tuning is refused by an error naming its field. No zero
+	// knob is filled in, so a partial Tuning fails on its first zero.
+	with := func(set func(*Tuning)) Tuning {
+		tun := DefaultTuning()
+		set(&tun)
+		return tun
 	}
-	badK := DefaultTuning()
-	badK.K = 1000
-	if _, err := NewServer(WithTuning(badK)); err == nil {
-		t.Error("block size 1000 accepted")
+	for _, tc := range []struct {
+		tun   Tuning
+		field string
+	}{
+		{with(func(t *Tuning) { t.Degree = 1 }), "Degree"},
+		{with(func(t *Tuning) { t.K = 1000 }), "K"},
+		{Tuning{K: 8}, "Degree"},
+		{with(func(t *Tuning) { t.Strategy = "no-such-strategy" }), "Strategy"},
+		{with(func(t *Tuning) { t.Strategy = "batchplace" }), "Strategy"},
+		{with(func(t *Tuning) { t.Strategy = "leftmost" }), "Strategy"},
+	} {
+		if _, err := NewServer(WithTuning(tc.tun)); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: err = %v, want one naming %s", tc.tun, err, tc.field)
+		}
 	}
-	badStrat := DefaultTuning()
-	for _, name := range []string{"no-such-strategy", "batchplace", "leftmost"} {
-		badStrat.Strategy = name
-		if _, err := NewServer(WithTuning(badStrat)); err == nil {
-			t.Errorf("strategy %q accepted", name)
+	// The defaults live in DefaultTuning alone: a server given no tuning
+	// runs it, and a zero knob given stays zero.
+	zero := with(func(t *Tuning) { t.NumNACK = 0 })
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		want Tuning
+	}{
+		{"no option", nil, DefaultTuning()},
+		{"DefaultTuning", []Option{WithTuning(DefaultTuning())}, DefaultTuning()},
+		{"numNACK 0", []Option{WithTuning(zero)}, zero},
+	} {
+		s, err := NewServer(tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Tuning(); got != tc.want {
+			t.Errorf("%s: Tuning() = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 	s := newServer(t, 1)
