@@ -22,6 +22,7 @@ package rekey
 // pay the RSA check once per interval.
 
 import (
+	"context"
 	"crypto/rsa"
 	"errors"
 	"fmt"
@@ -234,19 +235,37 @@ func (rm *RekeyMessage) WireENC(i int) ([]byte, error) {
 
 // AppendWireParity appends the send bytes of PARITY packet idx of the
 // given block -- packet plus trailer on an authenticated message -- to
-// dst and returns the extended slice. With the parity payload cached
-// (PrecomputeParity) and enough capacity in dst it does not allocate:
-// the datagram is built straight from the cached payload and the
-// pre-built per-block trailer, with no intermediate packet struct.
+// dst and returns the extended slice. It extends a shorter parity
+// prefix as BuildRound does; with the payload encoded and enough
+// capacity in dst it does not allocate: the datagram is built straight
+// from the payload and the pre-built per-block trailer, with no
+// intermediate packet struct.
 func (rm *RekeyMessage) AppendWireParity(dst []byte, block, idx int) ([]byte, error) {
-	payload, err := rm.parityPayload(block, idx)
-	if err != nil {
-		return nil, err
+	if block < 0 || block >= rm.Blocks() {
+		return nil, fmt.Errorf("rekey: block %d out of range", block)
 	}
+	if idx < 0 {
+		return nil, fmt.Errorf("rekey: parity index %d out of range", idx)
+	}
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	if idx >= len(rm.parity[block]) {
+		want := make([]int, block+1)
+		want[block] = idx + 1
+		if err := rm.encodeLocked(context.TODO(), want); err != nil {
+			return nil, err
+		}
+	}
+	return rm.appendParityLocked(dst, block, idx)
+}
+
+// appendParityLocked appends the send bytes of the encoded PARITY
+// packet idx of the given block to dst. Callers hold rm.mu.
+func (rm *RekeyMessage) appendParityLocked(dst []byte, block, idx int) ([]byte, error) {
 	if block > 0xff || rm.k+idx > 0xff {
 		return nil, fmt.Errorf("rekey: parity shard (%d,%d) exceeds wire fields", block, rm.k+idx)
 	}
-	dst, err = packet.AppendParity(dst, rm.MsgID, uint8(block), uint8(rm.k+idx), payload)
+	dst, err := packet.AppendParity(dst, rm.MsgID, uint8(block), uint8(rm.k+idx), rm.parity[block][idx])
 	if err != nil {
 		return nil, err
 	}

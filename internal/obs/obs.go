@@ -53,10 +53,6 @@ const (
 	// a NACK window opened: they arrived while the round they would be
 	// taken as feedback on was still being sent.
 	CNACKStale
-	// CParityCacheHit / CParityCacheMiss count Parity() calls served
-	// from the per-message parity cache vs needing a fresh FEC encode.
-	CParityCacheHit
-	CParityCacheMiss
 	// CUnicastWaves counts USR retransmission waves run.
 	CUnicastWaves
 	// CKeysGenerated counts fresh keys the key server drew (individual
@@ -112,8 +108,6 @@ var counterNames = [numCounters]string{
 	CNACKRecv:         "nack_recv",
 	CNACKIgnored:      "nack_ignored",
 	CNACKStale:        "nack_stale",
-	CParityCacheHit:   "parity_cache_hit",
-	CParityCacheMiss:  "parity_cache_miss",
 	CUnicastWaves:     "unicast_waves",
 	CKeysGenerated:    "keys_generated",
 	CWraps:            "wraps",
@@ -164,14 +158,14 @@ const (
 	HRoundLatency Hist = iota
 	// HNACKsPerRound is accepted NACKs per feedback round.
 	HNACKsPerRound
-	// HParityPerBlock is parity packets generated per block per message.
+	// HParityPerBlock is parity packets one parity encode adds to a block.
 	HParityPerBlock
 	// HBatchSize is joins+leaves per rekey batch.
 	HBatchSize
 	// HRekeyBuild is seconds to build one rekey message (marking + key
 	// assignment + materialisation -- the sign/wrap-dominated phase).
 	HRekeyBuild
-	// HParityEncode is seconds per PrecomputeParity fan-out.
+	// HParityEncode is seconds per parity encode.
 	HParityEncode
 	// HShardBatch is seconds per key tree batch (keytree.ProcessBatch
 	// inside Server.Rekey: marking, key generation and wrapping). It is

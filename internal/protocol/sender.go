@@ -99,9 +99,6 @@ func (s *Sender) Wave() int  { return s.wave }
 // Refs returns the current multicast round's shards in send order.
 func (s *Sender) Refs() []blockplan.Ref { return s.refs }
 
-// ParityPrefix returns each block's parity packets the rounds so far use.
-func (s *Sender) ParityPrefix() []int { return s.next }
-
 // Dups returns the copies of each USR packet a wave sends: 2, 3, 4, ...
 func (s *Sender) Dups() int { return s.wave + 1 }
 

@@ -145,9 +145,9 @@ func TestSenderZeroRoundBudget(t *testing.T) {
 }
 
 // FuzzSender runs the Sender over random partitions, budgets and NACK
-// scripts. Whatever the NACKs say, no shard goes out twice, the parity
-// cursor stays inside the coder's range, amax stays at most k, and the
-// run ends within its round budget plus its wave budget.
+// scripts. Whatever the NACKs say, no shard goes out twice, every parity
+// shard a round sends lies inside the coder's range, amax stays at most
+// k, and the run ends within its round budget plus its wave budget.
 func FuzzSender(f *testing.F) {
 	f.Add(uint8(10), uint16(25), uint8(15), uint8(2), uint8(3), []byte{1, 0, 3, 0xff, 1, 0, 3, 0xff, 1})
 	f.Add(uint8(1), uint16(300), uint8(26), uint8(0), uint8(1), []byte{7, 255, 255, 0xff, 7, 3, 1})
@@ -176,10 +176,8 @@ func FuzzSender(f *testing.F) {
 						t.Fatalf("round %d sends %v again", s.Round(), r)
 					}
 					sent[r] = true
-				}
-				for b, n := range s.ParityPrefix() {
-					if n > fec.MaxShards-k {
-						t.Fatalf("block %d parity cursor %d > %d", b, n, fec.MaxShards-k)
+					if r.IsParity(k) && r.Shard >= fec.MaxShards {
+						t.Fatalf("round %d sends parity %v past shard %d", s.Round(), r, fec.MaxShards-1)
 					}
 				}
 			}

@@ -245,11 +245,6 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 		if step == protocol.Multicast {
 			refs := snd.Refs()
 			s.obs.Emit(obs.Event{Kind: obs.EvRoundStart, MsgID: rm.MsgID, Round: snd.Round(), Value: float64(len(refs))})
-			// Generate the parity this round reaches into across all
-			// blocks in parallel, so multicastRefs hits the cache.
-			if err := rm.PrecomputeParity(ctx, snd.ParityPrefix(), 0); err != nil {
-				return st, err
-			}
 			if err := s.multicastRefs(ctx, rm, refs, members, snd.Waiting(), st); err != nil {
 				return st, err
 			}
@@ -316,7 +311,7 @@ type outMsg struct {
 func (s *Server) multicastRefs(ctx context.Context, rm *rekey.RekeyMessage, refs []blockplan.Ref, members []member, nackers map[int]bool, st *Stats) error {
 	// The round is laid out once, contiguously and in send order, so
 	// that any run of it is one buffer a message can carry.
-	if err := rm.BuildRound(&s.round, refs); err != nil {
+	if err := rm.BuildRound(ctx, &s.round, refs); err != nil {
 		return err
 	}
 	slab, offs, at := s.round.Bytes, s.round.Offs, s.round.At

@@ -48,8 +48,8 @@ func wiredServer(t *testing.T, n int, opts ...rekey.Option) (*Server, *rekey.Rek
 }
 
 // TestSendRefSteadyStateAllocs pins the zero-copy guarantee from the
-// socket side: once the interval's wire and parity caches are warm and
-// the server's round and send list have grown to a round, a round
+// socket side: once the rounds' parity is encoded and the server's
+// round and send list have grown to a round, a round
 // allocates nothing, however many datagrams, bursts and members its two
 // passes send, signed or not, with bursts and without. (The name is
 // that of the per-ref send function the two passes replaced.)
@@ -69,13 +69,6 @@ func TestSendRefSteadyStateAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, rm := wiredServer(t, 4, tc.opts...)
 			k := rm.Part.K
-			counts := make([]int, rm.Blocks())
-			for b := range counts {
-				counts[b] = 2
-			}
-			if err := rm.PrecomputeParity(context.Background(), counts, 1); err != nil {
-				t.Fatal(err)
-			}
 			members, _ := srv.memberTable(rm)
 			roundOne := blockplan.RoundOne(rm.Part, 1.2) // k ENC and two PARITY a block
 			roundTwo := []blockplan.Ref{{Block: 0, Shard: k}, {Block: 0, Shard: k + 1}}
@@ -95,7 +88,7 @@ func TestSendRefSteadyStateAllocs(t *testing.T) {
 				if mode == "per datagram" {
 					srv.mmsg = nil
 				}
-				rounds() // grows the round and the send list
+				rounds() // encodes the parity, grows the round and the send list
 				if allocs := testing.AllocsPerRun(50, rounds); allocs != 0 {
 					t.Errorf("%s: allocs per two rounds of %d datagrams = %v, want 0", mode, (len(roundOne)+len(roundTwo))*len(members), allocs)
 				}

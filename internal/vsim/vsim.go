@@ -15,6 +15,7 @@
 package vsim
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -252,7 +253,7 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 			refs = slices.Clone(refs)
 			slices.SortStableFunc(refs, func(a, b blockplan.Ref) int { return a.Block - b.Block })
 		}
-		if err := rm.BuildRound(&s.round, refs); err != nil {
+		if err := rm.BuildRound(context.TODO(), &s.round, refs); err != nil {
 			return nil, err
 		}
 		met.MulticastSent += len(refs)

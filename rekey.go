@@ -376,6 +376,10 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 		return nil, err
 	}
 	rm.Plan, rm.Part = plan, part
+	if rm.coder, err = fec.NewCoder(s.cfg.K, fec.MaxShards-s.cfg.K); err != nil {
+		return nil, err
+	}
+	rm.parity = make([][][]byte, part.NumBlocks())
 	rm.ENC = make([][]byte, len(encs))
 	// One slab holds every datagram: the packet and, on a signing server,
 	// room after it for buildAuth to append the trailer in place.
@@ -433,141 +437,74 @@ type RekeyMessage struct {
 	// Both are built once in Rekey and read-only afterwards.
 	auth *intervalAuth
 
+	// coder encodes the message's parity; it is safe for concurrent use.
+	coder *fec.Coder
+
 	mu     sync.Mutex
-	coder  *fec.Coder // guarded by mu
-	data   [][][]byte // guarded by mu; per block: k FEC payloads, built lazily
-	parity [][][]byte // guarded by mu; per block: parity payloads generated so far
+	parity [][][]byte // guarded by mu; per block: the parity payloads encoded so far
 }
 
 // Blocks returns the number of FEC blocks.
 func (rm *RekeyMessage) Blocks() int { return rm.Part.NumBlocks() }
 
-// ensureCoderLocked initialises the lazy FEC state; the Locked suffix
-// records that callers hold rm.mu.
-func (rm *RekeyMessage) ensureCoderLocked() error {
-	if rm.coder != nil {
-		return nil
-	}
-	c, err := fec.NewCoder(rm.k, fec.MaxShards-rm.k)
-	if err != nil {
-		return err
-	}
-	rm.coder = c
-	rm.data = make([][][]byte, rm.Blocks())
-	rm.parity = make([][][]byte, rm.Blocks())
-	return nil
-}
-
-// blockDataLocked materialises (once) the FEC payloads of one block:
-// parity covers the packet span of each datagram, not the three header
-// bytes before it or the trailer after. Callers hold rm.mu.
-func (rm *RekeyMessage) blockDataLocked(block int) [][]byte {
-	if rm.data[block] == nil {
-		payloads := make([][]byte, rm.k)
-		for s := range payloads {
-			payloads[s] = rm.ENC[block*rm.k+s][packet.FECOffset:packet.PacketLen]
-		}
-		rm.data[block] = payloads
-	}
-	return rm.data[block]
-}
-
-// parityPayload returns (generating and caching if needed) the raw FEC
-// payload of parity packet idx of the given block. On a cache hit it
-// does not allocate, which makes it the backing for the zero-copy send
-// path (AppendWireParity).
-func (rm *RekeyMessage) parityPayload(block, idx int) ([]byte, error) {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	if err := rm.ensureCoderLocked(); err != nil {
-		return nil, err
-	}
-	if block < 0 || block >= rm.Blocks() {
-		return nil, fmt.Errorf("rekey: block %d out of range", block)
-	}
-	if idx < 0 || idx >= rm.coder.MaxParity() {
-		return nil, fmt.Errorf("fec: parity index %d out of range [0,%d)", idx, rm.coder.MaxParity())
-	}
-	if idx >= len(rm.parity[block]) {
-		rm.obs.Inc(obs.CParityCacheMiss)
-		have := len(rm.parity[block])
-		fresh, err := rm.coder.EncodeAll(rm.blockDataLocked(block), have, idx+1-have)
-		if err != nil {
-			return nil, err
-		}
-		rm.parity[block] = append(rm.parity[block], fresh...)
-	} else {
-		rm.obs.Inc(obs.CParityCacheHit)
-	}
-	return rm.parity[block][idx], nil
-}
-
-// PrecomputeParity generates (and caches) parity payloads for many
-// blocks at once: after it returns, block b has at least counts[b]
-// parity packets cached, so subsequent AppendWireParity calls in that
-// range are lookups. The per-block encodes fan out over GOMAXPROCS
-// goroutines, and workers is unused (protocol.EncodeBlocks); the cached
-// bytes are identical to what serial AppendWireParity calls would
-// produce. counts
-// may be shorter than the block count; missing entries mean zero.
-// Cancelling ctx abandons the remaining encodes and returns ctx.Err();
-// already-cached parity stays cached.
+// PrecomputeParity extends block b's parity prefix to counts[b]
+// payloads, for every b counts covers, so that AppendWireParity calls
+// in that range are lookups. It encodes as BuildRound does (one
+// protocol.EncodeBlocks fan-out) and workers is unused. counts may be
+// shorter than the block count; missing entries mean zero. Cancelling
+// ctx abandons the remaining encodes and returns ctx.Err().
 func (rm *RekeyMessage) PrecomputeParity(ctx context.Context, counts []int, workers int) error {
 	rm.mu.Lock()
-	if err := rm.ensureCoderLocked(); err != nil {
-		rm.mu.Unlock()
-		return err
-	}
-	if len(counts) > rm.Blocks() {
-		rm.mu.Unlock()
-		return fmt.Errorf("rekey: parity counts for %d blocks, message has %d", len(counts), rm.Blocks())
+	defer rm.mu.Unlock()
+	return rm.encodeLocked(ctx, counts)
+}
+
+// encodeLocked extends block b's parity prefix to want[b] payloads, for
+// every b want covers, through one protocol.EncodeBlocks fan-out; a
+// block that already holds as many costs nothing. Parity covers the
+// packet span of each ENC datagram, not the three header bytes before
+// it or the trailer after. Callers hold rm.mu.
+func (rm *RekeyMessage) encodeLocked(ctx context.Context, want []int) error {
+	if len(want) > rm.Blocks() {
+		return fmt.Errorf("rekey: parity counts for %d blocks, message has %d", len(want), rm.Blocks())
 	}
 	var reqs []protocol.BlockParity
-	var blockOf []int
-	for b, want := range counts {
+	for b, n := range want {
 		have := len(rm.parity[b])
-		if want <= have {
+		if n <= have {
 			continue
 		}
-		if want > rm.coder.MaxParity() {
-			rm.mu.Unlock()
-			return fmt.Errorf("rekey: block %d wants %d parity packets, max %d", b, want, rm.coder.MaxParity())
+		if n > rm.coder.MaxParity() {
+			return fmt.Errorf("rekey: block %d wants %d parity packets, max %d", b, n, rm.coder.MaxParity())
 		}
-		reqs = append(reqs, protocol.BlockParity{Data: rm.blockDataLocked(b), First: have, N: want - have})
-		blockOf = append(blockOf, b)
+		data := make([][]byte, rm.k)
+		for s := range data {
+			data[s] = rm.ENC[b*rm.k+s][packet.FECOffset:packet.PacketLen]
+		}
+		reqs = append(reqs, protocol.BlockParity{Data: data, First: have, N: n - have})
 	}
-	rm.mu.Unlock()
 	if len(reqs) == 0 {
 		return nil
 	}
-	var encStart time.Time
+	var start time.Time
 	if rm.obs.Enabled() {
-		encStart = time.Now()
+		start = time.Now()
 	}
-
-	// Encode outside the lock: the coder and the materialised block data
-	// are read-only from here on.
-	outs, err := protocol.EncodeBlocks(ctx, rm.coder, reqs, workers)
+	outs, err := protocol.EncodeBlocks(ctx, rm.coder, reqs, 0)
 	if err != nil {
 		return err
 	}
-	if rm.obs.Enabled() {
-		rm.obs.ObserveSince(obs.HParityEncode, encStart)
-		for _, rq := range reqs {
-			rm.obs.Observe(obs.HParityPerBlock, float64(rq.N))
+	i := 0
+	for b, n := range want {
+		if n > len(rm.parity[b]) {
+			rm.parity[b] = append(rm.parity[b], outs[i]...)
+			i++
 		}
 	}
-
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	for i, b := range blockOf {
-		// A concurrent caller may have extended this block's prefix in
-		// the meantime; parity bytes are deterministic, so splice in only
-		// the packets that are still missing.
-		for j, p := range outs[i] {
-			if reqs[i].First+j == len(rm.parity[b]) {
-				rm.parity[b] = append(rm.parity[b], p)
-			}
+	if rm.obs.Enabled() {
+		rm.obs.ObserveSince(obs.HParityEncode, start)
+		for _, rq := range reqs {
+			rm.obs.Observe(obs.HParityPerBlock, float64(rq.N))
 		}
 	}
 	return nil

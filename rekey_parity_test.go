@@ -1,9 +1,9 @@
 package rekey_test
 
-// Tests for the rekey message's parity cache and its parallel
-// precompute path: whatever mixture of Parity, PrecomputeParity and
-// concurrency produces a PARITY packet, the bytes must equal the ones
-// a fresh message generates serially.
+// Tests for the rekey message's parity: whatever mixture of BuildRound,
+// PrecomputeParity, AppendWireParity and concurrency produces a PARITY
+// packet, the bytes must equal the ones a fresh message generates
+// serially.
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	rekey "repro"
+	"repro/internal/blockplan"
 )
 
 // twoMessages builds two identical rekey messages from two servers fed
@@ -82,10 +83,10 @@ func TestPrecomputeParityMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParityConcurrentCallers hammers one message's parity cache from
-// many goroutines mixing AppendWireParity and PrecomputeParity; run under -race
-// this checks the cache's locking, and every result is checked against
-// a serially generated twin.
+// TestParityConcurrentCallers hammers one message's parity from many
+// goroutines mixing BuildRound, PrecomputeParity and AppendWireParity;
+// run under -race this checks the locking, and every result is checked
+// against a serially generated twin.
 func TestParityConcurrentCallers(t *testing.T) {
 	rm, serial := twoMessages(t, 500)
 	blocks := rm.Blocks()
@@ -107,7 +108,27 @@ func TestParityConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if g%2 == 0 {
+			switch g % 4 {
+			case 1:
+				// Every block's first perBlock parity shards, in one round.
+				var refs []blockplan.Ref
+				for i := perBlock - 1; i >= 0; i-- {
+					for b := 0; b < blocks; b++ {
+						refs = append(refs, blockplan.Ref{Block: b, Shard: rm.Part.K + i})
+					}
+				}
+				var r rekey.Round
+				if err := rm.BuildRound(context.Background(), &r, refs); err != nil {
+					errc <- err
+					return
+				}
+				for j, ref := range refs {
+					if !bytes.Equal(r.Datagram(j), want[ref.Block][ref.Shard-rm.Part.K]) {
+						t.Errorf("goroutine %d: round parity %+v differs from serial", g, ref)
+						return
+					}
+				}
+			case 0, 2:
 				counts := make([]int, blocks)
 				for b := range counts {
 					counts[b] = 1 + (b+g)%perBlock

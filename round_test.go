@@ -2,12 +2,14 @@ package rekey_test
 
 import (
 	"bytes"
+	"context"
 	"slices"
 	"testing"
 
 	rekey "repro"
 	"repro/internal/blockplan"
 	"repro/internal/keys"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
@@ -64,7 +66,7 @@ func TestBuildRound(t *testing.T) {
 			}
 			var r rekey.Round
 			for _, rd := range rounds {
-				if err := rm.BuildRound(&r, rd.refs); err != nil {
+				if err := rm.BuildRound(context.Background(), &r, rd.refs); err != nil {
 					t.Fatalf("%s: %v", rd.name, err)
 				}
 				if len(r.Offs) != len(rd.refs)+1 || r.Offs[0] != 0 || r.Offs[len(rd.refs)] != len(r.Bytes) {
@@ -101,7 +103,7 @@ func TestBuildRound(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(20, func() {
 				for _, rd := range rounds {
-					if err := rm.BuildRound(&r, rd.refs); err != nil {
+					if err := rm.BuildRound(context.Background(), &r, rd.refs); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -109,5 +111,44 @@ func TestBuildRound(t *testing.T) {
 				t.Errorf("reused Round: %v allocs per %d rounds, want 0", allocs, len(rounds))
 			}
 		})
+	}
+}
+
+// TestBuildRoundEncodesOnce: a round's parity comes from one encode.
+// Building round one of a signed message at rho 1.2 (two PARITY a
+// block) observes one parity_encode_s and one parity_per_block a block
+// of two; building it again finds every payload encoded and observes
+// nothing.
+func TestBuildRoundEncodesOnce(t *testing.T) {
+	signer, err := keys.NewSigner(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	srv, err := rekey.NewServer(rekey.WithKeySeed(9), rekey.WithSigner(signer), rekey.WithObs(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := 0; m < 512; m++ {
+		if err := srv.QueueJoin(rekey.MemberID(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rm, err := srv.Rekey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := protocol.NewSender(rm.Part, 1.2, 0, 0).Refs()
+	var r rekey.Round
+	for pass := 1; pass <= 2; pass++ {
+		if err := rm.BuildRound(context.Background(), &r, refs); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		enc, per := snap.Histograms["parity_encode_s"], snap.Histograms["parity_per_block"]
+		if enc.Count != 1 || per.Count != int64(rm.Blocks()) || per.Sum != float64(2*rm.Blocks()) {
+			t.Errorf("after build %d: %d parity_encode_s and %d parity_per_block summing to %v, want 1 and %d summing to %d",
+				pass, enc.Count, per.Count, per.Sum, rm.Blocks(), 2*rm.Blocks())
+		}
 	}
 }
