@@ -28,9 +28,9 @@ import (
 const MaxShards = 256
 
 // Coder encodes and decodes fixed-size packet blocks.
-// A Coder is safe for concurrent use by multiple goroutines after
-// construction: the code tables are read-only and the decode-matrix
-// cache is internally locked.
+// A Coder is immutable after construction (SetObs aside) and safe for
+// concurrent use: the code tables are read-only and every decode solves
+// its own loss pattern.
 type Coder struct {
 	k int
 	// cauchyRow(i) over data index j is 1/(x_i ^ y_j) with
@@ -38,12 +38,7 @@ type Coder struct {
 	// A row depends on k and i alone, so rows is a read-only prefix of
 	// the table all Coders of this k share (cauchy).
 	rows [][]byte
-	// cache holds solved decode matrices keyed by loss pattern; loss
-	// patterns repeat heavily across blocks of one rekey message (and
-	// across messages under stable loss), so the Gauss-Jordan inversion
-	// is usually paid once per pattern.
-	cache invCache
-	// reg receives decode-cache hit/miss counters; nil costs a nil check.
+	// reg counts decode-matrix solves; nil costs a nil check.
 	reg *obs.Registry
 }
 
@@ -181,8 +176,11 @@ func (m *shardMask) testAndSet(i int) bool {
 // every data packet, DecodeInto substitutes the data shards that
 // arrived and solves only for the missing ones: with m losses it
 // inverts an m x m system and does O(m*k) slice operations of plen
-// bytes, against a full k x k inverse's O(k^2). Solved coefficient
-// matrices are cached per loss pattern (see invCache).
+// bytes, against a full k x k inverse's O(k^2). Any m distinct parity
+// shards decode exactly, so the first m received are used, and each
+// call solves its own loss pattern: a member decodes a block or two a
+// message, and its loss patterns rarely repeat (DESIGN.md "Member
+// receive path").
 func (c *Coder) DecodeInto(out [][]byte, shards []Shard) error {
 	k := c.k
 	if len(out) != k {
@@ -226,20 +224,6 @@ func (c *Coder) DecodeInto(out [][]byte, shards []Shard) error {
 	m := len(missing)
 	if m > len(parityPos) {
 		return ErrShortBlock
-	}
-	// Normalise the parity choice to the m lowest indices: the solved
-	// matrix depends only on (missing, parities used), so a canonical
-	// pick maximises cache hits; the reconstructed bytes are exact
-	// either way. Insertion sort keeps sort.Slice's closure off the hot
-	// path; indices are distinct after dedup, so the order matches.
-	for a := 1; a < len(parityPos); a++ {
-		p := parityPos[a]
-		b := a
-		for b > 0 && shards[parityPos[b-1]].Index > shards[p].Index {
-			parityPos[b] = parityPos[b-1]
-			b--
-		}
-		parityPos[b] = p
 	}
 	parityPos = parityPos[:m]
 
@@ -319,7 +303,8 @@ func ensure(buf []byte, n int) []byte {
 // pattern: row ci reconstructs missing data packet missing[ci]; its
 // first m columns weight the chosen parity payloads (in parityPos
 // order) and the remaining k-m columns weight the received data
-// payloads (ascending data index). Patterns are cached.
+// payloads (ascending data index). Each call counts one solve on
+// obs.CDecodeCacheMiss.
 //
 // Derivation: each chosen parity p satisfies
 // y_p = sum_j rows[p][j]*x_j, so over the missing set M,
@@ -329,22 +314,6 @@ func ensure(buf []byte, n int) []byte {
 // which is exactly the two column groups of the returned matrix.
 func (c *Coder) solveCoef(missing, parityPos []int, shards []Shard, dataPos []int) (*gf256.Matrix, error) {
 	k, m := c.k, len(missing)
-
-	// Cache key: count-prefixed missing data indices then parity
-	// indices, one byte each (all fit: indices < MaxShards).
-	kb := make([]byte, 0, 1+k)
-	kb = append(kb, byte(m))
-	for _, j := range missing {
-		kb = append(kb, byte(j))
-	}
-	for _, p := range parityPos {
-		kb = append(kb, byte(shards[p].Index))
-	}
-	key := string(kb)
-	if coef := c.cache.get(key); coef != nil {
-		c.reg.Inc(obs.CDecodeCacheHit)
-		return coef, nil
-	}
 	c.reg.Inc(obs.CDecodeCacheMiss)
 
 	a := gf256.NewMatrix(m, m)
@@ -379,55 +348,5 @@ func (c *Coder) solveCoef(missing, parityPos []int, shards []Shard, dataPos []in
 			}
 		}
 	}
-	c.cache.put(key, coef)
 	return coef, nil
-}
-
-// invCacheCap bounds the solved-pattern cache. Loss patterns under the
-// paper's independent-loss model concentrate on few-loss combinations;
-// 32 patterns cover the working set of a receiver at realistic loss
-// rates while bounding memory at ~32*k bytes per entry.
-const invCacheCap = 32
-
-// invCache is a small mutex-guarded LRU of solved coefficient
-// matrices keyed by loss pattern.
-type invCache struct {
-	mu    sync.Mutex
-	m     map[string]*gf256.Matrix // guarded by mu
-	order []string                 // guarded by mu; least recently used first
-}
-
-func (ic *invCache) get(key string) *gf256.Matrix {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	coef, ok := ic.m[key]
-	if !ok {
-		return nil
-	}
-	for i, k := range ic.order {
-		if k == key {
-			copy(ic.order[i:], ic.order[i+1:])
-			ic.order[len(ic.order)-1] = key
-			break
-		}
-	}
-	return coef
-}
-
-func (ic *invCache) put(key string, coef *gf256.Matrix) {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	if ic.m == nil {
-		ic.m = make(map[string]*gf256.Matrix, invCacheCap)
-	}
-	if _, ok := ic.m[key]; ok {
-		return // raced with another decoder; keep the incumbent
-	}
-	if len(ic.order) >= invCacheCap {
-		delete(ic.m, ic.order[0])
-		copy(ic.order, ic.order[1:])
-		ic.order = ic.order[:len(ic.order)-1]
-	}
-	ic.m[key] = coef
-	ic.order = append(ic.order, key)
 }

@@ -60,7 +60,6 @@ var lockRanks = map[string]int{
 	"rekey.Member.mu":       70,
 	"rekey.RekeyMessage.mu": 80,
 	"keys.RootVerifier.mu":  90,
-	"fec.invCache.mu":       100,
 	"obs.Registry.trace.mu": 110,
 	"udptrans.rxBufList.mu": 120,
 }

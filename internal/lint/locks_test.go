@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestLockGraph pins the module's lock-acquisition graph to the nine
+// TestLockGraph pins the module's lock-acquisition graph to the eight
 // nesting edges DESIGN.md "The lock order" draws. A nesting that
 // appears or disappears is a reviewed change to both.
 func TestLockGraph(t *testing.T) {
@@ -35,7 +35,6 @@ func TestLockGraph(t *testing.T) {
 		"keyserverd.daemon.mu -> rekey.Server.mu",
 		"keyserverd.daemon.mu -> rekey.Server.treeMu",
 		"keyserverd.daemon.mu -> udptrans.Server.mu",
-		"rekey.Member.mu -> fec.invCache.mu",
 		"rekey.Member.mu -> keys.RootVerifier.mu",
 		"rekey.Server.mu -> obs.Registry.trace.mu",
 		"rekey.Server.mu -> rekey.Server.treeMu",

@@ -80,9 +80,10 @@ const (
 	CIngestErrors
 	// CFECRecoveries counts completions that needed FEC decoding.
 	CFECRecoveries
-	// CDecodeCacheHit / CDecodeCacheMiss count FEC decodes whose
-	// inverted decode matrix was served from the coder's LRU cache vs
-	// freshly inverted (loss patterns repeat across blocks in a burst).
+	// CDecodeCacheMiss counts the decode matrices FEC decodes solve,
+	// one per lossy block; CDecodeCacheHit is never counted, since no
+	// coder caches a solve. Both stay only until ROADMAP 1 drops
+	// fec.decode_cache_hit_share.
 	CDecodeCacheHit
 	CDecodeCacheMiss
 	// Scenario harness side.

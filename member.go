@@ -130,7 +130,8 @@ func NewMember(c Credentials) (*Member, error) {
 }
 
 // SetObs attaches a metrics registry to the member's FEC decoder
-// (decode-matrix cache hits/misses). Returns the Member for chaining.
+// (one decode_cache_miss per decode-matrix solve). Returns the Member
+// for chaining.
 func (m *Member) SetObs(r *obs.Registry) *Member {
 	m.coder.SetObs(r)
 	return m
