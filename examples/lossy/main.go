@@ -31,7 +31,9 @@ func main() {
 	}
 	// The paper's defaults: adaptive rho toward 20 first-round NACKs,
 	// and unicast after 2 multicast rounds, which is also the deadline.
-	sess, err := vsim.NewSession(vsim.DefaultConfig(), net, 42)
+	cfg := vsim.Config{Tuning: rekey.DefaultTuning()}
+	cfg.AdaptiveRho = true
+	sess, err := vsim.NewSession(cfg, net, 42)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -120,8 +120,7 @@ type transportConfig struct {
 // at rho fixed, multicasting until a round draws no NACK. Each figure
 // sets the knobs it varies on the result.
 func transport(o Options, n int, alpha, rho float64) transportConfig {
-	cfg := vsim.DefaultConfig()
-	cfg.AdaptiveRho = false
+	cfg := vsim.Config{Tuning: rekey.DefaultTuning()}
 	cfg.InitialRho = rho
 	cfg.MaxMulticastRounds = 0
 	return transportConfig{N: n, Alpha: alpha, Messages: o.Messages, Seed: o.Seed, Config: cfg}

@@ -117,8 +117,8 @@ func runScenarioCell(ss ScenarioSpec, is ImpairmentSpec, opts Options) ScenarioC
 	}
 	reg := obs.New()
 	dr.SetObs(reg)
-	cfg := vsim.DefaultConfig()
-	cfg.Obs = reg
+	cfg := vsim.Config{Tuning: rekey.DefaultTuning(), Obs: reg}
+	cfg.AdaptiveRho = true
 	orc := oracle.New(oracle.Config{
 		MaxMulticastRounds: cfg.MaxMulticastRounds,
 		MaxUnicastWaves:    vsim.WaveBudget,

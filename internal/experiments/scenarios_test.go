@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/oracle"
+	"repro/internal/tuning"
 	"repro/internal/vsim"
 	"repro/internal/workload"
 )
@@ -97,7 +98,9 @@ func TestStrategiesUnderAdversarialLeave(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := vsim.NewSession(vsim.DefaultConfig(), star, 17)
+		cfg := vsim.Config{Tuning: tuning.Default()}
+		cfg.AdaptiveRho = true
+		sess, err := vsim.NewSession(cfg, star, 17)
 		if err != nil {
 			t.Fatal(err)
 		}

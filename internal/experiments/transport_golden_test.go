@@ -39,7 +39,7 @@ func TestTransportFiguresGolden(t *testing.T) {
 		"f18-latency-vs-numnack":   "356d0d81de3700139b0db4b7408cf884b613e4d37550fa2530da5f59abcf4fcf",
 		"f19-adaptive-extra-alpha": "baec192a339faa5f178aaa358f77a32cb366632718fd3bee67511f327795822e",
 		"f20-adaptive-extra-n":     "51ec0e9517b5fc7237aa9f0b2575c0b1f0d0a8535b92556af964a0b068182a0e",
-		"f21-deadline-trace":       "d673ae37d72f534aedd7c6119ebb1bdd2e31a5c0953e276b81c9d444bc682f4c",
+		"f21-deadline-trace":       "d83e07b77caa68e189fd63f4b1a003d328829e0aa8d69b1b8b93e44203fdbabc",
 	})
 }
 
@@ -47,7 +47,7 @@ func TestTransportFiguresGolden(t *testing.T) {
 // rekeybench -scenario writes into EXPERIMENTS.md: every cell's counts
 // and verdict, by SHA-256 of ScenarioMarkdown.
 func TestScenarioTableGolden(t *testing.T) {
-	const want = "a28153218f0508107e6329ed43de621612719e3166554956fe6a479451882771"
+	const want = "4186d2a7546cff1a3798d5257aded6c8a4db874f93d3bb00ac361f44fbd34b49"
 	sum := sha256.Sum256([]byte(ScenarioMarkdown(RunScenarioSuite(Options{Quick: true}))))
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("scenario table digest %s, want %s", got, want)

@@ -61,7 +61,7 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 		}},
 		{"DecodeInto, no loss", 2, decode(clean)},
-		{"DecodeInto, 3 lost", 9, decode(lossy)},
+		{"DecodeInto, 3 lost", 8, decode(lossy)},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.fn); got != r.want {

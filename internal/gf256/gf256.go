@@ -285,20 +285,20 @@ func MulMatrix(a, b *Matrix) *Matrix {
 }
 
 // Invert returns the inverse of a square matrix using Gauss-Jordan
-// elimination, or ok=false if the matrix is singular. The receiver is
-// not modified.
+// elimination, or ok=false if the matrix is singular. It eliminates in
+// place: the receiver is consumed, and a caller that needs it after
+// inverts a Clone.
 func (m *Matrix) Invert() (inv *Matrix, ok bool) {
 	if m.Rows != m.Cols {
 		panic("gf256: Invert on non-square matrix")
 	}
 	n := m.Rows
-	a := m.Clone()
 	inv = Identity(n)
 	for col := 0; col < n; col++ {
 		// Find a pivot row.
 		pivot := -1
 		for r := col; r < n; r++ {
-			if a.At(r, col) != 0 {
+			if m.At(r, col) != 0 {
 				pivot = r
 				break
 			}
@@ -307,13 +307,13 @@ func (m *Matrix) Invert() (inv *Matrix, ok bool) {
 			return nil, false
 		}
 		if pivot != col {
-			swapRows(a, pivot, col)
+			swapRows(m, pivot, col)
 			swapRows(inv, pivot, col)
 		}
 		// Scale the pivot row so the pivot element is 1.
-		if p := a.At(col, col); p != 1 {
+		if p := m.At(col, col); p != 1 {
 			pi := Inv(p)
-			MulSlice(a.Row(col), a.Row(col), pi)
+			MulSlice(m.Row(col), m.Row(col), pi)
 			MulSlice(inv.Row(col), inv.Row(col), pi)
 		}
 		// Eliminate the column from every other row.
@@ -321,8 +321,8 @@ func (m *Matrix) Invert() (inv *Matrix, ok bool) {
 			if r == col {
 				continue
 			}
-			if f := a.At(r, col); f != 0 {
-				MulAddSlice(a.Row(r), a.Row(col), f)
+			if f := m.At(r, col); f != 0 {
+				MulAddSlice(m.Row(r), m.Row(col), f)
 				MulAddSlice(inv.Row(r), inv.Row(col), f)
 			}
 		}

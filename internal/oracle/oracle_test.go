@@ -30,7 +30,9 @@ func newRun(t *testing.T, scn workload.Scenario, d int, seed uint64) (*workload.
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := vsim.NewSession(vsim.DefaultConfig(), star, seed)
+	cfg := vsim.Config{Tuning: rekey.DefaultTuning()}
+	cfg.AdaptiveRho = true
+	sess, err := vsim.NewSession(cfg, star, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

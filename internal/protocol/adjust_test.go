@@ -61,3 +61,14 @@ func TestAdjustRhoZeroTarget(t *testing.T) {
 		t.Fatalf("rho = %v, want %v", got, want)
 	}
 }
+
+// TestAdjustRhoFloor: a quiet group lowers rho to 1 and no further; a
+// rho0 below 1 is left where it is.
+func TestAdjustRhoFloor(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2, 0x5e55))
+	for _, tc := range []struct{ rho, want float64 }{{1, 1}, {1.05, 1}, {1.1, 1}, {0.5, 0.5}, {0, 0}} {
+		if got := AdjustRho(tc.rho, 10, 20, nil, rng); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("rho %v with no NACKs -> %v, want %v", tc.rho, got, tc.want)
+		}
+	}
+}

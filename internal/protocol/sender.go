@@ -1,7 +1,8 @@
 // Package protocol is the server half of the rekey transport protocol
 // (Figures 2, 3, 11 and 22 of the protocol paper): Sender, the key
-// server's state machine for one rekey message, and AdjustRho, which
-// carries the proactivity factor from one message to the next.
+// server's state machine for one rekey message, and Session, what the
+// server carries from one message to the next -- rho, which AdjustRho
+// moves, and the NACK target.
 //
 // For each rekey message the Sender multicasts the message's ENC packets
 // plus ceil((rho-1)*k) proactive PARITY packets per block, interleaved
@@ -9,8 +10,8 @@
 // carrying the number of parity packets a user still needs per block,
 // and either multicasts amax[i] fresh parity packets per block or --
 // after MaxMulticastRounds rounds -- switches to unicasting small USR
-// packets with escalating duplication. The Sender does no I/O: package
-// udptrans drives it over sockets, package vsim over a simulated
+// packets with escalating duplication. Neither type does I/O: package
+// udptrans drives them over sockets, package vsim over a simulated
 // network to real members. EncodeBlocks serves the send path.
 package protocol
 
@@ -42,7 +43,7 @@ const (
 // (Figs. 2, 3 and 22): which shards each multicast round sends, which
 // users each unicast wave serves, and when to stop. It does no I/O and
 // reads no clock. A driver sends what it says, feeds it the round's
-// NACKs through NACK and calls Next at the round's end.
+// NACKs through NACK and ends the round with its Session's Next.
 type Sender struct {
 	k, maxRounds, maxWaves int
 	step                   Step
@@ -108,14 +109,8 @@ func (s *Sender) NACKs() int { return len(s.seen) }
 // Amax returns each block's largest request of the current round.
 func (s *Sender) Amax() []int { return s.amax }
 
-// Demand returns each NACK's largest request of the current round.
-func (s *Sender) Demand() []int { return s.demand }
-
 // Waiting returns who NACKed the last round or wave; nil before one ends.
 func (s *Sender) Waiting() map[int]bool { return s.waiting }
-
-// UnicastNow makes the current round the last multicast one.
-func (s *Sender) UnicastNow() { s.maxRounds = s.round }
 
 // NACK takes user's NACK of the current round or wave. A request counts
 // for at most k -- no user is short more -- and none outside the message.
@@ -160,9 +155,12 @@ func (s *Sender) Next() Step {
 }
 
 // AdjustRho (Fig. 11) returns the next message's rho from this one's,
-// the block size, the NACK target and round one's Demand. Over target,
-// rho grows by the (target+1)-th largest request; under it, it falls by
-// 1/k with probability (target - 2*NACKs)/target, drawn from rng.
+// the block size, the NACK target and round one's demand: each NACK's
+// largest request. Over target, rho grows by the (target+1)-th largest
+// request; under it, it falls by 1/k with probability
+// (target - 2*NACKs)/target, drawn from rng, but never below 1: below it
+// round one sends no proactive parity anyway, and a rho0 set below 1
+// stays where it is.
 func AdjustRho(rho float64, k, target int, demand []int, rng *rand.Rand) float64 {
 	switch {
 	case len(demand) > target:
@@ -172,8 +170,8 @@ func AdjustRho(rho float64, k, target int, demand []int, rng *rand.Rand) float64
 		return (float64(add) + math.Ceil(float64(k)*rho-1e-9)) / float64(k)
 	case len(demand) < target:
 		prob := math.Max(0, float64(target-len(demand)*2)/float64(target))
-		if rng.Float64() < prob {
-			return math.Max(0, math.Ceil(float64(k)*rho-1-1e-9)) / float64(k)
+		if rng.Float64() < prob && rho > 1 {
+			return max(1, math.Ceil(float64(k)*rho-1-1e-9)/float64(k))
 		}
 	}
 	return rho

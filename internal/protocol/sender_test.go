@@ -145,9 +145,7 @@ func TestSenderZeroRoundBudget(t *testing.T) {
 }
 
 // FuzzSender runs the Sender over random partitions, budgets and NACK
-// scripts. Whatever the NACKs say, no shard goes out twice, every parity
-// shard a round sends lies inside the coder's range, amax stays at most
-// k, and the run ends within its round budget plus its wave budget.
+// scripts; driveMessage checks what it does.
 func FuzzSender(f *testing.F) {
 	f.Add(uint8(10), uint16(25), uint8(15), uint8(2), uint8(3), []byte{1, 0, 3, 0xff, 1, 0, 3, 0xff, 1})
 	f.Add(uint8(1), uint16(300), uint8(26), uint8(0), uint8(1), []byte{7, 255, 255, 0xff, 7, 3, 1})
@@ -158,43 +156,53 @@ func FuzzSender(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rho := float64(rho10) / 10
-		s := NewSender(part, rho, int(rounds)%70, int(waves)%10)
-		budget := int(rounds) % 70
-		if budget == 0 || budget > RoundCap {
-			budget = RoundCap
-		}
-		sent := make(map[blockplan.Ref]bool)
-		steps := 0
-		for step := Multicast; step == Multicast || step == Unicast; step = s.Next() {
-			if steps++; steps > budget+int(waves)%10 {
-				t.Fatalf("still going after %d steps: %d rounds, %d waves", steps-1, s.Round(), s.Wave())
-			}
-			if step == Multicast {
-				for _, r := range s.Refs() {
-					if sent[r] {
-						t.Fatalf("round %d sends %v again", s.Round(), r)
-					}
-					sent[r] = true
-					if r.IsParity(k) && r.Shard >= fec.MaxShards {
-						t.Fatalf("round %d sends parity %v past shard %d", s.Round(), r, fec.MaxShards-1)
-					}
-				}
-			}
-			// Feed NACKs of (user, block, count) byte triples up to the
-			// next 0xff; an empty script ends the run with a quiet round.
-			for len(script) >= 3 && script[0] != 0xff {
-				s.NACK(int(script[0]%8), req(script[1], script[2]))
-				script = script[3:]
-			}
-			if len(script) > 0 {
-				script = script[1:]
-			}
-			for b, a := range s.Amax() {
-				if a > k {
-					t.Fatalf("amax[%d] = %d > k = %d", b, a, k)
-				}
-			}
-		}
+		s := NewSender(part, float64(rho10)/10, int(rounds)%70, int(waves)%10)
+		driveMessage(t, s, s.Next, int(rounds)%70, int(waves)%10, script)
 	})
+}
+
+// driveMessage runs s through one message, ending each round or wave
+// with next and feeding it the NACKs of script: (user, block, count)
+// byte triples up to the next 0xff, a round or wave apiece. Whatever the
+// NACKs say, no shard goes out twice, every parity shard a round sends
+// lies inside the coder's range, amax stays at most k, and the message
+// ends within its round budget (0 meaning RoundCap) plus waves. It
+// returns the script left over.
+func driveMessage(t *testing.T, s *Sender, next func() Step, rounds, waves int, script []byte) []byte {
+	t.Helper()
+	if rounds == 0 || rounds > RoundCap {
+		rounds = RoundCap
+	}
+	sent := make(map[blockplan.Ref]bool)
+	steps := 0
+	for step := Multicast; step == Multicast || step == Unicast; step = next() {
+		if steps++; steps > rounds+waves {
+			t.Fatalf("still going after %d steps: %d rounds, %d waves", steps-1, s.Round(), s.Wave())
+		}
+		if step == Multicast {
+			for _, r := range s.Refs() {
+				if sent[r] {
+					t.Fatalf("round %d sends %v again", s.Round(), r)
+				}
+				sent[r] = true
+				if r.IsParity(s.k) && r.Shard >= fec.MaxShards {
+					t.Fatalf("round %d sends parity %v past shard %d", s.Round(), r, fec.MaxShards-1)
+				}
+			}
+		}
+		// An empty script ends the message with a quiet round.
+		for len(script) >= 3 && script[0] != 0xff {
+			s.NACK(int(script[0]%8), req(script[1], script[2]))
+			script = script[3:]
+		}
+		if len(script) > 0 {
+			script = script[1:]
+		}
+		for b, a := range s.Amax() {
+			if a > s.k {
+				t.Fatalf("amax[%d] = %d > k = %d", b, a, s.k)
+			}
+		}
+	}
+	return script
 }

@@ -2,10 +2,11 @@
 // tuning knobs. The key server (rekey.Config), the simulation engine
 // (vsim.Config) and the UDP transport all embed or read the same
 // Tuning struct, so each knob -- FEC block size k, key tree degree d,
-// proactivity factor rho, the NACK target and the multicast round
-// budget -- is defined, defaulted and validated in exactly one place.
-// The defaults are the paper's (DESIGN.md): k=10, d=4, rho0=1,
-// numNACK=20 (cap 100), switch to unicast after 2 multicast rounds.
+// proactivity factor rho and whether it adapts, the NACK target and
+// whether it adapts, and the multicast round budget -- is defined,
+// defaulted and validated in exactly one place. The defaults are the
+// paper's (DESIGN.md): k=10, d=4, rho0=1, numNACK=20 (cap 100), switch
+// to unicast after 2 multicast rounds; both adaptations are off.
 // Default is the only place they live: no layer fills in a zero knob,
 // so a zero means zero and a partial Tuning starts from Default().
 // Parallel stages have no knob: FanOut sizes them by GOMAXPROCS.
@@ -33,6 +34,12 @@ type Tuning struct {
 	NumNACK int
 	// MaxNACK caps NumNACK adaptation. >= 0.
 	MaxNACK int
+	// AdaptiveRho moves rho after each message's round one (AdjustRho,
+	// Fig. 11); off, every message runs InitialRho.
+	AdaptiveRho bool
+	// AdaptNumNACK moves NumNACK after each message against its
+	// deadline misses. It needs the deadline: MaxMulticastRounds > 0.
+	AdaptNumNACK bool
 	// MaxMulticastRounds is the round count after which the server
 	// switches to unicast (the paper suggests 1 or 2); it is also the
 	// soft real-time deadline a member's key is counted against. Zero
@@ -79,6 +86,9 @@ func (t Tuning) Validate() error {
 	}
 	if t.MaxMulticastRounds < 0 {
 		return fmt.Errorf("tuning: MaxMulticastRounds = %d, want MaxMulticastRounds >= 0", t.MaxMulticastRounds)
+	}
+	if t.AdaptNumNACK && t.MaxMulticastRounds == 0 {
+		return fmt.Errorf("tuning: AdaptNumNACK needs MaxMulticastRounds > 0, the deadline")
 	}
 	if t.Strategy != "" && t.Strategy != "paper" {
 		return fmt.Errorf("tuning: Strategy = %q, want \"paper\"", t.Strategy)

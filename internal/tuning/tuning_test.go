@@ -7,7 +7,8 @@ import (
 
 // TestDefaultsMatchPaper pins the defaults to the paper's operating
 // point documented in DESIGN.md: k=10, d=4, rho0=1, numNACK=20 capped
-// at 100, switch to unicast after 2 multicast rounds.
+// at 100, switch to unicast after 2 multicast rounds, and neither rho
+// nor numNACK adapting.
 func TestDefaultsMatchPaper(t *testing.T) {
 	d := Default()
 	if d.K != 10 {
@@ -27,6 +28,9 @@ func TestDefaultsMatchPaper(t *testing.T) {
 	}
 	if d.MaxMulticastRounds != 2 {
 		t.Errorf("MaxMulticastRounds = %d, want 2", d.MaxMulticastRounds)
+	}
+	if d.AdaptiveRho || d.AdaptNumNACK {
+		t.Errorf("AdaptiveRho = %v, AdaptNumNACK = %v, want both off", d.AdaptiveRho, d.AdaptNumNACK)
 	}
 	if err := d.Validate(); err != nil {
 		t.Errorf("defaults fail validation: %v", err)
@@ -63,6 +67,7 @@ func TestValidateNamesField(t *testing.T) {
 		{"MaxNACK", func(t *Tuning) { t.MaxNACK = -1 }, "MaxNACK"},
 		{"MaxMulticastRounds", func(t *Tuning) { t.MaxMulticastRounds = -1 }, "MaxMulticastRounds"},
 		{"Strategy", func(t *Tuning) { t.Strategy = "batchplace" }, "Strategy"},
+		{"AdaptNumNACK", func(t *Tuning) { t.AdaptNumNACK, t.MaxMulticastRounds = true, 0 }, "AdaptNumNACK"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

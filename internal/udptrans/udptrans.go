@@ -3,20 +3,23 @@
 // as a unicast fan-out, which keeps the code portable to hosts without
 // multicast routing), collects NACKs for a round, retransmits fresh
 // parity, and finally unicasts USR packets with escalating duplication.
-// What to send and when to stop is protocol.Sender's to decide -- the
-// same state machine the simulated vsim.Session drives -- and this
-// package moves real bytes through real sockets: who is sent what first,
-// the NACK window and its source check. The fan-out pays per batch, not
-// per datagram: on Linux one sendmmsg hands the kernel up to 64 members'
-// runs of datagrams, each run segmented, and a member reads its run back
-// in one coalesced receive (burst_linux.go); elsewhere, and where the
-// kernel refuses, the same list goes out one datagram a call.
+// What to send and when to stop is protocol.Sender's to decide, and what
+// carries from one message to the next (rho, the NACK target) is
+// protocol.Session's -- the same state machines the simulated
+// vsim.Session drives -- and this package moves real bytes through real
+// sockets: who is sent what first, the NACK window and its source check.
+// The fan-out pays per batch, not per datagram: on Linux one sendmmsg
+// hands the kernel up to 64 members' runs of datagrams, each run
+// segmented, and a member reads its run back in one coalesced receive
+// (burst_linux.go); elsewhere, and where the kernel refuses, the same
+// list goes out one datagram a call.
 package udptrans
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"net/netip"
 	"sync"
@@ -34,6 +37,9 @@ type Server struct {
 	ks   *rekey.Server
 	conn *net.UDPConn
 	obs  *obs.Registry // shared with ks; nil when unobserved
+	// sess carries rho and the NACK target from one Distribute to the
+	// next, as the key server's tuning says.
+	sess *protocol.Session
 	// mmsg hands the kernel a send list in one call and returns how many
 	// messages it took. It is nil where the platform has no batched,
 	// segmented send and once the kernel has refused one; tests clear it
@@ -65,6 +71,7 @@ func NewServer(ks *rekey.Server, addr string) (*Server, error) {
 		ks:    ks,
 		conn:  conn,
 		obs:   ks.Obs(),
+		sess:  protocol.NewSession(ks.Tuning(), rand.Uint64(), ks.Obs()),
 		mmsg:  newMmsg(conn),
 		addrs: make(map[rekey.MemberID]*net.UDPAddr),
 	}, nil
@@ -150,10 +157,10 @@ func unmapped(ap netip.AddrPort) netip.AddrPort {
 
 // Options tune one Distribute run's wire behaviour: timing and the
 // unicast budget. Distribute uses them as given; DefaultOptions holds
-// the defaults. The protocol knobs -- rho0, the multicast round
-// budget -- are NOT here: Distribute reads them from the key server's
-// shared tuning (rekey.Config.Tuning), so every knob stays defined in
-// exactly one options type.
+// the defaults. The protocol knobs -- rho0 and its adaptation, the
+// multicast round budget -- are NOT here: the server reads them from
+// the key server's shared tuning (rekey.Config.Tuning), so every knob
+// stays defined in exactly one options type.
 type Options struct {
 	// RoundDur is how long the server listens for NACKs after the last
 	// datagram of a multicast round or unicast wave. The contract with
@@ -199,13 +206,14 @@ type Stats struct {
 }
 
 // Distribute runs the full transport protocol for one rekey message,
-// sending what a protocol.Sender decides. It returns once the NACK
-// stream has gone quiet (all members done or the unicast wave budget is
-// exhausted). The protocol knobs (rho0, multicast round budget) come
-// from the key server's tuning; opts carries only wire timing and is
-// used as given. Cancelling ctx aborts the NACK-collection waits and
-// returns ctx's error. Runs on one Server must not overlap: they would
-// read each other's NACKs off the one socket.
+// sending what the server's protocol.Session decides. It returns once
+// the NACK stream has gone quiet (all members done or the unicast wave
+// budget is exhausted). The protocol knobs (rho and its adaptation,
+// the multicast round budget) come from the key server's tuning; opts
+// carries only wire timing and is used as given. Cancelling ctx aborts
+// the NACK-collection waits and returns ctx's error. Runs on one Server
+// must not overlap: they would read each other's NACKs off the one
+// socket.
 func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Options) (*Stats, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -213,9 +221,6 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	if len(rm.ENC) == 0 {
 		return &Stats{}, nil
 	}
-	tun := s.ks.Tuning()
-	s.obs.Set(obs.GRho, tun.InitialRho)
-
 	// A cancelled context unblocks the read wait in listen by expiring
 	// the socket's read deadline immediately.
 	stopWatch := context.AfterFunc(ctx, func() {
@@ -224,16 +229,18 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	defer stopWatch()
 
 	st := &Stats{}
-	snd := protocol.NewSender(rm.Part, tun.InitialRho, tun.MaxMulticastRounds, opts.MaxUnicastWaves)
+	snd := s.sess.Open(rm.Part, rm.MsgID, opts.MaxUnicastWaves)
 	members, addrOf := s.memberTable(rm)
 	scratch := make([]byte, 2048) // every NACK read of the run
 
-	for step := protocol.Multicast; ; step = snd.Next() {
-		switch step {
-		case protocol.Done:
+	for step := protocol.Multicast; ; step = s.sess.Next() {
+		if step == protocol.Done || step == protocol.GiveUp {
+			// Who NACKed the last multicast round missed the deadline.
+			s.sess.Close(st.NACKsPerRound[st.Rounds-1])
+			if step == protocol.GiveUp {
+				return st, fmt.Errorf("udptrans: %d users still pending after unicast budget", len(snd.Waiting()))
+			}
 			return st, nil
-		case protocol.GiveUp:
-			return st, fmt.Errorf("udptrans: %d users still pending after unicast budget", len(snd.Waiting()))
 		}
 		if err := ctx.Err(); err != nil {
 			return st, err
@@ -243,19 +250,13 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 			roundStart = time.Now()
 		}
 		if step == protocol.Multicast {
-			refs := snd.Refs()
-			s.obs.Emit(obs.Event{Kind: obs.EvRoundStart, MsgID: rm.MsgID, Round: snd.Round(), Value: float64(len(refs))})
-			if err := s.multicastRefs(ctx, rm, refs, members, snd.Waiting(), st); err != nil {
+			if err := s.multicastRefs(ctx, rm, snd.Refs(), members, snd.Waiting(), st); err != nil {
 				return st, err
 			}
 			st.Rounds = snd.Round()
 		} else {
 			// Unicast (Fig. 22) to the latest round's or wave's NACKers
 			// only: a member still pending NACKs every QuietGap.
-			if snd.Wave() == 1 {
-				s.obs.Emit(obs.Event{Kind: obs.EvSwitchToUnicast, MsgID: rm.MsgID,
-					Round: st.Rounds, Value: float64(len(snd.Waiting()))})
-			}
 			st.UnicastWaves = snd.Wave()
 			s.obs.Inc(obs.CUnicastWaves)
 			if err := s.unicastUSR(ctx, rm, members[:waitingFirst(members, snd.Waiting())], snd.Dups(), st); err != nil {
@@ -264,11 +265,8 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 		}
 		s.drainStale(scratch)
 		err := s.listen(ctx, rm, addrOf, snd, scratch, opts.RoundDur)
-		if s.obs.Enabled() {
-			if step == protocol.Multicast {
-				s.obs.ObserveSince(obs.HRoundLatency, roundStart)
-			}
-			s.obs.Observe(obs.HNACKsPerRound, float64(snd.NACKs()))
+		if step == protocol.Multicast && s.obs.Enabled() {
+			s.obs.ObserveSince(obs.HRoundLatency, roundStart)
 		}
 		if err != nil {
 			return st, err

@@ -6,18 +6,16 @@
 // each member's link lets through at which virtual time; and real
 // rekey.Members ingest those bytes and answer with real NACK bytes.
 //
-// Session adds what the paper's key server carries across messages: the
-// proactivity factor rho adapts so the first-round NACK count tracks a
-// target (AdjustRho, Fig. 11), the target itself adapts to deadline
-// misses, and early unicast switches as soon as unicasting would be
-// cheaper. Group keeps a real Member for every member of a key server's
-// group.
+// What the key server carries across messages -- rho and the NACK
+// target, adapting when the tuning says so -- is protocol.Session's, as
+// on the wire; Session adds the virtual clock, the network and the
+// delivery to members. Group keeps a real Member for every member of a
+// key server's group.
 package vsim
 
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"slices"
 
 	rekey "repro"
@@ -34,10 +32,6 @@ import (
 // WaveBudget is the unicast wave budget of a Session.
 const WaveBudget = 50
 
-// udpHeader is what a datagram costs on the wire beyond its bytes, for
-// the early-unicast comparison.
-const udpHeader = 8
-
 // The session's virtual clock, in seconds.
 const (
 	// sendInterval is the time between consecutive multicast packets:
@@ -52,24 +46,14 @@ const (
 )
 
 // Config holds the transport protocol parameters. The shared knobs
-// (k, rho0, NACK targets, round budget) come from the embedded
-// tuning core -- the same struct rekey.Config embeds -- so they are
-// defined and validated in exactly one place; the fields declared here
-// are simulation-specific. DefaultConfig returns the paper's defaults.
+// (k, rho0 and its adaptation, NACK targets, round budget) come from
+// the embedded tuning core -- the same struct rekey.Config embeds -- so
+// they are defined and validated in exactly one place; the fields
+// declared here are simulation-specific.
 type Config struct {
 	// Tuning is the shared knob core; see package tuning. The session
 	// never reads Degree: the members know their tree's.
 	tuning.Tuning
-	// AdaptiveRho enables the AdjustRho algorithm; when false, rho stays
-	// at InitialRho for every message.
-	AdaptiveRho bool
-	// AdaptNumNACK enables deadline-driven adaptation of NumNACK
-	// (requires MaxMulticastRounds > 0, the deadline).
-	AdaptNumNACK bool
-	// EarlyUnicast also switches to unicast as soon as the USR datagrams
-	// of a round's NACKers are no larger than the PARITY datagrams the
-	// next multicast round would send.
-	EarlyUnicast bool
 	// SequentialSend disables the interleaved send order, transmitting
 	// each block's shards back to back. The protocol interleaves by
 	// default so a burst-loss period cannot claim several shards of one
@@ -79,24 +63,6 @@ type Config struct {
 	// (NACKs per round, RhoAdjusted, SwitchToUnicast). A nil registry
 	// costs the simulation hot path only a pointer check.
 	Obs *obs.Registry
-}
-
-// DefaultConfig returns the paper's default parameters: the shared
-// tuning defaults (k=10, rho0=1, numNACK target 20 capped at 100,
-// unicast after 2 multicast rounds, which is also the deadline) plus
-// adaptive rho.
-func DefaultConfig() Config {
-	return Config{Tuning: tuning.Default(), AdaptiveRho: true}
-}
-
-func (c Config) validate() error {
-	if err := c.Tuning.Validate(); err != nil {
-		return fmt.Errorf("vsim: %w", err)
-	}
-	if c.AdaptNumNACK && c.MaxMulticastRounds <= 0 {
-		return fmt.Errorf("vsim: AdaptNumNACK requires MaxMulticastRounds > 0, the deadline")
-	}
-	return nil
 }
 
 // Metrics reports one rekey message's transport outcome.
@@ -166,41 +132,31 @@ type Member interface {
 	Keys() map[int]keys.Key
 }
 
-// Session runs rekey messages over one network, carrying the adaptive
-// state (rho and the NACK target) across messages as the key server
-// does.
+// Session runs rekey messages over one network in virtual time, with a
+// protocol.Session carrying rho and the NACK target across them.
 type Session struct {
-	cfg     Config
-	net     *netsim.Star
-	rho     float64
-	numNACK int
-	now     float64
-	msgSeq  int
-	rng     *rand.Rand
-	round   rekey.Round // the round being delivered; its arrays carry over
+	cfg    Config
+	net    *netsim.Star
+	core   *protocol.Session
+	now    float64
+	msgSeq int
+	round  rekey.Round // the round being delivered; its arrays carry over
 }
 
 // NewSession creates a session over net, whose user count bounds the
-// members a message may have.
+// members a message may have; seed seeds rho's adaptation.
 func NewSession(cfg Config, net *netsim.Star, seed uint64) (*Session, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if err := cfg.Tuning.Validate(); err != nil {
+		return nil, fmt.Errorf("vsim: %w", err)
 	}
-	cfg.Obs.Set(obs.GRho, cfg.InitialRho)
-	return &Session{
-		cfg:     cfg,
-		net:     net,
-		rho:     cfg.InitialRho,
-		numNACK: cfg.NumNACK,
-		rng:     rand.New(rand.NewPCG(seed, 0x5e55)),
-	}, nil
+	return &Session{cfg: cfg, net: net, core: protocol.NewSession(cfg.Tuning, seed, cfg.Obs)}, nil
 }
 
 // Rho returns the proactivity factor the next message will use.
-func (s *Session) Rho() float64 { return s.rho }
+func (s *Session) Rho() float64 { return s.core.Rho() }
 
 // NumNACK returns the current first-round NACK target.
-func (s *Session) NumNACK() int { return s.numNACK }
+func (s *Session) NumNACK() int { return s.core.NumNACK() }
 
 // run is one message's transport state.
 type run struct {
@@ -208,9 +164,6 @@ type run struct {
 	members []Member
 	done    []int // each member's finishing round; 0 while pending
 }
-
-// usrWire returns member i's USR datagram.
-func (r *run) usrWire(i int) ([]byte, error) { return r.rm.WireUSR(r.rm.Result.UserIDs[i]) }
 
 // Run transports one rekey message to members -- the members of its
 // group in rm.Result.UserIDs order, as Group.Rekey returns them; member
@@ -229,8 +182,8 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 	}
 	met := &Metrics{
 		MsgID:         s.msgSeq,
-		RhoUsed:       s.rho,
-		NumNACKTarget: s.numNACK,
+		RhoUsed:       s.core.Rho(),
+		NumNACKTarget: s.core.NumNACK(),
 		NeededUsers:   len(members),
 		UserRoundHist: make(map[int]int),
 	}
@@ -242,9 +195,9 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 	met.EncPackets, met.Blocks = rm.NumRealPackets(), rm.Blocks()
 	r := &run{rm: rm, members: members, done: make([]int, len(members))}
 
-	snd := protocol.NewSender(rm.Part, s.rho, cfg.MaxMulticastRounds, WaveBudget)
+	snd := s.core.Open(rm.Part, rm.MsgID, WaveBudget)
 	step := protocol.Multicast
-	for ; step == protocol.Multicast; step = snd.Next() {
+	for ; step == protocol.Multicast; step = s.core.Next() {
 		round := snd.Round()
 		refs := snd.Refs()
 		if cfg.SequentialSend {
@@ -258,7 +211,6 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 		}
 		met.MulticastSent += len(refs)
 		met.ParitySent += s.round.Parity
-		cfg.Obs.Emit(obs.Event{Kind: obs.EvRoundStart, MsgID: rm.MsgID, Round: round, Value: float64(len(refs))})
 		times := make([]float64, len(refs))
 		for i := range times {
 			times[i] = s.now + float64(i)*sendInterval
@@ -266,45 +218,18 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 		rd := s.net.MulticastRound(times)
 		s.now += float64(len(refs))*sendInterval + roundSlack
 
-		nacks := s.deliver(r, rd, round)
-		usrBytes := 0
-		for i, raw := range nacks {
+		for i, raw := range s.deliver(r, rd, round) {
 			if r.done[i] == round {
 				met.UserRoundHist[round]++
 			}
-			if raw == nil {
-				continue
-			}
-			if feedNACK(snd, rm.MsgID, i, raw) && cfg.EarlyUnicast {
-				w, err := r.usrWire(i)
-				if err != nil {
-					return nil, err
-				}
-				usrBytes += len(w) + udpHeader
+			if raw != nil {
+				feedNACK(snd, rm.MsgID, i, raw)
 			}
 		}
-		n := snd.NACKs()
-		cfg.Obs.Observe(obs.HNACKsPerRound, float64(n))
 		if round == 1 {
-			met.Round1NACKs = n
-			if cfg.AdaptiveRho {
-				if rho := protocol.AdjustRho(s.rho, k, s.numNACK, snd.Demand(), s.rng); rho != s.rho {
-					s.rho = rho
-					cfg.Obs.Emit(obs.Event{Kind: obs.EvRhoAdjusted, MsgID: rm.MsgID, Value: s.rho})
-				}
-				cfg.Obs.Set(obs.GRho, s.rho)
-			}
+			met.Round1NACKs = snd.NACKs()
 		}
 		met.MulticastRounds = round
-		if cfg.EarlyUnicast && n > 0 {
-			parity, err := parityBytes(rm, snd.Amax())
-			if err != nil {
-				return nil, err
-			}
-			if usrBytes <= parity {
-				snd.UnicastNow()
-			}
-		}
 	}
 
 	// Deadline accounting happens at the multicast/unicast boundary: a
@@ -316,18 +241,9 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 				met.MissedDeadline++
 			}
 		}
-		if cfg.AdaptNumNACK {
-			if met.MissedDeadline == 0 {
-				s.numNACK = min(s.numNACK+1, cfg.MaxNACK)
-			} else {
-				s.numNACK = max(s.numNACK-met.MissedDeadline, 0)
-			}
-		}
 	}
 
 	if step == protocol.Unicast {
-		cfg.Obs.Emit(obs.Event{Kind: obs.EvSwitchToUnicast,
-			MsgID: rm.MsgID, Round: met.MulticastRounds, Value: float64(len(snd.Waiting()))})
 		var err error
 		if step, err = s.unicast(r, snd, met); err != nil {
 			return nil, err
@@ -346,6 +262,7 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 		}
 	}
 	met.AllDone = step == protocol.Done && met.Unreached == 0
+	s.core.Close(met.MissedDeadline)
 	// Idle gap between rekey messages keeps link processes realistic.
 	s.now += roundSlack
 	return met, nil
@@ -407,32 +324,11 @@ func keyedBy(m Member, wire []byte) bool {
 }
 
 // feedNACK parses member i's NACK bytes, as udptrans's listener does, and
-// hands them to snd. It reports whether snd took them.
-func feedNACK(snd *protocol.Sender, msgID uint8, i int, raw []byte) bool {
-	nk, err := packet.ParseNACK(raw)
-	if err != nil || nk.MsgID != msgID {
-		return false
+// hands them to snd.
+func feedNACK(snd *protocol.Sender, msgID uint8, i int, raw []byte) {
+	if nk, err := packet.ParseNACK(raw); err == nil && nk.MsgID == msgID {
+		snd.NACK(i, nk.Requests)
 	}
-	_, ok := snd.NACK(i, nk.Requests)
-	return ok
-}
-
-// parityBytes is the size of the PARITY datagrams the next multicast
-// round would send: amax of each block's, each as long as its block's
-// first.
-func parityBytes(rm *rekey.RekeyMessage, amax []int) (int, error) {
-	total := 0
-	for b, a := range amax {
-		if a == 0 {
-			continue
-		}
-		w, err := rm.AppendWireParity(nil, b, 0)
-		if err != nil {
-			return 0, err
-		}
-		total += a * (len(w) + udpHeader)
-	}
-	return total, nil
 }
 
 // unicast implements Switch2Unicast (Fig. 22) and returns the Sender's
@@ -440,7 +336,7 @@ func parityBytes(rm *rekey.RekeyMessage, amax []int) (int, error) {
 // again.
 func (s *Session) unicast(r *run, snd *protocol.Sender, met *Metrics) (protocol.Step, error) {
 	step := protocol.Unicast
-	for ; step == protocol.Unicast; step = snd.Next() {
+	for ; step == protocol.Unicast; step = s.core.Next() {
 		wave, waiting := snd.Wave(), snd.Waiting()
 		for i, m := range r.members {
 			if !waiting[i] {
@@ -454,7 +350,7 @@ func (s *Session) unicast(r *run, snd *protocol.Sender, met *Metrics) (protocol.
 				got = s.net.Unicast(i, s.now+float64(j)*0.001) || got
 			}
 			if got {
-				w, err := r.usrWire(i)
+				w, err := r.rm.WireUSR(r.rm.Result.UserIDs[i])
 				if err != nil {
 					return step, err
 				}

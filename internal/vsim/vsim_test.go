@@ -11,7 +11,15 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/tuning"
 )
+
+// adaptive is the paper's default configuration with rho adapting.
+func adaptive() Config {
+	cfg := Config{Tuning: tuning.Default()}
+	cfg.AdaptiveRho = true
+	return cfg
+}
 
 // world is an evolving group on a star network: a deterministic,
 // unsigned key server with a real Member for each of its members, and a
@@ -128,8 +136,7 @@ func paperStar() netsim.StarConfig {
 }
 
 func TestLosslessOneRound(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AdaptiveRho = false
+	cfg := Config{Tuning: tuning.Default()}
 	w := newWorld(t, cfg, 512, lossless(), 1)
 	rm, members := w.rekey(512/4, false)
 	met, err := w.sess.Run(rm, members)
@@ -165,8 +172,7 @@ func TestLosslessOneRound(t *testing.T) {
 }
 
 func TestLossyMulticastOnlyCompletes(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AdaptiveRho = false
+	cfg := Config{Tuning: tuning.Default()}
 	cfg.MaxMulticastRounds = 0 // multicast until done
 	met := newWorld(t, cfg, 1024, paperStar(), 2).run()
 	if met.MulticastRounds < 2 {
@@ -190,8 +196,7 @@ func TestProactivityReducesNACKs(t *testing.T) {
 	// The paper's Fig. 9: first-round NACKs fall steeply with rho.
 	nacks := map[float64]int{}
 	for _, rho := range []float64{1.0, 1.6, 2.2} {
-		cfg := DefaultConfig()
-		cfg.AdaptiveRho = false
+		cfg := Config{Tuning: tuning.Default()}
 		cfg.InitialRho = rho
 		cfg.MaxMulticastRounds = 0
 		w := newWorld(t, cfg, 2048, paperStar(), 3)
@@ -210,8 +215,7 @@ func TestProactivityReducesNACKs(t *testing.T) {
 }
 
 func TestUnicastCompletesStragglers(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AdaptiveRho = false
+	cfg := Config{Tuning: tuning.Default()}
 	cfg.MaxMulticastRounds = 2
 	met := newWorld(t, cfg, 2048, paperStar(), 4).run()
 	if met.MulticastRounds > 2 {
@@ -231,7 +235,7 @@ func TestAdjustRhoConvergesToTarget(t *testing.T) {
 	// Fig. 12/13: rho settles within a few messages and first-round
 	// NACKs fluctuate around numNACK.
 	for _, initRho := range []float64{1.0, 2.0} {
-		cfg := DefaultConfig()
+		cfg := adaptive()
 		cfg.InitialRho = initRho
 		cfg.NumNACK = 20
 		cfg.MaxMulticastRounds = 0
@@ -257,7 +261,7 @@ func TestAdjustRhoConvergesToTarget(t *testing.T) {
 func TestAdjustRhoStableValuesAgree(t *testing.T) {
 	// Starting from rho=1 and rho=2 must converge to similar rho.
 	settle := func(initRho float64) float64 {
-		cfg := DefaultConfig()
+		cfg := adaptive()
 		cfg.InitialRho = initRho
 		cfg.MaxMulticastRounds = 0
 		w := newWorld(t, cfg, 2048, paperStar(), 6)
@@ -273,7 +277,7 @@ func TestAdjustRhoStableValuesAgree(t *testing.T) {
 }
 
 func TestNumNACKAdaptsDownOnMisses(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := adaptive()
 	cfg.NumNACK = 200
 	cfg.MaxNACK = 200
 	cfg.AdaptNumNACK = true
@@ -297,7 +301,7 @@ func TestNumNACKAdaptsDownOnMisses(t *testing.T) {
 
 func TestDeterministicForSeed(t *testing.T) {
 	runOnce := func() []int {
-		w := newWorld(t, DefaultConfig(), 1024, paperStar(), 42)
+		w := newWorld(t, adaptive(), 1024, paperStar(), 42)
 		var out []int
 		for i := 0; i < 5; i++ {
 			met := w.run()
@@ -318,7 +322,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runWith := func(procs int) []int {
 		runtime.GOMAXPROCS(procs)
-		w := newWorld(t, DefaultConfig(), 1024, paperStar(), 43)
+		w := newWorld(t, adaptive(), 1024, paperStar(), 43)
 		var out []int
 		for i := 0; i < 3; i++ {
 			met := w.run()
@@ -335,7 +339,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	w := newWorld(t, DefaultConfig(), 256, lossless(), 8)
+	w := newWorld(t, adaptive(), 256, lossless(), 8)
 	rm, members := w.rekey(64, false)
 	if _, err := w.sess.Run(rm, members[:10]); err == nil {
 		t.Fatal("member count mismatch accepted")
@@ -343,7 +347,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := w.sess.Run(rm, append(members, members...)); err == nil {
 		t.Fatal("more members than links accepted")
 	}
-	other := DefaultConfig()
+	other := adaptive()
 	other.K = 5
 	sess, err := NewSession(other, w.sess.net, 8)
 	if err != nil {
@@ -352,32 +356,16 @@ func TestRunValidation(t *testing.T) {
 	if _, err := sess.Run(rm, members); err == nil {
 		t.Fatal("k mismatch accepted")
 	}
-	badK := DefaultConfig()
+	badK := adaptive()
 	badK.K = 0
 	if _, err := NewSession(badK, nil, 1); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	bad := DefaultConfig()
+	bad := adaptive()
 	bad.AdaptNumNACK = true
 	bad.MaxMulticastRounds = 0
 	if _, err := NewSession(bad, nil, 1); err == nil {
 		t.Fatal("AdaptNumNACK without deadline accepted")
-	}
-}
-
-func TestEarlyUnicastSwitches(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AdaptiveRho = false
-	cfg.MaxMulticastRounds = 10
-	cfg.EarlyUnicast = true
-	met := newWorld(t, cfg, 2048, paperStar(), 9).run()
-	if !finished(met) {
-		t.Fatal("run did not complete")
-	}
-	// With few stragglers and small USR packets, the switch happens well
-	// before the 10-round cap.
-	if met.MulticastRounds >= 10 && met.UsrSent == 0 {
-		t.Fatalf("early unicast never triggered: %d rounds, %d USR", met.MulticastRounds, met.UsrSent)
 	}
 }
 
@@ -386,7 +374,7 @@ func TestEmptyMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(DefaultConfig(), net, 10)
+	s, err := NewSession(adaptive(), net, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,11 +393,11 @@ func TestEmptyMessage(t *testing.T) {
 // message whose round one moved rho, as that message's RoundStart does.
 func TestRhoAdjustedCarriesMessageID(t *testing.T) {
 	reg := obs.New()
-	cfg := DefaultConfig()
+	cfg := adaptive()
 	cfg.Obs = reg
 	// A lossless network draws no NACK, so under a target of 100 rho
-	// falls by 1/k after every message.
-	cfg.NumNACK = 100
+	// falls by 1/k after every message: from 2 to 1.5 over five.
+	cfg.NumNACK, cfg.InitialRho = 100, 2
 	star := lossless()
 	star.N, star.Seed = 64, 16
 	net, err := netsim.NewStar(star)
@@ -457,8 +445,7 @@ func TestRhoAdjustedCarriesMessageID(t *testing.T) {
 // everyone else keyed, the run counts the member unreached, and the
 // member gets its keys out of band.
 func TestUnreachedMember(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AdaptiveRho = false
+	cfg := Config{Tuning: tuning.Default()}
 	w := newWorld(t, cfg, 256, lossless(), 14)
 	deaf, err := netsim.NewGilbertLink(0.999999, rand.New(rand.NewPCG(14, 0)))
 	if err != nil {
@@ -502,8 +489,7 @@ func (r *recorder) Ingest(raw []byte) (rekey.IngestResult, error) {
 func TestNoShardSentTwice(t *testing.T) {
 	later := 0 // messages that went past round one
 	for _, rho := range []float64{1, 1.5, 2.6} {
-		cfg := DefaultConfig()
-		cfg.AdaptiveRho = false
+		cfg := Config{Tuning: tuning.Default()}
 		cfg.InitialRho = rho
 		cfg.MaxMulticastRounds = 0
 		w := newWorld(t, cfg, 1024, paperStar(), 12)
@@ -539,7 +525,7 @@ func TestNoShardSentTwice(t *testing.T) {
 // server's group key and its path keys after each.
 func TestSoakAcrossMsgIDWrap(t *testing.T) {
 	const intervals = 200
-	w := newWorld(t, DefaultConfig(), 256, paperStar(), 15)
+	w := newWorld(t, adaptive(), 256, paperStar(), 15)
 	wraps, unreached := 0, 0
 	for i := 0; i < intervals; i++ {
 		rm, members := w.rekey(4+w.rng.IntN(8), true)
@@ -578,7 +564,7 @@ func TestMetricsDerivations(t *testing.T) {
 }
 
 func BenchmarkSessionN4096(b *testing.B) {
-	cfg := DefaultConfig()
+	cfg := adaptive()
 	cfg.MaxMulticastRounds = 0
 	w := newWorld(b, cfg, 4096, paperStar(), 11)
 	b.ResetTimer()

@@ -285,8 +285,10 @@ func (s *Server) PathKeys(m MemberID) (map[int]keys.Key, bool) {
 }
 
 // Snapshot returns the server's key tree as deterministic snapshot
-// bytes -- the failover checkpoint a standby restores from with
-// keytree.Restore.
+// bytes, which keytree.Restore reads back into a Tree. It holds the
+// tree only -- not the message sequence number nor the queued joins and
+// leaves -- and nothing builds a Server from it: it is no failover
+// checkpoint. vsim.Group restores it to read the group's tree.
 func (s *Server) Snapshot() []byte {
 	s.treeMu.Lock()
 	defer s.treeMu.Unlock()
