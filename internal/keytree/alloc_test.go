@@ -35,10 +35,12 @@ func TestHotPathAllocs(t *testing.T) {
 	if edges == 0 {
 		t.Fatal("batch emitted no encryptions")
 	}
-	// The batch's labels stand until the next one, so one span over
-	// every level below the root refills exactly its encryptions.
+	// The batch's keys stand until the next one, so one span over every
+	// edge, given only the IDs, rewraps exactly its encryptions.
 	refill := &BatchResult{Encryptions: make([]Encryption, edges)}
-	all := emitSpan{lo: 1, hi: len(tr.nodes)}
+	for i, e := range res.Encryptions {
+		refill.Encryptions[i].ID = e.ID
+	}
 	ctx := keys.NewWrapContext(keys.Key{})
 	schedules := 0
 	if keys.AESKernel() == "generic" {
@@ -68,7 +70,7 @@ func TestHotPathAllocs(t *testing.T) {
 		// The result is sized to the path: one allocation, not one per
 		// doubling from zero.
 		{"UserNeeds, one user with a full path", 1, func() { sinkEncs = res.UserNeeds(deep) }},
-		{"fillSpan, every edge", float64(schedules), func() { tr.fillSpan(all, refill, ctx) }},
+		{"fillSpan, every edge", float64(schedules), func() { tr.fillSpan(refill, 0, edges, ctx) }},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.fn); got != r.want {
@@ -76,8 +78,8 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	}
 	for i, e := range refill.Encryptions {
-		if e.ID == 0 {
-			t.Fatalf("fillSpan left slot %d of %d empty", i, edges)
+		if e != res.Encryptions[i] {
+			t.Fatalf("fillSpan rewrapped edge %d (ID %d) differently", i, e.ID)
 		}
 	}
 }

@@ -2,22 +2,19 @@ package keytree
 
 import "math/bits"
 
-// bitset is a growable bit vector indexed by node ID. The marking
-// algorithm previously tracked join/replace/vacated positions in
-// map[int]bool sets; at batch sizes of 10^5-10^6 the map inserts and
-// hashed lookups dominated the bookkeeping, while a bitset costs one
-// word op per mark and is read millions of times during relabelling.
+// bitset is a growable bit vector indexed by node ID: checkBatch's
+// departing positions and, ranked, a batch's emitting nodes. It costs
+// one word op per mark where a map[int]bool costs a hashed insert.
 type bitset struct {
 	w []uint64
 }
 
 // set marks bit i, growing the backing storage as needed.
 func (b *bitset) set(i int) {
-	word := i >> 6
-	for word >= len(b.w) {
-		b.w = append(b.w, 0)
+	if word := i >> 6; word >= len(b.w) {
+		b.w = append(b.w, make([]uint64, word+1-len(b.w))...)
 	}
-	b.w[word] |= 1 << (uint(i) & 63)
+	b.w[i>>6] |= 1 << (uint(i) & 63)
 }
 
 // clear unmarks bit i (a no-op beyond the allocated words).

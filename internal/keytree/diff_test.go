@@ -132,6 +132,47 @@ func TestProcessBatchMatchesSeqRandomSchedules(t *testing.T) {
 			}
 		})
 	}
+
+	// The shapes where the touched positions are a small part of the
+	// node array: the benchmark's swing (d = 4, 4096 <-> 5120 members,
+	// J or L = 1024 a batch), and J = L = 1 batches on a tree grown to
+	// 4096 members and shrunk to its 16 lowest user IDs, whose array
+	// keeps the grown tree's slots.
+	fresh := func(next *Member, n int) []Member {
+		ms := make([]Member, n)
+		for i := range ms {
+			ms[i] = *next
+			*next++
+		}
+		return ms
+	}
+	t.Run("swing,workers=2", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		p := newDiffPair(4, 106)
+		rng := rand.New(rand.NewPCG(106, 77))
+		next := Member(0)
+		p.step(t, fresh(&next, 4096), nil)
+		for batch := 0; batch < 6; batch++ {
+			if batch%2 == 0 {
+				p.step(t, fresh(&next, 1024), nil)
+				continue
+			}
+			live := p.par.Members()
+			rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+			p.step(t, nil, live[:1024])
+		}
+	})
+	t.Run("shrunk,J=L=1,workers=0", func(t *testing.T) {
+		p := newDiffPair(4, 107)
+		rng := rand.New(rand.NewPCG(107, 77))
+		next := Member(0)
+		p.step(t, fresh(&next, 4096), nil)
+		p.step(t, nil, p.par.Members()[16:])
+		for batch := 0; batch < 10; batch++ {
+			live := p.par.Members()
+			p.step(t, fresh(&next, 1), live[rng.IntN(len(live)):][:1])
+		}
+	})
 }
 
 // TestProcessBatchMatchesSeqEdgeCases pins the shapes the random walk

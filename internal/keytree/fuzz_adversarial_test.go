@@ -10,21 +10,25 @@ import (
 // sequences of batches whose leave sets follow adversarial patterns
 // (strided, prefix, suffix, scattered; see fuzzScript), checking after
 // every batch that the tree invariant holds and that no key a leaver
-// held survives -- the tree-level statement of forward secrecy.
+// held survives -- the tree-level statement of forward secrecy. A
+// diffPair replays every batch against the whole-array reference.
 func FuzzMarkingAdversarial(f *testing.F) {
 	f.Add([]byte{3, 40, 1, 8, 0, 10, 4, 1, 20, 0, 2, 5})
 	f.Add([]byte{1, 200, 7, 0, 3, 99, 0, 2, 50, 16, 1, 3, 0, 0, 1})
 	f.Add([]byte{5, 16, 9, 2, 2, 8})
+	f.Add(seedGrowShrink)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		script, ok := parseFuzzScript(data)
 		if !ok {
 			return
 		}
 		tr := New(script.d, keys.NewDeterministicGenerator(script.seed))
+		pair := newDiffPair(script.d, script.seed)
 		joins := make([]Member, script.base)
 		for i := range joins {
 			joins[i] = Member(i)
 		}
+		pair.step(t, joins, nil)
 		if _, err := tr.ProcessBatch(joins, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -54,6 +58,7 @@ func FuzzMarkingAdversarial(f *testing.F) {
 				}
 			}
 
+			pair.step(t, joins, leaves)
 			if _, err := tr.ProcessBatch(joins, leaves); err != nil {
 				t.Fatalf("round %d (d=%d, j=%d, l=%d): %v",
 					r, script.d, len(joins), len(leaves), err)

@@ -10,20 +10,24 @@ import (
 // to the marking algorithm and checks after every batch: the tree
 // invariant holds, and every member -- replaying only the maxKID field
 // and the encryptions addressed to it through its client-side UserView
-// -- rederives its ID and arrives at the tree's group key.
+// -- rederives its ID and arrives at the tree's group key. A diffPair
+// replays every batch against the whole-array reference.
 func FuzzMarkingScript(f *testing.F) {
 	f.Add([]byte{0x02, 0x76, 0x05, 0x0f, 0x00, 0x3c, 0x14, 0x01, 0x0a, 0x00, 0x03, 0x28, 0x1f, 0x02, 0x00})
 	f.Add([]byte{0x00, 0x1e, 0x09, 0x1f, 0x00, 0x02, 0x1f, 0x03, 0x05, 0x1f, 0x01, 0x01})
 	f.Add([]byte{0x04, 0xfa, 0x03, 0x00, 0x01, 0xc8, 0x19, 0x02, 0x1e, 0x0a, 0x00, 0x50})
+	f.Add(seedGrowShrink)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		script, ok := parseFuzzScript(data)
 		if !ok {
 			return
 		}
 		tr := New(script.d, keys.NewDeterministicGenerator(script.seed))
+		pair := newDiffPair(script.d, script.seed)
 		views := make(map[Member]*UserView)
 
 		apply := func(round int, joins, leaves []Member) {
+			pair.step(t, joins, leaves)
 			res, err := tr.ProcessBatch(joins, leaves)
 			if err != nil {
 				t.Fatalf("round %d (d=%d, j=%d, l=%d): %v",

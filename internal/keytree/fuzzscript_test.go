@@ -9,6 +9,16 @@ package keytree
 // so a corpus entry that once broke the marking algorithm keeps
 // guarding it and the golden digests alike.
 
+// seedGrowShrink is a script both marking fuzz targets seed with: 14
+// members on a d = 4 tree, three rounds of 31 joins that grow it two
+// levels, a suffix leave of 93 that shrinks it back to the 14 lowest
+// user IDs -- a live tree far smaller than its node array, whose tail is
+// n-nodes -- then small mixed rounds on that shape.
+var seedGrowShrink = []byte{0x02, 0x0c, 0x05,
+	31, 0, 0, 31, 0, 0, 31, 0, 0,
+	0, 2, 93,
+	1, 1, 1, 2, 0, 0, 0, 3, 2, 1, 2, 1}
+
 // fuzzScriptRounds caps the churn rounds one script replays.
 const fuzzScriptRounds = 8
 

@@ -24,7 +24,7 @@ package keytree
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/keys"
@@ -84,10 +84,12 @@ func (l Label) String() string {
 type Member int64
 
 type node struct {
-	kind   NodeKind
 	key    keys.Key
 	member Member
-	label  Label // scratch, valid only during ProcessBatch
+	kind   NodeKind
+	// label is the last batch's marking. Outside that batch's touched
+	// positions it is Unchanged, so a batch resets only those.
+	label Label
 }
 
 // Tree is the key server's key tree. It is not safe for concurrent
@@ -98,8 +100,14 @@ type Tree struct {
 	d      int
 	height int // depth of the deepest level; root is level 0
 	nodes  []node
+	maxK   int            // maximum k-node ID, -1 when there is none
 	loc    map[Member]int // member -> u-node ID
 	gen    *keys.Generator
+	// touched lists the positions the last batch changed and their
+	// ancestors, deepest level first and IDs ascending within a level:
+	// the only nodes whose label may differ from Unchanged.
+	touched []int
+	scratch batchScratch
 	// reg receives pipeline metrics (keys generated, wraps, wrap ns);
 	// nil costs only a nil check.
 	reg *obs.Registry
@@ -124,6 +132,7 @@ func New(d int, gen *keys.Generator, opts ...Option) *Tree {
 		d:      d,
 		height: 1,
 		nodes:  make([]node, fullSize(d, 1)),
+		maxK:   -1,
 		loc:    make(map[Member]int),
 		gen:    gen,
 	}
@@ -174,14 +183,7 @@ func ParentID(d, m int) int {
 // MaxKID returns the maximum ID among current k-nodes, or -1 if the tree
 // holds no k-nodes. It is broadcast in every ENC packet so that users can
 // rederive their IDs (Theorem 4.2).
-func (t *Tree) MaxKID() int {
-	for i := len(t.nodes) - 1; i >= 0; i-- {
-		if t.nodes[i].kind == KNode {
-			return i
-		}
-	}
-	return -1
-}
+func (t *Tree) MaxKID() int { return t.maxK }
 
 // GroupKey returns the current group key (the key at the root).
 // It returns the zero key if the group is empty.
@@ -211,12 +213,20 @@ func (t *Tree) IndividualKey(m Member) (keys.Key, bool) {
 // occupant of BatchResult.UserIDs[i] is Members()[i].
 func (t *Tree) Members() []Member {
 	ms := make([]Member, 0, len(t.loc))
-	for id := range t.nodes {
+	lo, hi := t.userWindow()
+	for id := lo; id <= hi; id++ {
 		if t.nodes[id].kind == UNode {
 			ms = append(ms, t.nodes[id].member)
 		}
 	}
 	return ms
+}
+
+// userWindow returns the u-region window (nk, d*nk+d], clipped to the
+// node array, where nk is the maximum k-node ID: every u-node lies in it,
+// above nk by Lemma 4.1 and below d*nk+d as a k-node's child.
+func (t *Tree) userWindow() (lo, hi int) {
+	return t.maxK + 1, min(t.d*t.maxK+t.d, len(t.nodes)-1)
 }
 
 // PathKeys returns the keys a member should hold after a successful
@@ -261,15 +271,6 @@ func (t *Tree) ForEachKNode(fn func(id int, k keys.Key)) {
 	}
 }
 
-// kindOf is a bounds-tolerant accessor: IDs beyond the allocated slice
-// are n-nodes of the conceptual infinite expansion.
-func (t *Tree) kindOf(id int) NodeKind {
-	if id >= len(t.nodes) {
-		return NNode
-	}
-	return t.nodes[id].kind
-}
-
 // growTo extends the allocated tree so that id is a valid index,
 // increasing the height as necessary. New positions are n-nodes.
 func (t *Tree) growTo(id int) {
@@ -285,7 +286,9 @@ func (t *Tree) growTo(id int) {
 }
 
 // CheckInvariant verifies Lemma 4.1 (every k-node ID below every u-node
-// ID) plus structural sanity; tests call it after every mutation.
+// ID), structural sanity, the maintained MaxKID, and that only the last
+// batch's touched positions carry a label; tests call it after every
+// mutation.
 func (t *Tree) CheckInvariant() error {
 	maxK, minU := -1, math.MaxInt
 	users := 0
@@ -305,8 +308,15 @@ func (t *Tree) CheckInvariant() error {
 			}
 		}
 	}
+	touched := make([]bool, len(t.nodes))
+	for _, id := range t.touched {
+		touched[id] = true
+	}
 	for id := range t.nodes {
 		n := &t.nodes[id]
+		if n.label != Unchanged && !touched[id] {
+			return fmt.Errorf("keytree: node %d labelled %v outside the last batch", id, n.label)
+		}
 		switch n.kind {
 		case KNode:
 			if id > maxK {
@@ -338,6 +348,9 @@ func (t *Tree) CheckInvariant() error {
 	if users != len(t.loc) {
 		return fmt.Errorf("keytree: %d u-nodes but %d loc entries", users, len(t.loc))
 	}
+	if maxK != t.maxK {
+		return fmt.Errorf("keytree: MaxKID %d, but the highest k-node is %d", t.maxK, maxK)
+	}
 	if maxK >= 0 && minU < math.MaxInt && maxK >= minU {
 		return fmt.Errorf("keytree: Lemma 4.1 violated: maxKID=%d >= minUID=%d", maxK, minU)
 	}
@@ -347,10 +360,13 @@ func (t *Tree) CheckInvariant() error {
 // Clone returns a deep copy of the tree sharing the key generator and
 // metrics registry. The experiment harness clones a populated tree so
 // that many trials can apply independent batches to identical starting
-// states.
+// states. Like a restored tree, the copy carries no batch's labels.
 func (t *Tree) Clone() *Tree {
-	n := &Tree{d: t.d, height: t.height, gen: t.gen, reg: t.reg}
+	n := &Tree{d: t.d, height: t.height, maxK: t.maxK, gen: t.gen, reg: t.reg}
 	n.nodes = append([]node(nil), t.nodes...)
+	for _, id := range t.touched {
+		n.nodes[id].label = Unchanged
+	}
 	n.loc = make(map[Member]int, len(t.loc))
 	for m, id := range t.loc {
 		n.loc[m] = id
@@ -499,79 +515,121 @@ func (r *BatchResult) UserNeeds(userID int) []Encryption {
 // with no membership change returns an empty BatchResult (no rekeying
 // needed).
 //
-// Updated k-node keys are drawn in one bulk CSPRNG read and the wrap
-// emission fans out over GOMAXPROCS goroutines (tuning.FanOut).
+// Every pass runs over the positions the batch touched and their
+// ancestors, the rekey subtree, not over the node array. Updated k-node
+// keys are drawn in one bulk CSPRNG read and the wrap emission fans out
+// over GOMAXPROCS goroutines (tuning.FanOut).
 func (t *Tree) ProcessBatch(joins, leaves []Member) (*BatchResult, error) {
-	if err := t.checkBatch(joins, leaves); err != nil {
+	departed, err := t.checkBatch(joins, leaves)
+	if err != nil {
 		return nil, err
 	}
 	if len(joins) == 0 && len(leaves) == 0 {
 		return t.result(), nil
 	}
-	t.mark(joins, leaves)
-	updated := t.rekeyKNodes()
+	at := t.mark(joins, departed)
+	rekeyed := t.rekeyKNodes(at)
 	res := t.result()
-	res.Joined, res.Left, res.UpdatedKNodes = len(joins), len(leaves), updated
+	res.Joined, res.Left, res.UpdatedKNodes = len(joins), len(leaves), len(rekeyed)
 	var emitStart time.Time
 	if t.reg.Enabled() {
 		emitStart = time.Now()
 	}
-	t.emitParallel(res)
+	t.emitParallel(res, rekeyed)
 	if t.reg.Enabled() {
-		t.reg.Add(obs.CKeysGenerated, int64(len(joins)+updated))
+		t.reg.Add(obs.CKeysGenerated, int64(len(joins)+len(rekeyed)))
 		t.reg.Add(obs.CWraps, int64(len(res.Encryptions)))
 		t.reg.Add(obs.CWrapNs, time.Since(emitStart).Nanoseconds())
 	}
 	return res, nil
 }
 
+// batchScratch holds buffers a batch reuses from the last one: none of
+// it outlives the call that fills it.
+type batchScratch struct {
+	leaving bitset   // departing positions seen so far, cleared on return
+	joins   []Member // a sorted copy of the joins
+	placed  []int    // positions filled other than departed ones
+	rekeyed []int    // k-nodes given a new key, ascending
+}
+
 // checkBatch rejects a batch that leaves an absent member, joins a
-// present one, or names a member twice.
-func (t *Tree) checkBatch(joins, leaves []Member) error {
-	for _, m := range leaves {
-		if _, ok := t.loc[m]; !ok {
-			return fmt.Errorf("keytree: leave request for unknown member %d", m)
+// present one, or names a member twice, and returns the departing
+// members' positions in request order. A valid batch builds no map: a
+// repeated leave is a repeated position, and a repeated join is two
+// equal neighbours in a sorted copy of the joins.
+func (t *Tree) checkBatch(joins, leaves []Member) ([]int, error) {
+	departed := make([]int, len(leaves))
+	for i, m := range leaves {
+		id, ok := t.loc[m]
+		if !ok {
+			return nil, fmt.Errorf("keytree: leave request for unknown member %d", m)
+		}
+		departed[i] = id
+	}
+	sc := &t.scratch
+	sc.joins = append(sc.joins[:0], joins...)
+	slices.Sort(sc.joins)
+	repeated := false
+	for i := 1; i < len(sc.joins); i++ {
+		if sc.joins[i] == sc.joins[i-1] {
+			repeated = true
+			break
 		}
 	}
-	seen := make(map[Member]bool, len(joins))
+	var seen map[Member]bool
+	if repeated {
+		// An error is certain; only this path needs to know which join
+		// repeats first.
+		seen = make(map[Member]bool, len(joins))
+	}
 	for _, m := range joins {
 		if _, ok := t.loc[m]; ok {
-			return fmt.Errorf("keytree: join request for already-present member %d", m)
+			return nil, fmt.Errorf("keytree: join request for already-present member %d", m)
 		}
 		if seen[m] {
-			return fmt.Errorf("keytree: duplicate join request for member %d", m)
+			return nil, fmt.Errorf("keytree: duplicate join request for member %d", m)
 		}
-		seen[m] = true
-	}
-	leaveSet := make(map[Member]bool, len(leaves))
-	for _, m := range leaves {
-		if leaveSet[m] {
-			return fmt.Errorf("keytree: duplicate leave request for member %d", m)
+		if seen != nil {
+			seen[m] = true
 		}
-		leaveSet[m] = true
 	}
-	return nil
+	again := -1
+	for _, id := range departed {
+		if again < 0 && sc.leaving.get(id) {
+			again = id
+		}
+		sc.leaving.set(id)
+	}
+	for _, id := range departed {
+		sc.leaving.clear(id)
+	}
+	if again >= 0 {
+		return nil, fmt.Errorf("keytree: duplicate leave request for member %d", t.nodes[again].member)
+	}
+	return departed, nil
 }
 
 // result returns a BatchResult carrying the tree's current MaxKID,
-// group key and user IDs, read off the node array in ID order.
+// group key and user IDs, read off the u-region window in ID order.
 func (t *Tree) result() *BatchResult {
 	ids := make([]int, 0, len(t.loc))
-	for id := range t.nodes {
+	lo, hi := t.userWindow()
+	for id := lo; id <= hi; id++ {
 		if t.nodes[id].kind == UNode {
 			ids = append(ids, id)
 		}
 	}
-	return &BatchResult{MaxKID: t.MaxKID(), GroupKey: t.GroupKey(), UserIDs: ids, d: t.d}
+	return &BatchResult{MaxKID: t.maxK, GroupKey: t.GroupKey(), UserIDs: ids, d: t.d}
 }
 
-// batch is one batch's placement marks, from which relabel derives the
-// rekey subtree: positions filled by a pure join, positions refilled
-// after a same-interval departure, and positions vacated this interval
-// (u-nodes removed and not refilled, plus pruned k-nodes).
+// batch is one batch's marking in progress. Placement labels what it
+// changes as it goes -- Leave on a departed position, Join or Replace on
+// a filled one -- and records the filled positions that were not
+// departed ones; settle derives the rest from those and the departures.
 type batch struct {
-	t                               *Tree
-	joinPos, replacePos, vacatedPos bitset
+	t      *Tree
+	placed []int // ascending: window fills, then split siblings
 }
 
 // mark is the tree-update phase of the paper's marking algorithm
@@ -580,32 +638,28 @@ type batch struct {
 // joins, emptied k-nodes prune; when joins outnumber leaves, the
 // overflow fills the u-region window left to right, then splits expand
 // the tree. Individual keys are drawn in placement order, which
-// TestPaperMarkingGolden pins.
-func (t *Tree) mark(joins, leaves []Member) {
-	b := &batch{t: t}
-	departed := make([]int, 0, len(leaves))
-	for _, m := range leaves {
-		departed = append(departed, b.remove(m))
+// TestPaperMarkingGolden pins. It returns settle's level bounds into
+// t.touched.
+func (t *Tree) mark(joins []Member, departed []int) []int {
+	for _, id := range t.touched {
+		t.nodes[id].label = Unchanged
 	}
-	sort.Ints(departed)
+	b := &batch{t: t, placed: t.scratch.placed[:0]}
+	for _, id := range departed {
+		b.remove(id)
+	}
+	slices.Sort(departed)
 
-	n := min(len(joins), len(leaves))
+	n := min(len(joins), len(departed))
 	for i, m := range joins[:n] {
-		b.place(departed[i], m, true)
+		b.place(departed[i], m)
 	}
-	switch {
-	case len(joins) < len(leaves):
-		// The remaining L-J departed positions stay n-nodes; k-nodes
-		// whose children are all n-nodes become n-nodes, up the tree.
-		b.pruneEmptyKNodes()
-	case len(joins) > len(leaves):
+	if len(joins) > n {
 		b.placeExtra(joins[n:])
 	}
-
-	// Step 4: any n-node with a descendant u-node becomes a k-node.
-	// (Arises when a join fills a position under a pruned subtree.)
-	t.promoteNNodes()
-	b.relabel()
+	at := b.settle(departed)
+	t.scratch.placed = b.placed
+	return at
 }
 
 // placeExtra implements the J > L expansion: fill n-node positions with
@@ -614,12 +668,13 @@ func (t *Tree) mark(joins, leaves []Member) {
 // becomes its own leftmost child.
 func (b *batch) placeExtra(extra []Member) {
 	t := b.t
-	if t.N() == 0 && t.MaxKID() < 0 {
+	if t.N() == 0 && t.maxK < 0 {
 		// Empty tree: seed it by making the root a k-node over a first
 		// leaf, then let the regular expansion take over.
 		t.growTo(t.d)
-		b.place(1, extra[0], false)
+		b.place(1, extra[0])
 		t.nodes[0].kind = KNode
+		t.maxK = 0
 		extra = extra[1:]
 	}
 	if len(extra) == 0 {
@@ -631,63 +686,60 @@ func (b *batch) placeExtra(extra []Member) {
 	b.splitGrow(extra[i:])
 }
 
-// remove departs member m, whose membership the batch prologue has
-// validated: its position becomes a vacated n-node.
-func (b *batch) remove(m Member) int {
-	id := b.t.loc[m]
-	delete(b.t.loc, m)
-	b.t.nodes[id] = node{kind: NNode}
-	b.vacatedPos.set(id)
-	return id
+// remove departs the member at position id, which the batch prologue
+// has validated: the position becomes a vacated n-node.
+func (b *batch) remove(id int) {
+	delete(b.t.loc, b.t.nodes[id].member)
+	b.t.nodes[id] = node{kind: NNode, label: Leave}
 }
 
 // place installs joiner m at position id with a fresh individual key
-// drawn from the tree's generator. replaced records whether the
-// position was vacated this same interval, which relabel turns into
-// Replace rather than Join.
-func (b *batch) place(id int, m Member, replaced bool) {
+// drawn from the tree's generator: Replace if the position departed this
+// same interval, Join otherwise. settle has the departed positions
+// already; place records the others for it.
+func (b *batch) place(id int, m Member) {
 	t := b.t
 	t.growTo(id)
-	t.nodes[id] = node{kind: UNode, member: m, key: t.gen.MustNewKey()}
-	t.loc[m] = id
-	b.vacatedPos.clear(id)
-	if replaced {
-		b.replacePos.set(id)
+	label := Join
+	if t.nodes[id].label == Leave {
+		label = Replace
 	} else {
-		b.joinPos.set(id)
+		b.placed = append(b.placed, id)
 	}
+	t.nodes[id] = node{kind: UNode, member: m, key: t.gen.MustNewKey(), label: label}
+	t.loc[m] = id
 }
 
 // split expands the tree at u-node id per the Theorem 4.2 rule: the
-// occupant moves to the leftmost child d*id+1, position id becomes a
-// k-node (keyed by rekeyKNodes), and the d-1 sibling positions become
-// fresh n-node slots. Members rederive their IDs from maxKID alone
-// because no split moves an occupant anywhere else. It returns the
-// leftmost child ID.
+// occupant moves to the leftmost child d*id+1, unlabelled, position id
+// becomes the maximum k-node (keyed by rekeyKNodes), and the d-1 sibling
+// positions become fresh n-node slots. Members rederive their IDs from
+// maxKID alone because no split moves an occupant anywhere else. It
+// returns the leftmost child ID.
 func (b *batch) split(id int) int {
 	t := b.t
 	child := t.d*id + 1
 	t.growTo(child + t.d - 1)
 	m := t.nodes[id]
+	m.label = Unchanged
 	t.nodes[child] = m
 	t.loc[m.member] = child
 	t.nodes[id] = node{kind: KNode}
+	t.maxK = id
 	return child
 }
 
 // fillWindow places joiners into n-node holes of the u-region window
 // (nk, d*nk+d], lowest ID first, and returns how many were placed.
-// Positions vacated this interval are marked Replace, inherited holes
-// Join.
 func (b *batch) fillWindow(extra []Member) int {
 	t := b.t
-	nk := t.MaxKID()
+	nk := t.maxK
 	hi := t.d*nk + t.d
 	t.growTo(hi)
 	i := 0
 	for id := nk + 1; id <= hi && i < len(extra); id++ {
-		if t.kindOf(id) == NNode {
-			b.place(id, extra[i], b.vacatedPos.get(id))
+		if t.nodes[id].kind == NNode {
+			b.place(id, extra[i])
 			i++
 		}
 	}
@@ -696,137 +748,150 @@ func (b *batch) fillWindow(extra []Member) int {
 
 // splitGrow expands the tree to absorb joiners once every position of
 // the u-region window is occupied: repeatedly split node nk+1 (nk the
-// maximum k-node ID, updated after each split) and fill the fresh
-// sibling slots. The precondition -- a fully packed window -- makes the
-// split target a u-node and the split children the only new holes, so
-// the pass is linear instead of a quadratic window rescan.
+// maximum k-node ID, updated by each split) and fill the fresh sibling
+// slots. The precondition -- a fully packed window -- makes the split
+// target a u-node and the split children the only new holes, so the pass
+// is linear instead of a quadratic window rescan. Every split fills at
+// least one sibling, so settle reaches the split node as its parent.
 func (b *batch) splitGrow(extra []Member) {
-	nk := b.t.MaxKID()
 	i := 0
 	for i < len(extra) {
-		split := nk + 1
-		child := b.split(split)
-		nk = split
-		for id := child + 1; id <= child+b.t.d-1 && i < len(extra); id++ {
-			b.place(id, extra[i], false)
+		child := b.split(b.t.maxK + 1)
+		for id := child + 1; id < child+b.t.d && i < len(extra); id++ {
+			b.place(id, extra[i])
 			i++
 		}
 	}
 }
 
-// pruneEmptyKNodes converts k-nodes whose children are all n-nodes into
-// n-nodes, iterating bottom-up until stable, recording the vacated
-// positions so relabel marks them Leave.
-func (b *batch) pruneEmptyKNodes() {
+// settle finishes the marking over the positions the batch touched --
+// departed and placed ones -- and their ancestors, one level at a time
+// from the deepest: each level's list is the merge of its own touched
+// positions with the parents of the level below, which a parent's ID,
+// monotone in its child's, keeps ascending with no sort. Both inputs
+// ascend: departed is sorted, and placed runs through the window and
+// then past it, split by split. The lists go to t.touched, deepest
+// level first; level l is t.touched[at[l+1]:at[l]].
+//
+// Each listed node settles once its children have (settleNode): the
+// prune, promotion and relabelling passes of Appendix B in one sweep
+// over the rekey subtree. A prune of the maximum k-node leaves MaxKID
+// to step down past n-nodes; it rose one split at a time, so over a
+// tree's life the steps cost no more than the splits did.
+func (b *batch) settle(departed []int) (at []int) {
 	t := b.t
-	for id := len(t.nodes) - 1; id >= 0; id-- {
-		if t.nodes[id].kind != KNode {
-			continue
+	seeds := merge(make([]int, 0, len(departed)+len(b.placed)), departed, b.placed)
+	levelStart := t.levelBounds()
+	at = make([]int, t.height+2)
+	list := t.touched[:0]
+	below := 0
+	for l := t.height; l >= 0; l-- {
+		k := len(seeds)
+		for k > 0 && seeds[k-1] >= levelStart[l] {
+			k--
 		}
-		allN := true
-		first := t.d*id + 1
-		for c := first; c < first+t.d; c++ {
-			if t.kindOf(c) != NNode {
-				allN = false
-				break
-			}
-		}
-		if allN {
-			t.nodes[id] = node{kind: NNode}
-			b.vacatedPos.set(id)
-		}
-	}
-}
-
-// promoteNNodes converts n-nodes that acquired a u-node or k-node
-// descendant into k-nodes (rekeyKNodes keys them, since their labels
-// are necessarily not Unchanged). A single bottom-up pass suffices: a
-// node's promotion depends only on deeper nodes.
-func (t *Tree) promoteNNodes() {
-	for id := len(t.nodes) - 1; id >= 0; id-- {
-		if t.nodes[id].kind != NNode {
-			continue
-		}
-		first := t.d*id + 1
-		for c := first; c < first+t.d; c++ {
-			k := t.kindOf(c)
-			if k == UNode || k == KNode {
-				t.nodes[id].kind = KNode
-				break
-			}
-		}
-	}
-}
-
-// relabel labels the rekey subtree bottom-up from the batch's marks:
-// n-nodes are Leave only if vacated this interval (holes inherited from
-// earlier intervals are no change at all); u-nodes take Join or Replace
-// from their placement; a k-node derives its label from its children.
-func (b *batch) relabel() {
-	t := b.t
-	for id := len(t.nodes) - 1; id >= 0; id-- {
-		n := &t.nodes[id]
-		switch n.kind {
-		case NNode:
-			if b.vacatedPos.get(id) {
-				n.label = Leave
+		here, up := seeds[k:], list[below:]
+		seeds = seeds[:k]
+		below = len(list)
+		last := -1
+		for len(here) > 0 || len(up) > 0 {
+			var id int
+			if len(up) == 0 || len(here) > 0 && here[0] <= t.Parent(up[0]) {
+				id, here = here[0], here[1:]
 			} else {
-				n.label = Unchanged
+				id, up = t.Parent(up[0]), up[1:]
 			}
-		case UNode:
-			switch {
-			case b.joinPos.get(id):
-				n.label = Join
-			case b.replacePos.get(id):
-				n.label = Replace
-			default:
-				n.label = Unchanged
-			}
-		case KNode:
-			allLeave, allUnchanged, allUnchangedOrJoin := true, true, true
-			first := t.d*id + 1
-			for c := first; c < first+t.d; c++ {
-				var l Label = Leave
-				if c < len(t.nodes) {
-					l = t.nodes[c].label
-				}
-				if l != Leave {
-					allLeave = false
-				}
-				if l != Unchanged {
-					allUnchanged = false
-				}
-				if l != Unchanged && l != Join {
-					allUnchangedOrJoin = false
-				}
-			}
-			switch {
-			case allLeave:
-				// Cannot occur: such k-nodes were pruned to n-nodes.
-				n.label = Leave
-			case allUnchanged:
-				n.label = Unchanged
-			case allUnchangedOrJoin:
-				n.label = Join
-			default:
-				n.label = Replace
+			if id != last {
+				list = append(list, id)
+				last = id
 			}
 		}
+		for _, id := range list[below:] {
+			t.settleNode(id)
+		}
+		at[l] = len(list)
+	}
+	t.touched = list
+	for t.maxK >= 0 && t.nodes[t.maxK].kind != KNode {
+		t.maxK--
+	}
+	return at
+}
+
+// merge appends to dst the ascending merge of ascending a and b.
+func merge(dst, a, b []int) []int {
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			dst, a = append(dst, a[0]), a[1:]
+		} else {
+			dst, b = append(dst, b[0]), b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
+}
+
+// settleNode finishes node id once its children are final. A k-node
+// with no live child is pruned to a vacated n-node (Leave); an n-node
+// with one is promoted to a k-node (rekeyKNodes keys it). A k-node then
+// derives its label from its children: Unchanged if all are, Join if
+// all are Unchanged or Join, Replace otherwise. u-nodes and the other
+// n-nodes keep the label placement gave them.
+func (t *Tree) settleNode(id int) {
+	n := &t.nodes[id]
+	if n.kind == UNode {
+		return
+	}
+	live, allLeave, allUnchanged, allUnchangedOrJoin := false, true, true, true
+	first := t.d*id + 1
+	for c := first; c < first+t.d; c++ {
+		l := Leave
+		if c < len(t.nodes) {
+			live = live || t.nodes[c].kind != NNode
+			l = t.nodes[c].label
+		}
+		allLeave = allLeave && l == Leave
+		allUnchanged = allUnchanged && l == Unchanged
+		allUnchangedOrJoin = allUnchangedOrJoin && (l == Unchanged || l == Join)
+	}
+	switch {
+	case !live && n.kind == KNode:
+		*n = node{kind: NNode, label: Leave}
+		return
+	case !live:
+		return
+	case n.kind == NNode:
+		n.kind = KNode
+		t.maxK = max(t.maxK, id)
+	}
+	switch {
+	case allLeave:
+		// Cannot occur: such k-nodes were pruned to n-nodes.
+		n.label = Leave
+	case allUnchanged:
+		n.label = Unchanged
+	case allUnchangedOrJoin:
+		n.label = Join
+	default:
+		n.label = Replace
 	}
 }
 
-// rekeyKNodes generates new keys for every updated k-node (labels
-// Join/Replace), in ascending ID order from one bulk generator read, and
-// returns how many there were. Generator.NewKeys consumes the CSPRNG
-// stream exactly as one MustNewKey per node would.
-func (t *Tree) rekeyKNodes() int {
-	ids := make([]int, 0, 64)
-	for id := range t.nodes {
-		n := &t.nodes[id]
-		if n.kind == KNode && (n.label == Join || n.label == Replace) {
-			ids = append(ids, id)
+// rekeyKNodes generates new keys for the touched k-nodes labelled Join
+// or Replace, in ascending ID order -- levels from the root down, IDs
+// ascending within each -- from one bulk generator read, and returns
+// them in that order. Generator.NewKeys consumes the CSPRNG stream
+// exactly as one MustNewKey per node would.
+func (t *Tree) rekeyKNodes(at []int) []int {
+	ids := t.scratch.rekeyed[:0]
+	for l := 0; l <= t.height; l++ {
+		for _, id := range t.touched[at[l+1]:at[l]] {
+			n := &t.nodes[id]
+			if n.kind == KNode && (n.label == Join || n.label == Replace) {
+				ids = append(ids, id)
+			}
 		}
 	}
+	t.scratch.rekeyed = ids
 	ks, err := t.gen.NewKeys(len(ids))
 	if err != nil {
 		panic(fmt.Sprintf("keytree: bulk key generation failed: %v", err))
@@ -834,23 +899,17 @@ func (t *Tree) rekeyKNodes() int {
 	for i, id := range ids {
 		t.nodes[id].key = ks[i]
 	}
-	return len(ids)
+	return ids
 }
 
-// emitEligible reports whether node id (at a level below the root)
-// contributes an encryption: it is a live node whose parent k-node got
-// a new key, and it did not itself leave. The counting pass and the
-// fill share this single test.
-func (t *Tree) emitEligible(id int) bool {
+// emits reports whether node id, a child of a rekeyed k-node,
+// contributes an encryption: it is a live node that did not leave.
+func (t *Tree) emits(id int) bool {
+	if id >= len(t.nodes) {
+		return false
+	}
 	n := &t.nodes[id]
-	if n.kind != UNode && n.kind != KNode {
-		return false
-	}
-	p := &t.nodes[t.Parent(id)]
-	if p.kind != KNode || (p.label != Join && p.label != Replace) {
-		return false
-	}
-	return n.label != Leave
+	return n.kind != NNode && n.label != Leave
 }
 
 // levelBounds returns the node-ID ranges of each tree level:

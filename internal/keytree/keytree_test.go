@@ -492,6 +492,22 @@ func TestCloneIndependence(t *testing.T) {
 	if err := cl.CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
+
+	// A clone keeps the maintained MaxKID: a batch that prunes the
+	// highest k-nodes moves it down on the clone alone.
+	before := cl.MaxKID()
+	if _, err := cl.ProcessBatch(nil, cl.Members()[4:]); err != nil {
+		t.Fatal(err)
+	}
+	if cl.MaxKID() >= before || tr.MaxKID() != before {
+		t.Fatalf("MaxKID: clone %d -> %d, original %d", before, cl.MaxKID(), tr.MaxKID())
+	}
+	if err := cl.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestEncryptionCountGrowsWithLUpToNoverD(t *testing.T) {

@@ -5,91 +5,82 @@ import (
 	"repro/internal/tuning"
 )
 
-// emitChunk is the span width of the parallel emission: the fan-out
-// hands out node-ID spans of this many positions one at a time.
-// Large enough that the counting pass and cursor traffic are noise
-// against the AES work inside a span, small enough that a
-// million-entry level splits into hundreds of units and the
-// goroutines stay balanced even when eligibility is clustered.
-const emitChunk = 2048
+// emitChunk is the number of encryptions the parallel emission hands
+// out at a time: large enough that the shared cursor is noise against
+// the AES and HMAC work, small enough that a batch of a few thousand
+// edges still splits evenly over the goroutines.
+const emitChunk = 512
 
-// emitSpan is one unit of parallel emission work: the eligible nodes
-// in [lo, hi) write their encryptions at Encryptions[out:].
-type emitSpan struct {
-	lo, hi int
-	out    int
-}
-
-// emitParallel writes the batch's encryptions, deepest level first and
-// IDs ascending within a level, pre-sized and filled in parallel. A
-// serial counting pass over the rekey levels (cheap: label/kind tests
-// only, no crypto) marks the emitting nodes and fixes each span's
-// output offset by prefix sum, so every encryption's
-// position is known -- and lookup's index built -- before any wrap
-// runs; tuning.FanOut then hands the spans out one at a time, each
-// goroutine filling its own with a WrapContext of its own. No locks, no
-// post-hoc sorting, and the result does not depend on GOMAXPROCS.
-func (t *Tree) emitParallel(res *BatchResult) {
-	levelStart := t.levelBounds()
-	res.emitted.w = make([]uint64, (len(t.nodes)+63)/64)
-	var spans []emitSpan
+// emitParallel writes the batch's encryptions: one per live child of
+// each rekeyed k-node, deepest level first and IDs ascending within a
+// level. rekeyed ascends, so each level's parents are a contiguous run
+// and their children come out ascending. A serial pass lists the
+// children (kind and label tests only, no crypto) into a pre-sized
+// []Encryption, so every encryption's position is known -- and lookup's
+// index built -- before any wrap runs; tuning.FanOut then hands out runs
+// of emitChunk encryptions, each goroutine wrapping with a WrapContext
+// of its own. No locks, no post-hoc sorting, and the result does not
+// depend on GOMAXPROCS.
+func (t *Tree) emitParallel(res *BatchResult, rekeyed []int) {
 	total := 0
-	for level := t.height; level >= 1; level-- {
-		lo, hi := levelStart[level], levelStart[level+1]
-		if hi > len(t.nodes) {
-			hi = len(t.nodes)
-		}
-		levelTotal := total
-		for s := lo; s < hi; s += emitChunk {
-			e := s + emitChunk
-			if e > hi {
-				e = hi
+	for _, p := range rekeyed {
+		for c := t.d*p + 1; c <= t.d*p+t.d; c++ {
+			if t.emits(c) {
+				total++
 			}
-			cnt := 0
-			for id := s; id < e; id++ {
-				if t.emitEligible(id) {
-					res.emitted.set(id)
-					cnt++
-				}
-			}
-			if cnt > 0 {
-				spans = append(spans, emitSpan{lo: s, hi: e, out: total})
-				total += cnt
-			}
-		}
-		if total > levelTotal {
-			res.levels = append(res.levels, levelSeg{lo: lo, start: levelTotal})
 		}
 	}
-	res.indexLevels()
 	if total == 0 {
+		res.indexLevels()
 		return
 	}
 	res.Encryptions = make([]Encryption, total)
+	levelStart := t.levelBounds()
+	out, hi, top := 0, len(rekeyed), 0
+	for l := t.height; hi > 0; l-- {
+		lo := hi
+		for lo > 0 && rekeyed[lo-1] >= levelStart[l] {
+			lo--
+		}
+		start := out
+		for _, p := range rekeyed[lo:hi] {
+			for c := t.d*p + 1; c <= t.d*p+t.d; c++ {
+				if t.emits(c) {
+					res.Encryptions[out].ID = uint32(c)
+					out++
+					top = max(top, c)
+				}
+			}
+		}
+		if out > start {
+			res.levels = append(res.levels, levelSeg{lo: levelStart[l+1], start: start})
+		}
+		hi = lo
+	}
+	res.emitted.w = make([]uint64, top/64+1)
+	for i := range res.Encryptions {
+		res.emitted.set(int(res.Encryptions[i].ID))
+	}
+	res.indexLevels()
 
-	// No span fails, so FanOut returns nil.
-	_ = tuning.FanOut(len(spans), 1, func() *keys.WrapContext {
+	// No piece fails, so FanOut returns nil.
+	_ = tuning.FanOut(total, emitChunk, func() *keys.WrapContext {
 		return keys.NewWrapContext(keys.Key{})
-	}, func(ctx *keys.WrapContext, i, _ int) error {
-		t.fillSpan(spans[i], res, ctx)
+	}, func(ctx *keys.WrapContext, lo, hi int) error {
+		t.fillSpan(res, lo, hi, ctx)
 		return nil
 	})
 }
 
-// fillSpan writes one span's encryptions at their precomputed offsets.
-// Every tree edge has a distinct child (outer) key, so the context is
-// re-keyed per edge, which copies the key and the HMAC pads and
-// allocates nothing.
-func (t *Tree) fillSpan(sp emitSpan, res *BatchResult, ctx *keys.WrapContext) {
-	out := sp.out
-	for id := sp.lo; id < sp.hi; id++ {
-		if !t.emitEligible(id) {
-			continue
-		}
-		e := &res.Encryptions[out]
-		e.ID = uint32(id)
+// fillSpan wraps Encryptions[lo:hi], whose IDs emitParallel has set:
+// each child's parent key under the child's key. Every tree edge has a
+// distinct child (outer) key, so the context is re-keyed per edge, which
+// copies the key and the HMAC pads and allocates nothing.
+func (t *Tree) fillSpan(res *BatchResult, lo, hi int, ctx *keys.WrapContext) {
+	for i := lo; i < hi; i++ {
+		e := &res.Encryptions[i]
+		id := int(e.ID)
 		ctx.SetKey(t.nodes[id].key)
 		ctx.WrapInto(&e.Wrapped, t.nodes[t.Parent(id)].key)
-		out++
 	}
 }

@@ -85,6 +85,7 @@ func Restore(data []byte, gen *keys.Generator, opts ...Option) (*Tree, error) {
 		d:      d,
 		height: height,
 		nodes:  make([]node, count),
+		maxK:   -1,
 		loc:    make(map[Member]int, 64),
 		gen:    gen,
 	}
@@ -104,6 +105,7 @@ func Restore(data []byte, gen *keys.Generator, opts ...Option) (*Tree, error) {
 				return nil, fmt.Errorf("keytree: snapshot: truncated key at node %d", id)
 			}
 			t.nodes[id].kind = KNode
+			t.maxK = id
 			copy(t.nodes[id].key[:], data[p:p+keys.KeySize])
 			p += keys.KeySize
 		case UNode:

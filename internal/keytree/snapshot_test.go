@@ -127,6 +127,33 @@ func TestRestoreThenProcessBatch(t *testing.T) {
 	if err := r1.CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Restore rebuilds the maintained MaxKID: a batch that leaves all
+	// but the four lowest user IDs prunes it down alike on both trees.
+	before := tr.MaxKID()
+	leaves = tr.Members()[4:]
+	b0, err = tr.ProcessBatch(nil, leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, err = r1.ProcessBatch(nil, leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b0.MaxKID >= before || b1.MaxKID != b0.MaxKID || r1.MaxKID() != b0.MaxKID {
+		t.Fatalf("MaxKID %d -> %d, restored %d (tree %d)", before, b0.MaxKID, b1.MaxKID, r1.MaxKID())
+	}
+	if len(b0.Encryptions) != len(b1.Encryptions) {
+		t.Fatalf("pruning batch: %d encryptions vs %d restored", len(b0.Encryptions), len(b1.Encryptions))
+	}
+	for i := range b0.Encryptions {
+		if b0.Encryptions[i].ID != b1.Encryptions[i].ID {
+			t.Fatalf("pruning batch, encryption %d: ID %d vs %d", i, b1.Encryptions[i].ID, b0.Encryptions[i].ID)
+		}
+	}
+	if err := r1.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRestoreRejectsCorrupt(t *testing.T) {
