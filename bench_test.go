@@ -439,28 +439,24 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkKeysWrap prices one {k'}_k encryption two ways: a context
-// with a fixed outer key, and a context re-keyed per call (the batch
-// pipeline's actual pattern: every tree edge has a distinct child key,
-// which is also the unit of the capacity analysis).
+// BenchmarkKeysWrap prices one {k'}_k encryption as the batch pipeline
+// pays it: every tree edge has a distinct child (outer) key, which is
+// also the unit of the capacity analysis, and a WrapBatch takes 16
+// edges to a tag-kernel call.
 func BenchmarkKeysWrap(b *testing.B) {
-	g := keys.NewDeterministicGenerator(4)
-	outer, inner := g.MustNewKey(), g.MustNewKey()
-	var out [keys.WrappedSize]byte
-	b.Run("context", func(b *testing.B) {
-		ctx := keys.NewWrapContext(outer)
+	ks, err := keys.NewDeterministicGenerator(4).NewKeys(32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	outs := make([][keys.WrappedSize]byte, 16)
+	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
+		var batch keys.WrapBatch
 		for i := 0; i < b.N; i++ {
-			ctx.WrapInto(&out, inner)
+			l := i % 16
+			batch.Add(&outs[l], &ks[l], &ks[16+l])
 		}
-	})
-	b.Run("context-rekey", func(b *testing.B) {
-		ctx := keys.NewWrapContext(outer)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ctx.SetKey(outer)
-			ctx.WrapInto(&out, inner)
-		}
+		batch.Flush()
 	})
 }
 

@@ -44,6 +44,7 @@ import (
 	"time"
 
 	rekey "repro"
+	"repro/internal/keys"
 	"repro/internal/obs"
 	"repro/internal/udptrans"
 )
@@ -108,6 +109,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	log.Printf("keyserverd: wrap kernels: aes %s, tag %s", keys.AESKernel(), keys.TagKernel())
 	log.Printf("keyserverd: control on %s, transport on %s, interval %v", ln.Addr(), tr.Addr(), *interval)
 
 	go d.runRekeys(ctx, *interval)

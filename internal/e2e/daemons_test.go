@@ -129,7 +129,8 @@ func TestDaemonsEndToEnd(t *testing.T) {
 
 // startServer starts keyserverd on control address ctl with extra
 // flags, stops it when the test ends, and returns the transport UDP
-// address and the metrics base URL it logs at startup.
+// address and the metrics base URL it logs at startup. It also requires
+// the startup line that names the wrap kernels.
 func startServer(t *testing.T, bin, ctl string, flags ...string) (udpAddr, httpBase string) {
 	t.Helper()
 	srv := exec.Command(bin, append([]string{"-ctl", ctl, "-udp", "127.0.0.1:0"}, flags...)...)
@@ -147,12 +148,20 @@ func startServer(t *testing.T, bin, ctl string, flags ...string) (udpAddr, httpB
 
 	udpRe := regexp.MustCompile(`transport on (\S+),`)
 	httpRe := regexp.MustCompile(`metrics on (http://\S+)/metrics`)
+	kernelRe := regexp.MustCompile(`wrap kernels: aes (aesni|generic), tag (avx512|generic)$`)
 	sc := bufio.NewScanner(stderr)
 	deadline := time.After(10 * time.Second)
 	addrCh := make(chan string, 1)
 	httpCh := make(chan string, 1)
+	kernelCh := make(chan string, 1)
 	go func() {
 		for sc.Scan() {
+			if kernelRe.MatchString(sc.Text()) {
+				select {
+				case kernelCh <- sc.Text():
+				default:
+				}
+			}
 			if m := udpRe.FindStringSubmatch(sc.Text()); m != nil {
 				select {
 				case addrCh <- m[1]:
@@ -176,6 +185,11 @@ func startServer(t *testing.T, bin, ctl string, flags ...string) (udpAddr, httpB
 	case udpAddr = <-addrCh:
 	case <-deadline:
 		t.Fatal("keyserverd did not log its transport address")
+	}
+	select {
+	case <-kernelCh:
+	case <-deadline:
+		t.Fatal("keyserverd did not log its wrap kernels")
 	}
 	return udpAddr, httpBase
 }

@@ -42,20 +42,21 @@ func MeasureCosts() (analysis.Costs, error) {
 	}
 	c.Sign = time.Since(start).Seconds() / signReps
 
-	// The server's wrap: one context re-keyed per tree edge, since every
-	// edge has its own child (outer) key.
+	// The server's wrap as the batch pipeline runs it: every tree edge
+	// has its own child (outer) key, and one batch takes the edges 16 to
+	// a tag-kernel call.
 	const wrapReps = 20000
 	outers, err := keys.NewDeterministicGenerator(1).NewKeys(wrapReps + 1)
 	if err != nil {
 		return c, err
 	}
-	ctx := keys.NewWrapContext(keys.Key{})
-	var wrapped [keys.WrappedSize]byte
+	wrapped := make([][keys.WrappedSize]byte, wrapReps)
+	var batch keys.WrapBatch
 	start = time.Now()
-	for i := 0; i < wrapReps; i++ {
-		ctx.SetKey(outers[i])
-		ctx.WrapInto(&wrapped, outers[i+1])
+	for i := range wrapped {
+		batch.Add(&wrapped[i], &outers[i], &outers[i+1])
 	}
+	batch.Flush()
 	c.Wrap = time.Since(start).Seconds() / wrapReps
 
 	const k = 10

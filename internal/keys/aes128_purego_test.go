@@ -5,9 +5,13 @@ package keys
 import "testing"
 
 // TestPuregoIsGeneric: the purego tag is the only way to force the
-// crypto/aes path, and it must do so whatever the CPU offers.
+// crypto/aes and crypto/sha256 paths, and it must do so whatever the
+// CPU offers.
 func TestPuregoIsGeneric(t *testing.T) {
 	if AESKernel() != "generic" {
 		t.Fatalf("purego build reports AES kernel %q", AESKernel())
+	}
+	if TagKernel() != "generic" {
+		t.Fatalf("purego build reports tag kernel %q", TagKernel())
 	}
 }

@@ -7,7 +7,8 @@ package keys
 // portable path is reached by calling it, not by switching a global.
 //
 // refWrap and refUnwrap are the wrap format written out with crypto/aes
-// and crypto/hmac: the reference every WrapContext test compares with.
+// and crypto/hmac: the reference every wrap and unwrap test compares
+// with.
 
 import (
 	"bytes"

@@ -3,20 +3,21 @@ package keys
 import "testing"
 
 // TestHotPathAllocs is this package's part of the allocation gate
-// (DESIGN.md "Allocation discipline"): the per-key wrap of the batch
-// pipeline, a member's per-key unwrap and re-keying the context
-// allocate nothing, through the AES block and both HMAC passes; and the
-// two Merkle hashes, which the server pays per user and per tree node
-// and a member per proof level, allocate nothing at all. Without the
-// AES-NI kernel (other CPUs and GOARCHes, -tags purego) each block
-// builds one crypto/aes key schedule.
+// (DESIGN.md "Allocation discipline"): the batch pipeline's wraps, 16
+// to a tag-kernel call, a member's per-key unwrap and re-keying its
+// context allocate nothing, through the AES block and both HMAC passes;
+// and the two Merkle hashes, which the server pays per user and per
+// tree node and a member per proof level, allocate nothing at all.
+// Without the AES-NI kernel (other CPUs and GOARCHes, -tags purego)
+// each block builds one crypto/aes key schedule.
 func TestHotPathAllocs(t *testing.T) {
-	ks, err := NewDeterministicGenerator(3).NewKeys(2)
+	ks, err := NewDeterministicGenerator(3).NewKeys(2 * tagLanes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, inner := NewWrapContext(ks[0]), ks[1]
-	var out [WrappedSize]byte
+	w, inner := NewWrapContext(ks[0]), ks[tagLanes]
+	outs := make([][WrappedSize]byte, tagLanes)
+	out := &outs[0]
 	schedule := 0.0
 	if !hasAES {
 		schedule = 1
@@ -28,10 +29,23 @@ func TestHotPathAllocs(t *testing.T) {
 		want float64
 		fn   func()
 	}{
-		{"WrapContext.WrapInto", schedule, func() { w.WrapInto(&out, inner) }},
+		{"WrapBatch, 16 edges", tagLanes * schedule, func() {
+			var b WrapBatch
+			for i := range outs {
+				b.Add(&outs[i], &ks[i], &ks[tagLanes+i])
+			}
+			b.Flush()
+		}},
+		{"WrapBatch, 3 edges", 3 * schedule, func() {
+			var b WrapBatch
+			for i := range 3 {
+				b.Add(&outs[i], &ks[i], &ks[tagLanes+i])
+			}
+			b.Flush()
+		}},
 		{"WrapContext.tag", 0, func() { w.tag(out[:KeySize]) }},
 		{"WrapContext.Unwrap", schedule, func() {
-			if k, err := w.Unwrap(out); err != nil || k != inner {
+			if k, err := w.Unwrap(*out); err != nil || k != inner {
 				t.Fatalf("Unwrap = %v, %v; want the wrapped key", k, err)
 			}
 		}},

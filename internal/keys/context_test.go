@@ -6,29 +6,27 @@ import (
 	"testing/quick"
 )
 
-// TestWrapContextMatchesWrap checks the context against the crypto/aes
-// and crypto/hmac reference for many key pairs, re-keying one context.
+// TestWrapContextMatchesWrap checks, for many key pairs, that the
+// batch's wrap is the crypto/aes and crypto/hmac reference's and that
+// one context, re-keyed per pair, unwraps it.
 func TestWrapContextMatchesWrap(t *testing.T) {
 	g := NewDeterministicGenerator(100)
 	ctx := NewWrapContext(Key{})
 	for i := 0; i < 200; i++ {
 		outer, inner := g.MustNewKey(), g.MustNewKey()
-		ctx.SetKey(outer)
-		got := ctx.Wrap(inner)
 		want := refWrap(outer, inner)
-		if got != want {
-			t.Fatalf("iteration %d: WrapContext.Wrap != refWrap", i)
+		if got := wrapOne(outer, inner); got != want {
+			t.Fatalf("iteration %d: WrapBatch = %x, refWrap = %x", i, got, want)
 		}
-		var into [WrappedSize]byte
-		ctx.WrapInto(&into, inner)
-		if into != want {
-			t.Fatalf("iteration %d: WrapInto != refWrap", i)
+		ctx.SetKey(outer)
+		if k, err := ctx.Unwrap(want); err != nil || k != inner {
+			t.Fatalf("iteration %d: re-keyed context Unwrap = %v, %v", i, k, err)
 		}
 	}
 }
 
-// TestWrapContextUnwrapRoundTrip checks context unwrapping against both
-// context and reference wrapping.
+// TestWrapContextUnwrapRoundTrip checks context unwrapping of the
+// reference's wrap, and its refusal under another key.
 func TestWrapContextUnwrapRoundTrip(t *testing.T) {
 	g := NewDeterministicGenerator(101)
 	for i := 0; i < 100; i++ {
@@ -41,19 +39,19 @@ func TestWrapContextUnwrapRoundTrip(t *testing.T) {
 		if got != inner {
 			t.Fatal("context unwrap did not recover the inner key")
 		}
-		if _, err := ctx.Unwrap(NewWrapContext(g.MustNewKey()).Wrap(inner)); !errors.Is(err, ErrBadTag) {
+		if _, err := ctx.Unwrap(wrapOne(g.MustNewKey(), inner)); !errors.Is(err, ErrBadTag) {
 			t.Fatalf("unwrap under wrong key: err=%v, want ErrBadTag", err)
 		}
 	}
 }
 
 // TestWrapContextCorruptionDetected mirrors TestUnwrapCorruptionDetected
-// on the context path.
+// with a single-bit flip.
 func TestWrapContextCorruptionDetected(t *testing.T) {
 	g := NewDeterministicGenerator(102)
 	outer, inner := g.MustNewKey(), g.MustNewKey()
 	ctx := NewWrapContext(outer)
-	w := ctx.Wrap(inner)
+	w := wrapOne(outer, inner)
 	for i := 0; i < WrappedSize; i++ {
 		c := w
 		c[i] ^= 0x01
@@ -63,16 +61,16 @@ func TestWrapContextCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestQuickWrapContext cross-checks context wrap/unwrap against the
-// reference over random keys.
+// TestQuickWrapContext cross-checks the batch's wrap and the context's
+// unwrap against the reference over random keys.
 func TestQuickWrapContext(t *testing.T) {
 	ctx := NewWrapContext(Key{})
 	f := func(outer, inner Key) bool {
-		ctx.SetKey(outer)
-		w := ctx.Wrap(inner)
+		w := wrapOne(outer, inner)
 		if w != refWrap(outer, inner) {
 			return false
 		}
+		ctx.SetKey(outer)
 		a, errA := ctx.Unwrap(w)
 		b, errB := refUnwrap(outer, w)
 		return errA == nil && errB == nil && a == inner && b == inner

@@ -268,24 +268,105 @@ func newBlock(key *Key) cipher.Block {
 // hmacBlockSize is SHA-256's block length, the pad width of HMAC.
 const hmacBlockSize = 64
 
-// WrapContext performs the {k'}_k operation that produces the
+// tagLanes is the number of wraps one tag-kernel call finishes.
+const tagLanes = 16
+
+// TagKernel reports which path computes a WrapBatch's tags: "avx512"
+// (16 lanes per call) on amd64 CPUs with AVX-512F enabled by the OS,
+// "generic" (crypto/sha256, one lane at a time) otherwise and under the
+// purego build tag. Fixed at init.
+func TagKernel() string {
+	if hasAVX512 {
+		return "avx512"
+	}
+	return "generic"
+}
+
+// WrapBatch performs the {k'}_k operation that produces the
 // "encryptions" carried in ENC and USR packets: one AES-128 block (the
 // inner key encrypted under the outer key) followed by a truncated
-// HMAC-SHA256 tag under the outer key. It holds the per-outer-key state
+// HMAC-SHA256 tag under the outer key. It is the key server's one wrap
+// path. Add encrypts at once and stages the tag; every 16th Add, and
+// Flush, compute the staged tags in one kernel call. Staging is plain
+// arrays, so a WrapBatch declared in a loop's function stays on its
+// stack and the loop allocates nothing. The zero value is ready; a
+// WrapBatch is not safe for concurrent use.
+type WrapBatch struct {
+	n    int
+	out  [tagLanes]*[WrappedSize]byte
+	key  [tagLanes]Key           // lane i's outer key
+	ct   [tagLanes][KeySize]byte // lane i's ciphertext, copied at Flush
+	tags [tagLanes]uint32        // the first word of lane i's HMAC
+}
+
+// Add wraps inner under outer into out. out holds the ciphertext when
+// Add returns, and the tag once the batch's next kernel call has run:
+// read it only after Flush.
+func (b *WrapBatch) Add(out *[WrappedSize]byte, outer, inner *Key) {
+	encryptBlock(outer, (*[KeySize]byte)(out[:KeySize]), (*[KeySize]byte)(inner))
+	b.key[b.n] = *outer
+	b.out[b.n] = out
+	b.n++
+	if b.n == tagLanes {
+		b.Flush()
+	}
+}
+
+// Flush writes the tags of every wrap added since the last kernel
+// call. The tag is the top TagSize bytes of the HMAC's first word.
+func (b *WrapBatch) Flush() {
+	if b.n == 0 {
+		return
+	}
+	// The ciphertexts are staged here, not in Add: no Add waits on its
+	// AES block's result, so consecutive blocks overlap in the core.
+	for i, out := range b.out[:b.n] {
+		b.ct[i] = [KeySize]byte(out[:KeySize])
+	}
+	tagWords(b)
+	for i, out := range b.out[:b.n] {
+		out[KeySize] = byte(b.tags[i] >> 24)
+		out[KeySize+1] = byte(b.tags[i] >> 16)
+	}
+	b.n = 0
+}
+
+// tagsGeneric is the portable tag path: HMAC's two hashes per staged
+// lane with crypto/sha256, which uses the SHA extensions where the CPU
+// has them.
+func tagsGeneric(b *WrapBatch) {
+	var inner [hmacBlockSize + KeySize]byte
+	var outer [hmacBlockSize + sha256.Size]byte
+	for i := range b.n {
+		copy(inner[:], ipad0[:])
+		copy(outer[:], opad0[:])
+		for j, k := range b.key[i] {
+			inner[j] ^= k
+			outer[j] ^= k
+		}
+		copy(inner[hmacBlockSize:], b.ct[i][:])
+		h := sha256.Sum256(inner[:])
+		copy(outer[hmacBlockSize:], h[:])
+		sum := sha256.Sum256(outer[:])
+		b.tags[i] = binary.BigEndian.Uint32(sum[:])
+	}
+}
+
+// WrapContext unwraps: it checks the tag of, and decrypts, a wrapped
+// key under one outer key at a time. It holds the per-outer-key state
 // -- the key itself, the HMAC pads and one reusable SHA-256 digest -- so
-// a hot loop wrapping or unwrapping many keys re-keys one context in
-// place instead of rebuilding cipher and MAC objects per call. A
-// context is not safe for concurrent use; the batch pipeline keeps one
-// per goroutine, a member one per view.
+// a member walking its path re-keys one context per edge instead of
+// rebuilding cipher and MAC objects per call. A context is not safe for
+// concurrent use; a member keeps one per view.
 type WrapContext struct {
 	key        Key
 	digest     hash.Hash // one SHA-256, reused for inner and outer pass
 	ipad, opad [hmacBlockSize]byte
 	sum        [sha256.Size]byte
-	// in and ct stage the block cipher's input and output: the portable
+	// in and ct stage the block cipher's output and input: the portable
 	// AES path and hash.Hash.Write are interface calls, so slicing a
 	// caller's value into them forces it to escape (an allocation per
-	// call); staging through context storage keeps both hot paths
+	// call); staging through context storage keeps the path
 	// allocation-free.
 	in Key
 	ct [WrappedSize]byte
@@ -334,22 +415,6 @@ func (w *WrapContext) tag(ct []byte) {
 	d.Write(w.opad[:])
 	d.Write(inner)
 	d.Sum(w.sum[:0])
-}
-
-// WrapInto encrypts inner under the context's key into out.
-func (w *WrapContext) WrapInto(out *[WrappedSize]byte, inner Key) {
-	w.in = inner
-	encryptBlock(&w.key, (*[KeySize]byte)(w.ct[:KeySize]), (*[KeySize]byte)(&w.in))
-	w.tag(w.ct[:KeySize])
-	copy(out[:], w.ct[:KeySize])
-	copy(out[KeySize:], w.sum[:TagSize])
-}
-
-// Wrap is WrapInto returning the wrapped key by value.
-func (w *WrapContext) Wrap(inner Key) [WrappedSize]byte {
-	var out [WrappedSize]byte
-	w.WrapInto(&out, inner)
-	return out
 }
 
 // Unwrap decrypts a wrapped key with the context's key, verifying the

@@ -44,8 +44,7 @@ func TestGeneratorProducesDistinctNonZeroKeys(t *testing.T) {
 func TestWrapUnwrapRoundTrip(t *testing.T) {
 	g := NewDeterministicGenerator(7)
 	outer, inner := g.MustNewKey(), g.MustNewKey()
-	ctx := NewWrapContext(outer)
-	got, err := ctx.Unwrap(ctx.Wrap(inner))
+	got, err := NewWrapContext(outer).Unwrap(wrapOne(outer, inner))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +56,7 @@ func TestWrapUnwrapRoundTrip(t *testing.T) {
 func TestUnwrapWrongKeyFails(t *testing.T) {
 	g := NewDeterministicGenerator(8)
 	outer, inner, wrong := g.MustNewKey(), g.MustNewKey(), g.MustNewKey()
-	w := NewWrapContext(outer).Wrap(inner)
+	w := wrapOne(outer, inner)
 	if _, err := NewWrapContext(wrong).Unwrap(w); !errors.Is(err, ErrBadTag) {
 		t.Fatalf("unwrap with wrong key: err=%v, want ErrBadTag", err)
 	}
@@ -67,7 +66,7 @@ func TestUnwrapCorruptionDetected(t *testing.T) {
 	g := NewDeterministicGenerator(9)
 	outer, inner := g.MustNewKey(), g.MustNewKey()
 	ctx := NewWrapContext(outer)
-	w := ctx.Wrap(inner)
+	w := wrapOne(outer, inner)
 	for i := 0; i < WrappedSize; i++ {
 		c := w
 		c[i] ^= 0x80
@@ -80,15 +79,14 @@ func TestUnwrapCorruptionDetected(t *testing.T) {
 func TestWrapDeterministic(t *testing.T) {
 	g := NewDeterministicGenerator(10)
 	outer, inner := g.MustNewKey(), g.MustNewKey()
-	if NewWrapContext(outer).Wrap(inner) != NewWrapContext(outer).Wrap(inner) {
+	if wrapOne(outer, inner) != wrapOne(outer, inner) {
 		t.Fatal("Wrap is not deterministic for fixed keys")
 	}
 }
 
 func TestQuickWrapUnwrap(t *testing.T) {
 	f := func(outer, inner Key) bool {
-		ctx := NewWrapContext(outer)
-		got, err := ctx.Unwrap(ctx.Wrap(inner))
+		got, err := NewWrapContext(outer).Unwrap(wrapOne(outer, inner))
 		return err == nil && got == inner
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -122,25 +120,30 @@ func TestSignVerify(t *testing.T) {
 	}
 }
 
-// BenchmarkWrap and BenchmarkUnwrap re-key one context per call, as
-// the batch pipeline does per tree edge and a member per path edge.
-func BenchmarkWrap(b *testing.B) {
-	g := NewDeterministicGenerator(12)
-	outer, inner := g.MustNewKey(), g.MustNewKey()
-	ctx := NewWrapContext(outer)
-	var out [WrappedSize]byte
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ctx.SetKey(outer)
-		ctx.WrapInto(&out, inner)
+// BenchmarkWrapBatch prices one wrap as the batch pipeline pays it:
+// every edge its own outer key, 16 edges to a tag-kernel call.
+func BenchmarkWrapBatch(b *testing.B) {
+	ks, err := NewDeterministicGenerator(12).NewKeys(2 * tagLanes)
+	if err != nil {
+		b.Fatal(err)
 	}
+	outs := make([][WrappedSize]byte, tagLanes)
+	b.ReportAllocs()
+	var batch WrapBatch
+	for i := 0; i < b.N; i++ {
+		l := i % tagLanes
+		batch.Add(&outs[l], &ks[l], &ks[tagLanes+l])
+	}
+	batch.Flush()
 }
 
+// BenchmarkUnwrap re-keys one context per call, as a member does per
+// path edge.
 func BenchmarkUnwrap(b *testing.B) {
 	g := NewDeterministicGenerator(13)
 	outer, inner := g.MustNewKey(), g.MustNewKey()
 	ctx := NewWrapContext(outer)
-	w := ctx.Wrap(inner)
+	w := wrapOne(outer, inner)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ctx.SetKey(outer)

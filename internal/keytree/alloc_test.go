@@ -14,10 +14,10 @@ var (
 
 // TestHotPathAllocs is this package's part of the allocation gate
 // (DESIGN.md "Allocation discipline"): the per-member need walk
-// allocates nothing, a one-off UserNeeds once, and the per-edge wrap
-// loop nothing -- except without the AES-NI kernel (other CPUs and
-// GOARCHes, -tags purego), where each edge builds one crypto/aes key
-// schedule and nothing beside it.
+// allocates nothing, a one-off UserNeeds once, and the wrap loop, its
+// batch staged on the stack, nothing -- except without the AES-NI kernel
+// (other CPUs and GOARCHes, -tags purego), where each edge builds one
+// crypto/aes key schedule and nothing beside it.
 func TestHotPathAllocs(t *testing.T) {
 	tr := New(4, keys.NewDeterministicGenerator(3))
 	joins := make([]Member, 200)
@@ -41,7 +41,6 @@ func TestHotPathAllocs(t *testing.T) {
 	for i, e := range res.Encryptions {
 		refill.Encryptions[i].ID = e.ID
 	}
-	ctx := keys.NewWrapContext(keys.Key{})
 	schedules := 0
 	if keys.AESKernel() == "generic" {
 		schedules = edges
@@ -70,7 +69,7 @@ func TestHotPathAllocs(t *testing.T) {
 		// The result is sized to the path: one allocation, not one per
 		// doubling from zero.
 		{"UserNeeds, one user with a full path", 1, func() { sinkEncs = res.UserNeeds(deep) }},
-		{"fillSpan, every edge", float64(schedules), func() { tr.fillSpan(refill, 0, edges, ctx) }},
+		{"fillSpan, every edge", float64(schedules), func() { tr.fillSpan(refill, 0, edges) }},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.fn); got != r.want {

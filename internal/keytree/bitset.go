@@ -2,9 +2,10 @@ package keytree
 
 import "math/bits"
 
-// bitset is a growable bit vector indexed by node ID: checkBatch's
-// departing positions and, ranked, a batch's emitting nodes. It costs
-// one word op per mark where a map[int]bool costs a hashed insert.
+// bitset is a growable bit vector indexed by node ID: the tree's u-node
+// occupancy, checkBatch's departing positions and, ranked, a batch's
+// emitting nodes. It costs one word op per mark where a map[int]bool
+// costs a hashed insert, and a scan reads 64 positions a word.
 type bitset struct {
 	w []uint64
 }
@@ -29,6 +30,25 @@ func (b *bitset) clear(i int) {
 func (b *bitset) get(i int) bool {
 	word := i >> 6
 	return word < len(b.w) && b.w[word]&(1<<(uint(i)&63)) != 0
+}
+
+// next returns the lowest marked bit in [i, end), or end if there is
+// none, skipping unmarked bits a word at a time.
+func (b *bitset) next(i, end int) int {
+	stop := min(end, len(b.w)<<6)
+	if i >= stop {
+		return end
+	}
+	w := i >> 6
+	if word := b.w[w] >> (uint(i) & 63); word != 0 {
+		return min(i+bits.TrailingZeros64(word), end)
+	}
+	for w++; w<<6 < stop; w++ {
+		if b.w[w] != 0 {
+			return min(w<<6+bits.TrailingZeros64(b.w[w]), end)
+		}
+	}
+	return end
 }
 
 // rankedBitset is a bitset that also counts, in one popcount, the set

@@ -224,3 +224,55 @@ func TestProcessBatchMatchesSeqEdgeCases(t *testing.T) {
 	p.step(t, []Member{400, 400}, nil) // duplicate join
 	p.step(t, nil, []Member{301, 301}) // duplicate leave
 }
+
+// TestFillSpanMatchesRefWrapAndSeq rewraps spans of 17, 33 and 513
+// edges of one batch -- one past a full tag-kernel call, two past, and
+// 32 calls and one lane -- at a lane-aligned and an unaligned start, and
+// requires every edge to be the reference's wrap of its keys and the
+// sequential pipeline's encryption at that position.
+func TestFillSpanMatchesRefWrapAndSeq(t *testing.T) {
+	p := newDiffPair(4, 31)
+	joins := make([]Member, 2000)
+	for i := range joins {
+		joins[i] = Member(i)
+	}
+	p.step(t, joins, nil)
+	leaves := make([]Member, 0, 400)
+	for m := Member(0); m < 2000; m += 5 {
+		leaves = append(leaves, m)
+	}
+	rs, err := p.seq.processBatchSeq([]Member{5000, 5001}, leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Encryptions) < 513+7 {
+		t.Fatalf("batch emitted %d encryptions, want at least %d", len(rs.Encryptions), 513+7)
+	}
+	refill := &BatchResult{Encryptions: make([]Encryption, len(rs.Encryptions))}
+	for i, e := range rs.Encryptions {
+		refill.Encryptions[i].ID = e.ID
+	}
+	for _, n := range []int{17, 33, 513} {
+		for _, lo := range []int{0, 7} {
+			for i := range refill.Encryptions {
+				refill.Encryptions[i].Wrapped = [keys.WrappedSize]byte{}
+			}
+			p.seq.fillSpan(refill, lo, lo+n)
+			for i := lo; i < lo+n; i++ {
+				got, id := refill.Encryptions[i].Wrapped, int(rs.Encryptions[i].ID)
+				if want := refWrap(p.seq.nodes[id].key, p.seq.nodes[p.seq.Parent(id)].key); got != want {
+					t.Fatalf("span [%d,%d): edge %d (ID %d) = %x, refWrap %x", lo, lo+n, i, id, got, want)
+				}
+				if got != rs.Encryptions[i].Wrapped {
+					t.Fatalf("span [%d,%d): edge %d (ID %d) differs from processBatchSeq's", lo, lo+n, i, id)
+				}
+			}
+			if lo > 0 && refill.Encryptions[lo-1].Wrapped != ([keys.WrappedSize]byte{}) {
+				t.Fatalf("span [%d,%d) wrote edge %d before it", lo, lo+n, lo-1)
+			}
+			if refill.Encryptions[lo+n].Wrapped != ([keys.WrappedSize]byte{}) {
+				t.Fatalf("span [%d,%d) wrote edge %d past it", lo, lo+n, lo+n)
+			}
+		}
+	}
+}

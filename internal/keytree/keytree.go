@@ -103,6 +103,10 @@ type Tree struct {
 	maxK   int            // maximum k-node ID, -1 when there is none
 	loc    map[Member]int // member -> u-node ID
 	gen    *keys.Generator
+	// users marks the u-nodes, by ID: the user IDs and members are read
+	// off it a word at a time. Every write of a whole node goes through
+	// setNode, which keeps it in step.
+	users bitset
 	// touched lists the positions the last batch changed and their
 	// ancestors, deepest level first and IDs ascending within a level:
 	// the only nodes whose label may differ from Unchanged.
@@ -213,20 +217,28 @@ func (t *Tree) IndividualKey(m Member) (keys.Key, bool) {
 // occupant of BatchResult.UserIDs[i] is Members()[i].
 func (t *Tree) Members() []Member {
 	ms := make([]Member, 0, len(t.loc))
-	lo, hi := t.userWindow()
-	for id := lo; id <= hi; id++ {
-		if t.nodes[id].kind == UNode {
-			ms = append(ms, t.nodes[id].member)
-		}
+	lo, end := t.userWindow()
+	for id := t.users.next(lo, end); id < end; id = t.users.next(id+1, end) {
+		ms = append(ms, t.nodes[id].member)
 	}
 	return ms
 }
 
-// userWindow returns the u-region window (nk, d*nk+d], clipped to the
-// node array, where nk is the maximum k-node ID: every u-node lies in it,
-// above nk by Lemma 4.1 and below d*nk+d as a k-node's child.
-func (t *Tree) userWindow() (lo, hi int) {
-	return t.maxK + 1, min(t.d*t.maxK+t.d, len(t.nodes)-1)
+// userWindow returns the u-region window [nk+1, d*nk+d+1), clipped to
+// the node array, where nk is the maximum k-node ID: every u-node lies
+// in it, above nk by Lemma 4.1 and at most d*nk+d as a k-node's child.
+func (t *Tree) userWindow() (lo, end int) {
+	return t.maxK + 1, min(t.d*t.maxK+t.d+1, len(t.nodes))
+}
+
+// setNode writes node id whole and keeps the u-node bitset in step.
+func (t *Tree) setNode(id int, n node) {
+	t.nodes[id] = n
+	if n.kind == UNode {
+		t.users.set(id)
+	} else {
+		t.users.clear(id)
+	}
 }
 
 // PathKeys returns the keys a member should hold after a successful
@@ -312,8 +324,14 @@ func (t *Tree) CheckInvariant() error {
 	for _, id := range t.touched {
 		touched[id] = true
 	}
+	if extra := t.users.next(len(t.nodes), math.MaxInt); extra < len(t.users.w)<<6 {
+		return fmt.Errorf("keytree: u-node bitset marks %d, past the node array", extra)
+	}
 	for id := range t.nodes {
 		n := &t.nodes[id]
+		if t.users.get(id) != (n.kind == UNode) {
+			return fmt.Errorf("keytree: u-node bitset says %v at %v node %d", t.users.get(id), n.kind, id)
+		}
 		if n.label != Unchanged && !touched[id] {
 			return fmt.Errorf("keytree: node %d labelled %v outside the last batch", id, n.label)
 		}
@@ -364,6 +382,7 @@ func (t *Tree) CheckInvariant() error {
 func (t *Tree) Clone() *Tree {
 	n := &Tree{d: t.d, height: t.height, maxK: t.maxK, gen: t.gen, reg: t.reg}
 	n.nodes = append([]node(nil), t.nodes...)
+	n.users.w = append([]uint64(nil), t.users.w...)
 	for _, id := range t.touched {
 		n.nodes[id].label = Unchanged
 	}
@@ -611,14 +630,13 @@ func (t *Tree) checkBatch(joins, leaves []Member) ([]int, error) {
 }
 
 // result returns a BatchResult carrying the tree's current MaxKID,
-// group key and user IDs, read off the u-region window in ID order.
+// group key and user IDs, read off the u-node bitset over the u-region
+// window in ID order.
 func (t *Tree) result() *BatchResult {
 	ids := make([]int, 0, len(t.loc))
-	lo, hi := t.userWindow()
-	for id := lo; id <= hi; id++ {
-		if t.nodes[id].kind == UNode {
-			ids = append(ids, id)
-		}
+	lo, end := t.userWindow()
+	for id := t.users.next(lo, end); id < end; id = t.users.next(id+1, end) {
+		ids = append(ids, id)
 	}
 	return &BatchResult{MaxKID: t.maxK, GroupKey: t.GroupKey(), UserIDs: ids, d: t.d}
 }
@@ -690,7 +708,7 @@ func (b *batch) placeExtra(extra []Member) {
 // has validated: the position becomes a vacated n-node.
 func (b *batch) remove(id int) {
 	delete(b.t.loc, b.t.nodes[id].member)
-	b.t.nodes[id] = node{kind: NNode, label: Leave}
+	b.t.setNode(id, node{kind: NNode, label: Leave})
 }
 
 // place installs joiner m at position id with a fresh individual key
@@ -706,7 +724,7 @@ func (b *batch) place(id int, m Member) {
 	} else {
 		b.placed = append(b.placed, id)
 	}
-	t.nodes[id] = node{kind: UNode, member: m, key: t.gen.MustNewKey(), label: label}
+	t.setNode(id, node{kind: UNode, member: m, key: t.gen.MustNewKey(), label: label})
 	t.loc[m] = id
 }
 
@@ -722,9 +740,9 @@ func (b *batch) split(id int) int {
 	t.growTo(child + t.d - 1)
 	m := t.nodes[id]
 	m.label = Unchanged
-	t.nodes[child] = m
+	t.setNode(child, m)
 	t.loc[m.member] = child
-	t.nodes[id] = node{kind: KNode}
+	t.setNode(id, node{kind: KNode})
 	t.maxK = id
 	return child
 }

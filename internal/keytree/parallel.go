@@ -8,7 +8,8 @@ import (
 // emitChunk is the number of encryptions the parallel emission hands
 // out at a time: large enough that the shared cursor is noise against
 // the AES and HMAC work, small enough that a batch of a few thousand
-// edges still splits evenly over the goroutines.
+// edges still splits evenly over the goroutines, and a multiple of the
+// tag kernel's 16 lanes, so only a batch's last piece has a short call.
 const emitChunk = 512
 
 // emitParallel writes the batch's encryptions: one per live child of
@@ -18,9 +19,8 @@ const emitChunk = 512
 // children (kind and label tests only, no crypto) into a pre-sized
 // []Encryption, so every encryption's position is known -- and lookup's
 // index built -- before any wrap runs; tuning.FanOut then hands out runs
-// of emitChunk encryptions, each goroutine wrapping with a WrapContext
-// of its own. No locks, no post-hoc sorting, and the result does not
-// depend on GOMAXPROCS.
+// of emitChunk encryptions, each wrapped by fillSpan. No locks, no
+// post-hoc sorting, and the result does not depend on GOMAXPROCS.
 func (t *Tree) emitParallel(res *BatchResult, rekeyed []int) {
 	total := 0
 	for _, p := range rekeyed {
@@ -64,23 +64,22 @@ func (t *Tree) emitParallel(res *BatchResult, rekeyed []int) {
 	res.indexLevels()
 
 	// No piece fails, so FanOut returns nil.
-	_ = tuning.FanOut(total, emitChunk, func() *keys.WrapContext {
-		return keys.NewWrapContext(keys.Key{})
-	}, func(ctx *keys.WrapContext, lo, hi int) error {
-		t.fillSpan(res, lo, hi, ctx)
+	_ = tuning.FanOut(total, emitChunk, nil, func(_ struct{}, lo, hi int) error {
+		t.fillSpan(res, lo, hi)
 		return nil
 	})
 }
 
 // fillSpan wraps Encryptions[lo:hi], whose IDs emitParallel has set:
-// each child's parent key under the child's key. Every tree edge has a
-// distinct child (outer) key, so the context is re-keyed per edge, which
-// copies the key and the HMAC pads and allocates nothing.
-func (t *Tree) fillSpan(res *BatchResult, lo, hi int, ctx *keys.WrapContext) {
+// each child's parent key under the child's key, through a WrapBatch on
+// this goroutine's stack, 16 edges to a tag-kernel call, the tail's
+// included.
+func (t *Tree) fillSpan(res *BatchResult, lo, hi int) {
+	var b keys.WrapBatch
 	for i := lo; i < hi; i++ {
 		e := &res.Encryptions[i]
 		id := int(e.ID)
-		ctx.SetKey(t.nodes[id].key)
-		ctx.WrapInto(&e.Wrapped, t.nodes[t.Parent(id)].key)
+		b.Add(&e.Wrapped, &t.nodes[id].key, &t.nodes[t.Parent(id)].key)
 	}
+	b.Flush()
 }

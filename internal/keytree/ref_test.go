@@ -1,6 +1,9 @@
 package keytree
 
 import (
+	"crypto/aes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"fmt"
 	"math/rand/v2"
 	"sort"
@@ -9,13 +12,30 @@ import (
 	"repro/internal/keys"
 )
 
+// refWrap is the wrap format written out with crypto/aes and
+// crypto/hmac: an oracle for the emission that shares no code with
+// package keys' kernels.
+func refWrap(outer, inner keys.Key) [keys.WrappedSize]byte {
+	var out [keys.WrappedSize]byte
+	block, err := aes.NewCipher(outer[:])
+	if err != nil {
+		panic(err)
+	}
+	block.Encrypt(out[:keys.KeySize], inner[:])
+	mac := hmac.New(sha256.New, outer[:])
+	mac.Write(out[:keys.KeySize])
+	copy(out[keys.KeySize:], mac.Sum(nil)[:keys.TagSize])
+	return out
+}
+
 // processBatchSeq is ProcessBatch's sequential, whole-array reference:
 // map-based validation, the marking as it ran before it followed the
 // touched positions (seqBatch: bitset marks, then prune, promote and
 // relabel passes over every node), one MustNewKey draw per updated
 // k-node found by a scan in ascending ID order, a user-ID scan of the
 // whole array, and a single-threaded, append-based wrap emission that
-// tests every node, levels deepest first. The differential and golden
+// tests every node, levels deepest first, and wraps each edge in a
+// one-lane batch of its own. The differential and golden
 // tests require ProcessBatch to match it byte for byte at every worker
 // count. A tree is driven by one of the two, never both.
 func (t *Tree) processBatchSeq(joins, leaves []Member) (*BatchResult, error) {
@@ -47,7 +67,6 @@ func (t *Tree) processBatchSeq(joins, leaves []Member) (*BatchResult, error) {
 	res.Joined, res.Left, res.UpdatedKNodes = len(joins), len(leaves), updated
 
 	levelStart := t.levelBounds()
-	ctx := keys.NewWrapContext(keys.Key{})
 	res.emitted.w = make([]uint64, (len(t.nodes)+63)/64)
 	for level := t.height; level >= 1; level-- {
 		lo, hi := levelStart[level], min(levelStart[level+1], len(t.nodes))
@@ -56,10 +75,11 @@ func (t *Tree) processBatchSeq(joins, leaves []Member) (*BatchResult, error) {
 			if !t.emitEligible(id) {
 				continue
 			}
-			e := Encryption{ID: uint32(id)}
-			ctx.SetKey(t.nodes[id].key)
-			ctx.WrapInto(&e.Wrapped, t.nodes[t.Parent(id)].key)
-			res.Encryptions = append(res.Encryptions, e)
+			res.Encryptions = append(res.Encryptions, Encryption{ID: uint32(id)})
+			e := &res.Encryptions[len(res.Encryptions)-1]
+			var b keys.WrapBatch
+			b.Add(&e.Wrapped, &t.nodes[id].key, &t.nodes[t.Parent(id)].key)
+			b.Flush()
 			res.emitted.set(id)
 		}
 		if len(res.Encryptions) > start {
@@ -203,9 +223,9 @@ func (b *seqBatch) placeExtra(extra []Member) {
 		child := t.d*nk + 1
 		t.growTo(child + t.d - 1)
 		m := t.nodes[nk]
-		t.nodes[child] = m
+		t.setNode(child, m)
 		t.loc[m.member] = child
-		t.nodes[nk] = node{kind: KNode}
+		t.setNode(nk, node{kind: KNode})
 		for id := child + 1; id <= child+t.d-1 && i < len(extra); id++ {
 			b.place(id, extra[i], false)
 			i++
@@ -216,7 +236,7 @@ func (b *seqBatch) placeExtra(extra []Member) {
 func (b *seqBatch) remove(m Member) int {
 	id := b.t.loc[m]
 	delete(b.t.loc, m)
-	b.t.nodes[id] = node{kind: NNode}
+	b.t.setNode(id, node{kind: NNode})
 	b.vacatedPos.set(id)
 	return id
 }
@@ -224,7 +244,7 @@ func (b *seqBatch) remove(m Member) int {
 func (b *seqBatch) place(id int, m Member, replaced bool) {
 	t := b.t
 	t.growTo(id)
-	t.nodes[id] = node{kind: UNode, member: m, key: t.gen.MustNewKey()}
+	t.setNode(id, node{kind: UNode, member: m, key: t.gen.MustNewKey()})
 	t.loc[m] = id
 	b.vacatedPos.clear(id)
 	if replaced {

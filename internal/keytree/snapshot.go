@@ -113,6 +113,7 @@ func Restore(data []byte, gen *keys.Generator, opts ...Option) (*Tree, error) {
 				return nil, fmt.Errorf("keytree: snapshot: truncated u-node %d", id)
 			}
 			t.nodes[id].kind = UNode
+			t.users.set(id)
 			copy(t.nodes[id].key[:], data[p:p+keys.KeySize])
 			p += keys.KeySize
 			m := Member(binary.BigEndian.Uint64(data[p:]))
