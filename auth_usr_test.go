@@ -148,3 +148,67 @@ func TestUSRSubtreeGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSignedIntervalGolden pins what a seeded signed server commits to
+// over bootstrap, replace and shrink intervals: one SHA-256 per
+// interval over the top root, every block root, and every ENC, two
+// PARITY per block and every user's USR datagram, each with the
+// signature bytes cut out of its trailer (the test's RSA key is fresh
+// on every run). Every hash of the interval's Merkle tree reaches the
+// digest, through a root or a proof.
+func TestSignedIntervalGolden(t *testing.T) {
+	s, _ := newSignedServer(t, 0x5eed)
+	for _, gc := range []struct {
+		name          string
+		joins, leaves [2]int
+		digest        string
+	}{
+		{"bootstrap", [2]int{0, 1500}, [2]int{}, "b071b392d36acedc6a8edf776d0b7440686ebc85f9c23eb7ed37a27d676fbcfc"},
+		{"replace", [2]int{1500, 400}, [2]int{900, 400}, "4c626c5a34303a1aa2b6e5814ac43f5c6b7685c4b83c5a97c2403b5681940fbc"},
+		{"shrink", [2]int{}, [2]int{100, 500}, "58fb981a5c33442107e9780cacfd590f6184a6328752b8e36d7eed8c66cbd5f0"},
+	} {
+		queueRanges(t, s, gc.joins, gc.leaves)
+		rm, err := s.Rekey()
+		if err != nil {
+			t.Fatalf("%s: %v", gc.name, err)
+		}
+		sig := rm.auth.sig
+		h := sha256.New()
+		unsigned := func(wire []byte, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", gc.name, err)
+			}
+			_, tr, err := packet.SplitAuth(wire)
+			if err != nil {
+				t.Fatalf("%s: %v", gc.name, err)
+			}
+			at := bytes.LastIndex(wire, sig)
+			if !bytes.Equal(tr.Sig, sig) || at < 0 {
+				t.Fatalf("%s: a datagram's trailer does not carry the interval signature", gc.name)
+			}
+			h.Write(wire[:at])
+			h.Write(wire[at+len(sig):])
+		}
+		root := rm.auth.top.Root()
+		h.Write(root[:])
+		for _, bt := range rm.auth.blockTrees {
+			r := bt.Root()
+			h.Write(r[:])
+		}
+		for j := range rm.ENC {
+			unsigned(rm.WireENC(j))
+		}
+		for b := 0; b < rm.Blocks(); b++ {
+			for p := 0; p < 2; p++ {
+				unsigned(rm.AppendWireParity(nil, b, p))
+			}
+		}
+		for _, uid := range rm.Result.UserIDs {
+			unsigned(rm.WireUSR(uid))
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != gc.digest {
+			t.Errorf("%s (%d blocks, %d users): digest %s, want %s", gc.name, rm.Blocks(), len(rm.Result.UserIDs), got, gc.digest)
+		}
+	}
+}

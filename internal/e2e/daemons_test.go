@@ -130,7 +130,7 @@ func TestDaemonsEndToEnd(t *testing.T) {
 // startServer starts keyserverd on control address ctl with extra
 // flags, stops it when the test ends, and returns the transport UDP
 // address and the metrics base URL it logs at startup. It also requires
-// the startup line that names the wrap kernels.
+// the startup line that names the AES and SHA-256 kernels.
 func startServer(t *testing.T, bin, ctl string, flags ...string) (udpAddr, httpBase string) {
 	t.Helper()
 	srv := exec.Command(bin, append([]string{"-ctl", ctl, "-udp", "127.0.0.1:0"}, flags...)...)
@@ -148,7 +148,7 @@ func startServer(t *testing.T, bin, ctl string, flags ...string) (udpAddr, httpB
 
 	udpRe := regexp.MustCompile(`transport on (\S+),`)
 	httpRe := regexp.MustCompile(`metrics on (http://\S+)/metrics`)
-	kernelRe := regexp.MustCompile(`wrap kernels: aes (aesni|generic), tag (avx512|generic)$`)
+	kernelRe := regexp.MustCompile(`kernels: aes (aesni|generic), sha256 (avx512|generic)$`)
 	sc := bufio.NewScanner(stderr)
 	deadline := time.After(10 * time.Second)
 	addrCh := make(chan string, 1)
@@ -189,7 +189,7 @@ func startServer(t *testing.T, bin, ctl string, flags ...string) (udpAddr, httpB
 	select {
 	case <-kernelCh:
 	case <-deadline:
-		t.Fatal("keyserverd did not log its wrap kernels")
+		t.Fatal("keyserverd did not log its kernels")
 	}
 	return udpAddr, httpBase
 }

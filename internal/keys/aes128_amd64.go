@@ -3,7 +3,7 @@
 package keys
 
 // cpuHasAES reports CPUID.1:ECX[25], the AES-NI instructions. The
-// kernels need nothing else beyond the SSE2 the Go runtime requires.
+// kernels also use SSSE3's PSHUFB, which every CPU with AES-NI has.
 func cpuHasAES() bool
 
 // hasAES is fixed at init and never written again: dispatch has no

@@ -4,13 +4,26 @@
 
 // AES-128 on one block, straight from the raw 16-byte key (AES-NI).
 //
-// Round key i+1 is derived from round key i in X0 by AESKEYGENASSIST
-// and the shuffle-and-XOR of FIPS-197's KeyExpansion (the
-// _expand_key_128 step of Go's crypto/aes assembly, folded into a
-// macro), and is used where it is made: no key schedule is ever
-// written to memory. X4's low word must be zero before the first step;
-// the step keeps it zero. Only X0-X13 are used: X15 is the Go ABI's
-// zero register.
+// Round key i+1 is derived from round key i in X0 and is used where it
+// is made: no key schedule is ever written to memory. FIPS-197's
+// KeyExpansion step is SubWord(RotWord(w3)) XOR Rcon, XORed into the
+// prefix XOR of the key's four words. RotWord, broadcast to all four
+// words, is one PSHUFB (mask in X14). With all four columns equal,
+// AESENCLAST's ShiftRows is the identity, so AESENCLAST against a round
+// key of Rcon in every word is SubWord then the Rcon XOR, at the
+// latency of one AES round: AESKEYGENASSIST, which Go's crypto/aes uses,
+// is microcoded and set a block's floor at ~70 ns. The prefix XOR is the
+// shuffle-and-XOR of crypto/aes's _expand_key_128; X4's low word must be
+// zero before the first step, and the step keeps it zero. Only X0-X14
+// are used: X15 is the Go ABI's zero register.
+
+// RotWord of a round key's last word, in every word: bytes 13, 14, 15
+// and 12 four times (PSHUFB indices).
+DATA aesRotWord<>+0(SB)/4, $0x0c0f0e0d
+DATA aesRotWord<>+4(SB)/4, $0x0c0f0e0d
+DATA aesRotWord<>+8(SB)/4, $0x0c0f0e0d
+DATA aesRotWord<>+12(SB)/4, $0x0c0f0e0d
+GLOBL aesRotWord<>(SB), RODATA|NOPTR, $16
 
 // func cpuHasAES() bool
 //
@@ -24,15 +37,19 @@ TEXT ·cpuHasAES(SB), NOSPLIT, $0-1
 	RET
 
 // EXPAND(rcon) turns the round key in X0 into the next one, whose
-// round constant is rcon. Clobbers X1 and X4's upper words.
+// round constant is rcon. Clobbers CX, X1, X3 and X4's upper words.
 #define EXPAND(rcon) \
-	AESKEYGENASSIST $rcon, X0, X1; \
-	PSHUFD          $0xff, X1, X1; \
-	SHUFPS          $0x10, X0, X4; \
-	PXOR            X4, X0;        \
-	SHUFPS          $0x8c, X0, X4; \
-	PXOR            X4, X0;        \
-	PXOR            X1, X0
+	MOVL       $rcon, CX;     \
+	MOVL       CX, X3;        \
+	PSHUFD     $0, X3, X3;    \
+	MOVO       X0, X1;        \
+	PSHUFB     X14, X1;       \
+	AESENCLAST X3, X1;        \
+	SHUFPS     $0x10, X0, X4; \
+	PXOR       X4, X0;        \
+	SHUFPS     $0x8c, X0, X4; \
+	PXOR       X4, X0;        \
+	PXOR       X1, X0
 
 // func encryptBlockAESNI(key *Key, dst, src *[16]byte)
 TEXT ·encryptBlockAESNI(SB), NOSPLIT, $0-24
@@ -41,6 +58,7 @@ TEXT ·encryptBlockAESNI(SB), NOSPLIT, $0-24
 	MOVQ   src+16(FP), BX
 	MOVUPS (AX), X0
 	MOVUPS (BX), X2
+	MOVOU  aesRotWord<>(SB), X14
 	PXOR   X4, X4
 	PXOR   X0, X2
 	EXPAND(0x01)
@@ -70,14 +88,14 @@ TEXT ·encryptBlockAESNI(SB), NOSPLIT, $0-24
 //
 // The equivalent inverse cipher (FIPS-197 5.3.5) runs the round keys
 // backwards, so all eleven are derived first and held in registers:
-// round key 0 in X3, InvMixColumns of round keys 1-9 in X5-X13, round
-// key 10 in X0.
+// InvMixColumns of round keys 1-9 in X5-X13, round key 10 in X0; round
+// key 0, the key itself, is reloaded into X3 for the last round.
 TEXT ·decryptBlockAESNI(SB), NOSPLIT, $0-24
 	MOVQ   key+0(FP), AX
 	MOVQ   dst+8(FP), DX
 	MOVQ   src+16(FP), BX
 	MOVUPS (AX), X0
-	MOVO   X0, X3
+	MOVOU  aesRotWord<>(SB), X14
 	PXOR   X4, X4
 	EXPAND(0x01)
 	AESIMC X0, X5
@@ -109,6 +127,7 @@ TEXT ·decryptBlockAESNI(SB), NOSPLIT, $0-24
 	AESDEC X7, X2
 	AESDEC X6, X2
 	AESDEC X5, X2
+	MOVUPS (AX), X3
 	AESDECLAST X3, X2
 	MOVUPS X2, (DX)
 	RET

@@ -11,7 +11,7 @@ func TestPuregoIsGeneric(t *testing.T) {
 	if AESKernel() != "generic" {
 		t.Fatalf("purego build reports AES kernel %q", AESKernel())
 	}
-	if TagKernel() != "generic" {
-		t.Fatalf("purego build reports tag kernel %q", TagKernel())
+	if SHA256Kernel() != "generic" {
+		t.Fatalf("purego build reports SHA-256 kernel %q", SHA256Kernel())
 	}
 }

@@ -6,8 +6,11 @@ import "testing"
 // (DESIGN.md "Allocation discipline"): the batch pipeline's wraps, 16
 // to a tag-kernel call, a member's per-key unwrap and re-keying its
 // context allocate nothing, through the AES block and both HMAC passes;
-// and the two Merkle hashes, which the server pays per user and per
-// tree node and a member per proof level, allocate nothing at all.
+// the two Merkle hashes, which the server pays per user and per tree
+// node and a member per proof level, and the server's leaf batch, 16
+// leaves to a kernel call or a short Flush, allocate nothing at all; a
+// tree of 1024 leaves, its levels hashed 16 nodes to a kernel call,
+// makes only its slab, its level index and itself.
 // Without the AES-NI kernel (other CPUs and GOARCHes, -tags purego)
 // each block builds one crypto/aes key schedule.
 func TestHotPathAllocs(t *testing.T) {
@@ -24,6 +27,9 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	var left, right, node MerkleHash
 	datagram := make([]byte, 1027)
+	usr := make([]byte, 145)
+	leaves := make([]MerkleHash, 1024)
+	sums := make([]MerkleHash, hashLanes)
 	rows := []struct {
 		name string
 		want float64
@@ -52,6 +58,21 @@ func TestHotPathAllocs(t *testing.T) {
 		{"WrapContext.SetKey", 0, func() { w.SetKey(ks[0]) }},
 		{"nodeHash", 0, func() { node = nodeHash(&left, &right) }},
 		{"LeafHash", 0, func() { left = LeafHash(DomainENC, datagram) }},
+		{"LeafBatch, 16 USR leaves", 0, func() {
+			var b LeafBatch
+			for i := range sums {
+				b.Add(&sums[i], DomainUSR, usr)
+			}
+			b.Flush()
+		}},
+		{"LeafBatch, 3 ENC leaves", 0, func() {
+			var b LeafBatch
+			for i := range 3 {
+				b.Add(&sums[i], DomainENC, datagram)
+			}
+			b.Flush()
+		}},
+		{"NewMerkleTree, 1024 leaves", 3, func() { right = NewMerkleTree(leaves).Root() }},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.fn); got != r.want {

@@ -271,11 +271,12 @@ const hmacBlockSize = 64
 // tagLanes is the number of wraps one tag-kernel call finishes.
 const tagLanes = 16
 
-// TagKernel reports which path computes a WrapBatch's tags: "avx512"
-// (16 lanes per call) on amd64 CPUs with AVX-512F enabled by the OS,
-// "generic" (crypto/sha256, one lane at a time) otherwise and under the
-// purego build tag. Fixed at init.
-func TagKernel() string {
+// SHA256Kernel reports which path runs the key server's batched SHA-256
+// -- a WrapBatch's tags and a LeafBatch's and NewMerkleTree's Merkle
+// hashes: "avx512" (16 lanes per call) on amd64 CPUs with AVX-512F
+// enabled by the OS, "generic" (crypto/sha256, one lane at a time)
+// otherwise and under the purego build tag. Fixed at init.
+func SHA256Kernel() string {
 	if hasAVX512 {
 		return "avx512"
 	}

@@ -294,8 +294,9 @@ func BenchmarkMerkleVerify(b *testing.B) {
 }
 
 func BenchmarkMerkleBuild(b *testing.B) {
-	// One leaf per ENC packet of a large interval, packet-sized bodies:
-	// the server-side per-interval hashing cost.
+	// One leaf per ENC packet of a large interval, packet-sized bodies,
+	// hashed as the server hashes them: the server-side per-interval
+	// hashing cost.
 	body := bytes.Repeat([]byte{0xa5}, 1027)
 	for _, n := range []int{46, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -303,14 +304,24 @@ func BenchmarkMerkleBuild(b *testing.B) {
 			b.SetBytes(int64(n * len(body)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				var lb LeafBatch
 				for j := range leaves {
-					leaves[j] = LeafHash(DomainENC, body)
+					lb.Add(&leaves[j], DomainENC, body)
 				}
+				lb.Flush()
 				tree := NewMerkleTree(leaves)
 				_ = tree.Root()
 			}
 		})
 	}
+	// The USR subtree's tree half at build_16k's N: nodes only.
+	b.Run("tree/n=16384", func(b *testing.B) {
+		leaves := merkleLeaves(rand.New(rand.NewPCG(11, 11)), 16384)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = NewMerkleTree(leaves).Root()
+		}
+	})
 }
 
 // BenchmarkSignRootVsPerPacket contrasts one root signature per

@@ -15,91 +15,14 @@
 //	h  = C(s1, ct)        ct in words 0-3, 0x80000000 in 4, 640 in 15
 //	t  = C(s2, h)[0]      h in words 0-7, 0x80000000 in 8, 768 in 15
 //
-// where C(s, m) = s + R(s, m) and R is SHA-256's 64 rounds. Register Zj
-// holds one quantity for all 16 lanes, one lane per 32-bit element:
-// the state a-h in Z0-Z7, the message schedule's 16-word window in
-// Z16-Z31, round temporaries in Z8-Z10. Each lane's 16 key or
-// ciphertext bytes are transposed and byte-swapped into words in
-// registers (WORDS). The pads are built in the schedule registers and
-// never written to memory; the chaining values s1 and s2 wait in the
-// frame while the other compressions run, and the frame is zeroed
-// before return. Z15 is left alone: X15 is the Go ABI's zero register.
+// where C(s, m) = s + R(s, m) and R is SHA-256's 64 rounds
+// (sha256x16_amd64.h). Each lane's 16 key or ciphertext bytes are
+// transposed and byte-swapped into words in registers (WORDS). The pads
+// are built in the schedule registers and never written to memory; the
+// chaining values s1 and s2 wait in the frame while the other
+// compressions run, and the frame is zeroed before return.
 
-DATA sha256K<>+0(SB)/4, $0x428a2f98
-DATA sha256K<>+4(SB)/4, $0x71374491
-DATA sha256K<>+8(SB)/4, $0xb5c0fbcf
-DATA sha256K<>+12(SB)/4, $0xe9b5dba5
-DATA sha256K<>+16(SB)/4, $0x3956c25b
-DATA sha256K<>+20(SB)/4, $0x59f111f1
-DATA sha256K<>+24(SB)/4, $0x923f82a4
-DATA sha256K<>+28(SB)/4, $0xab1c5ed5
-DATA sha256K<>+32(SB)/4, $0xd807aa98
-DATA sha256K<>+36(SB)/4, $0x12835b01
-DATA sha256K<>+40(SB)/4, $0x243185be
-DATA sha256K<>+44(SB)/4, $0x550c7dc3
-DATA sha256K<>+48(SB)/4, $0x72be5d74
-DATA sha256K<>+52(SB)/4, $0x80deb1fe
-DATA sha256K<>+56(SB)/4, $0x9bdc06a7
-DATA sha256K<>+60(SB)/4, $0xc19bf174
-DATA sha256K<>+64(SB)/4, $0xe49b69c1
-DATA sha256K<>+68(SB)/4, $0xefbe4786
-DATA sha256K<>+72(SB)/4, $0x0fc19dc6
-DATA sha256K<>+76(SB)/4, $0x240ca1cc
-DATA sha256K<>+80(SB)/4, $0x2de92c6f
-DATA sha256K<>+84(SB)/4, $0x4a7484aa
-DATA sha256K<>+88(SB)/4, $0x5cb0a9dc
-DATA sha256K<>+92(SB)/4, $0x76f988da
-DATA sha256K<>+96(SB)/4, $0x983e5152
-DATA sha256K<>+100(SB)/4, $0xa831c66d
-DATA sha256K<>+104(SB)/4, $0xb00327c8
-DATA sha256K<>+108(SB)/4, $0xbf597fc7
-DATA sha256K<>+112(SB)/4, $0xc6e00bf3
-DATA sha256K<>+116(SB)/4, $0xd5a79147
-DATA sha256K<>+120(SB)/4, $0x06ca6351
-DATA sha256K<>+124(SB)/4, $0x14292967
-DATA sha256K<>+128(SB)/4, $0x27b70a85
-DATA sha256K<>+132(SB)/4, $0x2e1b2138
-DATA sha256K<>+136(SB)/4, $0x4d2c6dfc
-DATA sha256K<>+140(SB)/4, $0x53380d13
-DATA sha256K<>+144(SB)/4, $0x650a7354
-DATA sha256K<>+148(SB)/4, $0x766a0abb
-DATA sha256K<>+152(SB)/4, $0x81c2c92e
-DATA sha256K<>+156(SB)/4, $0x92722c85
-DATA sha256K<>+160(SB)/4, $0xa2bfe8a1
-DATA sha256K<>+164(SB)/4, $0xa81a664b
-DATA sha256K<>+168(SB)/4, $0xc24b8b70
-DATA sha256K<>+172(SB)/4, $0xc76c51a3
-DATA sha256K<>+176(SB)/4, $0xd192e819
-DATA sha256K<>+180(SB)/4, $0xd6990624
-DATA sha256K<>+184(SB)/4, $0xf40e3585
-DATA sha256K<>+188(SB)/4, $0x106aa070
-DATA sha256K<>+192(SB)/4, $0x19a4c116
-DATA sha256K<>+196(SB)/4, $0x1e376c08
-DATA sha256K<>+200(SB)/4, $0x2748774c
-DATA sha256K<>+204(SB)/4, $0x34b0bcb5
-DATA sha256K<>+208(SB)/4, $0x391c0cb3
-DATA sha256K<>+212(SB)/4, $0x4ed8aa4a
-DATA sha256K<>+216(SB)/4, $0x5b9cca4f
-DATA sha256K<>+220(SB)/4, $0x682e6ff3
-DATA sha256K<>+224(SB)/4, $0x748f82ee
-DATA sha256K<>+228(SB)/4, $0x78a5636f
-DATA sha256K<>+232(SB)/4, $0x84c87814
-DATA sha256K<>+236(SB)/4, $0x8cc70208
-DATA sha256K<>+240(SB)/4, $0x90befffa
-DATA sha256K<>+244(SB)/4, $0xa4506ceb
-DATA sha256K<>+248(SB)/4, $0xbef9a3f7
-DATA sha256K<>+252(SB)/4, $0xc67178f2
-GLOBL sha256K<>(SB), RODATA|NOPTR, $256
-
-DATA sha256IV<>+0(SB)/4, $0x6a09e667
-DATA sha256IV<>+4(SB)/4, $0xbb67ae85
-DATA sha256IV<>+8(SB)/4, $0x3c6ef372
-DATA sha256IV<>+12(SB)/4, $0xa54ff53a
-DATA sha256IV<>+16(SB)/4, $0x510e527f
-DATA sha256IV<>+20(SB)/4, $0x9b05688c
-DATA sha256IV<>+24(SB)/4, $0x1f83d9ab
-DATA sha256IV<>+28(SB)/4, $0x5be0cd19
-GLOBL sha256IV<>(SB), RODATA|NOPTR, $32
+#include "sha256x16_amd64.h"
 
 // The HMAC pad bytes, the SHA-256 padding of the two 80- and 96-byte
 // messages (the 0x80 end marker and the bit lengths), and the byte mask
@@ -149,84 +72,6 @@ DATA tagIdx23<>+52(SB)/4, $23
 DATA tagIdx23<>+56(SB)/4, $27
 DATA tagIdx23<>+60(SB)/4, $31
 GLOBL tagIdx23<>(SB), RODATA|NOPTR, $64
-
-// func cpuHasAVX512F() bool
-//
-// CPUID.7.0:EBX[16] (AVX512F), with OSXSAVE (CPUID.1:ECX[27]) and the
-// XCR0 bits that say the OS saves the SSE, AVX and AVX-512 state
-// (1, 2, 5, 6 and 7).
-TEXT ·cpuHasAVX512F(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
-	CPUID
-	CMPL AX, $7
-	JB   done
-	MOVL $1, AX
-	CPUID
-	BTL  $27, CX
-	JCC  done
-	XORL CX, CX
-	XGETBV
-	ANDL $0xe6, AX
-	CMPL AX, $0xe6
-	JNE  done
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	BTL  $16, BX
-	JCC  done
-	MOVB $1, ret+0(FP)
-
-done:
-	RET
-
-// ROUND is one SHA-256 round on the 16 lanes. AX points at the K of
-// the 16-round block, k is this round's offset in it. The round's new
-// a lands in h's register and its new e in d's, so the caller rotates
-// the register names instead of moving the state.
-#define ROUND(a, b, c, d, e, f, g, h, w, k) \
-	VPADDD.BCST k(AX), h, h;        \
-	VPADDD      w, h, h;            \
-	VPRORD      $6, e, Z8;          \
-	VPRORD      $11, e, Z9;         \
-	VPRORD      $25, e, Z10;        \
-	VPTERNLOGD  $0x96, Z10, Z9, Z8; \
-	VPADDD      Z8, h, h;           \
-	VMOVDQA32   e, Z8;              \
-	VPTERNLOGD  $0xca, g, f, Z8;    \
-	VPADDD      Z8, h, h;           \
-	VPADDD      h, d, d;            \
-	VPRORD      $2, a, Z8;          \
-	VPRORD      $13, a, Z9;         \
-	VPRORD      $22, a, Z10;        \
-	VPTERNLOGD  $0x96, Z10, Z9, Z8; \
-	VPADDD      Z8, h, h;           \
-	VMOVDQA32   a, Z8;              \
-	VPTERNLOGD  $0xe8, c, b, Z8;    \
-	VPADDD      Z8, h, h
-
-// SCHED replaces schedule word w0 = W[t], used by this round, with
-// W[t+16] = sigma1(W[t+14]) + W[t+9] + sigma0(W[t+1]) + W[t].
-#define SCHED(w0, w1, w9, w14) \
-	VPRORD     $7, w1, Z8;         \
-	VPRORD     $18, w1, Z9;        \
-	VPSRLD     $3, w1, Z10;        \
-	VPTERNLOGD $0x96, Z10, Z9, Z8; \
-	VPADDD     Z8, w0, w0;         \
-	VPRORD     $17, w14, Z8;       \
-	VPRORD     $19, w14, Z9;       \
-	VPSRLD     $10, w14, Z10;      \
-	VPTERNLOGD $0x96, Z10, Z9, Z8; \
-	VPADDD     Z8, w0, w0;         \
-	VPADDD     w9, w0, w0
-
-// BSWAP reverses the bytes of each 32-bit element of w: the bytes at
-// odd positions from w rotated right by 8, the others from w rotated
-// left by 8. Z10 holds the byte mask.
-#define BSWAP(w) \
-	VPRORD     $8, w, Z8; \
-	VPROLD     $8, w, w;  \
-	VPTERNLOGD $0xd8, Z10, Z8, w
 
 // WORDS loads 16 lanes' 16 bytes from src, lane i at 16*i, and leaves
 // big-endian word j of every lane in register Zj of Z16-Z19: four
@@ -294,7 +139,7 @@ TEXT ·tagsAVX512(SB), 0, $1024-24
 	MOVQ key+0(FP), SI
 	MOVQ ct+8(FP), DI
 	MOVQ tags+16(FP), DX
-	LEAQ sha256IV<>(SB), R8
+	LEAQ ·sha256IV(SB), R8
 
 	PADBLOCK(0)
 	XORQ BX, BX
@@ -420,64 +265,8 @@ outerDone:
 	RET
 
 compress:
-	// R(state, schedule): three 16-round blocks that extend the
-	// schedule as they use it, then the last 16 rounds.
-	LEAQ sha256K<>(SB), AX
-	MOVQ $3, CX
-
-scheduled:
-	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z16, 0)
-	SCHED(Z16, Z17, Z25, Z30)
-	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z17, 4)
-	SCHED(Z17, Z18, Z26, Z31)
-	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z18, 8)
-	SCHED(Z18, Z19, Z27, Z16)
-	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z19, 12)
-	SCHED(Z19, Z20, Z28, Z17)
-	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z20, 16)
-	SCHED(Z20, Z21, Z29, Z18)
-	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z21, 20)
-	SCHED(Z21, Z22, Z30, Z19)
-	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z22, 24)
-	SCHED(Z22, Z23, Z31, Z20)
-	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z23, 28)
-	SCHED(Z23, Z24, Z16, Z21)
-	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z24, 32)
-	SCHED(Z24, Z25, Z17, Z22)
-	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z25, 36)
-	SCHED(Z25, Z26, Z18, Z23)
-	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z26, 40)
-	SCHED(Z26, Z27, Z19, Z24)
-	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z27, 44)
-	SCHED(Z27, Z28, Z20, Z25)
-	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z28, 48)
-	SCHED(Z28, Z29, Z21, Z26)
-	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z29, 52)
-	SCHED(Z29, Z30, Z22, Z27)
-	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z30, 56)
-	SCHED(Z30, Z31, Z23, Z28)
-	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z31, 60)
-	SCHED(Z31, Z16, Z24, Z29)
-	ADDQ $64, AX
-	DECQ CX
-	JNZ  scheduled
-
-	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z16, 0)
-	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z17, 4)
-	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z18, 8)
-	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z19, 12)
-	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z20, 16)
-	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z21, 20)
-	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z22, 24)
-	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z23, 28)
-	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z24, 32)
-	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z25, 36)
-	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z26, 40)
-	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z27, 44)
-	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z28, 48)
-	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z29, 52)
-	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z30, 56)
-	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z31, 60)
+	// R(state, schedule); then branch back on BX.
+	COMPRESS(scheduled)
 	CMPQ BX, $1
 	JB   ipadDone
 	JE   opadDone

@@ -22,11 +22,11 @@ type tagPath struct {
 	fn   func(*WrapBatch)
 }
 
-// tagPaths lists the dispatched tag path under its TagKernel name and,
+// tagPaths lists the dispatched tag path under its SHA256Kernel name and,
 // where that is not already the portable one, the portable path on its
 // own.
 func tagPaths() []tagPath {
-	paths := []tagPath{{TagKernel(), tagWords}}
+	paths := []tagPath{{SHA256Kernel(), tagWords}}
 	if hasAVX512 {
 		paths = append(paths, tagPath{"generic", tagsGeneric})
 	}
