@@ -195,3 +195,57 @@ func TestAllocGateSeesSeededViolations(t *testing.T) {
 		t.Errorf("accepted shape: %v allocs per call, want 0", got)
 	}
 }
+
+// TestRekeyAllocs holds the ENC datagrams' cost in allocations to the
+// plan's fixed terms: Rekey writes every datagram from the plan into one
+// slab, with nothing per packet, and draws the joiners' keys in one
+// read. Four times the group and the churn, about four times the
+// packets, must cost no more than the batch at N = 1024 plus what the
+// bigger UserPacket map and the doublings of the plan's packet list
+// add, at one P and at two.
+func TestRekeyAllocs(t *testing.T) {
+	measure := func(n, procs int) (rekey, userPacket float64, packets int) {
+		s, err := NewServer(WithKeySeed(uint64(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bootstrap(t, s, n)
+		next, churn := n, n/4
+		var rm *RekeyMessage
+		rekey = allocsAt(procs, 10, func() {
+			for i := 0; i < churn; i++ {
+				if err := s.QueueLeave(MemberID(next - n + i)); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.QueueJoin(MemberID(next + i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next += churn
+			if rm, err = s.Rekey(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		users := rm.Result.UserIDs
+		userPacket = testing.AllocsPerRun(10, func() {
+			m := make(map[int]int, len(users))
+			for _, u := range users {
+				m[u] = 0
+			}
+			allocSinkMap = m
+		})
+		return rekey, userPacket, len(rm.Plan.Packets)
+	}
+	for _, procs := range []int{1, 2} {
+		small, smallMap, smallPackets := measure(1024, procs)
+		large, largeMap, largePackets := measure(4096, procs)
+		t.Logf("procs=%d: N=1024 %v allocs (%v map, %d packets), N=4096 %v (%v map, %d packets)",
+			procs, small, smallMap, smallPackets, large, largeMap, largePackets)
+		if largePackets < 3*smallPackets {
+			t.Fatalf("procs=%d: %d packets at N=4096 against %d at N=1024: too few more to tell", procs, largePackets, smallPackets)
+		}
+		if budget := small - smallMap + largeMap + 4; large > budget {
+			t.Errorf("procs=%d: %v allocs at N=4096, want at most %v", procs, large, budget)
+		}
+	}
+}

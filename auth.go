@@ -81,20 +81,28 @@ func (rm *RekeyMessage) Authenticated() bool { return rm.auth != nil }
 // goroutines worse, 1.5-2.0 ms at 2 P.
 const minUsersPerPiece = 256
 
-// usrScratch is one usrLeaves goroutine's walker and marshal buffer, at
-// PacketLen: no USR datagram (16-bit IDs, at most 17 entries) outgrows it.
+// usrScratch is one usrLeaves goroutine's walker and leaf buffer, at
+// PacketLen: no USR datagram (16-bit IDs, at most 17 entries) outgrows
+// it. buf[chainAt:] holds the walker's current parent chain as USR
+// entries, marshalled when the chain changes; a user's header and own
+// entry go right before it, so its datagram is a suffix of buf.
 type usrScratch struct {
 	w   keytree.NeedsWalker
 	buf []byte
 }
 
+// chainAt is where a USR datagram's chain entries start when the user
+// has an entry of its own.
+const chainAt = packet.USRHeaderLen + packet.EncEntryLen
+
 // usrLeaves returns the USR subtree's leaves: for every current user, in
 // UserIDs order (the leaf index of a node ID is its position there), the
 // hash of exactly the bytes WireUSR sends it. The users are independent,
 // so runs of them fan out (tuning.FanOut); each goroutine walks its runs
-// with its own NeedsWalker, marshals into its own scratch buffer, hashes
-// 16 users to a keys.LeafBatch kernel call, and writes only its own runs
-// of the result.
+// with its own NeedsWalker, marshals into its own scratch buffer -- a
+// sibling group's shared chain once -- hashes 16 users to a
+// keys.LeafBatch kernel call, and writes only its own runs of the
+// result.
 func (rm *RekeyMessage) usrLeaves() ([]keys.MerkleHash, error) {
 	ids := rm.Result.UserIDs
 	if len(ids) > 0 { // sorted: the last is the largest
@@ -102,17 +110,31 @@ func (rm *RekeyMessage) usrLeaves() ([]keys.MerkleHash, error) {
 			return nil, err
 		}
 	}
+	encs := rm.Result.Encryptions
 	leaves := make([]keys.MerkleHash, len(ids))
 	err := tuning.FanOut(len(ids), minUsersPerPiece, func() *usrScratch {
-		return &usrScratch{w: rm.Result.Walker(), buf: make([]byte, 0, packet.PacketLen)}
+		return &usrScratch{w: rm.Result.Walker(), buf: make([]byte, chainAt, packet.PacketLen)}
 	}, func(s *usrScratch, lo, hi int) error {
 		var hb keys.LeafBatch
-		var err error
 		for i := lo; i < hi; i++ {
-			if s.buf, err = rm.appendUSR(s.buf[:0], ids[i], s.w.Needs(ids[i])); err != nil {
+			needs := s.w.Needs(ids[i])
+			chain, reused := s.w.Chain()
+			own := needs[:len(needs)-chain]
+			if !reused {
+				s.buf = s.buf[:chainAt]
+				for _, j := range needs[len(own):] {
+					s.buf = packet.AppendEncEntry(s.buf, &encs[j])
+				}
+			}
+			at := chainAt - len(own)*packet.EncEntryLen - packet.USRHeaderLen
+			b, err := packet.AppendUSRHeader(s.buf[at:at], rm.MsgID, uint16(ids[i]), uint16(rm.Result.MaxKID))
+			if err != nil {
 				return err
 			}
-			hb.Add(&leaves[i], keys.DomainUSR, s.buf)
+			for _, j := range own {
+				b = packet.AppendEncEntry(b, &encs[j])
+			}
+			hb.Add(&leaves[i], keys.DomainUSR, b[:len(b)+len(s.buf)-chainAt]) // b ends where the chain starts
 		}
 		hb.Flush()
 		return nil

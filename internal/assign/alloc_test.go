@@ -10,9 +10,10 @@ var sinkMap map[int]int
 // TestBuildAllocs is this package's part of the allocation gate
 // (DESIGN.md "Allocation discipline"): Build's only map is the
 // UserPacket it returns. Beside what filling a map of that size costs,
-// it allocates the plan, the stamp array and the users slab once, two
-// exactly sized ID arrays per packet, and the doublings of Packets --
-// nothing per user, and no set per packet.
+// it allocates the plan, the stamp array and the two slabs every
+// packet's EncIDs and encIdx are cut from once, and the doublings of
+// Packets -- nothing per user and nothing per packet. The users slab is
+// the batch's UserIDs: no user of this batch is skipped.
 func TestBuildAllocs(t *testing.T) {
 	_, res := batch(t, 4096, 1024, 1024, 11)
 	plan, err := Build(res)
@@ -30,7 +31,7 @@ func TestBuildAllocs(t *testing.T) {
 		}
 		sinkMap = m
 	})
-	budget := userPacket + 3 + float64(2*packets) + float64(bits.Len(uint(packets))+1)
+	budget := userPacket + 4 + float64(bits.Len(uint(packets))+1)
 	got := testing.AllocsPerRun(10, func() {
 		if _, err := Build(res); err != nil {
 			t.Fatal(err)

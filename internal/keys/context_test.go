@@ -1,6 +1,8 @@
 package keys
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -83,23 +85,53 @@ func TestQuickWrapContext(t *testing.T) {
 // TestNewKeysMatchesSequentialDraws is the batched-CSPRNG determinism
 // contract: NewKeys(n) must consume the stream exactly as n NewKey
 // calls do, so the parallel batch pipeline (bulk draws) emits the same
-// keys as the sequential reference (per-key draws).
+// keys as the sequential reference (per-key draws). It holds for both
+// generators -- the seeded splitmix stream and the AES-CTR DRBG, here
+// twice from one fixed seed -- at odd and power-of-two sizes, from the
+// stream's start and from a position a single draw moved; and NewKeys
+// allocates the keys it returns and nothing else.
 func TestNewKeysMatchesSequentialDraws(t *testing.T) {
-	for _, n := range []int{1, 2, 7, 64, 1000} {
-		a := NewDeterministicGenerator(7)
-		b := NewDeterministicGenerator(7)
-		bulk, err := a.NewKeys(n)
+	drbg := func() *Generator {
+		block, err := aes.NewCipher(make([]byte, KeySize))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			if k := b.MustNewKey(); k != bulk[i] {
-				t.Fatalf("n=%d: bulk key %d differs from sequential draw", n, i)
+		return &Generator{r: &ctrDRBG{stream: cipher.NewCTR(block, make([]byte, aes.BlockSize)), remaining: reseedEvery}}
+	}
+	for name, gen := range map[string]func() *Generator{
+		"deterministic": func() *Generator { return NewDeterministicGenerator(7) },
+		"drbg":          drbg,
+	} {
+		for _, n := range []int{1, 2, 7, 31, 32, 33, 64, 65, 1000} {
+			for _, skip := range []int{0, 1} {
+				a, b := gen(), gen()
+				for range skip {
+					if a.MustNewKey() != b.MustNewKey() {
+						t.Fatalf("%s: the two generators differ", name)
+					}
+				}
+				bulk, err := a.NewKeys(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					if k := b.MustNewKey(); k != bulk[i] {
+						t.Fatalf("%s n=%d skip=%d: bulk key %d differs from sequential draw", name, n, skip, i)
+					}
+				}
+				// The streams must stay aligned after the bulk draw too.
+				if a.MustNewKey() != b.MustNewKey() {
+					t.Fatalf("%s n=%d skip=%d: stream positions diverged after bulk draw", name, n, skip)
+				}
 			}
 		}
-		// The streams must stay aligned after the bulk draw too.
-		if a.MustNewKey() != b.MustNewKey() {
-			t.Fatalf("n=%d: stream positions diverged after bulk draw", n)
+		g := gen()
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := g.NewKeys(100); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 1 {
+			t.Errorf("%s: NewKeys(100) made %v allocations, want 1, the keys", name, allocs)
 		}
 	}
 }

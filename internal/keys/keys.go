@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"unsafe"
 )
 
 // KeySize is the size in bytes of every group, auxiliary, and individual
@@ -216,18 +217,21 @@ func (g *Generator) MustNewKey() Key {
 // underlying stream. The keys are exactly the ones n successive NewKey
 // calls would return (batch rekeying relies on this to stay
 // byte-identical to the sequential reference path), but the stream is
-// consumed in a single ReadFull instead of n small reads.
+// consumed in a single ReadFull instead of n small reads. The read goes
+// straight into the returned keys, so the call allocates them and
+// nothing else, and leaves no copy of the key bytes behind: a buffer
+// handed to the stream's io.Reader escapes to the heap, even one
+// declared on the stack.
 func (g *Generator) NewKeys(n int) ([]Key, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	buf := make([]byte, n*KeySize)
-	if _, err := io.ReadFull(g.r, buf); err != nil {
+	out := make([]Key, n)
+	if _, err := io.ReadFull(g.r, unsafe.Slice(&out[0][0], n*KeySize)); err != nil {
+		clear(out)
 		return nil, fmt.Errorf("keys: generating %d keys: %w", n, err)
 	}
-	out := make([]Key, n)
 	for i := range out {
-		copy(out[i][:], buf[i*KeySize:])
 		if out[i].Zero() {
 			out[i][0] = 1 // the all-zero key is reserved
 		}

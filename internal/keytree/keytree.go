@@ -482,6 +482,7 @@ type NeedsWalker struct {
 	r      *BatchResult
 	parent int // node whose chain fills idx[1:1+n]; noParent before the first user
 	n      int
+	reused bool // the last Needs call kept the chain of the call before
 	// idx[0] is the slot of the user's own encryption, idx[1:] the
 	// parent's chain. A node at depth h has an ID of at least 2^h-1, so
 	// no path is longer than an int has bits.
@@ -498,7 +499,9 @@ func (r *BatchResult) Walker() NeedsWalker { return NeedsWalker{r: r, parent: no
 // next call.
 func (w *NeedsWalker) Needs(userID int) []int32 {
 	r := w.r
-	if p := ParentID(r.d, userID); p != w.parent {
+	p := ParentID(r.d, userID)
+	w.reused = p == w.parent
+	if !w.reused {
 		w.parent, w.n = p, 0
 		for id := p; id >= 0; id = ParentID(r.d, id) {
 			if i, ok := r.lookup(id); ok {
@@ -513,6 +516,13 @@ func (w *NeedsWalker) Needs(userID int) []int32 {
 	}
 	return w.idx[1 : 1+w.n]
 }
+
+// Chain reports on the last Needs call: n is the length of the parent's
+// chain, the tail of the slice it returned (only the user's own
+// encryption can precede it), and reused is whether the call before
+// returned the same chain, as it does for siblings. A caller that kept
+// what it made of that chain can use it again.
+func (w *NeedsWalker) Chain() (n int, reused bool) { return w.n, w.reused }
 
 // UserNeeds returns, in bottom-up order, the encryptions user userID
 // requires: those whose encrypting key lies on the user's path to the
@@ -647,7 +657,8 @@ func (t *Tree) result() *BatchResult {
 // departed ones; settle derives the rest from those and the departures.
 type batch struct {
 	t      *Tree
-	placed []int // ascending: window fills, then split siblings
+	placed []int      // ascending: window fills, then split siblings
+	keys   []keys.Key // the joiners' individual keys not yet placed, in placement order
 }
 
 // mark is the tree-update phase of the paper's marking algorithm
@@ -655,14 +666,19 @@ type batch struct {
 // refilled lowest ID first in join arrival order; when leaves outnumber
 // joins, emptied k-nodes prune; when joins outnumber leaves, the
 // overflow fills the u-region window left to right, then splits expand
-// the tree. Individual keys are drawn in placement order, which
-// TestPaperMarkingGolden pins. It returns settle's level bounds into
-// t.touched.
+// the tree. Joiners are placed in arrival order, and their individual
+// keys come from one bulk draw in that order, the stream one draw per
+// placement would consume, which TestPaperMarkingGolden pins. It returns
+// settle's level bounds into t.touched.
 func (t *Tree) mark(joins []Member, departed []int) []int {
 	for _, id := range t.touched {
 		t.nodes[id].label = Unchanged
 	}
-	b := &batch{t: t, placed: t.scratch.placed[:0]}
+	ks, err := t.gen.NewKeys(len(joins))
+	if err != nil {
+		panic(fmt.Sprintf("keytree: bulk key generation failed: %v", err))
+	}
+	b := &batch{t: t, placed: t.scratch.placed[:0], keys: ks}
 	for _, id := range departed {
 		b.remove(id)
 	}
@@ -675,6 +691,7 @@ func (t *Tree) mark(joins []Member, departed []int) []int {
 	if len(joins) > n {
 		b.placeExtra(joins[n:])
 	}
+	clear(ks)
 	at := b.settle(departed)
 	t.scratch.placed = b.placed
 	return at
@@ -711,9 +728,9 @@ func (b *batch) remove(id int) {
 	b.t.setNode(id, node{kind: NNode, label: Leave})
 }
 
-// place installs joiner m at position id with a fresh individual key
-// drawn from the tree's generator: Replace if the position departed this
-// same interval, Join otherwise. settle has the departed positions
+// place installs joiner m at position id with the batch's next fresh
+// individual key: Replace if the position departed this same interval,
+// Join otherwise. settle has the departed positions
 // already; place records the others for it.
 func (b *batch) place(id int, m Member) {
 	t := b.t
@@ -724,7 +741,8 @@ func (b *batch) place(id int, m Member) {
 	} else {
 		b.placed = append(b.placed, id)
 	}
-	t.setNode(id, node{kind: UNode, member: m, key: t.gen.MustNewKey(), label: label})
+	t.setNode(id, node{kind: UNode, member: m, key: b.keys[0], label: label})
+	b.keys = b.keys[1:]
 	t.loc[m] = id
 }
 

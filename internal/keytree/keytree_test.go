@@ -575,7 +575,9 @@ func TestTreeDefaults(t *testing.T) {
 // replaced -- one lookup per node from the user up to the root -- on all
 // four batch shapes: in UserIDs order with one walker (the shared-chain
 // path), then in shuffled order and over IDs that are no user's, where
-// the cached chain must be dropped whenever the parent changes.
+// the cached chain must be dropped whenever the parent changes. Chain
+// must name the parent's part of each result, and report it reused
+// exactly when the node before had the same parent.
 func TestNeedsWalkerMatchesPathWalk(t *testing.T) {
 	pathWalk := func(res *BatchResult, id int) []int32 {
 		var want []int32
@@ -602,19 +604,32 @@ func TestNeedsWalkerMatchesPathWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids := append([]int(nil), res.UserIDs...)
 		w := res.Walker()
-		for _, id := range ids {
-			if got, want := w.Needs(id), pathWalk(res, id); !slices.Equal(got, want) {
-				t.Fatalf("in order, user %d: needs %v, want %v", id, got, want)
+		prev := -3 // no node's parent
+		check := func(order string, id int) {
+			t.Helper()
+			got, want := w.Needs(id), pathWalk(res, id)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, node %d: needs %v, want %v", order, id, got, want)
 			}
+			n, reused := w.Chain()
+			p := ParentID(res.d, id)
+			if wantChain := pathWalk(res, p); p < 0 && n != 0 || p >= 0 && !slices.Equal(got[len(got)-n:], wantChain) {
+				t.Fatalf("%s, node %d: chain of %d, want the parent's %v", order, id, n, wantChain)
+			}
+			if reused != (p == prev) {
+				t.Fatalf("%s, node %d: reused %v, parent %d after %d", order, id, reused, p, prev)
+			}
+			prev = p
+		}
+		ids := append([]int(nil), res.UserIDs...)
+		for _, id := range ids {
+			check("in order", id)
 		}
 		ids = append(ids, 0, 1, res.MaxKID, 0xfffe)
 		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 		for _, id := range ids {
-			if got, want := w.Needs(id), pathWalk(res, id); !slices.Equal(got, want) {
-				t.Fatalf("shuffled, node %d: needs %v, want %v", id, got, want)
-			}
+			check("shuffled", id)
 		}
 	}
 }

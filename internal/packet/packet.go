@@ -94,37 +94,65 @@ func (p *ENC) Marshal() ([]byte, error) {
 // MarshalInto renders the packet into b, which must be PacketLen bytes
 // (a run of a caller's slab, say); whatever b held is overwritten.
 func (p *ENC) MarshalInto(b []byte) error {
-	if len(b) != PacketLen {
-		return fmt.Errorf("packet: ENC buffer of %d bytes, want %d", len(b), PacketLen)
+	h := ENCHeader{
+		MsgID: p.MsgID, BlockID: p.BlockID, Seq: p.Seq, Dup: p.Dup,
+		MaxKID: p.MaxKID, FrmID: p.FrmID, ToID: p.ToID,
 	}
-	if p.MsgID > MaxMsgID {
-		return fmt.Errorf("packet: message ID %d exceeds 6 bits", p.MsgID)
+	if err := PutENCHeader(b, &h, len(p.Encs)); err != nil {
+		return err
 	}
-	if len(p.Encs) > MaxEncPerPacket {
-		return fmt.Errorf("packet: %d encryptions exceed capacity %d", len(p.Encs), MaxEncPerPacket)
-	}
-	for _, e := range p.Encs {
-		if e.ID == 0 {
-			return errors.New("packet: encryption ID 0 is reserved for padding")
-		}
-	}
-	b[0] = byte(TypeENC)<<6 | p.MsgID
-	b[1] = p.BlockID
-	b[2] = p.Seq
-	b[3] = 0
-	if p.Dup {
-		b[3] = 1
-	}
-	binary.BigEndian.PutUint16(b[4:], p.MaxKID)
-	binary.BigEndian.PutUint16(b[6:], p.FrmID)
-	binary.BigEndian.PutUint16(b[8:], p.ToID)
 	off := ENCHeaderLen
-	for _, e := range p.Encs {
-		binary.BigEndian.PutUint32(b[off:], e.ID)
-		copy(b[off+4:], e.Wrapped[:])
+	for i := range p.Encs {
+		if err := PutEncEntry(b[off:], &p.Encs[i]); err != nil {
+			return err
+		}
 		off += EncEntryLen
 	}
 	clear(b[off:])
+	return nil
+}
+
+// PutENCHeader writes h into the first ENCHeaderLen bytes of b, the
+// PacketLen bytes of an ENC packet that carries n encryptions. It
+// refuses what MarshalInto refuses before any entry: a buffer of another
+// length, a message ID over 6 bits, more than MaxEncPerPacket
+// encryptions. The entries follow at ENCHeaderLen (PutEncEntry), then
+// zero padding.
+func PutENCHeader(b []byte, h *ENCHeader, n int) error {
+	if len(b) != PacketLen {
+		return fmt.Errorf("packet: ENC buffer of %d bytes, want %d", len(b), PacketLen)
+	}
+	if h.MsgID > MaxMsgID {
+		return fmt.Errorf("packet: message ID %d exceeds 6 bits", h.MsgID)
+	}
+	if n > MaxEncPerPacket {
+		return fmt.Errorf("packet: %d encryptions exceed capacity %d", n, MaxEncPerPacket)
+	}
+	b[0] = byte(TypeENC)<<6 | h.MsgID
+	b[1] = h.BlockID
+	b[2] = h.Seq
+	b[3] = 0
+	if h.Dup {
+		b[3] = 1
+	}
+	binary.BigEndian.PutUint16(b[4:], h.MaxKID)
+	binary.BigEndian.PutUint16(b[6:], h.FrmID)
+	binary.BigEndian.PutUint16(b[8:], h.ToID)
+	return nil
+}
+
+// errPaddingID refuses an ENC entry with ID 0, which marks the padding.
+var errPaddingID = errors.New("packet: encryption ID 0 is reserved for padding")
+
+// PutEncEntry writes e as an ENC packet's <ID, encryption> element into
+// the first EncEntryLen bytes of b. ID 0 is refused: it marks where the
+// padding begins.
+func PutEncEntry(b []byte, e *keytree.Encryption) error {
+	if e.ID == 0 {
+		return errPaddingID
+	}
+	binary.BigEndian.PutUint32(b, e.ID)
+	copy(b[4:EncEntryLen], e.Wrapped[:])
 	return nil
 }
 

@@ -318,7 +318,9 @@ func (s *Server) processPending() (*keytree.BatchResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rekey: %w", err)
 	}
-	s.joins, s.leaves = nil, nil
+	// The queues keep their capacity: ProcessBatch copies what it keeps
+	// of them (a sorted copy of the joins, the departed positions).
+	s.joins, s.leaves = s.joins[:0], s.leaves[:0]
 	clear(s.queued)
 	if s.obs.Enabled() {
 		s.obs.ObserveSince(obs.HShardBatch, start)
@@ -369,33 +371,30 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 		return nil, err
 	}
 	s.msgSeq++
-	encs, err := assign.Materialize(plan, res, rm.MsgID, s.cfg.K)
-	if err != nil {
-		return nil, err
-	}
 	part, err := blockplan.NewPartition(len(plan.Packets), s.cfg.K)
 	if err != nil {
 		return nil, err
 	}
 	rm.Plan, rm.Part = plan, part
-	if rm.coder, err = fec.NewCoder(s.cfg.K, fec.MaxShards-s.cfg.K); err != nil {
-		return nil, err
-	}
-	rm.parity = make([][][]byte, part.NumBlocks())
-	rm.ENC = make([][]byte, len(encs))
-	// One slab holds every datagram: the packet and, on a signing server,
-	// room after it for buildAuth to append the trailer in place.
+	// One slab holds every datagram: the packet, written straight from the
+	// plan, and, on a signing server, room after it for buildAuth to
+	// append the trailer in place.
 	stride := packet.PacketLen
 	if s.cfg.Signer != nil {
 		stride += packet.ENCTrailerBound(s.cfg.K, part.NumBlocks()+1, s.cfg.Signer.Public().Size())
 	}
-	slab := make([]byte, len(encs)*stride)
-	for i, enc := range encs {
+	slab := make([]byte, part.TotalSlots()*stride)
+	rm.ENC = make([][]byte, part.TotalSlots())
+	for i := range rm.ENC {
 		rm.ENC[i] = slab[i*stride : i*stride+packet.PacketLen : (i+1)*stride]
-		if err := enc.MarshalInto(rm.ENC[i]); err != nil {
-			return nil, err
-		}
 	}
+	if err := plan.WriteENC(rm.ENC, res, rm.MsgID, part); err != nil {
+		return nil, err
+	}
+	if rm.coder, err = fec.NewCoder(s.cfg.K, fec.MaxShards-s.cfg.K); err != nil {
+		return nil, err
+	}
+	rm.parity = make([][][]byte, part.NumBlocks())
 	var blockTrees []*keys.MerkleTree
 	if s.cfg.Signer != nil {
 		blockTrees = rm.blockTrees()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -524,5 +525,50 @@ func TestRekeyAtMaxMembersRefusesNextJoin(t *testing.T) {
 		if err := s.QueueJoin(next); err != nil {
 			t.Fatalf("d=%d: join beside a queued leave: %v", d, err)
 		}
+	}
+}
+
+// TestQueuesKeepCapacity: a rekey empties the join and leave queues but
+// keeps their arrays, so the next interval's requests fill them without
+// growing them again; ProcessBatch keeps no alias of them, so the reuse
+// changes no later message. A batch the key tree refuses leaves both
+// queues, and the queued set, as they were.
+func TestQueuesKeepCapacity(t *testing.T) {
+	s := newServer(t, 41)
+	bootstrap(t, s, 64)
+	queue := func(first int) {
+		t.Helper()
+		for i := 0; i < 8; i++ {
+			if err := s.QueueLeave(MemberID(first - 64 + i)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.QueueJoin(MemberID(first + i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	queue(64)
+	joins, leaves := &s.joins[0], &s.leaves[0]
+	if _, err := s.Rekey(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.joins) != 0 || len(s.leaves) != 0 {
+		t.Fatalf("after Rekey: %d joins and %d leaves still queued", len(s.joins), len(s.leaves))
+	}
+	queue(72)
+	if &s.joins[0] != joins || &s.leaves[0] != leaves {
+		t.Error("the next interval's requests went into new queue arrays")
+	}
+
+	// A join of a present member gets past no QueueJoin; put one in the
+	// queue directly, as a faulty caller inside the package could.
+	s.joins = append(s.joins, MemberID(20))
+	wantJoins, wantLeaves := append([]MemberID(nil), s.joins...), append([]MemberID(nil), s.leaves...)
+	if _, err := s.Rekey(); err == nil {
+		t.Fatal("Rekey accepted a join of a present member")
+	}
+	if !slices.Equal(s.joins, wantJoins) || !slices.Equal(s.leaves, wantLeaves) || len(s.queued) != 16 {
+		t.Errorf("a refused batch changed the queues: joins %v leaves %v, %d queued; want %v, %v, 16",
+			s.joins, s.leaves, len(s.queued), wantJoins, wantLeaves)
 	}
 }
