@@ -371,11 +371,11 @@ func TestVerifierRejectsUnsignedTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetVerifier(keys.NewRootVerifier(signer.Public()))
-	p, ok := rm.PacketFor(cred.NodeID)
+	pi, ok := rm.PacketFor(cred.NodeID)
 	if !ok {
 		t.Fatal("no packet")
 	}
-	if _, err := m.Ingest(p[:packet.PacketLen]); !errors.Is(err, ErrBadPacket) {
+	if _, err := m.Ingest(rm.ENC[pi][:packet.PacketLen]); !errors.Is(err, ErrBadPacket) {
 		t.Fatalf("unsigned ENC error = %v, want ErrBadPacket", err)
 	}
 }

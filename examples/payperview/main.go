@@ -137,10 +137,11 @@ func mustMember(server *rekey.Server, id rekey.MemberID, msg *rekey.RekeyMessage
 }
 
 func deliver(msg *rekey.RekeyMessage, m *rekey.Member, nodeID int) {
-	raw, ok := msg.PacketFor(nodeID)
+	pi, ok := msg.PacketFor(nodeID)
 	if !ok {
 		log.Fatalf("no packet for node %d", nodeID)
 	}
+	raw, _ := msg.WireENC(pi) // cannot fail: PacketFor's index is in range
 	// Fresh joiners are keyed at construction and see their packet a
 	// second time in the delivery sweep; that duplicate is ErrStale by
 	// design, not a failure.

@@ -82,15 +82,15 @@ func main() {
 		server.GroupKey().String(), len(members), mustAgree(server, members))
 }
 
-// deliver hands a member its specific ENC packet over "the wire".
-// (The UDP transport finds each member's packet through the message's
-// Plan.UserPacket; in process PacketFor looks it up the same way, by the
-// member's post-batch node ID.)
+// deliver hands a member its specific ENC packet over "the wire". (The
+// UDP transport finds each member's packet the same way: PacketFor, by
+// the member's post-batch node ID.)
 func deliver(msg *rekey.RekeyMessage, m *rekey.Member, nodeID int) {
-	raw, ok := msg.PacketFor(nodeID)
+	pi, ok := msg.PacketFor(nodeID)
 	if !ok {
 		log.Fatalf("no packet for node %d", nodeID)
 	}
+	raw, _ := msg.WireENC(pi) // cannot fail: PacketFor's index is in range
 	if _, err := m.Ingest(raw); err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,8 @@ package blockplan
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/packet"
 )
 
 // Partition maps a rekey message's real ENC packets onto blocks of size
@@ -135,19 +137,6 @@ func ProactiveParity(k int, rho float64) int {
 	return int(math.Ceil((rho-1)*float64(k) - 1e-9))
 }
 
-// ENCHeader is the identifying information of a received ENC packet that
-// the block-ID estimator consumes.
-type ENCHeader struct {
-	BlockID int
-	Seq     int
-	FrmID   int
-	ToID    int
-	MaxKID  int
-	// Dup marks last-block padding duplicates, which are excluded from
-	// estimation (their FrmID/ToID repeat out of order).
-	Dup bool
-}
-
 // Estimator incrementally bounds the block ID of a user's specific ENC
 // packet from the headers of whatever ENC packets the user did receive
 // (Appendix D). The zero value is not ready; use NewEstimator.
@@ -166,33 +155,34 @@ func (e Estimator) Exact() bool { return e.Low == e.High }
 
 // Observe refines the bounds given one received ENC packet's header.
 // m is the observing user's (current) node ID, k the block size, and d
-// the key tree degree.
-func (e *Estimator) Observe(m int, h ENCHeader, k, d int) {
+// the key tree degree. Last-block padding duplicates (h.Dup) tell
+// nothing: their FrmID/ToID repeat out of order.
+func (e *Estimator) Observe(m int, h packet.ENCHeader, k, d int) {
 	if h.Dup {
 		return
 	}
+	blk, seq, frm, to := int(h.BlockID), int(h.Seq), int(h.FrmID), int(h.ToID)
 	switch {
-	case h.FrmID <= m && m <= h.ToID:
-		e.Low, e.High = h.BlockID, h.BlockID
+	case frm <= m && m <= to:
+		e.Low, e.High = blk, blk
 		return
-	case m > h.ToID:
+	case m > to:
 		// The user's packet was generated after this one.
-		if h.Seq == k-1 {
-			e.Low = max(e.Low, h.BlockID+1)
+		if seq == k-1 {
+			e.Low = max(e.Low, blk+1)
 		} else {
-			e.Low = max(e.Low, h.BlockID)
+			e.Low = max(e.Low, blk)
 		}
 		// Bound from above: at most d*(maxKID+1) - toID users remain
 		// after this packet, and a packet serves at least one user.
-		remaining := d*(h.MaxKID+1) - h.ToID - (k - 1 - h.Seq)
-		bound := h.BlockID + ceilDiv(remaining, k)
-		e.High = min(e.High, bound)
-	case m < h.FrmID:
+		remaining := d*(int(h.MaxKID)+1) - to - (k - 1 - seq)
+		e.High = min(e.High, blk+ceilDiv(remaining, k))
+	case m < frm:
 		// The user's packet was generated before this one.
-		if h.Seq == 0 {
-			e.High = min(e.High, h.BlockID-1)
+		if seq == 0 {
+			e.High = min(e.High, blk-1)
 		} else {
-			e.High = min(e.High, h.BlockID)
+			e.High = min(e.High, blk)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/packet"
 )
 
 func TestPartitionBasics(t *testing.T) {
@@ -142,31 +144,31 @@ func TestProactiveParity(t *testing.T) {
 // tests: users 1..numUsers get one packet each batch of usersPerPkt.
 // userBlk maps user ID to its packet's block; userIdx to the packet's
 // index in generation order.
-func buildHeaders(numUsers, usersPerPkt, k, d int) (headers []ENCHeader, userBlk, userIdx map[int]int, numReal int) {
+func buildHeaders(numUsers, usersPerPkt, k, d int) (headers []packet.ENCHeader, userBlk, userIdx map[int]int, numReal int) {
 	userPkt := make(map[int]int)
 	maxKID := numUsers / 2 // arbitrary but consistent: user IDs > maxKID
-	var pkts []ENCHeader
+	var pkts []packet.ENCHeader
 	for u := 0; u < numUsers; u += usersPerPkt {
 		hi := u + usersPerPkt - 1
 		if hi >= numUsers {
 			hi = numUsers - 1
 		}
-		pkts = append(pkts, ENCHeader{
-			FrmID:  maxKID + 1 + u,
-			ToID:   maxKID + 1 + hi,
-			MaxKID: maxKID,
+		pkts = append(pkts, packet.ENCHeader{
+			FrmID:  uint16(maxKID + 1 + u),
+			ToID:   uint16(maxKID + 1 + hi),
+			MaxKID: uint16(maxKID),
 		})
 		for x := u; x <= hi; x++ {
 			userPkt[maxKID+1+x] = len(pkts) - 1
 		}
 	}
 	p, _ := NewPartition(len(pkts), k)
-	headers = make([]ENCHeader, p.TotalSlots())
+	headers = make([]packet.ENCHeader, p.TotalSlots())
 	for i := 0; i < p.TotalSlots(); i++ {
 		blk, seq := i/k, i%k
 		src := p.RealIndex(blk, seq)
 		h := pkts[src]
-		h.BlockID, h.Seq = blk, seq
+		h.BlockID, h.Seq = uint8(blk), uint8(seq)
 		h.Dup = p.IsDuplicate(blk, seq)
 		headers[i] = h
 	}
@@ -187,7 +189,7 @@ func TestEstimatorExactWithFullReception(t *testing.T) {
 		e := NewEstimator()
 		for _, h := range headers {
 			// The user's own packet was lost; everything else received.
-			if !h.Dup && h.FrmID <= m && m <= h.ToID {
+			if !h.Dup && int(h.FrmID) <= m && m <= int(h.ToID) {
 				continue
 			}
 			e.Observe(m, h, k, d)
@@ -220,7 +222,7 @@ func TestEstimatorRangeAlwaysContainsTruth(t *testing.T) {
 		}
 		e := NewEstimator()
 		for _, h := range headers {
-			if h.FrmID <= m && m <= h.ToID && !h.Dup {
+			if int(h.FrmID) <= m && m <= int(h.ToID) && !h.Dup {
 				continue // specific packet always lost in this test
 			}
 			if rng.Float64() < 0.5 {
@@ -252,7 +254,7 @@ func TestEstimatorRule6BoundsHigh(t *testing.T) {
 	// Even observing a single early packet must yield a finite upper
 	// bound (step 6 of the algorithm).
 	e := NewEstimator()
-	e.Observe(900, ENCHeader{BlockID: 0, Seq: 0, FrmID: 101, ToID: 110, MaxKID: 100}, 10, 4)
+	e.Observe(900, packet.ENCHeader{BlockID: 0, Seq: 0, FrmID: 101, ToID: 110, MaxKID: 100}, 10, 4)
 	if e.High == math.MaxInt {
 		t.Fatal("upper bound still infinite after observing a packet below the user")
 	}
@@ -263,7 +265,7 @@ func TestEstimatorRule6BoundsHigh(t *testing.T) {
 
 func TestEstimatorIgnoresDuplicates(t *testing.T) {
 	e := NewEstimator()
-	dup := ENCHeader{BlockID: 5, Seq: 9, FrmID: 50, ToID: 60, MaxKID: 40, Dup: true}
+	dup := packet.ENCHeader{BlockID: 5, Seq: 9, FrmID: 50, ToID: 60, MaxKID: 40, Dup: true}
 	e.Observe(55, dup, 10, 4)
 	if e.Exact() {
 		t.Fatal("duplicate header collapsed the estimate")

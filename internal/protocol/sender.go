@@ -10,9 +10,10 @@
 // carrying the number of parity packets a user still needs per block,
 // and either multicasts amax[i] fresh parity packets per block or --
 // after MaxMulticastRounds rounds -- switches to unicasting small USR
-// packets with escalating duplication. Neither type does I/O: package
-// udptrans drives them over sockets, package vsim over a simulated
-// network to real members. EncodeBlocks serves the send path.
+// packets, each user's copies escalating with the waves that served it.
+// It keeps the message's account, an Outcome. Neither type does I/O:
+// package udptrans drives them over sockets, package vsim over a
+// simulated network to real members. EncodeBlocks serves the send path.
 package protocol
 
 import (
@@ -34,20 +35,34 @@ type Step int
 
 const (
 	Multicast Step = iota // send Refs to every user, then feed the round's NACKs
-	Unicast               // send Dups copies of each Waiting user's USR packet, then feed the wave's NACKs
+	Unicast               // send Copies(user) of each Waiting user's USR packet, then feed the wave's NACKs
 	Done                  // the last round or wave drew no NACK
 	GiveUp                // the wave budget ran out with users still waiting
 )
 
+// Outcome is one rekey message's account, as its Sender decided it: the
+// multicast rounds and unicast waves begun, the datagrams listed for
+// them -- ENC (last-block duplicates included), PARITY and USR (every
+// copy) -- and the NACKs each round, then each wave, took.
+type Outcome struct {
+	EncSent       int
+	ParitySent    int
+	UsrSent       int
+	Rounds        int
+	UnicastWaves  int
+	NACKsPerRound []int
+}
+
 // Sender is the server half of the transport for one rekey message
 // (Figs. 2, 3 and 22): which shards each multicast round sends, which
-// users each unicast wave serves, and when to stop. It does no I/O and
-// reads no clock. A driver sends what it says, feeds it the round's
-// NACKs through NACK and ends the round with its Session's Next.
+// users each unicast wave serves with how many copies, and when to
+// stop. It does no I/O and reads no clock. A driver sends what it says,
+// feeds it the round's NACKs through NACK and ends the round with its
+// Session's Next.
 type Sender struct {
 	k, maxRounds, maxWaves int
 	step                   Step
-	round, wave            int
+	out                    Outcome
 	refs                   []blockplan.Ref
 	next                   []int // the parity cursor: parity packets sent so far, per block
 	// The round or wave in progress: each block's and each NACK's
@@ -55,6 +70,7 @@ type Sender struct {
 	amax, demand []int
 	seen         map[int]bool
 	waiting      map[int]bool // who NACKed the last round or wave to end
+	served       map[int]int  // the unicast waves that served each user
 }
 
 // NewSender starts the transport of a message partitioned as part, with
@@ -66,8 +82,8 @@ func NewSender(part blockplan.Partition, rho float64, maxRounds, maxWaves int) *
 		maxRounds = RoundCap
 	}
 	blocks := part.NumBlocks()
-	s := &Sender{k: part.K, maxRounds: maxRounds, maxWaves: maxWaves, round: 1,
-		next: make([]int, blocks), amax: make([]int, blocks), seen: make(map[int]bool)}
+	s := &Sender{k: part.K, maxRounds: maxRounds, maxWaves: maxWaves, out: Outcome{Rounds: 1},
+		next: make([]int, blocks), amax: make([]int, blocks), seen: make(map[int]bool), served: make(map[int]int)}
 	for b := range s.amax {
 		s.amax[b] = blockplan.ProactiveParity(part.K, rho)
 	}
@@ -88,20 +104,24 @@ func (s *Sender) layout(data int, parity []int) {
 		for n := min(want, fec.MaxShards-s.k-s.next[b]); n > 0; n-- {
 			perBlock[b] = append(perBlock[b], s.k+s.next[b])
 			s.next[b]++
+			s.out.ParitySent++
 		}
 	}
+	s.out.EncSent += data * len(parity)
 	s.refs = blockplan.Interleave(perBlock)
 }
 
-// Round and Wave return the multicast rounds and unicast waves begun.
-func (s *Sender) Round() int { return s.round }
-func (s *Sender) Wave() int  { return s.wave }
+// Outcome returns the message's account so far; its Rounds and
+// UnicastWaves are the multicast rounds and unicast waves begun.
+func (s *Sender) Outcome() *Outcome { return &s.out }
 
 // Refs returns the current multicast round's shards in send order.
 func (s *Sender) Refs() []blockplan.Ref { return s.refs }
 
-// Dups returns the copies of each USR packet a wave sends: 2, 3, 4, ...
-func (s *Sender) Dups() int { return s.wave + 1 }
+// Copies returns how many copies of a Waiting user's USR packet the
+// current wave sends (Fig. 22): 2 the first time a wave serves the user,
+// one more each later time.
+func (s *Sender) Copies(user int) int { return s.served[user] + 1 }
 
 // NACKs returns how many NACKs the current round or wave has taken.
 func (s *Sender) NACKs() int { return len(s.seen) }
@@ -136,18 +156,23 @@ func (s *Sender) NACK(user int, reqs []packet.BlockRequest) (demand int, ok bool
 // without NACKs, else another round (amax fresh parity a block) within
 // the round budget, else the next unicast wave within the wave budget.
 func (s *Sender) Next() Step {
+	s.out.NACKsPerRound = append(s.out.NACKsPerRound, len(s.seen))
 	s.waiting, s.seen = s.seen, make(map[int]bool)
 	switch {
 	case len(s.waiting) == 0:
 		s.step = Done
-	case s.step == Multicast && s.round < s.maxRounds:
-		s.round++
+	case s.step == Multicast && s.out.Rounds < s.maxRounds:
+		s.out.Rounds++
 		s.layout(0, s.amax)
-	case s.wave >= s.maxWaves:
+	case s.out.UnicastWaves >= s.maxWaves:
 		s.step = GiveUp
 	default:
 		s.step = Unicast
-		s.wave++
+		s.out.UnicastWaves++
+		for u := range s.waiting {
+			s.served[u]++
+			s.out.UsrSent += s.Copies(u)
+		}
 	}
 	clear(s.amax)
 	s.demand = nil

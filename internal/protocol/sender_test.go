@@ -23,18 +23,18 @@ func req(block, count uint8) []packet.BlockRequest {
 
 // transcript drives s through script -- the NACKs of each round or wave
 // in turn -- and writes down what it was told to do: "R<round>" and the
-// round's refs as block.shard (round one's only counted), or
-// "W<wave> x<dups>" and the users served, then after "|" what each NACK
+// round's refs as block.shard (round one's only counted), or "W<wave>"
+// and the users served as user x copies, then after "|" what each NACK
 // was worth ("-" when it counted for nothing), and the final step.
 func transcript(s *Sender, script [][]nack) string {
 	var b strings.Builder
 	step := Multicast
 	for _, nacks := range script {
 		switch {
-		case step == Multicast && s.Round() == 1:
+		case step == Multicast && s.out.Rounds == 1:
 			fmt.Fprintf(&b, "R1 (%d)", len(s.Refs()))
 		case step == Multicast:
-			fmt.Fprintf(&b, "R%d", s.Round())
+			fmt.Fprintf(&b, "R%d", s.out.Rounds)
 			for _, r := range s.Refs() {
 				fmt.Fprintf(&b, " %d.%d", r.Block, r.Shard)
 			}
@@ -44,7 +44,11 @@ func transcript(s *Sender, script [][]nack) string {
 				waiting = append(waiting, u)
 			}
 			slices.Sort(waiting)
-			fmt.Fprintf(&b, "W%d x%d %v", s.Wave(), s.Dups(), waiting)
+			served := make([]string, len(waiting))
+			for i, u := range waiting {
+				served[i] = fmt.Sprintf("%dx%d", u, s.Copies(u))
+			}
+			fmt.Fprintf(&b, "W%d %v", s.out.UnicastWaves, served)
 		}
 		b.WriteString(" |")
 		for _, n := range nacks {
@@ -105,11 +109,23 @@ func TestSenderScripts(t *testing.T) {
 			{{5, nil}},
 			{{5, nil}},
 		},
-		want: "R1 (6) | 1 0\nW1 x2 [5 7] | 0 0\nW2 x3 [5 7] | 0\nW3 x4 [5] | 0\nGiveUp",
+		want: "R1 (6) | 1 0\nW1 [5x2 7x2] | 0 0\nW2 [5x3 7x3] | 0\nW3 [5x4] | 0\nGiveUp",
+	}, {
+		// User 7's NACK after wave one is lost, so wave two skips it; a
+		// user's copies count the waves that served it, so wave three
+		// sends 7 three copies, not the wave's four.
+		name: "a NACK lost after wave one: that user's copies resume at 3", k: 2, packets: 5, rho: 1, rounds: 1, waves: 3,
+		script: [][]nack{
+			{{5, req(0, 1)}, {7, req(0, 1)}},
+			{{5, nil}},
+			{{5, nil}, {7, nil}},
+			{{5, nil}},
+		},
+		want: "R1 (6) | 1 1\nW1 [5x2 7x2] | 0\nW2 [5x3] | 0 0\nW3 [5x4 7x3] | 0\nGiveUp",
 	}, {
 		name: "a wave without NACKs ends the message", k: 2, packets: 5, rho: 1, rounds: 1, waves: 3,
 		script: [][]nack{{{5, req(0, 1)}}, nil},
-		want:   "R1 (6) | 1\nW1 x2 [5] |\nDone",
+		want:   "R1 (6) | 1\nW1 [5x2] |\nDone",
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			part, err := blockplan.NewPartition(tc.packets, tc.k)
@@ -139,13 +155,13 @@ func TestSenderZeroRoundBudget(t *testing.T) {
 	for ; step == Multicast; step = s.Next() {
 		s.NACK(1, req(0, 1))
 	}
-	if step != Unicast || s.Round() != RoundCap {
-		t.Fatalf("step %d after %d rounds, want unicast after %d", step, s.Round(), RoundCap)
+	if step != Unicast || s.out.Rounds != RoundCap {
+		t.Fatalf("step %d after %d rounds, want unicast after %d", step, s.out.Rounds, RoundCap)
 	}
 }
 
 // FuzzSender runs the Sender over random partitions, budgets and NACK
-// scripts; driveMessage checks what it does.
+// scripts; driveMessage checks what it does and what it accounts.
 func FuzzSender(f *testing.F) {
 	f.Add(uint8(10), uint16(25), uint8(15), uint8(2), uint8(3), []byte{1, 0, 3, 0xff, 1, 0, 3, 0xff, 1})
 	f.Add(uint8(1), uint16(300), uint8(26), uint8(0), uint8(1), []byte{7, 255, 255, 0xff, 7, 3, 1})
@@ -166,27 +182,47 @@ func FuzzSender(f *testing.F) {
 // byte triples up to the next 0xff, a round or wave apiece. Whatever the
 // NACKs say, no shard goes out twice, every parity shard a round sends
 // lies inside the coder's range, amax stays at most k, and the message
-// ends within its round budget (0 meaning RoundCap) plus waves. It
-// returns the script left over.
+// ends within its round budget (0 meaning RoundCap) plus waves. The
+// Outcome counts the steps and each step's NACKs, and lists round one's
+// data shards as ENC, every other ref as PARITY and each wave's Σ Copies
+// over the waiting set as USR, a user's copies between 2 and the wave's
+// number plus one. It returns the script left over.
 func driveMessage(t *testing.T, s *Sender, next func() Step, rounds, waves int, script []byte) []byte {
 	t.Helper()
 	if rounds == 0 || rounds > RoundCap {
 		rounds = RoundCap
 	}
 	sent := make(map[blockplan.Ref]bool)
-	steps := 0
+	out, steps, usr := s.Outcome(), 0, 0
 	for step := Multicast; step == Multicast || step == Unicast; step = next() {
 		if steps++; steps > rounds+waves {
-			t.Fatalf("still going after %d steps: %d rounds, %d waves", steps-1, s.Round(), s.Wave())
+			t.Fatalf("still going after %d steps: %d rounds, %d waves", steps-1, out.Rounds, out.UnicastWaves)
+		}
+		if out.Rounds+out.UnicastWaves != steps || len(out.NACKsPerRound) != steps-1 {
+			t.Fatalf("step %d: outcome %+v", steps, *out)
+		}
+		if step == Unicast {
+			wave := 0
+			for u := range s.Waiting() {
+				c := s.Copies(u)
+				if c < 2 || c > out.UnicastWaves+1 {
+					t.Fatalf("wave %d sends user %d %d copies", out.UnicastWaves, u, c)
+				}
+				wave += c
+			}
+			if out.UsrSent-usr != wave {
+				t.Fatalf("wave %d lists %d USR datagrams, Σ Copies = %d", out.UnicastWaves, out.UsrSent-usr, wave)
+			}
+			usr = out.UsrSent
 		}
 		if step == Multicast {
 			for _, r := range s.Refs() {
 				if sent[r] {
-					t.Fatalf("round %d sends %v again", s.Round(), r)
+					t.Fatalf("round %d sends %v again", out.Rounds, r)
 				}
 				sent[r] = true
 				if r.IsParity(s.k) && r.Shard >= fec.MaxShards {
-					t.Fatalf("round %d sends parity %v past shard %d", s.Round(), r, fec.MaxShards-1)
+					t.Fatalf("round %d sends parity %v past shard %d", out.Rounds, r, fec.MaxShards-1)
 				}
 			}
 		}
@@ -203,6 +239,9 @@ func driveMessage(t *testing.T, s *Sender, next func() Step, rounds, waves int, 
 				t.Fatalf("amax[%d] = %d > k = %d", b, a, s.k)
 			}
 		}
+	}
+	if out.EncSent != s.k*len(s.next) || out.EncSent+out.ParitySent != len(sent) || out.UsrSent != usr {
+		t.Fatalf("outcome %+v after %d shards and %d USR datagrams", *out, len(sent), usr)
 	}
 	return script
 }

@@ -13,9 +13,10 @@ import (
 // Tuning.AdaptiveRho is set (Fig. 11), and the NACK target, which
 // follows the deadline misses when Tuning.AdaptNumNACK is. It does no
 // I/O and reads no clock. A transport opens each message with Open, ends
-// each round or wave with Next and the message with Close; the Session
-// emits the rho gauge, the RoundStart, RhoAdjusted and SwitchToUnicast
-// events and the NACKs of every round and wave.
+// each round or wave with Next and the message with Close, and reads
+// the message's account off its Sender's Outcome; the Session emits the
+// rho gauge, the RoundStart, RhoAdjusted and SwitchToUnicast events and
+// the NACKs of every round and wave.
 type Session struct {
 	tun     tuning.Tuning
 	reg     *obs.Registry
@@ -48,7 +49,7 @@ func (s *Session) Open(part blockplan.Partition, msgID uint8, maxWaves int) *Sen
 }
 
 func (s *Session) roundStart() {
-	s.reg.Emit(obs.Event{Kind: obs.EvRoundStart, MsgID: s.msgID, Round: s.snd.round, Value: float64(len(s.snd.refs))})
+	s.reg.Emit(obs.Event{Kind: obs.EvRoundStart, MsgID: s.msgID, Round: s.snd.out.Rounds, Value: float64(len(s.snd.refs))})
 }
 
 // Next ends the open message's round or wave as Sender.Next does, first
@@ -56,7 +57,7 @@ func (s *Session) roundStart() {
 func (s *Session) Next() Step {
 	snd := s.snd
 	s.reg.Observe(obs.HNACKsPerRound, float64(snd.NACKs()))
-	if snd.step == Multicast && snd.round == 1 && s.tun.AdaptiveRho {
+	if snd.step == Multicast && snd.out.Rounds == 1 && s.tun.AdaptiveRho {
 		if rho := AdjustRho(s.rho, snd.k, s.numNACK, snd.demand, s.rng); rho != s.rho {
 			s.rho = rho
 			s.reg.Emit(obs.Event{Kind: obs.EvRhoAdjusted, MsgID: s.msgID, Value: rho})
@@ -67,16 +68,21 @@ func (s *Session) Next() Step {
 	switch {
 	case step == Multicast:
 		s.roundStart()
-	case step == Unicast && snd.wave == 1:
-		s.reg.Emit(obs.Event{Kind: obs.EvSwitchToUnicast, MsgID: s.msgID, Round: snd.round, Value: float64(len(snd.waiting))})
+	case step == Unicast && snd.out.UnicastWaves == 1:
+		s.reg.Emit(obs.Event{Kind: obs.EvSwitchToUnicast, MsgID: s.msgID, Round: snd.out.Rounds, Value: float64(len(snd.waiting))})
 	}
 	return step
 }
 
-// Close ends the open message. missed is the transport's count of members
-// not keyed within Tuning.MaxMulticastRounds rounds, the deadline: none
-// raises the NACK target by one, up to MaxNACK; any lowers it by as many.
-func (s *Session) Close(missed int) {
+// Close ends the open message once its Sender is Done or has given up,
+// and returns its deadline misses: who NACKed the multicast round that
+// hit Tuning.MaxMulticastRounds, the deadline -- the members the server
+// can see were not keyed by it; 0 without a deadline. No miss raises the
+// NACK target by one, up to MaxNACK; any lowers it by as many.
+func (s *Session) Close() (missed int) {
+	if out := &s.snd.out; out.Rounds == s.tun.MaxMulticastRounds {
+		missed = out.NACKsPerRound[out.Rounds-1]
+	}
 	switch {
 	case !s.tun.AdaptNumNACK:
 	case missed == 0:
@@ -84,4 +90,5 @@ func (s *Session) Close(missed int) {
 	default:
 		s.numNACK = max(s.numNACK-missed, 0)
 	}
+	return missed
 }

@@ -37,7 +37,9 @@ func TestSessionAcrossMessages(t *testing.T) {
 	if sess.Next() != Unicast || sess.Next() != Done {
 		t.Fatal("round two's NACK did not lead to one quiet wave")
 	}
-	sess.Close(1)
+	if missed := sess.Close(); missed != 1 {
+		t.Fatalf("message 7 missed the deadline %d times, want 1", missed)
+	}
 	// Message 8 opens at the new rho; no miss raises the target again.
 	snd = sess.Open(part, 8, 1)
 	if got := len(snd.Refs()); got != 2*(tun.K+4) {
@@ -46,7 +48,9 @@ func TestSessionAcrossMessages(t *testing.T) {
 	if sess.Next() != Done {
 		t.Fatal("a quiet round one did not end message 8")
 	}
-	sess.Close(0)
+	if missed := sess.Close(); missed != 0 {
+		t.Fatalf("message 8 missed the deadline %d times, want 0", missed)
+	}
 	if sess.Rho() != 1.4 || sess.NumNACK() != 1 {
 		t.Fatalf("rho %v, numNACK %d after both; want 1.4, 1", sess.Rho(), sess.NumNACK())
 	}
@@ -63,11 +67,45 @@ func TestSessionAcrossMessages(t *testing.T) {
 	}
 }
 
+// TestSessionDeadlineMisses: who NACKs the round that hits the round
+// budget missed the deadline, and lowers the NACK target by as many; a
+// wave's NACKs and an earlier round's do not count.
+func TestSessionDeadlineMisses(t *testing.T) {
+	tun := tuning.Default()
+	tun.AdaptNumNACK, tun.NumNACK, tun.MaxNACK, tun.MaxMulticastRounds = true, 10, 20, 2
+	sess := NewSession(tun, 1, nil)
+	part, err := blockplan.NewPartition(15, tun.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snd := sess.Open(part, 1, 2)
+	for u := range 4 {
+		snd.NACK(u, req(0, 1))
+	}
+	if sess.Next() != Multicast {
+		t.Fatal("round one's NACKs did not lead to round two")
+	}
+	for u := range 3 {
+		snd.NACK(u, req(0, 1))
+	}
+	if sess.Next() != Unicast {
+		t.Fatal("the budget round's NACKs did not lead to unicast")
+	}
+	snd.NACK(0, nil)
+	if sess.Next() != Unicast || sess.Next() != Done {
+		t.Fatal("wave one's NACK did not lead to one quiet wave")
+	}
+	if missed := sess.Close(); missed != 3 || sess.NumNACK() != 7 {
+		t.Fatalf("%d deadline misses, NACK target %d; want 3, 7", missed, sess.NumNACK())
+	}
+}
+
 // FuzzSession runs a Session over a stream of messages of one partition,
-// each driven by driveMessage from the script and closed with a miss
-// count read off it. Every message's Sender keeps FuzzSender's
-// invariants; across messages rho never falls below min(1, rho0) and the
-// NACK target stays in [0, MaxNACK].
+// each driven by driveMessage from the script. Every message's Sender
+// keeps FuzzSender's invariants; Close counts deadline misses only off
+// the round that hit the budget and moves the NACK target by them;
+// across messages rho never falls below min(1, rho0) and the NACK
+// target stays in [0, MaxNACK].
 func FuzzSession(f *testing.F) {
 	f.Add(uint8(10), uint16(25), uint8(10), uint8(2), uint8(3), uint8(1), uint8(20), uint8(3), uint64(1),
 		[]byte{1, 0, 3, 2, 0, 9, 0xff, 0xff, 0, 0xff, 2, 0xff, 0xff, 0, 0xff, 0})
@@ -96,11 +134,13 @@ func FuzzSession(f *testing.F) {
 		for msg := 0; msg == 0 || len(script) > 0 && msg < 256; msg++ {
 			snd := sess.Open(part, uint8(msg%64), int(waves)%10)
 			script = driveMessage(t, snd, sess.Next, tun.MaxMulticastRounds, int(waves)%10, script)
-			missed := 0
-			if len(script) > 0 {
-				missed, script = int(script[0]%4), script[1:]
+			before, missed, out := sess.NumNACK(), sess.Close(), snd.Outcome()
+			if missed < 0 || missed > 0 && (out.Rounds != tun.MaxMulticastRounds || missed != out.NACKsPerRound[out.Rounds-1]) {
+				t.Fatalf("message %d: %d deadline misses after %+v", msg, missed, *out)
 			}
-			sess.Close(missed)
+			if tun.AdaptNumNACK && missed > 0 && sess.NumNACK() != max(before-missed, 0) {
+				t.Fatalf("message %d: NACK target %d -> %d after %d misses", msg, before, sess.NumNACK(), missed)
+			}
 			if rho := sess.Rho(); rho < floor-1e-9 {
 				t.Fatalf("message %d: rho %v below min(1, rho0) = %v", msg, rho, floor)
 			}

@@ -61,7 +61,7 @@ func TestRefusedBurstFallsBackPerDatagram(t *testing.T) {
 		return 0, &net.OpError{Op: "write", Net: "udp", Err: os.NewSyscallError("sendmmsg", syscall.EINVAL)}
 	}
 	for r := 1; r <= 2; r++ {
-		if err := srv.multicastRefs(context.Background(), rm, refs, members, nil, &Stats{}); err != nil {
+		if err := srv.multicastRefs(context.Background(), rm, refs, members, nil); err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}
 		if calls != 2 || listed <= taken || srv.mmsg != nil {

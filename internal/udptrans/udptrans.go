@@ -3,11 +3,12 @@
 // as a unicast fan-out, which keeps the code portable to hosts without
 // multicast routing), collects NACKs for a round, retransmits fresh
 // parity, and finally unicasts USR packets with escalating duplication.
-// What to send and when to stop is protocol.Sender's to decide, and what
-// carries from one message to the next (rho, the NACK target) is
-// protocol.Session's -- the same state machines the simulated
-// vsim.Session drives -- and this package moves real bytes through real
-// sockets: who is sent what first, the NACK window and its source check.
+// What to send, how many copies and when to stop is protocol.Sender's to
+// decide, and to account for; what carries from one message to the next
+// (rho, the NACK target) is protocol.Session's -- the same state
+// machines the simulated vsim.Session drives -- and this package moves
+// real bytes through real sockets: who is sent what first, the NACK
+// window and its source check.
 // The fan-out pays per batch, not per datagram: on Linux one sendmmsg
 // hands the kernel up to 64 members' runs of datagrams, each run
 // segmented, and a member reads its run back in one coalesced receive
@@ -123,7 +124,7 @@ func (s *Server) memberTable(rm *rekey.RekeyMessage) (members []member, addrOf m
 		if cred, ok := s.ks.Credentials(id); ok {
 			m.node = cred.NodeID
 			addrOf[m.node] = m.addr
-			if pi, ok := rm.Plan.UserPacket[cred.NodeID]; ok {
+			if pi, ok := rm.PacketFor(cred.NodeID); ok {
 				m.own = pi
 			}
 		}
@@ -195,15 +196,9 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Stats reports one distribution run.
-type Stats struct {
-	EncSent       int
-	ParitySent    int
-	UsrSent       int
-	Rounds        int
-	UnicastWaves  int
-	NACKsPerRound []int
-}
+// Stats reports one distribution run: the account its protocol.Sender
+// kept of what it listed for the wire.
+type Stats = protocol.Outcome
 
 // Distribute runs the full transport protocol for one rekey message,
 // sending what the server's protocol.Session decides. It returns once
@@ -228,15 +223,14 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	})
 	defer stopWatch()
 
-	st := &Stats{}
 	snd := s.sess.Open(rm.Part, rm.MsgID, opts.MaxUnicastWaves)
+	st := snd.Outcome()
 	members, addrOf := s.memberTable(rm)
 	scratch := make([]byte, 2048) // every NACK read of the run
 
 	for step := protocol.Multicast; ; step = s.sess.Next() {
 		if step == protocol.Done || step == protocol.GiveUp {
-			// Who NACKed the last multicast round missed the deadline.
-			s.sess.Close(st.NACKsPerRound[st.Rounds-1])
+			s.sess.Close()
 			if step == protocol.GiveUp {
 				return st, fmt.Errorf("udptrans: %d users still pending after unicast budget", len(snd.Waiting()))
 			}
@@ -250,16 +244,14 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 			roundStart = time.Now()
 		}
 		if step == protocol.Multicast {
-			if err := s.multicastRefs(ctx, rm, snd.Refs(), members, snd.Waiting(), st); err != nil {
+			if err := s.multicastRefs(ctx, rm, snd.Refs(), members, snd.Waiting()); err != nil {
 				return st, err
 			}
-			st.Rounds = snd.Round()
 		} else {
 			// Unicast (Fig. 22) to the latest round's or wave's NACKers
 			// only: a member still pending NACKs every QuietGap.
-			st.UnicastWaves = snd.Wave()
 			s.obs.Inc(obs.CUnicastWaves)
-			if err := s.unicastUSR(ctx, rm, members[:waitingFirst(members, snd.Waiting())], snd.Dups(), st); err != nil {
+			if err := s.unicastUSR(ctx, rm, members[:waitingFirst(members, snd.Waiting())], snd); err != nil {
 				return st, err
 			}
 		}
@@ -271,7 +263,6 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 		if err != nil {
 			return st, err
 		}
-		st.NACKsPerRound = append(st.NACKsPerRound, snd.NACKs())
 	}
 }
 
@@ -306,18 +297,15 @@ type outMsg struct {
 // interleaved order to every member in turn, then the next chunk. Every
 // member receives every datagram of the round exactly once, in the
 // interleaved order but for its own packet.
-func (s *Server) multicastRefs(ctx context.Context, rm *rekey.RekeyMessage, refs []blockplan.Ref, members []member, nackers map[int]bool, st *Stats) error {
+func (s *Server) multicastRefs(ctx context.Context, rm *rekey.RekeyMessage, refs []blockplan.Ref, members []member, nackers map[int]bool) error {
 	// The round is laid out once, contiguously and in send order, so
 	// that any run of it is one buffer a message can carry.
 	if err := rm.BuildRound(ctx, &s.round, refs); err != nil {
 		return err
 	}
 	slab, offs, at := s.round.Bytes, s.round.Offs, s.round.At
-	enc, parity := len(refs)-s.round.Parity, s.round.Parity
-	st.EncSent += enc
-	st.ParitySent += parity
-	s.obs.Add(obs.CEncSent, int64(enc))
-	s.obs.Add(obs.CParitySent, int64(parity))
+	s.obs.Add(obs.CEncSent, int64(len(refs)-s.round.Parity))
+	s.obs.Add(obs.CParitySent, int64(s.round.Parity))
 
 	// First pass: the waiting members, each sent all it waits for.
 	msgs := s.out[:0]
@@ -507,12 +495,12 @@ func (s *Server) listen(ctx context.Context, rm *rekey.RekeyMessage, addrOf map[
 	}
 }
 
-// unicastUSR sends each pending member its USR packet dups times. The
-// members come from the table, so a NACK naming a node ID that is no
-// member's -- NACKs are unauthenticated, and such an ID has no USR leaf
-// on a signed message: WireUSR would fail the interval for everyone --
-// is served nothing.
-func (s *Server) unicastUSR(ctx context.Context, rm *rekey.RekeyMessage, pending []member, dups int, st *Stats) error {
+// unicastUSR sends each pending member as many copies of its USR packet
+// as snd says. The members come from the table, so a NACK naming a node
+// ID that is no member's -- NACKs are unauthenticated, and such an ID
+// has no USR leaf on a signed message: WireUSR would fail the interval
+// for everyone -- is served nothing.
+func (s *Server) unicastUSR(ctx context.Context, rm *rekey.RekeyMessage, pending []member, snd *protocol.Sender) error {
 	msgs := s.out[:0]
 	for _, m := range pending {
 		// WireUSR carries the auth trailer on signed messages and is the
@@ -522,9 +510,8 @@ func (s *Server) unicastUSR(ctx context.Context, rm *rekey.RekeyMessage, pending
 		if err != nil {
 			return err
 		}
-		for j := 0; j < dups; j++ {
+		for j := 0; j < snd.Copies(m.node); j++ {
 			msgs = append(msgs, outMsg{to: m.addr, iov: [2][]byte{raw}, seg: len(raw)})
-			st.UsrSent++
 			s.obs.Inc(obs.CUsrSent)
 		}
 	}

@@ -73,14 +73,13 @@ func TestSendRefSteadyStateAllocs(t *testing.T) {
 			roundOne := blockplan.RoundOne(rm.Part, 1.2) // k ENC and two PARITY a block
 			roundTwo := []blockplan.Ref{{Block: 0, Shard: k}, {Block: 0, Shard: k + 1}}
 			nackers := map[int]bool{members[0].node: true}
-			st := &Stats{}
 			rounds := func() {
 				// Round one exercises the own-packet pass, round two the
 				// NACKers-first pass; both end in the chunk-major one.
-				if err := srv.multicastRefs(context.Background(), rm, roundOne, members, nil, st); err != nil {
+				if err := srv.multicastRefs(context.Background(), rm, roundOne, members, nil); err != nil {
 					t.Fatal(err)
 				}
-				if err := srv.multicastRefs(context.Background(), rm, roundTwo, members, nackers, st); err != nil {
+				if err := srv.multicastRefs(context.Background(), rm, roundTwo, members, nackers); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -93,8 +92,8 @@ func TestSendRefSteadyStateAllocs(t *testing.T) {
 					t.Errorf("%s: allocs per two rounds of %d datagrams = %v, want 0", mode, (len(roundOne)+len(roundTwo))*len(members), allocs)
 				}
 			}
-			if st.EncSent == 0 || st.ParitySent == 0 {
-				t.Fatalf("stats not advanced: %+v", st)
+			if len(srv.out) == 0 || srv.round.Parity == 0 {
+				t.Fatalf("round two sent %d messages, %d PARITY datagrams", len(srv.out), srv.round.Parity)
 			}
 		})
 	}

@@ -2,7 +2,8 @@
 // paper's simulated evaluation (Figs. 8-21) run on the code the key
 // server daemon runs. Each rekey message is a real rekey.RekeyMessage;
 // protocol.Sender, the state machine udptrans drives over sockets,
-// decides what each round sends; netsim's star decides which datagrams
+// decides what each round and wave sends and keeps the account this
+// package's Metrics report; netsim's star decides which datagrams
 // each member's link lets through at which virtual time; and real
 // rekey.Members ingest those bytes and answer with real NACK bytes.
 //
@@ -65,7 +66,9 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// Metrics reports one rekey message's transport outcome.
+// Metrics reports one rekey message's transport outcome. The counts of
+// rounds, waves, datagrams and round-one NACKs are the Sender's
+// protocol.Outcome; the rest is what only a simulation sees.
 type Metrics struct {
 	MsgID         int
 	RhoUsed       float64
@@ -86,7 +89,11 @@ type Metrics struct {
 	// which a member's Ingest first reported Done. Multicast finishers
 	// record their round (1-based); unicast finishers record
 	// MulticastRounds + wave.
-	UserRoundHist  map[int]int
+	UserRoundHist map[int]int
+	// MissedDeadline counts members not keyed within
+	// Tuning.MaxMulticastRounds rounds, the deadline; 0 without one. It
+	// is the deadline misses the Session saw (Session.Close) plus
+	// Unreached, whom no server sees.
 	MissedDeadline int
 	// NeededUsers is how many members the message was for.
 	NeededUsers int
@@ -196,9 +203,10 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 	r := &run{rm: rm, members: members, done: make([]int, len(members))}
 
 	snd := s.core.Open(rm.Part, rm.MsgID, WaveBudget)
+	out := snd.Outcome()
 	step := protocol.Multicast
 	for ; step == protocol.Multicast; step = s.core.Next() {
-		round := snd.Round()
+		round := out.Rounds
 		refs := snd.Refs()
 		if cfg.SequentialSend {
 			// The ablation's order: the same shards, each block's back
@@ -209,8 +217,6 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 		if err := rm.BuildRound(context.TODO(), &s.round, refs); err != nil {
 			return nil, err
 		}
-		met.MulticastSent += len(refs)
-		met.ParitySent += s.round.Parity
 		times := make([]float64, len(refs))
 		for i := range times {
 			times[i] = s.now + float64(i)*sendInterval
@@ -226,23 +232,7 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 				feedNACK(snd, rm.MsgID, i, raw)
 			}
 		}
-		if round == 1 {
-			met.Round1NACKs = snd.NACKs()
-		}
-		met.MulticastRounds = round
 	}
-
-	// Deadline accounting happens at the multicast/unicast boundary: a
-	// member meets the deadline iff it was keyed within the
-	// MaxMulticastRounds multicast rounds before the unicast switch.
-	if cfg.MaxMulticastRounds > 0 {
-		for _, d := range r.done {
-			if d == 0 || d > cfg.MaxMulticastRounds {
-				met.MissedDeadline++
-			}
-		}
-	}
-
 	if step == protocol.Unicast {
 		var err error
 		if step, err = s.unicast(r, snd, met); err != nil {
@@ -262,7 +252,11 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 		}
 	}
 	met.AllDone = step == protocol.Done && met.Unreached == 0
-	s.core.Close(met.MissedDeadline)
+	if missed := s.core.Close(); cfg.MaxMulticastRounds > 0 {
+		met.MissedDeadline = missed + met.Unreached
+	}
+	met.MulticastSent, met.ParitySent, met.UsrSent = out.EncSent+out.ParitySent, out.ParitySent, out.UsrSent
+	met.MulticastRounds, met.UnicastWaves, met.Round1NACKs = out.Rounds, out.UnicastWaves, out.NACKsPerRound[0]
 	// Idle gap between rekey messages keeps link processes realistic.
 	s.now += roundSlack
 	return met, nil
@@ -291,7 +285,7 @@ func (s *Session) deliver(r *run, rd *netsim.RoundDelivery, round int) [][]byte 
 			got = rd.Received(got[:0], i)
 			m := r.members[i]
 			keyed := false
-			if own, ok := r.rm.Plan.UserPacket[r.rm.Result.UserIDs[i]]; ok {
+			if own, ok := r.rm.PacketFor(r.rm.Result.UserIDs[i]); ok {
 				j := rnd.At[own] // -1, which got never holds, when the round lacks it
 				if _, ok := slices.BinarySearch(got, j); ok {
 					keyed = keyedBy(m, rnd.Datagram(j))
@@ -332,19 +326,18 @@ func feedNACK(snd *protocol.Sender, msgID uint8, i int, raw []byte) {
 }
 
 // unicast implements Switch2Unicast (Fig. 22) and returns the Sender's
-// last step. A waiting member none of a wave's Dups copies reach NACKs
+// last step. A waiting member none of its wave's copies reach NACKs
 // again.
 func (s *Session) unicast(r *run, snd *protocol.Sender, met *Metrics) (protocol.Step, error) {
-	step := protocol.Unicast
+	step, out := protocol.Unicast, snd.Outcome()
 	for ; step == protocol.Unicast; step = s.core.Next() {
-		wave, waiting := snd.Wave(), snd.Waiting()
+		wave, waiting := out.UnicastWaves, snd.Waiting()
 		for i, m := range r.members {
 			if !waiting[i] {
 				continue
 			}
 			got := false
-			for j := 0; j < snd.Dups(); j++ {
-				met.UsrSent++
+			for j := 0; j < snd.Copies(i); j++ {
 				// Duplicates of one wave go out back to back; distinct
 				// members' sends share the wave window.
 				got = s.net.Unicast(i, s.now+float64(j)*0.001) || got
@@ -355,7 +348,7 @@ func (s *Session) unicast(r *run, snd *protocol.Sender, met *Metrics) (protocol.
 					return step, err
 				}
 				if res, err := m.Ingest(w); err == nil && res.Done {
-					r.done[i] = met.MulticastRounds + wave
+					r.done[i] = out.Rounds + wave
 					met.UserRoundHist[r.done[i]]++
 					continue
 				}
@@ -366,7 +359,6 @@ func (s *Session) unicast(r *run, snd *protocol.Sender, met *Metrics) (protocol.
 			}
 		}
 		s.now += unicastInterval
-		met.UnicastWaves = wave
 	}
 	return step, nil
 }

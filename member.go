@@ -483,13 +483,7 @@ func (m *Member) ingestENCLocked(h packet.ENCHeader, raw []byte, blockRoot *keys
 		res.Done = true
 		return res, nil
 	}
-	if !h.Dup {
-		a.est.Observe(myID, blockplan.ENCHeader{
-			BlockID: int(h.BlockID), Seq: int(h.Seq),
-			FrmID: int(h.FrmID), ToID: int(h.ToID),
-			MaxKID: int(h.MaxKID),
-		}, m.k, m.view.D)
-	}
+	a.est.Observe(myID, h, m.k, m.view.D)
 	return m.addShardLocked(a, blk, res, raw[packet.FECOffset:])
 }
 

@@ -20,8 +20,8 @@ func TestMemberDuplicateIngestIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	cred, _ := s.Credentials(3)
-	pkt, _ := rm.PacketFor(cred.NodeID)
-	raw := pkt[:packet.PacketLen]
+	pi, _ := rm.PacketFor(cred.NodeID)
+	raw := rm.ENC[pi][:packet.PacketLen]
 	for i := 0; i < 3; i++ {
 		// Re-ingesting after completion is reported as ErrStale, never
 		// as a hard failure or a changed key.

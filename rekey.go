@@ -351,7 +351,6 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 	rm := &RekeyMessage{
 		MsgID:  s.msgSeq & packet.MaxMsgID,
 		Result: res,
-		degree: s.cfg.Degree,
 		k:      s.cfg.K,
 		obs:    s.obs,
 	}
@@ -430,9 +429,8 @@ type RekeyMessage struct {
 	ENC  [][]byte
 	Part blockplan.Partition
 
-	degree int
-	k      int
-	obs    *obs.Registry
+	k   int
+	obs *obs.Registry
 	// auth is the interval's authentication state (Merkle trees, root
 	// signature, pre-built PARITY trailers); nil on an unsigned server.
 	// Both are built once in Rekey and read-only afterwards.
@@ -511,13 +509,11 @@ func (rm *RekeyMessage) encodeLocked(ctx context.Context, want []int) error {
 	return nil
 }
 
-// PacketFor returns the ENC datagram serving the given user node ID.
-func (rm *RekeyMessage) PacketFor(nodeID int) ([]byte, bool) {
+// PacketFor returns the index in ENC of the datagram serving the given
+// user node ID, the one a member of that node needs.
+func (rm *RekeyMessage) PacketFor(nodeID int) (int, bool) {
 	pi, ok := rm.Plan.UserPacket[nodeID]
-	if !ok {
-		return nil, false
-	}
-	return rm.ENC[pi], true
+	return pi, ok
 }
 
 // checkUSRFields reports whether nodeID and the batch's MaxKID fit the

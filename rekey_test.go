@@ -52,11 +52,11 @@ func bootstrap(t testing.TB, s *Server, n int) map[MemberID]*Member {
 // deliverSpecific hands the member its exact ENC packet.
 func deliverSpecific(t testing.TB, rm *RekeyMessage, m *Member, nodeID int) {
 	t.Helper()
-	p, ok := rm.PacketFor(nodeID)
+	pi, ok := rm.PacketFor(nodeID)
 	if !ok {
 		t.Fatalf("no packet for node %d", nodeID)
 	}
-	res, err := m.Ingest(p[:packet.PacketLen])
+	res, err := m.Ingest(rm.ENC[pi][:packet.PacketLen])
 	if err != nil {
 		t.Fatal(err)
 	}
