@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"repro/internal/gf256"
 	"repro/internal/obs"
 )
 
@@ -66,6 +68,78 @@ func TestDecodeIntoMatchesRefDecode(t *testing.T) {
 					}
 					if !bytes.Equal(got[j], data[j]) {
 						t.Fatalf("trial %d: packet %d differs from original", trial, j)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSolveCoefMatchesRefInvert holds the closed-form Cauchy inverse
+// to Gauss-Jordan elimination: for every loss count m the code admits
+// at each k, sampled parity and missing sets (shard 255, the last
+// parity index, among them) must give coefficient rows equal to
+// refInvert's inverse of the m x m Cauchy submatrix, followed by that
+// inverse times the received data columns.
+func TestSolveCoefMatchesRefInvert(t *testing.T) {
+	for _, k := range []int{1, 2, 10, 128, 200} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			c, err := NewCoder(k, MaxShards-k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(uint64(k), 47))
+			for m := 1; m <= min(k, MaxShards-k); m++ {
+				// Three samples per small m; one per large m keeps the
+				// k=128 sweep, O(m^2*k) per sample, short under -race.
+				trials := 3
+				if m > 16 {
+					trials = 1
+				}
+				for trial := 0; trial < trials; trial++ {
+					missing := rng.Perm(k)[:m]
+					slices.Sort(missing)
+					par := rng.Perm(MaxShards - k)[:m]
+					if trial == 0 && !slices.Contains(par, MaxShards-k-1) {
+						par[rng.IntN(m)] = MaxShards - k - 1
+					}
+					shards := make([]Shard, m)
+					parityPos := make([]int, m)
+					for r, i := range par {
+						shards[r] = Shard{Index: k + i}
+						parityPos[r] = r
+					}
+					dataPos := make([]int, k)
+					for _, j := range missing {
+						dataPos[j] = -1
+					}
+
+					// a is the Cauchy submatrix over the missing columns,
+					// recv the same parity rows over the received ones.
+					a, recv := make([][]byte, m), make([][]byte, m)
+					for r, i := range par {
+						for j, p := range dataPos {
+							if p < 0 {
+								a[r] = append(a[r], c.rows[i][j])
+							} else {
+								recv[r] = append(recv[r], c.rows[i][j])
+							}
+						}
+					}
+					inv, ok := refInvert(a)
+					if !ok {
+						t.Fatalf("m=%d: refInvert reports the Cauchy submatrix singular", m)
+					}
+					want := make([]byte, 0, m*k)
+					for ci := range missing {
+						w := make([]byte, k-m)
+						for r := range par {
+							gf256.MulAddSlice(w, recv[r], inv[ci][r])
+						}
+						want = append(append(want, inv[ci]...), w...)
+					}
+					if got := c.solveCoef(missing, parityPos, shards, dataPos); !bytes.Equal(got, want) {
+						t.Fatalf("m=%d trial %d (parity %v, missing %v): closed form differs from refInvert", m, trial, par, missing)
 					}
 				}
 			}

@@ -8,7 +8,10 @@
 // packets. This is the same maximum-distance-separable property as
 // L. Rizzo's Vandermonde-based codec used by the paper; we derive parity
 // rows from a Cauchy matrix, whose square submatrices are all invertible,
-// which makes the systematic construction direct.
+// which makes the systematic construction direct. Those submatrices are
+// Cauchy matrices too, with a closed-form inverse, so a decode with m
+// losses solves its m x m system in O(m^2) field operations, without
+// elimination.
 //
 // Encoding cost for one parity packet is Theta(k * packetLen), matching
 // the linear-in-k encoding-time model in the paper's Section 5.
@@ -175,12 +178,12 @@ func (m *shardMask) testAndSet(i int) bool {
 // Rather than inverting the full k x k decode matrix and re-deriving
 // every data packet, DecodeInto substitutes the data shards that
 // arrived and solves only for the missing ones: with m losses it
-// inverts an m x m system and does O(m*k) slice operations of plen
-// bytes, against a full k x k inverse's O(k^2). Any m distinct parity
-// shards decode exactly, so the first m received are used, and each
-// call solves its own loss pattern: a member decodes a block or two a
-// message, and its loss patterns rarely repeat (DESIGN.md "Member
-// receive path").
+// inverts an m x m Cauchy system in closed form and does O(m*k) slice
+// operations of plen bytes, against a full k x k inverse's O(k^2). Any
+// m distinct parity shards decode exactly, so the first m received are
+// used, and each call solves its own loss pattern: a member decodes a
+// block or two a message, and its loss patterns rarely repeat
+// (DESIGN.md "Member receive path").
 func (c *Coder) DecodeInto(out [][]byte, shards []Shard) error {
 	k := c.k
 	if len(out) != k {
@@ -261,17 +264,14 @@ func (c *Coder) DecodeInto(out [][]byte, shards []Shard) error {
 		return nil
 	}
 
-	coef, err := c.solveCoef(missing, parityPos, shards, dataPos)
-	if err != nil {
-		return err
-	}
+	coef := c.solveCoef(missing, parityPos, shards, dataPos)
 
 	// Reconstruct each missing packet as a coefficient combination of
 	// the m parity payloads followed by the k-m received data payloads.
 	for ci, j := range missing {
 		d := ensure(out[j], plen)
 		clear(d)
-		row := coef.Row(ci)
+		row := coef[ci*k : (ci+1)*k]
 		for r, p := range parityPos {
 			gf256.MulAddSlice(d, shards[p].Data, row[r])
 		}
@@ -299,54 +299,75 @@ func ensure(buf []byte, n int) []byte {
 	return make([]byte, n)
 }
 
-// solveCoef returns the m x k coefficient matrix for the given loss
-// pattern: row ci reconstructs missing data packet missing[ci]; its
-// first m columns weight the chosen parity payloads (in parityPos
-// order) and the remaining k-m columns weight the received data
-// payloads (ascending data index). Each call counts one solve on
-// obs.CDecodeCacheMiss.
+// solveCoef returns the m x k coefficient rows for the given loss
+// pattern in one flat slice: row ci, coef[ci*k:(ci+1)*k], reconstructs
+// missing data packet missing[ci]; its first m columns weight the
+// chosen parity payloads (in parityPos order) and the remaining k-m
+// columns weight the received data payloads (ascending data index).
+// Each call counts one solve on obs.CDecodeCacheMiss.
 //
 // Derivation: each chosen parity p satisfies
 // y_p = sum_j rows[p][j]*x_j, so over the missing set M,
 // sum_{j in M} rows[p][j]*x_j = y_p + sum_{j received} rows[p][j]*x_j
 // (addition is XOR). With A the m x m submatrix rows[p][M], the
 // missing packets are x_M = A^-1*y + (A^-1*R_received)*x_received,
-// which is exactly the two column groups of the returned matrix.
-func (c *Coder) solveCoef(missing, parityPos []int, shards []Shard, dataPos []int) (*gf256.Matrix, error) {
+// which is exactly the two column groups of the returned rows.
+//
+// A is itself a Cauchy matrix, A[r][c] = 1/(x_r ^ y_c) with x_r the
+// r-th chosen parity's shard index and y_c = missing[c], so its inverse
+// has a closed form (no elimination, no pivots):
+//
+//	A^-1[c][r] = a_r*b_c / ((x_r ^ y_c)*e_r*f_c)
+//	a_r = prod_c' (x_r ^ y_c')   b_c = prod_r' (x_r' ^ y_c)
+//	e_r = prod_{r'!=r} (x_r ^ x_r')   f_c = prod_{c'!=c} (y_c ^ y_c')
+//
+// DecodeInto passes distinct parity indices (all >= k) and distinct
+// missing indices (all < k), so no factor is zero. m <= min(k, 256-k)
+// <= MaxShards/2, which bounds the stack arrays.
+func (c *Coder) solveCoef(missing, parityPos []int, shards []Shard, dataPos []int) []byte {
 	k, m := c.k, len(missing)
 	c.reg.Inc(obs.CDecodeCacheMiss)
 
-	a := gf256.NewMatrix(m, m)
+	// u_r = a_r/e_r and v_c = b_c/f_c, so A^-1[c][r] = u_r*v_c/(x_r^y_c).
+	var x, y, u, v [MaxShards / 2]byte
 	for r, p := range parityPos {
-		row := c.rows[shards[p].Index-k]
-		for ci, j := range missing {
-			a.Set(r, ci, row[j])
-		}
+		x[r] = byte(shards[p].Index)
 	}
-	inv, ok := a.Invert()
-	if !ok {
-		// Cannot happen for a Cauchy code with distinct indices; guard
-		// anyway so corrupted indices fail loudly rather than silently.
-		return nil, errors.New("fec: decode matrix singular")
+	for ci, j := range missing {
+		y[ci] = byte(j)
+	}
+	for i := 0; i < m; i++ {
+		a, b, e, f := byte(1), byte(1), byte(1), byte(1)
+		for j := 0; j < m; j++ {
+			a = gf256.Mul(a, x[i]^y[j])
+			b = gf256.Mul(b, x[j]^y[i])
+			if j != i {
+				e = gf256.Mul(e, x[i]^x[j])
+				f = gf256.Mul(f, y[i]^y[j])
+			}
+		}
+		u[i] = gf256.Mul(a, gf256.Inv(e))
+		v[i] = gf256.Mul(b, gf256.Inv(f))
 	}
 
-	coef := gf256.NewMatrix(m, k)
+	coef := make([]byte, m*k)
 	for ci := 0; ci < m; ci++ {
-		dst := coef.Row(ci)
-		src := inv.Row(ci)
-		copy(dst[:m], src)
+		row := coef[ci*k : (ci+1)*k]
+		for r := 0; r < m; r++ {
+			row[r] = gf256.Mul(gf256.Mul(u[r], v[ci]), gf256.Inv(x[r]^y[ci]))
+		}
 		col := m
 		for j, p := range dataPos {
 			if p >= 0 {
 				// (A^-1 * R_received)[ci][j]
 				var w byte
-				for r, pp := range parityPos {
-					w ^= gf256.Mul(src[r], c.rows[shards[pp].Index-k][j])
+				for r := 0; r < m; r++ {
+					w ^= gf256.Mul(row[r], c.rows[int(x[r])-k][j])
 				}
-				dst[col] = w
+				row[col] = w
 				col++
 			}
 		}
 	}
-	return coef, nil
+	return coef
 }

@@ -40,8 +40,8 @@ func refEncode(c *Coder, data [][]byte, first, n int) ([][]byte, error) {
 }
 
 // refDecode picks k shards (data first, in input order), builds the
-// k x k decode matrix, inverts it and multiplies every row: O(k^2)
-// slice operations and a fresh inversion per call.
+// k x k decode matrix, inverts it by refInvert and multiplies every
+// row: O(k^2) slice operations and a fresh inversion per call.
 func refDecode(c *Coder, shards []Shard) ([][]byte, error) {
 	k := c.k
 	seen := make(map[int]bool, len(shards))
@@ -71,26 +71,66 @@ func refDecode(c *Coder, shards []Shard) ([][]byte, error) {
 		}
 	}
 	// Row r of the decode matrix is the generator row of picked[r].
-	m := gf256.NewMatrix(k, k)
+	m := make([][]byte, k)
 	for r, s := range picked {
+		m[r] = make([]byte, k)
 		if s.Index < k {
-			m.Set(r, s.Index, 1)
+			m[r][s.Index] = 1
 		} else {
-			copy(m.Row(r), c.rows[s.Index-k])
+			copy(m[r], c.rows[s.Index-k])
 		}
 	}
-	inv, ok := m.Invert()
+	inv, ok := refInvert(m)
 	if !ok {
 		return nil, errors.New("fec: decode matrix singular")
 	}
 	out := make([][]byte, k)
 	for i := range out {
 		out[i] = make([]byte, plen)
-		for r, coef := range inv.Row(i) {
+		for r, coef := range inv[i] {
 			if coef != 0 {
 				gf256.MulAddSlice(out[i], picked[r].Data, coef)
 			}
 		}
 	}
 	return out, nil
+}
+
+// refInvert returns the inverse of the square matrix a by Gauss-Jordan
+// elimination, or ok=false if a is singular. It consumes a.
+func refInvert(a [][]byte) (inv [][]byte, ok bool) {
+	n := len(a)
+	inv = make([][]byte, n)
+	for i := range inv {
+		inv[i] = make([]byte, n)
+		inv[i][i] = 1
+	}
+	for col := 0; col < n; col++ {
+		pivot := -1
+		for r := col; r < n; r++ {
+			if a[r][col] != 0 {
+				pivot = r
+				break
+			}
+		}
+		if pivot < 0 {
+			return nil, false
+		}
+		a[pivot], a[col] = a[col], a[pivot]
+		inv[pivot], inv[col] = inv[col], inv[pivot]
+		// Scale the pivot row so the pivot element is 1.
+		pi := gf256.Inv(a[col][col])
+		for j := 0; j < n; j++ {
+			a[col][j] = gf256.Mul(a[col][j], pi)
+			inv[col][j] = gf256.Mul(inv[col][j], pi)
+		}
+		// Eliminate the column from every other row.
+		for r := 0; r < n; r++ {
+			if f := a[r][col]; r != col && f != 0 {
+				gf256.MulAddSlice(a[r], a[col], f)
+				gf256.MulAddSlice(inv[r], inv[col], f)
+			}
+		}
+	}
+	return inv, true
 }

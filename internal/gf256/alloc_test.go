@@ -15,12 +15,8 @@ func TestHotPathAllocs(t *testing.T) {
 		want float64
 		fn   func()
 	}{
-		{"MulSlice c=0", 0, func() { MulSlice(dst, src, 0) }},
-		{"MulSlice c=1", 0, func() { MulSlice(dst, src, 1) }},
-		{"MulSlice -> mulKernel", 0, func() { MulSlice(dst, src, 0x53) }},
 		{"MulAddSlice -> xorSlice", 0, func() { MulAddSlice(dst, src, 1) }},
 		{"MulAddSlice -> mulAddKernel", 0, func() { MulAddSlice(dst, src, 0x53) }},
-		{"mulGeneric", 0, func() { mulGeneric(dst, src, 0x53) }},
 		{"mulAddGeneric", 0, func() { mulAddGeneric(dst, src, 0x53) }},
 	}
 	for _, r := range rows {

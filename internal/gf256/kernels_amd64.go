@@ -24,26 +24,12 @@ func cpuFeatureNames() []string {
 	return nil
 }
 
-// mulVecSSSE3 sets dst[i] = c*src[i] for i in [0,n) where lo and hi are
-// the nibble product tables of c. n must be a positive multiple of 16.
-//
-//go:noescape
-func mulVecSSSE3(lo, hi *[16]byte, dst, src *byte, n int)
-
 // mulAddVecSSSE3 sets dst[i] ^= c*src[i] for i in [0,n) where lo and hi
 // are the nibble product tables of c. n must be a positive multiple of
 // 16.
 //
 //go:noescape
 func mulAddVecSSSE3(lo, hi *[16]byte, dst, src *byte, n int)
-
-func mulKernel(dst, src []byte, c byte) {
-	if n := len(src) &^ 15; n > 0 && hasSSSE3 {
-		mulVecSSSE3(&mulTblLo[c], &mulTblHi[c], &dst[0], &src[0], n)
-		dst, src = dst[n:], src[n:]
-	}
-	mulGeneric(dst, src, c)
-}
 
 func mulAddKernel(dst, src []byte, c byte) {
 	if n := len(src) &^ 15; n > 0 && hasSSSE3 {

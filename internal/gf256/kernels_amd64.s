@@ -2,9 +2,9 @@
 
 #include "textflag.h"
 
-// GF(2^8) vector kernels: SSSE3.
+// GF(2^8) vector kernel: SSSE3.
 //
-// Each kernel carries the two 16-entry nibble product tables of one
+// The kernel carries the two 16-entry nibble product tables of one
 // coefficient c in X0 (low) and X1 (high). For a 16-byte chunk S,
 // PSHUFB performs the 16 parallel table lookups, so
 //
@@ -92,67 +92,4 @@ addtail16:
 	MOVOU X6, (DI)
 
 adddone:
-	RET
-
-// func mulVecSSSE3(lo, hi *[16]byte, dst, src *byte, n int)
-TEXT ·mulVecSSSE3(SB), NOSPLIT, $0-40
-	MOVQ lo+0(FP), AX
-	MOVQ hi+8(FP), BX
-	MOVQ dst+16(FP), DI
-	MOVQ src+24(FP), SI
-	MOVQ n+32(FP), CX
-	MOVOU (AX), X0
-	MOVOU (BX), X1
-	MOVQ $0x0f0f0f0f0f0f0f0f, AX
-	MOVQ AX, X2
-	PUNPCKLQDQ X2, X2
-
-	CMPQ CX, $32
-	JL   multail16
-
-mulloop32:
-	MOVOU (SI), X4
-	MOVOU 16(SI), X8
-	MOVO  X4, X5
-	MOVO  X8, X9
-	PSRLQ $4, X5
-	PSRLQ $4, X9
-	PAND  X2, X4
-	PAND  X2, X5
-	PAND  X2, X8
-	PAND  X2, X9
-	MOVO  X0, X6
-	MOVO  X1, X7
-	MOVO  X0, X10
-	MOVO  X1, X11
-	PSHUFB X4, X6
-	PSHUFB X5, X7
-	PSHUFB X8, X10
-	PSHUFB X9, X11
-	PXOR  X7, X6
-	PXOR  X11, X10
-	MOVOU X6, (DI)
-	MOVOU X10, 16(DI)
-	ADDQ  $32, SI
-	ADDQ  $32, DI
-	SUBQ  $32, CX
-	CMPQ  CX, $32
-	JGE   mulloop32
-
-multail16:
-	CMPQ CX, $16
-	JL   muldone
-	MOVOU (SI), X4
-	MOVO  X4, X5
-	PSRLQ $4, X5
-	PAND  X2, X4
-	PAND  X2, X5
-	MOVO  X0, X6
-	MOVO  X1, X7
-	PSHUFB X4, X6
-	PSHUFB X5, X7
-	PXOR  X7, X6
-	MOVOU X6, (DI)
-
-muldone:
 	RET

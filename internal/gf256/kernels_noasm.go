@@ -6,6 +6,4 @@ func kernelName() string { return "generic" }
 
 func cpuFeatureNames() []string { return nil }
 
-func mulKernel(dst, src []byte, c byte) { mulGeneric(dst, src, c) }
-
 func mulAddKernel(dst, src []byte, c byte) { mulAddGeneric(dst, src, c) }

@@ -1,10 +1,10 @@
 package gf256
 
-// Differential tests for the table-driven vector kernels: the nibble
-// split-table MulSlice/MulAddSlice must match the scalar reference
-// kernels (refMulSlice/refMulAddSlice, ref_test.go) byte for byte on
-// every coefficient, on lengths around the 8-byte unroll boundary, on
-// large packets, and on unaligned sub-slices.
+// Differential tests for the table-driven vector kernel: the nibble
+// split-table MulAddSlice must match the scalar reference kernel
+// (refMulAddSlice, ref_test.go) byte for byte on every coefficient,
+// on lengths around the 8-byte unroll boundary, on large packets, and
+// on unaligned sub-slices.
 
 import (
 	"bytes"
@@ -23,22 +23,6 @@ func randBytes(rng *rand.Rand, n int) []byte {
 		b[i] = byte(rng.Uint32())
 	}
 	return b
-}
-
-func TestMulSliceMatchesRefAllCoefficients(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	for _, n := range kernelLens {
-		src := randBytes(rng, n)
-		got := make([]byte, n)
-		want := make([]byte, n)
-		for c := 0; c < Order; c++ {
-			MulSlice(got, src, byte(c))
-			refMulSlice(want, src, byte(c))
-			if !bytes.Equal(got, want) {
-				t.Fatalf("MulSlice(len=%d, c=%d) diverges from reference", n, c)
-			}
-		}
-	}
 }
 
 func TestMulAddSliceMatchesRefAllCoefficients(t *testing.T) {
@@ -61,7 +45,7 @@ func TestMulAddSliceMatchesRefAllCoefficients(t *testing.T) {
 }
 
 // TestKernelsUnalignedTails slices random windows out of a shared
-// buffer so the kernels run at every offset modulo the unroll width,
+// buffer so the kernel runs at every offset modulo the unroll width,
 // with tails of every residue length.
 func TestKernelsUnalignedTails(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
@@ -73,16 +57,8 @@ func TestKernelsUnalignedTails(t *testing.T) {
 		c := byte(rng.Uint32())
 		src := buf[off : off+n]
 
-		got := make([]byte, n)
-		want := make([]byte, n)
-		MulSlice(got, src, c)
-		refMulSlice(want, src, c)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("MulSlice off=%d len=%d c=%d diverges", off, n, c)
-		}
-
-		copy(got, acc[off:off+n])
-		copy(want, acc[off:off+n])
+		got := append([]byte(nil), acc[off:off+n]...)
+		want := append([]byte(nil), acc[off:off+n]...)
 		MulAddSlice(got, src, c)
 		refMulAddSlice(want, src, c)
 		if !bytes.Equal(got, want) {
@@ -91,9 +67,9 @@ func TestKernelsUnalignedTails(t *testing.T) {
 	}
 }
 
-// TestGenericKernelsMatchRef pins the portable nibble-table kernels
-// directly: on amd64 the exported entry points dispatch to the SSSE3
-// kernels for aligned spans, so without this the generic path would
+// TestGenericKernelsMatchRef pins the portable nibble-table kernel
+// directly: on amd64 the exported entry point dispatches to the SSSE3
+// kernel for aligned spans, so without this the generic path would
 // only ever see sub-16-byte tails.
 func TestGenericKernelsMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 6))
@@ -103,37 +79,14 @@ func TestGenericKernelsMatchRef(t *testing.T) {
 		got := make([]byte, n)
 		want := make([]byte, n)
 		for c := 0; c < Order; c++ {
-			// The generic kernels are documented correct for every c,
-			// including the 0 and 1 the wrappers shortcut.
-			mulGeneric(got, src, byte(c))
-			refMulSlice(want, src, byte(c))
-			if !bytes.Equal(got, want) {
-				t.Fatalf("mulGeneric(len=%d, c=%d) diverges from reference", n, c)
-			}
+			// The generic kernel is documented correct for every c,
+			// including the 0 and 1 the wrapper shortcuts.
 			copy(got, init)
 			copy(want, init)
 			mulAddGeneric(got, src, byte(c))
 			refMulAddSlice(want, src, byte(c))
 			if !bytes.Equal(got, want) {
 				t.Fatalf("mulAddGeneric(len=%d, c=%d) diverges from reference", n, c)
-			}
-		}
-	}
-}
-
-// TestMulSliceAliased checks the documented aliasing case: dst and src
-// are the same slice (in-place scaling, used by matrix inversion).
-func TestMulSliceAliased(t *testing.T) {
-	rng := rand.New(rand.NewPCG(4, 4))
-	for _, n := range kernelLens {
-		for _, c := range []byte{0, 1, 2, 0x1d, 0xff} {
-			orig := randBytes(rng, n)
-			want := make([]byte, n)
-			refMulSlice(want, orig, c)
-			inPlace := append([]byte(nil), orig...)
-			MulSlice(inPlace, inPlace, c)
-			if !bytes.Equal(inPlace, want) {
-				t.Fatalf("aliased MulSlice(len=%d, c=%d) diverges", n, c)
 			}
 		}
 	}
@@ -159,7 +112,6 @@ func TestMulAddSliceAgainstScalarMul(t *testing.T) {
 
 func TestRefKernelLengthMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"refMulSlice":    func() { refMulSlice(make([]byte, 2), make([]byte, 3), 1) },
 		"refMulAddSlice": func() { refMulAddSlice(make([]byte, 2), make([]byte, 3), 1) },
 		"MulAddSlice":    func() { MulAddSlice(make([]byte, 2), make([]byte, 3), 1) },
 	} {
@@ -171,32 +123,6 @@ func TestRefKernelLengthMismatchPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-// TestExpFullDomain pins the behaviour of Exp over its whole documented
-// domain: any integer, reduced modulo the group order 255.
-func TestExpFullDomain(t *testing.T) {
-	if Exp(0) != 1 {
-		t.Fatalf("Exp(0) = %d, want 1", Exp(0))
-	}
-	g := Exp(1)
-	if Mul(Exp(-1), g) != 1 {
-		t.Fatalf("Exp(-1) is not the inverse of g: g=%d Exp(-1)=%d", g, Exp(-1))
-	}
-	for e := -600; e <= 600; e++ {
-		if Exp(e) == 0 {
-			t.Fatalf("Exp(%d) = 0; powers of g are never zero", e)
-		}
-		if Exp(e) != Exp(e+255) {
-			t.Fatalf("Exp(%d) != Exp(%d): period is not 255", e, e+255)
-		}
-		if Mul(Exp(e), Exp(-e)) != 1 {
-			t.Fatalf("Exp(%d)*Exp(%d) != 1", e, -e)
-		}
-		if Mul(Exp(e), g) != Exp(e+1) {
-			t.Fatalf("Exp(%d)*g != Exp(%d)", e, e+1)
-		}
 	}
 }
 

@@ -1,10 +1,10 @@
 package gf256
 
-// Both kernel paths against the scalar references, in one `go test`:
-// the dispatched MulSlice/MulAddSlice (SSSE3 on amd64, the portable
-// kernels under -tags purego) and mulGeneric/mulAddGeneric called
-// directly. Dispatch is fixed at init, so the portable path is reached
-// by calling it, not by switching a global.
+// Both kernel paths against the scalar reference, in one `go test`:
+// the dispatched MulAddSlice (SSSE3 on amd64, the portable kernel under
+// -tags purego) and mulAddGeneric called directly. Dispatch is fixed at
+// init, so the portable path is reached by calling it, not by switching
+// a global.
 
 import (
 	"bytes"
@@ -14,18 +14,18 @@ import (
 )
 
 type kernelPath struct {
-	name        string
-	mul, mulAdd func(dst, src []byte, c byte)
+	name   string
+	mulAdd func(dst, src []byte, c byte)
 }
 
 // kernelPaths lists the dispatched path under its KernelName and, where
-// that is not already the portable one, the portable kernels on their
-// own. mulGeneric is documented correct for every c, including the 0
-// and 1 that MulSlice shortcuts.
+// that is not already the portable one, the portable kernel on its
+// own. mulAddGeneric is documented correct for every c, including the
+// 0 and 1 that MulAddSlice shortcuts.
 func kernelPaths() []kernelPath {
-	paths := []kernelPath{{KernelName(), MulSlice, MulAddSlice}}
+	paths := []kernelPath{{KernelName(), MulAddSlice}}
 	if KernelName() != "generic" {
-		paths = append(paths, kernelPath{"generic", mulGeneric, mulAddGeneric})
+		paths = append(paths, kernelPath{"generic", mulAddGeneric})
 	}
 	return paths
 }
@@ -46,11 +46,6 @@ func TestAllKernelTiersMatchRefAllCoefficients(t *testing.T) {
 			got := make([]byte, n)
 			want := make([]byte, n)
 			for c := 0; c < Order; c++ {
-				p.mul(got, src, byte(c))
-				refMulSlice(want, src, byte(c))
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s mul(len=%d, c=%d) diverges from reference", p.name, n, c)
-				}
 				copy(got, init)
 				copy(want, init)
 				p.mulAdd(got, src, byte(c))
@@ -74,16 +69,8 @@ func TestAllKernelTiersUnalignedTails(t *testing.T) {
 			c := byte(rng.Uint32())
 			src := buf[off : off+n]
 
-			got := make([]byte, n)
-			want := make([]byte, n)
-			p.mul(got, src, c)
-			refMulSlice(want, src, c)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s mul off=%d len=%d c=%d diverges", p.name, off, n, c)
-			}
-
-			copy(got, acc[off:off+n])
-			copy(want, acc[off:off+n])
+			got := append([]byte(nil), acc[off:off+n]...)
+			want := append([]byte(nil), acc[off:off+n]...)
 			p.mulAdd(got, src, c)
 			refMulAddSlice(want, src, c)
 			if !bytes.Equal(got, want) {
@@ -108,7 +95,7 @@ func TestKernelNameMatchesCPUFeatures(t *testing.T) {
 
 // FuzzKernelPathsMatchRef drives both kernel paths over the same
 // fuzz-chosen span and accumulator, demanding byte-identity with the
-// scalar references throughout.
+// scalar reference.
 func FuzzKernelPathsMatchRef(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, byte(0x57), uint8(3))
 	f.Add(bytes.Repeat([]byte{0xaa}, 100), byte(0xff), uint8(17))
@@ -120,20 +107,13 @@ func FuzzKernelPathsMatchRef(f *testing.F) {
 			o = len(src)
 		}
 		span := src[o:]
-		want := make([]byte, len(span))
-		wantAdd := make([]byte, len(span))
-		refMulSlice(want, span, c)
-		copy(wantAdd, src[:len(span)])
-		refMulAddSlice(wantAdd, span, c)
+		want := append([]byte(nil), src[:len(span)]...)
+		refMulAddSlice(want, span, c)
 		got := make([]byte, len(span))
 		for _, p := range paths {
-			p.mul(got, span, c)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s mul diverges (len=%d c=%d)", p.name, len(span), c)
-			}
 			copy(got, src[:len(span)])
 			p.mulAdd(got, span, c)
-			if !bytes.Equal(got, wantAdd) {
+			if !bytes.Equal(got, want) {
 				t.Fatalf("%s mulAdd diverges (len=%d c=%d)", p.name, len(span), c)
 			}
 		}

@@ -238,14 +238,7 @@ const ParityPayloadLen = PacketLen - FECOffset
 
 // Marshal renders the packet into exactly PacketLen bytes.
 func (p *PARITY) Marshal() ([]byte, error) {
-	return p.AppendMarshal(make([]byte, 0, PacketLen))
-}
-
-// AppendMarshal appends the packet's PacketLen wire bytes to dst and
-// returns the extended slice; with enough capacity in dst it does not
-// allocate (the send-path fast path).
-func (p *PARITY) AppendMarshal(dst []byte) ([]byte, error) {
-	return AppendParity(dst, p.MsgID, p.BlockID, p.Seq, p.Payload)
+	return AppendParity(make([]byte, 0, PacketLen), p.MsgID, p.BlockID, p.Seq, p.Payload)
 }
 
 // AppendParity appends a PARITY packet's PacketLen wire bytes to dst

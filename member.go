@@ -304,7 +304,7 @@ func (m *Member) splitAuthLocked(raw []byte) ([]byte, *packet.AuthTrailer, error
 				return raw, nil, nil
 			}
 		case packet.TypeUSR:
-			if len(inner) < 5 || (len(inner)-5)%packet.EncEntryLen != 0 {
+			if len(inner) < packet.USRHeaderLen || (len(inner)-packet.USRHeaderLen)%packet.EncEntryLen != 0 {
 				return raw, nil, nil
 			}
 		}
