@@ -77,18 +77,21 @@ func TestHotPathAllocs(t *testing.T) {
 }
 
 // TestUSRSubtreeAllocs holds the one stage of buildAuth that grows with
-// the group, not the batch, to a fixed number of allocations: the leaf
-// array, a scratch datagram per goroutine and the goroutines
-// themselves, then the tree's slab -- nothing per user (the old loop
-// paid a packet struct, a need slice grown from nil, a marshalled copy
-// and a map slot for each). Four times the users must cost the same
-// count, at one P, where every fan-out runs inline, and at two.
+// the group, not the batch, to a fixed number of allocations: a scratch
+// datagram per goroutine and the goroutines themselves, then the tree's
+// slab and level index -- nothing per user (the old loop paid a packet
+// struct, a need slice grown from nil, a marshalled copy and a map slot
+// for each), and no leaf array of its own: the leaves are hashed
+// straight into the slab. Four times the users must cost the same
+// count, at one P, where every fan-out runs inline, and at two; the
+// bytes must be the slab's and a few KiB of scratch, less than a second
+// leaf array would add.
 func TestUSRSubtreeAllocs(t *testing.T) {
 	signer, err := keys.NewSigner(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := func(n, procs int) float64 {
+	measure := func(n, procs int) (allocs, bytes float64, users int) {
 		s, err := NewServer(WithKeySeed(uint64(n)), WithSigner(signer))
 		if err != nil {
 			t.Fatal(err)
@@ -103,30 +106,38 @@ func TestUSRSubtreeAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return allocsAt(procs, 10, func() {
-			leaves, err := rm.usrLeaves()
+		allocs, bytes = allocsAt(procs, 10, func() {
+			tree, err := rm.usrSubtree()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tree := keys.NewMerkleTree(leaves); tree.Root() != rm.auth.usrTree.Root() {
+			if tree.Root() != rm.auth.usrTree.Root() {
 				t.Fatal("rebuilt USR subtree has a different root")
 			}
 		})
+		return allocs, bytes, len(rm.Result.UserIDs)
 	}
 	for _, procs := range []int{1, 2} {
-		small, large := measure(1024, procs), measure(4096, procs)
+		small, _, _ := measure(1024, procs)
+		large, largeBytes, users := measure(4096, procs)
 		// A level that now fans out builds its closure and starts its
 		// goroutines.
 		if large > small+float64(4*procs) || large > 40 {
 			t.Errorf("procs=%d: %v allocs at N=1024, %v at N=4096; want no growth with N", procs, small, large)
 		}
+		// The slab holds fewer than 2*users hashes.
+		slab := float64(2 * users * keys.HashSize)
+		if budget := slab + 16<<10; largeBytes > budget {
+			t.Errorf("procs=%d: %.0f bytes for %d users, want at most %.0f (a %.0f-byte slab and scratch)",
+				procs, largeBytes, users, budget, slab)
+		}
 	}
 }
 
-// allocsAt is testing.AllocsPerRun at procs Ps. AllocsPerRun itself
-// pins GOMAXPROCS to 1, where every fan-out runs inline and starts no
-// goroutine.
-func allocsAt(procs, runs int, f func()) float64 {
+// allocsAt is testing.AllocsPerRun at procs Ps, and the bytes allocated
+// per run too. AllocsPerRun itself pins GOMAXPROCS to 1, where every
+// fan-out runs inline and starts no goroutine.
+func allocsAt(procs, runs int, f func()) (allocs, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	f() // warm-up, as AllocsPerRun does
 	var before, after runtime.MemStats
@@ -135,7 +146,8 @@ func allocsAt(procs, runs int, f func()) float64 {
 		f()
 	}
 	runtime.ReadMemStats(&after)
-	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs)),
+		float64((after.TotalAlloc - before.TotalAlloc) / uint64(runs))
 }
 
 // The seeded violations of the deleted hotpathalloc and escapes
@@ -202,17 +214,24 @@ func TestAllocGateSeesSeededViolations(t *testing.T) {
 // read. Four times the group and the churn, about four times the
 // packets, must cost no more than the batch at N = 1024 plus what the
 // bigger UserPacket map and the doublings of the plan's packet list
-// add, at one P and at two.
+// add, at one P and at two. A signed Rekey keeps that budget, plus a
+// fan-out's goroutines more: its USR tree, block trees and PARITY
+// trailers are one slab each, and every proof goes through a scratch
+// on the stack, so nothing is paid per block, packet or user.
 func TestRekeyAllocs(t *testing.T) {
-	measure := func(n, procs int) (rekey, userPacket float64, packets int) {
-		s, err := NewServer(WithKeySeed(uint64(n)))
+	signer, err := keys.NewSigner(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(n, procs int, opts ...Option) (rekey, userPacket float64, packets int) {
+		s, err := NewServer(append([]Option{WithKeySeed(uint64(n))}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bootstrap(t, s, n)
 		next, churn := n, n/4
 		var rm *RekeyMessage
-		rekey = allocsAt(procs, 10, func() {
+		rekey, _ = allocsAt(procs, 10, func() {
 			for i := 0; i < churn; i++ {
 				if err := s.QueueLeave(MemberID(next - n + i)); err != nil {
 					t.Fatal(err)
@@ -236,16 +255,74 @@ func TestRekeyAllocs(t *testing.T) {
 		})
 		return rekey, userPacket, len(rm.Plan.Packets)
 	}
-	for _, procs := range []int{1, 2} {
-		small, smallMap, smallPackets := measure(1024, procs)
-		large, largeMap, largePackets := measure(4096, procs)
-		t.Logf("procs=%d: N=1024 %v allocs (%v map, %d packets), N=4096 %v (%v map, %d packets)",
-			procs, small, smallMap, smallPackets, large, largeMap, largePackets)
-		if largePackets < 3*smallPackets {
-			t.Fatalf("procs=%d: %d packets at N=4096 against %d at N=1024: too few more to tell", procs, largePackets, smallPackets)
+	for _, signed := range []bool{false, true} {
+		var opts []Option
+		slack := func(int) float64 { return 4 }
+		if signed {
+			// Blocks of 4 packets: 11 blocks at N = 4096 against 3 at
+			// N = 1024, so a cost per block shows. The USR tree's level
+			// of 2048 pairs fans out: its state, its closure and a
+			// goroutine per P more.
+			tun := DefaultTuning()
+			tun.K = 4
+			opts = []Option{WithSigner(signer), WithTuning(tun)}
+			slack = func(procs int) float64 { return float64(6 + 2*procs) }
 		}
-		if budget := small - smallMap + largeMap + 4; large > budget {
-			t.Errorf("procs=%d: %v allocs at N=4096, want at most %v", procs, large, budget)
+		for _, procs := range []int{1, 2} {
+			small, smallMap, smallPackets := measure(1024, procs, opts...)
+			large, largeMap, largePackets := measure(4096, procs, opts...)
+			t.Logf("signed=%v procs=%d: N=1024 %v allocs (%v map, %d packets), N=4096 %v (%v map, %d packets)",
+				signed, procs, small, smallMap, smallPackets, large, largeMap, largePackets)
+			if largePackets < 3*smallPackets {
+				t.Fatalf("signed=%v procs=%d: %d packets at N=4096 against %d at N=1024: too few more to tell",
+					signed, procs, largePackets, smallPackets)
+			}
+			if budget := small - smallMap + largeMap + slack(procs); large > budget {
+				t.Errorf("signed=%v procs=%d: %v allocs at N=4096, want at most %v", signed, procs, large, budget)
+			}
+		}
+	}
+}
+
+// TestWireUSRAllocs: a unicast datagram is the one allocation WireUSR
+// makes, signed or not. The walk, the need list and both proofs of the
+// auth trailer stay on its stack.
+func TestWireUSRAllocs(t *testing.T) {
+	signer, err := keys.NewSigner(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, signed := range []bool{false, true} {
+		opts := []Option{WithKeySeed(5)}
+		if signed {
+			opts = append(opts, WithSigner(signer))
+		}
+		s, err := NewServer(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bootstrap(t, s, 1024)
+		for m := 0; m < 256; m++ {
+			if err := s.QueueLeave(MemberID(m)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rm, err := s.Rekey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rm.Authenticated() != signed {
+			t.Fatalf("signed=%v: Authenticated() = %v", signed, rm.Authenticated())
+		}
+		ids := rm.Result.UserIDs
+		i := 0
+		if got := testing.AllocsPerRun(100, func() {
+			if allocSinkBytes, err = rm.WireUSR(ids[i%len(ids)]); err != nil {
+				t.Fatal(err)
+			}
+			i += 97
+		}); got != 1 {
+			t.Errorf("signed=%v: WireUSR makes %v allocs, want 1", signed, got)
 		}
 	}
 }

@@ -60,12 +60,12 @@ func (s *Server) SignerPublic() *rsa.PublicKey {
 // intervalAuth is one rekey message's authentication state, built once
 // under Server.mu and read-only afterwards.
 type intervalAuth struct {
-	blockTrees []*keys.MerkleTree
+	blockTrees []keys.MerkleTree // one slab
 	usrTree    *keys.MerkleTree
 	top        *keys.MerkleTree
 	sig        []byte // RSA signature over top.Root()
 	nTop       int
-	parityTr   [][]byte // per-block PARITY trailer bytes
+	parityTr   [][]byte // per-block PARITY trailer bytes, cut from one slab
 }
 
 // Authenticated reports whether the message carries interval
@@ -95,24 +95,23 @@ type usrScratch struct {
 // has an entry of its own.
 const chainAt = packet.USRHeaderLen + packet.EncEntryLen
 
-// usrLeaves returns the USR subtree's leaves: for every current user, in
-// UserIDs order (the leaf index of a node ID is its position there), the
-// hash of exactly the bytes WireUSR sends it. The users are independent,
-// so runs of them fan out (tuning.FanOut); each goroutine walks its runs
-// with its own NeedsWalker, marshals into its own scratch buffer -- a
-// sibling group's shared chain once -- hashes 16 users to a
-// keys.LeafBatch kernel call, and writes only its own runs of the
-// result.
-func (rm *RekeyMessage) usrLeaves() ([]keys.MerkleHash, error) {
+// usrLeaves fills leaves, the USR subtree's own leaf level, with one
+// hash for every current user, in UserIDs order (the leaf index of a
+// node ID is its position there): the hash of exactly the bytes WireUSR
+// sends it. The users are independent, so runs of them fan out
+// (tuning.FanOut); each goroutine walks its runs with its own
+// NeedsWalker, marshals into its own scratch buffer -- a sibling
+// group's shared chain once -- hashes 16 users to a keys.LeafBatch
+// kernel call, and writes only its own runs of leaves.
+func (rm *RekeyMessage) usrLeaves(leaves []keys.MerkleHash) error {
 	ids := rm.Result.UserIDs
 	if len(ids) > 0 { // sorted: the last is the largest
 		if err := rm.checkUSRFields(ids[len(ids)-1]); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	encs := rm.Result.Encryptions
-	leaves := make([]keys.MerkleHash, len(ids))
-	err := tuning.FanOut(len(ids), minUsersPerPiece, func() *usrScratch {
+	return tuning.FanOut(len(ids), minUsersPerPiece, func() *usrScratch {
 		return &usrScratch{w: rm.Result.Walker(), buf: make([]byte, chainAt, packet.PacketLen)}
 	}, func(s *usrScratch, lo, hi int) error {
 		var hb keys.LeafBatch
@@ -139,7 +138,16 @@ func (rm *RekeyMessage) usrLeaves() ([]keys.MerkleHash, error) {
 		hb.Flush()
 		return nil
 	})
-	return leaves, err
+}
+
+// usrSubtree builds the USR subtree, its leaves hashed straight into
+// the tree's own leaf level.
+func (rm *RekeyMessage) usrSubtree() (*keys.MerkleTree, error) {
+	trees, err := keys.BuildMerkleTrees(len(rm.Result.UserIDs), len(rm.Result.UserIDs), rm.usrLeaves)
+	if err != nil {
+		return nil, err
+	}
+	return &trees[0], nil
 }
 
 // startUSRSubtree starts a goroutine on the USR subtree -- the leaves
@@ -152,11 +160,10 @@ func (rm *RekeyMessage) startUSRSubtree() func() (*keys.MerkleTree, error) {
 		if rm.obs.Enabled() {
 			start = time.Now()
 		}
-		leaves, err := rm.usrLeaves()
+		tree, err := rm.usrSubtree()
 		if err != nil {
 			return nil, err
 		}
-		tree := keys.NewMerkleTree(leaves)
 		rm.obs.ObserveSince(obs.HUSRSubtree, start)
 		return tree, nil
 	})
@@ -165,18 +172,19 @@ func (rm *RekeyMessage) startUSRSubtree() func() (*keys.MerkleTree, error) {
 }
 
 // blockTrees returns the Merkle subtree of every FEC block, over its k
-// ENC datagrams as marshalled into rm.ENC, hashed 16 to a kernel call.
-func (rm *RekeyMessage) blockTrees() []*keys.MerkleTree {
-	leaves := make([]keys.MerkleHash, len(rm.ENC))
-	var hb keys.LeafBatch
-	for i, raw := range rm.ENC {
-		hb.Add(&leaves[i], keys.DomainENC, raw)
-	}
-	hb.Flush()
-	trees := make([]*keys.MerkleTree, rm.Blocks())
-	for b := range trees {
-		trees[b] = keys.NewMerkleTree(leaves[b*rm.k : (b+1)*rm.k])
-	}
+// ENC datagrams as marshalled into rm.ENC, all in one slab: the
+// datagrams are hashed 16 to a kernel call straight into the trees'
+// leaf levels.
+func (rm *RekeyMessage) blockTrees() []keys.MerkleTree {
+	// The hashing cannot fail, so neither can the build.
+	trees, _ := keys.BuildMerkleTrees(len(rm.ENC), rm.k, func(leaves []keys.MerkleHash) error {
+		var hb keys.LeafBatch
+		for i, raw := range rm.ENC {
+			hb.Add(&leaves[i], keys.DomainENC, raw)
+		}
+		hb.Flush()
+		return nil
+	})
 	return trees
 }
 
@@ -184,7 +192,7 @@ func (rm *RekeyMessage) blockTrees() []*keys.MerkleTree {
 // for it, or builds it) under the interval's top tree, signs the root,
 // appends each ENC datagram's trailer to it and pre-builds the per-block
 // PARITY trailers. Called once from Rekey; rm is not yet shared.
-func (rm *RekeyMessage) buildAuth(signer *keys.Signer, blockTrees []*keys.MerkleTree, usrTree func() (*keys.MerkleTree, error)) error {
+func (rm *RekeyMessage) buildAuth(signer *keys.Signer, blockTrees []keys.MerkleTree, usrTree func() (*keys.MerkleTree, error)) error {
 	usr, err := usrTree()
 	if err != nil {
 		return err
@@ -200,13 +208,14 @@ func (rm *RekeyMessage) buildAuth(signer *keys.Signer, blockTrees []*keys.Merkle
 		nTop:       nBlocks + 1,
 		parityTr:   make([][]byte, nBlocks),
 	}
-	topLeaves := make([]keys.MerkleHash, 0, a.nTop)
-	for _, t := range blockTrees {
-		topLeaves = append(topLeaves, t.Root())
-	}
-	topLeaves = append(topLeaves, usr.Root())
-
-	a.top = keys.NewMerkleTree(topLeaves)
+	top, _ := keys.BuildMerkleTrees(a.nTop, a.nTop, func(leaves []keys.MerkleHash) error {
+		for b := range blockTrees {
+			leaves[b] = blockTrees[b].Root()
+		}
+		leaves[nBlocks] = usr.Root()
+		return nil
+	})
+	a.top = &top[0]
 	root := a.top.Root()
 	sig, err := signer.SignRoot(root)
 	if err != nil {
@@ -214,19 +223,19 @@ func (rm *RekeyMessage) buildAuth(signer *keys.Signer, blockTrees []*keys.Merkle
 	}
 	a.sig = sig
 
-	// Pre-built trailers: one per ENC packet, one per block for PARITY
-	// (every parity packet of a block shares the same trailer).
+	// Pre-built trailers: one per ENC packet, appended in place after
+	// it, and one per block for PARITY (every parity packet of a block
+	// shares the same trailer). The proofs go through one scratch pair:
+	// AppendAuthTrailer copies them into the wire bytes.
+	var sub, topProof [packet.MaxAuthProofLen]keys.MerkleHash
+	tr := packet.AuthTrailer{Kind: packet.TypeENC, NTop: a.nTop, NSub: rm.k, Sig: a.sig}
 	for i := range rm.ENC {
 		b, s := i/rm.k, i%rm.k
-		tr := packet.AuthTrailer{
-			Kind:      packet.TypeENC,
-			NTop:      a.nTop,
-			LeafIndex: s,
-			NSub:      rm.k,
-			SubProof:  a.blockTrees[b].AppendProof(nil, s),
-			TopProof:  a.top.AppendProof(nil, b),
-			Sig:       a.sig,
+		if s == 0 {
+			tr.TopProof = a.top.AppendProof(topProof[:0], b)
 		}
+		tr.LeafIndex = s
+		tr.SubProof = a.blockTrees[b].AppendProof(sub[:0], s)
 		wire, err := tr.AppendAuthTrailer(rm.ENC[i])
 		if err != nil {
 			return err
@@ -234,21 +243,22 @@ func (rm *RekeyMessage) buildAuth(signer *keys.Signer, blockTrees []*keys.Merkle
 		rm.ENC[i] = wire
 		rm.obs.Observe(obs.HMerkleProofBytes, float64(len(wire)-packet.PacketLen))
 	}
+	tr = packet.AuthTrailer{Kind: packet.TypePARITY, NTop: a.nTop, HasAux: true, Sig: a.sig}
+	var slab []byte
 	for b := 0; b < nBlocks; b++ {
-		tr := packet.AuthTrailer{
-			Kind:     packet.TypePARITY,
-			NTop:     a.nTop,
-			TopProof: a.top.AppendProof(nil, b),
-			HasAux:   true,
-			Aux:      a.blockTrees[b].Root(),
-			Sig:      a.sig,
+		tr.TopProof = a.top.AppendProof(topProof[:0], b)
+		tr.Aux = a.blockTrees[b].Root()
+		if b == 0 {
+			// Leaf 0 has a sibling at every level below the root, so its
+			// trailer is the longest: the slab never grows.
+			slab = make([]byte, 0, nBlocks*tr.WireLen())
 		}
-		tb, err := tr.AppendAuthTrailer(nil)
-		if err != nil {
+		at := len(slab)
+		if slab, err = tr.AppendAuthTrailer(slab); err != nil {
 			return err
 		}
-		a.parityTr[b] = tb
-		rm.obs.Observe(obs.HMerkleProofBytes, float64(len(tb)))
+		a.parityTr[b] = slab[at:len(slab):len(slab)]
+		rm.obs.Observe(obs.HMerkleProofBytes, float64(len(slab)-at))
 	}
 	rm.auth = a
 	if rm.obs.Enabled() {
@@ -326,13 +336,14 @@ func (rm *RekeyMessage) WireUSR(nodeID int) ([]byte, error) {
 	if !ok {
 		return nil, ErrNoAuthLeaf
 	}
+	var sub, top [packet.MaxAuthProofLen]keys.MerkleHash
 	tr := packet.AuthTrailer{
 		Kind:      packet.TypeUSR,
 		NTop:      a.nTop,
 		LeafIndex: idx,
 		NSub:      a.usrTree.NumLeaves(),
-		SubProof:  a.usrTree.AppendProof(nil, idx),
-		TopProof:  a.top.AppendProof(nil, a.nTop-1),
+		SubProof:  a.usrTree.AppendProof(sub[:0], idx),
+		TopProof:  a.top.AppendProof(top[:0], a.nTop-1),
 		Sig:       a.sig,
 	}
 	wire, err := rm.appendUSR(make([]byte, 0, usrLen+tr.WireLen()), nodeID, needs)

@@ -10,7 +10,8 @@ import "testing"
 // node and a member per proof level, and the server's leaf batch, 16
 // leaves to a kernel call or a short Flush, allocate nothing at all; a
 // tree of 1024 leaves, its levels hashed 16 nodes to a kernel call,
-// makes only its slab, its level index and itself.
+// makes only its slab, its level index and itself, and one reduced in
+// place, as a member checks a decoded block, makes nothing.
 // Without the AES-NI kernel (other CPUs and GOARCHes, -tags purego)
 // each block builds one crypto/aes key schedule.
 func TestHotPathAllocs(t *testing.T) {
@@ -73,6 +74,7 @@ func TestHotPathAllocs(t *testing.T) {
 			b.Flush()
 		}},
 		{"NewMerkleTree, 1024 leaves", 3, func() { right = NewMerkleTree(leaves).Root() }},
+		{"MerkleRoot, 1024 leaves", 0, func() { right = MerkleRoot(leaves) }},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.fn); got != r.want {

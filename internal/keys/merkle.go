@@ -168,33 +168,80 @@ type MerkleTree struct {
 // each wide level fans out over GOMAXPROCS goroutines; the tree is the
 // same whatever their number.
 func NewMerkleTree(leaves []MerkleHash) *MerkleTree {
-	if len(leaves) == 0 {
+	// The copy cannot fail, so neither can the build.
+	trees, _ := BuildMerkleTrees(len(leaves), len(leaves), func(level []MerkleHash) error {
+		copy(level, leaves)
+		return nil
+	})
+	return &trees[0]
+}
+
+// BuildMerkleTrees builds one tree over each run of width of n leaves,
+// in order, with every level of every tree in one slab. fill is handed
+// the trees' own leaf levels, all n leaves in order, and must set each
+// of them: a caller that computes its leaves hashes them straight into
+// the trees, with no leaf array of its own to copy. The n leaves lie
+// before every interior node in the slab, so hashing one tree's levels
+// never writes another's leaves. fill's error, if any, is returned with
+// no trees. It panics unless width is positive and divides n, n > 0.
+// Wide levels fan out as in NewMerkleTree.
+func BuildMerkleTrees(n, width int, fill func(leaves []MerkleHash) error) ([]MerkleTree, error) {
+	if n <= 0 || width <= 0 || n%width != 0 {
+		panic("keys: Merkle trees over an empty or uneven leaf set")
+	}
+	nodes, depth := 0, 1 // one tree's interior nodes and levels
+	for w := width; w > 1; w = (w + 1) / 2 {
+		nodes, depth = nodes+(w+1)/2, depth+1
+	}
+	trees := make([]MerkleTree, n/width)
+	slab := make([]MerkleHash, n+len(trees)*nodes)
+	if err := fill(slab[:n:n]); err != nil {
+		return nil, err
+	}
+	levels := make([][]MerkleHash, len(trees)*depth)
+	off := n
+	for i := range trees {
+		tl := levels[i*depth : (i+1)*depth : (i+1)*depth]
+		level := slab[i*width : (i+1)*width : (i+1)*width]
+		tl[0] = level
+		for l := 1; l < depth; l++ {
+			w := (len(level) + 1) / 2
+			next := slab[off : off+w : off+w]
+			off += w
+			hashLevel(next[:len(level)/2], level)
+			if len(level)%2 == 1 {
+				next[w-1] = level[len(level)-1]
+			}
+			level = next
+			tl[l] = level
+		}
+		trees[i].levels = tl
+	}
+	return trees, nil
+}
+
+// MerkleRoot returns the root of the tree over level, the root
+// NewMerkleTree(level).Root() has, reducing level in place: its hashes
+// are overwritten. It allocates nothing and runs on the calling
+// goroutine. It panics on an empty level.
+func MerkleRoot(level []MerkleHash) MerkleHash {
+	if len(level) == 0 {
 		panic("keys: Merkle tree over zero leaves")
 	}
-	total, depth := 0, 0
-	for w := len(leaves); ; w = (w + 1) / 2 {
-		total, depth = total+w, depth+1
-		if w == 1 {
-			break
+	for len(level) > 1 {
+		// Node i overwrites slot i, whose pair (2i, 2i+1) is already
+		// hashed: each kernel call reads its 32 hashes before it writes
+		// its 16, and later calls read past what it wrote.
+		half := len(level) / 2
+		for i := hashNodes(level[:half], level); i < half; i++ {
+			level[i] = nodeHash(&level[2*i], &level[2*i+1])
 		}
-	}
-	slab := make([]MerkleHash, total)
-	t := &MerkleTree{levels: make([][]MerkleHash, 0, depth)}
-	level := slab[:len(leaves):len(leaves)]
-	copy(level, leaves)
-	t.levels = append(t.levels, level)
-	for off := len(level); len(level) > 1; {
-		w := (len(level) + 1) / 2
-		next := slab[off : off+w : off+w]
-		off += w
-		hashLevel(next[:len(level)/2], level)
 		if len(level)%2 == 1 {
-			next[w-1] = level[len(level)-1]
+			level[half] = level[len(level)-1]
 		}
-		level = next
-		t.levels = append(t.levels, level)
+		level = level[:(len(level)+1)/2]
 	}
-	return t
+	return level[0]
 }
 
 // minPairsPerPiece is the share of a level handed to a goroutine at a

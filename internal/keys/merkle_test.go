@@ -3,6 +3,7 @@ package keys
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
@@ -128,6 +129,138 @@ func TestMerkleTreeWorkersSameTree(t *testing.T) {
 			t.Fatalf("n=%d: tree aliases the caller's leaves", n)
 		}
 	}
+}
+
+// buildTrees is BuildMerkleTrees over a copy of leaves.
+func buildTrees(leaves []MerkleHash, width int) []MerkleTree {
+	trees, err := BuildMerkleTrees(len(leaves), width, func(level []MerkleHash) error {
+		copy(level, leaves)
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	return trees
+}
+
+// checkInPlace holds the in-place constructors to NewMerkleTree over the
+// same leaves: BuildMerkleTrees at full width builds the same levels,
+// at the given width, over the leaves' longest prefix of whole runs, it
+// builds the reference tree over every run, each with its leaves as
+// filled, and MerkleRoot reduces a copy to the same root.
+func checkInPlace(t *testing.T, leaves []MerkleHash, width int) {
+	t.Helper()
+	n := len(leaves)
+	want := NewMerkleTree(leaves)
+	full := buildTrees(leaves, n)
+	if len(full) != 1 || len(full[0].levels) != len(want.levels) {
+		t.Fatalf("n=%d: BuildMerkleTrees at full width gave %d trees", n, len(full))
+	}
+	for l := range want.levels {
+		if !slices.Equal(full[0].levels[l], want.levels[l]) {
+			t.Fatalf("n=%d: level %d differs from NewMerkleTree's", n, l)
+		}
+	}
+	if got := MerkleRoot(slices.Clone(leaves)); got != want.Root() {
+		t.Fatalf("n=%d: MerkleRoot differs from NewMerkleTree's root", n)
+	}
+	leaves = leaves[:n-n%width]
+	if len(leaves) == 0 {
+		return
+	}
+	trees := buildTrees(leaves, width)
+	if len(trees) != n/width {
+		t.Fatalf("n=%d width=%d: %d trees", n, width, len(trees))
+	}
+	for i := range trees {
+		run := leaves[i*width : (i+1)*width]
+		if !slices.Equal(trees[i].levels[0], run) {
+			t.Fatalf("n=%d width=%d: tree %d's leaves are not the ones filled", n, width, i)
+		}
+		if trees[i].Root() != refRoot(run) || trees[i].NumLeaves() != len(run) {
+			t.Fatalf("n=%d width=%d: tree %d differs from the reference over its run", n, width, i)
+		}
+	}
+}
+
+// TestMerkleInPlaceMatchesNew: the in-place constructors build
+// NewMerkleTree's trees at every GOMAXPROCS, at widths that promote a
+// lone node, at and past where a level fans out, and at the USR
+// subtree's size at build_16k's N.
+func TestMerkleInPlaceMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewPCG(12, 12))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range []int{1, 2, 3, 5, 47, 255, 1023, 2*minPairsPerPiece + 1, 4*minPairsPerPiece + 7, 16385} {
+		leaves := merkleLeaves(rng, n)
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			for _, width := range []int{1, 3, 10, 255, n} {
+				checkInPlace(t, leaves, width)
+			}
+		}
+	}
+}
+
+// TestMerkleInPlaceBlocksIndependent: the block trees share one slab,
+// and building them never writes another block's leaves. Changing one
+// block's leaves changes that block's root and no other.
+func TestMerkleInPlaceBlocksIndependent(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 13))
+	for _, k := range []int{1, 2, 7, 8, 10, 255} {
+		const blocks = 9
+		leaves := merkleLeaves(rng, blocks*k)
+		base := buildTrees(leaves, k)
+		for b := range blocks {
+			changed := slices.Clone(leaves)
+			for s := range k {
+				changed[b*k+s][s%HashSize] ^= 0x80
+			}
+			trees := buildTrees(changed, k)
+			for i := range trees {
+				if moved := trees[i].Root() != base[i].Root(); moved != (i == b) {
+					t.Fatalf("k=%d: block %d's leaves changed, block %d's root moved=%v", k, b, i, moved)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildMerkleTreesRejects: fill's error comes back, with no trees,
+// and an empty or uneven leaf set panics.
+func TestBuildMerkleTreesRejects(t *testing.T) {
+	errFill := errors.New("fill failed")
+	trees, err := BuildMerkleTrees(5, 5, func([]MerkleHash) error { return errFill })
+	if !errors.Is(err, errFill) || trees != nil {
+		t.Fatalf("BuildMerkleTrees = %v, %v; want no trees and the fill's error", trees, err)
+	}
+	for _, c := range [][2]int{{0, 1}, {4, 0}, {5, 2}, {2, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("BuildMerkleTrees(%d, %d) did not panic", c[0], c[1])
+				}
+			}()
+			_, _ = BuildMerkleTrees(c[0], c[1], func([]MerkleHash) error { return nil })
+		}()
+	}
+}
+
+// FuzzMerkleInPlace holds BuildMerkleTrees and MerkleRoot to
+// NewMerkleTree and the reference reduction over fuzzer-chosen leaf
+// counts, run widths and leaves.
+func FuzzMerkleInPlace(f *testing.F) {
+	f.Add(uint16(1), uint8(1), uint64(0))
+	f.Add(uint16(47), uint8(10), uint64(7))
+	f.Add(uint16(2*minPairsPerPiece+1), uint8(255), uint64(99))
+	f.Fuzz(func(t *testing.T, nRaw uint16, widthRaw uint8, seed uint64) {
+		n := int(nRaw)%(4*minPairsPerPiece+64) + 1
+		width := min(int(widthRaw)+1, n)
+		leaves := merkleLeaves(rand.New(rand.NewPCG(seed, uint64(n))), n)
+		checkInPlace(t, leaves, width)
+		if got := MerkleRoot(slices.Clone(leaves)); got != refRoot(leaves) {
+			t.Fatalf("n=%d: MerkleRoot differs from the reference reduction", n)
+		}
+	})
 }
 
 func TestMerkleProofLengthLogarithmic(t *testing.T) {

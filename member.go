@@ -76,6 +76,10 @@ type Member struct {
 	shards []fec.Shard
 	fulls  [][]byte
 	spans  [][]byte
+	// leaves holds a decoded block's k leaf hashes on a verifying
+	// member, reduced in place to the block root: built by the first
+	// check and reused by every later one. Guarded by mu.
+	leaves []keys.MerkleHash
 	// encs receives the entries of the member's own ENC packet, received
 	// or decoded, for the view to pick its path from. Guarded by mu.
 	encs [packet.MaxEncPerPacket]keytree.Encryption
@@ -587,7 +591,10 @@ func (m *Member) decodeLocked(blk *blockShards, res IngestResult) (IngestResult,
 // written, all under one maxKID.
 func (m *Member) decodedBlockOKLocked(blk *blockShards) bool {
 	if m.verifier != nil {
-		return blk.hasRoot && blockRootMatches(m.fulls, blk.root)
+		if m.leaves == nil {
+			m.leaves = make([]keys.MerkleHash, m.k)
+		}
+		return blk.hasRoot && blockRootMatches(m.leaves, m.fulls, blk.root)
 	}
 	for _, full := range m.fulls {
 		h, _ := packet.ParseENCHeader(full) // cannot fail: decodeLocked built the buffers
@@ -599,14 +606,16 @@ func (m *Member) decodedBlockOKLocked(blk *blockShards) bool {
 }
 
 // blockRootMatches recomputes a decoded block's Merkle subtree root
-// from its k reconstructed packets and compares it to the verified
-// root its shards arrived under.
-func blockRootMatches(fulls [][]byte, want keys.MerkleHash) bool {
-	leaves := make([]keys.MerkleHash, len(fulls))
+// from its k reconstructed packets -- hashed 16 to a kernel call into
+// leaves, a scratch of k hashes, and reduced there -- and compares it
+// to the verified root its shards arrived under.
+func blockRootMatches(leaves []keys.MerkleHash, fulls [][]byte, want keys.MerkleHash) bool {
+	var hb keys.LeafBatch
 	for i, full := range fulls {
-		leaves[i] = keys.LeafHash(keys.DomainENC, full)
+		hb.Add(&leaves[i], keys.DomainENC, full)
 	}
-	return keys.NewMerkleTree(leaves).Root() == want
+	hb.Flush()
+	return keys.MerkleRoot(leaves) == want
 }
 
 // NACK returns the feedback the member would send at a round boundary:

@@ -323,9 +323,11 @@ func (f *assemblyFixture) runSchedule(t *testing.T, seed uint64) {
 // TestIngestAllocs pins what the receive path may allocate: nothing for
 // a packet of a completed message, signed or not; nothing for another
 // member's ENC packet once the shard buffers of earlier messages are
-// there to reuse; and for the member's own ENC packet, one AES key
-// schedule per key it unwraps and nothing else.
+// there to reuse; for the member's own ENC packet, one AES key
+// schedule per key it unwraps and nothing else; and for a recovery,
+// nothing for checking the decoded block against its signed root.
 func TestIngestAllocs(t *testing.T) {
+	var unsignedRecovery float64
 	for _, signed := range []bool{false, true} {
 		f := newAssemblyFixture(t, 61, 10, 1000, signed)
 		id := f.ids()[0]
@@ -357,6 +359,58 @@ func TestIngestAllocs(t *testing.T) {
 				i++
 			}); allocs != float64(schedules) {
 				t.Errorf("own ENC: %.1f allocs per ingest, want %d (AES kernel %s)", allocs, schedules, keys.AESKernel())
+			}
+		}
+		{
+			// Recovery: each member holds its own block's data shards but
+			// its own, and a parity shard completes the block. Both
+			// fixtures have the same tree, plan and blocks, so a verifying
+			// member's recovery may cost only the k leaf hashes its first
+			// check of a decoded block's root keeps for every later one:
+			// the check itself allocates nothing. A member whose keys
+			// another packet of its block also carries is done before the
+			// parity; it is left out.
+			k := f.rm2.Part.K
+			var ids []MemberID
+			var members []*Member
+			var parities [][]byte
+		candidates:
+			for _, mid := range f.ids()[1:] {
+				if len(ids) == 41 {
+					break
+				}
+				m := f.member(t, mid, nil)
+				b, ownSeq := f.rm2.Part.Slot(f.ownPacket(t, mid))
+				for seq := 0; seq < k; seq++ {
+					if seq == ownSeq {
+						continue
+					}
+					res, err := m.Ingest(f.datagram(t, b, seq))
+					if err != nil {
+						t.Fatalf("member %d, shard %d of block %d: %v", mid, seq, b, err)
+					}
+					if res.Done {
+						continue candidates
+					}
+				}
+				ids, members, parities = append(ids, mid), append(members, m), append(parities, f.datagram(t, b, k))
+			}
+			if len(ids) < 41 {
+				t.Fatalf("%d members to recover, want 41", len(ids))
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(len(ids)-1, func() {
+				if res, err := members[i].Ingest(parities[i]); err != nil || !res.Done || !res.Recovered {
+					t.Fatalf("parity completing member %d's block: res=%+v err=%v", ids[i], res, err)
+				}
+				i++
+			})
+			t.Logf("signed=%v: recovering ingest: %.1f allocs", signed, allocs)
+			if !signed {
+				unsignedRecovery = allocs
+			} else if allocs != unsignedRecovery+1 {
+				t.Errorf("signed recovering ingest: %.1f allocs, want %.1f, the unsigned one's and the leaf scratch",
+					allocs, unsignedRecovery+1)
 			}
 		}
 		m := f.member(t, id, nil)

@@ -394,7 +394,7 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 		return nil, err
 	}
 	rm.parity = make([][][]byte, part.NumBlocks())
-	var blockTrees []*keys.MerkleTree
+	var blockTrees []keys.MerkleTree
 	if s.cfg.Signer != nil {
 		blockTrees = rm.blockTrees()
 	}
