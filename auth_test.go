@@ -379,3 +379,44 @@ func TestVerifierRejectsUnsignedTraffic(t *testing.T) {
 		t.Fatalf("unsigned ENC error = %v, want ErrBadPacket", err)
 	}
 }
+
+// TestSignedRekeyEveryoneLeaves: a batch that leaves no user yields a
+// message with no datagrams and no auth state -- there is no USR leaf
+// and no ENC datagram to build a Merkle tree over -- and the next
+// interval's joiner verifies its signed datagram and is keyed by it.
+func TestSignedRekeyEveryoneLeaves(t *testing.T) {
+	s, _ := newSignedServer(t, 17)
+	bootstrapSigned(t, s, 4)
+	for i := 0; i < 4; i++ {
+		if err := s.QueueLeave(MemberID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rm, err := s.Rekey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rm.Authenticated() || len(rm.ENC) != 0 || rm.Blocks() != 0 {
+		t.Fatalf("empty interval: authenticated %v, %d ENC datagrams, %d blocks; want none",
+			rm.Authenticated(), len(rm.ENC), rm.Blocks())
+	}
+	if err := s.QueueJoin(MemberID(9)); err != nil {
+		t.Fatal(err)
+	}
+	if rm, err = s.Rekey(); err != nil {
+		t.Fatal(err)
+	}
+	if !rm.Authenticated() {
+		t.Fatal("the join interval is not authenticated")
+	}
+	cred, _ := s.Credentials(MemberID(9))
+	wire, _, _ := wireENCFor(t, rm, cred.NodeID)
+	m := verifyingMember(t, s, MemberID(9))
+	res, err := m.Ingest(wire)
+	if err != nil || !res.Done {
+		t.Fatalf("the joiner's signed ENC: %+v, %v", res, err)
+	}
+	if gk, ok := m.GroupKey(); !ok || gk != s.GroupKey() {
+		t.Fatal("the joiner does not hold the group key")
+	}
+}

@@ -64,8 +64,8 @@ func main() {
 			}
 		}
 		fmt.Printf("%-4d %-6.2f %-12d %-10.3f %-10d %-8d %-8d\n",
-			met.MsgID, met.RhoUsed, met.Round1NACKs, met.BandwidthOverhead(),
-			met.UsrSent, met.MulticastRounds, met.MissedDeadline)
+			met.MsgID, met.RhoUsed, met.NACKsPerRound[0], met.BandwidthOverhead(),
+			met.UsrSent, met.Rounds, met.MissedDeadline)
 	}
 	fmt.Printf("\nfinal proactivity factor: %.2f (NACK target %d)\n", sess.Rho(), sess.NumNACK())
 }

@@ -169,9 +169,9 @@ func runScenarioCell(ss ScenarioSpec, is ImpairmentSpec, opts Options) ScenarioC
 			return fail(err)
 		}
 		cell.Rekeys++
-		roundAcc.Add(float64(met.MulticastRounds))
+		roundAcc.Add(mcastRounds(met))
 		overheadAcc.Add(met.BandwidthOverhead())
-		nackAcc.Add(float64(met.Round1NACKs))
+		nackAcc.Add(round1NACKs(met))
 		cell.Unreached += met.Unreached
 		if met.UnicastWaves > cell.MaxWaves {
 			cell.MaxWaves = met.UnicastWaves

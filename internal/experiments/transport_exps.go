@@ -80,8 +80,16 @@ var (
 	userRounds = (*vsim.Metrics).AvgUserRounds
 )
 
-func round1NACKs(m *vsim.Metrics) float64 { return float64(m.Round1NACKs) }
-func mcastRounds(m *vsim.Metrics) float64 { return float64(m.MulticastRounds) }
+// round1NACKs reads round one's NACKs; a message with nothing to send
+// ran no round.
+func round1NACKs(m *vsim.Metrics) float64 {
+	if len(m.NACKsPerRound) == 0 {
+		return 0
+	}
+	return float64(m.NACKsPerRound[0])
+}
+
+func mcastRounds(m *vsim.Metrics) float64 { return float64(m.Rounds) }
 
 func labels[T any](format string, vs []T) []string {
 	out := make([]string, len(vs))

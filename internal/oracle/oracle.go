@@ -223,8 +223,8 @@ func (o *Oracle) checkRecovery(met *vsim.Metrics) error {
 	if !met.AllDone && (met.Unreached == 0 || served+met.Unreached < met.NeededUsers) {
 		return &Violation{"recovery-bound", "run ended with users still missing the message"}
 	}
-	if met.MulticastRounds > o.cfg.MaxMulticastRounds {
-		return &Violation{"recovery-bound", fmt.Sprintf("%d multicast rounds > budget %d", met.MulticastRounds, o.cfg.MaxMulticastRounds)}
+	if met.Rounds > o.cfg.MaxMulticastRounds {
+		return &Violation{"recovery-bound", fmt.Sprintf("%d multicast rounds > budget %d", met.Rounds, o.cfg.MaxMulticastRounds)}
 	}
 	if met.UnicastWaves > o.cfg.MaxUnicastWaves {
 		return &Violation{"recovery-bound", fmt.Sprintf("%d unicast waves > budget %d", met.UnicastWaves, o.cfg.MaxUnicastWaves)}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/keytree"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 	"repro/internal/vsim"
 	"repro/internal/workload"
 )
@@ -246,11 +247,11 @@ func TestCheckRecovery(t *testing.T) {
 		met  vsim.Metrics
 		fail bool
 	}{
-		{vsim.Metrics{AllDone: true, MulticastRounds: 2, UnicastWaves: 0}, false},
-		{vsim.Metrics{AllDone: true, MulticastRounds: 2, UnicastWaves: 5}, false},
-		{vsim.Metrics{AllDone: false, MulticastRounds: 1}, true},
-		{vsim.Metrics{AllDone: true, MulticastRounds: 3}, true},
-		{vsim.Metrics{AllDone: true, MulticastRounds: 2, UnicastWaves: 6}, true},
+		{vsim.Metrics{Outcome: protocol.Outcome{Rounds: 2, UnicastWaves: 0}, AllDone: true}, false},
+		{vsim.Metrics{Outcome: protocol.Outcome{Rounds: 2, UnicastWaves: 5}, AllDone: true}, false},
+		{vsim.Metrics{Outcome: protocol.Outcome{Rounds: 1}, AllDone: false}, true},
+		{vsim.Metrics{Outcome: protocol.Outcome{Rounds: 3}, AllDone: true}, true},
+		{vsim.Metrics{Outcome: protocol.Outcome{Rounds: 2, UnicastWaves: 6}, AllDone: true}, true},
 	}
 	fails := 0
 	for i, tc := range cases {

@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/netip"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,14 +19,22 @@ import (
 )
 
 // collectNACKs is one window of NACK intake on its own: listen into a
-// fresh Sender, then read back the NACK count, each block's largest
-// request and the members that NACKed.
+// fresh Session at rho 1, then read back the NACK count, each block's
+// largest request -- the parity round two sends it -- and the members
+// that NACKed.
 func (s *Server) collectNACKs(ctx context.Context, rm *rekey.RekeyMessage, addrOf map[int]netip.AddrPort, buf []byte, dur time.Duration) (nacks int, amax []int, users map[int]bool, err error) {
-	snd := protocol.NewSender(rm.Part, 1, 1, 0)
-	err = s.listen(ctx, rm, addrOf, snd, buf, dur)
-	nacks, amax = snd.NACKs(), slices.Clone(snd.Amax())
-	snd.Next()
-	return nacks, amax, snd.Waiting(), err
+	tun := rekey.DefaultTuning()
+	tun.InitialRho, tun.AdaptiveRho = 1, false
+	s.sess = protocol.NewSession(tun, 1, nil)
+	s.sess.Open(rm.Part, rm.MsgID, 0)
+	err = s.listen(ctx, rm, addrOf, buf, dur)
+	amax = make([]int, rm.Blocks())
+	if s.sess.Next() == protocol.Multicast {
+		for _, r := range s.sess.Refs() {
+			amax[r.Block]++
+		}
+	}
+	return s.sess.Outcome().NACKsPerRound[0], amax, s.sess.Waiting(), err
 }
 
 // scripted distributes one message to a group of n members after the

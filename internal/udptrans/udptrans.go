@@ -3,12 +3,12 @@
 // as a unicast fan-out, which keeps the code portable to hosts without
 // multicast routing), collects NACKs for a round, retransmits fresh
 // parity, and finally unicasts USR packets with escalating duplication.
-// What to send, how many copies and when to stop is protocol.Sender's to
-// decide, and to account for; what carries from one message to the next
-// (rho, the NACK target) is protocol.Session's -- the same state
-// machines the simulated vsim.Session drives -- and this package moves
-// real bytes through real sockets: who is sent what first, the NACK
-// window and its source check.
+// What to send, how many copies, when to stop and what carries from one
+// message to the next (rho, the NACK target) is protocol.Session's to
+// decide and to account for -- the one state machine the simulated
+// vsim.Session drives too -- and this package moves real bytes through
+// real sockets: who is sent what first, the NACK window and its source
+// check. A NACK's bytes go to the Session as they arrive.
 // The fan-out pays per batch, not per datagram: on Linux one sendmmsg
 // hands the kernel up to 64 members' runs of datagrams, each run
 // segmented, and a member reads its run back in one coalesced receive
@@ -18,6 +18,7 @@ package udptrans
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -29,7 +30,6 @@ import (
 	rekey "repro"
 	"repro/internal/blockplan"
 	"repro/internal/obs"
-	"repro/internal/packet"
 	"repro/internal/protocol"
 )
 
@@ -196,7 +196,7 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Stats reports one distribution run: the account its protocol.Sender
+// Stats reports one distribution run: the account the protocol.Session
 // kept of what it listed for the wire.
 type Stats = protocol.Outcome
 
@@ -223,8 +223,8 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 	})
 	defer stopWatch()
 
-	snd := s.sess.Open(rm.Part, rm.MsgID, opts.MaxUnicastWaves)
-	st := snd.Outcome()
+	s.sess.Open(rm.Part, rm.MsgID, opts.MaxUnicastWaves)
+	st := s.sess.Outcome()
 	members, addrOf := s.memberTable(rm)
 	scratch := make([]byte, 2048) // every NACK read of the run
 
@@ -232,7 +232,7 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 		if step == protocol.Done || step == protocol.GiveUp {
 			s.sess.Close()
 			if step == protocol.GiveUp {
-				return st, fmt.Errorf("udptrans: %d users still pending after unicast budget", len(snd.Waiting()))
+				return st, fmt.Errorf("udptrans: %d users still pending after unicast budget", len(s.sess.Waiting()))
 			}
 			return st, nil
 		}
@@ -244,19 +244,19 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 			roundStart = time.Now()
 		}
 		if step == protocol.Multicast {
-			if err := s.multicastRefs(ctx, rm, snd.Refs(), members, snd.Waiting()); err != nil {
+			if err := s.multicastRefs(ctx, rm, s.sess.Refs(), members, s.sess.Waiting()); err != nil {
 				return st, err
 			}
 		} else {
 			// Unicast (Fig. 22) to the latest round's or wave's NACKers
 			// only: a member still pending NACKs every QuietGap.
 			s.obs.Inc(obs.CUnicastWaves)
-			if err := s.unicastUSR(ctx, rm, members[:waitingFirst(members, snd.Waiting())], snd); err != nil {
+			if err := s.unicastUSR(ctx, rm, members[:waitingFirst(members, s.sess.Waiting())]); err != nil {
 				return st, err
 			}
 		}
 		s.drainStale(scratch)
-		err := s.listen(ctx, rm, addrOf, snd, scratch, opts.RoundDur)
+		err := s.listen(ctx, rm, addrOf, scratch, opts.RoundDur)
 		if step == protocol.Multicast && s.obs.Enabled() {
 			s.obs.ObserveSince(obs.HRoundLatency, roundStart)
 		}
@@ -445,11 +445,12 @@ func (s *Server) drainStale(buf []byte) {
 	}
 }
 
-// listen feeds snd the NACKs that arrive within one window of dur. NACKs
-// are unauthenticated, so one counts only from the address registered
-// for the node it names (addrOf): a host that merely sees the multicast
-// buys nothing with a forged one. The Sender caps what a member's buys.
-func (s *Server) listen(ctx context.Context, rm *rekey.RekeyMessage, addrOf map[int]netip.AddrPort, snd *protocol.Sender, buf []byte, dur time.Duration) error {
+// listen feeds the Session the NACKs that arrive within one window of
+// dur. NACKs are unauthenticated, so one counts only from the address
+// registered for the node it names (addrOf): a host that merely sees the
+// multicast buys nothing with a forged one. The Session caps what a
+// member's buys.
+func (s *Server) listen(ctx context.Context, rm *rekey.RekeyMessage, addrOf map[int]netip.AddrPort, buf []byte, dur time.Duration) error {
 	deadline := time.Now().Add(dur)
 	for {
 		if err := ctx.Err(); err != nil {
@@ -466,41 +467,32 @@ func (s *Server) listen(ctx context.Context, rm *rekey.RekeyMessage, addrOf map[
 			}
 			return rerr
 		}
-		// Checked before anything is built from it: a datagram that is no
-		// NACK for this message costs the server no allocation. ParseNACK
-		// keeps nothing of its input, so buf is parsed where it lies.
-		if n == 0 || buf[0] != byte(packet.TypeNACK)<<6|rm.MsgID {
-			s.obs.Inc(obs.CNACKIgnored)
-			continue
+		// A NACK names its node in bytes 1-2; the Session reads the rest
+		// where it lies, so no datagram costs the server an allocation.
+		node, demand, ok := -1, 0, false
+		if n >= 3 {
+			node = int(binary.BigEndian.Uint16(buf[1:]))
 		}
-		nk, perr := packet.ParseNACK(buf[:n])
-		if perr != nil {
-			s.obs.Inc(obs.CNACKIgnored)
-			continue
+		if to, reg := addrOf[node]; reg && to == unmapped(from) {
+			demand, ok = s.sess.NACK(node, buf[:n])
 		}
-		if to, ok := addrOf[int(nk.UserID)]; !ok || to != unmapped(from) {
-			s.obs.Inc(obs.CNACKIgnored)
-			continue
-		}
-		demand, ok := snd.NACK(int(nk.UserID), nk.Requests)
 		if !ok {
 			s.obs.Inc(obs.CNACKIgnored)
 			continue
 		}
 		if s.obs.Enabled() {
 			s.obs.Inc(obs.CNACKRecv)
-			s.obs.Emit(obs.Event{Kind: obs.EvNACKReceived, MsgID: rm.MsgID,
-				User: int(nk.UserID), Value: float64(demand)})
+			s.obs.Emit(obs.Event{Kind: obs.EvNACKReceived, MsgID: rm.MsgID, User: node, Value: float64(demand)})
 		}
 	}
 }
 
 // unicastUSR sends each pending member as many copies of its USR packet
-// as snd says. The members come from the table, so a NACK naming a node
+// as the Session says. The members come from the table, so a NACK naming a node
 // ID that is no member's -- NACKs are unauthenticated, and such an ID
 // has no USR leaf on a signed message: WireUSR would fail the interval
 // for everyone -- is served nothing.
-func (s *Server) unicastUSR(ctx context.Context, rm *rekey.RekeyMessage, pending []member, snd *protocol.Sender) error {
+func (s *Server) unicastUSR(ctx context.Context, rm *rekey.RekeyMessage, pending []member) error {
 	msgs := s.out[:0]
 	for _, m := range pending {
 		// WireUSR carries the auth trailer on signed messages and is the
@@ -510,7 +502,7 @@ func (s *Server) unicastUSR(ctx context.Context, rm *rekey.RekeyMessage, pending
 		if err != nil {
 			return err
 		}
-		for j := 0; j < snd.Copies(m.node); j++ {
+		for j := 0; j < s.sess.Copies(m.node); j++ {
 			msgs = append(msgs, outMsg{to: m.addr, iov: [2][]byte{raw}, seg: len(raw)})
 			s.obs.Inc(obs.CUsrSent)
 		}

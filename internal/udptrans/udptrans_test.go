@@ -387,10 +387,11 @@ func TestForgedNACKCannotAbortInterval(t *testing.T) {
 }
 
 // TestStaleNACKFloodAllocs: NACKs of another message -- late
-// ones of the last interval, or anyone's forgeries -- are turned away on
-// their first byte. collectNACKs used to copy each datagram, parse the
-// copy and only then compare message IDs: three allocations a datagram,
-// and a fourth for the sender address nothing reads.
+// ones of the last interval, or anyone's forgeries -- are turned away by
+// their source or their first byte, without an allocation. An intake
+// that copied each datagram and parsed the copy before comparing message
+// IDs made three allocations a datagram, and a fourth for the sender
+// address nothing reads.
 func TestStaleNACKFloodAllocs(t *testing.T) {
 	const flood = 200
 	srv, rm := wiredServer(t, 4, rekey.WithKeySeed(9))
@@ -432,8 +433,8 @@ func TestStaleNACKFloodAllocs(t *testing.T) {
 	if nacks != 1 || !users[cred.NodeID] || amax[0] != 2 {
 		t.Fatalf("nacks=%d users=%v amax=%v, want the one NACK of this message", nacks, users, amax)
 	}
-	// The round's own state and the one parsed NACK are a dozen
-	// allocations; one per flooded datagram would be two hundred.
+	// The Session's own state is a dozen allocations; one per flooded
+	// datagram would be two hundred.
 	if got := after.Mallocs - before.Mallocs; got > flood/2 {
 		t.Errorf("%d allocations while turning away %d stale NACKs, want a count that does not grow with the flood", got, flood)
 	}

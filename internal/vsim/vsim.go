@@ -1,17 +1,15 @@
 // Package vsim is the virtual-time driver of the rekey transport: the
 // paper's simulated evaluation (Figs. 8-21) run on the code the key
 // server daemon runs. Each rekey message is a real rekey.RekeyMessage;
-// protocol.Sender, the state machine udptrans drives over sockets,
-// decides what each round and wave sends and keeps the account this
-// package's Metrics report; netsim's star decides which datagrams
-// each member's link lets through at which virtual time; and real
-// rekey.Members ingest those bytes and answer with real NACK bytes.
-//
-// What the key server carries across messages -- rho and the NACK
-// target, adapting when the tuning says so -- is protocol.Session's, as
-// on the wire; Session adds the virtual clock, the network and the
-// delivery to members. Group keeps a real Member for every member of a
-// key server's group.
+// protocol.Session, the state machine udptrans drives over sockets,
+// decides what each round and wave sends, takes the members' NACK bytes
+// as udptrans hands it a datagram's, carries rho and the NACK target
+// across messages and keeps the account this package's Metrics embed;
+// netsim's star decides which datagrams each member's link lets through
+// at which virtual time; and real rekey.Members ingest those bytes and
+// answer with real NACK bytes. Session adds the virtual clock, the
+// network and the delivery to members. Group keeps a real Member for
+// every member of a key server's group.
 package vsim
 
 import (
@@ -66,29 +64,20 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// Metrics reports one rekey message's transport outcome. The counts of
-// rounds, waves, datagrams and round-one NACKs are the Sender's
-// protocol.Outcome; the rest is what only a simulation sees.
+// Metrics reports one rekey message's transport outcome: the Session's
+// account of rounds, waves, datagrams and NACKs, as is, and what only a
+// simulation sees.
 type Metrics struct {
+	protocol.Outcome
 	MsgID         int
 	RhoUsed       float64
 	NumNACKTarget int
 	EncPackets    int // h: real ENC packets
 	Blocks        int
-	// MulticastSent is h': every multicast packet sent (ENC packets
-	// including last-block duplicates, plus all PARITY packets, across
-	// all rounds).
-	MulticastSent int
-	ParitySent    int
-	Round1NACKs   int
-	// MulticastRounds is the number of multicast rounds run.
-	MulticastRounds int
-	UsrSent         int
-	UnicastWaves    int
 	// UserRoundHist maps finishing round to member count: the round in
 	// which a member's Ingest first reported Done. Multicast finishers
-	// record their round (1-based); unicast finishers record
-	// MulticastRounds + wave.
+	// record their round (1-based); unicast finishers record Rounds +
+	// wave.
 	UserRoundHist map[int]int
 	// MissedDeadline counts members not keyed within
 	// Tuning.MaxMulticastRounds rounds, the deadline; 0 without one. It
@@ -99,21 +88,23 @@ type Metrics struct {
 	NeededUsers int
 	// Unreached counts members that ended the run without the message
 	// and without asking for it: nothing they heard gave them a block to
-	// NACK, so the Sender never served them (ROADMAP item 16). Run hands
+	// NACK, so the Session never served them (ROADMAP item 16). Run hands
 	// each its USR datagram out of band afterwards, so that the group's
 	// next message finds it keyed.
 	Unreached int
-	// AllDone reports that the Sender finished and no member is
+	// AllDone reports that the Session finished and no member is
 	// unreached.
 	AllDone bool
 }
 
-// BandwidthOverhead is h'/h, the server multicast bandwidth overhead.
+// BandwidthOverhead is h'/h, the server multicast bandwidth overhead:
+// every multicast datagram sent, ENC (last-block duplicates included)
+// and PARITY across all rounds, over the real ENC packets.
 func (m *Metrics) BandwidthOverhead() float64 {
 	if m.EncPackets == 0 {
 		return 0
 	}
-	return float64(m.MulticastSent) / float64(m.EncPackets)
+	return float64(m.EncSent+m.ParitySent) / float64(m.EncPackets)
 }
 
 // AvgUserRounds is the mean finishing round over members that finished.
@@ -202,12 +193,11 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 	met.EncPackets, met.Blocks = rm.NumRealPackets(), rm.Blocks()
 	r := &run{rm: rm, members: members, done: make([]int, len(members))}
 
-	snd := s.core.Open(rm.Part, rm.MsgID, WaveBudget)
-	out := snd.Outcome()
+	s.core.Open(rm.Part, rm.MsgID, WaveBudget)
 	step := protocol.Multicast
 	for ; step == protocol.Multicast; step = s.core.Next() {
-		round := out.Rounds
-		refs := snd.Refs()
+		round := s.core.Outcome().Rounds
+		refs := s.core.Refs()
 		if cfg.SequentialSend {
 			// The ablation's order: the same shards, each block's back
 			// to back.
@@ -229,19 +219,19 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 				met.UserRoundHist[round]++
 			}
 			if raw != nil {
-				feedNACK(snd, rm.MsgID, i, raw)
+				s.core.NACK(i, raw)
 			}
 		}
 	}
 	if step == protocol.Unicast {
 		var err error
-		if step, err = s.unicast(r, snd, met); err != nil {
+		if step, err = s.unicast(r, met); err != nil {
 			return nil, err
 		}
 	}
 	// Whoever is neither keyed nor still asking heard nothing to ask
 	// with: it gets its keys out of band, as a re-registration would.
-	waiting := snd.Waiting()
+	waiting := s.core.Waiting()
 	for i, d := range r.done {
 		if d > 0 || waiting[i] {
 			continue
@@ -255,8 +245,7 @@ func (s *Session) Run(rm *rekey.RekeyMessage, members []Member) (*Metrics, error
 	if missed := s.core.Close(); cfg.MaxMulticastRounds > 0 {
 		met.MissedDeadline = missed + met.Unreached
 	}
-	met.MulticastSent, met.ParitySent, met.UsrSent = out.EncSent+out.ParitySent, out.ParitySent, out.UsrSent
-	met.MulticastRounds, met.UnicastWaves, met.Round1NACKs = out.Rounds, out.UnicastWaves, out.NACKsPerRound[0]
+	met.Outcome = *s.core.Outcome()
 	// Idle gap between rekey messages keeps link processes realistic.
 	s.now += roundSlack
 	return met, nil
@@ -317,27 +306,19 @@ func keyedBy(m Member, wire []byte) bool {
 	return err == nil && res.Done
 }
 
-// feedNACK parses member i's NACK bytes, as udptrans's listener does, and
-// hands them to snd.
-func feedNACK(snd *protocol.Sender, msgID uint8, i int, raw []byte) {
-	if nk, err := packet.ParseNACK(raw); err == nil && nk.MsgID == msgID {
-		snd.NACK(i, nk.Requests)
-	}
-}
-
-// unicast implements Switch2Unicast (Fig. 22) and returns the Sender's
+// unicast implements Switch2Unicast (Fig. 22) and returns the Session's
 // last step. A waiting member none of its wave's copies reach NACKs
 // again.
-func (s *Session) unicast(r *run, snd *protocol.Sender, met *Metrics) (protocol.Step, error) {
-	step, out := protocol.Unicast, snd.Outcome()
+func (s *Session) unicast(r *run, met *Metrics) (protocol.Step, error) {
+	step, out := protocol.Unicast, s.core.Outcome()
 	for ; step == protocol.Unicast; step = s.core.Next() {
-		wave, waiting := out.UnicastWaves, snd.Waiting()
+		wave, waiting := out.UnicastWaves, s.core.Waiting()
 		for i, m := range r.members {
 			if !waiting[i] {
 				continue
 			}
 			got := false
-			for j := 0; j < snd.Copies(i); j++ {
+			for j := 0; j < s.core.Copies(i); j++ {
 				// Duplicates of one wave go out back to back; distinct
 				// members' sends share the wave window.
 				got = s.net.Unicast(i, s.now+float64(j)*0.001) || got
@@ -355,7 +336,7 @@ func (s *Session) unicast(r *run, snd *protocol.Sender, met *Metrics) (protocol.
 			}
 			if nk, ok := m.NACK(); ok {
 				raw, _ := nk.Marshal() // a member's own msgID always fits
-				feedNACK(snd, r.rm.MsgID, i, raw)
+				s.core.NACK(i, raw)
 			}
 		}
 		s.now += unicastInterval

@@ -11,6 +11,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/protocol"
 	"repro/internal/tuning"
 )
 
@@ -117,7 +118,7 @@ func (w *world) checkKeys() {
 	}
 }
 
-// finished reports whether the Sender served every member that asked:
+// finished reports whether the Session served every member that asked:
 // all are keyed but the unreached.
 func finished(met *Metrics) bool {
 	n := met.Unreached
@@ -146,11 +147,11 @@ func TestLosslessOneRound(t *testing.T) {
 	if !met.AllDone {
 		t.Fatal("not all members keyed on a lossless network")
 	}
-	if met.MulticastRounds != 1 {
-		t.Fatalf("took %d rounds, want 1", met.MulticastRounds)
+	if met.Rounds != 1 {
+		t.Fatalf("took %d rounds, want 1", met.Rounds)
 	}
-	if met.Round1NACKs != 0 {
-		t.Fatalf("%d NACKs on a lossless network", met.Round1NACKs)
+	if met.NACKsPerRound[0] != 0 {
+		t.Fatalf("%d NACKs on a lossless network", met.NACKsPerRound[0])
 	}
 	if met.UsrSent != 0 {
 		t.Fatalf("%d USR packets sent", met.UsrSent)
@@ -159,8 +160,8 @@ func TestLosslessOneRound(t *testing.T) {
 	if met.ParitySent != 0 {
 		t.Fatalf("parity sent with rho=1 and no loss: %d", met.ParitySent)
 	}
-	if met.MulticastSent != rm.Part.TotalSlots() {
-		t.Fatalf("sent %d, want %d ENC slots (%d real)", met.MulticastSent, rm.Part.TotalSlots(), met.EncPackets)
+	if met.EncSent+met.ParitySent != rm.Part.TotalSlots() {
+		t.Fatalf("sent %d, want %d ENC slots (%d real)", met.EncSent+met.ParitySent, rm.Part.TotalSlots(), met.EncPackets)
 	}
 	if met.MissedDeadline != 0 || met.Unreached != 0 {
 		t.Fatalf("%d deadline misses, %d unreached", met.MissedDeadline, met.Unreached)
@@ -175,10 +176,10 @@ func TestLossyMulticastOnlyCompletes(t *testing.T) {
 	cfg := Config{Tuning: tuning.Default()}
 	cfg.MaxMulticastRounds = 0 // multicast until done
 	met := newWorld(t, cfg, 1024, paperStar(), 2).run()
-	if met.MulticastRounds < 2 {
-		t.Fatalf("lossy run finished in %d rounds; suspicious", met.MulticastRounds)
+	if met.Rounds < 2 {
+		t.Fatalf("lossy run finished in %d rounds; suspicious", met.Rounds)
 	}
-	if met.Round1NACKs == 0 {
+	if met.NACKsPerRound[0] == 0 {
 		t.Fatal("no NACKs despite 20% high-loss users")
 	}
 	if ov := met.BandwidthOverhead(); ov <= 1.0 || ov > 5 {
@@ -202,7 +203,7 @@ func TestProactivityReducesNACKs(t *testing.T) {
 		w := newWorld(t, cfg, 2048, paperStar(), 3)
 		total := 0
 		for i := 0; i < 3; i++ {
-			total += w.run().Round1NACKs
+			total += w.run().NACKsPerRound[0]
 		}
 		nacks[rho] = total
 	}
@@ -218,8 +219,8 @@ func TestUnicastCompletesStragglers(t *testing.T) {
 	cfg := Config{Tuning: tuning.Default()}
 	cfg.MaxMulticastRounds = 2
 	met := newWorld(t, cfg, 2048, paperStar(), 4).run()
-	if met.MulticastRounds > 2 {
-		t.Fatalf("ran %d multicast rounds, cap 2", met.MulticastRounds)
+	if met.Rounds > 2 {
+		t.Fatalf("ran %d multicast rounds, cap 2", met.Rounds)
 	}
 	// With rho=1 on a lossy network, someone always needs unicast.
 	if met.UsrSent == 0 {
@@ -244,7 +245,7 @@ func TestAdjustRhoConvergesToTarget(t *testing.T) {
 		for i := 0; i < 15; i++ {
 			met := w.run()
 			if i >= 5 {
-				tail = append(tail, met.Round1NACKs)
+				tail = append(tail, met.NACKsPerRound[0])
 			}
 		}
 		sum := 0
@@ -305,7 +306,7 @@ func TestDeterministicForSeed(t *testing.T) {
 		var out []int
 		for i := 0; i < 5; i++ {
 			met := w.run()
-			out = append(out, met.Round1NACKs, met.MulticastSent, met.UsrSent, met.Unreached)
+			out = append(out, met.NACKsPerRound[0], met.EncSent+met.ParitySent, met.UsrSent, met.Unreached)
 		}
 		return out
 	}
@@ -326,7 +327,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		var out []int
 		for i := 0; i < 3; i++ {
 			met := w.run()
-			out = append(out, met.Round1NACKs, met.MulticastSent, met.UsrSent, met.MissedDeadline)
+			out = append(out, met.NACKsPerRound[0], met.EncSent+met.ParitySent, met.UsrSent, met.MissedDeadline)
 		}
 		return out
 	}
@@ -382,8 +383,8 @@ func TestEmptyMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !met.AllDone || met.MulticastSent != 0 {
-		t.Fatalf("empty message sent %d packets", met.MulticastSent)
+	if !met.AllDone || met.EncSent+met.ParitySent != 0 {
+		t.Fatalf("empty message sent %d packets", met.EncSent+met.ParitySent)
 	}
 }
 
@@ -441,7 +442,7 @@ func TestRhoAdjustedCarriesMessageID(t *testing.T) {
 }
 
 // TestUnreachedMember: a member whose link drops every datagram of a
-// message never learns there is one to ask for. The Sender finishes with
+// message never learns there is one to ask for. The Session finishes with
 // everyone else keyed, the run counts the member unreached, and the
 // member gets its keys out of band.
 func TestUnreachedMember(t *testing.T) {
@@ -456,8 +457,8 @@ func TestUnreachedMember(t *testing.T) {
 	if met.Unreached != 1 || met.AllDone {
 		t.Fatalf("unreached = %d, AllDone = %v; want 1, false", met.Unreached, met.AllDone)
 	}
-	if met.MulticastRounds != 1 || met.Round1NACKs != 0 || met.UsrSent != 0 {
-		t.Fatalf("the Sender did not finish after round one: %+v", met)
+	if met.Rounds != 1 || met.NACKsPerRound[0] != 0 || met.UsrSent != 0 {
+		t.Fatalf("the Session did not finish after round one: %+v", met)
 	}
 	if got := met.UserRoundHist[1]; got != met.NeededUsers-1 {
 		t.Fatalf("%d of %d members keyed in round one", got, met.NeededUsers)
@@ -509,7 +510,7 @@ func TestNoShardSentTwice(t *testing.T) {
 					t.Fatalf("rho=%v message %d: member %d heard %d shards twice", rho, i, j, r.twice)
 				}
 			}
-			if met.MulticastRounds > 1 {
+			if met.Rounds > 1 {
 				later++
 			}
 		}
@@ -549,7 +550,7 @@ func TestSoakAcrossMsgIDWrap(t *testing.T) {
 }
 
 func TestMetricsDerivations(t *testing.T) {
-	m := &Metrics{EncPackets: 100, MulticastSent: 150,
+	m := &Metrics{Outcome: protocol.Outcome{EncSent: 120, ParitySent: 30}, EncPackets: 100,
 		UserRoundHist: map[int]int{1: 90, 2: 10}}
 	if got := m.BandwidthOverhead(); got != 1.5 {
 		t.Fatalf("overhead %v", got)

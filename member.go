@@ -433,8 +433,18 @@ func (m *Member) finishLocked() {
 }
 
 // releaseShardsLocked empties the current assembly's block records,
-// handing their shard buffers to the next user.
+// handing their shard buffers to the next user. The free list grows
+// once, to hold what the records release up to maxFreeShards.
 func (m *Member) releaseShardsLocked() {
+	held := 0
+	for i := range m.cur.blocks {
+		held += len(m.cur.blocks[i].bufs)
+	}
+	// Not slices.Grow: under -race its make is not folded into the
+	// append, and the growth would cost two allocations instead of one.
+	if want := len(m.free) + min(held, maxFreeShards-len(m.free)); want > cap(m.free) {
+		m.free = append(make([][]byte, 0, want), m.free...)
+	}
 	for i := range m.cur.blocks {
 		m.dropShardsLocked(&m.cur.blocks[i])
 		m.cur.blocks[i].hasRoot = false
@@ -549,8 +559,9 @@ func (m *Member) storeLocked(b *blockShards, seq uint8, span []byte) bool {
 func (m *Member) decodeLocked(blk *blockShards, res IngestResult) (IngestResult, error) {
 	if m.fulls == nil {
 		m.shards, m.fulls, m.spans = make([]fec.Shard, m.k), make([][]byte, m.k), make([][]byte, m.k)
+		slab := make([]byte, m.k*packet.PacketLen)
 		for seq := range m.fulls {
-			m.fulls[seq] = make([]byte, packet.PacketLen)
+			m.fulls[seq] = slab[seq*packet.PacketLen : (seq+1)*packet.PacketLen : (seq+1)*packet.PacketLen]
 		}
 	}
 	for i, seq := range blk.seqs {

@@ -324,8 +324,9 @@ func (f *assemblyFixture) runSchedule(t *testing.T, seed uint64) {
 // a packet of a completed message, signed or not; nothing for another
 // member's ENC packet once the shard buffers of earlier messages are
 // there to reuse; for the member's own ENC packet, one AES key
-// schedule per key it unwraps and nothing else; and for a recovery,
-// nothing for checking the decoded block against its signed root.
+// schedule per key it unwraps and nothing else; and for a recovery, a
+// count that does not grow with k, plus only the kept leaf scratch for
+// checking the decoded block against its signed root.
 func TestIngestAllocs(t *testing.T) {
 	var unsignedRecovery float64
 	for _, signed := range []bool{false, true} {
@@ -398,6 +399,20 @@ func TestIngestAllocs(t *testing.T) {
 			if len(ids) < 41 {
 				t.Fatalf("%d members to recover, want 41", len(ids))
 			}
+			// The first decode's scratch (shards, packets, spans and one
+			// slab under the packets), the coder's decode (three), the
+			// parity's shard buffer and the free list's one growth when
+			// the finished message releases its shards; without the
+			// AES-NI kernel, one key schedule per unwrap besides.
+			want := 10.0
+			if keys.AESKernel() == "generic" {
+				unwraps := 0
+				for _, mid := range ids[1:] {
+					cred, _ := f.s.Credentials(mid)
+					unwraps += len(f.rm2.Result.UserNeeds(cred.NodeID))
+				}
+				want += float64(unwraps / (len(ids) - 1))
+			}
 			i := 0
 			allocs := testing.AllocsPerRun(len(ids)-1, func() {
 				if res, err := members[i].Ingest(parities[i]); err != nil || !res.Done || !res.Recovered {
@@ -405,9 +420,11 @@ func TestIngestAllocs(t *testing.T) {
 				}
 				i++
 			})
-			t.Logf("signed=%v: recovering ingest: %.1f allocs", signed, allocs)
 			if !signed {
 				unsignedRecovery = allocs
+				if allocs != want {
+					t.Errorf("recovering ingest: %.1f allocs, want %.1f (AES kernel %s)", allocs, want, keys.AESKernel())
+				}
 			} else if allocs != unsignedRecovery+1 {
 				t.Errorf("signed recovering ingest: %.1f allocs, want %.1f, the unsigned one's and the leaf scratch",
 					allocs, unsignedRecovery+1)

@@ -356,8 +356,10 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 	}
 	// The USR subtree is built beside the ENC packets and buildAuth
 	// joins it. An error surfaces where the serial order would report it.
+	// A batch that leaves no user has nothing to send or sign.
+	signed := s.cfg.Signer != nil && len(res.UserIDs) > 0
 	var usrTree func() (*keys.MerkleTree, error)
-	if s.cfg.Signer != nil {
+	if signed {
 		usrTree = rm.startUSRSubtree()
 		defer usrTree() // every return waits: nothing touches rm after Rekey
 	}
@@ -379,7 +381,7 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 	// plan, and, on a signing server, room after it for buildAuth to
 	// append the trailer in place.
 	stride := packet.PacketLen
-	if s.cfg.Signer != nil {
+	if signed {
 		stride += packet.ENCTrailerBound(s.cfg.K, part.NumBlocks()+1, s.cfg.Signer.Public().Size())
 	}
 	slab := make([]byte, part.TotalSlots()*stride)
@@ -395,11 +397,11 @@ func (s *Server) Rekey() (*RekeyMessage, error) {
 	}
 	rm.parity = make([][][]byte, part.NumBlocks())
 	var blockTrees []keys.MerkleTree
-	if s.cfg.Signer != nil {
+	if signed {
 		blockTrees = rm.blockTrees()
 	}
 	s.obs.ObserveSince(obs.HAssignBuild, assignStart)
-	if s.cfg.Signer != nil {
+	if signed {
 		if err := rm.buildAuth(s.cfg.Signer, blockTrees, usrTree); err != nil {
 			return nil, err
 		}

@@ -49,8 +49,8 @@ func TestBuildRound(t *testing.T) {
 			if rm.Blocks() < 2 {
 				t.Fatalf("%d blocks, want at least 2", rm.Blocks())
 			}
-			one := protocol.NewSender(rm.Part, 1.2, 0, 0).Refs() // every ENC and two PARITY a block
-			var someENC []blockplan.Ref                          // every third ENC dropped, the rest reversed
+			one := roundOne(rm)         // every ENC and two PARITY a block
+			var someENC []blockplan.Ref // every third ENC dropped, the rest reversed
 			for i := len(one) - 1; i >= 0; i-- {
 				if !one[i].IsParity(k) && i%3 != 0 {
 					someENC = append(someENC, one[i])
@@ -138,7 +138,7 @@ func TestBuildRoundEncodesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := protocol.NewSender(rm.Part, 1.2, 0, 0).Refs()
+	refs := roundOne(rm)
 	var r rekey.Round
 	for pass := 1; pass <= 2; pass++ {
 		if err := rm.BuildRound(context.Background(), &r, refs); err != nil {
@@ -151,4 +151,13 @@ func TestBuildRoundEncodesOnce(t *testing.T) {
 				pass, enc.Count, per.Count, per.Sum, rm.Blocks(), 2*rm.Blocks())
 		}
 	}
+}
+
+// roundOne returns the first round a Session sends of rm at rho 1.2.
+func roundOne(rm *rekey.RekeyMessage) []blockplan.Ref {
+	tun := rekey.DefaultTuning()
+	tun.InitialRho = 1.2
+	s := protocol.NewSession(tun, 1, nil)
+	s.Open(rm.Part, rm.MsgID, 0)
+	return s.Refs()
 }
