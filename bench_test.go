@@ -442,7 +442,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 // BenchmarkKeysWrap prices one {k'}_k encryption as the batch pipeline
 // pays it: every tree edge has a distinct child (outer) key, which is
 // also the unit of the capacity analysis, and a WrapBatch takes 16
-// edges to a tag-kernel call.
+// edges to a flush.
 func BenchmarkKeysWrap(b *testing.B) {
 	ks, err := keys.NewDeterministicGenerator(4).NewKeys(32)
 	if err != nil {

@@ -44,7 +44,7 @@ func MeasureCosts() (analysis.Costs, error) {
 
 	// The server's wrap as the batch pipeline runs it: every tree edge
 	// has its own child (outer) key, and one batch takes the edges 16 to
-	// a tag-kernel call.
+	// a flush.
 	const wrapReps = 20000
 	outers, err := keys.NewDeterministicGenerator(1).NewKeys(wrapReps + 1)
 	if err != nil {

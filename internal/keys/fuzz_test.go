@@ -18,9 +18,9 @@ func FuzzWrapBatch(f *testing.F) {
 	f.Add([]byte{}, []byte{0xff}, uint8(7))
 	f.Add(bytes.Repeat([]byte{0x36}, 32), bytes.Repeat([]byte{0x5c}, 32), uint8(17))
 	f.Fuzz(func(t *testing.T, outerRaw, innerRaw []byte, flip uint8) {
-		var outers, inners [tagLanes]Key
-		var outs [tagLanes][WrappedSize]byte
-		n := 1 + int(flip)%tagLanes
+		var outers, inners [hashLanes]Key
+		var outs [hashLanes][WrappedSize]byte
+		n := 1 + int(flip)%hashLanes
 		var b WrapBatch
 		for i := range n {
 			copy(outers[i][:], outerRaw)

@@ -24,7 +24,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"unsafe"
 )
@@ -272,12 +271,9 @@ func newBlock(key *Key) cipher.Block {
 // hmacBlockSize is SHA-256's block length, the pad width of HMAC.
 const hmacBlockSize = 64
 
-// tagLanes is the number of wraps one tag-kernel call finishes.
-const tagLanes = 16
-
 // SHA256Kernel reports which path runs the key server's batched SHA-256
 // -- a WrapBatch's tags and a LeafBatch's and NewMerkleTree's Merkle
-// hashes: "avx512" (16 lanes per call) on amd64 CPUs with AVX-512F
+// hashes: "avx512" (16 lanes a kernel call) on amd64 CPUs with AVX-512F
 // enabled by the OS, "generic" (crypto/sha256, one lane at a time)
 // otherwise and under the purego build tag. Fixed at init.
 func SHA256Kernel() string {
@@ -292,16 +288,18 @@ func SHA256Kernel() string {
 // inner key encrypted under the outer key) followed by a truncated
 // HMAC-SHA256 tag under the outer key. It is the key server's one wrap
 // path. Add encrypts at once and stages the tag; every 16th Add, and
-// Flush, compute the staged tags in one kernel call. Staging is plain
-// arrays, so a WrapBatch declared in a loop's function stays on its
-// stack and the loop allocates nothing. The zero value is ready; a
-// WrapBatch is not safe for concurrent use.
+// Flush, compute the staged tags, 16 lanes to a kernel call. Staging is
+// plain arrays (~5 KiB with the kernel's HMAC messages), so a WrapBatch
+// declared in a loop's function stays on its stack and the loop
+// allocates nothing. The zero value is ready; a WrapBatch is not safe
+// for concurrent use.
 type WrapBatch struct {
-	n    int
-	out  [tagLanes]*[WrappedSize]byte
-	key  [tagLanes]Key           // lane i's outer key
-	ct   [tagLanes][KeySize]byte // lane i's ciphertext, copied at Flush
-	tags [tagLanes]uint32        // the first word of lane i's HMAC
+	n     int
+	out   [hashLanes]*[WrappedSize]byte
+	key   [hashLanes]Key           // lane i's outer key
+	ct    [hashLanes][KeySize]byte // lane i's ciphertext, copied at Flush
+	tags  [hashLanes]uint32        // the first word of lane i's HMAC
+	stage tagStage
 }
 
 // Add wraps inner under outer into out. out holds the ciphertext when
@@ -312,7 +310,7 @@ func (b *WrapBatch) Add(out *[WrappedSize]byte, outer, inner *Key) {
 	b.key[b.n] = *outer
 	b.out[b.n] = out
 	b.n++
-	if b.n == tagLanes {
+	if b.n == hashLanes {
 		b.Flush()
 	}
 }
@@ -336,57 +334,17 @@ func (b *WrapBatch) Flush() {
 	b.n = 0
 }
 
-// tagsGeneric is the portable tag path: HMAC's two hashes per staged
-// lane with crypto/sha256, which uses the SHA extensions where the CPU
-// has them.
+// tagsGeneric is the portable tag path: hmacSum per staged lane.
 func tagsGeneric(b *WrapBatch) {
-	var inner [hmacBlockSize + KeySize]byte
-	var outer [hmacBlockSize + sha256.Size]byte
 	for i := range b.n {
-		copy(inner[:], ipad0[:])
-		copy(outer[:], opad0[:])
-		for j, k := range b.key[i] {
-			inner[j] ^= k
-			outer[j] ^= k
-		}
-		copy(inner[hmacBlockSize:], b.ct[i][:])
-		h := sha256.Sum256(inner[:])
-		copy(outer[hmacBlockSize:], h[:])
-		sum := sha256.Sum256(outer[:])
+		sum := hmacSum(&b.key[i], &b.ct[i])
 		b.tags[i] = binary.BigEndian.Uint32(sum[:])
 	}
 }
 
-// WrapContext unwraps: it checks the tag of, and decrypts, a wrapped
-// key under one outer key at a time. It holds the per-outer-key state
-// -- the key itself, the HMAC pads and one reusable SHA-256 digest -- so
-// a member walking its path re-keys one context per edge instead of
-// rebuilding cipher and MAC objects per call. A context is not safe for
-// concurrent use; a member keeps one per view.
-type WrapContext struct {
-	key        Key
-	digest     hash.Hash // one SHA-256, reused for inner and outer pass
-	ipad, opad [hmacBlockSize]byte
-	sum        [sha256.Size]byte
-	// in and ct stage the block cipher's output and input: the portable
-	// AES path and hash.Hash.Write are interface calls, so slicing a
-	// caller's value into them forces it to escape (an allocation per
-	// call); staging through context storage keeps the path
-	// allocation-free.
-	in Key
-	ct [WrappedSize]byte
-}
-
-// NewWrapContext returns a context keyed for outer.
-func NewWrapContext(outer Key) *WrapContext {
-	w := &WrapContext{digest: sha256.New()}
-	w.SetKey(outer)
-	return w
-}
-
 // HMAC's inner and outer pad bytes, as one word and as a whole pad: a
 // key's pads are these with the key XORed into their first KeySize
-// bytes, which SetKey does a word at a time.
+// bytes, which xorPad does a word at a time.
 const ipadWord, opadWord = 0x3636363636363636, 0x5c5c5c5c5c5c5c5c
 
 var (
@@ -394,40 +352,61 @@ var (
 	opad0 = [hmacBlockSize]byte(bytes.Repeat([]byte{0x5c}, hmacBlockSize))
 )
 
-// SetKey re-keys the context for a new outer key: it copies the key and
-// the two pads and allocates nothing. The AES round keys are derived
-// per block, in registers where the CPU has AES-NI.
-func (w *WrapContext) SetKey(outer Key) {
-	w.key = outer
-	w.ipad, w.opad = ipad0, opad0
+// xorPad sets dst's first KeySize bytes to key XOR the pad word.
+func xorPad(dst []byte, key *Key, pad uint64) {
 	for i := 0; i < KeySize; i += 8 {
-		k := binary.LittleEndian.Uint64(outer[i:])
-		binary.LittleEndian.PutUint64(w.ipad[i:], k^ipadWord)
-		binary.LittleEndian.PutUint64(w.opad[i:], k^opadWord)
+		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(key[i:])^pad)
 	}
 }
 
-// tag computes the truncated HMAC-SHA256 tag over ct into w.sum[:TagSize].
-// HMAC(K, m) = H(opad || H(ipad || m)); the key is shorter than the
-// block size, so the pads are the zero-padded key XOR constants.
-func (w *WrapContext) tag(ct []byte) {
-	d := w.digest
-	d.Reset()
-	d.Write(w.ipad[:])
-	d.Write(ct)
-	inner := d.Sum(w.sum[:0])
-	d.Reset()
-	d.Write(w.opad[:])
-	d.Write(inner)
-	d.Sum(w.sum[:0])
+// hmacSum is the portable HMAC-SHA256 under key over a 16-byte msg,
+// H(key^opad || H(key^ipad || msg)) -- the key is shorter than the
+// block, so its pads are the zero-padded key XOR the pad bytes -- with
+// each pad and its message stacked in one array for crypto/sha256,
+// which uses the SHA extensions where the CPU has them. It allocates
+// nothing.
+func hmacSum(key *Key, msg *[KeySize]byte) [sha256.Size]byte {
+	var inner [hmacBlockSize + KeySize]byte
+	var outer [hmacBlockSize + sha256.Size]byte
+	copy(inner[:], ipad0[:])
+	copy(outer[:], opad0[:])
+	xorPad(inner[:], key, ipadWord)
+	xorPad(outer[:], key, opadWord)
+	copy(inner[hmacBlockSize:], msg[:])
+	h := sha256.Sum256(inner[:])
+	copy(outer[hmacBlockSize:], h[:])
+	return sha256.Sum256(outer[:])
 }
+
+// WrapContext unwraps: it checks the tag of, and decrypts, a wrapped
+// key under one outer key at a time, so that a member walking its path
+// re-keys one context per edge instead of building cipher objects per
+// call. A context is not safe for concurrent use; a member keeps one
+// per view.
+type WrapContext struct {
+	key Key
+	// in and ct stage the block cipher's output and input: the portable
+	// AES path is an interface call, so slicing a caller's value into it
+	// forces it to escape (an allocation per call); staging through
+	// context storage keeps the path allocation-free.
+	in Key
+	ct [WrappedSize]byte
+}
+
+// NewWrapContext returns a context keyed for outer.
+func NewWrapContext(outer Key) *WrapContext { return &WrapContext{key: outer} }
+
+// SetKey re-keys the context for a new outer key: it copies the key and
+// allocates nothing. The AES round keys are derived per block, in
+// registers where the CPU has AES-NI.
+func (w *WrapContext) SetKey(outer Key) { w.key = outer }
 
 // Unwrap decrypts a wrapped key with the context's key, verifying the
 // truncated tag first. A tag mismatch yields ErrBadTag.
 func (w *WrapContext) Unwrap(wrapped [WrappedSize]byte) (Key, error) {
 	w.ct = wrapped
-	w.tag(w.ct[:KeySize])
-	if !hmac.Equal(w.sum[:TagSize], w.ct[KeySize:]) {
+	sum := hmacSum(&w.key, (*[KeySize]byte)(w.ct[:KeySize]))
+	if !hmac.Equal(sum[:TagSize], w.ct[KeySize:]) {
 		return Key{}, ErrBadTag
 	}
 	decryptBlock(&w.key, (*[KeySize]byte)(&w.in), (*[KeySize]byte)(w.ct[:KeySize]))

@@ -121,18 +121,18 @@ func TestSignVerify(t *testing.T) {
 }
 
 // BenchmarkWrapBatch prices one wrap as the batch pipeline pays it:
-// every edge its own outer key, 16 edges to a tag-kernel call.
+// every edge its own outer key, 16 edges to a flush.
 func BenchmarkWrapBatch(b *testing.B) {
-	ks, err := NewDeterministicGenerator(12).NewKeys(2 * tagLanes)
+	ks, err := NewDeterministicGenerator(12).NewKeys(2 * hashLanes)
 	if err != nil {
 		b.Fatal(err)
 	}
-	outs := make([][WrappedSize]byte, tagLanes)
+	outs := make([][WrappedSize]byte, hashLanes)
 	b.ReportAllocs()
 	var batch WrapBatch
 	for i := 0; i < b.N; i++ {
-		l := i % tagLanes
-		batch.Add(&outs[l], &ks[l], &ks[tagLanes+l])
+		l := i % hashLanes
+		batch.Add(&outs[l], &ks[l], &ks[hashLanes+l])
 	}
 	batch.Flush()
 }

@@ -34,9 +34,8 @@ type MerkleHash = [HashSize]byte
 // Leaf-domain bytes: each packet kind hashes under its own domain so
 // (for example) an ENC body can never stand in for a USR body.
 const (
-	DomainENC   = 0x01
-	DomainUSR   = 0x02
-	DomainBlock = 0x03 // block-subtree roots feeding the top tree
+	DomainENC = 0x01
+	DomainUSR = 0x02
 )
 
 // LeafHash hashes one leaf: H(0x00 || domain || data).
@@ -61,13 +60,14 @@ func nodeHash(left, right *MerkleHash) MerkleHash {
 	return sha256.Sum256(buf[:])
 }
 
-// hashLanes is the number of Merkle hashes one kernel call computes.
+// hashLanes is the number of messages one kernel call hashes: Merkle
+// leaves or nodes, or wrap tags' HMAC passes.
 const hashLanes = 16
 
 // laneBlocks is the longest padded message a LeafBatch lane stages, in
 // SHA-256 blocks: a leaf over one 1027-byte datagram (2 prefix bytes,
 // 1027 of data and at least 9 of padding) fits in 17. laneBytes is the
-// lane's row in the staging array; the kernel's LANE must match.
+// lane's row in the staging array, the stride the kernel is handed.
 const (
 	laneBlocks = 17
 	laneBytes  = laneBlocks * sha256.BlockSize
@@ -255,11 +255,12 @@ func MerkleRoot(level []MerkleHash) MerkleHash {
 const minPairsPerPiece = 1024
 
 // hashLevel fills next[i] with the node over level[2i] and level[2i+1]:
-// 16 nodes to a kernel call where the CPU has AVX-512F, straight from
-// the level's pairs (hashNodes), and the rest through nodeHash. A level
-// of one piece is hashed here, before any closure is built, so the
-// narrow levels of every tree cost no allocation; a wider one is cut
-// into such pieces of next, each reading only its own pairs of level.
+// 16 nodes to a kernel call where the CPU has AVX-512F, each call's
+// pairs staged as node messages (hashNodes), and the rest through
+// nodeHash. A level of one piece is hashed here, before any closure is
+// built, so the narrow levels of every tree cost no allocation; a wider
+// one is cut into such pieces of next, each reading only its own pairs
+// of level.
 func hashLevel(next, level []MerkleHash) {
 	if len(next) > minPairsPerPiece {
 		// No piece fails, so FanOut returns nil.

@@ -1,11 +1,10 @@
-// SHA-256's rounds on 16 independent lanes (AVX-512F), shared by the
-// wrap-tag kernel (tag_amd64.s) and the Merkle kernel
-// (sha256x16_amd64.s).
+// SHA-256's rounds on 16 independent lanes (AVX-512F), for the 16-lane
+// kernel hashBlocksAVX512 (sha256x16_amd64.s), which includes this file.
 //
 // Register Zj holds one quantity for all 16 lanes, one lane per 32-bit
 // element: the state a-h in Z0-Z7, the message schedule's 16-word
 // window in Z16-Z31, round temporaries in Z8-Z10. AX points at the K of
-// the 16-round block running (·sha256K, sha256x16_amd64.s). Z15 is left
+// the 16-round block running (sha256K<>, sha256x16_amd64.s). Z15 is left
 // alone: X15 is the Go ABI's zero register.
 
 // ROUND is one SHA-256 round on the 16 lanes. k is this round's offset
@@ -116,7 +115,7 @@
 // they use it, then the last 16. label names the loop's top, which
 // must be unique in the function. Clobbers AX, CX and Z8-Z10.
 #define COMPRESS(label) \
-	LEAQ ·sha256K(SB), AX; \
+	LEAQ sha256K<>(SB), AX; \
 	MOVQ $3, CX;           \
 label:                     \
 	ROUNDS16_SCHED;        \

@@ -2,111 +2,103 @@
 
 #include "textflag.h"
 
-// SHA-256 of 16 independent messages in one call (AVX-512F): the
-// Merkle kernels behind LeafBatch (hashBlocksAVX512) and NewMerkleTree
-// (nodesAVX512), and the constants and CPU check they share with the
-// wrap-tag kernel. The rounds are in sha256x16_amd64.h.
+// SHA-256 of 16 independent messages in one call (AVX-512F):
+// hashBlocksAVX512, the package's one 16-lane SHA-256 kernel, and the
+// CPU check that gates it. The rounds are in sha256x16_amd64.h.
 //
-// A block of the 16 lanes arrives as 16 rows of 64 bytes; each row is
-// loaded into one register (ROWS) and the 16 are transposed into one
-// register per schedule word (TRANSPOSE16) and byte-swapped. The 16
-// digests leave the same way: byte-swapped, transposed back, and each
-// lane's eight words stored under a mask (DIGESTS). The messages are
-// public (Merkle leaves are wire packets, nodes are hashes of them), so
-// the frames are not zeroed.
+// The caller stages one message a lane, padded as SHA-256 pads it, in
+// rows of a stride it chooses; three shapes use the kernel: LeafBatch's
+// Merkle leaves (0x00 || domain || data, up to 17 blocks, rows of
+// laneBytes), hashNodes' interior nodes (0x01 || left || right, 2
+// blocks) and WrapBatch's two HMAC passes (key^ipad || ct, then
+// key^opad || h, 2 blocks each). A block of the 16 lanes is loaded one
+// row to a register and the 16 are transposed into one register per
+// schedule word (TRANSPOSE16) and byte-swapped. The 16 digests leave
+// the same way: byte-swapped, transposed back, and each lane's eight
+// words stored under a mask (DIGESTS).
 
 #include "sha256x16_amd64.h"
 
-// LANE is the staging array's row length in bytes: laneBlocks (merkle.go)
-// SHA-256 blocks.
-#define LANE 1088
+// SHA-256's round constants K and initial value IV.
+DATA sha256K<>+0(SB)/4, $0x428a2f98
+DATA sha256K<>+4(SB)/4, $0x71374491
+DATA sha256K<>+8(SB)/4, $0xb5c0fbcf
+DATA sha256K<>+12(SB)/4, $0xe9b5dba5
+DATA sha256K<>+16(SB)/4, $0x3956c25b
+DATA sha256K<>+20(SB)/4, $0x59f111f1
+DATA sha256K<>+24(SB)/4, $0x923f82a4
+DATA sha256K<>+28(SB)/4, $0xab1c5ed5
+DATA sha256K<>+32(SB)/4, $0xd807aa98
+DATA sha256K<>+36(SB)/4, $0x12835b01
+DATA sha256K<>+40(SB)/4, $0x243185be
+DATA sha256K<>+44(SB)/4, $0x550c7dc3
+DATA sha256K<>+48(SB)/4, $0x72be5d74
+DATA sha256K<>+52(SB)/4, $0x80deb1fe
+DATA sha256K<>+56(SB)/4, $0x9bdc06a7
+DATA sha256K<>+60(SB)/4, $0xc19bf174
+DATA sha256K<>+64(SB)/4, $0xe49b69c1
+DATA sha256K<>+68(SB)/4, $0xefbe4786
+DATA sha256K<>+72(SB)/4, $0x0fc19dc6
+DATA sha256K<>+76(SB)/4, $0x240ca1cc
+DATA sha256K<>+80(SB)/4, $0x2de92c6f
+DATA sha256K<>+84(SB)/4, $0x4a7484aa
+DATA sha256K<>+88(SB)/4, $0x5cb0a9dc
+DATA sha256K<>+92(SB)/4, $0x76f988da
+DATA sha256K<>+96(SB)/4, $0x983e5152
+DATA sha256K<>+100(SB)/4, $0xa831c66d
+DATA sha256K<>+104(SB)/4, $0xb00327c8
+DATA sha256K<>+108(SB)/4, $0xbf597fc7
+DATA sha256K<>+112(SB)/4, $0xc6e00bf3
+DATA sha256K<>+116(SB)/4, $0xd5a79147
+DATA sha256K<>+120(SB)/4, $0x06ca6351
+DATA sha256K<>+124(SB)/4, $0x14292967
+DATA sha256K<>+128(SB)/4, $0x27b70a85
+DATA sha256K<>+132(SB)/4, $0x2e1b2138
+DATA sha256K<>+136(SB)/4, $0x4d2c6dfc
+DATA sha256K<>+140(SB)/4, $0x53380d13
+DATA sha256K<>+144(SB)/4, $0x650a7354
+DATA sha256K<>+148(SB)/4, $0x766a0abb
+DATA sha256K<>+152(SB)/4, $0x81c2c92e
+DATA sha256K<>+156(SB)/4, $0x92722c85
+DATA sha256K<>+160(SB)/4, $0xa2bfe8a1
+DATA sha256K<>+164(SB)/4, $0xa81a664b
+DATA sha256K<>+168(SB)/4, $0xc24b8b70
+DATA sha256K<>+172(SB)/4, $0xc76c51a3
+DATA sha256K<>+176(SB)/4, $0xd192e819
+DATA sha256K<>+180(SB)/4, $0xd6990624
+DATA sha256K<>+184(SB)/4, $0xf40e3585
+DATA sha256K<>+188(SB)/4, $0x106aa070
+DATA sha256K<>+192(SB)/4, $0x19a4c116
+DATA sha256K<>+196(SB)/4, $0x1e376c08
+DATA sha256K<>+200(SB)/4, $0x2748774c
+DATA sha256K<>+204(SB)/4, $0x34b0bcb5
+DATA sha256K<>+208(SB)/4, $0x391c0cb3
+DATA sha256K<>+212(SB)/4, $0x4ed8aa4a
+DATA sha256K<>+216(SB)/4, $0x5b9cca4f
+DATA sha256K<>+220(SB)/4, $0x682e6ff3
+DATA sha256K<>+224(SB)/4, $0x748f82ee
+DATA sha256K<>+228(SB)/4, $0x78a5636f
+DATA sha256K<>+232(SB)/4, $0x84c87814
+DATA sha256K<>+236(SB)/4, $0x8cc70208
+DATA sha256K<>+240(SB)/4, $0x90befffa
+DATA sha256K<>+244(SB)/4, $0xa4506ceb
+DATA sha256K<>+248(SB)/4, $0xbef9a3f7
+DATA sha256K<>+252(SB)/4, $0xc67178f2
+GLOBL sha256K<>(SB), RODATA|NOPTR, $256
 
-// SHA-256's round constants K and initial value IV, global so that
-// tag_amd64.s reads them too.
-DATA ·sha256K+0(SB)/4, $0x428a2f98
-DATA ·sha256K+4(SB)/4, $0x71374491
-DATA ·sha256K+8(SB)/4, $0xb5c0fbcf
-DATA ·sha256K+12(SB)/4, $0xe9b5dba5
-DATA ·sha256K+16(SB)/4, $0x3956c25b
-DATA ·sha256K+20(SB)/4, $0x59f111f1
-DATA ·sha256K+24(SB)/4, $0x923f82a4
-DATA ·sha256K+28(SB)/4, $0xab1c5ed5
-DATA ·sha256K+32(SB)/4, $0xd807aa98
-DATA ·sha256K+36(SB)/4, $0x12835b01
-DATA ·sha256K+40(SB)/4, $0x243185be
-DATA ·sha256K+44(SB)/4, $0x550c7dc3
-DATA ·sha256K+48(SB)/4, $0x72be5d74
-DATA ·sha256K+52(SB)/4, $0x80deb1fe
-DATA ·sha256K+56(SB)/4, $0x9bdc06a7
-DATA ·sha256K+60(SB)/4, $0xc19bf174
-DATA ·sha256K+64(SB)/4, $0xe49b69c1
-DATA ·sha256K+68(SB)/4, $0xefbe4786
-DATA ·sha256K+72(SB)/4, $0x0fc19dc6
-DATA ·sha256K+76(SB)/4, $0x240ca1cc
-DATA ·sha256K+80(SB)/4, $0x2de92c6f
-DATA ·sha256K+84(SB)/4, $0x4a7484aa
-DATA ·sha256K+88(SB)/4, $0x5cb0a9dc
-DATA ·sha256K+92(SB)/4, $0x76f988da
-DATA ·sha256K+96(SB)/4, $0x983e5152
-DATA ·sha256K+100(SB)/4, $0xa831c66d
-DATA ·sha256K+104(SB)/4, $0xb00327c8
-DATA ·sha256K+108(SB)/4, $0xbf597fc7
-DATA ·sha256K+112(SB)/4, $0xc6e00bf3
-DATA ·sha256K+116(SB)/4, $0xd5a79147
-DATA ·sha256K+120(SB)/4, $0x06ca6351
-DATA ·sha256K+124(SB)/4, $0x14292967
-DATA ·sha256K+128(SB)/4, $0x27b70a85
-DATA ·sha256K+132(SB)/4, $0x2e1b2138
-DATA ·sha256K+136(SB)/4, $0x4d2c6dfc
-DATA ·sha256K+140(SB)/4, $0x53380d13
-DATA ·sha256K+144(SB)/4, $0x650a7354
-DATA ·sha256K+148(SB)/4, $0x766a0abb
-DATA ·sha256K+152(SB)/4, $0x81c2c92e
-DATA ·sha256K+156(SB)/4, $0x92722c85
-DATA ·sha256K+160(SB)/4, $0xa2bfe8a1
-DATA ·sha256K+164(SB)/4, $0xa81a664b
-DATA ·sha256K+168(SB)/4, $0xc24b8b70
-DATA ·sha256K+172(SB)/4, $0xc76c51a3
-DATA ·sha256K+176(SB)/4, $0xd192e819
-DATA ·sha256K+180(SB)/4, $0xd6990624
-DATA ·sha256K+184(SB)/4, $0xf40e3585
-DATA ·sha256K+188(SB)/4, $0x106aa070
-DATA ·sha256K+192(SB)/4, $0x19a4c116
-DATA ·sha256K+196(SB)/4, $0x1e376c08
-DATA ·sha256K+200(SB)/4, $0x2748774c
-DATA ·sha256K+204(SB)/4, $0x34b0bcb5
-DATA ·sha256K+208(SB)/4, $0x391c0cb3
-DATA ·sha256K+212(SB)/4, $0x4ed8aa4a
-DATA ·sha256K+216(SB)/4, $0x5b9cca4f
-DATA ·sha256K+220(SB)/4, $0x682e6ff3
-DATA ·sha256K+224(SB)/4, $0x748f82ee
-DATA ·sha256K+228(SB)/4, $0x78a5636f
-DATA ·sha256K+232(SB)/4, $0x84c87814
-DATA ·sha256K+236(SB)/4, $0x8cc70208
-DATA ·sha256K+240(SB)/4, $0x90befffa
-DATA ·sha256K+244(SB)/4, $0xa4506ceb
-DATA ·sha256K+248(SB)/4, $0xbef9a3f7
-DATA ·sha256K+252(SB)/4, $0xc67178f2
-GLOBL ·sha256K(SB), RODATA|NOPTR, $256
+DATA sha256IV<>+0(SB)/4, $0x6a09e667
+DATA sha256IV<>+4(SB)/4, $0xbb67ae85
+DATA sha256IV<>+8(SB)/4, $0x3c6ef372
+DATA sha256IV<>+12(SB)/4, $0xa54ff53a
+DATA sha256IV<>+16(SB)/4, $0x510e527f
+DATA sha256IV<>+20(SB)/4, $0x9b05688c
+DATA sha256IV<>+24(SB)/4, $0x1f83d9ab
+DATA sha256IV<>+28(SB)/4, $0x5be0cd19
+GLOBL sha256IV<>(SB), RODATA|NOPTR, $32
 
-DATA ·sha256IV+0(SB)/4, $0x6a09e667
-DATA ·sha256IV+4(SB)/4, $0xbb67ae85
-DATA ·sha256IV+8(SB)/4, $0x3c6ef372
-DATA ·sha256IV+12(SB)/4, $0xa54ff53a
-DATA ·sha256IV+16(SB)/4, $0x510e527f
-DATA ·sha256IV+20(SB)/4, $0x9b05688c
-DATA ·sha256IV+24(SB)/4, $0x1f83d9ab
-DATA ·sha256IV+28(SB)/4, $0x5be0cd19
-GLOBL ·sha256IV(SB), RODATA|NOPTR, $32
-
-// The byte mask of a 32-bit byte swap (BSWAP), and a node message's
-// fixed words: its 0x01 prefix in word 0, the padding's 0x80 marker in
-// word 16 and its bit length (520) in word 31.
-DATA sha256Consts<>+0(SB)/4, $0xff00ff00
-DATA sha256Consts<>+4(SB)/4, $0x01000000
-DATA sha256Consts<>+8(SB)/4, $0x00800000
-DATA sha256Consts<>+12(SB)/4, $520
-GLOBL sha256Consts<>(SB), RODATA|NOPTR, $16
+// The byte mask of a 32-bit byte swap (BSWAP).
+DATA bswapMask<>+0(SB)/4, $0xff00ff00
+GLOBL bswapMask<>(SB), RODATA|NOPTR, $4
 
 // func cpuHasAVX512F() bool
 //
@@ -176,32 +168,34 @@ done:
 	CHUNKS4(Z18, Z22, Z26, Z30);    \
 	CHUNKS4(Z19, Z23, Z27, Z31)
 
-// ROWS loads 16 rows of 64 bytes, row i at stride*i from src, into
-// Z16-Z31.
-#define ROWS(src, stride)               \
-	VMOVDQU32 0(src), Z16;          \
-	VMOVDQU32 1*stride(src), Z17;   \
-	VMOVDQU32 2*stride(src), Z18;   \
-	VMOVDQU32 3*stride(src), Z19;   \
-	VMOVDQU32 4*stride(src), Z20;   \
-	VMOVDQU32 5*stride(src), Z21;   \
-	VMOVDQU32 6*stride(src), Z22;   \
-	VMOVDQU32 7*stride(src), Z23;   \
-	VMOVDQU32 8*stride(src), Z24;   \
-	VMOVDQU32 9*stride(src), Z25;   \
-	VMOVDQU32 10*stride(src), Z26;  \
-	VMOVDQU32 11*stride(src), Z27;  \
-	VMOVDQU32 12*stride(src), Z28;  \
-	VMOVDQU32 13*stride(src), Z29;  \
-	VMOVDQU32 14*stride(src), Z30;  \
-	VMOVDQU32 15*stride(src), Z31
+// ROWS loads block row i of lane i into Z(16+i): lanes 0-7 at SI plus
+// 0-7 strides, lanes 8-15 at DI = SI + 8 strides plus 0-7. R9, R11, R12
+// and R13 hold 1, 3, 5 and 7 strides.
+#define ROWS                           \
+	LEAQ      (SI)(R9*8), DI;      \
+	VMOVDQU32 (SI), Z16;           \
+	VMOVDQU32 (SI)(R9*1), Z17;     \
+	VMOVDQU32 (SI)(R9*2), Z18;     \
+	VMOVDQU32 (SI)(R11*1), Z19;    \
+	VMOVDQU32 (SI)(R9*4), Z20;     \
+	VMOVDQU32 (SI)(R12*1), Z21;    \
+	VMOVDQU32 (SI)(R11*2), Z22;    \
+	VMOVDQU32 (SI)(R13*1), Z23;    \
+	VMOVDQU32 (DI), Z24;           \
+	VMOVDQU32 (DI)(R9*1), Z25;     \
+	VMOVDQU32 (DI)(R9*2), Z26;     \
+	VMOVDQU32 (DI)(R11*1), Z27;    \
+	VMOVDQU32 (DI)(R9*4), Z28;     \
+	VMOVDQU32 (DI)(R12*1), Z29;    \
+	VMOVDQU32 (DI)(R11*2), Z30;    \
+	VMOVDQU32 (DI)(R13*1), Z31
 
 // WORDS16 turns 16 rows of a block, row i in Z(16+i), into its 16
 // big-endian schedule words, word j of every lane in Z(16+j).
 // Clobbers Z8-Z10.
 #define WORDS16                                 \
 	TRANSPOSE16;                            \
-	VPBROADCASTD sha256Consts<>+0(SB), Z10; \
+	VPBROADCASTD bswapMask<>+0(SB), Z10; \
 	BSWAP(Z16);                             \
 	BSWAP(Z17);                             \
 	BSWAP(Z18);                             \
@@ -225,7 +219,7 @@ done:
 // stores each row's first eight words under a mask. Clobbers Z8-Z10,
 // R10 and K2.
 #define DIGESTS(dst)                            \
-	VPBROADCASTD sha256Consts<>+0(SB), Z10; \
+	VPBROADCASTD bswapMask<>+0(SB), Z10; \
 	BSWAP(Z16);                             \
 	BSWAP(Z17);                             \
 	BSWAP(Z18);                             \
@@ -254,46 +248,51 @@ done:
 	VMOVDQU32    Z30, K2, 448(dst);         \
 	VMOVDQU32    Z31, K2, 480(dst)
 
-// func hashBlocksAVX512(msgs *[16][LANE]byte, blocks *[16]uint32, maxBlocks int, out *[16][32]byte)
+// func hashBlocksAVX512(msgs *byte, stride int, blocks *[16]uint32, maxBlocks int, out *[16][32]byte)
 //
-// Lane i's message is the first blocks[i] 64-byte blocks of msgs[i],
-// padded as SHA-256 pads it; out[i] is set to its SHA-256. maxBlocks is
-// the largest blocks[i] and at least 1. Lanes of different lengths
-// share the call: it runs maxBlocks blocks, and after block b it adds
-// the block's result into the chaining value of only the lanes that
-// have a block b (a masked store under K1); a shorter lane's later
-// blocks are computed and dropped. The chaining values wait in the
-// frame between blocks.
-TEXT ·hashBlocksAVX512(SB), 0, $512-32
+// Lane i's message is the first blocks[i] 64-byte blocks of the row at
+// msgs + i*stride, padded as SHA-256 pads it; out[i] is set to its
+// SHA-256. maxBlocks is the largest blocks[i] and at least 1; every row
+// must hold maxBlocks blocks. Lanes of different lengths share the
+// call: it runs maxBlocks blocks, and after block b it adds the block's
+// result into the chaining value of only the lanes that have a block b
+// (a masked store under K1); a shorter lane's later blocks are computed
+// and dropped. The chaining values wait in the frame between blocks.
+// They derive from WrapBatch's keys when the rows are HMAC messages, so
+// the frame is zeroed before return, whoever the caller.
+TEXT ·hashBlocksAVX512(SB), 0, $512-40
 	MOVQ msgs+0(FP), SI
-	MOVQ blocks+8(FP), DI
-	MOVQ maxBlocks+16(FP), R8
-	MOVQ out+24(FP), DX
+	MOVQ stride+8(FP), R9
+	MOVQ blocks+16(FP), DI
+	MOVQ maxBlocks+24(FP), R8
+	MOVQ out+32(FP), DX
 	VMOVDQU32 (DI), Z11
+	LEAQ (R9)(R9*2), R11
+	LEAQ (R9)(R9*4), R12
+	LEAQ (R11)(R9*4), R13
 
 	// The chaining values, IV in every lane, to the frame.
-	LEAQ         ·sha256IV(SB), R9
-	VPBROADCASTD 0(R9), Z0
+	VPBROADCASTD sha256IV<>+0(SB), Z0
 	VMOVDQU32    Z0, 0(SP)
-	VPBROADCASTD 4(R9), Z0
+	VPBROADCASTD sha256IV<>+4(SB), Z0
 	VMOVDQU32    Z0, 64(SP)
-	VPBROADCASTD 8(R9), Z0
+	VPBROADCASTD sha256IV<>+8(SB), Z0
 	VMOVDQU32    Z0, 128(SP)
-	VPBROADCASTD 12(R9), Z0
+	VPBROADCASTD sha256IV<>+12(SB), Z0
 	VMOVDQU32    Z0, 192(SP)
-	VPBROADCASTD 16(R9), Z0
+	VPBROADCASTD sha256IV<>+16(SB), Z0
 	VMOVDQU32    Z0, 256(SP)
-	VPBROADCASTD 20(R9), Z0
+	VPBROADCASTD sha256IV<>+20(SB), Z0
 	VMOVDQU32    Z0, 320(SP)
-	VPBROADCASTD 24(R9), Z0
+	VPBROADCASTD sha256IV<>+24(SB), Z0
 	VMOVDQU32    Z0, 384(SP)
-	VPBROADCASTD 28(R9), Z0
+	VPBROADCASTD sha256IV<>+28(SB), Z0
 	VMOVDQU32    Z0, 448(SP)
 	XORQ BX, BX
 
 block:
 	// Block BX of every lane, one row each, as schedule words.
-	ROWS(SI, LANE)
+	ROWS
 	WORDS16
 	VMOVDQU32 0(SP), Z0
 	VMOVDQU32 64(SP), Z1
@@ -330,7 +329,7 @@ block:
 	CMPQ BX, R8
 	JB   block
 
-	// The digests.
+	// The digests, out of the frame, which is then zeroed.
 	VMOVDQU32 0(SP), Z16
 	VMOVDQU32 64(SP), Z17
 	VMOVDQU32 128(SP), Z18
@@ -339,111 +338,15 @@ block:
 	VMOVDQU32 320(SP), Z21
 	VMOVDQU32 384(SP), Z22
 	VMOVDQU32 448(SP), Z23
-	DIGESTS(DX)
-	VZEROUPPER
-	RET
-
-// SHIFTIN shifts word w right by a byte and moves the low byte of the
-// word before it, prev, into w's top byte. Clobbers Z8.
-#define SHIFTIN(w, prev) \
-	VPSRLD $8, w, w;      \
-	VPSLLD $24, prev, Z8; \
-	VPORD  Z8, w, w
-
-// func nodesAVX512(pairs *[32][32]byte, out *[16][32]byte)
-//
-// out[i] is set to the node hash over pairs[2i] and pairs[2i+1]: the
-// SHA-256 of the 65-byte message 0x01 || pairs[2i] || pairs[2i+1]. A
-// level's pairs lie in memory as the 64-byte rows of 16 nodes, and the
-// message is that row shifted one byte by the prefix, so nothing is
-// staged: row i, loaded and transposed into big-endian words P0-P15 as
-// the Merkle kernel does, gives block 1's words W0 = 0x01 << 24 | P0 >>
-// 8 and Wj = P(j-1) << 24 | Pj >> 8; block 2 is P15's low byte, the
-// 0x80 marker and the bit length. Only the 16 digests are stored.
-TEXT ·nodesAVX512(SB), 0, $256-16
-	MOVQ pairs+0(FP), SI
-	MOVQ out+8(FP), DX
-	LEAQ ·sha256IV(SB), R9
-
-	ROWS(SI, 64)
-	WORDS16
-	VPSLLD $24, Z31, Z11
-	SHIFTIN(Z31, Z30)
-	SHIFTIN(Z30, Z29)
-	SHIFTIN(Z29, Z28)
-	SHIFTIN(Z28, Z27)
-	SHIFTIN(Z27, Z26)
-	SHIFTIN(Z26, Z25)
-	SHIFTIN(Z25, Z24)
-	SHIFTIN(Z24, Z23)
-	SHIFTIN(Z23, Z22)
-	SHIFTIN(Z22, Z21)
-	SHIFTIN(Z21, Z20)
-	SHIFTIN(Z20, Z19)
-	SHIFTIN(Z19, Z18)
-	SHIFTIN(Z18, Z17)
-	SHIFTIN(Z17, Z16)
-	VPSRLD     $8, Z16, Z16
-	VPORD.BCST sha256Consts<>+4(SB), Z16, Z16
-
-	VPBROADCASTD 0(R9), Z0
-	VPBROADCASTD 4(R9), Z1
-	VPBROADCASTD 8(R9), Z2
-	VPBROADCASTD 12(R9), Z3
-	VPBROADCASTD 16(R9), Z4
-	VPBROADCASTD 20(R9), Z5
-	VPBROADCASTD 24(R9), Z6
-	VPBROADCASTD 28(R9), Z7
-	COMPRESS(first)
-
-	// The chaining value IV + R(IV, block 1): words 0-3 wait in the
-	// frame, words 4-6 in Z12-Z14, and word 7 in Z11 once block 2's
-	// first word is built from it.
-	VPADDD.BCST 0(R9), Z0, Z0
-	VMOVDQU32   Z0, 0(SP)
-	VPADDD.BCST 4(R9), Z1, Z1
-	VMOVDQU32   Z1, 64(SP)
-	VPADDD.BCST 8(R9), Z2, Z2
-	VMOVDQU32   Z2, 128(SP)
-	VPADDD.BCST 12(R9), Z3, Z3
-	VMOVDQU32   Z3, 192(SP)
-	VPADDD.BCST 16(R9), Z4, Z4
-	VPADDD.BCST 20(R9), Z5, Z5
-	VPADDD.BCST 24(R9), Z6, Z6
-	VPADDD.BCST 28(R9), Z7, Z7
-	VMOVDQA32   Z4, Z12
-	VMOVDQA32   Z5, Z13
-	VMOVDQA32   Z6, Z14
-
-	// Block 2.
-	VPORD.BCST   sha256Consts<>+8(SB), Z11, Z16
-	VMOVDQA32    Z7, Z11
-	VPXORD       Z17, Z17, Z17
-	VMOVDQA32    Z17, Z18
-	VMOVDQA32    Z17, Z19
-	VMOVDQA32    Z17, Z20
-	VMOVDQA32    Z17, Z21
-	VMOVDQA32    Z17, Z22
-	VMOVDQA32    Z17, Z23
-	VMOVDQA32    Z17, Z24
-	VMOVDQA32    Z17, Z25
-	VMOVDQA32    Z17, Z26
-	VMOVDQA32    Z17, Z27
-	VMOVDQA32    Z17, Z28
-	VMOVDQA32    Z17, Z29
-	VMOVDQA32    Z17, Z30
-	VPBROADCASTD sha256Consts<>+12(SB), Z31
-	COMPRESS(second)
-
-	// The digests, as the Merkle kernel stores them.
-	VPADDD 0(SP), Z0, Z16
-	VPADDD 64(SP), Z1, Z17
-	VPADDD 128(SP), Z2, Z18
-	VPADDD 192(SP), Z3, Z19
-	VPADDD Z12, Z4, Z20
-	VPADDD Z13, Z5, Z21
-	VPADDD Z14, Z6, Z22
-	VPADDD Z11, Z7, Z23
+	VPXORD    Z0, Z0, Z0
+	VMOVDQU32 Z0, 0(SP)
+	VMOVDQU32 Z0, 64(SP)
+	VMOVDQU32 Z0, 128(SP)
+	VMOVDQU32 Z0, 192(SP)
+	VMOVDQU32 Z0, 256(SP)
+	VMOVDQU32 Z0, 320(SP)
+	VMOVDQU32 Z0, 384(SP)
+	VMOVDQU32 Z0, 448(SP)
 	DIGESTS(DX)
 	VZEROUPPER
 	RET

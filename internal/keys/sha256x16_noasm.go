@@ -4,6 +4,9 @@ package keys
 
 const hasAVX512 = false
 
+// tagStage is empty: only the 16-lane kernel stages tag messages.
+type tagStage struct{}
+
 func tagWords(b *WrapBatch) { tagsGeneric(b) }
 
 func hashStaged(b *LeafBatch) { hashStagedGeneric(b) }

@@ -48,7 +48,7 @@ func refTagWord(outer Key, ct [KeySize]byte) uint32 {
 func TestWrapBatchMatchesRefWrap(t *testing.T) {
 	g := NewDeterministicGenerator(103)
 	var b WrapBatch
-	for n := 1; n <= tagLanes; n++ {
+	for n := 1; n <= hashLanes; n++ {
 		outers, inners := make([]Key, n), make([]Key, n)
 		outs := make([][WrappedSize]byte, n)
 		for i := range n {
@@ -70,7 +70,7 @@ func TestWrapBatchMatchesRefWrap(t *testing.T) {
 func TestTagPathsMatchHMAC(t *testing.T) {
 	g := NewDeterministicGenerator(104)
 	for _, p := range tagPaths() {
-		for n := 1; n <= tagLanes; n++ {
+		for n := 1; n <= hashLanes; n++ {
 			var b WrapBatch
 			outers, cts := make([]Key, n), make([][KeySize]byte, n)
 			for i := range n {
@@ -94,14 +94,14 @@ func TestTagPathsMatchHMAC(t *testing.T) {
 func TestWrapBatchLaneIndependence(t *testing.T) {
 	g := NewDeterministicGenerator(105)
 	var base WrapBatch
-	for i := range tagLanes {
+	for i := range hashLanes {
 		base.key[i], base.ct[i] = g.MustNewKey(), [KeySize]byte(g.MustNewKey())
 	}
-	base.n = tagLanes
+	base.n = hashLanes
 	for _, p := range tagPaths() {
 		want := base
 		p.fn(&want)
-		for lane := range tagLanes {
+		for lane := range hashLanes {
 			for _, field := range []string{"key", "ct"} {
 				b := base
 				bit := byte(1) << (lane % 8)
@@ -111,7 +111,7 @@ func TestWrapBatchLaneIndependence(t *testing.T) {
 					b.ct[lane][KeySize-1-lane] ^= bit
 				}
 				p.fn(&b)
-				for i := range tagLanes {
+				for i := range hashLanes {
 					if changed := b.tags[i] != want.tags[i]; changed != (i == lane) {
 						t.Fatalf("%s: flipping lane %d's %s changed lane %d's tag: %v", p.name, lane, field, i, changed)
 					}

@@ -226,8 +226,8 @@ func TestProcessBatchMatchesSeqEdgeCases(t *testing.T) {
 }
 
 // TestFillSpanMatchesRefWrapAndSeq rewraps spans of 17, 33 and 513
-// edges of one batch -- one past a full tag-kernel call, two past, and
-// 32 calls and one lane -- at a lane-aligned and an unaligned start, and
+// edges of one batch -- one past a full flush, two past, and 32
+// flushes and one lane -- at a lane-aligned and an unaligned start, and
 // requires every edge to be the reference's wrap of its keys and the
 // sequential pipeline's encryption at that position.
 func TestFillSpanMatchesRefWrapAndSeq(t *testing.T) {

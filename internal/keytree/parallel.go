@@ -8,8 +8,8 @@ import (
 // emitChunk is the number of encryptions the parallel emission hands
 // out at a time: large enough that the shared cursor is noise against
 // the AES and HMAC work, small enough that a batch of a few thousand
-// edges still splits evenly over the goroutines, and a multiple of the
-// tag kernel's 16 lanes, so only a batch's last piece has a short call.
+// edges still splits evenly over the goroutines, and a multiple of a
+// WrapBatch's 16 lanes, so only a batch's last piece has a short flush.
 const emitChunk = 512
 
 // emitParallel writes the batch's encryptions: one per live child of
@@ -72,8 +72,7 @@ func (t *Tree) emitParallel(res *BatchResult, rekeyed []int) {
 
 // fillSpan wraps Encryptions[lo:hi], whose IDs emitParallel has set:
 // each child's parent key under the child's key, through a WrapBatch on
-// this goroutine's stack, 16 edges to a tag-kernel call, the tail's
-// included.
+// this goroutine's stack, 16 edges to a flush, the tail's included.
 func (t *Tree) fillSpan(res *BatchResult, lo, hi int) {
 	var b keys.WrapBatch
 	for i := lo; i < hi; i++ {

@@ -68,6 +68,7 @@ func (t *Tree) processBatchSeq(joins, leaves []Member) (*BatchResult, error) {
 
 	levelStart := t.levelBounds()
 	res.emitted.w = make([]uint64, (len(t.nodes)+63)/64)
+	var b keys.WrapBatch // flushed after every edge
 	for level := t.height; level >= 1; level-- {
 		lo, hi := levelStart[level], min(levelStart[level+1], len(t.nodes))
 		start := len(res.Encryptions)
@@ -77,7 +78,6 @@ func (t *Tree) processBatchSeq(joins, leaves []Member) (*BatchResult, error) {
 			}
 			res.Encryptions = append(res.Encryptions, Encryption{ID: uint32(id)})
 			e := &res.Encryptions[len(res.Encryptions)-1]
-			var b keys.WrapBatch
 			b.Add(&e.Wrapped, &t.nodes[id].key, &t.nodes[t.Parent(id)].key)
 			b.Flush()
 			res.emitted.set(id)

@@ -66,7 +66,9 @@ type Outcome struct {
 // to NACK, ends it with Next and the message with Close, and reads the
 // account off Outcome. The Session emits the rho gauge, the RoundStart,
 // RhoAdjusted and SwitchToUnicast events and the NACKs of every round
-// and wave.
+// and wave, and adds its Outcome to the registry as it decides it: the
+// enc_sent, parity_sent, usr_sent, unicast_waves and nack_recv
+// counters are the sums of every message's account.
 type Session struct {
 	tun     tuning.Tuning
 	reg     *obs.Registry
@@ -137,8 +139,11 @@ func (s *Session) layout(data int, parity []int) {
 			s.out.ParitySent++
 		}
 	}
-	s.out.EncSent += data * len(parity)
+	enc := data * len(parity)
+	s.out.EncSent += enc
 	s.refs = blockplan.Interleave(perBlock)
+	s.reg.Add(obs.CEncSent, int64(enc))
+	s.reg.Add(obs.CParitySent, int64(len(s.refs)-enc))
 }
 
 func (s *Session) roundStart() {
@@ -189,6 +194,7 @@ func (s *Session) NACK(user int, raw []byte) (demand int, ok bool) {
 		demand = max(demand, c)
 	}
 	s.demand = append(s.demand, demand)
+	s.reg.Inc(obs.CNACKRecv)
 	return demand, true
 }
 
@@ -224,9 +230,12 @@ func (s *Session) Next() Step {
 	default:
 		s.step = Unicast
 		s.out.UnicastWaves++
+		s.reg.Inc(obs.CUnicastWaves)
 		for u := range s.waiting {
 			s.served[u]++
-			s.out.UsrSent += s.Copies(u)
+			copies := s.Copies(u)
+			s.out.UsrSent += copies
+			s.reg.Add(obs.CUsrSent, int64(copies))
 		}
 		if s.out.UnicastWaves == 1 {
 			s.reg.Emit(obs.Event{Kind: obs.EvSwitchToUnicast, MsgID: s.msgID, Round: s.out.Rounds, Value: float64(len(s.waiting))})

@@ -250,7 +250,6 @@ func (s *Server) Distribute(ctx context.Context, rm *rekey.RekeyMessage, opts Op
 		} else {
 			// Unicast (Fig. 22) to the latest round's or wave's NACKers
 			// only: a member still pending NACKs every QuietGap.
-			s.obs.Inc(obs.CUnicastWaves)
 			if err := s.unicastUSR(ctx, rm, members[:waitingFirst(members, s.sess.Waiting())]); err != nil {
 				return st, err
 			}
@@ -304,8 +303,6 @@ func (s *Server) multicastRefs(ctx context.Context, rm *rekey.RekeyMessage, refs
 		return err
 	}
 	slab, offs, at := s.round.Bytes, s.round.Offs, s.round.At
-	s.obs.Add(obs.CEncSent, int64(len(refs)-s.round.Parity))
-	s.obs.Add(obs.CParitySent, int64(s.round.Parity))
 
 	// First pass: the waiting members, each sent all it waits for.
 	msgs := s.out[:0]
@@ -481,7 +478,6 @@ func (s *Server) listen(ctx context.Context, rm *rekey.RekeyMessage, addrOf map[
 			continue
 		}
 		if s.obs.Enabled() {
-			s.obs.Inc(obs.CNACKRecv)
 			s.obs.Emit(obs.Event{Kind: obs.EvNACKReceived, MsgID: rm.MsgID, User: node, Value: float64(demand)})
 		}
 	}
@@ -504,7 +500,6 @@ func (s *Server) unicastUSR(ctx context.Context, rm *rekey.RekeyMessage, pending
 		}
 		for j := 0; j < s.sess.Copies(m.node); j++ {
 			msgs = append(msgs, outMsg{to: m.addr, iov: [2][]byte{raw}, seg: len(raw)})
-			s.obs.Inc(obs.CUsrSent)
 		}
 	}
 	s.out = msgs

@@ -441,6 +441,45 @@ func TestRhoAdjustedCarriesMessageID(t *testing.T) {
 	}
 }
 
+// TestRegistryCountsOutcomes: a run fed a registry reads, in the
+// transport's counters, the sums of its messages' Outcomes -- the
+// protocol Session counts each figure once, for this driver and
+// udptrans alike. Two multicast rounds on a lossy network leave
+// stragglers, so every counter moves.
+func TestRegistryCountsOutcomes(t *testing.T) {
+	reg := obs.New()
+	cfg := adaptive()
+	cfg.Obs, cfg.MaxMulticastRounds = reg, 2
+	w := newWorld(t, cfg, 512, paperStar(), 21)
+	var sum protocol.Outcome
+	nacks := 0
+	for range 3 {
+		out := w.run().Outcome
+		sum.EncSent += out.EncSent
+		sum.ParitySent += out.ParitySent
+		sum.UsrSent += out.UsrSent
+		sum.UnicastWaves += out.UnicastWaves
+		for _, n := range out.NACKsPerRound {
+			nacks += n
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		counter obs.Counter
+		want    int
+	}{
+		{"enc_sent", obs.CEncSent, sum.EncSent},
+		{"parity_sent", obs.CParitySent, sum.ParitySent},
+		{"usr_sent", obs.CUsrSent, sum.UsrSent},
+		{"unicast_waves", obs.CUnicastWaves, sum.UnicastWaves},
+		{"nack_recv", obs.CNACKRecv, nacks},
+	} {
+		if got := reg.CounterValue(c.counter); got != int64(c.want) || c.want == 0 {
+			t.Errorf("%s = %d, summed Outcomes %d (want equal and nonzero)", c.name, got, c.want)
+		}
+	}
+}
+
 // TestUnreachedMember: a member whose link drops every datagram of a
 // message never learns there is one to ask for. The Session finishes with
 // everyone else keyed, the run counts the member unreached, and the
