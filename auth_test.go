@@ -40,7 +40,7 @@ func verifyingMember(t testing.TB, s *Server, id MemberID) *Member {
 // specific packet, plus its block.
 func wireENCFor(t testing.TB, rm *RekeyMessage, nodeID int) (wire []byte, block, seq int) {
 	t.Helper()
-	pi, ok := rm.Plan.UserPacket[nodeID]
+	pi, ok := rm.PacketFor(nodeID)
 	if !ok {
 		t.Fatalf("no packet for node %d", nodeID)
 	}

@@ -226,13 +226,15 @@ func BenchmarkMemberIngest(b *testing.B) {
 		// The member's packet of the first message; and of each message an
 		// ENC packet and a parity shard from a block that is not the
 		// member's.
-		own, err := rm1.WireENC(rm1.Plan.UserPacket[cred.NodeID])
+		ownPkt, _ := rm1.PacketFor(cred.NodeID)
+		own, err := rm1.WireENC(ownPkt)
 		if err != nil {
 			b.Fatal(err)
 		}
 		var other, parity [2][]byte
 		for i, rm := range []*rekey.RekeyMessage{rm1, rm2} {
-			ownBlk, _ := rm.Part.Slot(rm.Plan.UserPacket[[]int{cred.NodeID, cred2.NodeID}[i]])
+			pi, _ := rm.PacketFor([]int{cred.NodeID, cred2.NodeID}[i])
+			ownBlk, _ := rm.Part.Slot(pi)
 			blk := (ownBlk + 1) % rm.Blocks()
 			if other[i], err = rm.WireENC(blk * rm.Part.K); err != nil {
 				b.Fatal(err)

@@ -109,7 +109,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("keyserverd: kernels: aes %s, sha256 %s", keys.AESKernel(), keys.SHA256Kernel())
+	log.Printf("keyserverd: kernels: aes %s, sha256 %s, rsa-verify %s", keys.AESKernel(), keys.SHA256Kernel(), keys.RootVerifyKernel())
 	log.Printf("keyserverd: control on %s, transport on %s, interval %v", ln.Addr(), tr.Addr(), *interval)
 
 	go d.runRekeys(ctx, *interval)

@@ -54,6 +54,8 @@ func main() {
 		log.Fatal(err)
 	}
 
+	log.Printf("memberd %d: kernels: aes %s, sha256 %s, rsa-verify %s", *id, keys.AESKernel(), keys.SHA256Kernel(), keys.RootVerifyKernel())
+
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 

@@ -53,13 +53,33 @@ func (pp *PacketPlan) encryption(res *keytree.BatchResult, j int) (*keytree.Encr
 type Plan struct {
 	Packets []PacketPlan
 	// UserPacket maps each user node ID to the index (into Packets) of
-	// its specific ENC packet.
+	// its specific ENC packet. The module reads it only in tests;
+	// PacketOf finds the same index without it.
 	UserPacket map[int]int
 	// TotalEntries is the number of encryption entries across all
 	// packets, counting duplicates.
 	TotalEntries int
 	// DistinctEncryptions is the number of distinct encryptions assigned.
 	DistinctEncryptions int
+}
+
+// PacketOf returns the index into Packets of the packet serving user
+// node nodeID, the one UserPacket maps it to: UKA's packets cover
+// ascending, disjoint [FrmID, ToID] ranges, so one binary search finds
+// the only packet whose range can hold nodeID and a second its
+// ascending Users. ok is false for an ID no packet serves, a user
+// whose path no batch key changed among them. The index is a real
+// packet's: a last-block duplicate of it is never returned.
+func (p *Plan) PacketOf(nodeID int) (int, bool) {
+	pi := sort.Search(len(p.Packets), func(i int) bool { return p.Packets[i].ToID >= nodeID })
+	if pi == len(p.Packets) || p.Packets[pi].FrmID > nodeID {
+		return 0, false
+	}
+	users := p.Packets[pi].Users
+	if j := sort.SearchInts(users, nodeID); j == len(users) || users[j] != nodeID {
+		return 0, false
+	}
+	return pi, true
 }
 
 // DuplicationOverhead is the ratio of duplicated encryptions to the

@@ -99,3 +99,36 @@ func TestBuildPlanGolden(t *testing.T) {
 		}
 	}
 }
+
+// samePacketOf holds PacketOf to the UserPacket map Build fills, over
+// every ID from 0 to one past the batch's largest node ID: members and
+// unchanged users inside a packet's range alike, k-node IDs, and IDs
+// past the last packet.
+func samePacketOf(t *testing.T, name string, plan *Plan, res *keytree.BatchResult) {
+	t.Helper()
+	for id := 0; id <= res.MaxKID+1; id++ {
+		want, wantOK := plan.UserPacket[id]
+		got, ok := plan.PacketOf(id)
+		if ok != wantOK || got != want {
+			t.Fatalf("%s: PacketOf(%d) = %d, %v; UserPacket has %d, %v", name, id, got, ok, want, wantOK)
+		}
+	}
+}
+
+// TestPacketOfMatchesUserPacket runs samePacketOf on every golden plan.
+func TestPacketOfMatchesUserPacket(t *testing.T) {
+	tr := keytree.New(4, keys.NewDeterministicGenerator(0x5eed))
+	for _, gc := range planGolden {
+		res, err := tr.ProcessBatch(memberRange(gc.joins), memberRange(gc.leaves))
+		if err != nil {
+			t.Fatalf("%s: %v", gc.name, err)
+		}
+		for _, capacity := range []int{Capacity, 5} {
+			plan, err := BuildCapacity(res, capacity)
+			if err != nil {
+				t.Fatalf("%s capacity %d: %v", gc.name, capacity, err)
+			}
+			samePacketOf(t, fmt.Sprintf("%s capacity %d", gc.name, capacity), plan, res)
+		}
+	}
+}

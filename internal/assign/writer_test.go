@@ -172,7 +172,8 @@ func TestWriteENCErrorParity(t *testing.T) {
 
 // FuzzPlanMarshal drives a small seeded tree through a fuzzed script of
 // batches and, after each, holds WriteENC to the reference on the
-// batch's plan at a fuzzed capacity, block size and message ID.
+// batch's plan at a fuzzed capacity, block size and message ID, and
+// PacketOf to the plan's UserPacket map.
 func FuzzPlanMarshal(f *testing.F) {
 	f.Add(uint64(1), uint16(200), []byte{40, 10, 0, 30, 25, 25}, uint8(46), uint8(10), uint8(5))
 	f.Add(uint64(2), uint16(1), []byte{0, 1, 120, 0}, uint8(6), uint8(3), uint8(63))
@@ -202,6 +203,7 @@ func FuzzPlanMarshal(f *testing.F) {
 				t.Fatal(err)
 			}
 			sameENC(t, fmt.Sprintf("batch %d", s/2), plan, res, msgID, int(k%16)+1)
+			samePacketOf(t, fmt.Sprintf("batch %d", s/2), plan, res)
 		}
 	})
 }

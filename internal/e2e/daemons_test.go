@@ -148,7 +148,7 @@ func startServer(t *testing.T, bin, ctl string, flags ...string) (udpAddr, httpB
 
 	udpRe := regexp.MustCompile(`transport on (\S+),`)
 	httpRe := regexp.MustCompile(`metrics on (http://\S+)/metrics`)
-	kernelRe := regexp.MustCompile(`kernels: aes (aesni|generic), sha256 (avx512|generic)$`)
+	kernelRe := regexp.MustCompile(`kernels: aes (aesni|generic), sha256 (avx512|generic), rsa-verify (adx|stdlib)$`)
 	sc := bufio.NewScanner(stderr)
 	deadline := time.After(10 * time.Second)
 	addrCh := make(chan string, 1)

@@ -94,7 +94,7 @@ func runAblUKA(o Options) ([]*stats.Figure, error) {
 				for _, idx := range rd.Received(nil, ui) {
 					got[idx] = true
 				}
-				if pi, ok := plan.UserPacket[nodeID]; ok && !got[pi] {
+				if pi, ok := plan.PacketOf(nodeID); ok && !got[pi] {
 					fU++
 				}
 				for _, pi := range base.UserPackets[nodeID] {

@@ -12,6 +12,8 @@ import "testing"
 // a tree of 1024 leaves, its levels hashed 16 nodes to a kernel call,
 // makes only its slab, its level index and itself, and one reduced in
 // place, as a member checks a decoded block, makes nothing.
+// On the root-verify kernel, a member's uncached root check allocates
+// nothing and NewRootVerifier only the verifier.
 // Without the AES-NI kernel (other CPUs and GOARCHes, -tags purego)
 // each block builds one crypto/aes key schedule.
 func TestHotPathAllocs(t *testing.T) {
@@ -31,11 +33,12 @@ func TestHotPathAllocs(t *testing.T) {
 	usr := make([]byte, 145)
 	leaves := make([]MerkleHash, 1024)
 	sums := make([]MerkleHash, hashLanes)
-	rows := []struct {
+	type row struct {
 		name string
 		want float64
 		fn   func()
-	}{
+	}
+	rows := []row{
 		{"WrapBatch, 16 edges", hashLanes * schedule, func() {
 			var b WrapBatch
 			for i := range outs {
@@ -75,6 +78,20 @@ func TestHotPathAllocs(t *testing.T) {
 		}},
 		{"NewMerkleTree, 1024 leaves", 3, func() { right = NewMerkleTree(leaves).Root() }},
 		{"MerkleRoot, 1024 leaves", 0, func() { right = MerkleRoot(leaves) }},
+	}
+	if hasRootKernel {
+		priv := rootTestKey(t, "1024")
+		root := MerkleHash{1}
+		sig := signRoot(t, priv, root)
+		v := NewRootVerifier(&priv.PublicKey)
+		rows = append(rows,
+			row{"RootVerifier uncached check, 1024 bits", 0, func() {
+				if err := v.verify(&root, sig); err != nil {
+					t.Fatalf("verify: %v", err)
+				}
+			}},
+			row{"NewRootVerifier, 1024 bits", 1, func() { v = NewRootVerifier(&priv.PublicKey) }},
+		)
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.fn); got != r.want {

@@ -337,7 +337,9 @@ func (s *Signer) SignRoot(root MerkleHash) ([]byte, error) {
 	return s.Sign(root[:])
 }
 
-// VerifyRoot checks an interval root signature without caching.
+// VerifyRoot checks an interval root signature without caching, through
+// crypto/rsa, which rebuilds the modulus on every call; a RootVerifier
+// builds it once.
 func VerifyRoot(pub *rsa.PublicKey, root MerkleHash, sig []byte) error {
 	return Verify(pub, root[:], sig)
 }
@@ -354,6 +356,10 @@ const rootCacheSize = 8
 // It is safe for concurrent use.
 type RootVerifier struct {
 	pub *rsa.PublicKey
+	// kernel reports that mont holds pub precomputed and the ADX kernel
+	// checks its signatures; otherwise crypto/rsa does.
+	kernel bool
+	mont   montKey
 
 	mu sync.Mutex
 	// cache is a tiny FIFO-evicted set of verified roots.
@@ -363,8 +369,26 @@ type RootVerifier struct {
 }
 
 // NewRootVerifier returns a verifier trusting the given public key.
+// Where RootVerifyKernel is "adx" and the key is one the kernel takes
+// (e = 65 537 and an odd modulus of 1024–4096 bits whose 64-bit limb
+// count is a multiple of 8), it computes the key's Montgomery constants
+// here, once; the verifier is its one allocation.
 func NewRootVerifier(pub *rsa.PublicKey) *RootVerifier {
-	return &RootVerifier{pub: pub}
+	v := &RootVerifier{pub: pub}
+	v.kernel = v.mont.init(pub)
+	return v
+}
+
+// RootVerifyKernel reports which path checks a RootVerifier's signed
+// roots: "adx" (a precomputed modulus and a MULX/ADCX/ADOX row kernel)
+// on amd64 CPUs with BMI2 and ADX, "stdlib" (crypto/rsa, which rebuilds
+// the modulus on every call) otherwise and under the purego build tag.
+// Fixed at init. Keys the kernel does not take use crypto/rsa anyway.
+func RootVerifyKernel() string {
+	if hasRootKernel {
+		return "adx"
+	}
+	return "stdlib"
 }
 
 // Public returns the trusted public key.
@@ -381,7 +405,7 @@ func (v *RootVerifier) VerifyRoot(root MerkleHash, sig []byte) (cached bool, err
 		}
 	}
 	v.mu.Unlock()
-	if err := VerifyRoot(v.pub, root, sig); err != nil {
+	if err := v.verify(&root, sig); err != nil {
 		return false, err
 	}
 	v.mu.Lock()
@@ -392,4 +416,13 @@ func (v *RootVerifier) VerifyRoot(root MerkleHash, sig []byte) (cached bool, err
 	}
 	v.mu.Unlock()
 	return false, nil
+}
+
+// verify is the uncached check: the kernel's when it took the key,
+// crypto/rsa's otherwise.
+func (v *RootVerifier) verify(root *MerkleHash, sig []byte) error {
+	if v.kernel {
+		return v.mont.verify(root, sig)
+	}
+	return VerifyRoot(v.pub, *root, sig)
 }

@@ -80,7 +80,8 @@ func (f *assemblyFixture) member(t testing.TB, id MemberID, reg *obs.Registry) *
 		m.SetVerifier(keys.NewRootVerifier(f.s.SignerPublic()))
 	}
 	m.SetObs(reg)
-	wire, err := f.rm1.WireENC(f.rm1.Plan.UserPacket[f.creds[id].NodeID])
+	pi, _ := f.rm1.PacketFor(f.creds[id].NodeID)
+	wire, err := f.rm1.WireENC(pi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func (f *assemblyFixture) ownPacket(t testing.TB, id MemberID) int {
 	if !ok {
 		t.Fatalf("no credentials for member %d", id)
 	}
-	pi, ok := f.rm2.Plan.UserPacket[cred.NodeID]
+	pi, ok := f.rm2.PacketFor(cred.NodeID)
 	if !ok {
 		t.Fatalf("no packet for node %d", cred.NodeID)
 	}
@@ -437,7 +438,7 @@ func TestIngestAllocs(t *testing.T) {
 		// Some rm1 packet that is not the member's: another message's,
 		// which is all it is here for.
 		notOwn := 0
-		if f.rm1.Plan.UserPacket[f.creds[id].NodeID] == 0 {
+		if pi, _ := f.rm1.PacketFor(f.creds[id].NodeID); pi == 0 {
 			notOwn = 1
 		}
 		otherOld, err := f.rm1.WireENC(notOwn)

@@ -66,7 +66,7 @@ func TestMemberParityOnlyRecovery(t *testing.T) {
 		break
 	}
 	nodeID := victim.ID()
-	pi := rm.Plan.UserPacket[nodeID]
+	pi, _ := rm.PacketFor(nodeID)
 	blk, _ := rm.Part.Slot(pi)
 	k := rm.Part.K
 

@@ -151,7 +151,7 @@ func TestIngestResultFields(t *testing.T) {
 		t.Fatalf("need >= 2 blocks, got %d", rm.Blocks())
 	}
 	nodeID := m.ID()
-	pi := rm.Plan.UserPacket[nodeID]
+	pi, _ := rm.PacketFor(nodeID)
 	blk, _ := rm.Part.Slot(pi)
 	k := rm.Part.K
 

@@ -514,8 +514,7 @@ func (rm *RekeyMessage) encodeLocked(ctx context.Context, want []int) error {
 // PacketFor returns the index in ENC of the datagram serving the given
 // user node ID, the one a member of that node needs.
 func (rm *RekeyMessage) PacketFor(nodeID int) (int, bool) {
-	pi, ok := rm.Plan.UserPacket[nodeID]
-	return pi, ok
+	return rm.Plan.PacketOf(nodeID)
 }
 
 // checkUSRFields reports whether nodeID and the batch's MaxKID fit the
